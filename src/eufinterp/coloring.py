@@ -37,30 +37,6 @@ def choose_splitter(path: Path, symbols: SymbolTable) -> Term:
     raise ColoringError(f"no shared-signature vertex on {path!r}")
 
 
-def _uncolorable_edges(graph: CongruenceGraph, symbols: SymbolTable) -> list[Edge]:
-    return [
-        e
-        for e in graph.edges
-        if edge_colorability(e.u, e.v, symbols) == Colorability.NONE
-    ]
-
-
-def _side_of_removed(graph: CongruenceGraph, anchor: Term, target: Term) -> bool:
-    """After an edge removal, is ``target`` reachable from ``anchor``?"""
-    seen = {anchor.id}
-    queue = deque([anchor])
-    while queue:
-        cur = queue.popleft()
-        if cur is target:
-            return True
-        for edge in graph.adjacency[cur.id]:
-            nxt = edge.other(cur)
-            if nxt.id not in seen:
-                seen.add(nxt.id)
-                queue.append(nxt)
-    return False
-
-
 def make_colorable(
     graph: CongruenceGraph, symbols: SymbolTable, table: TermTable
 ) -> tuple[CongruenceGraph, list[Term]]:
@@ -68,18 +44,20 @@ def make_colorable(
 
     Works on a private copy; returns it with the list of vertices added.
     Uncolorable edges are processed in creation order, so each one's parent
-    paths are already fully colorable when it is split.  When the split
-    application already exists as a vertex it is reused: it is then already
-    connected to one endpoint, and a single replacement edge to the other
-    endpoint keeps the graph acyclic.
+    paths are already fully colorable when it is split.  An edge's
+    colorability never changes and new edges take the largest sequence
+    numbers, so one scan plus appending any uncolorable new edge keeps the
+    queue in that order.  When the split application already exists as a
+    vertex it is reused: it is then already connected to one endpoint, and a
+    single replacement edge to the other endpoint keeps the graph acyclic.
     """
     g = graph.clone()
     added: list[Term] = []
-    while True:
-        bad = _uncolorable_edges(g, symbols)
-        if not bad:
-            return g, added
-        edge = min(bad, key=lambda e: e.seq)
+    queue = deque(
+        e for e in g.edges if edge_colorability(e.u, e.v, symbols) == Colorability.NONE
+    )
+    while queue:
+        edge = queue.popleft()
         if not edge.is_derived:
             raise ColoringError(f"basic edge {edge!r} is uncolorable")
         splitters = []
@@ -88,18 +66,12 @@ def make_colorable(
         new_term = table.make(edge.u.head, splitters)
         left_pairs = tuple(zip((p for p, _ in edge.parents), splitters))
         right_pairs = tuple(zip(splitters, (q for _, q in edge.parents)))
-        if new_term.id in g.vertex_ids:
-            g.remove_edge(edge)
-            if _side_of_removed(g, edge.u, new_term):
-                g.add_edge(new_term, edge.v, parents=right_pairs)
-            else:
-                g.add_edge(edge.u, new_term, parents=left_pairs)
-        else:
-            g.add_vertex(new_term)
+        if new_term.id not in g.vertex_ids:
             added.append(new_term)
-            g.remove_edge(edge)
-            g.add_edge(edge.u, new_term, parents=left_pairs)
-            g.add_edge(new_term, edge.v, parents=right_pairs)
+        for new in g.split_edge(edge, new_term, left_pairs, right_pairs):
+            if edge_colorability(new.u, new.v, symbols) == Colorability.NONE:
+                queue.append(new)
+    return g, added
 
 
 @dataclass(frozen=True)

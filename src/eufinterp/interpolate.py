@@ -128,34 +128,61 @@ class PremiseSets:
         self._running.add(mark)
         return mark
 
+    def _memoized(self, memo: dict, tag: str, path: Path, parts) -> tuple[PathKey, ...]:
+        """A path's value, memoized by path key, evaluated without recursion.
+
+        ``parts(path)`` yields, in order, the keys of the path's value and
+        the sub-paths whose values join it.  Sub-paths are evaluated on an
+        explicit stack, so values reach ``memo`` in the order a recursive
+        evaluation would finish them.
+        """
+        key = self.key_of(path)
+        value = memo.get(key)
+        if value is not None:
+            return value
+        stack = [(key, self._guard(tag, key), parts(path), {})]
+        while stack:
+            key, mark, todo, out = stack[-1]
+            for part in todo:
+                if not isinstance(part, Path):
+                    out[part] = None
+                    continue
+                sub_key = self.key_of(part)
+                hit = memo.get(sub_key)
+                if hit is None:
+                    stack.append((sub_key, self._guard(tag, sub_key), parts(part), {}))
+                    break
+                for k in hit:
+                    out[k] = None
+            else:
+                stack.pop()
+                self._running.discard(mark)
+                memo[key] = value = tuple(out)
+                if stack:
+                    out = stack[-1][3]
+                    for k in value:
+                        out[k] = None
+        return value
+
     def _premises(self, path: Path, want: Side) -> tuple[PathKey, ...]:
         """Maximal ``want``-colored paths supporting this path's summary."""
-        memo = self._b if want is Side.B else self._a
-        key = self.key_of(path)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if path.is_empty:
-            memo[key] = ()
-            return ()
-        mark = self._guard(want.value, key)
-        out: dict[PathKey, None] = {}
-        for factor in self.colored.factors(path):
-            if factor.side is want:
-                out[self.key_of(factor.path)] = None
-            else:
+
+        def parts(path: Path):
+            if path.is_empty:
+                return
+            for factor in self.colored.factors(path):
+                if factor.side is want:
+                    yield self.key_of(factor.path)
+                    continue
                 for step in factor.path.steps:
                     edge = step.edge
                     if edge.is_derived:
                         for p, q in edge.parents:
                             if p is not q:
-                                sub = self.colored.path(p, q)
-                                for k in self._premises(sub, want):
-                                    out[k] = None
-        self._running.discard(mark)
-        result = tuple(out)
-        memo[key] = result
-        return result
+                                yield self.colored.path(p, q)
+
+        memo = self._b if want is Side.B else self._a
+        return self._memoized(memo, want.value, path, parts)
 
     def b_premises(self, path: Path) -> tuple[PathKey, ...]:
         return self._premises(path, Side.B)
@@ -165,20 +192,14 @@ class PremiseSets:
 
     def cumulative(self, path: Path) -> tuple[PathKey, ...]:
         """The path itself plus, recursively, B-premises of its A-premises."""
-        key = self.key_of(path)
-        hit = self._cumulative.get(key)
-        if hit is not None:
-            return hit
-        mark = self._guard("P", key)
-        out: dict[PathKey, None] = {key: None}
-        for sigma in self.a_premises(path):
-            for tau in self.b_premises(self.path_of(sigma)):
-                for k in self.cumulative(self.path_of(tau)):
-                    out[k] = None
-        self._running.discard(mark)
-        result = tuple(out)
-        self._cumulative[key] = result
-        return result
+
+        def parts(path: Path):
+            yield self.key_of(path)
+            for sigma in self.a_premises(path):
+                for tau in self.b_premises(self.path_of(sigma)):
+                    yield self.path_of(tau)
+
+        return self._memoized(self._cumulative, "P", path, parts)
 
 
 def justification(ps: PremiseSets, path: Path) -> HornClause | None:

@@ -212,13 +212,15 @@ def check_interpolant(problem: ProblemInstance, horn: HornConjunction) -> Entail
     shared_ok = True
     for ci, clause in enumerate(horn.clauses):
         for atom in clause.atoms():
-            for term in (atom.lhs, atom.rhs):
-                if problem.symbols.colorability(term) != Colorability.AB:
-                    shared_ok = False
-                    failures.append(
-                        f"clause {ci}: atom {format_literal(atom)} uses symbols "
-                        "not shared by A and B"
-                    )
+            if any(
+                problem.symbols.colorability(term) != Colorability.AB
+                for term in (atom.lhs, atom.rhs)
+            ):
+                shared_ok = False
+                failures.append(
+                    f"clause {ci}: atom {format_literal(atom)} uses symbols "
+                    "not shared by A and B"
+                )
 
     a_lits = list(problem.a_literals)
     a_ok = True

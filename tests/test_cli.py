@@ -72,6 +72,20 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert "error" in err
 
 
+def test_directory_argument_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "interpolate", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_undecodable_input_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.euf"
+    path.write_bytes(b"(A (= a b)) (B (not (= a \xff)))\n")
+    code, out, err = run_cli(capsys, "interpolate", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "utf-8" in err
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("(A (= a b)) (B (not (= a b)))"))
     code, out, _ = run_cli(capsys, "interpolate", "-")

@@ -96,6 +96,58 @@ def clause_text_set(result):
     return frozenset(result.interpolant.clauses)
 
 
+def _edge_list(problem):
+    colored, _, _, _ = build_colored_graph(problem, Strategy.GREEDY)
+    return [
+        (e.seq, format_term(e.u), format_term(e.v), colored.edge_color(e).value)
+        for e in colored.graph.edges
+    ]
+
+
+def test_golden_edge_list_of_three_crossings():
+    # The crossing shape at k=3: each (g a{i}) ~ (g b{i}) is split at a fresh
+    # (g z{i}); seqs 12-14 are the three crossing edges the splits replaced.
+    p = parse_problem(
+        "(A (= z1 a1) (= t1 (g a1)) (= z2 a2) (= t2 (g a2)) (= z0 a0) (= t0 (g a0)))"
+        " (B (= t3 (g b2)) (= (g b1) t2) (= (g b0) t1) (= z2 b2) (= b1 z1)"
+        " (= z0 b0) (not (= t0 t3)))"
+    )
+    assert _edge_list(p) == [
+        (0, "z1", "a1", "A"),
+        (1, "t1", "(g a1)", "A"),
+        (2, "z2", "a2", "A"),
+        (3, "t2", "(g a2)", "A"),
+        (4, "z0", "a0", "A"),
+        (5, "t0", "(g a0)", "A"),
+        (6, "t3", "(g b2)", "B"),
+        (7, "t2", "(g b1)", "B"),
+        (8, "t1", "(g b0)", "B"),
+        (9, "z2", "b2", "B"),
+        (10, "z1", "b1", "B"),
+        (11, "z0", "b0", "B"),
+        (15, "(g b2)", "(g z2)", "B"),
+        (16, "(g z2)", "(g a2)", "A"),
+        (17, "(g b1)", "(g z1)", "B"),
+        (18, "(g z1)", "(g a1)", "A"),
+        (19, "(g b0)", "(g z0)", "B"),
+        (20, "(g z0)", "(g a0)", "A"),
+    ]
+
+
+def test_golden_edge_list_of_the_reuse_example():
+    p = parse_problem(
+        "(A (= x z1) (= (* x z2) z3) (= (* z1 z2) z3))"
+        " (B (= y z2) (not (= (* z1 y) z3)))"
+    )
+    assert _edge_list(p) == [
+        (0, "x", "z1", "A"),
+        (1, "(* x z2)", "z3", "A"),
+        (2, "z3", "(* z1 z2)", "A"),
+        (3, "z2", "y", "B"),
+        (5, "(* z1 y)", "(* z1 z2)", "B"),
+    ]
+
+
 def test_repair_preserves_partition_of_original_vertices():
     rng = random.Random(5)
     for i in range(40):

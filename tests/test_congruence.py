@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
+from eufinterp.coloring import make_colorable
 from eufinterp.congruence import (
     ClosureInputError,
+    CongruenceGraph,
     NotConnectedError,
     close,
     find_refuted_disequality,
     parent_paths,
 )
 from eufinterp.core import Literal, Side, TermTable, format_term, parse_problem, subterm_closure
+from eufinterp.generate import generate
 from eufinterp.verify import brute_force_closure
 
 from conftest import load_problem
@@ -132,6 +136,43 @@ def test_path_through_derived_edge():
     assert [s.edge.is_derived for s in path.steps] == [False, True, False]
 
 
+def bfs_path_vertices(graph, u, v):
+    """Vertices of the u--v path by breadth-first search over ``graph.edges``."""
+    adjacent = {}
+    for edge in graph.edges:
+        adjacent.setdefault(edge.u.id, []).append(edge.v)
+        adjacent.setdefault(edge.v.id, []).append(edge.u)
+    prev = {u.id: None}
+    queue = deque([u])
+    while queue:
+        cur = queue.popleft()
+        for nxt in adjacent.get(cur.id, ()):
+            if nxt.id not in prev:
+                prev[nxt.id] = cur
+                queue.append(nxt)
+    if v.id not in prev:
+        return None
+    out = [v]
+    while out[-1] is not u:
+        out.append(prev[out[-1].id])
+    return out[::-1]
+
+
+def assert_path_matches_traversal(graph, u, v):
+    path = graph.path(u, v)
+    assert path.start is u and path.end is v
+    cur = u
+    seen_edges = set()
+    for step in path.steps:
+        assert step.start is cur
+        assert step.edge.seq not in seen_edges  # simple path
+        seen_edges.add(step.edge.seq)
+        cur = step.end
+    assert cur is v
+    assert path.vertices() == bfs_path_vertices(graph, u, v)
+    assert path.reversed().vertices() == list(reversed(path.vertices()))
+
+
 def test_path_matches_traversal_oracle_on_random_trees():
     rng = random.Random(11)
     for _ in range(60):
@@ -139,18 +180,97 @@ def test_path_matches_traversal_oracle_on_random_trees():
         eqs = random_equalities(rng, terms, rng.randint(0, 8))
         g = close(eqs, terms)
         comp = rng.choice(g.components())
-        u, v = rng.choice(comp), rng.choice(comp)
-        path = g.path(u, v)
-        assert path.start is u and path.end is v
-        cur = u
-        seen_edges = set()
-        for step in path.steps:
-            assert step.start is cur
-            assert step.edge.seq not in seen_edges  # simple path
-            seen_edges.add(step.edge.seq)
-            cur = step.end
-        assert cur is v
-        assert path.reversed().vertices() == list(reversed(path.vertices()))
+        assert_path_matches_traversal(g, rng.choice(comp), rng.choice(comp))
+    # Repaired graphs: the forest after splits and reuses.
+    for i in range(30):
+        p = parse_problem(generate("split", 5 + i % 20, seed=i).text)
+        g, _ = make_colorable(_close_problem(p), p.symbols, p.table)
+        assert len(g.edges) == len(g.vertices) - len(g.components())
+        for comp in g.components():
+            for _ in range(3):
+                assert_path_matches_traversal(g, rng.choice(comp), rng.choice(comp))
+
+
+def _hand_built(mid_side: str, heavy: str, mid_fresh: bool):
+    """Derived edge (f a)--(f d) with (f c) as split point.
+
+    Unless fresh, (f c) hangs two edges away from the ``mid_side`` endpoint.
+    Three extra leaves on the ``heavy`` endpoint decide which endpoint the
+    forest stores the edge at.
+    """
+    table = TermTable()
+    a, c, d, p = (table.make(n) for n in ("a", "c", "d", "p"))
+    fa, fc, fd = (table.make("f", (x,)) for x in (a, c, d))
+    leaves = [table.make(f"l{i}") for i in range(3)]
+    g = CongruenceGraph([a, c, d, p, fa, fd, *leaves] + ([] if mid_fresh else [fc]))
+    ends = {"u": fa, "v": fd}
+
+    def basic(s, t):
+        g.add_edge(s, t, origin=Literal.make(s, t), side=Side.A)
+
+    if not mid_fresh:
+        basic(ends[mid_side], p)
+        basic(fc, p)
+    for leaf in leaves:
+        basic(leaf, ends[heavy])
+    edge = g.add_edge(fa, fd, parents=((a, d),))
+    return g, edge, fa, fc, fd, (a, c, d)
+
+
+def _check_forest(graph):
+    assert len(graph.edges) == len(graph.vertices) - len(graph.components())
+    assert [e.seq for e in graph.edges] == sorted(e.seq for e in graph.edges)
+    for s in graph.vertices:
+        for t in graph.vertices:
+            if graph.connected(s, t):
+                assert_path_matches_traversal(graph, s, t)
+            else:
+                assert bfs_path_vertices(graph, s, t) is None
+
+
+@pytest.mark.parametrize("heavy", ["u", "v"])
+def test_split_edge_splices_a_fresh_vertex(heavy):
+    g, edge, fa, fc, fd, (a, c, d) = _hand_built("u", heavy, mid_fresh=True)
+    before = _partition_ids(g.components())
+    new = g.split_edge(edge, fc, ((a, c),), ((c, d),))
+    assert [(e.seq, e.u, e.v, e.parents) for e in new] == [
+        (edge.seq + 1, fa, fc, ((a, c),)),
+        (edge.seq + 2, fc, fd, ((c, d),)),
+    ]
+    assert edge not in g.edges and g.edges[-2:] == new
+    assert _partition_ids(g.components()) == {
+        block | {fc.id} if fa.id in block else block for block in before
+    }
+    assert g.path(fa, fd).vertices() == [fa, fc, fd]
+    _check_forest(g)
+
+
+@pytest.mark.parametrize("heavy", ["u", "v"])
+@pytest.mark.parametrize("mid_side", ["u", "v"])
+def test_split_edge_reuses_a_vertex_on_either_side(mid_side, heavy):
+    g, edge, fa, fc, fd, (a, c, d) = _hand_built(mid_side, heavy, mid_fresh=False)
+    before = _partition_ids(g.components())
+    (new,) = g.split_edge(edge, fc, ((a, c),), ((c, d),))
+    # The reused vertex already reaches its own side's endpoint; the new edge
+    # joins it to the endpoint across the removed edge.
+    if mid_side == "u":
+        assert (new.u, new.v, new.parents) == (fc, fd, ((c, d),))
+    else:
+        assert (new.u, new.v, new.parents) == (fa, fc, ((a, c),))
+    assert new.seq == edge.seq + 1 and edge not in g.edges
+    assert _partition_ids(g.components()) == before
+    assert fc in g.path(fa, fd).vertices()
+    _check_forest(g)
+
+
+def test_rescan_order_matches_a_pass_over_the_merged_class():
+    # After a = b (a kept), (h a b) and (h b b) share a signature.  A pass
+    # over the merged class sorted by id reaches (h a b) first, through a,
+    # although (h b b) is older: the congruence edge runs (h b b) -> (h a b).
+    p = parse_problem("(A (= a c) (= (h b b) d) (= (h a b) e) (= a b)) (B (= c e))")
+    g = _close_problem(p)
+    (derived,) = [e for e in g.edges if e.is_derived]
+    assert (format_term(derived.u), format_term(derived.v)) == ("(h b b)", "(h a b)")
 
 
 def test_parent_paths_recomputed():

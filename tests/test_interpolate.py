@@ -216,6 +216,24 @@ class TestInterpolatePipeline:
         )
         assert len(result.repair_vertices) == 1
 
+    def test_wide_class_premise_chain_needs_no_recursion(self):
+        # A: x{i+1} = (f x{i}) shuffled; B: x0 = x1, x0 != x3000.  Congruence
+        # grows one class whose premise sets nest 3000 levels deep.
+        n = 3000
+        rng = random.Random(n)
+        a_lits = [
+            f"(= x{i + 1} (f x{i}))" if rng.random() < 0.5 else f"(= (f x{i}) x{i + 1})"
+            for i in range(n)
+        ]
+        rng.shuffle(a_lits)
+        p = parse_problem(
+            "(A " + " ".join(a_lits) + f") (B (= x0 x1) (not (= x0 x{n})))"
+        )
+        result = interpolate(p)
+        assert frozenset(result.interpolant.clauses) == expected_clauses(
+            p, f"(and (=> (and (= x0 x1)) (= x1 x{n})))"
+        )
+
     def test_satisfiable_instance_raises_with_witness(self):
         p = parse_problem("(A (= a b)) (B (not (= c d)))")
         with pytest.raises(NotUnsatisfiableError) as err:

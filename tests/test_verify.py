@@ -194,6 +194,15 @@ class TestCheckInterpolant:
         assert not report.accepted
         assert any("shared" in f for f in report.failures)
 
+        # Both sides of the atom are local: it is still reported once.
+        p = parse_problem("(A (= a1 c) (= a2 c)) (B (= b c) (not (= b c)))")
+        horn = parse_conjunction("(= a1 a2)", p.table, p.symbols)
+        report = check_interpolant(p, horn)
+        assert not report.shared_signature_ok
+        assert [f for f in report.failures if "shared" in f] == [
+            "clause 0: atom (= a1 a2) uses symbols not shared by A and B"
+        ]
+
     def test_rejects_vacuous_formula_when_b_is_satisfiable(self):
         p = load_problem("horn_min.euf")
         report = check_interpolant(p, HornConjunction(()))
