@@ -23,8 +23,8 @@ from .core import (
 from .game import (
     InvalidCutError,
     ProofError,
-    check_local,
     coloring_cut,
+    first_nonlocal_step,
     format_formula,
     format_game_interpolant,
     game_interpolant,
@@ -159,8 +159,9 @@ def _cmd_closure(args) -> int:
 
 def _cmd_game(args) -> int:
     tree = parse_proof(_read_input(args.proof))
-    if not check_local(tree):
-        print("proof is not local", file=sys.stderr)
+    step = first_nonlocal_step(tree)
+    if step is not None:
+        print(f"proof is not local at {format_formula(step)}", file=sys.stderr)
         return 1
     tree = normalize_root(tree)
     t_a, t_b = coloring_cut(tree)

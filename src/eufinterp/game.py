@@ -83,6 +83,14 @@ class ProofError(ValueError):
     pass
 
 
+class NonLocalProofError(ProofError):
+    """An inference step mixes A-local and B-local symbols."""
+
+    def __init__(self, step: Formula):
+        self.step = step
+        super().__init__(f"inference step at {format_formula(step)} is not local")
+
+
 class InvalidCutError(ValueError):
     pass
 
@@ -113,6 +121,9 @@ class ProofTree:
             )
             - theory_symbols
         )
+        self._a_symbols = theory_symbols | self.sigma_a
+        self._b_symbols = theory_symbols | self.sigma_b
+        self._ab_symbols = theory_symbols | (self.sigma_a & self.sigma_b)
         self._below: dict[Formula, frozenset[Formula]] = {}
         self._frees: dict[Formula, frozenset[str]] = {}
 
@@ -127,26 +138,50 @@ class ProofTree:
         return cached
 
     def a_colorable(self, label: Formula) -> bool:
-        return self._free(label) <= self.theory_symbols | self.sigma_a
+        return self._free(label) <= self._a_symbols
 
     def b_colorable(self, label: Formula) -> bool:
-        return self._free(label) <= self.theory_symbols | self.sigma_b
+        return self._free(label) <= self._b_symbols
 
     def ab_colorable(self, label: Formula) -> bool:
-        shared = self.theory_symbols | (self.sigma_a & self.sigma_b)
-        return self._free(label) <= shared
+        return self._free(label) <= self._ab_symbols
 
     def strictly_below(self, label: Formula) -> frozenset[Formula]:
-        """Labels in the strict premise closure of ``label``."""
-        cached = self._below.get(label)
-        if cached is not None:
-            return cached
+        """Labels in the strict premise closure of ``label``.
+
+        A depth-first search on an explicit stack.  It takes in the memoized
+        closure of any label it meets and memoizes only the labels asked
+        for, so a deep chain costs neither recursion nor one closure per
+        interior node.  Reaching a label that is still open closes a cycle,
+        which raises ``ProofError``.
+        """
+        below = self._below
+        hit = below.get(label)
+        if hit is not None:
+            return hit
+        nodes = self.nodes
         out: set[Formula] = set()
-        for prem in self.nodes[label].premises:
-            out.add(prem)
-            out |= self.strictly_below(prem)
-        result = frozenset(out)
-        self._below[label] = result
+        open_labels = {label}
+        stack = [(label, iter(nodes[label].premises))]
+        while stack:
+            top, pending = stack[-1]
+            for prem in pending:
+                if prem in open_labels:
+                    raise ProofError(f"cyclic proof through {format_formula(prem)}")
+                if prem in out:
+                    continue
+                out.add(prem)
+                closed = below.get(prem)
+                if closed is not None:
+                    out |= closed
+                    continue
+                open_labels.add(prem)
+                stack.append((prem, iter(nodes[prem].premises)))
+                break
+            else:
+                stack.pop()
+                open_labels.discard(top)
+        result = below[label] = frozenset(out)
         return result
 
     def precedes(self, phi: Formula, psi: Formula) -> bool:
@@ -236,24 +271,37 @@ def parse_proof(text: str) -> ProofTree:
         raise ProofError("root node must be labelled false")
 
     # Collapse to labels, checking that equal labels root identical subtrees.
-    signature: dict[str, tuple] = {}
+    # A subtree's signature is a number: structurally equal subtrees, and only
+    # they, share one.  Post-order on an explicit stack; a premise still open
+    # when reached again closes a cycle.
+    signature: dict[str, int] = {}
+    numbering: dict[tuple, int] = {}
 
-    def sig(node_id: str, trail: tuple[str, ...] = ()) -> tuple:
-        if node_id in trail:
-            raise ProofError(f"cyclic proof through node {node_id!r}")
-        cached = signature.get(node_id)
-        if cached is None:
-            formula, premises, origin = raw[node_id]
-            cached = (
-                formula,
-                origin,
-                tuple(sig(p, trail + (node_id,)) for p in premises or ()),
-            )
-            signature[node_id] = cached
-        return cached
+    def sig(node_id: str) -> int:
+        hit = signature.get(node_id)
+        if hit is not None:
+            return hit
+        open_ids = {node_id}
+        stack = [(node_id, iter(raw[node_id][1] or ()))]
+        while stack:
+            top, pending = stack[-1]
+            for pid in pending:
+                if pid in open_ids:
+                    raise ProofError(f"cyclic proof through node {pid!r}")
+                if pid not in signature:
+                    open_ids.add(pid)
+                    stack.append((pid, iter(raw[pid][1] or ())))
+                    break
+            else:
+                stack.pop()
+                open_ids.discard(top)
+                formula, premises, origin = raw[top]
+                key = (formula, origin, tuple(signature[p] for p in premises or ()))
+                signature[top] = numbering.setdefault(key, len(numbering))
+        return signature[node_id]
 
     nodes: dict[Formula, LabelNode] = {}
-    by_label_sig: dict[Formula, tuple] = {}
+    by_label_sig: dict[Formula, int] = {}
     for node_id in order:
         formula, premises, origin = raw[node_id]
         node_sig = sig(node_id)
@@ -282,8 +330,8 @@ def format_proof(tree: ProofTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_local(tree: ProofTree) -> bool:
-    """Every inference step lies wholly inside one side's signature."""
+def first_nonlocal_step(tree: ProofTree) -> Formula | None:
+    """Conclusion of the first inference step that fits neither signature."""
     for label, node in tree.nodes.items():
         if node.is_leaf:
             continue
@@ -292,8 +340,13 @@ def check_local(tree: ProofTree) -> bool:
             all(tree.a_colorable(f) for f in step)
             or all(tree.b_colorable(f) for f in step)
         ):
-            return False
-    return True
+            return label
+    return None
+
+
+def check_local(tree: ProofTree) -> bool:
+    """Every inference step lies wholly inside one side's signature."""
+    return first_nonlocal_step(tree) is None
 
 
 def normalize_root(tree: ProofTree) -> ProofTree:
@@ -334,36 +387,40 @@ def _cut_candidates(tree: ProofTree, for_side: Side) -> list[Formula]:
 
 
 def coloring_cut(tree: ProofTree) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
-    """Inductive cut: alternately add maximal candidates below cut nodes."""
+    """Inductive cut: alternately add maximal candidates below cut nodes.
+
+    Starting from false in T_B, each B-sweep adds to T_A the maximal
+    A-candidates below T_B nodes, and each A-sweep adds to T_B the maximal
+    B-candidates below T_A nodes, until a round adds nothing.  Each anchor
+    is expanded exactly once, in B-then-A layers: its maximal candidates
+    depend only on the anchor and membership only grows, so a sweep expands
+    just the anchors added since the last sweep of its kind.  This keeps the
+    insertion order of re-expanding every anchor each round to a fixpoint.
+    """
     cand_a = _cut_candidates(tree, Side.A)
     cand_b = _cut_candidates(tree, Side.B)
-    t_a: dict[Formula, None] = {}
-    t_b: dict[Formula, None] = {FALSE: None}
+    t_a: list[Formula] = []
+    t_b: list[Formula] = [FALSE]
+    cut = {FALSE}
 
-    def maximal_below(candidates: list[Formula], anchor: Formula) -> list[Formula]:
-        below = tree.strictly_below(anchor)
-        eligible = [c for c in candidates if c in below]
-        return [
-            c
-            for c in eligible
-            if not any(
-                other != c and tree.precedes(c, other) for other in eligible
-            )
-        ]
+    def sweep(
+        anchors: list[Formula], start: int, candidates: list[Formula], into: list
+    ) -> int:
+        end = len(anchors)
+        for anchor in anchors[start:end]:
+            below = tree.strictly_below(anchor)
+            eligible = [c for c in candidates if c in below]
+            covered = frozenset().union(*(tree.strictly_below(c) for c in eligible))
+            for phi in eligible:
+                if phi not in covered and phi not in cut:
+                    cut.add(phi)
+                    into.append(phi)
+        return end
 
-    changed = True
-    while changed:
-        changed = False
-        for beta in list(t_b):
-            for phi in maximal_below(cand_a, beta):
-                if phi not in t_a and phi not in t_b:
-                    t_a[phi] = None
-                    changed = True
-        for alpha in list(t_a):
-            for phi in maximal_below(cand_b, alpha):
-                if phi not in t_b and phi not in t_a:
-                    t_b[phi] = None
-                    changed = True
+    done_a = done_b = 0
+    while done_b < len(t_b) or done_a < len(t_a):
+        done_b = sweep(t_b, done_b, cand_a, t_a)
+        done_a = sweep(t_a, done_a, cand_b, t_b)
     return tuple(t_a), tuple(t_b)
 
 
@@ -599,7 +656,15 @@ def euf_bridge(
 def bridge_run(
     problem: ProblemInstance, strategy: Strategy = Strategy.GREEDY
 ) -> tuple[ProofTree, InterpolationRun]:
-    """Bridge, normalize, cut, and extract the induced run."""
-    tree = normalize_root(euf_bridge(problem, strategy))
+    """Bridge, check locality, normalize, cut, and extract the induced run.
+
+    Raises ``NonLocalProofError`` naming the first non-local step when the
+    bridged refutation is not local.
+    """
+    tree = euf_bridge(problem, strategy)
+    step = first_nonlocal_step(tree)
+    if step is not None:
+        raise NonLocalProofError(step)
+    tree = normalize_root(tree)
     t_a, t_b = coloring_cut(tree)
     return tree, run_from_cut(tree, t_a, t_b)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .core import (
-    Colorability,
     Literal,
     ProblemInstance,
     Term,
@@ -205,17 +204,35 @@ class EntailmentReport:
         return self.shared_signature_ok and self.a_entails_i and self.b_i_unsat
 
 
+def _symbols_of(terms: Iterable[Term]) -> set[str]:
+    """Head symbols of the terms and all their subterms."""
+    seen: set[int] = set()
+    heads: set[str] = set()
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        if t.id not in seen:
+            seen.add(t.id)
+            heads.add(t.head)
+            stack.extend(t.args)
+    return heads
+
+
 def check_interpolant(problem: ProblemInstance, horn: HornConjunction) -> EntailmentReport:
-    """Accept iff: atoms shared, A entails every clause, B plus the formula is unsat."""
+    """Accept iff: atoms shared, A entails every clause, B plus the formula is unsat.
+
+    The shared signature is read off the A and B literals' own terms, so the
+    check does not depend on the pipeline's symbol table.
+    """
     failures: list[str] = []
 
+    shared = _symbols_of(_all_terms(problem.a_literals)) & _symbols_of(
+        _all_terms(problem.b_literals)
+    )
     shared_ok = True
     for ci, clause in enumerate(horn.clauses):
         for atom in clause.atoms():
-            if any(
-                problem.symbols.colorability(term) != Colorability.AB
-                for term in (atom.lhs, atom.rhs)
-            ):
+            if not _symbols_of((atom.lhs, atom.rhs)) <= shared:
                 shared_ok = False
                 failures.append(
                     f"clause {ci}: atom {format_literal(atom)} uses symbols "

@@ -192,3 +192,21 @@ def test_game_rejects_non_local_proof(capsys, tmp_path):
     code, _, err = run_cli(capsys, "game", "cut", str(path))
     assert code == 1
     assert "local" in err
+
+
+def test_game_handles_a_deep_proof_listed_root_first(capsys, tmp_path):
+    depth = 3000
+    lines = [
+        "(theory-symbols)",
+        f"(node root false (premises n{depth - 1} nb))",
+        f"(node nb (not (p{depth - 1})) (from B))",
+    ]
+    for i in range(depth - 1, 0, -1):
+        lines.append(f"(node n{i} (p{i}) (premises n{i - 1} s{i}))")
+        lines.append(f"(node s{i} (step p{i - 1} p{i}) (from A))")
+    lines.append("(node n0 (p0) (from A))")
+    path = tmp_path / "deep.proof"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "game", "interpolate", str(path))
+    assert code == 0, err
+    assert out.strip() == f"(and (p{depth - 1}))"

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from eufinterp.core import parse_problem
+from eufinterp.core import Side, parse_problem
 from eufinterp.game import (
     FALSE,
+    _cut_candidates,
     InvalidCutError,
+    LabelNode,
+    NonLocalProofError,
     ProofError,
+    ProofTree,
     bridge_run,
     check_cut,
     check_local,
@@ -34,6 +38,38 @@ RULE = ("forall", "x", ("=>", ("r", "x"), ("t", ("f", "x"))))
 
 def fig_tree():
     return parse_proof(load_text("forward_chain.proof"))
+
+
+def reference_coloring_cut(tree):
+    """The cut as a plain fixpoint: re-expand every cut node until no change."""
+    cand_a = _cut_candidates(tree, Side.A)
+    cand_b = _cut_candidates(tree, Side.B)
+    t_a: dict = {}
+    t_b: dict = {FALSE: None}
+
+    def maximal_below(candidates, anchor):
+        below = tree.strictly_below(anchor)
+        eligible = [c for c in candidates if c in below]
+        return [
+            c
+            for c in eligible
+            if not any(other != c and tree.precedes(c, other) for other in eligible)
+        ]
+
+    changed = True
+    while changed:
+        changed = False
+        for beta in list(t_b):
+            for phi in maximal_below(cand_a, beta):
+                if phi not in t_a and phi not in t_b:
+                    t_a[phi] = None
+                    changed = True
+        for alpha in list(t_a):
+            for phi in maximal_below(cand_b, alpha):
+                if phi not in t_b and phi not in t_a:
+                    t_b[phi] = None
+                    changed = True
+    return tuple(t_a), tuple(t_b)
 
 
 class TestParseProof:
@@ -73,6 +109,26 @@ class TestParseProof:
     def test_root_must_be_false(self):
         with pytest.raises(ProofError):
             parse_proof("(theory-symbols)\n(node n1 (= a b) (from A))\n")
+
+    def test_cycle_rejected(self):
+        text = (
+            "(theory-symbols)\n"
+            "(node n1 false (premises n2))\n"
+            "(node n2 (= a b) (premises n3))\n"
+            "(node n3 (= b c) (premises n2))\n"
+        )
+        with pytest.raises(ProofError, match="cyclic proof through node 'n2'"):
+            parse_proof(text)
+
+    def test_strictly_below_rejects_a_cycle(self):
+        nodes = {
+            FALSE: LabelNode(FALSE, ("x",), None),
+            "x": LabelNode("x", ("y",), None),
+            "y": LabelNode("y", ("x",), None),
+        }
+        tree = ProofTree(frozenset(), nodes, FALSE)
+        with pytest.raises(ProofError, match="cyclic"):
+            tree.strictly_below(FALSE)
 
     def test_two_roots_rejected(self):
         text = (
@@ -175,6 +231,33 @@ class TestColoringCut:
                 assert check_local(tree)
                 t_a, t_b = coloring_cut(tree)
                 assert check_cut(tree, t_a, t_b), (family, i)
+
+
+    def test_golden_cut_order_of_the_six_rung_ladder(self):
+        tree = normalize_root(euf_bridge(load_problem("ladder_chain6.euf")))
+        eq = lambda i: ("=", f"u{i}", f"v{i}")
+        assert coloring_cut(tree) == (
+            (eq(6), eq(4), eq(2), eq(0)),
+            (FALSE, eq(5), eq(3), eq(1)),
+        )
+
+    def test_golden_cut_order_of_the_forward_chain(self):
+        assert coloring_cut(normalize_root(fig_tree())) == (
+            (T_FA,),
+            (FALSE, NOT_RB, RULE),
+        )
+
+    def test_cut_matches_the_fixpoint_reference(self):
+        for family in ("chain", "ladder", "split"):
+            for size in range(2, 31):
+                for seed in range(3):
+                    p = parse_problem(generate(family, size, seed=seed).text)
+                    tree = normalize_root(euf_bridge(p))
+                    assert coloring_cut(tree) == reference_coloring_cut(tree), (
+                        family,
+                        size,
+                        seed,
+                    )
 
 
 class TestCheckCut:
@@ -291,6 +374,21 @@ class TestBridge:
         tree, run = bridge_run(p)
         assert run.rounds() == 8
         assert len(run.s_a) + len(run.s_b) == 8
+
+    def test_non_local_bridge_proof_is_reported_by_step(self):
+        # euf_bridge emits a non-local step here; bridge_run names it rather
+        # than failing later in run_from_cut.
+        p = parse_problem(
+            "(A (= (fa (fa c1)) c1) (= c1 c3) (= (h c1 a1) a2)"
+            " (not (= (fa a3) a2)) (not (= c1 (g c1))))"
+            " (B (= b3 (g (h b3 b1))) (= c3 b1) (= (g (h b1 c3)) c2) (= b2 c2)"
+            " (= (h c2 b2) b2) (= b1 b2) (not (= (fb (g c3)) c1)))"
+        )
+        assert not check_local(euf_bridge(p))
+        with pytest.raises(NonLocalProofError) as info:
+            bridge_run(p)
+        assert info.value.step == ("=", "c1", ("h", "b1", "c3"))
+        assert str(info.value) == "inference step at (= c1 (h b1 c3)) is not local"
 
     def test_bridge_interpolants_check_out_semantically(self):
         for family in ("chain", "ladder", "split"):

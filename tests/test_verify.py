@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from eufinterp.core import Literal, TermTable, parse_problem
+from eufinterp.core import Literal, Side, TermTable, parse_problem
 from eufinterp.generate import generate
 from eufinterp.interpolate import (
     HornClause,
@@ -201,6 +201,22 @@ class TestCheckInterpolant:
         assert not report.shared_signature_ok
         assert [f for f in report.failures if "shared" in f] == [
             "clause 0: atom (= a1 a2) uses symbols not shared by A and B"
+        ]
+
+    def test_shared_check_ignores_the_symbol_table(self):
+        # The oracle reads the shared signature off the literals, so a symbol
+        # table that marks every symbol shared does not let an A-local atom in.
+        p = parse_problem("(A (= a c1) (= a c2)) (B (not (= c1 c2)))")
+        horn = parse_conjunction("(and (= a c1) (= a c2))", p.table, p.symbols)
+        for name in p.symbols.info:
+            p.symbols.note_occurrence(name, Side.A)
+            p.symbols.note_occurrence(name, Side.B)
+        report = check_interpolant(p, horn)
+        assert report.a_entails_i and report.b_i_unsat
+        assert not report.shared_signature_ok
+        assert [f for f in report.failures if "shared" in f] == [
+            "clause 0: atom (= a c1) uses symbols not shared by A and B",
+            "clause 1: atom (= a c2) uses symbols not shared by A and B",
         ]
 
     def test_rejects_vacuous_formula_when_b_is_satisfiable(self):
