@@ -7,85 +7,17 @@ Horn-clause interpolant; an independent oracle rechecks every result.  The
 theories.
 """
 
-from .coloring import ColoredGraph, Factor, Factorization, Strategy, color, factorize, make_colorable
-from .congruence import CongruenceGraph, Edge, Path, close, find_refuted_disequality, parent_paths
-from .core import (
-    Colorability,
-    Literal,
-    ParseError,
-    ProblemInstance,
-    Side,
-    SymbolTable,
-    Term,
-    TermTable,
-    colorability,
-    edge_colorability,
-    format_literal,
-    format_term,
-    parse_problem,
-    subterm_closure,
-)
-from .interpolate import (
-    HornClause,
-    HornConjunction,
-    InterpolationResult,
-    NotUnsatisfiableError,
-    PremiseSets,
-    format_conjunction,
-    interpolate,
-    parse_conjunction,
-    path_interpolant,
-    refutation_interpolant,
-)
-from .verify import (
-    EntailmentReport,
-    brute_force_closure,
-    check_interpolant,
-    euf_entails,
-    unsat_with_horn,
-)
+from .coloring import Strategy
+from .core import ParseError, parse_problem
+from .interpolate import NotUnsatisfiableError, format_conjunction, interpolate
+from .verify import check_interpolant
 
 __all__ = [
-    "Colorability",
-    "ColoredGraph",
-    "CongruenceGraph",
-    "Edge",
-    "EntailmentReport",
-    "Factor",
-    "Factorization",
-    "HornClause",
-    "HornConjunction",
-    "InterpolationResult",
-    "Literal",
     "NotUnsatisfiableError",
     "ParseError",
-    "Path",
-    "PremiseSets",
-    "ProblemInstance",
-    "Side",
     "Strategy",
-    "SymbolTable",
-    "Term",
-    "TermTable",
-    "brute_force_closure",
     "check_interpolant",
-    "close",
-    "color",
-    "colorability",
-    "edge_colorability",
-    "euf_entails",
-    "factorize",
-    "find_refuted_disequality",
     "format_conjunction",
-    "format_literal",
-    "format_term",
     "interpolate",
-    "make_colorable",
-    "parent_paths",
-    "parse_conjunction",
     "parse_problem",
-    "path_interpolant",
-    "refutation_interpolant",
-    "subterm_closure",
-    "unsat_with_horn",
 ]

@@ -82,11 +82,6 @@ class Factor:
     path: Path
 
 
-@dataclass(frozen=True)
-class Factorization:
-    factors: tuple[Factor, ...]
-
-
 @dataclass
 class ColoredGraph:
     """A congruence graph plus a total edge-color assignment."""
@@ -117,13 +112,6 @@ class ColoredGraph:
         if current is not None:
             out.append(Factor(current, path.slice(lo, len(verts) - 1)))
         return out
-
-
-def factorize(colored: ColoredGraph, path: Path) -> Factorization:
-    """Split a nonempty path into maximal same-colored factors."""
-    if path.is_empty:
-        raise ValueError("cannot factorize an empty path")
-    return Factorization(tuple(colored.factors(path)))
 
 
 def _forced_color(edge: Edge, symbols: SymbolTable) -> Side | None:

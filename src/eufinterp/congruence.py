@@ -81,12 +81,6 @@ class Path:
         out.extend(step.end for step in self.steps)
         return out
 
-    def reversed(self) -> "Path":
-        steps = tuple(
-            PathStep(step.edge, not step.forward) for step in reversed(self.steps)
-        )
-        return Path(self.end, self.start, steps)
-
     def slice(self, lo: int, hi: int) -> "Path":
         """Subpath between vertex positions ``lo`` and ``hi`` (inclusive)."""
         verts = self.vertices()
@@ -222,10 +216,6 @@ class CongruenceGraph:
             up[low] = (new, mid)
         return [new]
 
-    def component_members(self, t: Term) -> list[int]:
-        rep = self.find(t.id)
-        return [s.id for s in self.vertices if self.find(s.id) == rep]
-
     def components(self) -> list[list[Term]]:
         """Partition of the vertex set, ordered by smallest member id."""
         blocks: dict[int, list[Term]] = {}
@@ -277,12 +267,6 @@ class CongruenceGraph:
             edge = up[x][0]
             steps.append(PathStep(edge, edge.v is x))
         return Path(u, v, tuple(steps))
-
-
-def parent_paths(graph: CongruenceGraph, edge: Edge) -> list[Path]:
-    """Recompute the parent paths of a derived edge; empty pairs stay empty."""
-    assert edge.is_derived
-    return [graph.path(p, q) for p, q in edge.parents]
 
 
 def close(

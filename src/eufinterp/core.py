@@ -8,6 +8,7 @@ kept normalized modulo symmetry (smaller term id on the left).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, Flag, auto
 from typing import Iterable, Iterator
@@ -18,9 +19,6 @@ class Side(Enum):
 
     A = "A"
     B = "B"
-
-    def other(self) -> "Side":
-        return Side.B if self is Side.A else Side.A
 
 
 class Colorability(Flag):
@@ -154,11 +152,6 @@ class SymbolTable:
         return color
 
 
-def colorability(term: Term, symbols: SymbolTable) -> Colorability:
-    """Classify a term by the signatures able to express it (memoized)."""
-    return symbols.colorability(term)
-
-
 def edge_colorability(s: Term, t: Term, symbols: SymbolTable) -> Colorability:
     """An edge (equality) is exactly as colorable as both its endpoints."""
     return symbols.colorability(s) & symbols.colorability(t)
@@ -210,32 +203,21 @@ class SList:
     col: int
 
 
+def head_of(sx: SAtom | SList) -> str | None:
+    """Text of the first item of a list that starts with an atom, else None."""
+    if isinstance(sx, SList) and sx.items and isinstance(sx.items[0], SAtom):
+        return sx.items[0].text
+    return None
+
+
+# A parenthesis or an atom; whitespace separates and ";" starts a line comment.
+_TOKEN = re.compile(r"[()]|[^\s();]+")
+
+
 def _tokenize(text: str) -> Iterator[tuple[str, int, int]]:
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch, line, col
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and not text[i].isspace() and text[i] not in "();":
-                i += 1
-                col += 1
-            yield text[start:i], line, start_col
+    for line, source in enumerate(text.split("\n"), 1):
+        for match in _TOKEN.finditer(source.partition(";")[0]):
+            yield match[0], line, match.start() + 1
 
 
 def read_sexprs(text: str) -> list[SAtom | SList]:
@@ -304,7 +286,7 @@ def term_from_sexpr(sx: SAtom | SList, table: TermTable, symbols: SymbolTable) -
     if isinstance(sx, SAtom):
         symbols.declare(sx.text, 0)
         return table.make(sx.text)
-    if not sx.items or not isinstance(sx.items[0], SAtom):
+    if head_of(sx) is None:
         raise ParseError("expected a function application", sx.line, sx.col)
     head = sx.items[0]
     args = [term_from_sexpr(item, table, symbols) for item in sx.items[1:]]
@@ -320,14 +302,14 @@ def literal_from_sexpr(
 ) -> Literal:
     if not isinstance(sx, SList) or not sx.items:
         raise ParseError("expected a literal", sx.line, sx.col)
-    head = sx.items[0]
-    if isinstance(head, SAtom) and head.text == "=":
+    head = head_of(sx)
+    if head == "=":
         if len(sx.items) != 3:
             raise ParseError("'=' takes exactly two terms", sx.line, sx.col)
         lhs = term_from_sexpr(sx.items[1], table, symbols)
         rhs = term_from_sexpr(sx.items[2], table, symbols)
         return Literal.make(lhs, rhs, equal=True)
-    if isinstance(head, SAtom) and head.text == "not":
+    if head == "not":
         if len(sx.items) != 2:
             raise ParseError("'not' takes exactly one equality", sx.line, sx.col)
         inner = literal_from_sexpr(sx.items[1], table, symbols)
@@ -356,12 +338,7 @@ def parse_problem(text: str) -> ProblemInstance:
     idx = 0
     while idx < len(forms):
         form = forms[idx]
-        if (
-            isinstance(form, SList)
-            and form.items
-            and isinstance(form.items[0], SAtom)
-            and form.items[0].text == "declare-fun"
-        ):
+        if head_of(form) == "declare-fun":
             if (
                 len(form.items) != 3
                 or not isinstance(form.items[1], SAtom)
@@ -386,12 +363,7 @@ def parse_problem(text: str) -> ProblemInstance:
             raise ParseError(f"missing ({side.value} ...) set")
         form = forms[idx]
         idx += 1
-        if (
-            not isinstance(form, SList)
-            or not form.items
-            or not isinstance(form.items[0], SAtom)
-            or form.items[0].text != side.value
-        ):
+        if head_of(form) != side.value:
             raise ParseError(f"expected ({side.value} ...)", form.line, form.col)
         for raw in form.items[1:]:
             lit = literal_from_sexpr(raw, table, symbols)

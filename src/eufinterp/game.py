@@ -26,6 +26,7 @@ from .core import (
     SList,
     Side,
     Term,
+    head_of,
     read_sexprs,
 )
 from .interpolate import build_colored_graph
@@ -107,28 +108,18 @@ class ProofTree:
         self.theory_symbols = theory_symbols
         self.nodes = nodes
         self.root = root
-        self.sigma_a = (
+        self.sigma_a, self.sigma_b = (
             frozenset().union(
-                *(free_symbols(n.formula) for n in nodes.values() if n.origin == "A"),
-                frozenset(),
+                *(free_symbols(n.formula) for n in nodes.values() if n.origin == side)
             )
             - theory_symbols
-        )
-        self.sigma_b = (
-            frozenset().union(
-                *(free_symbols(n.formula) for n in nodes.values() if n.origin == "B"),
-                frozenset(),
-            )
-            - theory_symbols
+            for side in ("A", "B")
         )
         self._a_symbols = theory_symbols | self.sigma_a
         self._b_symbols = theory_symbols | self.sigma_b
         self._ab_symbols = theory_symbols | (self.sigma_a & self.sigma_b)
         self._below: dict[Formula, frozenset[Formula]] = {}
         self._frees: dict[Formula, frozenset[str]] = {}
-
-    def labels(self) -> list[Formula]:
-        return list(self.nodes)
 
     def _free(self, label: Formula) -> frozenset[str]:
         cached = self._frees.get(label)
@@ -187,9 +178,6 @@ class ProofTree:
     def precedes(self, phi: Formula, psi: Formula) -> bool:
         return phi in self.strictly_below(psi)
 
-    def input_labels(self, origin: str) -> list[Formula]:
-        return [lab for lab, n in self.nodes.items() if n.origin == origin]
-
 
 def parse_proof(text: str) -> ProofTree:
     """Parse a proof file: a theory-symbols header, then node forms.
@@ -202,13 +190,8 @@ def parse_proof(text: str) -> ProofTree:
     if not forms:
         raise ParseError("empty proof")
     header = forms[0]
-    if (
-        not isinstance(header, SList)
-        or not header.items
-        or not isinstance(header.items[0], SAtom)
-        or header.items[0].text != "theory-symbols"
-    ):
-        raise ParseError("expected (theory-symbols SYMBOL*)", getattr(header, "line", 1), 1)
+    if head_of(header) != "theory-symbols":
+        raise ParseError("expected (theory-symbols SYMBOL*)", header.line, 1)
     theory = []
     for item in header.items[1:]:
         if not isinstance(item, SAtom):
@@ -219,10 +202,8 @@ def parse_proof(text: str) -> ProofTree:
     order: list[str] = []
     for form in forms[1:]:
         if (
-            not isinstance(form, SList)
+            head_of(form) != "node"
             or len(form.items) != 4
-            or not isinstance(form.items[0], SAtom)
-            or form.items[0].text != "node"
             or not isinstance(form.items[1], SAtom)
         ):
             raise ParseError(
@@ -235,11 +216,9 @@ def parse_proof(text: str) -> ProofTree:
             raise ParseError(f"node id {node_id!r} redefined", form.line, form.col)
         formula = formula_from_sexpr(form.items[2])
         tail = form.items[3]
-        if not isinstance(tail, SList) or not tail.items or not isinstance(
-            tail.items[0], SAtom
-        ):
+        kind = head_of(tail)
+        if kind is None:
             raise ParseError("malformed node tail", form.line, form.col)
-        kind = tail.items[0].text
         if kind == "from":
             if len(tail.items) != 2 or not isinstance(tail.items[1], SAtom) or tail.items[
                 1
@@ -315,19 +294,6 @@ def parse_proof(text: str) -> ProofTree:
                 f"nodes labelled {format_formula(formula)} root different subtrees"
             )
     return ProofTree(frozenset(theory), nodes, FALSE)
-
-
-def format_proof(tree: ProofTree) -> str:
-    """Serialize back to the proof grammar (ids in node order)."""
-    ids = {label: f"n{i + 1}" for i, label in enumerate(tree.nodes)}
-    lines = ["(theory-symbols " + " ".join(sorted(tree.theory_symbols)) + ")"]
-    for label, node in tree.nodes.items():
-        if node.is_leaf:
-            tail = f"(from {node.origin})"
-        else:
-            tail = "(premises " + " ".join(ids[p] for p in node.premises) + ")"
-        lines.append(f"(node {ids[label]} {format_formula(label)} {tail})")
-    return "\n".join(lines) + "\n"
 
 
 def first_nonlocal_step(tree: ProofTree) -> Formula | None:
@@ -422,40 +388,6 @@ def coloring_cut(tree: ProofTree) -> tuple[tuple[Formula, ...], tuple[Formula, .
         done_b = sweep(t_b, done_b, cand_a, t_a)
         done_a = sweep(t_a, done_a, cand_b, t_b)
     return tuple(t_a), tuple(t_b)
-
-
-def check_cut(
-    tree: ProofTree, t_a: Iterable[Formula], t_b: Iterable[Formula]
-) -> bool:
-    """Literal evaluation of the four coloring-cut conditions."""
-    set_a, set_b = set(t_a), set(t_b)
-    if not all(tree.ab_colorable(lab) for lab in set_a | set_b):
-        return False
-    if set_a & set_b or FALSE not in set_b:
-        return False
-    a_inputs = set(tree.input_labels("A"))
-    b_inputs = set(tree.input_labels("B"))
-
-    def interleaved(upper: set, own: set, other_inputs: set, lower: set) -> bool:
-        # Between any member of `upper` and any offending label strictly below
-        # it there must be a member of `lower`.
-        for anchor in upper:
-            below_anchor = tree.strictly_below(anchor)
-            for psi in (own | other_inputs) & below_anchor:
-                if psi == anchor:
-                    continue
-                if not any(
-                    tree.precedes(psi, beta) and tree.precedes(beta, anchor)
-                    for beta in lower
-                ):
-                    return False
-        return True
-
-    if not interleaved(set_a, set_a, b_inputs - set_b, set_b):
-        return False
-    if not interleaved(set_b, set_b, a_inputs - set_a, set_a):
-        return False
-    return True
 
 
 @dataclass

@@ -5,8 +5,8 @@ the A-prover, the B-premise set collects the maximal B-colored paths whose
 summaries, together with A, entail the path's summary; the justification is
 the corresponding Horn clause.  The interpolant of a path is the conjunction
 of the justifications of all A-premises reachable through the cumulative
-premise sets; an equivalent recursive formulation is kept alongside as a
-cross-check.  Results are conjunctions of Horn clauses whose atoms only use
+premise sets; the test suite checks it against an equivalent recursive
+formulation.  Results are conjunctions of Horn clauses whose atoms only use
 symbols shared by both input sets.
 """
 
@@ -21,13 +21,13 @@ from .core import (
     Literal,
     ProblemInstance,
     SAtom,
-    SList,
     Side,
     SymbolTable,
     Term,
     TermTable,
     ParseError,
     format_literal,
+    head_of,
     literal_from_sexpr,
     read_sexprs,
     subterm_closure,
@@ -223,46 +223,6 @@ def path_interpolant(ps: PremiseSets, path: Path) -> HornConjunction:
     )
 
 
-def recursive_path_interpolant(
-    ps: PremiseSets, path: Path, _memo: dict | None = None
-) -> frozenset[HornClause]:
-    """Reference evaluation of the path interpolant by direct recursion.
-
-    Multi-factor paths conjoin their factors' interpolants; a B-path
-    conjoins the interpolants of its edges' parent paths; an A-path adds its
-    own justification to the interpolants of its B-premises.  Must agree
-    with :func:`path_interpolant` as a clause set.
-    """
-    memo = _memo if _memo is not None else {}
-    key = ps.key_of(path)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if path.is_empty:
-        return frozenset()
-    out: set[HornClause] = set()
-    factors = ps.colored.factors(path)
-    if len(factors) >= 2:
-        for factor in factors:
-            out |= recursive_path_interpolant(ps, factor.path, memo)
-    elif factors[0].side is Side.B:
-        for step in path.steps:
-            if step.edge.is_derived:
-                for p, q in step.edge.parents:
-                    if p is not q:
-                        sub = ps.colored.path(p, q)
-                        out |= recursive_path_interpolant(ps, sub, memo)
-    else:
-        clause = justification(ps, path)
-        if clause is not None:
-            out.add(clause)
-        for k in ps.b_premises(path):
-            out |= recursive_path_interpolant(ps, ps.path_of(k), memo)
-    result = frozenset(out)
-    memo[key] = result
-    return result
-
-
 def refutation_interpolant(ps: PremiseSets, path: Path) -> HornConjunction:
     """Interpolant used when the refuted disequality belongs to A.
 
@@ -406,21 +366,16 @@ def _clause_from_sexpr(sx, table: TermTable, symbols: SymbolTable) -> HornClause
         if sx.text in _FALSE_ATOMS:
             return HornClause.make((), None)
         raise ParseError(f"unexpected atom {sx.text!r} in formula", sx.line, sx.col)
-    if not sx.items or not isinstance(sx.items[0], SAtom):
+    head = head_of(sx)
+    if head is None:
         raise ParseError("expected a clause", sx.line, sx.col)
-    head = sx.items[0].text
     if head in ("=", "not"):
         return HornClause.make((), literal_from_sexpr(sx, table, symbols))
     if head == "=>":
         if len(sx.items) != 3:
             raise ParseError("'=>' takes premises and a conclusion", sx.line, sx.col)
         body, concl = sx.items[1], sx.items[2]
-        if (
-            not isinstance(body, SList)
-            or not body.items
-            or not isinstance(body.items[0], SAtom)
-            or body.items[0].text != "and"
-        ):
+        if head_of(body) != "and":
             raise ParseError("premises must be (and eq*)", sx.line, sx.col)
         premises = []
         for item in body.items[1:]:
@@ -444,12 +399,7 @@ def parse_conjunction(
     form = forms[0]
     if isinstance(form, SAtom) and form.text == "true":
         return HornConjunction(())
-    if (
-        isinstance(form, SList)
-        and form.items
-        and isinstance(form.items[0], SAtom)
-        and form.items[0].text == "and"
-    ):
+    if head_of(form) == "and":
         return HornConjunction.from_clauses(
             _clause_from_sexpr(item, table, symbols) for item in form.items[1:]
         )

@@ -18,7 +18,6 @@ from eufinterp.core import Colorability, Literal, ProblemInstance, parse_problem
 from eufinterp.game import (
     FALSE,
     bridge_run,
-    check_cut,
     check_local,
     coloring_cut,
     format_game_interpolant,
@@ -34,11 +33,12 @@ from eufinterp.interpolate import (
     interpolate,
     parse_conjunction,
     path_interpolant,
-    recursive_path_interpolant,
 )
 from eufinterp.verify import brute_force_closure, check_interpolant, euf_entails
 
 from conftest import expected_clauses, load_text
+from test_game import check_cut
+from test_interpolate import recursive_path_interpolant
 
 GOLDEN_BUDGET_S = 0.010
 SUITE_BUDGET_S = 10.0
@@ -306,8 +306,7 @@ class TestPropertySuites:
             graph = colored.graph
             for _ in range(3):
                 u = rng.choice(graph.vertices)
-                target = rng.choice(graph.component_members(u))
-                v = next(t for t in graph.vertices if t.id == target)
+                v = rng.choice([t for t in graph.vertices if graph.connected(t, u)])
                 path = graph.path(u, v)
                 if path.is_empty:
                     continue

@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
 from eufinterp.cli import main
 
 from conftest import DATA
@@ -70,6 +72,85 @@ def test_parse_error_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "interpolate", str(path))
     assert code == 2
     assert "error" in err
+
+
+HORN_MIN = "(A (= u1 (* x u0)) (= v1 (* x v0))) (B (= u0 v0) (not (= u1 v1)))\n"
+
+# Exact stderr for malformed input; every case exits 2 and prints nothing.
+MALFORMED = [
+    ("interpolate", ["(A a) (B (not (= a b)))\n"], "1:4: expected a literal"),
+    ("interpolate", ["(A ()) (B (not (= a b)))\n"], "1:4: expected a literal"),
+    (
+        "interpolate",
+        ["(A ((= a b))) (B (not (= a b)))\n"],
+        "1:4: expected (= s t) or (not (= s t))",
+    ),
+    (
+        "interpolate",
+        ["(A (= (() a) b)) (B (not (= a b)))\n"],
+        "1:7: expected a function application",
+    ),
+    (
+        "interpolate",
+        ["(A (not (= a b) c)) (B)\n"],
+        "1:4: 'not' takes exactly one equality",
+    ),
+    (
+        "interpolate",
+        ["(A (= (f a) (f a b))) (B)\n"],
+        "1:14: symbol 'f' used with arity 2, previously 1",
+    ),
+    ("interpolate", ["(A (= a b))\n"], "missing (B ...) set"),
+    ("interpolate", ["(B (= a b)) (A)\n"], "1:1: expected (A ...)"),
+    (
+        "interpolate",
+        ["(declare-fun f x) (A (= a b)) (B (not (= a b)))\n"],
+        "1:1: expected (declare-fun SYMBOL ARITY)",
+    ),
+    ("interpolate", ["; c\n\t(A (= a b)\n"], "2:2: unclosed '('"),
+    ("verify", [HORN_MIN, "(=> (= u0 v0) (= u1 v1))\n"], "1:1: premises must be (and eq*)"),
+    ("verify", [HORN_MIN, "(and ((= u0 v0)))\n"], "1:6: expected a clause"),
+    ("verify", [HORN_MIN, "(and (or u0 v0))\n"], "1:6: unexpected clause head 'or'"),
+    (
+        "verify",
+        [HORN_MIN, "(and (=> (and (not (= u0 v0))) (= u1 v1)))\n"],
+        "1:15: premises must be equalities",
+    ),
+    ("game cut", ["(node n1 false (from A))\n"], "1:1: expected (theory-symbols SYMBOL*)"),
+    (
+        "game cut",
+        ["\n  (node n1 false (from A))\n"],
+        "2:1: expected (theory-symbols SYMBOL*)",
+    ),
+    ("game cut", ["(theory-symbols)\n(node n1 false foo)\n"], "2:1: malformed node tail"),
+    ("game cut", ["(theory-symbols)\n(node n1 false ())\n"], "2:1: malformed node tail"),
+    (
+        "game cut",
+        ["(theory-symbols)\n(node n1 false (bogus))\n"],
+        "2:16: unexpected node tail 'bogus'",
+    ),
+    (
+        "game interpolate",
+        ["(theory-symbols)\n(node n1 false (from C))\n"],
+        "2:16: expected (from A|B|axiom)",
+    ),
+    (
+        "game interpolate",
+        ["(theory-symbols)\n(node n1 () (from A))\n"],
+        "2:10: empty formula",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, texts, message", MALFORMED)
+def test_malformed_input_error_text(capsys, tmp_path, command, texts, message):
+    paths = []
+    for i, text in enumerate(texts):
+        path = tmp_path / f"input{i}"
+        path.write_text(text)
+        paths.append(str(path))
+    code, out, err = run_cli(capsys, *command.split(), *paths)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_directory_argument_exits_2(capsys, tmp_path):

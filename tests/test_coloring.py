@@ -2,13 +2,10 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from eufinterp.coloring import (
     Strategy,
     choose_splitter,
     color,
-    factorize,
     make_colorable,
 )
 from eufinterp.congruence import close
@@ -247,7 +244,7 @@ def test_factorize_alternating_chain():
     p = load_problem("chain_one_afactor.euf")
     colored, refuted, _, _ = build_colored_graph(p, Strategy.GREEDY)
     path = colored.path(refuted.lhs, refuted.rhs)
-    factors = factorize(colored, path).factors
+    factors = colored.factors(path)
     assert [f.side for f in factors] in (
         [Side.A, Side.B],
         [Side.B, Side.A],
@@ -260,16 +257,8 @@ def test_factorize_single_color_path():
     p = load_problem("horn_min.euf")
     colored, refuted, _, _ = build_colored_graph(p, Strategy.GREEDY)
     path = colored.path(refuted.lhs, refuted.rhs)
-    factors = factorize(colored, path).factors
+    factors = colored.factors(path)
     assert len(factors) == 1 and factors[0].side is Side.A
-
-
-def test_factorize_rejects_empty_path():
-    p = load_problem("horn_min.euf")
-    colored, _, _, _ = build_colored_graph(p, Strategy.GREEDY)
-    u1 = p.table.make("u1")
-    with pytest.raises(ValueError):
-        factorize(colored, colored.path(u1, u1))
 
 
 def test_factor_count_equals_color_switches():
@@ -281,7 +270,7 @@ def test_factor_count_equals_color_switches():
         path = colored.path(refuted.lhs, refuted.rhs)
         sides = [colored.edge_color(s.edge) for s in path.steps]
         switches = sum(1 for x, y in zip(sides, sides[1:]) if x is not y)
-        assert len(factorize(colored, path).factors) == switches + 1
+        assert len(colored.factors(path)) == switches + 1
 
 
 def test_every_strategy_yields_a_valid_interpolant():

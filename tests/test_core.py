@@ -11,7 +11,6 @@ from eufinterp.core import (
     OverlapError,
     ParseError,
     TermTable,
-    colorability,
     edge_colorability,
     format_literal,
     format_term,
@@ -79,6 +78,17 @@ def test_parse_errors_carry_positions():
         parse_problem("(A (= a b)) (B (= b a))")
     with pytest.raises(ParseError):
         parse_problem("(A (= a b)) (B) (C)")
+    for text, line, col in [
+        ("; (A (= a b)) (B)\n(A (= a b)) (B) x", 2, 17),  # after a comment
+        ("(A (= a b)) ; tail ( \n(B ())", 2, 4),  # a comment hides a paren
+        ("(A\t(= a b)) (B)\t\t(C)", 1, 18),  # a tab is one column
+        ("(A (= a b))\n\n\n  (B a)", 4, 6),  # blank lines
+        ("(A (= a b))\r\n (B (= a))", 2, 5),  # \r ends no line
+        ("(A (= a b))\xa0\u3000(B (not a))", 1, 22),  # non-ASCII spaces
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_problem(text)
+        assert (err.value.line, err.value.col) == (line, col), text
 
 
 def test_colorability_classification():
@@ -86,9 +96,9 @@ def test_colorability_classification():
     p = load_problem("split_new_vertex.euf")
     t = p.table
     x, z1, z2, z3, y = (t.make(n) for n in ("x", "z1", "z2", "z3", "y"))
-    assert colorability(t.make("*", (x, z2)), p.symbols) == Colorability.A
-    assert colorability(t.make("*", (z1, z2)), p.symbols) == Colorability.AB
-    assert colorability(t.make("*", (x, y)), p.symbols) == Colorability.NONE
+    assert p.symbols.colorability(t.make("*", (x, z2))) == Colorability.A
+    assert p.symbols.colorability(t.make("*", (z1, z2))) == Colorability.AB
+    assert p.symbols.colorability(t.make("*", (x, y))) == Colorability.NONE
     assert edge_colorability(t.make("*", (x, z2)), t.make("*", (z1, y)), p.symbols) \
         == Colorability.NONE
 
@@ -99,15 +109,15 @@ def test_edge_colorability_meet():
     z4 = p.table.make("z4")
     assert edge_colorability(z1, z4, p.symbols) == Colorability.AB
     x1 = p.table.make("x1")
-    assert edge_colorability(x1, x1, p.symbols) == colorability(x1, p.symbols)
+    assert edge_colorability(x1, x1, p.symbols) == p.symbols.colorability(x1)
 
 
 def test_colorability_antitone_under_subterms():
     p = load_problem("ladder2.euf")
     for term in p.table:
-        c = colorability(term, p.symbols)
+        c = p.symbols.colorability(term)
         for arg in term.args:
-            assert c & colorability(arg, p.symbols) == c
+            assert c & p.symbols.colorability(arg) == c
 
 
 def test_subterm_closure_single_application():

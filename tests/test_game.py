@@ -12,13 +12,11 @@ from eufinterp.game import (
     ProofError,
     ProofTree,
     bridge_run,
-    check_cut,
     check_local,
     coloring_cut,
     euf_bridge,
     format_formula,
     format_game_interpolant,
-    format_proof,
     free_symbols,
     game_interpolant,
     normalize_root,
@@ -70,6 +68,51 @@ def reference_coloring_cut(tree):
                     t_b[phi] = None
                     changed = True
     return tuple(t_a), tuple(t_b)
+
+
+def check_cut(tree, t_a, t_b) -> bool:
+    """Literal evaluation of the four coloring-cut conditions."""
+    set_a, set_b = set(t_a), set(t_b)
+    if not all(tree.ab_colorable(lab) for lab in set_a | set_b):
+        return False
+    if set_a & set_b or FALSE not in set_b:
+        return False
+    a_inputs = {lab for lab, n in tree.nodes.items() if n.origin == "A"}
+    b_inputs = {lab for lab, n in tree.nodes.items() if n.origin == "B"}
+
+    def interleaved(upper: set, own: set, other_inputs: set, lower: set) -> bool:
+        # Between any member of `upper` and any offending label strictly below
+        # it there must be a member of `lower`.
+        for anchor in upper:
+            below_anchor = tree.strictly_below(anchor)
+            for psi in (own | other_inputs) & below_anchor:
+                if psi == anchor:
+                    continue
+                if not any(
+                    tree.precedes(psi, beta) and tree.precedes(beta, anchor)
+                    for beta in lower
+                ):
+                    return False
+        return True
+
+    if not interleaved(set_a, set_a, b_inputs - set_b, set_b):
+        return False
+    if not interleaved(set_b, set_b, a_inputs - set_a, set_a):
+        return False
+    return True
+
+
+def format_proof(tree) -> str:
+    """Serialize back to the proof grammar (ids in node order)."""
+    ids = {label: f"n{i + 1}" for i, label in enumerate(tree.nodes)}
+    lines = ["(theory-symbols " + " ".join(sorted(tree.theory_symbols)) + ")"]
+    for label, node in tree.nodes.items():
+        if node.is_leaf:
+            tail = f"(from {node.origin})"
+        else:
+            tail = "(premises " + " ".join(ids[p] for p in node.premises) + ")"
+        lines.append(f"(node {ids[label]} {format_formula(label)} {tail})")
+    return "\n".join(lines) + "\n"
 
 
 class TestParseProof:
