@@ -31,7 +31,7 @@ class ColoringError(RuntimeError):
 
 def choose_splitter(path: Path, symbols: SymbolTable) -> Term:
     """First shared-signature vertex scanning from the path's start."""
-    for vertex in path.vertices():
+    for vertex in path.vertices:
         if symbols.colorability(vertex) == Colorability.AB:
             return vertex
     raise ColoringError(f"no shared-signature vertex on {path!r}")
@@ -66,7 +66,7 @@ def make_colorable(
         new_term = table.make(edge.u.head, splitters)
         left_pairs = tuple(zip((p for p, _ in edge.parents), splitters))
         right_pairs = tuple(zip(splitters, (q for _, q in edge.parents)))
-        if new_term.id not in g.vertex_ids:
+        if new_term not in g:
             added.append(new_term)
         for new in g.split_edge(edge, new_term, left_pairs, right_pairs):
             if edge_colorability(new.u, new.v, symbols) == Colorability.NONE:
@@ -97,20 +97,13 @@ class ColoredGraph:
         return self.graph.path(u, v)
 
     def factors(self, path: Path) -> list[Factor]:
+        sides = [self.colors[edge.seq] for edge in path.edges]
         out: list[Factor] = []
-        verts = path.vertices()
         lo = 0
-        current: Side | None = None
-        for i, step in enumerate(path.steps):
-            side = self.edge_color(step.edge)
-            if current is None:
-                current = side
-            elif side is not current:
-                out.append(Factor(current, path.slice(lo, i)))
+        for i in range(1, len(sides) + 1):
+            if i == len(sides) or sides[i] is not sides[lo]:
+                out.append(Factor(sides[lo], path.slice(lo, i)))
                 lo = i
-                current = side
-        if current is not None:
-            out.append(Factor(current, path.slice(lo, len(verts) - 1)))
         return out
 
 
@@ -182,16 +175,15 @@ def _greedy_assign(
         if key in seen_paths or path.is_empty:
             continue
         seen_paths.add(key)
-        steps = path.steps
-        for i, step in enumerate(steps):
-            edge = step.edge
+        edges = path.edges
+        for i, edge in enumerate(edges):
             if edge.seq not in colors:
-                prev = colors.get(steps[i - 1].edge.seq) if i > 0 else None
-                nxt = colors.get(steps[i + 1].edge.seq) if i + 1 < len(steps) else None
+                prev = colors.get(edges[i - 1].seq) if i > 0 else None
+                nxt = colors.get(edges[i + 1].seq) if i + 1 < len(edges) else None
                 colors[edge.seq] = prev or nxt or Side.A
-        for step in steps:
-            if step.edge.is_derived:
-                for p, q in step.edge.parents:
+        for edge in edges:
+            if edge.is_derived:
+                for p, q in edge.parents:
                     if p is not q:
                         queue.append(graph.path(p, q))
 

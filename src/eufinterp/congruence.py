@@ -10,12 +10,19 @@ Each tree is stored rooted, as a proof forest (Nieuwenhuis & Oliveras,
 *Proof-producing congruence closure*, RTA 2005): every vertex keeps the edge
 to its parent.  Adding an edge reroots the smaller tree at its endpoint and
 hangs it below the other endpoint.  A path query climbs from both ends to
-the lowest common ancestor, so it costs O(|path|).  A union-find over the
-same partition answers ``find`` and ``connected``; the smaller term id
-represents.  The closure re-signatures only the applications over the
-absorbed class (Downey, Sethi & Tarjan, JACM 1980).  Colorability repair
-replaces an edge by a two-edge path through a split vertex with
-:meth:`CongruenceGraph.split_edge`, which never changes the partition.
+the lowest common ancestor, so it costs O(|path|).  A :class:`Path` is a
+vertex tuple and an edge tuple, ``edges[i]`` joining ``vertices[i]`` and
+``vertices[i + 1]``, so slicing out a subpath is two tuple slices.
+
+The partition is one member list per class plus a map from each term id to
+its class's representative, the smallest id in the class; ``find`` is one
+lookup.  A merge relabels the absorbed class, the one whose smallest id is
+larger, and appends its members to the kept one.  The closure rescans the
+applications over the absorbed class (Downey, Sethi & Tarjan, JACM 1980), so
+relabelling costs no more than that rescan.  Colorability repair replaces an
+edge by a two-edge path through a split vertex with
+:meth:`CongruenceGraph.split_edge`, which never changes the partition of the
+existing vertices.
 """
 
 from __future__ import annotations
@@ -51,40 +58,31 @@ class Edge:
 
 
 @dataclass(frozen=True)
-class PathStep:
-    edge: Edge
-    forward: bool
+class Path:
+    """The unique simple path between two connected vertices; empty iff u = v.
+
+    ``edges[i]`` joins ``vertices[i]`` and ``vertices[i + 1]``, in either
+    orientation, so there is one more vertex than edges.
+    """
+
+    vertices: tuple[Term, ...]
+    edges: tuple[Edge, ...]
 
     @property
     def start(self) -> Term:
-        return self.edge.u if self.forward else self.edge.v
+        return self.vertices[0]
 
     @property
     def end(self) -> Term:
-        return self.edge.v if self.forward else self.edge.u
-
-
-@dataclass(frozen=True)
-class Path:
-    """The unique simple path between two connected vertices; empty iff u = v."""
-
-    start: Term
-    end: Term
-    steps: tuple[PathStep, ...]
+        return self.vertices[-1]
 
     @property
     def is_empty(self) -> bool:
-        return not self.steps
-
-    def vertices(self) -> list[Term]:
-        out = [self.start]
-        out.extend(step.end for step in self.steps)
-        return out
+        return not self.edges
 
     def slice(self, lo: int, hi: int) -> "Path":
         """Subpath between vertex positions ``lo`` and ``hi`` (inclusive)."""
-        verts = self.vertices()
-        return Path(verts[lo], verts[hi], self.steps[lo:hi])
+        return Path(self.vertices[lo : hi + 1], self.edges[lo:hi])
 
 
 class ClosureInputError(ValueError):
@@ -100,38 +98,40 @@ class CongruenceGraph:
 
     def __init__(self, vertices: Iterable[Term]):
         self.vertices: list[Term] = sorted(vertices, key=lambda t: t.id)
-        self.vertex_ids: set[int] = {t.id for t in self.vertices}
         self.edges: list[Edge] = []
         # Proof forest: vertex -> (edge to its parent, parent); None at a root.
         self._up: dict[Term, tuple[Edge, Term] | None] = dict.fromkeys(self.vertices)
-        # Union-find over the same partition; the smaller term id represents.
-        self._parent: dict[int, int] = {t.id: t.id for t in self.vertices}
-        self._size: dict[int, int] = {t.id: 1 for t in self.vertices}
+        # The partition: term id -> smallest id in its class, and that id ->
+        # the class's members in merge order.
+        self._rep: dict[int, int] = {t.id: t.id for t in self.vertices}
+        self.classes: dict[int, list[Term]] = {t.id: [t] for t in self.vertices}
         self._next_seq = 0
 
     def clone(self) -> "CongruenceGraph":
         g = CongruenceGraph(self.vertices)
         g.edges = list(self.edges)
         g._up = dict(self._up)
-        g._parent = dict(self._parent)
-        g._size = dict(self._size)
+        g._rep = dict(self._rep)
+        g.classes = {rep: list(members) for rep, members in self.classes.items()}
         g._next_seq = self._next_seq
         return g
 
+    def __contains__(self, t: Term) -> bool:
+        return t.id in self._rep
+
     def find(self, tid: int) -> int:
-        parent = self._parent
-        while parent[tid] != tid:
-            parent[tid] = parent[parent[tid]]
-            tid = parent[tid]
-        return tid
+        return self._rep[tid]
 
     def connected(self, s: Term, t: Term) -> bool:
-        return self.find(s.id) == self.find(t.id)
+        return self._rep[s.id] == self._rep[t.id]
 
     def _join(self, ra: int, rb: int) -> None:
         keep, absorbed = (ra, rb) if ra < rb else (rb, ra)
-        self._parent[absorbed] = keep
-        self._size[keep] += self._size.pop(absorbed)
+        moved = self.classes.pop(absorbed)
+        rep = self._rep
+        for t in moved:
+            rep[t.id] = keep
+        self.classes[keep].extend(moved)
 
     def _new_edge(self, u: Term, v: Term, **why) -> Edge:
         edge = Edge(u, v, self._next_seq, **why)
@@ -163,7 +163,8 @@ class CongruenceGraph:
             raise ValueError(f"edge would close a cycle: {u!r} -- {v!r}")
         edge = self._new_edge(u, v, origin=origin, side=side, parents=parents)
         # Hang the smaller tree below the other endpoint.
-        low, high = (u, v) if self._size[ru] <= self._size[rv] else (v, u)
+        classes = self.classes
+        low, high = (u, v) if len(classes[ru]) <= len(classes[rv]) else (v, u)
         self._reroot(low)
         self._up[low] = (edge, high)
         self._join(ru, rv)
@@ -189,12 +190,11 @@ class CongruenceGraph:
         low = edge.u if up[edge.u] is not None and up[edge.u][0] is edge else edge.v
         high = edge.other(low)
         up[low] = None
-        if mid.id not in self.vertex_ids:
+        if mid not in self:
             self.vertices.append(mid)
-            self.vertex_ids.add(mid.id)
-            self._parent[mid.id] = mid.id
-            self._size[mid.id] = 1
-            self._join(self.find(low.id), mid.id)
+            self._rep[mid.id] = mid.id
+            self.classes[mid.id] = [mid]
+            self._join(self._rep[low.id], mid.id)
             first = self._new_edge(edge.u, mid, parents=left)
             second = self._new_edge(mid, edge.v, parents=right)
             below, above = (first, second) if low is edge.u else (second, first)
@@ -218,17 +218,16 @@ class CongruenceGraph:
 
     def components(self) -> list[list[Term]]:
         """Partition of the vertex set, ordered by smallest member id."""
-        blocks: dict[int, list[Term]] = {}
-        for t in sorted(self.vertices, key=lambda t: t.id):
-            blocks.setdefault(self.find(t.id), []).append(t)
-        return list(blocks.values())
+        return [
+            sorted(self.classes[rep], key=lambda t: t.id) for rep in sorted(self.classes)
+        ]
 
     def path(self, u: Term, v: Term) -> Path:
-        if u.id not in self.vertex_ids or v.id not in self.vertex_ids:
+        if u not in self or v not in self:
             raise NotConnectedError(f"{u!r} or {v!r} is not a vertex")
         if u is v:
-            return Path(u, u, ())
-        if self.find(u.id) != self.find(v.id):
+            return Path((u,), ())
+        if not self.connected(u, v):
             raise NotConnectedError(f"no path between {u!r} and {v!r}")
         # Climb from both ends in turn until one climb reaches a vertex the
         # other has passed: that vertex is the lowest common ancestor.
@@ -259,14 +258,10 @@ class CongruenceGraph:
                         break
                     on_fall[y] = len(fall)
                     fall.append(y)
-        steps = []
-        for x in rise[:-1]:
-            edge = up[x][0]
-            steps.append(PathStep(edge, edge.u is x))
-        for x in reversed(fall[:-1]):
-            edge = up[x][0]
-            steps.append(PathStep(edge, edge.v is x))
-        return Path(u, v, tuple(steps))
+        # rise runs from u up to the ancestor, fall from v up to it.
+        fall.pop()
+        fall.reverse()
+        return Path(tuple(rise + fall), tuple([up[x][0] for x in rise[:-1] + fall]))
 
 
 def close(
@@ -303,34 +298,26 @@ def close(
         if t.args:
             sig_table[(t.head, tuple(a.id for a in t.args))] = t
 
-    pending: deque[tuple] = deque()
-    for lit, side in equalities:
-        pending.append(("basic", lit, side))
-
-    members: dict[int, list[int]] = {t.id: [t.id] for t in graph.vertices}
+    # Pending merges (s, t, input literal or None for a congruence, side).
+    pending = deque((lit.lhs, lit.rhs, lit, side) for lit, side in equalities)
     while pending:
-        item = pending.popleft()
-        if item[0] == "basic":
-            _, lit, side = item
-            s, t = lit.lhs, lit.rhs
-        else:
-            _, s, t = item
+        s, t, lit, side = pending.popleft()
         rs, rt = find(s.id), find(t.id)
         if rs == rt:
             continue
-        if item[0] == "basic":
+        keep, absorbed = (rs, rt) if rs < rt else (rt, rs)
+        # The merge moves this list's members into the kept class.
+        moved = graph.classes[absorbed]
+        if lit is not None:
             graph.add_edge(s, t, origin=lit, side=side)
         else:
             graph.add_edge(s, t, parents=tuple(zip(s.args, t.args)))
-        keep, absorbed = (rs, rt) if rs < rt else (rt, rs)
-        moved = members.pop(absorbed)
-        members[keep].extend(moved)
         # Only applications over the absorbed class change signature; the
         # others keep a signature whose pairs are connected or already queued.
         # Rescan them in the order a pass over the merged class sorted by id
         # would first reach them: by smallest argument in the class, then id.
         rescan = []
-        for app in {app.id: app for member in moved for app in use[member]}.values():
+        for app in {app.id: app for member in moved for app in use[member.id]}.values():
             reps = tuple([find(a.id) for a in app.args])
             first = min([a.id for a, r in zip(app.args, reps) if r == keep])
             rescan.append((first, app.id, (app.head, reps), app))
@@ -340,7 +327,7 @@ def close(
             if known is None:
                 sig_table[sig] = app
             elif not graph.connected(app, known):
-                pending.append(("derived", app, known))
+                pending.append((app, known, None, None))
     return graph
 
 

@@ -289,6 +289,8 @@ def term_from_sexpr(sx: SAtom | SList, table: TermTable, symbols: SymbolTable) -
     if head_of(sx) is None:
         raise ParseError("expected a function application", sx.line, sx.col)
     head = sx.items[0]
+    if len(sx.items) == 1:
+        raise ParseError(f"application of {head.text!r} has no arguments", sx.line, sx.col)
     args = [term_from_sexpr(item, table, symbols) for item in sx.items[1:]]
     try:
         symbols.declare(head.text, len(args))

@@ -15,7 +15,7 @@ summaries and derived-edge congruences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .coloring import Strategy
 from .core import (
@@ -94,6 +94,33 @@ class NonLocalProofError(ProofError):
 
 class InvalidCutError(ValueError):
     pass
+
+
+def _post_order(root, children, value, memo: dict, cycle: Callable[..., Exception]):
+    """``memo[root]``, filling ``memo`` children first on an explicit stack.
+
+    ``value(x)`` may read ``memo`` at every node of ``children(x)``.  Values
+    reach ``memo`` in the order a recursive evaluation would finish them.
+    Meeting a node that is still open closes a cycle: ``cycle(node)`` is
+    raised.
+    """
+    if root not in memo:
+        open_nodes = {root}
+        stack = [(root, iter(children(root)))]
+        while stack:
+            top, pending = stack[-1]
+            for child in pending:
+                if child in open_nodes:
+                    raise cycle(child)
+                if child not in memo:
+                    open_nodes.add(child)
+                    stack.append((child, iter(children(child))))
+                    break
+            else:
+                stack.pop()
+                open_nodes.discard(top)
+                memo[top] = value(top)
+    return memo[root]
 
 
 class ProofTree:
@@ -191,7 +218,7 @@ def parse_proof(text: str) -> ProofTree:
         raise ParseError("empty proof")
     header = forms[0]
     if head_of(header) != "theory-symbols":
-        raise ParseError("expected (theory-symbols SYMBOL*)", header.line, 1)
+        raise ParseError("expected (theory-symbols SYMBOL*)", header.line, header.col)
     theory = []
     for item in header.items[1:]:
         if not isinstance(item, SAtom):
@@ -251,33 +278,23 @@ def parse_proof(text: str) -> ProofTree:
 
     # Collapse to labels, checking that equal labels root identical subtrees.
     # A subtree's signature is a number: structurally equal subtrees, and only
-    # they, share one.  Post-order on an explicit stack; a premise still open
-    # when reached again closes a cycle.
+    # they, share one.
     signature: dict[str, int] = {}
     numbering: dict[tuple, int] = {}
 
+    def number(node_id: str) -> int:
+        formula, premises, origin = raw[node_id]
+        key = (formula, origin, tuple(signature[p] for p in premises or ()))
+        return numbering.setdefault(key, len(numbering))
+
     def sig(node_id: str) -> int:
-        hit = signature.get(node_id)
-        if hit is not None:
-            return hit
-        open_ids = {node_id}
-        stack = [(node_id, iter(raw[node_id][1] or ()))]
-        while stack:
-            top, pending = stack[-1]
-            for pid in pending:
-                if pid in open_ids:
-                    raise ProofError(f"cyclic proof through node {pid!r}")
-                if pid not in signature:
-                    open_ids.add(pid)
-                    stack.append((pid, iter(raw[pid][1] or ())))
-                    break
-            else:
-                stack.pop()
-                open_ids.discard(top)
-                formula, premises, origin = raw[top]
-                key = (formula, origin, tuple(signature[p] for p in premises or ()))
-                signature[top] = numbering.setdefault(key, len(numbering))
-        return signature[node_id]
+        return _post_order(
+            node_id,
+            lambda nid: raw[nid][1] or (),
+            number,
+            signature,
+            lambda nid: ProofError(f"cyclic proof through node {nid!r}"),
+        )
 
     nodes: dict[Formula, LabelNode] = {}
     by_label_sig: dict[Formula, int] = {}
@@ -390,6 +407,10 @@ def coloring_cut(tree: ProofTree) -> tuple[tuple[Formula, ...], tuple[Formula, .
     return tuple(t_a), tuple(t_b)
 
 
+def _premise_cycle(phi: Formula) -> RuntimeError:
+    return RuntimeError(f"premise cycle through {format_formula(phi)}")
+
+
 @dataclass
 class InterpolationRun:
     """The (S_A, S_B, order, premise-maps) structure of a finished game."""
@@ -408,16 +429,19 @@ class InterpolationRun:
         memo: dict[Formula, int] = {}
         in_a = set(self.s_a)
 
-        def depth(phi: Formula) -> int:
-            hit = memo.get(phi)
-            if hit is not None:
-                return hit
-            premises = self.pr_b[phi] if phi in in_a else self.pr_a[phi]
-            value = 1 + max((depth(p) for p in premises), default=0)
-            memo[phi] = value
-            return value
+        def premises(phi: Formula) -> tuple[Formula, ...]:
+            return self.pr_b[phi] if phi in in_a else self.pr_a[phi]
 
-        return max((depth(phi) for phi in self.s_a + self.s_b), default=0)
+        def depth(phi: Formula) -> int:
+            return 1 + max((memo[p] for p in premises(phi)), default=0)
+
+        return max(
+            (
+                _post_order(phi, premises, depth, memo, _premise_cycle)
+                for phi in self.s_a + self.s_b
+            ),
+            default=0,
+        )
 
 
 def run_from_cut(
@@ -479,26 +503,19 @@ def game_interpolant(
         raise ValueError("run is not successful: false was never derived")
     if target not in run.pr_a:
         raise ValueError("target must belong to the B-prover's set")
-    limit = len(run.s_a) + len(run.s_b)
     memo: dict[Formula, tuple[Formula, ...]] = {}
 
-    def cumulative(beta: Formula, depth: int = 0) -> tuple[Formula, ...]:
-        if depth > limit:
-            raise RuntimeError("premise recursion exceeded the run size")
-        hit = memo.get(beta)
-        if hit is not None:
-            return hit
+    def below(beta: Formula) -> list[Formula]:
+        return [beta2 for alpha in run.pr_a[beta] for beta2 in run.pr_b[alpha]]
+
+    def cumulative(beta: Formula) -> tuple[Formula, ...]:
         out: dict[Formula, None] = {beta: None}
-        for alpha in run.pr_a[beta]:
-            for beta2 in run.pr_b[alpha]:
-                for b in cumulative(beta2, depth + 1):
-                    out[b] = None
-        result = tuple(out)
-        memo[beta] = result
-        return result
+        for beta2 in below(beta):
+            out.update(dict.fromkeys(memo[beta2]))
+        return tuple(out)
 
     alphas: dict[Formula, None] = {}
-    for beta in cumulative(target):
+    for beta in _post_order(target, below, cumulative, memo, _premise_cycle):
         for alpha in run.pr_a[beta]:
             alphas[alpha] = None
     implications: dict[Formula, None] = {}
@@ -556,12 +573,12 @@ def euf_bridge(
         return add(label, premises)
 
     def derive_factor(factor) -> Formula:
-        if len(factor.path.steps) == 1:
-            return derive_edge(factor.path.steps[0].edge)
+        if len(factor.path.edges) == 1:
+            return derive_edge(factor.path.edges[0])
         label = eq_label(factor.path.start, factor.path.end)
         if label in nodes:
             return label
-        premises = tuple(derive_edge(step.edge) for step in factor.path.steps)
+        premises = tuple(derive_edge(edge) for edge in factor.path.edges)
         return add(label, premises)
 
     def derive_path(path) -> Formula:

@@ -174,8 +174,7 @@ class PremiseSets:
                 if factor.side is want:
                     yield self.key_of(factor.path)
                     continue
-                for step in factor.path.steps:
-                    edge = step.edge
+                for edge in factor.path.edges:
                     if edge.is_derived:
                         for p, q in edge.parents:
                             if p is not q:
@@ -233,7 +232,7 @@ def refutation_interpolant(ps: PremiseSets, path: Path) -> HornConjunction:
     from those premises.
     """
     symbols = ps.colored.symbols
-    verts = path.vertices()
+    verts = path.vertices
     b_positions = [
         i for i, v in enumerate(verts) if symbols.colorability(v) & Colorability.B
     ]

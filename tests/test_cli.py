@@ -120,7 +120,7 @@ MALFORMED = [
     (
         "game cut",
         ["\n  (node n1 false (from A))\n"],
-        "2:1: expected (theory-symbols SYMBOL*)",
+        "2:3: expected (theory-symbols SYMBOL*)",
     ),
     ("game cut", ["(theory-symbols)\n(node n1 false foo)\n"], "2:1: malformed node tail"),
     ("game cut", ["(theory-symbols)\n(node n1 false ())\n"], "2:1: malformed node tail"),
@@ -138,6 +138,11 @@ MALFORMED = [
         "game interpolate",
         ["(theory-symbols)\n(node n1 () (from A))\n"],
         "2:10: empty formula",
+    ),
+    (
+        "interpolate",
+        ["(A (= (f) b)) (B (not (= f b)))\n"],
+        "1:7: application of 'f' has no arguments",
     ),
 ]
 
@@ -273,6 +278,29 @@ def test_game_rejects_non_local_proof(capsys, tmp_path):
     code, _, err = run_cli(capsys, "game", "cut", str(path))
     assert code == 1
     assert "local" in err
+
+
+def test_game_stats_on_a_deep_alternating_proof(capsys, tmp_path):
+    # Node nk derives (p ck) from n(k-1) and a leaf that alternates between
+    # A and B, so the run has one prover turn per step.
+    steps = 400
+    lines = ["(theory-symbols)", "(node n0 (p c0) (from A))"]
+    for k in range(1, steps + 1):
+        side = "a" if k % 2 else "b"
+        lines.append(f"(node l{k} ({side} c{k - 1} c{k}) (from {side.upper()}))")
+        lines.append(f"(node n{k} (p c{k}) (premises n{k - 1} l{k}))")
+    lines.append(f"(node nb (not (p c{steps})) (from B))")
+    lines.append(f"(node root false (premises n{steps} nb))")
+    path = tmp_path / "alternating.proof"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "game", "interpolate", "--stats", str(path))
+    assert code == 0, err
+    interpolant, stats = out.splitlines()
+    assert stats == f"rounds={steps}"
+    # One clause per A step: (p c0) |- (p c1) is a fact, the others implications.
+    assert interpolant.startswith(f"(and (=> (and (p c{steps - 2})) (p c{steps - 1}))")
+    assert interpolant.endswith(" (p c1))")
+    assert interpolant.count("(=> ") == steps // 2 - 1
 
 
 def test_game_handles_a_deep_proof_listed_root_first(capsys, tmp_path):

@@ -151,8 +151,8 @@ def test_repair_preserves_partition_of_original_vertices():
         inst = generate("split", 5 + i % 20, seed=i)
         p = parse_problem(inst.text)
         g = _closed(p)
-        before = _partition_ids(g, set(g.vertex_ids))
-        original = set(g.vertex_ids)
+        before = _partition_ids(g, {t.id for t in g.vertices})
+        original = {t.id for t in g.vertices}
         repaired, added = make_colorable(g, p.symbols, p.table)
         after = _partition_ids(repaired, original)
         assert before == after
@@ -189,9 +189,9 @@ def test_choose_splitter_on_random_mixed_paths():
         found += 1
         w = choose_splitter(path, p.symbols)
         assert p.symbols.colorability(w) == Colorability.AB
-        assert w in path.vertices()
+        assert w in path.vertices
         # first such vertex from the start end
-        verts = path.vertices()
+        verts = path.vertices
         first = next(
             t for t in verts if p.symbols.colorability(t) == Colorability.AB
         )
@@ -268,7 +268,7 @@ def test_factor_count_equals_color_switches():
         p = parse_problem(inst.text)
         colored, refuted, _, _ = build_colored_graph(p, Strategy.GREEDY)
         path = colored.path(refuted.lhs, refuted.rhs)
-        sides = [colored.edge_color(s.edge) for s in path.steps]
+        sides = [colored.edge_color(e) for e in path.edges]
         switches = sum(1 for x, y in zip(sides, sides[1:]) if x is not y)
         assert len(colored.factors(path)) == switches + 1
 

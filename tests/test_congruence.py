@@ -130,9 +130,9 @@ def test_path_through_derived_edge():
     g = _close_problem(p)
     z3, z4 = p.table.make("z3"), p.table.make("z4")
     path = g.path(z3, z4)
-    heads = [format_term(v) for v in path.vertices()]
+    heads = [format_term(v) for v in path.vertices]
     assert heads == ["z3", "(f x1)", "(f x2)", "z4"]
-    assert [s.edge.is_derived for s in path.steps] == [False, True, False]
+    assert [e.is_derived for e in path.edges] == [False, True, False]
 
 
 def bfs_path_vertices(graph, u, v):
@@ -160,15 +160,14 @@ def bfs_path_vertices(graph, u, v):
 def assert_path_matches_traversal(graph, u, v):
     path = graph.path(u, v)
     assert path.start is u and path.end is v
-    cur = u
+    assert len(path.vertices) == len(path.edges) + 1
     seen_edges = set()
-    for step in path.steps:
-        assert step.start is cur
-        assert step.edge.seq not in seen_edges  # simple path
-        seen_edges.add(step.edge.seq)
-        cur = step.end
-    assert cur is v
-    assert path.vertices() == bfs_path_vertices(graph, u, v)
+    for i, edge in enumerate(path.edges):
+        # edges[i] joins vertices[i] and vertices[i + 1], in either orientation
+        assert {edge.u, edge.v} == {path.vertices[i], path.vertices[i + 1]}
+        assert edge.seq not in seen_edges  # simple path
+        seen_edges.add(edge.seq)
+    assert list(path.vertices) == bfs_path_vertices(graph, u, v)
 
 
 def test_path_matches_traversal_oracle_on_random_trees():
@@ -217,6 +216,9 @@ def _hand_built(mid_side: str, heavy: str, mid_fresh: bool):
 
 def _check_forest(graph):
     assert len(graph.edges) == len(graph.vertices) - len(graph.components())
+    for block in graph.components():
+        for t in block:
+            assert graph.find(t.id) == block[0].id  # the smallest id represents
     assert [e.seq for e in graph.edges] == sorted(e.seq for e in graph.edges)
     for s in graph.vertices:
         for t in graph.vertices:
@@ -239,7 +241,7 @@ def test_split_edge_splices_a_fresh_vertex(heavy):
     assert _partition_ids(g.components()) == {
         block | {fc.id} if fa.id in block else block for block in before
     }
-    assert g.path(fa, fd).vertices() == [fa, fc, fd]
+    assert g.path(fa, fd).vertices == (fa, fc, fd)
     _check_forest(g)
 
 
@@ -257,7 +259,7 @@ def test_split_edge_reuses_a_vertex_on_either_side(mid_side, heavy):
         assert (new.u, new.v, new.parents) == (fa, fc, ((a, c),))
     assert new.seq == edge.seq + 1 and edge not in g.edges
     assert _partition_ids(g.components()) == before
-    assert fc in g.path(fa, fd).vertices()
+    assert fc in g.path(fa, fd).vertices
     _check_forest(g)
 
 
@@ -281,7 +283,7 @@ def test_parent_paths_recomputed():
     assert len(derived) == 1
     (pp,) = [g.path(p, q) for p, q in derived[0].parents]
     assert {pp.start.id, pp.end.id} == {a.id, b.id}
-    assert len(pp.steps) == 2  # a -- c -- b
+    assert len(pp.edges) == 2  # a -- c -- b
 
 
 def test_parent_paths_keep_empty_pairs():

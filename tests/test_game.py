@@ -6,6 +6,7 @@ from eufinterp.core import Side, parse_problem
 from eufinterp.game import (
     FALSE,
     _cut_candidates,
+    InterpolationRun,
     InvalidCutError,
     LabelNode,
     NonLocalProofError,
@@ -394,6 +395,31 @@ class TestGameInterpolant:
         run = run_from_cut(tree, *coloring_cut(tree))
         assert game_interpolant(run) == ()
         assert format_game_interpolant(()) == "true"
+
+    def test_deep_alternating_run_needs_no_recursion(self):
+        # false <- a1500 <- b1499 <- a1499 <- ... <- b1 <- a1: the provers
+        # alternate 3000 times, far past the interpreter's recursion limit.
+        n = 1500
+        s_a = tuple(f"a{k}" for k in range(1, n + 1))
+        s_b = tuple(f"b{k}" for k in range(1, n)) + (FALSE,)
+        pr_b = {f"a{k}": (f"b{k - 1}",) if k > 1 else () for k in range(1, n + 1)}
+        pr_a = {f"b{k}": (f"a{k}",) for k in range(1, n)}
+        pr_a[FALSE] = (f"a{n}",)
+        run = InterpolationRun(s_a, s_b, pr_b, pr_a)
+        assert run.rounds() == 2 * n
+        expected = tuple(
+            ("=>", ("and", f"b{k - 1}"), f"a{k}") for k in range(n, 1, -1)
+        ) + ("a1",)
+        assert game_interpolant(run) == expected
+
+    def test_premise_cycle_is_reported(self):
+        run = InterpolationRun(
+            ("a1",), ("b1", FALSE), {"a1": ("b1",)}, {"b1": ("a1",), FALSE: ("a1",)}
+        )
+        with pytest.raises(RuntimeError, match="premise cycle through b1"):
+            game_interpolant(run)
+        with pytest.raises(RuntimeError, match="premise cycle through a1"):
+            run.rounds()
 
 
 class TestBridge:

@@ -48,9 +48,9 @@ def recursive_path_interpolant(
         for factor in factors:
             out |= recursive_path_interpolant(ps, factor.path, memo)
     elif factors[0].side is Side.B:
-        for step in path.steps:
-            if step.edge.is_derived:
-                for p, q in step.edge.parents:
+        for edge in path.edges:
+            if edge.is_derived:
+                for p, q in edge.parents:
                     if p is not q:
                         sub = ps.colored.path(p, q)
                         out |= recursive_path_interpolant(ps, sub, memo)
