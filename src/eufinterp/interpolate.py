@@ -40,8 +40,9 @@ PathKey = tuple[int, int]
 class HornClause:
     """Premise equalities implying one equality, disequality, or falsity.
 
-    ``conclusion`` is None for a clause concluding false.  Premises are
-    deduplicated, sorted, and never of the form t = t.
+    ``conclusion`` is None for a clause concluding false; a conclusion t != t
+    becomes None too.  Premises are deduplicated, sorted, and never of the
+    form t = t.
     """
 
     premises: tuple[Literal, ...]
@@ -59,7 +60,8 @@ class HornClause:
         if conclusion is not None:
             if conclusion.equal and (conclusion.trivial or conclusion in kept):
                 return None
-            assert not (not conclusion.equal and conclusion.trivial)
+            if conclusion.trivial:
+                conclusion = None  # t != t is false
         ordered = sorted(kept, key=lambda l: (l.lhs.id, l.rhs.id))
         return HornClause(tuple(ordered), conclusion)
 
@@ -360,6 +362,13 @@ def format_conjunction(conj: HornConjunction) -> str:
 _FALSE_ATOMS = ("false", "false'")  # the primed relay constant denotes falsity
 
 
+def _conclusion_from_sexpr(sx, table: TermTable, symbols: SymbolTable) -> Literal:
+    lit = literal_from_sexpr(sx, table, symbols)
+    if not lit.equal and lit.trivial:
+        raise ParseError(f"reflexive disequality {format_literal(lit)}", sx.line, sx.col)
+    return lit
+
+
 def _clause_from_sexpr(sx, table: TermTable, symbols: SymbolTable) -> HornClause | None:
     if isinstance(sx, SAtom):
         if sx.text in _FALSE_ATOMS:
@@ -369,7 +378,7 @@ def _clause_from_sexpr(sx, table: TermTable, symbols: SymbolTable) -> HornClause
     if head is None:
         raise ParseError("expected a clause", sx.line, sx.col)
     if head in ("=", "not"):
-        return HornClause.make((), literal_from_sexpr(sx, table, symbols))
+        return HornClause.make((), _conclusion_from_sexpr(sx, table, symbols))
     if head == "=>":
         if len(sx.items) != 3:
             raise ParseError("'=>' takes premises and a conclusion", sx.line, sx.col)
@@ -384,7 +393,7 @@ def _clause_from_sexpr(sx, table: TermTable, symbols: SymbolTable) -> HornClause
             premises.append(lit)
         if isinstance(concl, SAtom) and concl.text in _FALSE_ATOMS:
             return HornClause.make(premises, None)
-        return HornClause.make(premises, literal_from_sexpr(concl, table, symbols))
+        return HornClause.make(premises, _conclusion_from_sexpr(concl, table, symbols))
     raise ParseError(f"unexpected clause head {head!r}", sx.line, sx.col)
 
 

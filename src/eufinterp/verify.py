@@ -1,9 +1,13 @@
-"""Independent oracle: naive closure, ground entailment, interpolant checking.
+"""Independent oracle: incremental closure, ground entailment, interpolant checking.
 
-This module deliberately avoids the proof-producing machinery: equivalence
-classes are recomputed by repeated full congruence scans over a fixed term
-universe until nothing changes.  Slower, but a genuinely separate code path,
-so it can arbitrate the main pipeline.
+This module deliberately avoids the proof-producing machinery: ``_Closure``
+is its own congruence closure over a fixed, subterm-closed term universe
+(representative array, member lists, use lists, signature table), so it is a
+genuinely separate code path and can arbitrate the main pipeline.  A merge
+relabels the smaller class and re-signs only the applications on that
+class's use list, and goes on an undo trail.  ``check_interpolant`` closes A
+once over A and every clause atom, then tests each clause by adding its
+premises and rolling them back.
 
 Horn-conjunction reasoning is plain forward chaining: in the theory of
 equality every atom is ground and entailment of a conjunction of atoms
@@ -32,78 +36,118 @@ class SizeCapError(ValueError):
     pass
 
 
-class _Universe:
-    """Dense-index view of a subterm-closed term list."""
+class _Closure:
+    """Congruence closure with an undo trail over a subterm-closed universe.
 
-    def __init__(self, terms: Sequence[Term]):
-        self.terms = sorted(terms, key=lambda t: t.id)
+    Terms get dense indices in term-id order.  ``rep[i]`` is the class
+    representative of term ``i``; for a representative ``r``, ``members[r]``
+    lists its class and ``uses[r]`` the applications with an argument in it.
+    The lists of an absorbed class stay as they were, which is what lets an
+    undo restore it.  ``signatures`` maps (head, argument representatives...)
+    to an application; an entry naming an absorbed class is stale until an
+    undo makes that class a representative again.
+    """
+
+    def __init__(self, terms: Iterable[Term]):
+        self.terms = subterm_closure(terms)
         self.index = {t.id: i for i, t in enumerate(self.terms)}
-        self.apps = [
-            (t.head, tuple(self.index[a.id] for a in t.args), i)
-            for i, t in enumerate(self.terms)
-            if t.args
-        ]
+        size = len(self.terms)
+        self.rep = list(range(size))
+        self.members = [[i] for i in range(size)]
+        self.uses: list[list[int]] = [[] for _ in range(size)]
+        self.apps: list[tuple[str, tuple[int, ...]] | None] = [None] * size
+        self.signatures: dict[tuple, int] = {}
+        self.trail: list[tuple[int, int]] = []  # (kept, absorbed) per merge
+        self.inserted: list[tuple] = []  # signature keys added by merges
+        for i, t in enumerate(self.terms):
+            if t.args:
+                args = tuple(self.index[a.id] for a in t.args)
+                self.apps[i] = (t.head, args)
+                for a in dict.fromkeys(args):
+                    self.uses[a].append(i)
+                self.signatures[(t.head,) + args] = i
 
     def pair(self, lit: Literal) -> tuple[int, int]:
         return (self.index[lit.lhs.id], self.index[lit.rhs.id])
 
-    def closure(self, eq_pairs: Iterable[tuple[int, int]]) -> list[int]:
-        """Representative array after closing under congruence by rescans."""
-        parent = list(range(len(self.terms)))
+    def refuted(self, diseqs: Iterable[tuple[int, int]]) -> bool:
+        rep = self.rep
+        return any(rep[a] == rep[b] for a, b in diseqs)
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> bool:
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return False
-            if ry < rx:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            return True
-
-        for a, b in eq_pairs:
-            union(a, b)
-        apps = self.apps
-        while True:
-            changed = False
-            table: dict[tuple, int] = {}
-            for head, argidx, idx in apps:
-                key = (head,) + tuple(find(a) for a in argidx)
-                other = table.get(key)
+    def merge(self, x: int, y: int) -> None:
+        """Join the classes of x and y and everything congruence then joins."""
+        rep, members, uses, apps = self.rep, self.members, self.uses, self.apps
+        signatures = self.signatures
+        pending = [(x, y)]
+        while pending:
+            x, y = pending.pop()
+            kept, gone = rep[x], rep[y]
+            if kept == gone:
+                continue
+            if len(members[kept]) < len(members[gone]):
+                kept, gone = gone, kept
+            for m in members[gone]:
+                rep[m] = kept
+            members[kept].extend(members[gone])
+            self.trail.append((kept, gone))
+            for app in uses[gone]:
+                head, args = apps[app]
+                key = (head,) + tuple(rep[a] for a in args)
+                other = signatures.get(key)
                 if other is None:
-                    table[key] = idx
-                elif union(idx, other):
-                    changed = True
-            if not changed:
-                break
-        for x in range(len(parent)):
-            find(x)
-        return parent
+                    signatures[key] = app
+                    self.inserted.append(key)
+                elif rep[other] != rep[app]:
+                    pending.append((app, other))
+            uses[kept].extend(uses[gone])
 
+    def mark(self) -> tuple[int, int]:
+        return (len(self.trail), len(self.inserted))
 
-def _split(
-    universe: _Universe, literals: Iterable[Literal]
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    eqs, diseqs = [], []
-    for lit in literals:
-        (eqs if lit.equal else diseqs).append(universe.pair(lit))
-    return eqs, diseqs
+    def undo(self, mark: tuple[int, int]) -> None:
+        """Roll every merge made since ``mark`` back, newest first."""
+        merges, keys = mark
+        while len(self.inserted) > keys:
+            del self.signatures[self.inserted.pop()]
+        rep, members, uses = self.rep, self.members, self.uses
+        while len(self.trail) > merges:
+            kept, gone = self.trail.pop()
+            del members[kept][len(members[kept]) - len(members[gone]) :]
+            for m in members[gone]:
+                rep[m] = gone
+            del uses[kept][len(uses[kept]) - len(uses[gone]) :]
 
+    def add(self, literals: Iterable[Literal]) -> list[tuple[int, int]]:
+        """Merge the equalities; return the disequalities as index pairs."""
+        diseqs = []
+        for lit in literals:
+            if lit.equal:
+                self.merge(*self.pair(lit))
+            else:
+                diseqs.append(self.pair(lit))
+        return diseqs
 
-def _refuted(parent: list[int], diseqs: Iterable[tuple[int, int]]) -> bool:
-    return any(parent[a] == parent[b] for a, b in diseqs)
+    def entails(self, diseqs: list[tuple[int, int]], phi: Literal | None) -> bool:
+        """Does the closed set (with ``diseqs``) entail phi (None: false)?
+
+        For an equality, phi must hold in the closure (or the set is already
+        unsatisfiable); for a disequality, merging its sides must refute the
+        set.  A disequality's merge stays in place for the caller to undo.
+        """
+        if phi is not None:
+            a, b = self.pair(phi)
+            if phi.equal:
+                if self.rep[a] == self.rep[b]:
+                    return True
+            else:
+                self.merge(a, b)
+        return self.refuted(diseqs)
 
 
 def brute_force_closure(
     equalities: Iterable[Literal], terms: Sequence[Term]
 ) -> list[list[Term]]:
     """Partition of a small subterm-closed term set under the equalities."""
-    terms = sorted(terms, key=lambda t: t.id)
     if len(terms) > BRUTE_FORCE_CAP:
         raise SizeCapError(f"term set of size {len(terms)} exceeds {BRUTE_FORCE_CAP}")
     ids = {t.id for t in terms}
@@ -111,12 +155,13 @@ def brute_force_closure(
         for a in t.args:
             if a.id not in ids:
                 raise ValueError(f"term set not subterm-closed at {t!r}")
-    uni = _Universe(terms)
-    parent = uni.closure(uni.pair(lit) for lit in equalities)
+    closure = _Closure(terms)
+    for lit in equalities:
+        closure.merge(*closure.pair(lit))
     blocks: dict[int, list[Term]] = {}
-    for i, t in enumerate(uni.terms):
-        blocks.setdefault(parent[i], []).append(t)
-    return [blocks[rep] for rep in sorted(blocks)]
+    for i, t in enumerate(closure.terms):
+        blocks.setdefault(closure.rep[i], []).append(t)
+    return list(blocks.values())
 
 
 def _all_terms(literals: Iterable[Literal]) -> list[Term]:
@@ -128,66 +173,55 @@ def _all_terms(literals: Iterable[Literal]) -> list[Term]:
 
 
 def literal_set_unsat(literals: Sequence[Literal]) -> bool:
-    universe = _Universe(subterm_closure(_all_terms(literals)))
-    eqs, diseqs = _split(universe, literals)
-    return _refuted(universe.closure(eqs), diseqs)
+    closure = _Closure(_all_terms(literals))
+    return closure.entails(closure.add(literals), None)
 
 
 def euf_entails(literals: Sequence[Literal], phi: Literal) -> bool:
-    """Does the literal set entail phi in the theory of equality?
-
-    For an equality, phi must merge into one class (or the set is already
-    unsatisfiable); for a disequality, adding the matching equality must make
-    the set unsatisfiable.
-    """
-    universe = _Universe(subterm_closure(_all_terms(literals) + [phi.lhs, phi.rhs]))
-    eqs, diseqs = _split(universe, literals)
-    if phi.equal:
-        parent = universe.closure(eqs)
-        a, b = universe.pair(phi)
-        return parent[a] == parent[b] or _refuted(parent, diseqs)
-    parent = universe.closure(eqs + [universe.pair(phi)])
-    return _refuted(parent, diseqs)
+    """Does the literal set entail phi in the theory of equality?"""
+    closure = _Closure(_all_terms(literals) + [phi.lhs, phi.rhs])
+    return closure.entails(closure.add(literals), phi)
 
 
 def unsat_with_horn(literals: Sequence[Literal], horn: HornConjunction) -> bool:
     """Saturate the literal set under the Horn clauses; report inconsistency.
 
-    Each round recomputes the closure, fires every clause whose premises are
-    all entailed, and stops at a fixpoint or at a contradiction (a refuted
-    disequality or a fired false-conclusion clause).
+    One closure serves the whole saturation.  A clause whose premises all
+    hold fires: an equality conclusion is merged at once, a disequality
+    conclusion joins the refutation test, and a false conclusion ends the
+    search.  A clause that cannot fire yet waits on the two classes of its
+    first open premise and is looked at again only when one of them is
+    absorbed by a merge.  Saturation is monotone, so the order of firing does
+    not change the verdict: a refuted disequality or a fired false clause.
     """
-    terms = _all_terms(literals)
-    for atom in horn.atoms():
-        terms.append(atom.lhs)
-        terms.append(atom.rhs)
-    universe = _Universe(subterm_closure(terms))
-    eqs, diseqs = _split(universe, literals)
-    clause_pairs = [
-        (
-            [universe.pair(p) for p in clause.premises],
-            None if clause.conclusion is None else universe.pair(clause.conclusion),
-            clause.conclusion is not None and clause.conclusion.equal,
-        )
+    closure = _Closure(_all_terms(literals) + _all_terms(horn.atoms()))
+    diseqs = closure.add(literals)
+    clauses = [
+        ([closure.pair(p) for p in clause.premises], clause.conclusion)
         for clause in horn.clauses
     ]
-    fired = [False] * len(clause_pairs)
-    while True:
-        parent = universe.closure(eqs)
-        if _refuted(parent, diseqs):
+    rep, trail = closure.rep, closure.trail
+    fired = [False] * len(clauses)
+    waiting: dict[int, list[int]] = {}
+    queue = list(range(len(clauses)))
+    while queue:
+        ci = queue.pop()
+        if fired[ci]:
+            continue
+        premises, conclusion = clauses[ci]
+        open_premise = next(((a, b) for a, b in premises if rep[a] != rep[b]), None)
+        if open_premise is not None:
+            for x in open_premise:
+                waiting.setdefault(rep[x], []).append(ci)
+            continue
+        fired[ci] = True
+        if conclusion is None:
             return True
-        progress = False
-        for i, (premises, conclusion, concl_is_eq) in enumerate(clause_pairs):
-            if fired[i]:
-                continue
-            if all(parent[a] == parent[b] for a, b in premises):
-                fired[i] = True
-                progress = True
-                if conclusion is None:
-                    return True
-                (eqs if concl_is_eq else diseqs).append(conclusion)
-        if not progress:
-            return False
+        seen = len(trail)
+        diseqs += closure.add((conclusion,))
+        for _, gone in trail[seen:]:
+            queue.extend(waiting.pop(gone, ()))
+    return closure.refuted(diseqs)
 
 
 @dataclass
@@ -222,7 +256,8 @@ def check_interpolant(problem: ProblemInstance, horn: HornConjunction) -> Entail
     """Accept iff: atoms shared, A entails every clause, B plus the formula is unsat.
 
     The shared signature is read off the A and B literals' own terms, so the
-    check does not depend on the pipeline's symbol table.
+    check does not depend on the pipeline's symbol table.  A is closed once;
+    each clause's premises are merged on top and undone after its test.
     """
     failures: list[str] = []
 
@@ -239,17 +274,16 @@ def check_interpolant(problem: ProblemInstance, horn: HornConjunction) -> Entail
                     "not shared by A and B"
                 )
 
-    a_lits = list(problem.a_literals)
+    closure = _Closure(_all_terms(problem.a_literals) + _all_terms(horn.atoms()))
+    a_diseqs = closure.add(problem.a_literals)
+    a_closed = closure.mark()
     a_ok = True
     for ci, clause in enumerate(horn.clauses):
-        context = a_lits + list(clause.premises)
-        if clause.conclusion is None:
-            holds = literal_set_unsat(context)
-        else:
-            holds = euf_entails(context, clause.conclusion)
-        if not holds:
+        diseqs = a_diseqs + closure.add(clause.premises)
+        if not closure.entails(diseqs, clause.conclusion):
             a_ok = False
             failures.append(f"clause {ci}: not entailed by A")
+        closure.undo(a_closed)
 
     b_ok = unsat_with_horn(list(problem.b_literals), horn)
     if not b_ok:

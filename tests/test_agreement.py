@@ -3,7 +3,7 @@
 Problems are drawn over A-private, B-private and shared symbols, with
 disequalities on both sides and congruences across the sides that need
 colorability repair.  Every unsatisfiable draw is interpolated under all three
-strategies and each interpolant is checked by the naive-closure oracle; so are
+strategies and each interpolant is checked by the independent oracle; so are
 the interpolants of the same problem with its literals shuffled and with its
 symbols renamed.  Hypothesis runs derandomized with a fixed example budget, so
 the test is deterministic.

@@ -144,6 +144,12 @@ MALFORMED = [
         ["(A (= (f) b)) (B (not (= f b)))\n"],
         "1:7: application of 'f' has no arguments",
     ),
+    ("verify", [HORN_MIN, "(and (not (= a a)))\n"], "1:6: reflexive disequality (not (= a a))"),
+    (
+        "verify",
+        [HORN_MIN, "(=> (and (= a a)) (not (= b b)))\n"],
+        "1:19: reflexive disequality (not (= b b))",
+    ),
 ]
 
 

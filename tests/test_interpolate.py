@@ -345,6 +345,13 @@ class TestHornNormalization:
         assert HornClause.make([real], real) is None
         assert HornClause.make([], Literal.make(t("u0"), t("u0"))) is None
 
+    def test_reflexive_disequality_conclusion_is_false(self):
+        p = load_problem("horn_min.euf")
+        t = p.table.make
+        real = Literal.make(t("u0"), t("v0"))
+        clause = HornClause.make([real], Literal.make(t("u1"), t("u1"), equal=False))
+        assert clause == HornClause((real,), None)
+
     def test_conjunction_deduplicates(self):
         p = load_problem("horn_min.euf")
         t = p.table.make

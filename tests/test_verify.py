@@ -1,10 +1,18 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
-from eufinterp.core import Literal, Side, TermTable, parse_problem
+from eufinterp.core import (
+    Literal,
+    Side,
+    TermTable,
+    format_literal,
+    parse_problem,
+    subterm_closure,
+)
 from eufinterp.generate import generate
 from eufinterp.interpolate import (
     HornClause,
@@ -13,7 +21,9 @@ from eufinterp.interpolate import (
     parse_conjunction,
 )
 from eufinterp.verify import (
+    EntailmentReport,
     SizeCapError,
+    _Closure,
     brute_force_closure,
     check_interpolant,
     euf_entails,
@@ -22,6 +32,151 @@ from eufinterp.verify import (
 )
 
 from conftest import load_problem
+
+
+# Test-only reference: a from-scratch oracle.  Every call builds a fresh
+# dense universe and closes it by rescanning all applications until nothing
+# changes; the incremental closure in ``verify`` must agree with it.
+
+
+class RescanUniverse:
+    """Dense-index view of a subterm-closed term list."""
+
+    def __init__(self, terms):
+        self.terms = sorted(terms, key=lambda t: t.id)
+        self.index = {t.id: i for i, t in enumerate(self.terms)}
+        self.apps = [
+            (t.head, tuple(self.index[a.id] for a in t.args), i)
+            for i, t in enumerate(self.terms)
+            if t.args
+        ]
+
+    def pair(self, lit):
+        return (self.index[lit.lhs.id], self.index[lit.rhs.id])
+
+    def split(self, literals):
+        eqs, diseqs = [], []
+        for lit in literals:
+            (eqs if lit.equal else diseqs).append(self.pair(lit))
+        return eqs, diseqs
+
+    def closure(self, eq_pairs):
+        """Representative array after closing under congruence by rescans."""
+        parent = list(range(len(self.terms)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(x, y):
+            rx, ry = find(x), find(y)
+            if rx == ry:
+                return False
+            if ry < rx:
+                rx, ry = ry, rx
+            parent[ry] = rx
+            return True
+
+        for a, b in eq_pairs:
+            union(a, b)
+        while True:
+            changed = False
+            table = {}
+            for head, argidx, idx in self.apps:
+                key = (head,) + tuple(find(a) for a in argidx)
+                other = table.get(key)
+                if other is None:
+                    table[key] = idx
+                elif union(idx, other):
+                    changed = True
+            if not changed:
+                break
+        for x in range(len(parent)):
+            find(x)
+        return parent
+
+
+def _terms_of(literals):
+    return [t for lit in literals for t in (lit.lhs, lit.rhs)]
+
+
+def _refuted(parent, diseqs):
+    return any(parent[a] == parent[b] for a, b in diseqs)
+
+
+def reference_literal_set_unsat(literals):
+    universe = RescanUniverse(subterm_closure(_terms_of(literals)))
+    eqs, diseqs = universe.split(literals)
+    return _refuted(universe.closure(eqs), diseqs)
+
+
+def reference_euf_entails(literals, phi):
+    universe = RescanUniverse(subterm_closure(_terms_of(list(literals) + [phi])))
+    eqs, diseqs = universe.split(literals)
+    if phi.equal:
+        parent = universe.closure(eqs)
+        a, b = universe.pair(phi)
+        return parent[a] == parent[b] or _refuted(parent, diseqs)
+    return _refuted(universe.closure(eqs + [universe.pair(phi)]), diseqs)
+
+
+def reference_unsat_with_horn(literals, horn):
+    """Forward chaining that recloses the whole universe every round."""
+    universe = RescanUniverse(subterm_closure(_terms_of(list(literals) + horn.atoms())))
+    eqs, diseqs = universe.split(literals)
+    fired = [False] * len(horn.clauses)
+    while True:
+        parent = universe.closure(eqs)
+        if _refuted(parent, diseqs):
+            return True
+        progress = False
+        for i, clause in enumerate(horn.clauses):
+            premises = [universe.pair(p) for p in clause.premises]
+            if fired[i] or not all(parent[a] == parent[b] for a, b in premises):
+                continue
+            fired[i] = progress = True
+            if clause.conclusion is None:
+                return True
+            (eqs if clause.conclusion.equal else diseqs).append(
+                universe.pair(clause.conclusion)
+            )
+        if not progress:
+            return False
+
+
+def reference_check_interpolant(problem, horn):
+    """The three conditions, with A closed from nothing for every clause."""
+    failures = []
+
+    def heads(terms):
+        return {t.head for t in subterm_closure(terms)}
+
+    shared = heads(_terms_of(problem.a_literals)) & heads(_terms_of(problem.b_literals))
+    shared_ok = True
+    for ci, clause in enumerate(horn.clauses):
+        for atom in clause.atoms():
+            if not heads((atom.lhs, atom.rhs)) <= shared:
+                shared_ok = False
+                failures.append(
+                    f"clause {ci}: atom {format_literal(atom)} uses symbols "
+                    "not shared by A and B"
+                )
+    a_ok = True
+    for ci, clause in enumerate(horn.clauses):
+        context = list(problem.a_literals) + list(clause.premises)
+        if clause.conclusion is None:
+            holds = reference_literal_set_unsat(context)
+        else:
+            holds = reference_euf_entails(context, clause.conclusion)
+        if not holds:
+            a_ok = False
+            failures.append(f"clause {ci}: not entailed by A")
+    b_ok = reference_unsat_with_horn(list(problem.b_literals), horn)
+    if not b_ok:
+        failures.append("B stays satisfiable with the formula")
+    return EntailmentReport(shared_ok, a_ok, b_ok, failures)
 
 
 def _ids(blocks):
@@ -232,7 +387,139 @@ class TestCheckInterpolant:
         report = check_interpolant(p, horn)
         assert not report.a_entails_i
 
+    def test_each_clause_is_checked_against_a_alone(self):
+        # Clause 1 holds once clause 0's premise is assumed, but not from A.
+        p = load_problem("horn_min.euf")
+        horn = parse_conjunction(
+            "(and (=> (and (= u0 v0)) (= u1 v1)) (= u1 v1))", p.table, p.symbols
+        )
+        report = check_interpolant(p, horn)
+        assert report == EntailmentReport(True, False, True, ["clause 1: not entailed by A"])
+        assert report == reference_check_interpolant(p, horn)
+
+    def test_disequality_premise_joins_the_context(self):
+        p = parse_problem("(A (= a b)) (B (not (= a b)))")
+        a, b = p.table.make("a"), p.table.make("b")
+        horn = HornConjunction((HornClause((Literal.make(a, b, equal=False),), None),))
+        report = check_interpolant(p, horn)
+        assert report.a_entails_i
+        assert report == reference_check_interpolant(p, horn)
+
     def test_accepts_false_for_self_contradictory_a(self):
         p = parse_problem("(A (= a b) (not (= a b))) (B (= a a))")
         horn = parse_conjunction("(and false)", p.table, p.symbols)
         assert check_interpolant(p, horn).accepted
+
+
+def random_universe(rng, table):
+    """A subterm-closed term list over c_i, unary f and g, and binary h."""
+    pool = [table.make(f"c{i}") for i in range(rng.randint(1, 5))]
+    for _ in range(rng.randint(0, 14)):
+        head, arity = rng.choice((("f", 1), ("g", 1), ("h", 2)))
+        pool.append(table.make(head, [rng.choice(pool) for _ in range(arity)]))
+    return subterm_closure(pool)
+
+
+def random_pairs(rng, size, count):
+    return [(rng.randrange(size), rng.randrange(size)) for _ in range(count)]
+
+
+def partition(rep):
+    blocks = {}
+    for i, r in enumerate(rep):
+        blocks.setdefault(r, set()).add(i)
+    return {frozenset(b) for b in blocks.values()}
+
+
+def snapshot(closure):
+    return (
+        list(closure.rep),
+        [list(m) for m in closure.members],
+        [list(u) for u in closure.uses],
+        list(closure.signatures.items()),
+    )
+
+
+class TestIncrementalClosure:
+    def test_partition_matches_the_rescan_reference(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            terms = random_universe(rng, TermTable())
+            eqs = random_pairs(rng, len(terms), rng.randint(0, 8))
+            closure = _Closure(terms)
+            for a, b in eqs:
+                closure.merge(a, b)
+            assert partition(closure.rep) == partition(RescanUniverse(terms).closure(eqs))
+
+    def test_undo_restores_the_exact_state(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            terms = random_universe(rng, TermTable())
+            size = len(terms)
+            eqs = random_pairs(rng, size, rng.randint(0, 5))
+            closure = _Closure(terms)
+            for a, b in eqs:
+                closure.merge(a, b)
+            states, marks, merged = [], [], list(eqs)
+            for _ in range(2):  # nested marks, undone innermost first
+                states.append(snapshot(closure))
+                marks.append(closure.mark())
+                extra = random_pairs(rng, size, rng.randint(1, 4))
+                for a, b in extra:
+                    closure.merge(a, b)
+                merged += extra
+                reference = RescanUniverse(terms).closure(merged)
+                assert partition(closure.rep) == partition(reference)
+            while marks:
+                closure.undo(marks.pop())
+                assert snapshot(closure) == states.pop()
+
+
+def mutants(horn):
+    """Each clause dropped in turn, then each conclusion negated in turn."""
+    clauses = horn.clauses
+    for i in range(len(clauses)):
+        yield HornConjunction(clauses[:i] + clauses[i + 1 :])
+    for i, clause in enumerate(clauses):
+        if clause.conclusion is not None:
+            flipped = HornClause(clause.premises, clause.conclusion.negated())
+            yield HornConjunction(clauses[:i] + (flipped,) + clauses[i + 1 :])
+
+
+class TestAgainstTheFromScratchOracle:
+    def test_reports_equal_on_mutated_interpolants(self):
+        seen = {"accepted": 0, "rejected": 0}
+        for family, sizes in (("chain", (8, 21)), ("ladder", (3, 8)), ("split", (6, 12))):
+            for size in sizes:
+                for seed in range(3):
+                    p = parse_problem(generate(family, size, seed).text)
+                    horn = interpolate(p).interpolant
+                    for variant in [horn, *mutants(horn)]:
+                        report = check_interpolant(p, variant)
+                        assert report == reference_check_interpolant(p, variant)
+                        seen["accepted" if report.accepted else "rejected"] += 1
+        assert seen["accepted"] >= 18 and seen["rejected"] >= 50
+
+    def test_literal_set_queries_match(self):
+        rng = random.Random(47)
+        for _ in range(300):
+            table = TermTable()
+            terms = random_universe(rng, table)
+            lits = [
+                Literal.make(rng.choice(terms), rng.choice(terms), rng.random() < 0.8)
+                for _ in range(rng.randint(0, 7))
+            ]
+            goal = Literal.make(rng.choice(terms), rng.choice(terms), rng.random() < 0.5)
+            assert literal_set_unsat(lits) == reference_literal_set_unsat(lits)
+            assert euf_entails(lits, goal) == reference_euf_entails(lits, goal)
+
+
+@pytest.mark.parametrize("family, size", [("ladder", 800), ("chain", 6400)])
+def test_large_instances_verify_quickly(family, size):
+    p = parse_problem(generate(family, size, seed=0).text)
+    horn = interpolate(p).interpolant
+    start = time.perf_counter()
+    report = check_interpolant(p, horn)
+    elapsed = time.perf_counter() - start
+    print(f"[verify] {family}-{size}: {elapsed:.3f} s")
+    assert report.accepted and elapsed < 1.5
