@@ -93,9 +93,6 @@ class ColoredGraph:
     def edge_color(self, edge: Edge) -> Side:
         return self.colors[edge.seq]
 
-    def path(self, u: Term, v: Term) -> Path:
-        return self.graph.path(u, v)
-
     def factors(self, path: Path) -> list[Factor]:
         sides = [self.colors[edge.seq] for edge in path.edges]
         out: list[Factor] = []
@@ -166,16 +163,17 @@ def color(
 def _greedy_assign(
     graph: CongruenceGraph, colors: dict[int, Side], relevant: tuple[Term, Term]
 ) -> None:
-    seen_paths: set[tuple[int, int]] = set()
-    queue: deque[Path] = deque([graph.path(*relevant)])
+    # Paths are queued as endpoint pairs; each pair's path is built and
+    # colored once, at its first pop, in FIFO order.
+    seen_paths: set[frozenset[Term]] = set()
+    queue: deque[tuple[Term, Term]] = deque([relevant])
     while queue:
-        path = queue.popleft()
-        ends = (path.start.id, path.end.id)
-        key = (min(ends), max(ends))
-        if key in seen_paths or path.is_empty:
+        p, q = queue.popleft()
+        ends = frozenset((p, q))
+        if ends in seen_paths:
             continue
-        seen_paths.add(key)
-        edges = path.edges
+        seen_paths.add(ends)
+        edges = graph.path(p, q).edges
         for i, edge in enumerate(edges):
             if edge.seq not in colors:
                 prev = colors.get(edges[i - 1].seq) if i > 0 else None
@@ -183,9 +181,9 @@ def _greedy_assign(
                 colors[edge.seq] = prev or nxt or Side.A
         for edge in edges:
             if edge.is_derived:
-                for p, q in edge.parents:
-                    if p is not q:
-                        queue.append(graph.path(p, q))
+                for s, t in edge.parents:
+                    if s is not t:
+                        queue.append((s, t))
 
 
 def _validate(colored: ColoredGraph) -> None:

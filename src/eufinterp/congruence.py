@@ -80,6 +80,12 @@ class Path:
     def is_empty(self) -> bool:
         return not self.edges
 
+    @property
+    def key(self) -> tuple[int, int]:
+        """The endpoint ids, smaller first; in a forest they fix the path."""
+        a, b = self.vertices[0].id, self.vertices[-1].id
+        return (a, b) if a <= b else (b, a)
+
     def slice(self, lo: int, hi: int) -> "Path":
         """Subpath between vertex positions ``lo`` and ``hi`` (inclusive)."""
         return Path(self.vertices[lo : hi + 1], self.edges[lo:hi])

@@ -503,21 +503,14 @@ def game_interpolant(
         raise ValueError("run is not successful: false was never derived")
     if target not in run.pr_a:
         raise ValueError("target must belong to the B-prover's set")
-    memo: dict[Formula, tuple[Formula, ...]] = {}
+    alphas: dict[Formula, None] = {}
 
     def below(beta: Formula) -> list[Formula]:
+        # Called once per B-formula, at its first visit: in pre-order.
+        alphas.update(dict.fromkeys(run.pr_a[beta]))
         return [beta2 for alpha in run.pr_a[beta] for beta2 in run.pr_b[alpha]]
 
-    def cumulative(beta: Formula) -> tuple[Formula, ...]:
-        out: dict[Formula, None] = {beta: None}
-        for beta2 in below(beta):
-            out.update(dict.fromkeys(memo[beta2]))
-        return tuple(out)
-
-    alphas: dict[Formula, None] = {}
-    for beta in _post_order(target, below, cumulative, memo, _premise_cycle):
-        for alpha in run.pr_a[beta]:
-            alphas[alpha] = None
+    _post_order(target, below, lambda beta: None, {}, _premise_cycle)
     implications: dict[Formula, None] = {}
     for alpha in alphas:
         premises = run.pr_b[alpha]
@@ -568,7 +561,7 @@ def euf_bridge(
         if edge.is_basic:
             return add(label, origin=edge.side.value)
         premises = tuple(
-            derive_path(colored.path(p, q)) for p, q in edge.parents if p is not q
+            derive_path(colored.graph.path(p, q)) for p, q in edge.parents if p is not q
         )
         return add(label, premises)
 
@@ -594,7 +587,7 @@ def euf_bridge(
     diseq_label: Formula = ("not", eq_label(refuted.lhs, refuted.rhs))
     root_premises: list[Formula] = []
     if not refuted.trivial:
-        path = colored.path(refuted.lhs, refuted.rhs)
+        path = colored.graph.path(refuted.lhs, refuted.rhs)
         root_premises.append(derive_path(path))
     add(diseq_label, origin=side.value)
     root_premises.append(diseq_label)

@@ -33,9 +33,6 @@ from .core import (
     subterm_closure,
 )
 
-PathKey = tuple[int, int]
-
-
 @dataclass(frozen=True)
 class HornClause:
     """Premise equalities implying one equality, disequality, or falsity.
@@ -100,113 +97,109 @@ class HornConjunction:
 class PremiseSets:
     """Memoized premise-set calculators over one colored graph.
 
-    Paths are keyed by their endpoint ids (unordered); the graph is a forest,
-    so the key determines the path.  A cycle guard turns any accidental
-    non-termination of the recursions into a hard error.
+    Each memo maps a path's :attr:`Path.key` to a tuple of paths, in the
+    order they were found and each in the direction it was found in; the
+    graph is a forest, so the key determines the path.  A cycle guard turns
+    any accidental non-termination of the recursions into a hard error.
     """
 
     def __init__(self, colored: ColoredGraph):
         self.colored = colored
-        self._term_by_id = {t.id: t for t in colored.graph.vertices}
-        self._b: dict[PathKey, tuple[PathKey, ...]] = {}
-        self._a: dict[PathKey, tuple[PathKey, ...]] = {}
-        self._cumulative: dict[PathKey, tuple[PathKey, ...]] = {}
-        self._running: set[tuple[str, PathKey]] = set()
+        self._b: dict[tuple[int, int], tuple[Path, ...]] = {}
+        self._a: dict[tuple[int, int], tuple[Path, ...]] = {}
+        self._cumulative: dict[tuple[int, int], tuple[Path, ...]] = {}
+        self._running: set[tuple[str, tuple[int, int]]] = set()
 
-    def key_of(self, path: Path) -> PathKey:
-        a, b = path.start.id, path.end.id
-        return (a, b) if a <= b else (b, a)
-
-    def path_of(self, key: PathKey) -> Path:
-        return self.colored.path(self._term_by_id[key[0]], self._term_by_id[key[1]])
-
-    def summary(self, key: PathKey) -> Literal:
-        return Literal.make(self._term_by_id[key[0]], self._term_by_id[key[1]])
-
-    def _guard(self, tag: str, key: PathKey) -> tuple[str, PathKey]:
+    def _guard(self, tag: str, key: tuple[int, int]) -> tuple[str, tuple[int, int]]:
         mark = (tag, key)
         if mark in self._running:
             raise RuntimeError(f"premise recursion revisited {mark}")
         self._running.add(mark)
         return mark
 
-    def _memoized(self, memo: dict, tag: str, path: Path, parts) -> tuple[PathKey, ...]:
+    def _memoized(self, memo: dict, tag: str, path: Path, parts) -> tuple[Path, ...]:
         """A path's value, memoized by path key, evaluated without recursion.
 
-        ``parts(path)`` yields, in order, the keys of the path's value and
-        the sub-paths whose values join it.  Sub-paths are evaluated on an
-        explicit stack, so values reach ``memo`` in the order a recursive
-        evaluation would finish them.
+        ``parts(path)`` yields, in order, pairs ``(p, joins)``: a path of the
+        value itself when ``joins`` is false, else a sub-path whose value
+        joins it.  Sub-paths are evaluated on an explicit stack, so values
+        reach ``memo`` in the order a recursive evaluation would finish them.
         """
-        key = self.key_of(path)
+        key = path.key
         value = memo.get(key)
         if value is not None:
             return value
         stack = [(key, self._guard(tag, key), parts(path), {})]
         while stack:
             key, mark, todo, out = stack[-1]
-            for part in todo:
-                if not isinstance(part, Path):
-                    out[part] = None
+            for part, joins in todo:
+                if not joins:
+                    out.setdefault(part.key, part)
                     continue
-                sub_key = self.key_of(part)
+                sub_key = part.key
                 hit = memo.get(sub_key)
                 if hit is None:
                     stack.append((sub_key, self._guard(tag, sub_key), parts(part), {}))
                     break
-                for k in hit:
-                    out[k] = None
+                for p in hit:
+                    out.setdefault(p.key, p)
             else:
                 stack.pop()
                 self._running.discard(mark)
-                memo[key] = value = tuple(out)
+                memo[key] = value = tuple(out.values())
                 if stack:
                     out = stack[-1][3]
-                    for k in value:
-                        out[k] = None
+                    for p in value:
+                        out.setdefault(p.key, p)
         return value
 
-    def _premises(self, path: Path, want: Side) -> tuple[PathKey, ...]:
+    def _premises(self, path: Path, want: Side) -> tuple[Path, ...]:
         """Maximal ``want``-colored paths supporting this path's summary."""
+        graph = self.colored.graph
 
         def parts(path: Path):
             if path.is_empty:
                 return
             for factor in self.colored.factors(path):
                 if factor.side is want:
-                    yield self.key_of(factor.path)
+                    yield factor.path, False
                     continue
                 for edge in factor.path.edges:
                     if edge.is_derived:
                         for p, q in edge.parents:
                             if p is not q:
-                                yield self.colored.path(p, q)
+                                yield graph.path(p, q), True
 
         memo = self._b if want is Side.B else self._a
         return self._memoized(memo, want.value, path, parts)
 
-    def b_premises(self, path: Path) -> tuple[PathKey, ...]:
+    def b_premises(self, path: Path) -> tuple[Path, ...]:
         return self._premises(path, Side.B)
 
-    def a_premises(self, path: Path) -> tuple[PathKey, ...]:
+    def a_premises(self, path: Path) -> tuple[Path, ...]:
         return self._premises(path, Side.A)
 
-    def cumulative(self, path: Path) -> tuple[PathKey, ...]:
+    def cumulative(self, path: Path) -> tuple[Path, ...]:
         """The path itself plus, recursively, B-premises of its A-premises."""
 
         def parts(path: Path):
-            yield self.key_of(path)
+            yield path, False
             for sigma in self.a_premises(path):
-                for tau in self.b_premises(self.path_of(sigma)):
-                    yield self.path_of(tau)
+                for tau in self.b_premises(sigma):
+                    yield tau, True
 
         return self._memoized(self._cumulative, "P", path, parts)
 
 
+def summary(path: Path) -> Literal:
+    """The equality of the path's endpoints."""
+    return Literal.make(path.start, path.end)
+
+
 def justification(ps: PremiseSets, path: Path) -> HornClause | None:
     """Horn clause: the path's B-premise summaries imply its own summary."""
-    premises = [ps.summary(k) for k in ps.b_premises(path)]
-    return HornClause.make(premises, ps.summary(ps.key_of(path)))
+    premises = [summary(p) for p in ps.b_premises(path)]
+    return HornClause.make(premises, summary(path))
 
 
 def path_interpolant(ps: PremiseSets, path: Path) -> HornConjunction:
@@ -215,12 +208,12 @@ def path_interpolant(ps: PremiseSets, path: Path) -> HornConjunction:
     Computed in closed form: the justifications of all A-premises of the
     cumulative premise set, deduplicated in discovery order.
     """
-    sigmas: dict[PathKey, None] = {}
+    sigmas: dict[tuple[int, int], Path] = {}
     for tau in ps.cumulative(path):
-        for sigma in ps.a_premises(ps.path_of(tau)):
-            sigmas[sigma] = None
+        for sigma in ps.a_premises(tau):
+            sigmas.setdefault(sigma.key, sigma)
     return HornConjunction.from_clauses(
-        justification(ps, ps.path_of(sigma)) for sigma in sigmas
+        justification(ps, sigma) for sigma in sigmas.values()
     )
 
 
@@ -248,18 +241,18 @@ def refutation_interpolant(ps: PremiseSets, path: Path) -> HornConjunction:
         prefix, core, suffix = path, None, None
     if core is not None and not core.is_empty:
         clauses.extend(path_interpolant(ps, core).clauses)
-    outer: dict[PathKey, None] = {}
+    outer: dict[tuple[int, int], Path] = {}
     for part in (prefix, suffix):
         if part is not None:
-            for k in ps.b_premises(part):
-                outer[k] = None
-    for k in outer:
-        clauses.extend(path_interpolant(ps, ps.path_of(k)).clauses)
-    premises = [ps.summary(k) for k in outer]
+            for p in ps.b_premises(part):
+                outer.setdefault(p.key, p)
+    for p in outer.values():
+        clauses.extend(path_interpolant(ps, p).clauses)
+    premises = [summary(p) for p in outer.values()]
     if core is None or core.is_empty:
         conclusion = None
     else:
-        conclusion = ps.summary(ps.key_of(core)).negated()
+        conclusion = summary(core).negated()
     clauses.append(HornClause.make(premises, conclusion))
     return HornConjunction.from_clauses(clauses)
 
@@ -326,7 +319,7 @@ def interpolate(
             else HornConjunction(())
         )
         return InterpolationResult(conj, refuted, side, colored, ps, added, 0)
-    path = colored.path(refuted.lhs, refuted.rhs)
+    path = colored.graph.path(refuted.lhs, refuted.rhs)
     if side is Side.B:
         conj = path_interpolant(ps, path)
     else:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
+
 from eufinterp.coloring import Strategy
 from eufinterp.congruence import close
 from eufinterp.core import Colorability, Literal, ProblemInstance, parse_problem
@@ -30,9 +32,11 @@ from eufinterp.generate import generate
 from eufinterp.interpolate import (
     PremiseSets,
     build_colored_graph,
+    format_conjunction,
     interpolate,
     parse_conjunction,
     path_interpolant,
+    summary,
 )
 from eufinterp.verify import brute_force_closure, check_interpolant, euf_entails
 
@@ -202,6 +206,48 @@ class TestGoldenExamples:
         )
 
 
+# Exact printed interpolants, clause and premise order included, under each
+# strategy; the golden tests above compare clause sets only.
+GOLDEN_TEXT = {
+    "chain_a_diseq.euf": dict.fromkeys(
+        Strategy, "(and (= z2 z1) (= z3 (f z2)) (not (= (f z3) z4)))"
+    ),
+    "chain_three_afactors.euf": dict.fromkeys(
+        Strategy, "(and (= (f z3) z4) (= z2 z1) (= z3 (f z2)))"
+    ),
+    "ladder2.euf": {
+        Strategy.GREEDY: "(and (=> (and (= z5 z6)) (= z7 z8))"
+        " (=> (and (= z1 z2)) (= z3 z4)))",
+        Strategy.ALL_A: "(and (=> (and (= z1 z2) (= z5 (f z3)) (= z6 (f z4)))"
+        " (= z7 z8)))",
+        Strategy.ALL_B: "(and (=> (and (= z5 z6)) (= z7 z8))"
+        " (=> (and (= z1 z2)) (= z3 z4)))",
+    },
+    "ladder_chain6.euf": dict.fromkeys(
+        Strategy,
+        "(and (=> (and (= u5 v5)) (= u6 v6)) (=> (and (= u3 v3)) (= u4 v4))"
+        " (=> (and (= u1 v1)) (= u2 v2)) (= u0 v0))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TEXT))
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_golden_text_is_pinned(name, strategy):
+    problem = parse_problem(load_text(name))
+    text = format_conjunction(interpolate(problem, strategy).interpolant)
+    assert text == GOLDEN_TEXT[name][strategy]
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+def test_golden_game_text_is_pinned(strategy):
+    # On this instance the game route prints the pipeline's interpolant.
+    _, run = bridge_run(parse_problem(load_text("ladder_chain6.euf")), strategy)
+    assert format_game_interpolant(game_interpolant(run)) == GOLDEN_TEXT[
+        "ladder_chain6.euf"
+    ][strategy]
+
+
 def _suite_sizes(family: str, index: int) -> int:
     if family == "ladder":
         return 2 + index % 28  # 6..60 literals
@@ -223,9 +269,8 @@ def _identity_ok(result) -> bool:
     ps = result.premises
     if result.refuted.trivial:
         return True
-    path = result.colored.path(result.refuted.lhs, result.refuted.rhs)
-    for key in (ps.key_of(path),) + ps.cumulative(path):
-        sub = ps.path_of(key)
+    path = result.colored.graph.path(result.refuted.lhs, result.refuted.rhs)
+    for sub in (path,) + ps.cumulative(path):
         if frozenset(path_interpolant(ps, sub).clauses) != \
                 recursive_path_interpolant(ps, sub):
             return False
@@ -310,12 +355,12 @@ class TestPropertySuites:
                 path = graph.path(u, v)
                 if path.is_empty:
                     continue
-                summary = Literal.make(u, v)
-                b_sum = [ps.summary(k) for k in ps.b_premises(path)]
-                a_sum = [ps.summary(k) for k in ps.a_premises(path)]
-                if not euf_entails(list(problem.a_literals) + b_sum, summary):
+                goal = Literal.make(u, v)
+                b_sum = [summary(sub) for sub in ps.b_premises(path)]
+                a_sum = [summary(sub) for sub in ps.a_premises(path)]
+                if not euf_entails(list(problem.a_literals) + b_sum, goal):
                     ok = False
-                if not euf_entails(list(problem.b_literals) + a_sum, summary):
+                if not euf_entails(list(problem.b_literals) + a_sum, goal):
                     ok = False
                 checked += 1
         record(

@@ -243,7 +243,7 @@ def test_fully_basic_graph_coloring_is_forced():
 def test_factorize_alternating_chain():
     p = load_problem("chain_one_afactor.euf")
     colored, refuted, _, _ = build_colored_graph(p, Strategy.GREEDY)
-    path = colored.path(refuted.lhs, refuted.rhs)
+    path = colored.graph.path(refuted.lhs, refuted.rhs)
     factors = colored.factors(path)
     assert [f.side for f in factors] in (
         [Side.A, Side.B],
@@ -256,7 +256,7 @@ def test_factorize_alternating_chain():
 def test_factorize_single_color_path():
     p = load_problem("horn_min.euf")
     colored, refuted, _, _ = build_colored_graph(p, Strategy.GREEDY)
-    path = colored.path(refuted.lhs, refuted.rhs)
+    path = colored.graph.path(refuted.lhs, refuted.rhs)
     factors = colored.factors(path)
     assert len(factors) == 1 and factors[0].side is Side.A
 
@@ -267,7 +267,7 @@ def test_factor_count_equals_color_switches():
         inst = generate("chain", 5 + i % 40, seed=500 + i)
         p = parse_problem(inst.text)
         colored, refuted, _, _ = build_colored_graph(p, Strategy.GREEDY)
-        path = colored.path(refuted.lhs, refuted.rhs)
+        path = colored.graph.path(refuted.lhs, refuted.rhs)
         sides = [colored.edge_color(e) for e in path.edges]
         switches = sum(1 for x, y in zip(sides, sides[1:]) if x is not y)
         assert len(colored.factors(path)) == switches + 1

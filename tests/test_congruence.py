@@ -125,6 +125,18 @@ def test_empty_path_and_missing_path():
         g.path(a, b)
 
 
+def test_path_key_is_the_unordered_endpoint_pair():
+    p = load_problem("ladder2.euf")
+    g = _close_problem(p)
+    z3, z4 = p.table.make("z3"), p.table.make("z4")
+    forward, backward = g.path(z3, z4), g.path(z4, z3)
+    assert forward.vertices == backward.vertices[::-1]
+    assert forward.key == backward.key == (min(z3.id, z4.id), max(z3.id, z4.id))
+    assert forward.slice(1, 2).key == backward.slice(1, 2).key
+    empty = g.path(z3, z3)
+    assert empty.is_empty and empty.key == (z3.id, z3.id)
+
+
 def test_path_through_derived_edge():
     p = load_problem("ladder2.euf")
     g = _close_problem(p)

@@ -19,6 +19,7 @@ from eufinterp.interpolate import (
     parse_conjunction,
     path_interpolant,
     refutation_interpolant,
+    summary,
 )
 from eufinterp.verify import check_interpolant, euf_entails
 
@@ -36,7 +37,7 @@ def recursive_path_interpolant(
     with :func:`path_interpolant` as a clause set.
     """
     memo = _memo if _memo is not None else {}
-    key = ps.key_of(path)
+    key = path.key
     hit = memo.get(key)
     if hit is not None:
         return hit
@@ -52,14 +53,14 @@ def recursive_path_interpolant(
             if edge.is_derived:
                 for p, q in edge.parents:
                     if p is not q:
-                        sub = ps.colored.path(p, q)
+                        sub = ps.colored.graph.path(p, q)
                         out |= recursive_path_interpolant(ps, sub, memo)
     else:
         clause = justification(ps, path)
         if clause is not None:
             out.add(clause)
-        for k in ps.b_premises(path):
-            out |= recursive_path_interpolant(ps, ps.path_of(k), memo)
+        for sub in ps.b_premises(path):
+            out |= recursive_path_interpolant(ps, sub, memo)
     result = frozenset(out)
     memo[key] = result
     return result
@@ -71,10 +72,10 @@ def _setup(name, strategy=Strategy.GREEDY):
     return p, colored, PremiseSets(colored)
 
 
-def _pairs(ps, keys):
+def _pairs(paths):
     out = set()
-    for k in keys:
-        lit = ps.summary(k)
+    for path in paths:
+        lit = summary(path)
         out.add((lit.lhs.head, lit.rhs.head))
     return out
 
@@ -83,28 +84,28 @@ class TestPremiseSets:
     def test_b_premises_worked_values(self):
         p, colored, ps = _setup("ladder2.euf")
         t = p.table.make
-        path_z7z8 = colored.path(t("z7"), t("z8"))
-        assert _pairs(ps, ps.b_premises(path_z7z8)) == {("z5", "z6")}
-        path_z3z4 = colored.path(t("z3"), t("z4"))
-        assert _pairs(ps, ps.b_premises(path_z3z4)) == {("z1", "z2")}
+        path_z7z8 = colored.graph.path(t("z7"), t("z8"))
+        assert _pairs(ps.b_premises(path_z7z8)) == {("z5", "z6")}
+        path_z3z4 = colored.graph.path(t("z3"), t("z4"))
+        assert _pairs(ps.b_premises(path_z3z4)) == {("z1", "z2")}
 
     def test_b_premises_of_a_b_path_is_itself(self):
         p, colored, ps = _setup("ladder2.euf")
         t = p.table.make
-        path = colored.path(t("z1"), t("z2"))  # single basic B edge
-        assert ps.b_premises(path) == (ps.key_of(path),)
+        path = colored.graph.path(t("z1"), t("z2"))  # single basic B edge
+        assert ps.b_premises(path) == (path,)
 
     def test_a_premises_of_an_a_path_is_itself(self):
         p, colored, ps = _setup("ladder2.euf")
         t = p.table.make
-        path = colored.path(t("z3"), t("z4"))
-        assert ps.a_premises(path) == (ps.key_of(path),)
+        path = colored.graph.path(t("z3"), t("z4"))
+        assert ps.a_premises(path) == (path,)
 
     def test_a_premises_worked_value(self):
         p, colored, ps = _setup("ladder2.euf")
         t = p.table.make
-        path = colored.path(t("y1"), t("y2"))
-        assert _pairs(ps, ps.a_premises(path)) == {("z7", "z8")}
+        path = colored.graph.path(t("y1"), t("y2"))
+        assert _pairs(ps.a_premises(path)) == {("z7", "z8")}
 
     def test_a_premises_endpoints_shared_for_b_colorable_paths(self):
         rng = random.Random(13)
@@ -113,14 +114,13 @@ class TestPremiseSets:
             p = parse_problem(inst.text)
             colored, refuted, side, _ = build_colored_graph(p)
             ps = PremiseSets(colored)
-            path = colored.path(refuted.lhs, refuted.rhs)
+            path = colored.graph.path(refuted.lhs, refuted.rhs)
             ends = (path.start, path.end)
             if not all(
                 p.symbols.colorability(e) & Colorability.B for e in ends
             ):
                 continue
-            for key in ps.a_premises(path):
-                sub = ps.path_of(key)
+            for sub in ps.a_premises(path):
                 for v in (sub.start, sub.end):
                     assert p.symbols.colorability(v) == Colorability.AB
 
@@ -130,23 +130,22 @@ class TestPremiseSets:
             p = parse_problem(inst.text)
             colored, refuted, _, _ = build_colored_graph(p)
             ps = PremiseSets(colored)
-            path = colored.path(refuted.lhs, refuted.rhs)
-            universe = set(ps.cumulative(path))
-            for key in universe:
-                outer = set(ps.a_premises(ps.path_of(key)))
-                for inner_key in outer:
-                    assert set(ps.a_premises(ps.path_of(inner_key))) <= outer
+            path = colored.graph.path(refuted.lhs, refuted.rhs)
+            for sub in ps.cumulative(path):
+                outer = {sigma.key for sigma in ps.a_premises(sub)}
+                for inner in ps.a_premises(sub):
+                    assert {sigma.key for sigma in ps.a_premises(inner)} <= outer
 
 
 class TestJustification:
     def test_worked_values(self):
         p, colored, ps = _setup("ladder2.euf")
         t = p.table.make
-        j = justification(ps, colored.path(t("z7"), t("z8")))
+        j = justification(ps, colored.graph.path(t("z7"), t("z8")))
         assert frozenset([j]) == expected_clauses(
             p, "(=> (and (= z5 z6)) (= z7 z8))"
         )
-        j2 = justification(ps, colored.path(t("z3"), t("z4")))
+        j2 = justification(ps, colored.graph.path(t("z3"), t("z4")))
         assert frozenset([j2]) == expected_clauses(
             p, "(=> (and (= z1 z2)) (= z3 z4))"
         )
@@ -154,7 +153,7 @@ class TestJustification:
     def test_unit_clause_when_no_b_premises(self):
         p, colored, ps = _setup("chain_one_afactor.euf")
         t = p.table.make
-        j = justification(ps, colored.path(t("z1"), t("z4")))
+        j = justification(ps, colored.graph.path(t("z1"), t("z4")))
         assert j.premises == ()
         assert frozenset([j]) == expected_clauses(p, "(= z1 z4)")
 
@@ -163,7 +162,7 @@ class TestPathInterpolant:
     def test_two_rung_ladder_value(self):
         p, colored, ps = _setup("ladder2.euf")
         t = p.table.make
-        conj = path_interpolant(ps, colored.path(t("y1"), t("y2")))
+        conj = path_interpolant(ps, colored.graph.path(t("y1"), t("y2")))
         assert frozenset(conj.clauses) == expected_clauses(
             p,
             "(and (=> (and (= z1 z2)) (= z3 z4)) (=> (and (= z5 z6)) (= z7 z8)))",
@@ -172,7 +171,7 @@ class TestPathInterpolant:
     def test_alternate_coloring_value(self):
         p, colored, ps = _setup("ladder2.euf", Strategy.ALL_A)
         t = p.table.make
-        conj = path_interpolant(ps, colored.path(t("y1"), t("y2")))
+        conj = path_interpolant(ps, colored.graph.path(t("y1"), t("y2")))
         assert frozenset(conj.clauses) == expected_clauses(
             p,
             "(and (=> (and (= z5 (f z3)) (= z6 (f z4)) (= z1 z2)) (= z7 z8)))",
@@ -182,7 +181,7 @@ class TestPathInterpolant:
         p = parse_problem("(A) (B (= a b) (= b c) (not (= a c)))")
         colored, refuted, side, _ = build_colored_graph(p)
         ps = PremiseSets(colored)
-        conj = path_interpolant(ps, colored.path(refuted.lhs, refuted.rhs))
+        conj = path_interpolant(ps, colored.graph.path(refuted.lhs, refuted.rhs))
         assert conj.is_true
 
     def test_closed_form_matches_recursion(self):
@@ -192,9 +191,8 @@ class TestPathInterpolant:
                 p = parse_problem(inst.text)
                 colored, refuted, side, _ = build_colored_graph(p)
                 ps = PremiseSets(colored)
-                path = colored.path(refuted.lhs, refuted.rhs)
-                for key in (ps.key_of(path),) + ps.cumulative(path):
-                    sub = ps.path_of(key)
+                path = colored.graph.path(refuted.lhs, refuted.rhs)
+                for sub in (path,) + ps.cumulative(path):
                     assert frozenset(path_interpolant(ps, sub).clauses) == \
                         recursive_path_interpolant(ps, sub)
 
@@ -204,7 +202,7 @@ class TestRefutationInterpolant:
         p, colored, ps = _setup("chain_a_diseq.euf")
         t = p.table.make
         x3, z4 = t("x3"), t("z4")
-        conj = refutation_interpolant(ps, colored.path(x3, z4))
+        conj = refutation_interpolant(ps, colored.graph.path(x3, z4))
         assert frozenset(conj.clauses) == expected_clauses(
             p,
             "(and (= z1 z2) (not (= (f z3) z4)) (= (f z2) z3))",
@@ -319,11 +317,11 @@ class TestInterpolatePipeline:
                 path = g.path(u, v)
                 if path.is_empty:
                     continue
-                summary = Literal.make(u, v)
-                b_sum = [ps.summary(k) for k in ps.b_premises(path)]
-                a_sum = [ps.summary(k) for k in ps.a_premises(path)]
-                assert euf_entails(list(p.a_literals) + b_sum, summary)
-                assert euf_entails(list(p.b_literals) + a_sum, summary)
+                goal = Literal.make(u, v)
+                b_sum = [summary(sub) for sub in ps.b_premises(path)]
+                a_sum = [summary(sub) for sub in ps.a_premises(path)]
+                assert euf_entails(list(p.a_literals) + b_sum, goal)
+                assert euf_entails(list(p.b_literals) + a_sum, goal)
                 checked += 1
         assert checked >= 30
 
