@@ -32,7 +32,7 @@ class ColoringError(RuntimeError):
 def choose_splitter(path: Path, symbols: SymbolTable) -> Term:
     """First shared-signature vertex scanning from the path's start."""
     for vertex in path.vertices:
-        if symbols.colorability(vertex) == Colorability.AB:
+        if symbols.colorability(vertex) is Colorability.AB:
             return vertex
     raise ColoringError(f"no shared-signature vertex on {path!r}")
 
@@ -54,7 +54,7 @@ def make_colorable(
     g = graph.clone()
     added: list[Term] = []
     queue = deque(
-        e for e in g.edges if edge_colorability(e.u, e.v, symbols) == Colorability.NONE
+        e for e in g.edges if edge_colorability(e.u, e.v, symbols) is Colorability.NONE
     )
     while queue:
         edge = queue.popleft()
@@ -69,7 +69,7 @@ def make_colorable(
         if new_term not in g:
             added.append(new_term)
         for new in g.split_edge(edge, new_term, left_pairs, right_pairs):
-            if edge_colorability(new.u, new.v, symbols) == Colorability.NONE:
+            if edge_colorability(new.u, new.v, symbols) is Colorability.NONE:
                 queue.append(new)
     return g, added
 
@@ -111,11 +111,11 @@ def _forced_color(edge: Edge, symbols: SymbolTable) -> Side | None:
             raise ColoringError(f"basic edge {edge!r} has no originating side")
         return edge.side
     fit = edge_colorability(edge.u, edge.v, symbols)
-    if fit == Colorability.AB:
+    if fit is Colorability.AB:
         return None
-    if fit == Colorability.A:
+    if fit is Colorability.A:
         return Side.A
-    if fit == Colorability.B:
+    if fit is Colorability.B:
         return Side.B
     raise ColoringError(f"uncolorable edge {edge!r}; repair must run first")
 
@@ -192,5 +192,6 @@ def _validate(colored: ColoredGraph) -> None:
         if edge.is_basic and side is not edge.side:
             raise ColoringError(f"basic edge {edge!r} recolored to {side}")
         want = Colorability.A if side is Side.A else Colorability.B
-        if not (edge_colorability(edge.u, edge.v, colored.symbols) & want):
+        fit = edge_colorability(edge.u, edge.v, colored.symbols)
+        if fit is not Colorability.AB and fit is not want:
             raise ColoringError(f"edge {edge!r} colored {side} but not {side}-colorable")

@@ -34,6 +34,10 @@ class Colorability(Flag):
     AB = A | B
 
 
+# The members by value: bit 1 is the A bit, bit 2 the B bit.
+_COLORABILITIES = (Colorability.NONE, Colorability.A, Colorability.B, Colorability.AB)
+
+
 @dataclass(frozen=True, eq=False)
 class Term:
     """Hash-consed ground term; ``args`` is empty for constants."""
@@ -105,11 +109,16 @@ class SymbolInfo:
 
 
 class SymbolTable:
-    """Arity and occurrence bookkeeping, plus memoized term colorability."""
+    """Arity and occurrence bookkeeping, plus memoized term colorability.
+
+    A term's colorability is cached as its 2-bit value and read back as a
+    :class:`Colorability` member by indexing, so the hot paths never combine
+    flags.
+    """
 
     def __init__(self) -> None:
         self.info: dict[str, SymbolInfo] = {}
-        self._term_colors: dict[int, Colorability] = {}
+        self._term_bits: dict[int, int] = {}
 
     def declare(self, name: str, arity: int) -> SymbolInfo:
         entry = self.info.get(name)
@@ -130,31 +139,40 @@ class SymbolTable:
         else:
             entry.occurs_in_b = True
 
-    def symbol_colorability(self, name: str) -> Colorability:
-        entry = self.info.get(name)
-        if entry is None:
-            return Colorability.NONE
-        color = Colorability.NONE
-        if entry.occurs_in_a:
-            color |= Colorability.A
-        if entry.occurs_in_b:
-            color |= Colorability.B
-        return color
+    def _bits(self, term: Term) -> int:
+        """The colorability value of ``term``: its head's bits and its arguments'.
+
+        Computed once per term id, children first on an explicit stack.
+        """
+        memo = self._term_bits
+        hit = memo.get(term.id)
+        if hit is not None:
+            return hit
+        stack = [term]
+        while stack:
+            t = stack[-1]
+            if t.id in memo:
+                stack.pop()
+                continue
+            pending = [a for a in t.args if a.id not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            entry = self.info.get(t.head)
+            bits = entry.occurs_in_a | entry.occurs_in_b << 1 if entry else 0
+            for arg in t.args:
+                bits &= memo[arg.id]
+            memo[t.id] = bits
+            stack.pop()
+        return memo[term.id]
 
     def colorability(self, term: Term) -> Colorability:
-        cached = self._term_colors.get(term.id)
-        if cached is not None:
-            return cached
-        color = self.symbol_colorability(term.head)
-        for arg in term.args:
-            color &= self.colorability(arg)
-        self._term_colors[term.id] = color
-        return color
+        return _COLORABILITIES[self._bits(term)]
 
 
 def edge_colorability(s: Term, t: Term, symbols: SymbolTable) -> Colorability:
     """An edge (equality) is exactly as colorable as both its endpoints."""
-    return symbols.colorability(s) & symbols.colorability(t)
+    return _COLORABILITIES[symbols._bits(s) & symbols._bits(t)]
 
 
 def subterm_closure(terms: Iterable[Term]) -> list[Term]:

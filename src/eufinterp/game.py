@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
-from .coloring import Strategy
+from .coloring import Factor, Strategy
+from .congruence import Edge, Path
 from .core import (
-    Literal,
     ParseError,
     ProblemInstance,
     SAtom,
@@ -124,20 +124,30 @@ def _post_order(root, children, value, memo: dict, cycle: Callable[..., Exceptio
 
 
 class ProofTree:
-    """A local-refutation candidate, collapsed to one node per label."""
+    """A local-refutation candidate, collapsed to one node per label.
+
+    Reachability comes from one post-order pass over the DAG, made on first
+    use: every label gets a bitmask of the labels strictly below it, bit
+    ``i`` standing for the ``i``-th label of ``nodes``.  The pass runs on an
+    explicit stack, and a label reachable from itself raises ``ProofError``.
+    ``frees`` caches each label's free symbols; trees over the same labels
+    may share it.
+    """
 
     def __init__(
         self,
         theory_symbols: frozenset[str],
         nodes: dict[Formula, LabelNode],
         root: Formula,
+        frees: dict[Formula, frozenset[str]] | None = None,
     ):
         self.theory_symbols = theory_symbols
         self.nodes = nodes
         self.root = root
+        self._frees = {} if frees is None else frees
         self.sigma_a, self.sigma_b = (
             frozenset().union(
-                *(free_symbols(n.formula) for n in nodes.values() if n.origin == side)
+                *(self._free(n.formula) for n in nodes.values() if n.origin == side)
             )
             - theory_symbols
             for side in ("A", "B")
@@ -145,8 +155,7 @@ class ProofTree:
         self._a_symbols = theory_symbols | self.sigma_a
         self._b_symbols = theory_symbols | self.sigma_b
         self._ab_symbols = theory_symbols | (self.sigma_a & self.sigma_b)
-        self._below: dict[Formula, frozenset[Formula]] = {}
-        self._frees: dict[Formula, frozenset[str]] = {}
+        self._reach: tuple[dict[Formula, int], list[int]] | None = None
 
     def _free(self, label: Formula) -> frozenset[str]:
         cached = self._frees.get(label)
@@ -164,46 +173,34 @@ class ProofTree:
     def ab_colorable(self, label: Formula) -> bool:
         return self._free(label) <= self._ab_symbols
 
-    def strictly_below(self, label: Formula) -> frozenset[Formula]:
-        """Labels in the strict premise closure of ``label``.
+    def reach(self) -> tuple[dict[Formula, int], list[int]]:
+        """``(index, below)``: each label's bit, and per bit the strict-below mask."""
+        if self._reach is None:
+            nodes = self.nodes
+            index = {label: i for i, label in enumerate(nodes)}
+            memo: dict[Formula, int] = {}
 
-        A depth-first search on an explicit stack.  It takes in the memoized
-        closure of any label it meets and memoizes only the labels asked
-        for, so a deep chain costs neither recursion nor one closure per
-        interior node.  Reaching a label that is still open closes a cycle,
-        which raises ``ProofError``.
-        """
-        below = self._below
-        hit = below.get(label)
-        if hit is not None:
-            return hit
-        nodes = self.nodes
-        out: set[Formula] = set()
-        open_labels = {label}
-        stack = [(label, iter(nodes[label].premises))]
-        while stack:
-            top, pending = stack[-1]
-            for prem in pending:
-                if prem in open_labels:
-                    raise ProofError(f"cyclic proof through {format_formula(prem)}")
-                if prem in out:
-                    continue
-                out.add(prem)
-                closed = below.get(prem)
-                if closed is not None:
-                    out |= closed
-                    continue
-                open_labels.add(prem)
-                stack.append((prem, iter(nodes[prem].premises)))
-                break
-            else:
-                stack.pop()
-                open_labels.discard(top)
-        result = below[label] = frozenset(out)
-        return result
+            def premises(label: Formula) -> tuple[Formula, ...]:
+                return nodes[label].premises
+
+            def below(label: Formula) -> int:
+                mask = 0
+                for prem in nodes[label].premises:
+                    mask |= memo[prem] | 1 << index[prem]
+                return mask
+
+            def cycle(label: Formula) -> ProofError:
+                return ProofError(f"cyclic proof through {format_formula(label)}")
+
+            for label in nodes:
+                _post_order(label, premises, below, memo, cycle)
+            self._reach = index, [memo[label] for label in nodes]
+        return self._reach
 
     def precedes(self, phi: Formula, psi: Formula) -> bool:
-        return phi in self.strictly_below(psi)
+        """``phi`` lies strictly below ``psi``."""
+        index, below = self.reach()
+        return below[index[psi]] >> index[phi] & 1 == 1
 
 
 def parse_proof(text: str) -> ProofTree:
@@ -350,7 +347,7 @@ def normalize_root(tree: ProofTree) -> ProofTree:
         else:
             nodes[label] = node
     nodes[FALSE] = LabelNode(FALSE, (relay,), None)
-    return ProofTree(tree.theory_symbols, nodes, FALSE)
+    return ProofTree(tree.theory_symbols, nodes, FALSE, tree._frees)
 
 
 def _cut_candidates(tree: ProofTree, for_side: Side) -> list[Formula]:
@@ -379,32 +376,50 @@ def coloring_cut(tree: ProofTree) -> tuple[tuple[Formula, ...], tuple[Formula, .
     depend only on the anchor and membership only grows, so a sweep expands
     just the anchors added since the last sweep of its kind.  This keeps the
     insertion order of re-expanding every anchor each round to a fixpoint.
-    """
-    cand_a = _cut_candidates(tree, Side.A)
-    cand_b = _cut_candidates(tree, Side.B)
-    t_a: list[Formula] = []
-    t_b: list[Formula] = [FALSE]
-    cut = {FALSE}
 
-    def sweep(
-        anchors: list[Formula], start: int, candidates: list[Formula], into: list
-    ) -> int:
+    Sets of labels are bitmasks over ``tree.reach()``: an anchor's eligible
+    candidates are its below-mask masked by the candidates, and the maximal
+    ones are those outside every eligible member's below-mask.  A member
+    below another adds nothing to that union, so eligible members are taken
+    from the highest bit down, skipping those already covered; when premises
+    come before their conclusions in node order, one mask often covers the
+    rest.  Candidates come in node order, which is bit order, so new cut
+    nodes are emitted in candidate order.
+    """
+    index, below = tree.reach()
+    labels = list(tree.nodes)
+    cand_a, cand_b = (
+        sum(1 << index[label] for label in _cut_candidates(tree, side))
+        for side in (Side.A, Side.B)
+    )
+    t_a: list[int] = []
+    t_b: list[int] = [index[FALSE]]
+    cut = 1 << t_b[0]
+
+    def sweep(anchors: list[int], start: int, candidates: int, into: list[int]) -> int:
+        nonlocal cut
         end = len(anchors)
         for anchor in anchors[start:end]:
-            below = tree.strictly_below(anchor)
-            eligible = [c for c in candidates if c in below]
-            covered = frozenset().union(*(tree.strictly_below(c) for c in eligible))
-            for phi in eligible:
-                if phi not in covered and phi not in cut:
-                    cut.add(phi)
-                    into.append(phi)
+            eligible = below[anchor] & candidates
+            covered = 0
+            rest = eligible
+            while rest:
+                top = rest.bit_length() - 1
+                covered |= below[top]
+                rest = (rest ^ 1 << top) & ~below[top]
+            fresh = eligible & ~(covered | cut)
+            cut |= fresh
+            while fresh:
+                low = fresh & -fresh
+                into.append(low.bit_length() - 1)
+                fresh ^= low
         return end
 
     done_a = done_b = 0
     while done_b < len(t_b) or done_a < len(t_a):
         done_b = sweep(t_b, done_b, cand_a, t_a)
         done_a = sweep(t_a, done_a, cand_b, t_b)
-    return tuple(t_a), tuple(t_b)
+    return tuple(labels[i] for i in t_a), tuple(labels[i] for i in t_b)
 
 
 def _premise_cycle(phi: Formula) -> RuntimeError:
@@ -527,10 +542,24 @@ def format_game_interpolant(formulas: tuple[Formula, ...]) -> str:
     return "(and " + " ".join(format_formula(f) for f in formulas) + ")"
 
 
-def _term_formula(t: Term) -> Formula:
-    if not t.args:
-        return t.head
-    return (t.head,) + tuple(_term_formula(a) for a in t.args)
+def _term_formula(term: Term, memo: dict[Term, Formula]) -> Formula:
+    """``term`` as a formula; ``memo`` holds each application's, built once."""
+    if not term.args:
+        return term.head
+    hit = memo.get(term)
+    if hit is not None:
+        return hit
+
+    def build(t: Term) -> Formula:
+        return (t.head,) + tuple(memo[a] if a.args else a.head for a in t.args)
+
+    return _post_order(
+        term,
+        lambda t: [a for a in t.args if a.args],
+        build,
+        memo,
+        lambda t: RuntimeError(f"term {t.id} contains itself"),
+    )
 
 
 def euf_bridge(
@@ -541,54 +570,81 @@ def euf_bridge(
     Every factor summary and every derived-edge congruence becomes one
     inference step; the final step derives false from the refuted
     disequality and the summary of the path connecting its endpoints.
+
+    The unfolding runs on an explicit stack, in the order a recursive one
+    would take: each edge is derived once, by ``Edge.seq``, and each path or
+    factor once, by ``Path.key``, in the direction it is first met in; a
+    path or factor of one edge is that edge.
     """
     colored, refuted, side, _ = build_colored_graph(problem, strategy)
+    graph = colored.graph
+    formulas: dict[Term, Formula] = {}
     nodes: dict[Formula, LabelNode] = {}
+    labels: dict = {}  # edge seq or path key -> label of its step
 
     def eq_label(u: Term, v: Term) -> Formula:
-        lit = Literal.make(u, v)
-        return ("=", _term_formula(lit.lhs), _term_formula(lit.rhs))
+        if v.id < u.id:
+            u, v = v, u
+        return ("=", _term_formula(u, formulas), _term_formula(v, formulas))
 
     def add(label: Formula, premises: tuple = (), origin: str | None = None) -> Formula:
         if label not in nodes:
             nodes[label] = LabelNode(label, premises, origin)
         return label
 
-    def derive_edge(edge) -> Formula:
-        label = eq_label(edge.u, edge.v)
-        if label in nodes:
-            return label
-        if edge.is_basic:
-            return add(label, origin=edge.side.value)
-        premises = tuple(
-            derive_path(colored.graph.path(p, q)) for p, q in edge.parents if p is not q
-        )
-        return add(label, premises)
+    def keyed(item: Edge | Factor | Path) -> tuple:
+        if isinstance(item, Edge):
+            return item.seq, item
+        path = item if isinstance(item, Path) else item.path
+        if len(path.edges) == 1:
+            return path.edges[0].seq, path.edges[0]
+        return path.key, item
 
-    def derive_factor(factor) -> Formula:
-        if len(factor.path.edges) == 1:
-            return derive_edge(factor.path.edges[0])
-        label = eq_label(factor.path.start, factor.path.end)
-        if label in nodes:
-            return label
-        premises = tuple(derive_edge(edge) for edge in factor.path.edges)
-        return add(label, premises)
+    def step(key, item: Edge | Factor | Path) -> list:
+        """A stack frame: key, label, origin, premise items, premise labels."""
+        if isinstance(item, Edge):
+            label = eq_label(item.u, item.v)
+            if item.is_basic:
+                return [key, label, item.side.value, iter(()), []]
+            subs = (graph.path(p, q) for p, q in item.parents if p is not q)
+            return [key, label, None, subs, []]
+        if isinstance(item, Path):
+            factors = colored.factors(item)
+            if len(factors) > 1:
+                return [key, eq_label(item.start, item.end), None, iter(factors), []]
+            item = factors[0]
+        path = item.path
+        return [key, eq_label(path.start, path.end), None, iter(path.edges), []]
 
-    def derive_path(path) -> Formula:
-        factors = colored.factors(path)
-        if len(factors) == 1:
-            return derive_factor(factors[0])
-        label = eq_label(path.start, path.end)
-        if label in nodes:
-            return label
-        premises = tuple(derive_factor(f) for f in factors)
-        return add(label, premises)
+    def unfold(item: Path) -> Formula:
+        key, item = keyed(item)
+        open_keys = {key}
+        stack = [step(key, item)]
+        while stack:
+            key, label, origin, pending, premises = stack[-1]
+            for sub in pending:
+                sub_key, sub = keyed(sub)
+                done = labels.get(sub_key)
+                if done is not None:
+                    premises.append(done)
+                    continue
+                if sub_key in open_keys:
+                    raise RuntimeError(f"unfolding revisits {sub_key}")
+                open_keys.add(sub_key)
+                stack.append(step(sub_key, sub))
+                break
+            else:
+                stack.pop()
+                open_keys.discard(key)
+                labels[key] = done = add(label, tuple(premises), origin)
+                if stack:
+                    stack[-1][4].append(done)
+        return done
 
     diseq_label: Formula = ("not", eq_label(refuted.lhs, refuted.rhs))
     root_premises: list[Formula] = []
     if not refuted.trivial:
-        path = colored.graph.path(refuted.lhs, refuted.rhs)
-        root_premises.append(derive_path(path))
+        root_premises.append(unfold(graph.path(refuted.lhs, refuted.rhs)))
     add(diseq_label, origin=side.value)
     root_premises.append(diseq_label)
     add(FALSE, tuple(root_premises))

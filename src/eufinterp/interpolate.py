@@ -154,8 +154,13 @@ class PremiseSets:
         return value
 
     def _premises(self, path: Path, want: Side) -> tuple[Path, ...]:
-        """Maximal ``want``-colored paths supporting this path's summary."""
+        """Maximal ``want``-colored paths supporting this path's summary.
+
+        A parent path whose value is memoized already is not built: its
+        value's paths join directly, as :meth:`_memoized` would join them.
+        """
         graph = self.colored.graph
+        memo = self._b if want is Side.B else self._a
 
         def parts(path: Path):
             if path.is_empty:
@@ -167,10 +172,16 @@ class PremiseSets:
                 for edge in factor.path.edges:
                     if edge.is_derived:
                         for p, q in edge.parents:
-                            if p is not q:
+                            if p is q:
+                                continue
+                            # The parent path's Path.key.
+                            hit = memo.get((p.id, q.id) if p.id < q.id else (q.id, p.id))
+                            if hit is None:
                                 yield graph.path(p, q), True
+                            else:
+                                for sub in hit:
+                                    yield sub, False
 
-        memo = self._b if want is Side.B else self._a
         return self._memoized(memo, want.value, path, parts)
 
     def b_premises(self, path: Path) -> tuple[Path, ...]:

@@ -33,6 +33,19 @@ def clause_set(conj: HornConjunction) -> frozenset:
     return frozenset(conj.clauses)
 
 
+def alternating_proof(steps: int) -> str:
+    """Proof text: node nk derives (p ck) from n(k-1) and a leaf that alternates
+    between A and B, so a run of it has one prover turn per step."""
+    lines = ["(theory-symbols)", "(node n0 (p c0) (from A))"]
+    for k in range(1, steps + 1):
+        side = "a" if k % 2 else "b"
+        lines.append(f"(node l{k} ({side} c{k - 1} c{k}) (from {side.upper()}))")
+        lines.append(f"(node n{k} (p c{k}) (premises n{k - 1} l{k}))")
+    lines.append(f"(node nb (not (p c{steps})) (from B))")
+    lines.append(f"(node root false (premises n{steps} nb))")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def data_dir() -> Path:
     return DATA

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
 from eufinterp.cli import main
 
-from conftest import DATA
+from conftest import DATA, alternating_proof
 
 
 def run_cli(capsys, *argv):
@@ -287,18 +288,9 @@ def test_game_rejects_non_local_proof(capsys, tmp_path):
 
 
 def test_game_stats_on_a_deep_alternating_proof(capsys, tmp_path):
-    # Node nk derives (p ck) from n(k-1) and a leaf that alternates between
-    # A and B, so the run has one prover turn per step.
     steps = 400
-    lines = ["(theory-symbols)", "(node n0 (p c0) (from A))"]
-    for k in range(1, steps + 1):
-        side = "a" if k % 2 else "b"
-        lines.append(f"(node l{k} ({side} c{k - 1} c{k}) (from {side.upper()}))")
-        lines.append(f"(node n{k} (p c{k}) (premises n{k - 1} l{k}))")
-    lines.append(f"(node nb (not (p c{steps})) (from B))")
-    lines.append(f"(node root false (premises n{steps} nb))")
     path = tmp_path / "alternating.proof"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(alternating_proof(steps))
     code, out, err = run_cli(capsys, "game", "interpolate", "--stats", str(path))
     assert code == 0, err
     interpolant, stats = out.splitlines()
@@ -307,6 +299,21 @@ def test_game_stats_on_a_deep_alternating_proof(capsys, tmp_path):
     assert interpolant.startswith(f"(and (=> (and (p c{steps - 2})) (p c{steps - 1}))")
     assert interpolant.endswith(" (p c1))")
     assert interpolant.count("(=> ") == steps // 2 - 1
+
+
+def test_game_cut_of_a_deep_alternating_proof_is_fast(capsys, tmp_path):
+    # Each cut node has exactly one maximal candidate below it.
+    steps = 800
+    path = tmp_path / "alternating.proof"
+    path.write_text(alternating_proof(steps))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "game", "cut", str(path))
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    t_a = " ".join(f"(p c{k})" for k in range(steps - 1, 0, -2))
+    t_b = " ".join(["false"] + [f"(p c{k})" for k in range(steps - 2, 0, -2)])
+    assert out == f"T_A: {t_a}\nT_B: {t_b}\n"
+    assert elapsed < 1.0, elapsed
 
 
 def test_game_handles_a_deep_proof_listed_root_first(capsys, tmp_path):

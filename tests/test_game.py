@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from eufinterp.core import Side, parse_problem
@@ -28,7 +30,7 @@ from eufinterp.generate import generate
 from eufinterp.interpolate import parse_conjunction
 from eufinterp.verify import check_interpolant, euf_entails, unsat_with_horn
 
-from conftest import load_problem, load_text
+from conftest import alternating_proof, load_problem, load_text
 
 T_FA = ("t", ("f", "a"))
 NOT_RB = ("not", ("r", "b"))
@@ -39,21 +41,73 @@ def fig_tree():
     return parse_proof(load_text("forward_chain.proof"))
 
 
+class Reach:
+    """Strict premise closures by depth-first search, apart from ProofTree.reach.
+
+    The search runs on an explicit stack, takes in the memoized closure of
+    any label it meets and memoizes only the labels asked for.  Reaching a
+    label that is still open closes a cycle, which raises ``ProofError``.
+    """
+
+    def __init__(self, tree):
+        self.tree = tree
+        self._below: dict = {}
+
+    def strictly_below(self, label) -> frozenset:
+        below = self._below
+        hit = below.get(label)
+        if hit is not None:
+            return hit
+        nodes = self.tree.nodes
+        out: set = set()
+        open_labels = {label}
+        stack = [(label, iter(nodes[label].premises))]
+        while stack:
+            top, pending = stack[-1]
+            for prem in pending:
+                if prem in open_labels:
+                    raise ProofError(f"cyclic proof through {format_formula(prem)}")
+                if prem in out:
+                    continue
+                out.add(prem)
+                closed = below.get(prem)
+                if closed is not None:
+                    out |= closed
+                    continue
+                open_labels.add(prem)
+                stack.append((prem, iter(nodes[prem].premises)))
+                break
+            else:
+                stack.pop()
+                open_labels.discard(top)
+        result = below[label] = frozenset(out)
+        return result
+
+    def precedes(self, phi, psi) -> bool:
+        return phi in self.strictly_below(psi)
+
+
 def reference_coloring_cut(tree):
     """The cut as a plain fixpoint: re-expand every cut node until no change."""
+    reach = Reach(tree)
     cand_a = _cut_candidates(tree, Side.A)
     cand_b = _cut_candidates(tree, Side.B)
     t_a: dict = {}
     t_b: dict = {FALSE: None}
+    maximal: dict = {}
 
     def maximal_below(candidates, anchor):
-        below = tree.strictly_below(anchor)
-        eligible = [c for c in candidates if c in below]
-        return [
-            c
-            for c in eligible
-            if not any(other != c and tree.precedes(c, other) for other in eligible)
-        ]
+        # A function of its arguments alone, so each pair is evaluated once.
+        key = (candidates is cand_a, anchor)
+        if key not in maximal:
+            below = reach.strictly_below(anchor)
+            eligible = [c for c in candidates if c in below]
+            maximal[key] = [
+                c
+                for c in eligible
+                if not any(other != c and reach.precedes(c, other) for other in eligible)
+            ]
+        return maximal[key]
 
     changed = True
     while changed:
@@ -73,6 +127,7 @@ def reference_coloring_cut(tree):
 
 def check_cut(tree, t_a, t_b) -> bool:
     """Literal evaluation of the four coloring-cut conditions."""
+    reach = Reach(tree)
     set_a, set_b = set(t_a), set(t_b)
     if not all(tree.ab_colorable(lab) for lab in set_a | set_b):
         return False
@@ -85,12 +140,12 @@ def check_cut(tree, t_a, t_b) -> bool:
         # Between any member of `upper` and any offending label strictly below
         # it there must be a member of `lower`.
         for anchor in upper:
-            below_anchor = tree.strictly_below(anchor)
+            below_anchor = reach.strictly_below(anchor)
             for psi in (own | other_inputs) & below_anchor:
                 if psi == anchor:
                     continue
                 if not any(
-                    tree.precedes(psi, beta) and tree.precedes(beta, anchor)
+                    reach.precedes(psi, beta) and reach.precedes(beta, anchor)
                     for beta in lower
                 ):
                     return False
@@ -101,6 +156,51 @@ def check_cut(tree, t_a, t_b) -> bool:
     if not interleaved(set_b, set_b, a_inputs - set_a, set_a):
         return False
     return True
+
+
+def random_proof(rng: random.Random, size: int) -> str:
+    """A proof DAG with shared subproofs, repeated leaves and theory symbols.
+
+    Labels are random atoms over a few predicates, functions and constants,
+    r and t being theory symbols; a symbol's side follows from the leaves it
+    occurs in.  Every inference takes its premises from earlier nodes, and
+    false uses every node nothing else does.
+    """
+    preds = ("p", "s", "e", "r", "t")
+    args = ("a", "b", "c", "x", "y", ("f", "a"), ("g", "b"), ("f", "y"), ("t", "c"))
+    labels: list = []
+    seen: set = set()
+    lines = ["(theory-symbols r t)"]
+    used: set[int] = set()
+    for k in range(size):
+        if labels and rng.random() < 0.1:
+            # A second id for an earlier leaf: collapses onto the same label.
+            j = rng.randrange(len(labels))
+            label, origin = labels[j]
+            if origin is not None:
+                lines.append(f"(node n{k} {format_formula(label)} (from {origin}))")
+                labels.append((label, origin))
+                continue
+        while True:
+            label = (rng.choice(preds), rng.choice(args), rng.choice(args))
+            if rng.random() < 0.2:
+                label = ("not", label)
+            if label not in seen:
+                break
+        seen.add(label)
+        if k < 3 or rng.random() < 0.35:
+            origin = rng.choice(("A", "A", "B", "B", "axiom"))
+            lines.append(f"(node n{k} {format_formula(label)} (from {origin}))")
+        else:
+            origin = None
+            premises = rng.sample(range(k), rng.randint(1, min(3, k)))
+            used.update(premises)
+            ids = " ".join(f"n{j}" for j in premises)
+            lines.append(f"(node n{k} {format_formula(label)} (premises {ids}))")
+        labels.append((label, origin))
+    tops = [k for k in range(size) if k not in used]
+    lines.append(f"(node root false (premises {' '.join(f'n{k}' for k in tops)}))")
+    return "\n".join(lines) + "\n"
 
 
 def format_proof(tree) -> str:
@@ -164,15 +264,17 @@ class TestParseProof:
         with pytest.raises(ProofError, match="cyclic proof through node 'n2'"):
             parse_proof(text)
 
-    def test_strictly_below_rejects_a_cycle(self):
+    def test_reach_rejects_a_cycle(self):
         nodes = {
             FALSE: LabelNode(FALSE, ("x",), None),
             "x": LabelNode("x", ("y",), None),
             "y": LabelNode("y", ("x",), None),
         }
         tree = ProofTree(frozenset(), nodes, FALSE)
-        with pytest.raises(ProofError, match="cyclic"):
-            tree.strictly_below(FALSE)
+        with pytest.raises(ProofError, match="cyclic proof through x"):
+            tree.precedes("y", FALSE)
+        with pytest.raises(ProofError, match="cyclic proof through x"):
+            coloring_cut(tree)
 
     def test_two_roots_rejected(self):
         text = (
@@ -292,17 +394,39 @@ class TestColoringCut:
         )
 
     def test_cut_matches_the_fixpoint_reference(self):
+        trees = {}
         for family in ("chain", "ladder", "split"):
             for size in range(2, 31):
                 for seed in range(3):
                     p = parse_problem(generate(family, size, seed=seed).text)
-                    tree = normalize_root(euf_bridge(p))
-                    assert coloring_cut(tree) == reference_coloring_cut(tree), (
-                        family,
-                        size,
-                        seed,
-                    )
+                    trees[family, size, seed] = normalize_root(euf_bridge(p))
+        rng = random.Random(8)
+        for i in range(300):
+            text = random_proof(rng, rng.randint(3, 40))
+            trees["random", i] = normalize_root(parse_proof(text))
+        trees["alternating", 200] = normalize_root(parse_proof(alternating_proof(200)))
+        two_sided = 0
+        for key, tree in trees.items():
+            t_a, t_b = coloring_cut(tree)
+            assert (t_a, t_b) == reference_coloring_cut(tree), key
+            two_sided += key[0] == "random" and bool(t_a) and len(t_b) > 1
+        # The random proofs exercise both sweeps, not only the trivial cut.
+        assert two_sided >= 50
 
+    def test_precedes_matches_the_reference(self):
+        rng = random.Random(8)
+        trees = [parse_proof(random_proof(rng, rng.randint(3, 40))) for _ in range(300)]
+        trees.append(parse_proof(alternating_proof(200)))
+        for seed in range(3):
+            for family in ("chain", "ladder", "split"):
+                p = parse_problem(generate(family, 12, seed=seed).text)
+                trees.append(euf_bridge(p))
+        for tree in trees:
+            tree = normalize_root(tree)
+            reach = Reach(tree)
+            for psi in tree.nodes:
+                below = reach.strictly_below(psi)
+                assert {phi for phi in tree.nodes if tree.precedes(phi, psi)} == below
 
 class TestCheckCut:
     def test_missing_false_fails(self):
@@ -458,6 +582,40 @@ class TestBridge:
             bridge_run(p)
         assert info.value.step == ("=", "c1", ("h", "b1", "c3"))
         assert str(info.value) == "inference step at (= c1 (h b1 c3)) is not local"
+
+    def test_unfolding_keeps_the_first_direction_of_a_shared_path(self):
+        # (f a b) ~ (f b a) has parent pairs (a, b) and (b, a): one path key
+        # in two directions.  The node order and premise order are those of
+        # a recursive unfolding, which unfolds the path as first met.
+        p = parse_problem(
+            "(A (= a c) (= d b) (= (f a b) e)) (B (= c d) (not (= e (f b a))))"
+        )
+        tree = euf_bridge(p)
+        eq = lambda s, t: ("=", s, t)
+        fab, fba = ("f", "a", "b"), ("f", "b", "a")
+        assert [(label, node.premises) for label, node in tree.nodes.items()] == [
+            (eq(fab, "e"), ()),
+            (eq("d", "b"), ()),
+            (eq("c", "d"), ()),
+            (eq("a", "c"), ()),
+            (eq("a", "b"), (eq("d", "b"), eq("c", "d"), eq("a", "c"))),
+            (eq(fab, fba), (eq("a", "b"), eq("a", "b"))),
+            (eq("e", fba), (eq(fab, "e"), eq(fab, fba))),
+            (("not", eq("e", fba)), ()),
+            (FALSE, (eq("e", fba), ("not", eq("e", fba)))),
+        ]
+
+    def test_ladder_of_400_rungs_bridges(self):
+        # Past the interpreter's recursion limit for a recursive unfolding.
+        p = parse_problem(generate("ladder", 400, seed=0).text)
+        tree, run = bridge_run(p)
+        assert len(tree.nodes) == 1603
+        assert run.rounds() == 402
+        horn = parse_conjunction(
+            format_game_interpolant(game_interpolant(run)), p.table, p.symbols
+        )
+        assert len(horn.clauses) == 201
+        assert check_interpolant(p, horn).accepted
 
     def test_bridge_interpolants_check_out_semantically(self):
         for family in ("chain", "ladder", "split"):
