@@ -22,13 +22,12 @@ from .core import (
 )
 from .game import (
     InvalidCutError,
+    NonLocalProofError,
     ProofError,
-    coloring_cut,
-    first_nonlocal_step,
     format_formula,
     format_game_interpolant,
     game_interpolant,
-    normalize_root,
+    local_cut,
     parse_proof,
     run_from_cut,
 )
@@ -158,13 +157,11 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_game(args) -> int:
-    tree = parse_proof(_read_input(args.proof))
-    step = first_nonlocal_step(tree)
-    if step is not None:
-        print(f"proof is not local at {format_formula(step)}", file=sys.stderr)
+    try:
+        tree, t_a, t_b = local_cut(parse_proof(_read_input(args.proof)))
+    except NonLocalProofError as exc:
+        print(f"proof is not local at {format_formula(exc.step)}", file=sys.stderr)
         return 1
-    tree = normalize_root(tree)
-    t_a, t_b = coloring_cut(tree)
     if args.game_command == "cut":
         print("T_A: " + " ".join(format_formula(f) for f in t_a))
         print("T_B: " + " ".join(format_formula(f) for f in t_b))
@@ -223,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("cut", "interpolate"):
         p = game_sub.add_parser(name)
         p.add_argument("proof")
-        p.add_argument("--stats", action="store_true")
+        if name == "interpolate":
+            p.add_argument("--stats", action="store_true")
         p.set_defaults(func=_cmd_game)
 
     p_gen = sub.add_parser("gen", help="emit a random unsatisfiable instance")
@@ -243,6 +241,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParseError, ProofError, InvalidCutError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

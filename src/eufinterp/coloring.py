@@ -124,7 +124,8 @@ def color(
     graph: CongruenceGraph,
     symbols: SymbolTable,
     strategy: Strategy = Strategy.GREEDY,
-    relevant: tuple[Term, Term] | None = None,
+    *,
+    relevant: tuple[Term, Term],
 ) -> ColoredGraph:
     """Assign every edge a side.
 
@@ -150,7 +151,7 @@ def color(
         for edge in free:
             colors[edge.seq] = Side.B
     else:
-        if relevant is not None and free:
+        if free:
             _greedy_assign(graph, colors, relevant)
         for edge in free:
             colors.setdefault(edge.seq, Side.A)

@@ -299,26 +299,35 @@ class ProblemInstance:
         return out
 
 
-def term_from_sexpr(sx: SAtom | SList, table: TermTable, symbols: SymbolTable) -> Term:
-    """Intern the term denoted by an s-expression, checking arities."""
+def term_from_sexpr(
+    sx: SAtom | SList, table: TermTable, symbols: SymbolTable, side: Side | None
+) -> Term:
+    """Intern the term denoted by an s-expression, checking arities.
+
+    With a ``side``, every symbol is noted as occurring on it.
+    """
     if isinstance(sx, SAtom):
         symbols.declare(sx.text, 0)
+        if side is not None:
+            symbols.note_occurrence(sx.text, side)
         return table.make(sx.text)
     if head_of(sx) is None:
         raise ParseError("expected a function application", sx.line, sx.col)
     head = sx.items[0]
     if len(sx.items) == 1:
         raise ParseError(f"application of {head.text!r} has no arguments", sx.line, sx.col)
-    args = [term_from_sexpr(item, table, symbols) for item in sx.items[1:]]
+    args = [term_from_sexpr(item, table, symbols, side) for item in sx.items[1:]]
     try:
         symbols.declare(head.text, len(args))
     except ArityError as exc:
         raise ArityError(str(exc), head.line, head.col) from None
+    if side is not None:
+        symbols.note_occurrence(head.text, side)
     return table.make(head.text, args)
 
 
 def literal_from_sexpr(
-    sx: SAtom | SList, table: TermTable, symbols: SymbolTable
+    sx: SAtom | SList, table: TermTable, symbols: SymbolTable, side: Side | None
 ) -> Literal:
     if not isinstance(sx, SList) or not sx.items:
         raise ParseError("expected a literal", sx.line, sx.col)
@@ -326,23 +335,17 @@ def literal_from_sexpr(
     if head == "=":
         if len(sx.items) != 3:
             raise ParseError("'=' takes exactly two terms", sx.line, sx.col)
-        lhs = term_from_sexpr(sx.items[1], table, symbols)
-        rhs = term_from_sexpr(sx.items[2], table, symbols)
+        lhs = term_from_sexpr(sx.items[1], table, symbols, side)
+        rhs = term_from_sexpr(sx.items[2], table, symbols, side)
         return Literal.make(lhs, rhs, equal=True)
     if head == "not":
         if len(sx.items) != 2:
             raise ParseError("'not' takes exactly one equality", sx.line, sx.col)
-        inner = literal_from_sexpr(sx.items[1], table, symbols)
+        inner = literal_from_sexpr(sx.items[1], table, symbols, side)
         if not inner.equal:
             raise ParseError("double negation is not allowed", sx.line, sx.col)
         return inner.negated()
     raise ParseError("expected (= s t) or (not (= s t))", sx.line, sx.col)
-
-
-def _note_symbols(term: Term, symbols: SymbolTable, side: Side) -> None:
-    symbols.note_occurrence(term.head, side)
-    for arg in term.args:
-        _note_symbols(arg, symbols, side)
 
 
 def parse_problem(text: str) -> ProblemInstance:
@@ -386,9 +389,7 @@ def parse_problem(text: str) -> ProblemInstance:
         if head_of(form) != side.value:
             raise ParseError(f"expected ({side.value} ...)", form.line, form.col)
         for raw in form.items[1:]:
-            lit = literal_from_sexpr(raw, table, symbols)
-            _note_symbols(lit.lhs, symbols, side)
-            _note_symbols(lit.rhs, symbols, side)
+            lit = literal_from_sexpr(raw, table, symbols, side)
             previous = seen.get(lit)
             if previous is None:
                 seen[lit] = side

@@ -209,6 +209,11 @@ def parse_proof(text: str) -> ProofTree:
     Leaves carry ``(from A|B|axiom)``; inferences carry ``(premises ID+)``.
     The root is the unique node no other node uses, and must be labelled
     false.  Nodes sharing a label must root structurally identical subtrees.
+    Once no id cycle is reachable from a node, that is a local check: in an
+    acyclic proof, nodes sharing a label root identical subtrees exactly when
+    every such node has the same origin and premise labels (by induction on
+    the sum of the two heights).  So each node is compared with the first
+    node of its label as ids collapse to labels.
     """
     forms = read_sexprs(text)
     if not forms:
@@ -273,37 +278,19 @@ def parse_proof(text: str) -> ProofTree:
     if raw[root_id][0] != FALSE:
         raise ProofError("root node must be labelled false")
 
-    # Collapse to labels, checking that equal labels root identical subtrees.
-    # A subtree's signature is a number: structurally equal subtrees, and only
-    # they, share one.
-    signature: dict[str, int] = {}
-    numbering: dict[tuple, int] = {}
-
-    def number(node_id: str) -> int:
-        formula, premises, origin = raw[node_id]
-        key = (formula, origin, tuple(signature[p] for p in premises or ()))
-        return numbering.setdefault(key, len(numbering))
-
-    def sig(node_id: str) -> int:
-        return _post_order(
+    nodes: dict[Formula, LabelNode] = {}
+    checked: dict[str, None] = {}
+    for node_id in order:
+        _post_order(
             node_id,
             lambda nid: raw[nid][1] or (),
-            number,
-            signature,
+            lambda nid: None,
+            checked,
             lambda nid: ProofError(f"cyclic proof through node {nid!r}"),
         )
-
-    nodes: dict[Formula, LabelNode] = {}
-    by_label_sig: dict[Formula, int] = {}
-    for node_id in order:
         formula, premises, origin = raw[node_id]
-        node_sig = sig(node_id)
-        previous = by_label_sig.get(formula)
-        if previous is None:
-            by_label_sig[formula] = node_sig
-            premise_labels = tuple(raw[p][0] for p in premises or ())
-            nodes[formula] = LabelNode(formula, premise_labels, origin)
-        elif previous != node_sig:
+        node = LabelNode(formula, tuple(raw[p][0] for p in premises or ()), origin)
+        if nodes.setdefault(formula, node) != node:
             raise ProofError(
                 f"nodes labelled {format_formula(formula)} root different subtrees"
             )
@@ -542,26 +529,6 @@ def format_game_interpolant(formulas: tuple[Formula, ...]) -> str:
     return "(and " + " ".join(format_formula(f) for f in formulas) + ")"
 
 
-def _term_formula(term: Term, memo: dict[Term, Formula]) -> Formula:
-    """``term`` as a formula; ``memo`` holds each application's, built once."""
-    if not term.args:
-        return term.head
-    hit = memo.get(term)
-    if hit is not None:
-        return hit
-
-    def build(t: Term) -> Formula:
-        return (t.head,) + tuple(memo[a] if a.args else a.head for a in t.args)
-
-    return _post_order(
-        term,
-        lambda t: [a for a in t.args if a.args],
-        build,
-        memo,
-        lambda t: RuntimeError(f"term {t.id} contains itself"),
-    )
-
-
 def euf_bridge(
     problem: ProblemInstance, strategy: Strategy = Strategy.GREEDY
 ) -> ProofTree:
@@ -571,21 +538,26 @@ def euf_bridge(
     inference step; the final step derives false from the refuted
     disequality and the summary of the path connecting its endpoints.
 
-    The unfolding runs on an explicit stack, in the order a recursive one
-    would take: each edge is derived once, by ``Edge.seq``, and each path or
+    Every vertex's formula is built once, in one pass in term-id order: a
+    term is interned after its arguments, so an argument's id is smaller
+    than its application's and its formula is already in the table.  The
+    unfolding runs on an explicit stack, in the order a recursive one would
+    take: each edge is derived once, by ``Edge.seq``, and each path or
     factor once, by ``Path.key``, in the direction it is first met in; a
     path or factor of one edge is that edge.
     """
     colored, refuted, side, _ = build_colored_graph(problem, strategy)
     graph = colored.graph
     formulas: dict[Term, Formula] = {}
+    for t in sorted(graph.vertices, key=lambda t: t.id):
+        formulas[t] = (t.head,) + tuple(formulas[a] for a in t.args) if t.args else t.head
     nodes: dict[Formula, LabelNode] = {}
     labels: dict = {}  # edge seq or path key -> label of its step
 
     def eq_label(u: Term, v: Term) -> Formula:
         if v.id < u.id:
             u, v = v, u
-        return ("=", _term_formula(u, formulas), _term_formula(v, formulas))
+        return ("=", formulas[u], formulas[v])
 
     def add(label: Formula, premises: tuple = (), origin: str | None = None) -> Formula:
         if label not in nodes:
@@ -651,18 +623,21 @@ def euf_bridge(
     return ProofTree(frozenset(), nodes, FALSE)
 
 
-def bridge_run(
-    problem: ProblemInstance, strategy: Strategy = Strategy.GREEDY
-) -> tuple[ProofTree, InterpolationRun]:
-    """Bridge, check locality, normalize, cut, and extract the induced run.
+def local_cut(tree: ProofTree) -> tuple[ProofTree, tuple, tuple]:
+    """Check locality, normalize the root and cut: ``(tree, T_A, T_B)``.
 
-    Raises ``NonLocalProofError`` naming the first non-local step when the
-    bridged refutation is not local.
+    Raises ``NonLocalProofError`` naming the first non-local step.
     """
-    tree = euf_bridge(problem, strategy)
     step = first_nonlocal_step(tree)
     if step is not None:
         raise NonLocalProofError(step)
     tree = normalize_root(tree)
-    t_a, t_b = coloring_cut(tree)
+    return (tree, *coloring_cut(tree))
+
+
+def bridge_run(
+    problem: ProblemInstance, strategy: Strategy = Strategy.GREEDY
+) -> tuple[ProofTree, InterpolationRun]:
+    """Bridge, cut the local proof, and extract the induced run."""
+    tree, t_a, t_b = local_cut(euf_bridge(problem, strategy))
     return tree, run_from_cut(tree, t_a, t_b)

@@ -367,7 +367,7 @@ _FALSE_ATOMS = ("false", "false'")  # the primed relay constant denotes falsity
 
 
 def _conclusion_from_sexpr(sx, table: TermTable, symbols: SymbolTable) -> Literal:
-    lit = literal_from_sexpr(sx, table, symbols)
+    lit = literal_from_sexpr(sx, table, symbols, None)
     if not lit.equal and lit.trivial:
         raise ParseError(f"reflexive disequality {format_literal(lit)}", sx.line, sx.col)
     return lit
@@ -391,7 +391,7 @@ def _clause_from_sexpr(sx, table: TermTable, symbols: SymbolTable) -> HornClause
             raise ParseError("premises must be (and eq*)", sx.line, sx.col)
         premises = []
         for item in body.items[1:]:
-            lit = literal_from_sexpr(item, table, symbols)
+            lit = literal_from_sexpr(item, table, symbols, None)
             if not lit.equal:
                 raise ParseError("premises must be equalities", item.line, item.col)
             premises.append(lit)

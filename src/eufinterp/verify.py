@@ -29,12 +29,6 @@ from .core import (
 )
 from .interpolate import HornConjunction
 
-BRUTE_FORCE_CAP = 16
-
-
-class SizeCapError(ValueError):
-    pass
-
 
 class _Closure:
     """Congruence closure with an undo trail over a subterm-closed universe.
@@ -142,26 +136,6 @@ class _Closure:
             else:
                 self.merge(a, b)
         return self.refuted(diseqs)
-
-
-def brute_force_closure(
-    equalities: Iterable[Literal], terms: Sequence[Term]
-) -> list[list[Term]]:
-    """Partition of a small subterm-closed term set under the equalities."""
-    if len(terms) > BRUTE_FORCE_CAP:
-        raise SizeCapError(f"term set of size {len(terms)} exceeds {BRUTE_FORCE_CAP}")
-    ids = {t.id for t in terms}
-    for t in terms:
-        for a in t.args:
-            if a.id not in ids:
-                raise ValueError(f"term set not subterm-closed at {t!r}")
-    closure = _Closure(terms)
-    for lit in equalities:
-        closure.merge(*closure.pair(lit))
-    blocks: dict[int, list[Term]] = {}
-    for i, t in enumerate(closure.terms):
-        blocks.setdefault(closure.rep[i], []).append(t)
-    return list(blocks.values())
 
 
 def _all_terms(literals: Iterable[Literal]) -> list[Term]:

@@ -38,9 +38,9 @@ from eufinterp.interpolate import (
     path_interpolant,
     summary,
 )
-from eufinterp.verify import brute_force_closure, check_interpolant, euf_entails
+from eufinterp.verify import check_interpolant, euf_entails
 
-from conftest import expected_clauses, load_text
+from conftest import brute_force_closure, expected_clauses, load_text
 from test_game import check_cut
 from test_interpolate import recursive_path_interpolant
 

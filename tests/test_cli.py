@@ -274,6 +274,36 @@ def test_game_cut_and_interpolate(capsys):
     assert lines[1] == "rounds=3"
 
 
+def test_game_stats_is_an_interpolate_option(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["game", "cut", data("forward_chain.proof"), "--stats"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(
+        capsys, "game", "interpolate", data("forward_chain.proof"), "--stats"
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "rounds=3"
+
+
+@pytest.mark.parametrize("command", ["interpolate", "verify"])
+def test_deeply_nested_term_exits_2(capsys, tmp_path, command):
+    depth = 5000
+    deep = "(f " * depth + "a" + ")" * depth
+    problem, interpolant = tmp_path / "problem.euf", tmp_path / "interpolant"
+    if command == "interpolate":
+        problem.write_text(f"(A (= b {deep})) (B (not (= b a)))\n")
+        argv = [command, str(problem)]
+    else:
+        problem.write_text("(A (= b a)) (B (not (= b a)))\n")
+        interpolant.write_text(f"(= b {deep})\n")
+        argv = [command, str(problem), str(interpolant)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: input nested too deeply\n"
+
+
 def test_game_rejects_non_local_proof(capsys, tmp_path):
     path = tmp_path / "mixed.proof"
     path.write_text(

@@ -8,7 +8,7 @@ from eufinterp.coloring import (
     color,
     make_colorable,
 )
-from eufinterp.congruence import close
+from eufinterp.congruence import close, find_refuted_disequality
 from eufinterp.core import (
     Colorability,
     Side,
@@ -234,8 +234,9 @@ def test_free_edge_coloring_drives_the_interpolant():
 def test_fully_basic_graph_coloring_is_forced():
     p = load_problem("chain_three_afactors.euf")
     g = _closed(p)
+    refuted = find_refuted_disequality(g, p.disequalities())
     for strategy in Strategy:
-        colored = color(g, p.symbols, strategy)
+        colored = color(g, p.symbols, strategy, relevant=(refuted.lhs, refuted.rhs))
         for edge in g.edges:
             assert colored.edge_color(edge) is edge.side
 

@@ -15,9 +15,8 @@ from eufinterp.congruence import (
 )
 from eufinterp.core import Literal, Side, TermTable, format_term, parse_problem, subterm_closure
 from eufinterp.generate import generate
-from eufinterp.verify import brute_force_closure
 
-from conftest import load_problem
+from conftest import brute_force_closure, load_problem
 
 
 def _close_problem(p):

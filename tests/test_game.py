@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from eufinterp.core import Side, parse_problem
+from eufinterp.cli import main
+from eufinterp.core import Side, parse_problem, read_sexprs
 from eufinterp.game import (
     FALSE,
     _cut_candidates,
@@ -20,6 +21,7 @@ from eufinterp.game import (
     euf_bridge,
     format_formula,
     format_game_interpolant,
+    formula_from_sexpr,
     free_symbols,
     game_interpolant,
     normalize_root,
@@ -203,6 +205,103 @@ def random_proof(rng: random.Random, size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_collapse(text: str) -> dict:
+    """Labels to nodes by numbering whole subtrees, apart from parse_proof.
+
+    Structurally equal subtrees, and only they, share a number, and nodes
+    sharing a label must share it.  Nodes are taken in file order, each one's
+    subtree numbered before its label is compared.  For well-formed proofs
+    with one root; the numbering recurses.
+    """
+    raw = {}
+    for form in read_sexprs(text)[1:]:
+        _, node_id, formula, tail = form.items
+        kind, *ids = (item.text for item in tail.items)
+        leaf = kind == "from"
+        raw[node_id.text] = (
+            formula_from_sexpr(formula),
+            () if leaf else tuple(ids),
+            ids[0] if leaf else None,
+        )
+    numbering: dict = {}
+    signature: dict = {}
+    open_ids: set = set()
+
+    def number(node_id):
+        if node_id in open_ids:
+            raise ProofError(f"cyclic proof through node {node_id!r}")
+        if node_id not in signature:
+            open_ids.add(node_id)
+            formula, premises, origin = raw[node_id]
+            key = (formula, origin, tuple(number(p) for p in premises))
+            open_ids.discard(node_id)
+            signature[node_id] = numbering.setdefault(key, len(numbering))
+        return signature[node_id]
+
+    first: dict = {}
+    nodes: dict = {}
+    for node_id, (formula, premises, origin) in raw.items():
+        if first.setdefault(formula, number(node_id)) != signature[node_id]:
+            raise ProofError(
+                f"nodes labelled {format_formula(formula)} root different subtrees"
+            )
+        labels = tuple(raw[p][0] for p in premises)
+        nodes.setdefault(formula, LabelNode(formula, labels, origin))
+    return nodes
+
+
+def deep_copy_variants(rng: random.Random, text: str) -> list[str]:
+    """Copies of a ``random_proof`` text with one more derivation of a label.
+
+    An inference n, one of its inference premises c and one of c's premises
+    d get second ids n', c', d', with the same labels and n' a further
+    premise of false.  In the first copy d' equals d; in the second, d'
+    differs from d in its origin (a leaf) or its premise list (an inference),
+    two levels below n'.  Empty when the proof has no such n.
+    """
+    lines = text.splitlines()
+    forms = {form.items[1].text: form for form in read_sexprs(text)[1:]}
+
+    def premises(node_id):
+        tail = forms[node_id].items[3]
+        return [i.text for i in tail.items[1:]] if tail.items[0].text == "premises" else []
+
+    chains = [
+        (n, c, d)
+        for n in forms
+        if n != "root"
+        for c in premises(n)
+        for d in premises(c)
+    ]
+    if not chains:
+        return []
+    n, c, d = rng.choice(chains)
+
+    def renamed(node_id, tail):
+        label = format_formula(formula_from_sexpr(forms[node_id].items[2]))
+        return f"(node {node_id}' {label} {tail})"
+
+    def premise_tail(ids):
+        return "(premises " + " ".join(ids) + ")"
+
+    n_tail = premise_tail([f"{c}'" if p == c else p for p in premises(n)])
+    c_tail = premise_tail([f"{d}'" if p == d else p for p in premises(c)])
+    d_ids = premises(d)
+    if d_ids:
+        extra_id = f"n{rng.randrange(int(d[1:]))}"  # an earlier node: no cycle
+        variants = [premise_tail(d_ids), premise_tail(d_ids + [extra_id])]
+    else:
+        origin = forms[d].items[3].items[1].text
+        other = rng.choice([o for o in ("A", "B", "axiom") if o != origin])
+        variants = [f"(from {origin})", f"(from {other})"]
+    root = lines[-1].replace("))", f" {n}'))")
+    out = []
+    for d_tail in variants:
+        extra = [renamed(n, n_tail), renamed(c, c_tail), renamed(d, d_tail)]
+        out.append("\n".join(lines[:-1] + extra + [root]) + "\n")
+    return out
+
+
 def format_proof(tree) -> str:
     """Serialize back to the proof grammar (ids in node order)."""
     ids = {label: f"n{i + 1}" for i, label in enumerate(tree.nodes)}
@@ -275,6 +374,28 @@ class TestParseProof:
             tree.precedes("y", FALSE)
         with pytest.raises(ProofError, match="cyclic proof through x"):
             coloring_cut(tree)
+
+    def test_label_collapse_matches_the_subtree_numbering(self):
+        # Node-local label checks must accept exactly the proofs whose equal
+        # labels root equal subtrees, also when a copy differs two levels down.
+        def outcome(collapse, text):
+            try:
+                return list(collapse(text).items())
+            except ValueError as exc:
+                return type(exc)
+
+        rng, mutate = random.Random(8), random.Random(9)
+        faithful = mutated = 0
+        for _ in range(300):
+            text = random_proof(rng, rng.randint(3, 40))
+            texts = [text] + deep_copy_variants(mutate, text)
+            expected = [outcome(reference_collapse, t) for t in texts]
+            for text, want in zip(texts, expected):
+                assert outcome(lambda t: parse_proof(t).nodes, text) == want, text
+            if len(texts) > 1:
+                faithful += expected[1] is not ProofError
+                mutated += expected[2] is ProofError
+        assert faithful >= 100 and mutated >= 100
 
     def test_two_roots_rejected(self):
         text = (
@@ -604,6 +725,20 @@ class TestBridge:
             (("not", eq("e", fba)), ()),
             (FALSE, (eq("e", fba), ("not", eq("e", fba)))),
         ]
+
+    def test_wide_class_proof_cuts_but_has_no_run(self, capsys, tmp_path):
+        # The B leaf x2 = x1 feeds both the A step and B's final step.
+        p = parse_problem(
+            "(A (= x2 (f x1)) (= (f x2) x0)) (B (= x1 x2) (not (= x1 x0)))"
+        )
+        path = tmp_path / "wide.proof"
+        path.write_text(format_proof(euf_bridge(p)))
+        assert main(["game", "cut", str(path)]) == 0
+        assert capsys.readouterr().out == "T_A: (= x2 x0)\nT_B: false (= x2 x1)\n"
+        assert main(["game", "interpolate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cut node (= x2 x1) on the wrong side of false\n"
+        )
 
     def test_ladder_of_400_rungs_bridges(self):
         # Past the interpreter's recursion limit for a recursive unfolding.

@@ -22,16 +22,14 @@ from eufinterp.interpolate import (
 )
 from eufinterp.verify import (
     EntailmentReport,
-    SizeCapError,
     _Closure,
-    brute_force_closure,
     check_interpolant,
     euf_entails,
     literal_set_unsat,
     unsat_with_horn,
 )
 
-from conftest import load_problem
+from conftest import SizeCapError, brute_force_closure, load_problem
 
 
 # Test-only reference: a from-scratch oracle.  Every call builds a fresh
@@ -225,6 +223,20 @@ class TestBruteForceClosure:
             frozenset({fa.id, fb.id}),
             frozenset({ffa.id, ffb.id}),
         }
+
+    def test_incremental_closure_agrees(self):
+        from test_congruence import random_equalities, random_universe
+
+        rng = random.Random(5)
+        for _ in range(300):
+            _, terms = random_universe(rng)
+            eqs = [lit for lit, _ in random_equalities(rng, terms, rng.randint(0, 10))]
+            closure = _Closure(terms)
+            closure.add(eqs)
+            blocks: dict = {}
+            for i, t in enumerate(closure.terms):
+                blocks.setdefault(closure.rep[i], []).append(t)
+            assert _ids(blocks.values()) == _ids(brute_force_closure(eqs, terms))
 
 
 class TestEntailment:
