@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, Flag, auto
+from itertools import islice
 from typing import Iterable, Iterator
 
 
@@ -54,12 +55,13 @@ class TermTable:
     """Interning table; assigns dense term ids in first-construction order."""
 
     def __init__(self) -> None:
-        self._interned: dict[tuple[str, tuple[int, ...]], Term] = {}
+        # Arguments are interned already, so their identities stand for them.
+        self._interned: dict[tuple[str, tuple[Term, ...]], Term] = {}
         self.terms: list[Term] = []
 
     def make(self, head: str, args: Iterable[Term] = ()) -> Term:
         args = tuple(args)
-        key = (head, tuple(a.id for a in args))
+        key = (head, args)
         hit = self._interned.get(key)
         if hit is not None:
             return hit
@@ -120,7 +122,8 @@ class SymbolTable:
         self.info: dict[str, SymbolInfo] = {}
         self._term_bits: dict[int, int] = {}
 
-    def declare(self, name: str, arity: int) -> SymbolInfo:
+    def declare(self, name: str, arity: int, side: Side | None = None) -> SymbolInfo:
+        """Record ``name`` with ``arity`` (noting it on ``side``, if given)."""
         entry = self.info.get(name)
         if entry is None:
             entry = SymbolInfo(arity)
@@ -130,14 +133,11 @@ class SymbolTable:
                 f"symbol {name!r} used with arity {arity}, "
                 f"previously {entry.arity}"
             )
-        return entry
-
-    def note_occurrence(self, name: str, side: Side) -> None:
-        entry = self.info[name]
         if side is Side.A:
             entry.occurs_in_a = True
-        else:
+        elif side is Side.B:
             entry.occurs_in_b = True
+        return entry
 
     def _bits(self, term: Term) -> int:
         """The colorability value of ``term``: its head's bits and its arguments'.
@@ -228,8 +228,8 @@ def head_of(sx: SAtom | SList) -> str | None:
     return None
 
 
-# A parenthesis or an atom; whitespace separates and ";" starts a line comment.
-_TOKEN = re.compile(r"[()]|[^\s();]+")
+# A parenthesis, an atom, or a ";" comment, which runs to the end of its line.
+_TOKEN = re.compile(r"[()]|[^\s();]+|;[^\n]*")
 
 
 def _tokenize(text: str) -> Iterator[tuple[str, int, int]]:
@@ -258,6 +258,135 @@ def read_sexprs(text: str) -> list[SAtom | SList]:
         _, oline, ocol = stack[-1]
         raise ParseError("unclosed '('", oline, ocol)
     return top
+
+
+class Reader:
+    """Problem or formula text read straight from tokens into hash-consed terms.
+
+    The text is split into tokens once, comments dropped.  One pass over them
+    then checks the parentheses and records where each list closes, so a
+    balance error wins over any other and a list's length is known before its
+    items are read.  Token ``k``'s position is worked out only for an error,
+    by scanning the text again up to it.  Items are addressed by token index:
+    each reading method takes the index where its item starts and returns the
+    index just past it along with what it read.
+    """
+
+    def __init__(self, text: str, table: TermTable, symbols: SymbolTable) -> None:
+        self.text = text
+        self.table = table
+        self.symbols = symbols
+        toks = _TOKEN.findall(text)
+        if ";" in text:
+            toks = [t for t in toks if t[0] != ";"]
+        self.toks = toks
+        self.close = close = [0] * len(toks)
+        opens: list[int] = []
+        for i, tok in enumerate(toks):
+            if tok == "(":
+                opens.append(i)
+            elif tok == ")":
+                if not opens:
+                    raise self.error("unbalanced ')'", i)
+                close[opens.pop()] = i
+        if opens:
+            raise self.error("unclosed '('", opens[-1])
+
+    def error(self, message: str, k: int, kind: type[ParseError] = ParseError) -> ParseError:
+        """A ``kind`` error located at token ``k``."""
+        _, line, col = next(islice(_tokenize(self.text), k, None))
+        return kind(message, line, col)
+
+    def skip(self, i: int) -> int:
+        """The index just past the item starting at token ``i``."""
+        return self.close[i] + 1 if self.toks[i] == "(" else i + 1
+
+    def items(self, i: int, end: int) -> Iterator[int]:
+        """Start indices of the items from token ``i`` up to token ``end``."""
+        while i < end:
+            yield i
+            i = self.skip(i)
+
+    def count(self, i: int) -> int:
+        """The number of items of the list opened at token ``i``."""
+        toks, close = self.toks, self.close
+        end, n = close[i], 0
+        i += 1
+        while i < end:
+            i = close[i] + 1 if toks[i] == "(" else i + 1
+            n += 1
+        return n
+
+    def term(self, i: int, side: Side | None) -> tuple[Term, int]:
+        """Intern the term at token ``i``, checking arities, on an explicit stack.
+
+        Arguments are interned before their application, left to right.  Each
+        symbol is declared with its arity as it is met and, with a ``side``,
+        noted as occurring on it.
+        """
+        toks = self.toks
+        frames: list[tuple[int, str, list[Term]]] = []  # "(" index, head, arguments
+        while True:
+            tok = toks[i]
+            if tok == "(":
+                head = toks[i + 1]
+                if head == "(" or head == ")":
+                    raise self.error("expected a function application", i)
+                if toks[i + 2] == ")":
+                    raise self.error(f"application of {head!r} has no arguments", i)
+                frames.append((i, head, []))
+                i += 2
+                continue
+            if tok == ")":
+                start, head, args = frames.pop()
+                try:
+                    self.symbols.declare(head, len(args), side)
+                except ArityError as exc:
+                    raise self.error(str(exc), start + 1, ArityError) from None
+                term = self.table.make(head, args)
+            else:
+                self.symbols.declare(tok, 0, side)
+                term = self.table.make(tok)
+            i += 1
+            if not frames:
+                return term, i
+            frames[-1][2].append(term)
+
+    def literal(self, i: int, side: Side | None) -> tuple[Literal, int]:
+        """The literal at token ``i``: ``(= s t)`` or ``(not (= s t))``.
+
+        Each list's shape is checked before anything inside it is read.
+        """
+        toks = self.toks
+        nots: list[int] = []
+        while True:
+            if toks[i] != "(" or toks[i + 1] == ")":
+                raise self.error("expected a literal", i)
+            head = toks[i + 1]
+            if head == "=":
+                if self.count(i) != 3:
+                    raise self.error("'=' takes exactly two terms", i)
+                break
+            if head != "not":
+                raise self.error("expected (= s t) or (not (= s t))", i)
+            if self.count(i) != 2:
+                raise self.error("'not' takes exactly one equality", i)
+            nots.append(i)
+            i += 2
+        lhs, i = self.term(i + 2, side)
+        rhs, i = self.term(i, side)
+        if len(nots) > 1:
+            raise self.error("double negation is not allowed", nots[-2])
+        return Literal.make(lhs, rhs, not nots), i + 1 + len(nots)
+
+    def literals(self, i: int, side: Side | None) -> Iterator[tuple[int, Literal]]:
+        """The literals after the head of the list opened at token ``i``."""
+        end = self.close[i]
+        i += 2
+        while i < end:
+            lit, after = self.literal(i, side)
+            yield i, lit
+            i = after
 
 
 @dataclass
@@ -299,53 +428,12 @@ class ProblemInstance:
         return out
 
 
-def term_from_sexpr(
-    sx: SAtom | SList, table: TermTable, symbols: SymbolTable, side: Side | None
-) -> Term:
-    """Intern the term denoted by an s-expression, checking arities.
-
-    With a ``side``, every symbol is noted as occurring on it.
-    """
-    if isinstance(sx, SAtom):
-        symbols.declare(sx.text, 0)
-        if side is not None:
-            symbols.note_occurrence(sx.text, side)
-        return table.make(sx.text)
-    if head_of(sx) is None:
-        raise ParseError("expected a function application", sx.line, sx.col)
-    head = sx.items[0]
-    if len(sx.items) == 1:
-        raise ParseError(f"application of {head.text!r} has no arguments", sx.line, sx.col)
-    args = [term_from_sexpr(item, table, symbols, side) for item in sx.items[1:]]
+def _arity(token: str) -> int | None:
+    """The number a decimal numeral spells; None for any other token."""
     try:
-        symbols.declare(head.text, len(args))
-    except ArityError as exc:
-        raise ArityError(str(exc), head.line, head.col) from None
-    if side is not None:
-        symbols.note_occurrence(head.text, side)
-    return table.make(head.text, args)
-
-
-def literal_from_sexpr(
-    sx: SAtom | SList, table: TermTable, symbols: SymbolTable, side: Side | None
-) -> Literal:
-    if not isinstance(sx, SList) or not sx.items:
-        raise ParseError("expected a literal", sx.line, sx.col)
-    head = head_of(sx)
-    if head == "=":
-        if len(sx.items) != 3:
-            raise ParseError("'=' takes exactly two terms", sx.line, sx.col)
-        lhs = term_from_sexpr(sx.items[1], table, symbols, side)
-        rhs = term_from_sexpr(sx.items[2], table, symbols, side)
-        return Literal.make(lhs, rhs, equal=True)
-    if head == "not":
-        if len(sx.items) != 2:
-            raise ParseError("'not' takes exactly one equality", sx.line, sx.col)
-        inner = literal_from_sexpr(sx.items[1], table, symbols, side)
-        if not inner.equal:
-            raise ParseError("double negation is not allowed", sx.line, sx.col)
-        return inner.negated()
-    raise ParseError("expected (= s t) or (not (= s t))", sx.line, sx.col)
+        return int(token) if token.isdecimal() else None
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def parse_problem(text: str) -> ProblemInstance:
@@ -354,62 +442,69 @@ def parse_problem(text: str) -> ProblemInstance:
     Literal sets are deduplicated modulo symmetry; a literal occurring in
     both sets is an error, as is any arity clash.
     """
-    forms = read_sexprs(text)
     table = TermTable()
     symbols = SymbolTable()
+    reader = Reader(text, table, symbols)
+    toks, close = reader.toks, reader.close
 
-    idx = 0
-    while idx < len(forms):
-        form = forms[idx]
-        if head_of(form) == "declare-fun":
-            if (
-                len(form.items) != 3
-                or not isinstance(form.items[1], SAtom)
-                or not isinstance(form.items[2], SAtom)
-                or not form.items[2].text.isdigit()
-            ):
-                raise ParseError(
-                    "expected (declare-fun SYMBOL ARITY)", form.line, form.col
-                )
-            try:
-                symbols.declare(form.items[1].text, int(form.items[2].text))
-            except ArityError as exc:
-                raise ArityError(str(exc), form.line, form.col) from None
-            idx += 1
-        else:
-            break
+    i = 0
+    while i < len(toks) and toks[i] == "(" and toks[i + 1] == "declare-fun":
+        arity = None
+        if close[i] == i + 4 and toks[i + 2] != "(":
+            arity = _arity(toks[i + 3])
+        if arity is None:
+            raise reader.error("expected (declare-fun SYMBOL ARITY)", i)
+        try:
+            symbols.declare(toks[i + 2], arity)
+        except ArityError as exc:
+            raise reader.error(str(exc), i, ArityError) from None
+        i += 5
 
-    sets: dict[Side, list[Literal]] = {Side.A: [], Side.B: []}
+    sets: list[tuple[Literal, ...]] = []
     seen: dict[Literal, Side] = {}
     for side in (Side.A, Side.B):
-        if idx >= len(forms):
+        if i >= len(toks):
             raise ParseError(f"missing ({side.value} ...) set")
-        form = forms[idx]
-        idx += 1
-        if head_of(form) != side.value:
-            raise ParseError(f"expected ({side.value} ...)", form.line, form.col)
-        for raw in form.items[1:]:
-            lit = literal_from_sexpr(raw, table, symbols, side)
+        if toks[i] != "(" or toks[i + 1] != side.value:
+            raise reader.error(f"expected ({side.value} ...)", i)
+        kept: list[Literal] = []
+        for start, lit in reader.literals(i, side):
             previous = seen.get(lit)
             if previous is None:
                 seen[lit] = side
-                sets[side].append(lit)
+                kept.append(lit)
             elif previous is not side:
-                raise OverlapError(
+                raise reader.error(
                     f"literal {format_literal(lit)} occurs in both A and B",
-                    raw.line,
-                    raw.col,
+                    start,
+                    OverlapError,
                 )
-    if idx != len(forms):
-        extra = forms[idx]
-        raise ParseError("unexpected form after (B ...)", extra.line, extra.col)
-    return ProblemInstance(table, symbols, tuple(sets[Side.A]), tuple(sets[Side.B]))
+        sets.append(tuple(kept))
+        i = close[i] + 1
+    if i != len(toks):
+        raise reader.error("unexpected form after (B ...)", i)
+    return ProblemInstance(table, symbols, *sets)
 
 
 def format_term(term: Term) -> str:
+    """The term's text, written from an explicit stack of terms and closers."""
     if not term.args:
         return term.head
-    return "(" + term.head + " " + " ".join(format_term(a) for a in term.args) + ")"
+    out: list[str] = []
+    stack: list[Term | str] = [term]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.args:
+            out.append("(" + item.head)
+            stack.append(")")
+            for arg in reversed(item.args):
+                stack.append(arg)
+                stack.append(" ")
+        else:
+            out.append(item.head)
+    return "".join(out)
 
 
 def format_literal(lit: Literal) -> str:

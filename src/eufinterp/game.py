@@ -130,8 +130,10 @@ class ProofTree:
     use: every label gets a bitmask of the labels strictly below it, bit
     ``i`` standing for the ``i``-th label of ``nodes``.  The pass runs on an
     explicit stack, and a label reachable from itself raises ``ProofError``.
-    ``frees`` caches each label's free symbols; trees over the same labels
-    may share it.
+    ``frees`` caches each label's free symbols, read by ``free_symbols``
+    where a label is missing; trees over the same labels may share it.  Each
+    label's fit to the two signatures is cached as two bits: bit 1 for A,
+    bit 2 for B.
     """
 
     def __init__(
@@ -154,7 +156,7 @@ class ProofTree:
         )
         self._a_symbols = theory_symbols | self.sigma_a
         self._b_symbols = theory_symbols | self.sigma_b
-        self._ab_symbols = theory_symbols | (self.sigma_a & self.sigma_b)
+        self._fits: dict[Formula, int] = {}
         self._reach: tuple[dict[Formula, int], list[int]] | None = None
 
     def _free(self, label: Formula) -> frozenset[str]:
@@ -164,14 +166,22 @@ class ProofTree:
             self._frees[label] = cached
         return cached
 
+    def _fit(self, label: Formula) -> int:
+        fit = self._fits.get(label)
+        if fit is None:
+            free = self._free(label)
+            fit = (free <= self._a_symbols) | (free <= self._b_symbols) << 1
+            self._fits[label] = fit
+        return fit
+
     def a_colorable(self, label: Formula) -> bool:
-        return self._free(label) <= self._a_symbols
+        return self._fit(label) & 1 == 1
 
     def b_colorable(self, label: Formula) -> bool:
-        return self._free(label) <= self._b_symbols
+        return self._fit(label) & 2 == 2
 
     def ab_colorable(self, label: Formula) -> bool:
-        return self._free(label) <= self._ab_symbols
+        return self._fit(label) == 3
 
     def reach(self) -> tuple[dict[Formula, int], list[int]]:
         """``(index, below)``: each label's bit, and per bit the strict-below mask."""
@@ -538,9 +548,11 @@ def euf_bridge(
     inference step; the final step derives false from the refuted
     disequality and the summary of the path connecting its endpoints.
 
-    Every vertex's formula is built once, in one pass in term-id order: a
-    term is interned after its arguments, so an argument's id is smaller
-    than its application's and its formula is already in the table.  The
+    Every vertex's formula and symbol set are built once, in one pass in
+    term-id order: a term is interned after its arguments, so an argument's
+    id is smaller than its application's and its entries are already made.
+    A label's symbols are its terms' symbols, handed to the tree as its
+    ``frees``, so a symbol spelled like a logical token stays a symbol.  The
     unfolding runs on an explicit stack, in the order a recursive one would
     take: each edge is derived once, by ``Edge.seq``, and each path or
     factor once, by ``Path.key``, in the direction it is first met in; a
@@ -549,15 +561,25 @@ def euf_bridge(
     colored, refuted, side, _ = build_colored_graph(problem, strategy)
     graph = colored.graph
     formulas: dict[Term, Formula] = {}
+    symbols: dict[Term, frozenset[str]] = {}
     for t in sorted(graph.vertices, key=lambda t: t.id):
-        formulas[t] = (t.head,) + tuple(formulas[a] for a in t.args) if t.args else t.head
+        if t.args:
+            formulas[t] = (t.head,) + tuple(formulas[a] for a in t.args)
+            symbols[t] = frozenset((t.head,)).union(*(symbols[a] for a in t.args))
+        else:
+            formulas[t] = t.head
+            symbols[t] = frozenset((t.head,))
     nodes: dict[Formula, LabelNode] = {}
+    frees: dict[Formula, frozenset[str]] = {FALSE: frozenset()}
     labels: dict = {}  # edge seq or path key -> label of its step
 
     def eq_label(u: Term, v: Term) -> Formula:
         if v.id < u.id:
             u, v = v, u
-        return ("=", formulas[u], formulas[v])
+        label = ("=", formulas[u], formulas[v])
+        if label not in frees:
+            frees[label] = symbols[u] | symbols[v]
+        return label
 
     def add(label: Formula, premises: tuple = (), origin: str | None = None) -> Formula:
         if label not in nodes:
@@ -613,14 +635,16 @@ def euf_bridge(
                     stack[-1][4].append(done)
         return done
 
-    diseq_label: Formula = ("not", eq_label(refuted.lhs, refuted.rhs))
+    refuted_eq = eq_label(refuted.lhs, refuted.rhs)
+    diseq_label: Formula = ("not", refuted_eq)
+    frees[diseq_label] = frees[refuted_eq]
     root_premises: list[Formula] = []
     if not refuted.trivial:
         root_premises.append(unfold(graph.path(refuted.lhs, refuted.rhs)))
     add(diseq_label, origin=side.value)
     root_premises.append(diseq_label)
     add(FALSE, tuple(root_premises))
-    return ProofTree(frozenset(), nodes, FALSE)
+    return ProofTree(frozenset(), nodes, FALSE, frees)
 
 
 def local_cut(tree: ProofTree) -> tuple[ProofTree, tuple, tuple]:

@@ -19,17 +19,14 @@ from .congruence import Path, close, find_refuted_disequality
 from .core import (
     Colorability,
     Literal,
+    ParseError,
     ProblemInstance,
-    SAtom,
+    Reader,
     Side,
     SymbolTable,
     Term,
     TermTable,
-    ParseError,
     format_literal,
-    head_of,
-    literal_from_sexpr,
-    read_sexprs,
     subterm_closure,
 )
 
@@ -366,53 +363,55 @@ def format_conjunction(conj: HornConjunction) -> str:
 _FALSE_ATOMS = ("false", "false'")  # the primed relay constant denotes falsity
 
 
-def _conclusion_from_sexpr(sx, table: TermTable, symbols: SymbolTable) -> Literal:
-    lit = literal_from_sexpr(sx, table, symbols, None)
+def _conclusion(reader: Reader, i: int) -> Literal:
+    lit, _ = reader.literal(i, None)
     if not lit.equal and lit.trivial:
-        raise ParseError(f"reflexive disequality {format_literal(lit)}", sx.line, sx.col)
+        raise reader.error(f"reflexive disequality {format_literal(lit)}", i)
     return lit
 
 
-def _clause_from_sexpr(sx, table: TermTable, symbols: SymbolTable) -> HornClause | None:
-    if isinstance(sx, SAtom):
-        if sx.text in _FALSE_ATOMS:
+def _clause(reader: Reader, i: int) -> HornClause | None:
+    """The clause at token ``i``: false, a literal, or (=> (and eq*) conclusion)."""
+    toks = reader.toks
+    if toks[i] != "(":
+        if toks[i] in _FALSE_ATOMS:
             return HornClause.make((), None)
-        raise ParseError(f"unexpected atom {sx.text!r} in formula", sx.line, sx.col)
-    head = head_of(sx)
-    if head is None:
-        raise ParseError("expected a clause", sx.line, sx.col)
+        raise reader.error(f"unexpected atom {toks[i]!r} in formula", i)
+    head = toks[i + 1]
+    if head == "(" or head == ")":
+        raise reader.error("expected a clause", i)
     if head in ("=", "not"):
-        return HornClause.make((), _conclusion_from_sexpr(sx, table, symbols))
+        return HornClause.make((), _conclusion(reader, i))
     if head == "=>":
-        if len(sx.items) != 3:
-            raise ParseError("'=>' takes premises and a conclusion", sx.line, sx.col)
-        body, concl = sx.items[1], sx.items[2]
-        if head_of(body) != "and":
-            raise ParseError("premises must be (and eq*)", sx.line, sx.col)
+        if reader.count(i) != 3:
+            raise reader.error("'=>' takes premises and a conclusion", i)
+        body = i + 2
+        if toks[body] != "(" or toks[body + 1] != "and":
+            raise reader.error("premises must be (and eq*)", i)
         premises = []
-        for item in body.items[1:]:
-            lit = literal_from_sexpr(item, table, symbols, None)
+        for start, lit in reader.literals(body, None):
             if not lit.equal:
-                raise ParseError("premises must be equalities", item.line, item.col)
+                raise reader.error("premises must be equalities", start)
             premises.append(lit)
-        if isinstance(concl, SAtom) and concl.text in _FALSE_ATOMS:
+        concl = reader.skip(body)
+        if toks[concl] in _FALSE_ATOMS:
             return HornClause.make(premises, None)
-        return HornClause.make(premises, _conclusion_from_sexpr(concl, table, symbols))
-    raise ParseError(f"unexpected clause head {head!r}", sx.line, sx.col)
+        return HornClause.make(premises, _conclusion(reader, concl))
+    raise reader.error(f"unexpected clause head {head!r}", i)
 
 
 def parse_conjunction(
     text: str, table: TermTable, symbols: SymbolTable
 ) -> HornConjunction:
     """Parse formula text: 'true', a bare clause, or (and clause*)."""
-    forms = read_sexprs(text)
-    if len(forms) != 1:
+    reader = Reader(text, table, symbols)
+    toks = reader.toks
+    if not toks or reader.skip(0) != len(toks):
         raise ParseError("expected exactly one formula")
-    form = forms[0]
-    if isinstance(form, SAtom) and form.text == "true":
+    if toks[0] == "true":
         return HornConjunction(())
-    if head_of(form) == "and":
+    if toks[0] == "(" and toks[1] == "and":
         return HornConjunction.from_clauses(
-            _clause_from_sexpr(item, table, symbols) for item in form.items[1:]
+            _clause(reader, i) for i in reader.items(2, reader.close[0])
         )
-    return HornConjunction.from_clauses([_clause_from_sexpr(form, table, symbols)])
+    return HornConjunction.from_clauses([_clause(reader, 0)])

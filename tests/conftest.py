@@ -1,12 +1,29 @@
 from __future__ import annotations
 
+import re
+import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import pytest
 
-from eufinterp.core import Literal, ProblemInstance, Term, parse_problem
-from eufinterp.interpolate import HornConjunction, parse_conjunction
+from eufinterp.core import (
+    ArityError,
+    Literal,
+    OverlapError,
+    ParseError,
+    ProblemInstance,
+    SAtom,
+    Side,
+    SList,
+    SymbolTable,
+    Term,
+    TermTable,
+    format_literal,
+    head_of,
+    parse_problem,
+)
+from eufinterp.interpolate import HornClause, HornConjunction, parse_conjunction
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,6 +114,363 @@ def brute_force_closure(
     for t in terms:
         blocks.setdefault(cls[t.id], []).append(t)
     return list(blocks.values())
+
+
+HORN_MIN = "(A (= u1 (* x u0)) (= v1 (* x v0))) (B (= u0 v0) (not (= u1 v1)))\n"
+
+# CLI command, input texts, exact stderr for malformed input; every case exits
+# 2 and prints nothing.
+MALFORMED = [
+    ("interpolate", ["(A a) (B (not (= a b)))\n"], "1:4: expected a literal"),
+    ("interpolate", ["(A ()) (B (not (= a b)))\n"], "1:4: expected a literal"),
+    (
+        "interpolate",
+        ["(A ((= a b))) (B (not (= a b)))\n"],
+        "1:4: expected (= s t) or (not (= s t))",
+    ),
+    (
+        "interpolate",
+        ["(A (= (() a) b)) (B (not (= a b)))\n"],
+        "1:7: expected a function application",
+    ),
+    (
+        "interpolate",
+        ["(A (not (= a b) c)) (B)\n"],
+        "1:4: 'not' takes exactly one equality",
+    ),
+    (
+        "interpolate",
+        ["(A (= (f a) (f a b))) (B)\n"],
+        "1:14: symbol 'f' used with arity 2, previously 1",
+    ),
+    ("interpolate", ["(A (= a b))\n"], "missing (B ...) set"),
+    ("interpolate", ["(B (= a b)) (A)\n"], "1:1: expected (A ...)"),
+    (
+        "interpolate",
+        ["(declare-fun f x) (A (= a b)) (B (not (= a b)))\n"],
+        "1:1: expected (declare-fun SYMBOL ARITY)",
+    ),
+    ("interpolate", ["; c\n\t(A (= a b)\n"], "2:2: unclosed '('"),
+    ("verify", [HORN_MIN, "(=> (= u0 v0) (= u1 v1))\n"], "1:1: premises must be (and eq*)"),
+    ("verify", [HORN_MIN, "(and ((= u0 v0)))\n"], "1:6: expected a clause"),
+    ("verify", [HORN_MIN, "(and (or u0 v0))\n"], "1:6: unexpected clause head 'or'"),
+    (
+        "verify",
+        [HORN_MIN, "(and (=> (and (not (= u0 v0))) (= u1 v1)))\n"],
+        "1:15: premises must be equalities",
+    ),
+    ("game cut", ["(node n1 false (from A))\n"], "1:1: expected (theory-symbols SYMBOL*)"),
+    (
+        "game cut",
+        ["\n  (node n1 false (from A))\n"],
+        "2:3: expected (theory-symbols SYMBOL*)",
+    ),
+    ("game cut", ["(theory-symbols)\n(node n1 false foo)\n"], "2:1: malformed node tail"),
+    ("game cut", ["(theory-symbols)\n(node n1 false ())\n"], "2:1: malformed node tail"),
+    (
+        "game cut",
+        ["(theory-symbols)\n(node n1 false (bogus))\n"],
+        "2:16: unexpected node tail 'bogus'",
+    ),
+    (
+        "game interpolate",
+        ["(theory-symbols)\n(node n1 false (from C))\n"],
+        "2:16: expected (from A|B|axiom)",
+    ),
+    (
+        "game interpolate",
+        ["(theory-symbols)\n(node n1 () (from A))\n"],
+        "2:10: empty formula",
+    ),
+    (
+        "interpolate",
+        ["(A (= (f) b)) (B (not (= f b)))\n"],
+        "1:7: application of 'f' has no arguments",
+    ),
+    ("verify", [HORN_MIN, "(and (not (= a a)))\n"], "1:6: reflexive disequality (not (= a a))"),
+    (
+        "verify",
+        [HORN_MIN, "(=> (and (= a a)) (not (= b b)))\n"],
+        "1:19: reflexive disequality (not (= b b))",
+    ),
+    (
+        "interpolate",
+        ["(declare-fun f \u00b2) (A (= a b)) (B (not (= a b)))\n"],
+        "1:1: expected (declare-fun SYMBOL ARITY)",
+    ),
+    (
+        "interpolate",
+        [f"(declare-fun f {'9' * 5000}) (A (= a b)) (B (not (= a b)))\n"],
+        "1:1: expected (declare-fun SYMBOL ARITY)",
+    ),
+    ("interpolate", ["(A (= a b))) (B)\n"], "1:12: unbalanced ')'"),
+    (
+        "interpolate",
+        ["(A (not (not (not (= a b))))) (B)\n"],
+        "1:9: double negation is not allowed",
+    ),
+    (
+        "interpolate",
+        ["(A (= a b)) (B (not (= b a)) (= a b))\n"],
+        "1:30: literal (= a b) occurs in both A and B",
+    ),
+    ("interpolate", ["(A (= (f a) f)) (B)\n"], "symbol 'f' used with arity 0, previously 1"),
+    ("interpolate", ["(A (= (f a) (f a b) c)) (B)\n"], "1:4: '=' takes exactly two terms"),
+    ("verify", [HORN_MIN, "(= u0 v0) (= u1 v1)\n"], "expected exactly one formula"),
+    ("verify", [HORN_MIN, "(and (=> (and) (= u1 v1) x))\n"], "1:6: '=>' takes premises and a conclusion"),
+]
+
+
+# The reference reader: the two-stage chain the library used before it read
+# tokens straight into terms.  Text becomes an s-expression tree with a
+# position on every node, and a recursive walk interns the tree's terms.
+
+_REF_TOKEN = re.compile(r"[()]|[^\s();]+")
+
+
+def _reference_tokenize(text: str) -> Iterator[tuple[str, int, int]]:
+    for line, source in enumerate(text.split("\n"), 1):
+        for match in _REF_TOKEN.finditer(source.partition(";")[0]):
+            yield match[0], line, match.start() + 1
+
+
+def reference_read_sexprs(text: str) -> list[SAtom | SList]:
+    stack: list[tuple[list, int, int]] = []
+    top: list[SAtom | SList] = []
+    for token, line, col in _reference_tokenize(text):
+        if token == "(":
+            stack.append(([], line, col))
+        elif token == ")":
+            if not stack:
+                raise ParseError("unbalanced ')'", line, col)
+            items, oline, ocol = stack.pop()
+            node = SList(tuple(items), oline, ocol)
+            (stack[-1][0] if stack else top).append(node)
+        else:
+            node = SAtom(token, line, col)
+            (stack[-1][0] if stack else top).append(node)
+    if stack:
+        _, oline, ocol = stack[-1]
+        raise ParseError("unclosed '('", oline, ocol)
+    return top
+
+
+def reference_term(
+    sx: SAtom | SList, table: TermTable, symbols: SymbolTable, side: Side | None
+) -> Term:
+    if isinstance(sx, SAtom):
+        symbols.declare(sx.text, 0, side)
+        return table.make(sx.text)
+    if head_of(sx) is None:
+        raise ParseError("expected a function application", sx.line, sx.col)
+    head = sx.items[0]
+    if len(sx.items) == 1:
+        raise ParseError(f"application of {head.text!r} has no arguments", sx.line, sx.col)
+    args = [reference_term(item, table, symbols, side) for item in sx.items[1:]]
+    try:
+        symbols.declare(head.text, len(args), side)
+    except ArityError as exc:
+        raise ArityError(str(exc), head.line, head.col) from None
+    return table.make(head.text, args)
+
+
+def reference_literal(
+    sx: SAtom | SList, table: TermTable, symbols: SymbolTable, side: Side | None
+) -> Literal:
+    if not isinstance(sx, SList) or not sx.items:
+        raise ParseError("expected a literal", sx.line, sx.col)
+    head = head_of(sx)
+    if head == "=":
+        if len(sx.items) != 3:
+            raise ParseError("'=' takes exactly two terms", sx.line, sx.col)
+        lhs = reference_term(sx.items[1], table, symbols, side)
+        rhs = reference_term(sx.items[2], table, symbols, side)
+        return Literal.make(lhs, rhs, equal=True)
+    if head == "not":
+        if len(sx.items) != 2:
+            raise ParseError("'not' takes exactly one equality", sx.line, sx.col)
+        inner = reference_literal(sx.items[1], table, symbols, side)
+        if not inner.equal:
+            raise ParseError("double negation is not allowed", sx.line, sx.col)
+        return inner.negated()
+    raise ParseError("expected (= s t) or (not (= s t))", sx.line, sx.col)
+
+
+def reference_parse_problem(text: str) -> ProblemInstance:
+    """The problem parser of the two-stage chain.
+
+    An arity in a declare-fun form is a decimal numeral that ``int`` reads.
+    """
+    forms = reference_read_sexprs(text)
+    table = TermTable()
+    symbols = SymbolTable()
+
+    idx = 0
+    while idx < len(forms):
+        form = forms[idx]
+        if head_of(form) == "declare-fun":
+            if (
+                len(form.items) != 3
+                or not isinstance(form.items[1], SAtom)
+                or not isinstance(form.items[2], SAtom)
+                or not form.items[2].text.isdecimal()
+                or len(form.items[2].text) > sys.get_int_max_str_digits() > 0
+            ):
+                raise ParseError(
+                    "expected (declare-fun SYMBOL ARITY)", form.line, form.col
+                )
+            try:
+                symbols.declare(form.items[1].text, int(form.items[2].text))
+            except ArityError as exc:
+                raise ArityError(str(exc), form.line, form.col) from None
+            idx += 1
+        else:
+            break
+
+    sets: dict[Side, list[Literal]] = {Side.A: [], Side.B: []}
+    seen: dict[Literal, Side] = {}
+    for side in (Side.A, Side.B):
+        if idx >= len(forms):
+            raise ParseError(f"missing ({side.value} ...) set")
+        form = forms[idx]
+        idx += 1
+        if head_of(form) != side.value:
+            raise ParseError(f"expected ({side.value} ...)", form.line, form.col)
+        for raw in form.items[1:]:
+            lit = reference_literal(raw, table, symbols, side)
+            previous = seen.get(lit)
+            if previous is None:
+                seen[lit] = side
+                sets[side].append(lit)
+            elif previous is not side:
+                raise OverlapError(
+                    f"literal {format_literal(lit)} occurs in both A and B",
+                    raw.line,
+                    raw.col,
+                )
+    if idx != len(forms):
+        extra = forms[idx]
+        raise ParseError("unexpected form after (B ...)", extra.line, extra.col)
+    return ProblemInstance(table, symbols, tuple(sets[Side.A]), tuple(sets[Side.B]))
+
+
+_FALSE_ATOMS = ("false", "false'")
+
+
+def _reference_conclusion(sx, table: TermTable, symbols: SymbolTable) -> Literal:
+    lit = reference_literal(sx, table, symbols, None)
+    if not lit.equal and lit.trivial:
+        raise ParseError(f"reflexive disequality {format_literal(lit)}", sx.line, sx.col)
+    return lit
+
+
+def _reference_clause(sx, table: TermTable, symbols: SymbolTable) -> HornClause | None:
+    if isinstance(sx, SAtom):
+        if sx.text in _FALSE_ATOMS:
+            return HornClause.make((), None)
+        raise ParseError(f"unexpected atom {sx.text!r} in formula", sx.line, sx.col)
+    head = head_of(sx)
+    if head is None:
+        raise ParseError("expected a clause", sx.line, sx.col)
+    if head in ("=", "not"):
+        return HornClause.make((), _reference_conclusion(sx, table, symbols))
+    if head == "=>":
+        if len(sx.items) != 3:
+            raise ParseError("'=>' takes premises and a conclusion", sx.line, sx.col)
+        body, concl = sx.items[1], sx.items[2]
+        if head_of(body) != "and":
+            raise ParseError("premises must be (and eq*)", sx.line, sx.col)
+        premises = []
+        for item in body.items[1:]:
+            lit = reference_literal(item, table, symbols, None)
+            if not lit.equal:
+                raise ParseError("premises must be equalities", item.line, item.col)
+            premises.append(lit)
+        if isinstance(concl, SAtom) and concl.text in _FALSE_ATOMS:
+            return HornClause.make(premises, None)
+        return HornClause.make(premises, _reference_conclusion(concl, table, symbols))
+    raise ParseError(f"unexpected clause head {head!r}", sx.line, sx.col)
+
+
+def reference_parse_conjunction(
+    text: str, table: TermTable, symbols: SymbolTable
+) -> HornConjunction:
+    forms = reference_read_sexprs(text)
+    if len(forms) != 1:
+        raise ParseError("expected exactly one formula")
+    form = forms[0]
+    if isinstance(form, SAtom) and form.text == "true":
+        return HornConjunction(())
+    if head_of(form) == "and":
+        return HornConjunction.from_clauses(
+            _reference_clause(item, table, symbols) for item in form.items[1:]
+        )
+    return HornConjunction.from_clauses([_reference_clause(form, table, symbols)])
+
+
+def table_snapshot(problem) -> tuple:
+    """Term table (id, head, argument ids) and symbol table, in order."""
+    terms = [(t.id, t.head, tuple(a.id for a in t.args)) for t in problem.table]
+    symbols = [
+        (name, info.arity, info.occurs_in_a, info.occurs_in_b)
+        for name, info in problem.symbols.info.items()
+    ]
+    return terms, symbols
+
+
+def literal_key(lit) -> tuple:
+    return lit.lhs.id, lit.rhs.id, lit.equal
+
+
+def parse_outcome(parse, *args):
+    """What a parser gives: its value, or the error's class, text and position."""
+    try:
+        return "ok", parse(*args)
+    except ParseError as exc:
+        return "error", type(exc), str(exc), exc.line, exc.col
+
+
+def problem_outcome(parse, text: str):
+    outcome = parse_outcome(parse, text)
+    if outcome[0] == "error":
+        return outcome
+    problem = outcome[1]
+    return (
+        "ok",
+        table_snapshot(problem),
+        [literal_key(lit) for lit in problem.a_literals],
+        [literal_key(lit) for lit in problem.b_literals],
+    )
+
+
+def conjunction_outcome(parse_prob, parse_conj, problem_text: str, text: str):
+    """Parse the problem, then the formula against its tables."""
+    problem = parse_prob(problem_text)
+    outcome = parse_outcome(parse_conj, text, problem.table, problem.symbols)
+    if outcome[0] == "error":
+        return outcome
+    clauses = [
+        (
+            [literal_key(p) for p in c.premises],
+            None if c.conclusion is None else literal_key(c.conclusion),
+        )
+        for c in outcome[1].clauses
+    ]
+    return "ok", clauses, table_snapshot(problem)
+
+
+def assert_readers_agree(problem_text: str, formula_text: str | None = None) -> None:
+    ours = problem_outcome(parse_problem, problem_text)
+    assert ours == problem_outcome(reference_parse_problem, problem_text), problem_text
+    if formula_text is not None and ours[0] == "ok":
+        assert conjunction_outcome(
+            parse_problem, parse_conjunction, problem_text, formula_text
+        ) == conjunction_outcome(
+            reference_parse_problem,
+            reference_parse_conjunction,
+            problem_text,
+            formula_text,
+        ), formula_text
 
 
 @pytest.fixture

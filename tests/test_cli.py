@@ -8,7 +8,7 @@ import pytest
 
 from eufinterp.cli import main
 
-from conftest import DATA, alternating_proof
+from conftest import DATA, MALFORMED, alternating_proof
 
 
 def run_cli(capsys, *argv):
@@ -73,85 +73,6 @@ def test_parse_error_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "interpolate", str(path))
     assert code == 2
     assert "error" in err
-
-
-HORN_MIN = "(A (= u1 (* x u0)) (= v1 (* x v0))) (B (= u0 v0) (not (= u1 v1)))\n"
-
-# Exact stderr for malformed input; every case exits 2 and prints nothing.
-MALFORMED = [
-    ("interpolate", ["(A a) (B (not (= a b)))\n"], "1:4: expected a literal"),
-    ("interpolate", ["(A ()) (B (not (= a b)))\n"], "1:4: expected a literal"),
-    (
-        "interpolate",
-        ["(A ((= a b))) (B (not (= a b)))\n"],
-        "1:4: expected (= s t) or (not (= s t))",
-    ),
-    (
-        "interpolate",
-        ["(A (= (() a) b)) (B (not (= a b)))\n"],
-        "1:7: expected a function application",
-    ),
-    (
-        "interpolate",
-        ["(A (not (= a b) c)) (B)\n"],
-        "1:4: 'not' takes exactly one equality",
-    ),
-    (
-        "interpolate",
-        ["(A (= (f a) (f a b))) (B)\n"],
-        "1:14: symbol 'f' used with arity 2, previously 1",
-    ),
-    ("interpolate", ["(A (= a b))\n"], "missing (B ...) set"),
-    ("interpolate", ["(B (= a b)) (A)\n"], "1:1: expected (A ...)"),
-    (
-        "interpolate",
-        ["(declare-fun f x) (A (= a b)) (B (not (= a b)))\n"],
-        "1:1: expected (declare-fun SYMBOL ARITY)",
-    ),
-    ("interpolate", ["; c\n\t(A (= a b)\n"], "2:2: unclosed '('"),
-    ("verify", [HORN_MIN, "(=> (= u0 v0) (= u1 v1))\n"], "1:1: premises must be (and eq*)"),
-    ("verify", [HORN_MIN, "(and ((= u0 v0)))\n"], "1:6: expected a clause"),
-    ("verify", [HORN_MIN, "(and (or u0 v0))\n"], "1:6: unexpected clause head 'or'"),
-    (
-        "verify",
-        [HORN_MIN, "(and (=> (and (not (= u0 v0))) (= u1 v1)))\n"],
-        "1:15: premises must be equalities",
-    ),
-    ("game cut", ["(node n1 false (from A))\n"], "1:1: expected (theory-symbols SYMBOL*)"),
-    (
-        "game cut",
-        ["\n  (node n1 false (from A))\n"],
-        "2:3: expected (theory-symbols SYMBOL*)",
-    ),
-    ("game cut", ["(theory-symbols)\n(node n1 false foo)\n"], "2:1: malformed node tail"),
-    ("game cut", ["(theory-symbols)\n(node n1 false ())\n"], "2:1: malformed node tail"),
-    (
-        "game cut",
-        ["(theory-symbols)\n(node n1 false (bogus))\n"],
-        "2:16: unexpected node tail 'bogus'",
-    ),
-    (
-        "game interpolate",
-        ["(theory-symbols)\n(node n1 false (from C))\n"],
-        "2:16: expected (from A|B|axiom)",
-    ),
-    (
-        "game interpolate",
-        ["(theory-symbols)\n(node n1 () (from A))\n"],
-        "2:10: empty formula",
-    ),
-    (
-        "interpolate",
-        ["(A (= (f) b)) (B (not (= f b)))\n"],
-        "1:7: application of 'f' has no arguments",
-    ),
-    ("verify", [HORN_MIN, "(and (not (= a a)))\n"], "1:6: reflexive disequality (not (= a a))"),
-    (
-        "verify",
-        [HORN_MIN, "(=> (and (= a a)) (not (= b b)))\n"],
-        "1:19: reflexive disequality (not (= b b))",
-    ),
-]
 
 
 @pytest.mark.parametrize("command, texts, message", MALFORMED)
@@ -287,21 +208,37 @@ def test_game_stats_is_an_interpolate_option(capsys):
 
 
 @pytest.mark.parametrize("command", ["interpolate", "verify"])
-def test_deeply_nested_term_exits_2(capsys, tmp_path, command):
-    depth = 5000
+def test_deeply_nested_term_is_read_and_printed(capsys, tmp_path, command):
+    # Far past the interpreter's recursion limit: terms are read and printed
+    # on explicit stacks.
+    depth = 10_000
     deep = "(f " * depth + "a" + ")" * depth
     problem, interpolant = tmp_path / "problem.euf", tmp_path / "interpolant"
-    if command == "interpolate":
-        problem.write_text(f"(A (= b {deep})) (B (not (= b a)))\n")
-        argv = [command, str(problem)]
-    else:
-        problem.write_text("(A (= b a)) (B (not (= b a)))\n")
-        interpolant.write_text(f"(= b {deep})\n")
-        argv = [command, str(problem), str(interpolant)]
+    problem.write_text(f"(A (= b {deep})) (B (= c {deep}) (not (= b c)))\n")
+    argv = [command, str(problem)]
+    if command == "verify":
+        interpolant.write_text(f"(and (= b {deep}))\n")
+        argv.append(str(interpolant))
     code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err == "error: input nested too deeply\n"
+    assert (code, err) == (0, "")
+    if command == "interpolate":
+        assert out == f"(and (= b {deep}))\n"
+    else:
+        assert json.loads(out.splitlines()[-1]) == {"accepted": True, "failures": []}
+
+
+def test_deeply_nested_proof_formula_exits_2(capsys, tmp_path):
+    # Proof formulas are still read recursively.
+    depth = 5000
+    path = tmp_path / "deep.proof"
+    path.write_text(
+        "(theory-symbols)\n"
+        f"(node n1 {'(p ' * depth}a{')' * depth} (from A))\n"
+        "(node n2 (q a) (from B))\n"
+        "(node root false (premises n1 n2))\n"
+    )
+    code, out, err = run_cli(capsys, "game", "cut", str(path))
+    assert (code, out, err) == (2, "", "error: input nested too deeply\n")
 
 
 def test_game_rejects_non_local_proof(capsys, tmp_path):

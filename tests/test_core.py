@@ -17,8 +17,10 @@ from eufinterp.core import (
     parse_problem,
     subterm_closure,
 )
+from eufinterp.generate import FAMILIES, generate
+from eufinterp.interpolate import format_conjunction, interpolate
 
-from conftest import load_problem
+from conftest import MALFORMED, assert_readers_agree, load_problem, load_text
 
 
 def test_parse_smallest_unsat_instance():
@@ -165,3 +167,37 @@ def test_literal_normalization_and_negation():
     assert Literal.make(b, a) == Literal.make(a, b)
     assert Literal.make(a, b).negated() == Literal.make(b, a, equal=False)
     assert Literal.make(a, a).trivial
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_reader_matches_the_reference_on_generated_instances(family):
+    for size in range(2, 61):
+        for seed in range(3):
+            text = generate(family, size, seed).text
+            formula = format_conjunction(interpolate(parse_problem(text)).interpolant)
+            assert_readers_agree(text, formula)
+
+
+def test_reader_matches_the_reference_on_malformed_input():
+    for command, texts, _ in MALFORMED:
+        if command == "interpolate":
+            assert_readers_agree(texts[0])
+        elif command == "verify":
+            assert_readers_agree(*texts)
+    for formula in ["true", "false", "(and false')", "(=> (and) false)", "", "(and)"]:
+        assert_readers_agree(load_text("horn_min.euf"), formula)
+
+
+def test_reader_declares_and_notes_symbols_in_one_walk():
+    p = parse_problem("(declare-fun g 2) (A (= (f a) (g a b))) (B (not (= (f a) c)))")
+    info = p.symbols.info
+    assert list(info) == ["g", "a", "f", "b", "c"]
+    assert [(info[n].arity, info[n].occurs_in_a, info[n].occurs_in_b) for n in info] == [
+        (2, True, False),
+        (0, True, True),
+        (1, True, True),
+        (0, True, False),
+        (0, False, True),
+    ]
+    assert [t.id for t in p.table] == list(range(len(p.table)))
+    assert [format_term(t) for t in p.table] == ["a", "(f a)", "b", "(g a b)", "c"]

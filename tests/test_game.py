@@ -29,7 +29,7 @@ from eufinterp.game import (
     run_from_cut,
 )
 from eufinterp.generate import generate
-from eufinterp.interpolate import parse_conjunction
+from eufinterp.interpolate import format_conjunction, interpolate, parse_conjunction
 from eufinterp.verify import check_interpolant, euf_entails, unsat_with_horn
 
 from conftest import alternating_proof, load_problem, load_text
@@ -750,6 +750,24 @@ class TestBridge:
             format_game_interpolant(game_interpolant(run)), p.table, p.symbols
         )
         assert len(horn.clauses) == 201
+        assert check_interpolant(p, horn).accepted
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(A (= a and) (= and c)) (B (not (= a c)))",
+            "(A (= a false) (= false c)) (B (not (= a c)))",
+            "(A (= a (forall c t)) (= (forall c t) d)) (B (not (= (g a t) (g d t))))",
+        ],
+    )
+    def test_bridge_takes_label_symbols_from_the_term_table(self, text):
+        # Problem symbols spelled like logical tokens, and a term that reads
+        # like a binder, keep all their symbols: the cut stays shared.
+        p = parse_problem(text)
+        _, run = bridge_run(p)
+        game_text = format_game_interpolant(game_interpolant(run))
+        assert game_text == format_conjunction(interpolate(p).interpolant)
+        horn = parse_conjunction(game_text, p.table, p.symbols)
         assert check_interpolant(p, horn).accepted
 
     def test_bridge_interpolants_check_out_semantically(self):

@@ -7,7 +7,6 @@ import pytest
 
 from eufinterp.core import (
     Literal,
-    Side,
     TermTable,
     format_literal,
     parse_problem,
@@ -375,9 +374,8 @@ class TestCheckInterpolant:
         # table that marks every symbol shared does not let an A-local atom in.
         p = parse_problem("(A (= a c1) (= a c2)) (B (not (= c1 c2)))")
         horn = parse_conjunction("(and (= a c1) (= a c2))", p.table, p.symbols)
-        for name in p.symbols.info:
-            p.symbols.note_occurrence(name, Side.A)
-            p.symbols.note_occurrence(name, Side.B)
+        for info in p.symbols.info.values():
+            info.occurs_in_a = info.occurs_in_b = True
         report = check_interpolant(p, horn)
         assert report.a_entails_i and report.b_i_unsat
         assert not report.shared_signature_ok
