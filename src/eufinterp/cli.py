@@ -24,7 +24,6 @@ from .game import (
     InvalidCutError,
     NonLocalProofError,
     ProofError,
-    format_formula,
     format_game_interpolant,
     game_interpolant,
     local_cut,
@@ -160,11 +159,11 @@ def _cmd_game(args) -> int:
     try:
         tree, t_a, t_b = local_cut(parse_proof(_read_input(args.proof)))
     except NonLocalProofError as exc:
-        print(f"proof is not local at {format_formula(exc.step)}", file=sys.stderr)
+        print(f"proof is not local at {format_term(exc.step)}", file=sys.stderr)
         return 1
     if args.game_command == "cut":
-        print("T_A: " + " ".join(format_formula(f) for f in t_a))
-        print("T_B: " + " ".join(format_formula(f) for f in t_b))
+        print("T_A: " + " ".join(format_term(f) for f in t_a))
+        print("T_B: " + " ".join(format_term(f) for f in t_b))
         return 0
     run = run_from_cut(tree, t_a, t_b)
     print(format_game_interpolant(game_interpolant(run)))

@@ -207,27 +207,6 @@ class OverlapError(ParseError):
     """The same literal appears in both input sets."""
 
 
-@dataclass(frozen=True)
-class SAtom:
-    text: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class SList:
-    items: tuple
-    line: int
-    col: int
-
-
-def head_of(sx: SAtom | SList) -> str | None:
-    """Text of the first item of a list that starts with an atom, else None."""
-    if isinstance(sx, SList) and sx.items and isinstance(sx.items[0], SAtom):
-        return sx.items[0].text
-    return None
-
-
 # A parenthesis, an atom, or a ";" comment, which runs to the end of its line.
 _TOKEN = re.compile(r"[()]|[^\s();]+|;[^\n]*")
 
@@ -238,30 +217,8 @@ def _tokenize(text: str) -> Iterator[tuple[str, int, int]]:
             yield match[0], line, match.start() + 1
 
 
-def read_sexprs(text: str) -> list[SAtom | SList]:
-    """Read all top-level s-expressions, with positions for error reporting."""
-    stack: list[tuple[list, int, int]] = []
-    top: list[SAtom | SList] = []
-    for token, line, col in _tokenize(text):
-        if token == "(":
-            stack.append(([], line, col))
-        elif token == ")":
-            if not stack:
-                raise ParseError("unbalanced ')'", line, col)
-            items, oline, ocol = stack.pop()
-            node = SList(tuple(items), oline, ocol)
-            (stack[-1][0] if stack else top).append(node)
-        else:
-            node = SAtom(token, line, col)
-            (stack[-1][0] if stack else top).append(node)
-    if stack:
-        _, oline, ocol = stack[-1]
-        raise ParseError("unclosed '('", oline, ocol)
-    return top
-
-
 class Reader:
-    """Problem or formula text read straight from tokens into hash-consed terms.
+    """Problem, formula or proof text read straight from tokens into terms.
 
     The text is split into tokens once, comments dropped.  One pass over them
     then checks the parentheses and records where each list closes, so a
@@ -269,10 +226,11 @@ class Reader:
     items are read.  Token ``k``'s position is worked out only for an error,
     by scanning the text again up to it.  Items are addressed by token index:
     each reading method takes the index where its item starts and returns the
-    index just past it along with what it read.
+    index just past it along with what it read.  Without a symbol table, as
+    for proof files, terms are interned without declaring their symbols.
     """
 
-    def __init__(self, text: str, table: TermTable, symbols: SymbolTable) -> None:
+    def __init__(self, text: str, table: TermTable, symbols: SymbolTable | None) -> None:
         self.text = text
         self.table = table
         self.symbols = symbols
@@ -322,14 +280,17 @@ class Reader:
 
         Arguments are interned before their application, left to right.  Each
         symbol is declared with its arity as it is met and, with a ``side``,
-        noted as occurring on it.
+        noted as occurring on it.  Without a symbol table nothing is declared,
+        and ``()`` is an empty formula.
         """
-        toks = self.toks
+        toks, symbols = self.toks, self.symbols
         frames: list[tuple[int, str, list[Term]]] = []  # "(" index, head, arguments
         while True:
             tok = toks[i]
             if tok == "(":
                 head = toks[i + 1]
+                if head == ")" and symbols is None:
+                    raise self.error("empty formula", i)
                 if head == "(" or head == ")":
                     raise self.error("expected a function application", i)
                 if toks[i + 2] == ")":
@@ -339,13 +300,15 @@ class Reader:
                 continue
             if tok == ")":
                 start, head, args = frames.pop()
-                try:
-                    self.symbols.declare(head, len(args), side)
-                except ArityError as exc:
-                    raise self.error(str(exc), start + 1, ArityError) from None
+                if symbols is not None:
+                    try:
+                        symbols.declare(head, len(args), side)
+                    except ArityError as exc:
+                        raise self.error(str(exc), start + 1, ArityError) from None
                 term = self.table.make(head, args)
             else:
-                self.symbols.declare(tok, 0, side)
+                if symbols is not None:
+                    symbols.declare(tok, 0, side)
                 term = self.table.make(tok)
             i += 1
             if not frames:

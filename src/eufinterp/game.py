@@ -6,73 +6,45 @@ into single-side subproofs; the cut nodes, with the opposite-side cut leaves
 of each piece as premises, form a run of the two-prover interpolation game,
 and the interpolant falls out of the run's premise bookkeeping.
 
-Formulas here are opaque symbol trees; only symbol occurrences matter.
-Ground equality problems can be bridged in: a colored congruence graph
-unfolds into a local refutation whose inference steps are the factor
-summaries and derived-edge congruences.
+Formulas here are opaque: each label is a hash-consed ``Term`` of a
+``TermTable`` that the proof owns, so labels are hashed and compared by
+identity, and only symbol occurrences matter.  Ground equality problems can
+be bridged in: a colored congruence graph unfolds into a local refutation
+whose inference steps are the factor summaries and derived-edge congruences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 from .coloring import Factor, Strategy
 from .congruence import Edge, Path
-from .core import (
-    ParseError,
-    ProblemInstance,
-    SAtom,
-    SList,
-    Side,
-    Term,
-    head_of,
-    read_sexprs,
-)
+from .core import ParseError, ProblemInstance, Reader, Side, Term, TermTable, format_term
 from .interpolate import build_colored_graph
-
-Formula = Union[str, tuple]
 
 LOGICAL_TOKENS = frozenset(
     {"true", "false", "false'", "and", "or", "not", "=>", "<=>", "=", "!=",
      "forall", "exists"}
 )
 
-FALSE: Formula = "false"
 
+def _own_free_symbols(term: Term, frees: dict[Term, frozenset[str]]) -> frozenset[str]:
+    """Non-logical symbols of ``term`` from its arguments' entries in ``frees``.
 
-def formula_from_sexpr(sx: SAtom | SList) -> Formula:
-    if isinstance(sx, SAtom):
-        return sx.text
-    if not sx.items:
-        raise ParseError("empty formula", sx.line, sx.col)
-    return tuple(formula_from_sexpr(item) for item in sx.items)
-
-
-def format_formula(f: Formula) -> str:
-    if isinstance(f, str):
-        return f
-    return "(" + " ".join(format_formula(item) for item in f) + ")"
-
-
-def free_symbols(f: Formula, bound: frozenset[str] = frozenset()) -> frozenset[str]:
-    """Non-logical symbols of a formula; quantified variables are bound."""
-    if isinstance(f, str):
-        if f in LOGICAL_TOKENS or f in bound:
-            return frozenset()
-        return frozenset((f,))
-    if len(f) == 3 and f[0] in ("forall", "exists") and isinstance(f[1], str):
-        return free_symbols(f[2], bound | {f[1]})
-    out: frozenset[str] = frozenset()
-    for item in f:
-        out |= free_symbols(item, bound)
-    return out
+    ``(forall v BODY)`` and ``(exists v BODY)`` bind ``v``.
+    """
+    head, args = term.head, term.args
+    if head in ("forall", "exists") and len(args) == 2 and not args[0].args:
+        return frees[args[1]] - {args[0].head}
+    own = frozenset() if head in LOGICAL_TOKENS else frozenset((head,))
+    return own.union(*(frees[a] for a in args))
 
 
 @dataclass
 class LabelNode:
-    formula: Formula
-    premises: tuple[Formula, ...]
+    formula: Term
+    premises: tuple[Term, ...]
     origin: str | None  # "A" | "B" | "axiom" for leaves, None for inferences
 
     @property
@@ -87,9 +59,9 @@ class ProofError(ValueError):
 class NonLocalProofError(ProofError):
     """An inference step mixes A-local and B-local symbols."""
 
-    def __init__(self, step: Formula):
+    def __init__(self, step: Term):
         self.step = step
-        super().__init__(f"inference step at {format_formula(step)} is not local")
+        super().__init__(f"inference step at {format_term(step)} is not local")
 
 
 class InvalidCutError(ValueError):
@@ -126,88 +98,88 @@ def _post_order(root, children, value, memo: dict, cycle: Callable[..., Exceptio
 class ProofTree:
     """A local-refutation candidate, collapsed to one node per label.
 
+    Labels are terms of ``table``, and the root is the term ``false``.
     Reachability comes from one post-order pass over the DAG, made on first
     use: every label gets a bitmask of the labels strictly below it, bit
     ``i`` standing for the ``i``-th label of ``nodes``.  The pass runs on an
     explicit stack, and a label reachable from itself raises ``ProofError``.
-    ``frees`` caches each label's free symbols, read by ``free_symbols``
-    where a label is missing; trees over the same labels may share it.  Each
-    label's fit to the two signatures is cached as two bits: bit 1 for A,
-    bit 2 for B.
+    ``frees`` maps terms of ``table`` to their free symbols; it is completed
+    at construction with every term it lacks, in id order, so an argument's
+    entry is made before its application's.  Trees over one table may share
+    it.  Each label's fit to the two signatures is cached as two bits: bit 1
+    for A, bit 2 for B.
     """
 
     def __init__(
         self,
         theory_symbols: frozenset[str],
-        nodes: dict[Formula, LabelNode],
-        root: Formula,
-        frees: dict[Formula, frozenset[str]] | None = None,
+        nodes: dict[Term, LabelNode],
+        root: Term,
+        table: TermTable,
+        frees: dict[Term, frozenset[str]] | None = None,
     ):
         self.theory_symbols = theory_symbols
         self.nodes = nodes
         self.root = root
-        self._frees = {} if frees is None else frees
+        self.table = table
+        self.frees = frees = {} if frees is None else frees
+        for term in table:
+            if term not in frees:
+                frees[term] = _own_free_symbols(term, frees)
         self.sigma_a, self.sigma_b = (
             frozenset().union(
-                *(self._free(n.formula) for n in nodes.values() if n.origin == side)
+                *(frees[n.formula] for n in nodes.values() if n.origin == side)
             )
             - theory_symbols
             for side in ("A", "B")
         )
         self._a_symbols = theory_symbols | self.sigma_a
         self._b_symbols = theory_symbols | self.sigma_b
-        self._fits: dict[Formula, int] = {}
-        self._reach: tuple[dict[Formula, int], list[int]] | None = None
+        self._fits: dict[Term, int] = {}
+        self._reach: tuple[dict[Term, int], list[int]] | None = None
 
-    def _free(self, label: Formula) -> frozenset[str]:
-        cached = self._frees.get(label)
-        if cached is None:
-            cached = free_symbols(label)
-            self._frees[label] = cached
-        return cached
-
-    def _fit(self, label: Formula) -> int:
+    def _fit(self, label: Term) -> int:
         fit = self._fits.get(label)
         if fit is None:
-            free = self._free(label)
+            free = self.frees[label]
             fit = (free <= self._a_symbols) | (free <= self._b_symbols) << 1
             self._fits[label] = fit
         return fit
 
-    def a_colorable(self, label: Formula) -> bool:
+    def a_colorable(self, label: Term) -> bool:
         return self._fit(label) & 1 == 1
 
-    def b_colorable(self, label: Formula) -> bool:
+    def b_colorable(self, label: Term) -> bool:
         return self._fit(label) & 2 == 2
 
-    def ab_colorable(self, label: Formula) -> bool:
+    def ab_colorable(self, label: Term) -> bool:
         return self._fit(label) == 3
 
-    def reach(self) -> tuple[dict[Formula, int], list[int]]:
+    def reach(self) -> tuple[dict[Term, int], list[int]]:
         """``(index, below)``: each label's bit, and per bit the strict-below mask."""
         if self._reach is None:
             nodes = self.nodes
             index = {label: i for i, label in enumerate(nodes)}
-            memo: dict[Formula, int] = {}
+            memo: dict[Term, int] = {}
 
-            def premises(label: Formula) -> tuple[Formula, ...]:
+            def premises(label: Term) -> tuple[Term, ...]:
                 return nodes[label].premises
 
-            def below(label: Formula) -> int:
+            def below(label: Term) -> int:
                 mask = 0
                 for prem in nodes[label].premises:
                     mask |= memo[prem] | 1 << index[prem]
                 return mask
 
-            def cycle(label: Formula) -> ProofError:
-                return ProofError(f"cyclic proof through {format_formula(label)}")
+            def cycle(label: Term) -> ProofError:
+                return ProofError(f"cyclic proof through {format_term(label)}")
 
             for label in nodes:
                 _post_order(label, premises, below, memo, cycle)
             self._reach = index, [memo[label] for label in nodes]
         return self._reach
 
-    def precedes(self, phi: Formula, psi: Formula) -> bool:
+    def precedes(self, phi: Term, psi: Term) -> bool:
         """``phi`` lies strictly below ``psi``."""
         index, below = self.reach()
         return below[index[psi]] >> index[phi] & 1 == 1
@@ -217,97 +189,93 @@ def parse_proof(text: str) -> ProofTree:
     """Parse a proof file: a theory-symbols header, then node forms.
 
     Leaves carry ``(from A|B|axiom)``; inferences carry ``(premises ID+)``.
-    The root is the unique node no other node uses, and must be labelled
-    false.  Nodes sharing a label must root structurally identical subtrees.
-    Once no id cycle is reachable from a node, that is a local check: in an
-    acyclic proof, nodes sharing a label root identical subtrees exactly when
-    every such node has the same origin and premise labels (by induction on
-    the sum of the two heights).  So each node is compared with the first
-    node of its label as ids collapse to labels.
+    Formulas are read by ``core.Reader`` into the tree's own term table, with
+    no arity check.  The root is the unique node no other node uses, and must
+    be labelled false.  Nodes sharing a label must root structurally
+    identical subtrees.  Once no id cycle is reachable from a node, that is a
+    local check: in an acyclic proof, nodes sharing a label root identical
+    subtrees exactly when every such node has the same origin and premise
+    labels (by induction on the sum of the two heights).  So each node is
+    compared with the first node of its label as ids collapse to labels.
     """
-    forms = read_sexprs(text)
-    if not forms:
+    table = TermTable()
+    reader = Reader(text, table, None)
+    toks, close = reader.toks, reader.close
+    if not toks:
         raise ParseError("empty proof")
-    header = forms[0]
-    if head_of(header) != "theory-symbols":
-        raise ParseError("expected (theory-symbols SYMBOL*)", header.line, header.col)
+    if toks[0] != "(" or toks[1] != "theory-symbols":
+        raise reader.error("expected (theory-symbols SYMBOL*)", 0)
     theory = []
-    for item in header.items[1:]:
-        if not isinstance(item, SAtom):
-            raise ParseError("theory symbols must be atoms", item.line, item.col)
-        theory.append(item.text)
+    for k in reader.items(2, close[0]):
+        if toks[k] == "(":
+            raise reader.error("theory symbols must be atoms", k)
+        theory.append(toks[k])
 
-    raw: dict[str, tuple[Formula, tuple[str, ...] | None, str | None]] = {}
-    order: list[str] = []
-    for form in forms[1:]:
+    # node id -> label, token indices of the premise ids, origin
+    raw: dict[str, tuple[Term, tuple[int, ...], str | None]] = {}
+    i = close[0] + 1
+    while i < len(toks):
         if (
-            head_of(form) != "node"
-            or len(form.items) != 4
-            or not isinstance(form.items[1], SAtom)
+            toks[i] != "("
+            or toks[i + 1] != "node"
+            or reader.count(i) != 4
+            or toks[i + 2] == "("
         ):
-            raise ParseError(
-                "expected (node ID FORMULA (from ...)|(premises ...))",
-                form.line,
-                form.col,
-            )
-        node_id = form.items[1].text
+            raise reader.error("expected (node ID FORMULA (from ...)|(premises ...))", i)
+        node_id = toks[i + 2]
         if node_id in raw:
-            raise ParseError(f"node id {node_id!r} redefined", form.line, form.col)
-        formula = formula_from_sexpr(form.items[2])
-        tail = form.items[3]
-        kind = head_of(tail)
-        if kind is None:
-            raise ParseError("malformed node tail", form.line, form.col)
+            raise reader.error(f"node id {node_id!r} redefined", i)
+        formula, tail = reader.term(i + 3, None)
+        if toks[tail] != "(" or toks[tail + 1] in ("(", ")"):
+            raise reader.error("malformed node tail", i)
+        kind = toks[tail + 1]
         if kind == "from":
-            if len(tail.items) != 2 or not isinstance(tail.items[1], SAtom) or tail.items[
-                1
-            ].text not in ("A", "B", "axiom"):
-                raise ParseError("expected (from A|B|axiom)", tail.line, tail.col)
-            raw[node_id] = (formula, None, tail.items[1].text)
+            if reader.count(tail) != 2 or toks[tail + 2] not in ("A", "B", "axiom"):
+                raise reader.error("expected (from A|B|axiom)", tail)
+            raw[node_id] = (formula, (), toks[tail + 2])
         elif kind == "premises":
-            if len(tail.items) < 2 or not all(
-                isinstance(i, SAtom) for i in tail.items[1:]
-            ):
-                raise ParseError("expected (premises ID+)", tail.line, tail.col)
-            raw[node_id] = (formula, tuple(i.text for i in tail.items[1:]), None)
+            ids = tuple(reader.items(tail + 2, close[tail]))
+            if not ids or any(toks[k] == "(" for k in ids):
+                raise reader.error("expected (premises ID+)", tail)
+            raw[node_id] = (formula, ids, None)
         else:
-            raise ParseError(f"unexpected node tail {kind!r}", tail.line, tail.col)
-        order.append(node_id)
+            raise reader.error(f"unexpected node tail {kind!r}", tail)
+        i = close[i] + 1
 
     referenced: set[str] = set()
-    for node_id in order:
-        _, premises, _ = raw[node_id]
-        for pid in premises or ():
-            if pid not in raw:
-                raise ParseError(f"unknown premise id {pid!r} in node {node_id!r}")
-            referenced.add(pid)
-    roots = [nid for nid in order if nid not in referenced]
+    for node_id, (_, premises, _) in raw.items():
+        for k in premises:
+            if toks[k] not in raw:
+                raise reader.error(
+                    f"unknown premise id {toks[k]!r} in node {node_id!r}", k
+                )
+            referenced.add(toks[k])
+    roots = [nid for nid in raw if nid not in referenced]
     if len(roots) != 1:
         raise ProofError(f"expected one root node, found {len(roots)}")
-    root_id = roots[0]
-    if raw[root_id][0] != FALSE:
+    false = table.make("false")
+    if raw[roots[0]][0] is not false:
         raise ProofError("root node must be labelled false")
 
-    nodes: dict[Formula, LabelNode] = {}
+    nodes: dict[Term, LabelNode] = {}
     checked: dict[str, None] = {}
-    for node_id in order:
+    for node_id, (formula, premises, origin) in raw.items():
         _post_order(
             node_id,
-            lambda nid: raw[nid][1] or (),
+            lambda nid: [toks[k] for k in raw[nid][1]],
             lambda nid: None,
             checked,
             lambda nid: ProofError(f"cyclic proof through node {nid!r}"),
         )
-        formula, premises, origin = raw[node_id]
-        node = LabelNode(formula, tuple(raw[p][0] for p in premises or ()), origin)
+        node = LabelNode(formula, tuple(raw[toks[k]][0] for k in premises), origin)
         if nodes.setdefault(formula, node) != node:
             raise ProofError(
-                f"nodes labelled {format_formula(formula)} root different subtrees"
+                f"nodes labelled {format_term(formula)} root different subtrees"
             )
-    return ProofTree(frozenset(theory), nodes, FALSE)
+    return ProofTree(frozenset(theory), nodes, false, table)
 
 
-def first_nonlocal_step(tree: ProofTree) -> Formula | None:
+def first_nonlocal_step(tree: ProofTree) -> Term | None:
     """Conclusion of the first inference step that fits neither signature."""
     for label, node in tree.nodes.items():
         if node.is_leaf:
@@ -331,23 +299,24 @@ def normalize_root(tree: ProofTree) -> ProofTree:
 
     When some premise of the root is not B-colorable, the root is relabelled
     false' and a final inference false' |- false is appended (a step among
-    logical constants only, hence B-colorable).  Idempotent.
+    logical constants only, hence B-colorable).  The relay is interned in the
+    tree's table.  Idempotent.
     """
-    root_node = tree.nodes[tree.root]
-    if all(tree.b_colorable(p) for p in root_node.premises):
+    root = tree.root
+    if all(tree.b_colorable(p) for p in tree.nodes[root].premises):
         return tree
-    relay: Formula = "false'"
-    nodes: dict[Formula, LabelNode] = {}
+    relay = tree.table.make("false'")
+    nodes: dict[Term, LabelNode] = {}
     for label, node in tree.nodes.items():
-        if label == tree.root:
+        if label is root:
             nodes[relay] = LabelNode(relay, node.premises, node.origin)
         else:
             nodes[label] = node
-    nodes[FALSE] = LabelNode(FALSE, (relay,), None)
-    return ProofTree(tree.theory_symbols, nodes, FALSE, tree._frees)
+    nodes[root] = LabelNode(root, (relay,), None)
+    return ProofTree(tree.theory_symbols, nodes, root, tree.table, tree.frees)
 
 
-def _cut_candidates(tree: ProofTree, for_side: Side) -> list[Formula]:
+def _cut_candidates(tree: ProofTree, for_side: Side) -> list[Term]:
     """AB-colorable labels the opposite prover cannot reach on its own."""
     other_colorable = tree.b_colorable if for_side is Side.A else tree.a_colorable
     origin = for_side.value
@@ -363,10 +332,10 @@ def _cut_candidates(tree: ProofTree, for_side: Side) -> list[Formula]:
     return out
 
 
-def coloring_cut(tree: ProofTree) -> tuple[tuple[Formula, ...], tuple[Formula, ...]]:
+def coloring_cut(tree: ProofTree) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
     """Inductive cut: alternately add maximal candidates below cut nodes.
 
-    Starting from false in T_B, each B-sweep adds to T_A the maximal
+    Starting from the root false in T_B, each B-sweep adds to T_A the maximal
     A-candidates below T_B nodes, and each A-sweep adds to T_B the maximal
     B-candidates below T_A nodes, until a round adds nothing.  Each anchor
     is expanded exactly once, in B-then-A layers: its maximal candidates
@@ -390,7 +359,7 @@ def coloring_cut(tree: ProofTree) -> tuple[tuple[Formula, ...], tuple[Formula, .
         for side in (Side.A, Side.B)
     )
     t_a: list[int] = []
-    t_b: list[int] = [index[FALSE]]
+    t_b: list[int] = [index[tree.root]]
     cut = 1 << t_b[0]
 
     def sweep(anchors: list[int], start: int, candidates: int, into: list[int]) -> int:
@@ -419,32 +388,40 @@ def coloring_cut(tree: ProofTree) -> tuple[tuple[Formula, ...], tuple[Formula, .
     return tuple(labels[i] for i in t_a), tuple(labels[i] for i in t_b)
 
 
-def _premise_cycle(phi: Formula) -> RuntimeError:
-    return RuntimeError(f"premise cycle through {format_formula(phi)}")
+def _premise_cycle(phi: Term) -> RuntimeError:
+    return RuntimeError(f"premise cycle through {format_term(phi)}")
 
 
 @dataclass
 class InterpolationRun:
-    """The (S_A, S_B, order, premise-maps) structure of a finished game."""
+    """The (S_A, S_B, order, premise-maps) structure of a finished game.
 
-    s_a: tuple[Formula, ...]
-    s_b: tuple[Formula, ...]
-    pr_b: dict[Formula, tuple[Formula, ...]]  # premises the B-prover supplied
-    pr_a: dict[Formula, tuple[Formula, ...]]  # premises the A-prover supplied
+    Its formulas are terms of ``table``, the table of the proof it came from.
+    """
+
+    s_a: tuple[Term, ...]
+    s_b: tuple[Term, ...]
+    pr_b: dict[Term, tuple[Term, ...]]  # premises the B-prover supplied
+    pr_a: dict[Term, tuple[Term, ...]]  # premises the A-prover supplied
+    table: TermTable
+
+    @property
+    def false(self) -> Term:
+        return self.table.make("false")
 
     @property
     def successful(self) -> bool:
-        return FALSE in self.s_b
+        return self.false in self.s_b
 
     def rounds(self) -> int:
         """Length of the longest premise chain, in prover turns."""
-        memo: dict[Formula, int] = {}
+        memo: dict[Term, int] = {}
         in_a = set(self.s_a)
 
-        def premises(phi: Formula) -> tuple[Formula, ...]:
+        def premises(phi: Term) -> tuple[Term, ...]:
             return self.pr_b[phi] if phi in in_a else self.pr_a[phi]
 
-        def depth(phi: Formula) -> int:
+        def depth(phi: Term) -> int:
             return 1 + max((memo[p] for p in premises(phi)), default=0)
 
         return max(
@@ -457,7 +434,7 @@ class InterpolationRun:
 
 
 def run_from_cut(
-    tree: ProofTree, t_a: Iterable[Formula], t_b: Iterable[Formula]
+    tree: ProofTree, t_a: Iterable[Term], t_b: Iterable[Term]
 ) -> InterpolationRun:
     """Decompose the proof at the cut and read off the premise maps.
 
@@ -468,9 +445,9 @@ def run_from_cut(
     t_a, t_b = tuple(t_a), tuple(t_b)
     cutset = set(t_a) | set(t_b)
 
-    def piece_premises(chi: Formula, own_origin: str, opposite: set) -> tuple:
-        found: dict[Formula, None] = {}
-        seen: set[Formula] = set()
+    def piece_premises(chi: Term, own_origin: str, opposite: set) -> tuple:
+        found: dict[Term, None] = {}
+        seen: set[Term] = set()
         stack = list(reversed(tree.nodes[chi].premises))
         while stack:
             label = stack.pop()
@@ -480,8 +457,8 @@ def run_from_cut(
             if label in cutset:
                 if label not in opposite:
                     raise InvalidCutError(
-                        f"cut node {format_formula(label)} on the wrong side of "
-                        f"{format_formula(chi)}"
+                        f"cut node {format_term(label)} on the wrong side of "
+                        f"{format_term(chi)}"
                     )
                 found[label] = None
                 continue
@@ -489,8 +466,8 @@ def run_from_cut(
             if node.is_leaf:
                 if node.origin not in (own_origin, "axiom"):
                     raise InvalidCutError(
-                        f"piece at {format_formula(chi)} reaches foreign leaf "
-                        f"{format_formula(label)}"
+                        f"piece at {format_term(chi)} reaches foreign leaf "
+                        f"{format_term(label)}"
                     )
                 continue
             stack.extend(reversed(node.premises))
@@ -501,42 +478,46 @@ def run_from_cut(
 
     pr_b = {alpha: piece_premises(alpha, "A", set(t_b)) for alpha in t_a}
     pr_a = {beta: piece_premises(beta, "B", set(t_a)) for beta in t_b}
-    return InterpolationRun(t_a, t_b, pr_b, pr_a)
+    return InterpolationRun(t_a, t_b, pr_b, pr_a, tree.table)
 
 
 def game_interpolant(
-    run: InterpolationRun, target: Formula = FALSE
-) -> tuple[Formula, ...]:
+    run: InterpolationRun, target: Term | None = None
+) -> tuple[Term, ...]:
     """Implications justifying every A-contribution feeding ``target``.
 
-    With the default target this is the interpolant of a successful run.
+    With the default target, false, this is the interpolant of a successful
+    run.  Implications ``(=> (and β…) α)`` are interned in the run's table.
     """
+    if target is None:
+        target = run.false
     if not run.successful:
         raise ValueError("run is not successful: false was never derived")
     if target not in run.pr_a:
         raise ValueError("target must belong to the B-prover's set")
-    alphas: dict[Formula, None] = {}
+    alphas: dict[Term, None] = {}
 
-    def below(beta: Formula) -> list[Formula]:
+    def below(beta: Term) -> list[Term]:
         # Called once per B-formula, at its first visit: in pre-order.
         alphas.update(dict.fromkeys(run.pr_a[beta]))
         return [beta2 for alpha in run.pr_a[beta] for beta2 in run.pr_b[alpha]]
 
     _post_order(target, below, lambda beta: None, {}, _premise_cycle)
-    implications: dict[Formula, None] = {}
+    make = run.table.make
+    implications: dict[Term, None] = {}
     for alpha in alphas:
         premises = run.pr_b[alpha]
         if premises:
-            implications[("=>", ("and",) + premises, alpha)] = None
+            implications[make("=>", (make("and", premises), alpha))] = None
         else:
             implications[alpha] = None
     return tuple(implications)
 
 
-def format_game_interpolant(formulas: tuple[Formula, ...]) -> str:
+def format_game_interpolant(formulas: tuple[Term, ...]) -> str:
     if not formulas:
         return "true"
-    return "(and " + " ".join(format_formula(f) for f in formulas) + ")"
+    return "(and " + " ".join(format_term(f) for f in formulas) + ")"
 
 
 def euf_bridge(
@@ -548,40 +529,36 @@ def euf_bridge(
     inference step; the final step derives false from the refuted
     disequality and the summary of the path connecting its endpoints.
 
-    Every vertex's formula and symbol set are built once, in one pass in
-    term-id order: a term is interned after its arguments, so an argument's
-    id is smaller than its application's and its entries are already made.
-    A label's symbols are its terms' symbols, handed to the tree as its
-    ``frees``, so a symbol spelled like a logical token stays a symbol.  The
-    unfolding runs on an explicit stack, in the order a recursive one would
-    take: each edge is derived once, by ``Edge.seq``, and each path or
-    factor once, by ``Path.key``, in the direction it is first met in; a
-    path or factor of one edge is that edge.
+    Labels are interned in a table of the tree's own; an ``(= s t)`` label
+    takes the problem's vertex terms as its arguments.  Every vertex's symbol
+    set is built once, in one pass in term-id order: a term is interned after
+    its arguments, so an argument's id is smaller than its application's and
+    its set is already made.  An equality label's symbols are its terms'
+    symbols, handed to the tree as its ``frees``, so a symbol spelled like a
+    logical token stays a symbol.  The unfolding runs on an explicit stack,
+    in the order a recursive one would take: each edge is derived once, by
+    ``Edge.seq``, and each path or factor once, by ``Path.key``, in the
+    direction it is first met in; a path or factor of one edge is that edge.
     """
     colored, refuted, side, _ = build_colored_graph(problem, strategy)
     graph = colored.graph
-    formulas: dict[Term, Formula] = {}
     symbols: dict[Term, frozenset[str]] = {}
     for t in sorted(graph.vertices, key=lambda t: t.id):
-        if t.args:
-            formulas[t] = (t.head,) + tuple(formulas[a] for a in t.args)
-            symbols[t] = frozenset((t.head,)).union(*(symbols[a] for a in t.args))
-        else:
-            formulas[t] = t.head
-            symbols[t] = frozenset((t.head,))
-    nodes: dict[Formula, LabelNode] = {}
-    frees: dict[Formula, frozenset[str]] = {FALSE: frozenset()}
+        symbols[t] = frozenset((t.head,)).union(*(symbols[a] for a in t.args))
+    table = TermTable()
+    nodes: dict[Term, LabelNode] = {}
+    frees: dict[Term, frozenset[str]] = {}
     labels: dict = {}  # edge seq or path key -> label of its step
 
-    def eq_label(u: Term, v: Term) -> Formula:
+    def eq_label(u: Term, v: Term) -> Term:
         if v.id < u.id:
             u, v = v, u
-        label = ("=", formulas[u], formulas[v])
+        label = table.make("=", (u, v))
         if label not in frees:
             frees[label] = symbols[u] | symbols[v]
         return label
 
-    def add(label: Formula, premises: tuple = (), origin: str | None = None) -> Formula:
+    def add(label: Term, premises: tuple = (), origin: str | None = None) -> Term:
         if label not in nodes:
             nodes[label] = LabelNode(label, premises, origin)
         return label
@@ -610,7 +587,7 @@ def euf_bridge(
         path = item.path
         return [key, eq_label(path.start, path.end), None, iter(path.edges), []]
 
-    def unfold(item: Path) -> Formula:
+    def unfold(item: Path) -> Term:
         key, item = keyed(item)
         open_keys = {key}
         stack = [step(key, item)]
@@ -635,16 +612,14 @@ def euf_bridge(
                     stack[-1][4].append(done)
         return done
 
-    refuted_eq = eq_label(refuted.lhs, refuted.rhs)
-    diseq_label: Formula = ("not", refuted_eq)
-    frees[diseq_label] = frees[refuted_eq]
-    root_premises: list[Formula] = []
+    diseq_label = table.make("not", (eq_label(refuted.lhs, refuted.rhs),))
+    root_premises: list[Term] = []
     if not refuted.trivial:
         root_premises.append(unfold(graph.path(refuted.lhs, refuted.rhs)))
     add(diseq_label, origin=side.value)
     root_premises.append(diseq_label)
-    add(FALSE, tuple(root_premises))
-    return ProofTree(frozenset(), nodes, FALSE, frees)
+    false = add(table.make("false"), tuple(root_premises))
+    return ProofTree(frozenset(), nodes, false, table, frees)
 
 
 def local_cut(tree: ProofTree) -> tuple[ProofTree, tuple, tuple]:

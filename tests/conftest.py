@@ -7,22 +7,24 @@ from typing import Iterable, Iterator, Sequence
 
 import pytest
 
+from dataclasses import dataclass
+from typing import Union
+
 from eufinterp.core import (
     ArityError,
     Literal,
     OverlapError,
     ParseError,
     ProblemInstance,
-    SAtom,
     Side,
-    SList,
     SymbolTable,
     Term,
     TermTable,
     format_literal,
-    head_of,
+    format_term,
     parse_problem,
 )
+from eufinterp.game import ProofError, parse_proof
 from eufinterp.interpolate import HornClause, HornConjunction, parse_conjunction
 
 DATA = Path(__file__).parent / "data"
@@ -218,7 +220,77 @@ MALFORMED = [
     ("interpolate", ["(A (= (f a) (f a b) c)) (B)\n"], "1:4: '=' takes exactly two terms"),
     ("verify", [HORN_MIN, "(= u0 v0) (= u1 v1)\n"], "expected exactly one formula"),
     ("verify", [HORN_MIN, "(and (=> (and) (= u1 v1) x))\n"], "1:6: '=>' takes premises and a conclusion"),
+    (
+        "game cut",
+        ["(theory-symbols r (t))\n(node n1 false (from A))\n"],
+        "1:19: theory symbols must be atoms",
+    ),
+    (
+        "game cut",
+        ["(theory-symbols)\n(node n1 false)\n"],
+        "2:1: expected (node ID FORMULA (from ...)|(premises ...))",
+    ),
+    (
+        "game cut",
+        ["(theory-symbols)\n(node n1 (p a) (from A))\n(node n1 false (premises n1))\n"],
+        "3:1: node id 'n1' redefined",
+    ),
+    (
+        "game interpolate",
+        ["(theory-symbols)\n(node n1 false (premises))\n"],
+        "2:16: expected (premises ID+)",
+    ),
+    (
+        "game cut",
+        ["(theory-symbols)\n(node n1 (p a) (from A))\n(node n2 false (premises n1 n3))\n"],
+        "3:29: unknown premise id 'n3' in node 'n2'",
+    ),
+    (
+        "game interpolate",
+        ["(theory-symbols)\n(node n1 (p a) (from A))\n(node n2 (q a) (from B))\n"],
+        "expected one root node, found 2",
+    ),
+    (
+        "game cut",
+        ["(theory-symbols)\n(node n1 (p a) (from A))\n(node n2 true (premises n1))\n"],
+        "root node must be labelled false",
+    ),
+    (
+        "game cut",
+        ["(theory-symbols)\n(node n1 (p (f)) (from A))\n(node n2 false (premises n1))\n"],
+        "2:13: application of 'f' has no arguments",
+    ),
+    (
+        "game interpolate",
+        ["(theory-symbols)\n(node n1 ((f a) b) (from A))\n(node n2 false (premises n1))\n"],
+        "2:10: expected a function application",
+    ),
 ]
+
+
+# The reference s-expression tree: an atom or a list, each with the position
+# of its first character.
+
+
+@dataclass(frozen=True)
+class SAtom:
+    text: str
+    line: int
+    col: int
+
+
+@dataclass(frozen=True)
+class SList:
+    items: tuple
+    line: int
+    col: int
+
+
+def head_of(sx: SAtom | SList) -> str | None:
+    """Text of the first item of a list that starts with an atom, else None."""
+    if isinstance(sx, SList) and sx.items and isinstance(sx.items[0], SAtom):
+        return sx.items[0].text
+    return None
 
 
 # The reference reader: the two-stage chain the library used before it read
@@ -406,6 +478,152 @@ def reference_parse_conjunction(
             _reference_clause(item, table, symbols) for item in form.items[1:]
         )
     return HornConjunction.from_clauses([_reference_clause(form, table, symbols)])
+
+
+# The reference proof reader: the chain the library used before it read proof
+# files on ``core.Reader``.  Formulas are nested tuples of atom texts, read
+# and printed by recursion.
+
+Formula = Union[str, tuple]
+
+
+def reference_formula(sx: SAtom | SList) -> Formula:
+    """A formula: an atom, or a list of an atom head and at least one formula."""
+    if isinstance(sx, SAtom):
+        return sx.text
+    if not sx.items:
+        raise ParseError("empty formula", sx.line, sx.col)
+    head = head_of(sx)
+    if head is None:
+        raise ParseError("expected a function application", sx.line, sx.col)
+    if len(sx.items) == 1:
+        raise ParseError(f"application of {head!r} has no arguments", sx.line, sx.col)
+    return tuple(reference_formula(item) for item in sx.items)
+
+
+def reference_format_formula(f: Formula) -> str:
+    if isinstance(f, str):
+        return f
+    return "(" + " ".join(reference_format_formula(item) for item in f) + ")"
+
+
+def reference_parse_proof(text: str) -> tuple[frozenset, dict, Formula]:
+    """``(theory symbols, {label: (label, premise labels, origin)}, root)``."""
+    forms = reference_read_sexprs(text)
+    if not forms:
+        raise ParseError("empty proof")
+    header = forms[0]
+    if head_of(header) != "theory-symbols":
+        raise ParseError("expected (theory-symbols SYMBOL*)", header.line, header.col)
+    theory = []
+    for item in header.items[1:]:
+        if not isinstance(item, SAtom):
+            raise ParseError("theory symbols must be atoms", item.line, item.col)
+        theory.append(item.text)
+
+    raw: dict[str, tuple[Formula, tuple[SAtom, ...], str | None]] = {}
+    for form in forms[1:]:
+        if (
+            head_of(form) != "node"
+            or len(form.items) != 4
+            or not isinstance(form.items[1], SAtom)
+        ):
+            raise ParseError(
+                "expected (node ID FORMULA (from ...)|(premises ...))",
+                form.line,
+                form.col,
+            )
+        node_id = form.items[1].text
+        if node_id in raw:
+            raise ParseError(f"node id {node_id!r} redefined", form.line, form.col)
+        formula = reference_formula(form.items[2])
+        tail = form.items[3]
+        kind = head_of(tail)
+        if kind is None:
+            raise ParseError("malformed node tail", form.line, form.col)
+        if kind == "from":
+            if (
+                len(tail.items) != 2
+                or not isinstance(tail.items[1], SAtom)
+                or tail.items[1].text not in ("A", "B", "axiom")
+            ):
+                raise ParseError("expected (from A|B|axiom)", tail.line, tail.col)
+            raw[node_id] = (formula, (), tail.items[1].text)
+        elif kind == "premises":
+            if len(tail.items) < 2 or not all(
+                isinstance(i, SAtom) for i in tail.items[1:]
+            ):
+                raise ParseError("expected (premises ID+)", tail.line, tail.col)
+            raw[node_id] = (formula, tail.items[1:], None)
+        else:
+            raise ParseError(f"unexpected node tail {kind!r}", tail.line, tail.col)
+
+    referenced: set[str] = set()
+    for node_id, (_, premises, _) in raw.items():
+        for pid in premises:
+            if pid.text not in raw:
+                raise ParseError(
+                    f"unknown premise id {pid.text!r} in node {node_id!r}",
+                    pid.line,
+                    pid.col,
+                )
+            referenced.add(pid.text)
+    roots = [nid for nid in raw if nid not in referenced]
+    if len(roots) != 1:
+        raise ProofError(f"expected one root node, found {len(roots)}")
+    if raw[roots[0]][0] != "false":
+        raise ProofError("root node must be labelled false")
+
+    checked: set[str] = set()
+
+    def visit(node_id: str, open_ids: set[str]) -> None:
+        open_ids.add(node_id)
+        for pid in raw[node_id][1]:
+            if pid.text in open_ids:
+                raise ProofError(f"cyclic proof through node {pid.text!r}")
+            if pid.text not in checked:
+                visit(pid.text, open_ids)
+        open_ids.discard(node_id)
+        checked.add(node_id)
+
+    nodes: dict[Formula, tuple] = {}
+    for node_id, (formula, premises, origin) in raw.items():
+        if node_id not in checked:
+            visit(node_id, set())
+        node = (formula, tuple(raw[p.text][0] for p in premises), origin)
+        if nodes.setdefault(formula, node) != node:
+            raise ProofError(
+                f"nodes labelled {reference_format_formula(formula)} "
+                "root different subtrees"
+            )
+    return frozenset(theory), nodes, "false"
+
+
+def proof_outcome(text: str, reference: bool = False):
+    """What a proof reader gives, printed: theory symbols, nodes in order
+    (label, premise labels, origin) and root; or the error's class, text and
+    position."""
+    try:
+        if reference:
+            theory, nodes, root = reference_parse_proof(text)
+            fmt = reference_format_formula
+            entries = nodes.values()
+        else:
+            tree = parse_proof(text)
+            theory, root, fmt = tree.theory_symbols, tree.root, format_term
+            entries = ((n.formula, n.premises, n.origin) for n in tree.nodes.values())
+    except ValueError as exc:
+        where = getattr(exc, "line", None), getattr(exc, "col", None)
+        return "error", type(exc), str(exc), *where
+    nodes = [
+        (fmt(label), tuple(fmt(p) for p in premises), origin)
+        for label, premises, origin in entries
+    ]
+    return "ok", sorted(theory), nodes, fmt(root)
+
+
+def assert_proof_readers_agree(text: str) -> None:
+    assert proof_outcome(text) == proof_outcome(text, reference=True), text
 
 
 def table_snapshot(problem) -> tuple:

@@ -227,17 +227,31 @@ def test_deeply_nested_term_is_read_and_printed(capsys, tmp_path, command):
         assert json.loads(out.splitlines()[-1]) == {"accepted": True, "failures": []}
 
 
-def test_deeply_nested_proof_formula_exits_2(capsys, tmp_path):
-    # Proof formulas are still read recursively.
-    depth = 5000
+def test_deeply_nested_proof_formula_is_read_and_printed(capsys, tmp_path):
+    # Proof formulas are read, cut and printed on explicit stacks too.
+    depth = 10_000
+    deep = "(p " * depth + "a" + ")" * depth
     path = tmp_path / "deep.proof"
     path.write_text(
-        "(theory-symbols)\n"
-        f"(node n1 {'(p ' * depth}a{')' * depth} (from A))\n"
-        "(node n2 (q a) (from B))\n"
-        "(node root false (premises n1 n2))\n"
+        "(theory-symbols p)\n"
+        "(node n1 (q a) (from A))\n"
+        f"(node n2 {deep} (premises n1))\n"
+        f"(node n3 (not {deep}) (from B))\n"
+        "(node root false (premises n2 n3))\n"
     )
     code, out, err = run_cli(capsys, "game", "cut", str(path))
+    assert (code, out, err) == (0, f"T_A: {deep}\nT_B: false\n", "")
+    code, out, err = run_cli(capsys, "game", "interpolate", str(path))
+    assert (code, out, err) == (0, f"(and {deep})\n", "")
+
+
+def test_recursion_error_exits_2(capsys, monkeypatch):
+    # No reader recurses on depth any more; the mapping stays as a safety net.
+    def too_deep(text):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("eufinterp.cli.parse_proof", too_deep)
+    code, out, err = run_cli(capsys, "game", "cut", data("forward_chain.proof"))
     assert (code, out, err) == (2, "", "error: input nested too deeply\n")
 
 
@@ -288,14 +302,14 @@ def test_game_handles_a_deep_proof_listed_root_first(capsys, tmp_path):
     lines = [
         "(theory-symbols)",
         f"(node root false (premises n{depth - 1} nb))",
-        f"(node nb (not (p{depth - 1})) (from B))",
+        f"(node nb (not (p c{depth - 1})) (from B))",
     ]
     for i in range(depth - 1, 0, -1):
-        lines.append(f"(node n{i} (p{i}) (premises n{i - 1} s{i}))")
-        lines.append(f"(node s{i} (step p{i - 1} p{i}) (from A))")
-    lines.append("(node n0 (p0) (from A))")
+        lines.append(f"(node n{i} (p c{i}) (premises n{i - 1} s{i}))")
+        lines.append(f"(node s{i} (step c{i - 1} c{i}) (from A))")
+    lines.append("(node n0 (p c0) (from A))")
     path = tmp_path / "deep.proof"
     path.write_text("\n".join(lines) + "\n")
     code, out, err = run_cli(capsys, "game", "interpolate", str(path))
     assert code == 0, err
-    assert out.strip() == f"(and (p{depth - 1}))"
+    assert out.strip() == f"(and (p c{depth - 1}))"

@@ -1,10 +1,11 @@
-"""Seeded byte-level mutation fuzz of the problem and interpolant readers.
+"""Seeded byte-level mutation fuzz of the problem, interpolant and proof readers.
 
-Mutants of generated instances and of the malformed-input cases go through
-``cli.main`` (``interpolate`` and ``verify``), which may only exit 0, 1 or 2
-and never lets an exception out.  On every mutant that decodes, the library's
-reader and the two-stage reference in ``conftest`` accept or reject together,
-with the same error text and position.
+Mutants of generated instances, proofs and the malformed-input cases go
+through ``cli.main`` (``interpolate``, ``verify``, ``closure``, ``game cut``
+and ``game interpolate``), which may only exit 0, 1 or 2 and never lets an
+exception out.  On every mutant that decodes, the library's reader and the
+two-stage reference in ``conftest`` accept or reject together, with the same
+error text and position.
 """
 
 from __future__ import annotations
@@ -16,10 +17,19 @@ from eufinterp.core import parse_problem
 from eufinterp.generate import FAMILIES, generate
 from eufinterp.interpolate import format_conjunction, interpolate
 
-from conftest import HORN_MIN, MALFORMED, assert_readers_agree
+from conftest import (
+    HORN_MIN,
+    MALFORMED,
+    alternating_proof,
+    assert_proof_readers_agree,
+    assert_readers_agree,
+    load_text,
+)
+from test_game import random_proof
 
 SEED = 1729
 MUTANTS_PER_COMMAND = 300
+PROOF_MUTANTS = 300
 # Bytes a mutation writes: syntax, names, blanks, and a few that do not decode.
 ALPHABET = b"()=;\n\t abcfgnotuvxz012AB-'\xc2\xb2\xff"
 
@@ -105,3 +115,39 @@ def test_mutated_problems_and_interpolants(capsys, tmp_path):
             assert_readers_agree(problem, text)
     # The budget reaches every exit code of both commands.
     assert codes == {"interpolate": {0, 1, 2}, "verify": {0, 1, 2}}
+
+
+def proof_corpus() -> tuple[list[str], list[str]]:
+    """Well-formed proofs (the forward chain, an alternating chain and a few
+    random ones), and the malformed proofs."""
+    rng = random.Random(SEED)
+    proofs = [load_text("forward_chain.proof"), alternating_proof(3)]
+    proofs += [random_proof(rng, rng.randint(3, 12)) for _ in range(4)]
+    malformed = [texts[0] for command, texts, _ in MALFORMED if command.startswith("game")]
+    return proofs, malformed
+
+
+def test_mutated_proofs_and_closure_problems(capsys, tmp_path):
+    rng = random.Random(SEED)
+    (proofs, malformed), (problems, _) = proof_corpus(), corpus()
+    path = tmp_path / "input"
+    codes: dict[str, set[int]] = {"game cut": set(), "game interpolate": set()}
+    codes["closure"] = set()
+    for _ in range(PROOF_MUTANTS):
+        source = rng.choice(proofs if rng.random() < 0.75 else malformed)
+        data = mutate(rng, source.encode("utf-8"))
+        path.write_bytes(data)
+        for command in ("game cut", "game interpolate"):
+            codes[command].add(run_main(capsys, [*command.split(), str(path)]))
+        text = decoded(data)
+        if text is not None:
+            assert_proof_readers_agree(text)
+
+        path.write_bytes(mutate(rng, rng.choice(problems).encode("utf-8")))
+        codes["closure"].add(run_main(capsys, ["closure", str(path)]))
+    # closure has no failing outcome; the game commands reach all three.
+    assert codes == {
+        "game cut": {0, 1, 2},
+        "game interpolate": {0, 1, 2},
+        "closure": {0, 2},
+    }

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from eufinterp.cli import main
-from eufinterp.core import Side, parse_problem, read_sexprs
+from eufinterp.core import Reader, Side, TermTable, format_term, parse_problem
 from eufinterp.game import (
-    FALSE,
     _cut_candidates,
     InterpolationRun,
     InvalidCutError,
@@ -19,10 +18,7 @@ from eufinterp.game import (
     check_local,
     coloring_cut,
     euf_bridge,
-    format_formula,
     format_game_interpolant,
-    formula_from_sexpr,
-    free_symbols,
     game_interpolant,
     normalize_root,
     parse_proof,
@@ -32,11 +28,30 @@ from eufinterp.generate import generate
 from eufinterp.interpolate import format_conjunction, interpolate, parse_conjunction
 from eufinterp.verify import check_interpolant, euf_entails, unsat_with_horn
 
-from conftest import alternating_proof, load_problem, load_text
+from conftest import (
+    MALFORMED,
+    alternating_proof,
+    assert_proof_readers_agree,
+    load_problem,
+    load_text,
+    reference_format_formula,
+    reference_formula,
+    reference_read_sexprs,
+)
 
-T_FA = ("t", ("f", "a"))
-NOT_RB = ("not", ("r", "b"))
-RULE = ("forall", "x", ("=>", ("r", "x"), ("t", ("f", "x"))))
+T_FA = "(t (f a))"
+NOT_RB = "(not (r b))"
+RULE = "(forall x (=> (r x) (t (f x))))"
+
+
+def formula(table: TermTable, text: str):
+    """The label ``text``, interned in ``table``: a proof's own labels are
+    found again, and hand-built trees and runs are built from text."""
+    return Reader(text, table, None).term(0, None)[0]
+
+
+def printed(labels) -> tuple[str, ...]:
+    return tuple(format_term(label) for label in labels)
 
 
 def fig_tree():
@@ -68,7 +83,7 @@ class Reach:
             top, pending = stack[-1]
             for prem in pending:
                 if prem in open_labels:
-                    raise ProofError(f"cyclic proof through {format_formula(prem)}")
+                    raise ProofError(f"cyclic proof through {format_term(prem)}")
                 if prem in out:
                     continue
                 out.add(prem)
@@ -95,7 +110,7 @@ def reference_coloring_cut(tree):
     cand_a = _cut_candidates(tree, Side.A)
     cand_b = _cut_candidates(tree, Side.B)
     t_a: dict = {}
-    t_b: dict = {FALSE: None}
+    t_b: dict = {tree.root: None}
     maximal: dict = {}
 
     def maximal_below(candidates, anchor):
@@ -133,7 +148,7 @@ def check_cut(tree, t_a, t_b) -> bool:
     set_a, set_b = set(t_a), set(t_b)
     if not all(tree.ab_colorable(lab) for lab in set_a | set_b):
         return False
-    if set_a & set_b or FALSE not in set_b:
+    if set_a & set_b or tree.root not in set_b:
         return False
     a_inputs = {lab for lab, n in tree.nodes.items() if n.origin == "A"}
     b_inputs = {lab for lab, n in tree.nodes.items() if n.origin == "B"}
@@ -180,7 +195,9 @@ def random_proof(rng: random.Random, size: int) -> str:
             j = rng.randrange(len(labels))
             label, origin = labels[j]
             if origin is not None:
-                lines.append(f"(node n{k} {format_formula(label)} (from {origin}))")
+                lines.append(
+                    f"(node n{k} {reference_format_formula(label)} (from {origin}))"
+                )
                 labels.append((label, origin))
                 continue
         while True:
@@ -192,13 +209,13 @@ def random_proof(rng: random.Random, size: int) -> str:
         seen.add(label)
         if k < 3 or rng.random() < 0.35:
             origin = rng.choice(("A", "A", "B", "B", "axiom"))
-            lines.append(f"(node n{k} {format_formula(label)} (from {origin}))")
+            lines.append(f"(node n{k} {reference_format_formula(label)} (from {origin}))")
         else:
             origin = None
             premises = rng.sample(range(k), rng.randint(1, min(3, k)))
             used.update(premises)
             ids = " ".join(f"n{j}" for j in premises)
-            lines.append(f"(node n{k} {format_formula(label)} (premises {ids}))")
+            lines.append(f"(node n{k} {reference_format_formula(label)} (premises {ids}))")
         labels.append((label, origin))
     tops = [k for k in range(size) if k not in used]
     lines.append(f"(node root false (premises {' '.join(f'n{k}' for k in tops)}))")
@@ -214,12 +231,12 @@ def reference_collapse(text: str) -> dict:
     with one root; the numbering recurses.
     """
     raw = {}
-    for form in read_sexprs(text)[1:]:
-        _, node_id, formula, tail = form.items
+    for form in reference_read_sexprs(text)[1:]:
+        _, node_id, label, tail = form.items
         kind, *ids = (item.text for item in tail.items)
         leaf = kind == "from"
         raw[node_id.text] = (
-            formula_from_sexpr(formula),
+            reference_formula(label),
             () if leaf else tuple(ids),
             ids[0] if leaf else None,
         )
@@ -243,7 +260,7 @@ def reference_collapse(text: str) -> dict:
     for node_id, (formula, premises, origin) in raw.items():
         if first.setdefault(formula, number(node_id)) != signature[node_id]:
             raise ProofError(
-                f"nodes labelled {format_formula(formula)} root different subtrees"
+                f"nodes labelled {reference_format_formula(formula)} root different subtrees"
             )
         labels = tuple(raw[p][0] for p in premises)
         nodes.setdefault(formula, LabelNode(formula, labels, origin))
@@ -260,7 +277,7 @@ def deep_copy_variants(rng: random.Random, text: str) -> list[str]:
     two levels below n'.  Empty when the proof has no such n.
     """
     lines = text.splitlines()
-    forms = {form.items[1].text: form for form in read_sexprs(text)[1:]}
+    forms = {form.items[1].text: form for form in reference_read_sexprs(text)[1:]}
 
     def premises(node_id):
         tail = forms[node_id].items[3]
@@ -278,7 +295,7 @@ def deep_copy_variants(rng: random.Random, text: str) -> list[str]:
     n, c, d = rng.choice(chains)
 
     def renamed(node_id, tail):
-        label = format_formula(formula_from_sexpr(forms[node_id].items[2]))
+        label = reference_format_formula(reference_formula(forms[node_id].items[2]))
         return f"(node {node_id}' {label} {tail})"
 
     def premise_tail(ids):
@@ -311,21 +328,21 @@ def format_proof(tree) -> str:
             tail = f"(from {node.origin})"
         else:
             tail = "(premises " + " ".join(ids[p] for p in node.premises) + ")"
-        lines.append(f"(node {ids[label]} {format_formula(label)} {tail})")
+        lines.append(f"(node {ids[label]} {format_term(label)} {tail})")
     return "\n".join(lines) + "\n"
 
 
 class TestParseProof:
     def test_forward_chain_structure(self):
         tree = fig_tree()
-        assert tree.root == FALSE
+        assert tree.root is formula(tree.table, "false")
         assert len(tree.nodes) == 14
         assert tree.theory_symbols == {"r", "t"}
         assert tree.sigma_a == {"p", "q", "a", "b", "f"}
         assert tree.sigma_b == {"s", "a", "b", "f"}
-        assert tree.ab_colorable(T_FA)
-        assert tree.ab_colorable(RULE)
-        assert not tree.ab_colorable(("p", "a"))
+        assert tree.ab_colorable(formula(tree.table, T_FA))
+        assert tree.ab_colorable(formula(tree.table, RULE))
+        assert not tree.ab_colorable(formula(tree.table, "(p a)"))
 
     def test_minimal_three_node_proof(self):
         tree = parse_proof(
@@ -335,7 +352,10 @@ class TestParseProof:
             "(node n3 false (premises n1 n2))\n"
         )
         assert len(tree.nodes) == 3
-        assert tree.nodes[FALSE].premises == (("=", "a", "b"), ("not", ("=", "a", "b")))
+        assert tree.nodes[tree.root].premises == (
+            formula(tree.table, "(= a b)"),
+            formula(tree.table, "(not (= a b))"),
+        )
 
     def test_duplicate_labels_must_share_subtrees(self):
         text = (
@@ -364,38 +384,55 @@ class TestParseProof:
             parse_proof(text)
 
     def test_reach_rejects_a_cycle(self):
+        table = TermTable()
+        false, x, y = (formula(table, text) for text in ("false", "x", "y"))
         nodes = {
-            FALSE: LabelNode(FALSE, ("x",), None),
-            "x": LabelNode("x", ("y",), None),
-            "y": LabelNode("y", ("x",), None),
+            false: LabelNode(false, (x,), None),
+            x: LabelNode(x, (y,), None),
+            y: LabelNode(y, (x,), None),
         }
-        tree = ProofTree(frozenset(), nodes, FALSE)
+        tree = ProofTree(frozenset(), nodes, false, table)
         with pytest.raises(ProofError, match="cyclic proof through x"):
-            tree.precedes("y", FALSE)
+            tree.precedes(y, false)
         with pytest.raises(ProofError, match="cyclic proof through x"):
             coloring_cut(tree)
 
     def test_label_collapse_matches_the_subtree_numbering(self):
         # Node-local label checks must accept exactly the proofs whose equal
         # labels root equal subtrees, also when a copy differs two levels down.
-        def outcome(collapse, text):
+        def outcome(collapse, text, fmt=format_term):
             try:
-                return list(collapse(text).items())
+                nodes = collapse(text)
             except ValueError as exc:
                 return type(exc)
+            return [
+                (fmt(label), tuple(fmt(p) for p in node.premises), node.origin)
+                for label, node in nodes.items()
+            ]
 
         rng, mutate = random.Random(8), random.Random(9)
         faithful = mutated = 0
         for _ in range(300):
             text = random_proof(rng, rng.randint(3, 40))
             texts = [text] + deep_copy_variants(mutate, text)
-            expected = [outcome(reference_collapse, t) for t in texts]
+            expected = [
+                outcome(reference_collapse, t, reference_format_formula) for t in texts
+            ]
             for text, want in zip(texts, expected):
                 assert outcome(lambda t: parse_proof(t).nodes, text) == want, text
             if len(texts) > 1:
                 faithful += expected[1] is not ProofError
                 mutated += expected[2] is ProofError
         assert faithful >= 100 and mutated >= 100
+
+    def test_reader_agrees_with_the_reference_chain(self):
+        # Same theory symbols, nodes and root as text, or the same error.
+        texts = [load_text("forward_chain.proof"), alternating_proof(5)]
+        texts += [inputs[0] for command, inputs, _ in MALFORMED if command.startswith("game")]
+        rng = random.Random(8)
+        texts += [random_proof(rng, rng.randint(3, 40)) for _ in range(50)]
+        for text in texts:
+            assert_proof_readers_agree(text)
 
     def test_two_roots_rejected(self):
         text = (
@@ -408,9 +445,15 @@ class TestParseProof:
             parse_proof(text)
 
     def test_quantifier_binding_in_symbol_scan(self):
-        assert free_symbols(RULE) == {"r", "t", "f"}
-        assert free_symbols(("forall", "x", ("s", "x"))) == {"s"}
-        assert free_symbols(("or", ("r", "b"), ("q", ("f", "a"), "a"))) == {
+        table = TermTable()
+        rule, forall_s, disjunction = (
+            formula(table, text)
+            for text in (RULE, "(forall x (s x))", "(or (r b) (q (f a) a))")
+        )
+        frees = ProofTree(frozenset(), {}, formula(table, "false"), table).frees
+        assert frees[rule] == {"r", "t", "f"}
+        assert frees[forall_s] == {"s"}
+        assert frees[disjunction] == {
             "r",
             "b",
             "q",
@@ -421,8 +464,10 @@ class TestParseProof:
     def test_round_trip_through_format(self):
         tree = fig_tree()
         again = parse_proof(format_proof(tree))
-        assert again.nodes.keys() == tree.nodes.keys()
-        assert coloring_cut(again) == coloring_cut(tree)
+        assert printed(again.nodes) == printed(tree.nodes)
+        assert [printed(s) for s in coloring_cut(again)] == [
+            printed(s) for s in coloring_cut(tree)
+        ]
 
 
 class TestLocality:
@@ -463,8 +508,12 @@ class TestNormalizeRoot:
         tree = parse_proof(text)
         assert check_local(tree)
         fixed = normalize_root(tree)
-        assert fixed.nodes[FALSE].premises == ("false'",)
-        assert fixed.nodes["false'"].premises == (("p", "a"), ("not", ("p", "a")))
+        relay = formula(fixed.table, "false'")
+        assert fixed.nodes[fixed.root].premises == (relay,)
+        assert fixed.nodes[relay].premises == (
+            formula(fixed.table, "(p a)"),
+            formula(fixed.table, "(not (p a))"),
+        )
         assert normalize_root(fixed) is fixed  # idempotent
 
 
@@ -472,8 +521,12 @@ class TestColoringCut:
     def test_forward_chain_cut(self):
         tree = normalize_root(fig_tree())
         t_a, t_b = coloring_cut(tree)
-        assert set(t_a) == {T_FA}
-        assert set(t_b) == {NOT_RB, RULE, FALSE}
+        assert set(t_a) == {formula(tree.table, T_FA)}
+        assert set(t_b) == {
+            formula(tree.table, NOT_RB),
+            formula(tree.table, RULE),
+            tree.root,
+        }
         assert check_cut(tree, t_a, t_b)
 
     def test_pure_b_proof_cut_is_trivial(self):
@@ -486,7 +539,7 @@ class TestColoringCut:
         tree = normalize_root(parse_proof(text))
         t_a, t_b = coloring_cut(tree)
         assert t_a == ()
-        assert set(t_b) == {FALSE}
+        assert set(t_b) == {tree.root}
         assert check_cut(tree, t_a, t_b)
 
     def test_generated_bridge_proofs_admit_valid_cuts(self):
@@ -502,16 +555,19 @@ class TestColoringCut:
 
     def test_golden_cut_order_of_the_six_rung_ladder(self):
         tree = normalize_root(euf_bridge(load_problem("ladder_chain6.euf")))
-        eq = lambda i: ("=", f"u{i}", f"v{i}")
-        assert coloring_cut(tree) == (
+        eq = lambda i: f"(= u{i} v{i})"
+        t_a, t_b = coloring_cut(tree)
+        assert (printed(t_a), printed(t_b)) == (
             (eq(6), eq(4), eq(2), eq(0)),
-            (FALSE, eq(5), eq(3), eq(1)),
+            ("false", eq(5), eq(3), eq(1)),
         )
 
     def test_golden_cut_order_of_the_forward_chain(self):
-        assert coloring_cut(normalize_root(fig_tree())) == (
-            (T_FA,),
-            (FALSE, NOT_RB, RULE),
+        tree = normalize_root(fig_tree())
+        label = lambda text: formula(tree.table, text)
+        assert coloring_cut(tree) == (
+            (label(T_FA),),
+            (tree.root, label(NOT_RB), label(RULE)),
         )
 
     def test_cut_matches_the_fixpoint_reference(self):
@@ -552,15 +608,17 @@ class TestColoringCut:
 class TestCheckCut:
     def test_missing_false_fails(self):
         tree = normalize_root(fig_tree())
-        assert not check_cut(tree, (T_FA,), (NOT_RB, RULE))
+        label = lambda text: formula(tree.table, text)
+        assert not check_cut(tree, (label(T_FA),), (label(NOT_RB), label(RULE)))
 
     def test_overlapping_sets_fail(self):
         tree = normalize_root(fig_tree())
-        assert not check_cut(tree, (T_FA,), (T_FA, FALSE))
+        t_fa = formula(tree.table, T_FA)
+        assert not check_cut(tree, (t_fa,), (t_fa, tree.root))
 
     def test_unshared_node_fails(self):
         tree = normalize_root(fig_tree())
-        assert not check_cut(tree, (("p", "a"),), (FALSE,))
+        assert not check_cut(tree, (formula(tree.table, "(p a)"),), (tree.root,))
 
     def test_stacked_same_side_nodes_fail(self):
         # u0=v0 and u2=v2 both land on the A side with no B node between
@@ -569,9 +627,9 @@ class TestCheckCut:
             " (B (= (* x1 u0) u1) (= (* x1 v0) v1) (not (= u2 v2)))"
         )
         tree = normalize_root(euf_bridge(p))
-        eq = lambda a, b: ("=", a, b)
-        bad_a = (eq("u0", "v0"), eq("u2", "v2"))
-        assert not check_cut(tree, bad_a, (FALSE,))
+        labels = dict(zip(printed(tree.nodes), tree.nodes))
+        bad_a = (labels["(= u0 v0)"], labels["(= u2 v2)"])
+        assert not check_cut(tree, bad_a, (tree.root,))
         t_a, t_b = coloring_cut(tree)
         assert check_cut(tree, t_a, t_b)
 
@@ -579,11 +637,12 @@ class TestCheckCut:
 class TestRunFromCut:
     def test_forward_chain_premise_maps(self):
         tree = normalize_root(fig_tree())
+        label = lambda text: formula(tree.table, text)
         run = run_from_cut(tree, *coloring_cut(tree))
-        assert set(run.pr_b[T_FA]) == {NOT_RB, RULE}
-        assert run.pr_a[FALSE] == (T_FA,)
-        assert run.pr_a[NOT_RB] == ()
-        assert run.pr_a[RULE] == ()
+        assert set(run.pr_b[label(T_FA)]) == {label(NOT_RB), label(RULE)}
+        assert run.pr_a[tree.root] == (label(T_FA),)
+        assert run.pr_a[label(NOT_RB)] == ()
+        assert run.pr_a[label(RULE)] == ()
         assert run.successful
         assert run.rounds() == 3
 
@@ -597,8 +656,9 @@ class TestRunFromCut:
         tree = normalize_root(parse_proof(text))
         t_a, t_b = coloring_cut(tree)
         run = run_from_cut(tree, t_a, t_b)
-        assert run.pr_a[FALSE] == (("=", "a", "b"),)
-        assert run.pr_b[("=", "a", "b")] == ()
+        eq = formula(tree.table, "(= a b)")
+        assert run.pr_a[tree.root] == (eq,)
+        assert run.pr_b[eq] == ()
 
     def test_premises_precede_conclusions(self):
         for i in range(20):
@@ -615,7 +675,7 @@ class TestRunFromCut:
     def test_invalid_cut_is_reported(self):
         tree = normalize_root(fig_tree())
         with pytest.raises(InvalidCutError):
-            run_from_cut(tree, (), (FALSE,))  # t(f a) piece leaks an A formula
+            run_from_cut(tree, (), (tree.root,))  # t(f a) piece leaks an A formula
 
 
 class TestGameInterpolant:
@@ -623,7 +683,7 @@ class TestGameInterpolant:
         tree = normalize_root(fig_tree())
         run = run_from_cut(tree, *coloring_cut(tree))
         (imp,) = game_interpolant(run)
-        assert imp == ("=>", ("and", NOT_RB, RULE), T_FA)
+        assert imp is formula(tree.table, f"(=> (and {NOT_RB} {RULE}) {T_FA})")
         assert (
             format_game_interpolant((imp,))
             == "(and (=> (and (not (r b)) (forall x (=> (r x) (t (f x))))) (t (f a))))"
@@ -645,21 +705,29 @@ class TestGameInterpolant:
         # false <- a1500 <- b1499 <- a1499 <- ... <- b1 <- a1: the provers
         # alternate 3000 times, far past the interpreter's recursion limit.
         n = 1500
-        s_a = tuple(f"a{k}" for k in range(1, n + 1))
-        s_b = tuple(f"b{k}" for k in range(1, n)) + (FALSE,)
-        pr_b = {f"a{k}": (f"b{k - 1}",) if k > 1 else () for k in range(1, n + 1)}
-        pr_a = {f"b{k}": (f"a{k}",) for k in range(1, n)}
-        pr_a[FALSE] = (f"a{n}",)
-        run = InterpolationRun(s_a, s_b, pr_b, pr_a)
+        table = TermTable()
+        label = lambda text: formula(table, text)
+        false = label("false")
+        s_a = tuple(label(f"a{k}") for k in range(1, n + 1))
+        s_b = tuple(label(f"b{k}") for k in range(1, n)) + (false,)
+        pr_b = {
+            label(f"a{k}"): (label(f"b{k - 1}"),) if k > 1 else ()
+            for k in range(1, n + 1)
+        }
+        pr_a = {label(f"b{k}"): (label(f"a{k}"),) for k in range(1, n)}
+        pr_a[false] = (label(f"a{n}"),)
+        run = InterpolationRun(s_a, s_b, pr_b, pr_a, table)
         assert run.rounds() == 2 * n
         expected = tuple(
-            ("=>", ("and", f"b{k - 1}"), f"a{k}") for k in range(n, 1, -1)
-        ) + ("a1",)
+            label(f"(=> (and b{k - 1}) a{k})") for k in range(n, 1, -1)
+        ) + (label("a1"),)
         assert game_interpolant(run) == expected
 
     def test_premise_cycle_is_reported(self):
+        table = TermTable()
+        a1, b1, false = (formula(table, text) for text in ("a1", "b1", "false"))
         run = InterpolationRun(
-            ("a1",), ("b1", FALSE), {"a1": ("b1",)}, {"b1": ("a1",), FALSE: ("a1",)}
+            (a1,), (b1, false), {a1: (b1,)}, {b1: (a1,), false: (a1,)}, table
         )
         with pytest.raises(RuntimeError, match="premise cycle through b1"):
             game_interpolant(run)
@@ -677,10 +745,11 @@ class TestBridge:
     def test_three_round_game_for_single_congruence(self):
         p = load_problem("horn_min.euf")
         tree, run = bridge_run(p)
-        eq = lambda a, b: ("=", a, b)
-        assert set(run.s_a) == {eq("u1", "v1")}
-        assert eq("u0", "v0") in set(run.s_b)
-        assert run.pr_b[eq("u1", "v1")] == (eq("u0", "v0"),)
+        assert set(printed(run.s_a)) == {"(= u1 v1)"}
+        assert "(= u0 v0)" in set(printed(run.s_b))
+        assert {format_term(a): printed(b) for a, b in run.pr_b.items()} == {
+            "(= u1 v1)": ("(= u0 v0)",)
+        }
         assert run.rounds() == 3
 
     def test_alternating_ladder_round_count(self):
@@ -701,7 +770,7 @@ class TestBridge:
         assert not check_local(euf_bridge(p))
         with pytest.raises(NonLocalProofError) as info:
             bridge_run(p)
-        assert info.value.step == ("=", "c1", ("h", "b1", "c3"))
+        assert format_term(info.value.step) == "(= c1 (h b1 c3))"
         assert str(info.value) == "inference step at (= c1 (h b1 c3)) is not local"
 
     def test_unfolding_keeps_the_first_direction_of_a_shared_path(self):
@@ -712,9 +781,12 @@ class TestBridge:
             "(A (= a c) (= d b) (= (f a b) e)) (B (= c d) (not (= e (f b a))))"
         )
         tree = euf_bridge(p)
-        eq = lambda s, t: ("=", s, t)
-        fab, fba = ("f", "a", "b"), ("f", "b", "a")
-        assert [(label, node.premises) for label, node in tree.nodes.items()] == [
+        eq = lambda s, t: f"(= {s} {t})"
+        fab, fba = "(f a b)", "(f b a)"
+        assert [
+            (format_term(label), printed(node.premises))
+            for label, node in tree.nodes.items()
+        ] == [
             (eq(fab, "e"), ()),
             (eq("d", "b"), ()),
             (eq("c", "d"), ()),
@@ -722,8 +794,8 @@ class TestBridge:
             (eq("a", "b"), (eq("d", "b"), eq("c", "d"), eq("a", "c"))),
             (eq(fab, fba), (eq("a", "b"), eq("a", "b"))),
             (eq("e", fba), (eq(fab, "e"), eq(fab, fba))),
-            (("not", eq("e", fba)), ()),
-            (FALSE, (eq("e", fba), ("not", eq("e", fba)))),
+            (f"(not {eq('e', fba)})", ()),
+            ("false", (eq("e", fba), f"(not {eq('e', fba)})")),
         ]
 
     def test_wide_class_proof_cuts_but_has_no_run(self, capsys, tmp_path):
@@ -750,6 +822,18 @@ class TestBridge:
             format_game_interpolant(game_interpolant(run)), p.table, p.symbols
         )
         assert len(horn.clauses) == 201
+        assert check_interpolant(p, horn).accepted
+
+    def test_deeply_nested_problem_bridges_and_prints(self):
+        # Labels are interned terms: nothing hashes, compares or prints them
+        # by recursion.
+        depth = 10_000
+        deep = "(f " * depth + "a" + ")" * depth
+        p = parse_problem(f"(A (= b {deep})) (B (= c {deep}) (not (= b c)))")
+        _, run = bridge_run(p)
+        game_text = format_game_interpolant(game_interpolant(run))
+        assert game_text == f"(and (= b {deep}))"
+        horn = parse_conjunction(game_text, p.table, p.symbols)
         assert check_interpolant(p, horn).accepted
 
     @pytest.mark.parametrize(
@@ -783,8 +867,8 @@ class TestBridge:
     def test_partial_interpolants_entailed_both_ways(self):
         # for every B-side formula: A entails its partial interpolant, and B
         # plus that interpolant entails the formula itself
-        def as_literal(problem, formula):
-            text = format_formula(formula)
+        def as_literal(problem, beta):
+            text = format_term(beta)
             conj = parse_conjunction(text, problem.table, problem.symbols)
             (clause,) = conj.clauses
             assert clause.premises == ()
@@ -803,7 +887,7 @@ class TestBridge:
                 for clause in horn.clauses:
                     context = list(p.a_literals) + list(clause.premises)
                     assert euf_entails(context, clause.conclusion)
-                if beta == FALSE:
+                if beta is tree.root:
                     assert unsat_with_horn(list(p.b_literals), horn)
                 else:
                     lit = as_literal(p, beta)
