@@ -42,20 +42,25 @@ def make_colorable(
 ) -> tuple[CongruenceGraph, list[Term]]:
     """Split uncolorable derived edges until every edge is colorable.
 
-    Works on a private copy; returns it with the list of vertices added.
-    Uncolorable edges are processed in creation order, so each one's parent
-    paths are already fully colorable when it is split.  An edge's
-    colorability never changes and new edges take the largest sequence
-    numbers, so one scan plus appending any uncolorable new edge keeps the
-    queue in that order.  When the split application already exists as a
-    vertex it is reused: it is then already connected to one endpoint, and a
-    single replacement edge to the other endpoint keeps the graph acyclic.
+    Copies the graph only when it splits: returns the input itself and no
+    vertices when every edge is colorable, else a repaired copy and the list
+    of vertices added.  Uncolorable edges are processed in creation order,
+    so each one's parent paths are already fully colorable when it is split.
+    An edge's colorability never changes and new edges take the largest
+    sequence numbers, so one scan plus appending any uncolorable new edge
+    keeps the queue in that order.  When the split application already
+    exists as a vertex it is reused: it is then already connected to one
+    endpoint, and a single replacement edge to the other endpoint keeps the
+    graph acyclic.
     """
+    none = Colorability.NONE
+    queue = deque(
+        e for e in graph.edges if edge_colorability(e.u, e.v, symbols) is none
+    )
+    if not queue:
+        return graph, []
     g = graph.clone()
     added: list[Term] = []
-    queue = deque(
-        e for e in g.edges if edge_colorability(e.u, e.v, symbols) is Colorability.NONE
-    )
     while queue:
         edge = queue.popleft()
         if not edge.is_derived:
@@ -69,12 +74,12 @@ def make_colorable(
         if new_term not in g:
             added.append(new_term)
         for new in g.split_edge(edge, new_term, left_pairs, right_pairs):
-            if edge_colorability(new.u, new.v, symbols) is Colorability.NONE:
+            if edge_colorability(new.u, new.v, symbols) is none:
                 queue.append(new)
     return g, added
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Factor:
     """Maximal same-colored subpath."""
 
@@ -104,13 +109,12 @@ class ColoredGraph:
         return out
 
 
-def _forced_color(edge: Edge, symbols: SymbolTable) -> Side | None:
-    """Color an edge must take, or None when both colors are available."""
+def _forced_color(edge: Edge, fit: Colorability) -> Side | None:
+    """Color an edge of fit ``fit`` must take, or None when both are available."""
     if edge.is_basic:
         if edge.side is None:
             raise ColoringError(f"basic edge {edge!r} has no originating side")
         return edge.side
-    fit = edge_colorability(edge.u, edge.v, symbols)
     if fit is Colorability.AB:
         return None
     if fit is Colorability.A:
@@ -133,12 +137,15 @@ def color(
     wholesale under those strategies; the greedy strategy walks the relevant
     path and, recursively, the parent paths of its derived edges, coloring
     each free edge like an adjacent already-colored edge of the walked path
-    (default A) to keep the number of color switches locally small.
+    (default A) to keep the number of color switches locally small.  Each
+    edge's fit to the signatures is computed once, for both the forced
+    colors and the final check.
     """
     colors: dict[int, Side] = {}
     free: list[Edge] = []
-    for edge in graph.edges:
-        forced = _forced_color(edge, symbols)
+    fits = [(edge, edge_colorability(edge.u, edge.v, symbols)) for edge in graph.edges]
+    for edge, fit in fits:
+        forced = _forced_color(edge, fit)
         if forced is None:
             free.append(edge)
         else:
@@ -156,9 +163,8 @@ def color(
         for edge in free:
             colors.setdefault(edge.seq, Side.A)
 
-    colored = ColoredGraph(graph, symbols, colors)
-    _validate(colored)
-    return colored
+    _validate(fits, colors)
+    return ColoredGraph(graph, symbols, colors)
 
 
 def _greedy_assign(
@@ -187,12 +193,11 @@ def _greedy_assign(
                         queue.append((s, t))
 
 
-def _validate(colored: ColoredGraph) -> None:
-    for edge in colored.graph.edges:
-        side = colored.colors[edge.seq]
+def _validate(fits: list[tuple[Edge, Colorability]], colors: dict[int, Side]) -> None:
+    for edge, fit in fits:
+        side = colors[edge.seq]
         if edge.is_basic and side is not edge.side:
             raise ColoringError(f"basic edge {edge!r} recolored to {side}")
         want = Colorability.A if side is Side.A else Colorability.B
-        fit = edge_colorability(edge.u, edge.v, colored.symbols)
         if fit is not Colorability.AB and fit is not want:
             raise ColoringError(f"edge {edge!r} colored {side} but not {side}-colorable")

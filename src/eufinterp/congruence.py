@@ -19,10 +19,16 @@ its class's representative, the smallest id in the class; ``find`` is one
 lookup.  A merge relabels the absorbed class, the one whose smallest id is
 larger, and appends its members to the kept one.  The closure rescans the
 applications over the absorbed class (Downey, Sethi & Tarjan, JACM 1980), so
-relabelling costs no more than that rescan.  Colorability repair replaces an
-edge by a two-edge path through a split vertex with
-:meth:`CongruenceGraph.split_edge`, which never changes the partition of the
-existing vertices.
+relabelling costs no more than that rescan.  Its merge loop reads and writes
+the graph's maps directly, with no method call per merge beyond the reroot
+walk and the relabelling, which :meth:`CongruenceGraph.split_edge` shares.
+
+Colorability repair replaces an edge by a two-edge path through a split
+vertex with ``split_edge``, which never changes the partition of the existing
+vertices.  ``edges`` is a dict in creation order, so the replaced edge leaves
+it in O(1) and the order stays that of the sequence numbers.  Edges and paths
+are slotted records: edges hash and compare by identity, paths by their
+fields.
 """
 
 from __future__ import annotations
@@ -34,9 +40,12 @@ from typing import Iterable, Sequence
 from .core import Literal, Side, Term
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Edge:
-    """One merge step.  Exactly one of ``origin`` / ``parents`` is set."""
+    """One merge step.  Exactly one of ``origin`` / ``parents`` is set.
+
+    Hashed and compared by identity; nothing changes an edge once it is made.
+    """
 
     u: Term
     v: Term
@@ -57,7 +66,7 @@ class Edge:
         return self.v if t is self.u else self.u
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Path:
     """The unique simple path between two connected vertices; empty iff u = v.
 
@@ -104,7 +113,8 @@ class CongruenceGraph:
 
     def __init__(self, vertices: Iterable[Term]):
         self.vertices: list[Term] = sorted(vertices, key=lambda t: t.id)
-        self.edges: list[Edge] = []
+        # The edges in creation order; a dict, so a split removes one in O(1).
+        self.edges: dict[Edge, None] = {}
         # Proof forest: vertex -> (edge to its parent, parent); None at a root.
         self._up: dict[Term, tuple[Edge, Term] | None] = dict.fromkeys(self.vertices)
         # The partition: term id -> smallest id in its class, and that id ->
@@ -114,8 +124,9 @@ class CongruenceGraph:
         self._next_seq = 0
 
     def clone(self) -> "CongruenceGraph":
-        g = CongruenceGraph(self.vertices)
-        g.edges = list(self.edges)
+        g = CongruenceGraph.__new__(CongruenceGraph)
+        g.vertices = list(self.vertices)
+        g.edges = dict(self.edges)
         g._up = dict(self._up)
         g._rep = dict(self._rep)
         g.classes = {rep: list(members) for rep, members in self.classes.items()}
@@ -131,18 +142,21 @@ class CongruenceGraph:
     def connected(self, s: Term, t: Term) -> bool:
         return self._rep[s.id] == self._rep[t.id]
 
-    def _join(self, ra: int, rb: int) -> None:
+    def _join(self, ra: int, rb: int) -> list[Term]:
+        """Merge two classes into the one with the smaller id; the moved members."""
         keep, absorbed = (ra, rb) if ra < rb else (rb, ra)
         moved = self.classes.pop(absorbed)
         rep = self._rep
         for t in moved:
             rep[t.id] = keep
         self.classes[keep].extend(moved)
+        return moved
 
-    def _new_edge(self, u: Term, v: Term, **why) -> Edge:
-        edge = Edge(u, v, self._next_seq, **why)
+    def _new_edge(self, u: Term, v: Term, parents: tuple[tuple[Term, Term], ...]) -> Edge:
+        """A derived edge u--v with the next sequence number, added last."""
+        edge = Edge(u, v, self._next_seq, None, None, parents)
         self._next_seq += 1
-        self.edges.append(edge)
+        self.edges[edge] = None
         return edge
 
     def _reroot(self, x: Term) -> None:
@@ -154,27 +168,6 @@ class CongruenceGraph:
             edge, parent = link
             link, up[parent] = up[parent], (edge, child)
             child = parent
-
-    def add_edge(
-        self,
-        u: Term,
-        v: Term,
-        *,
-        origin: Literal | None = None,
-        side: Side | None = None,
-        parents: tuple[tuple[Term, Term], ...] | None = None,
-    ) -> Edge:
-        ru, rv = self.find(u.id), self.find(v.id)
-        if ru == rv:
-            raise ValueError(f"edge would close a cycle: {u!r} -- {v!r}")
-        edge = self._new_edge(u, v, origin=origin, side=side, parents=parents)
-        # Hang the smaller tree below the other endpoint.
-        classes = self.classes
-        low, high = (u, v) if len(classes[ru]) <= len(classes[rv]) else (v, u)
-        self._reroot(low)
-        self._up[low] = (edge, high)
-        self._join(ru, rv)
-        return edge
 
     def split_edge(
         self,
@@ -191,7 +184,7 @@ class CongruenceGraph:
         Returns the new edges; they take the next sequence numbers.
         """
         up = self._up
-        self.edges.remove(edge)
+        del self.edges[edge]
         # The forest stores the edge at its lower endpoint.
         low = edge.u if up[edge.u] is not None and up[edge.u][0] is edge else edge.v
         high = edge.other(low)
@@ -201,8 +194,8 @@ class CongruenceGraph:
             self._rep[mid.id] = mid.id
             self.classes[mid.id] = [mid]
             self._join(self._rep[low.id], mid.id)
-            first = self._new_edge(edge.u, mid, parents=left)
-            second = self._new_edge(mid, edge.v, parents=right)
+            first = self._new_edge(edge.u, mid, left)
+            second = self._new_edge(mid, edge.v, right)
             below, above = (first, second) if low is edge.u else (second, first)
             up[low] = (below, mid)
             up[mid] = (above, high)
@@ -212,9 +205,9 @@ class CongruenceGraph:
             x = up[x][1]
         below_low = x is low
         if below_low == (low is edge.u):
-            new = self._new_edge(mid, edge.v, parents=right)
+            new = self._new_edge(mid, edge.v, right)
         else:
-            new = self._new_edge(edge.u, mid, parents=left)
+            new = self._new_edge(edge.u, mid, left)
         if below_low:
             self._reroot(mid)
             up[mid] = (new, high)
@@ -291,49 +284,68 @@ def close(
             raise ClosureInputError(f"equality {lit!r} mentions a term outside T")
 
     graph = CongruenceGraph(terms)
+    edges, up, rep, classes = graph.edges, graph._up, graph._rep, graph.classes
+    reroot, join = graph._reroot, graph._join
 
     use: dict[int, list[Term]] = {t.id: [] for t in graph.vertices}
-    for t in graph.vertices:
-        for arg in dict.fromkeys(t.args):
-            use[arg.id].append(t)
-
-    find = graph.find
     sig_table: dict[tuple, Term] = {}
-    # Before any merge every term represents its own class.
     for t in graph.vertices:
         if t.args:
-            sig_table[(t.head, tuple(a.id for a in t.args))] = t
+            for arg in dict.fromkeys(t.args):
+                use[arg.id].append(t)
+            # Before any merge every term represents its own class.
+            sig_table[(t.head, tuple([a.id for a in t.args]))] = t
 
     # Pending merges (s, t, input literal or None for a congruence, side).
     pending = deque((lit.lhs, lit.rhs, lit, side) for lit, side in equalities)
+    seq = 0
     while pending:
         s, t, lit, side = pending.popleft()
-        rs, rt = find(s.id), find(t.id)
+        rs, rt = rep[s.id], rep[t.id]
         if rs == rt:
             continue
-        keep, absorbed = (rs, rt) if rs < rt else (rt, rs)
-        # The merge moves this list's members into the kept class.
-        moved = graph.classes[absorbed]
-        if lit is not None:
-            graph.add_edge(s, t, origin=lit, side=side)
+        if lit is None:
+            edge = Edge(s, t, seq, None, None, tuple(zip(s.args, t.args)))
         else:
-            graph.add_edge(s, t, parents=tuple(zip(s.args, t.args)))
+            edge = Edge(s, t, seq, lit, side, None)
+        seq += 1
+        edges[edge] = None
+        # Hang the smaller tree below the other endpoint.
+        low, high = (s, t) if len(classes[rs]) <= len(classes[rt]) else (t, s)
+        reroot(low)
+        up[low] = (edge, high)
+        keep = rs if rs < rt else rt
+        moved = join(rs, rt)
         # Only applications over the absorbed class change signature; the
         # others keep a signature whose pairs are connected or already queued.
         # Rescan them in the order a pass over the merged class sorted by id
         # would first reach them: by smallest argument in the class, then id.
+        # Arguments are older than their applications, so that id is smaller
+        # than the application's.
         rescan = []
-        for app in {app.id: app for member in moved for app in use[member.id]}.values():
-            reps = tuple([find(a.id) for a in app.args])
-            first = min([a.id for a, r in zip(app.args, reps) if r == keep])
-            rescan.append((first, app.id, (app.head, reps), app))
+        seen = set()
+        for member in moved:
+            for app in use[member.id]:
+                aid = app.id
+                if aid in seen:
+                    continue
+                seen.add(aid)
+                first = aid
+                reps = []
+                for a in app.args:
+                    r = rep[a.id]
+                    reps.append(r)
+                    if r == keep and a.id < first:
+                        first = a.id
+                rescan.append((first, aid, (app.head, tuple(reps)), app))
         rescan.sort()
         for _, _, sig, app in rescan:
             known = sig_table.get(sig)
             if known is None:
                 sig_table[sig] = app
-            elif not graph.connected(app, known):
+            elif rep[app.id] != rep[known.id]:
                 pending.append((app, known, None, None))
+    graph._next_seq = seq
     return graph
 
 

@@ -39,9 +39,14 @@ class Colorability(Flag):
 _COLORABILITIES = (Colorability.NONE, Colorability.A, Colorability.B, Colorability.AB)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Term:
-    """Hash-consed ground term; ``args`` is empty for constants."""
+    """Hash-consed ground term; ``args`` is empty for constants.
+
+    Hashed and compared by identity.  Slotted rather than frozen, since terms
+    are built on every hot path; nothing assigns to a term after the table
+    makes it.
+    """
 
     id: int
     head: str
@@ -172,7 +177,14 @@ class SymbolTable:
 
 def edge_colorability(s: Term, t: Term, symbols: SymbolTable) -> Colorability:
     """An edge (equality) is exactly as colorable as both its endpoints."""
-    return _COLORABILITIES[symbols._bits(s) & symbols._bits(t)]
+    memo = symbols._term_bits
+    bits_s = memo.get(s.id)
+    if bits_s is None:
+        bits_s = symbols._bits(s)
+    bits_t = memo.get(t.id)
+    if bits_t is None:
+        bits_t = symbols._bits(t)
+    return _COLORABILITIES[bits_s & bits_t]
 
 
 def subterm_closure(terms: Iterable[Term]) -> list[Term]:

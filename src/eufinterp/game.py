@@ -297,15 +297,19 @@ def check_local(tree: ProofTree) -> bool:
 def normalize_root(tree: ProofTree) -> ProofTree:
     """Ensure the parents of false are B-colorable, via a relay constant.
 
-    When some premise of the root is not B-colorable, the root is relabelled
-    false' and a final inference false' |- false is appended (a step among
-    logical constants only, hence B-colorable).  The relay is interned in the
-    tree's table.  Idempotent.
+    When some premise of the root is not B-colorable, the root's step is
+    moved to a relay node and a final inference relay |- false is appended (a
+    step among logical constants only, hence B-colorable).  The relay is
+    false', or, when the tree already has a node of that label, the first of
+    (and false'), (and (and false')), ... that it lacks; each denotes falsity.
+    It is interned in the tree's table.  Idempotent.
     """
     root = tree.root
     if all(tree.b_colorable(p) for p in tree.nodes[root].premises):
         return tree
     relay = tree.table.make("false'")
+    while relay in tree.nodes:
+        relay = tree.table.make("and", (relay,))
     nodes: dict[Term, LabelNode] = {}
     for label, node in tree.nodes.items():
         if label is root:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import deque
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -10,6 +11,7 @@ import pytest
 from dataclasses import dataclass
 from typing import Union
 
+from eufinterp.congruence import CongruenceGraph, Edge
 from eufinterp.core import (
     ArityError,
     Literal,
@@ -70,6 +72,91 @@ def alternating_proof(steps: int) -> str:
     lines.append(f"(node nb (not (p c{steps})) (from B))")
     lines.append(f"(node root false (premises n{steps} nb))")
     return "\n".join(lines) + "\n"
+
+
+def reference_add_edge(
+    graph: CongruenceGraph,
+    u: Term,
+    v: Term,
+    *,
+    origin: Literal | None = None,
+    side: Side | None = None,
+    parents: tuple[tuple[Term, Term], ...] | None = None,
+) -> Edge:
+    """Add one edge between unconnected vertices, as the closure used to.
+
+    The edge takes the graph's next sequence number.  The smaller tree is
+    rerooted at its endpoint and hung below the other one, and the class
+    whose smallest id is larger is relabelled into the other.
+    """
+    rep, classes, up = graph._rep, graph.classes, graph._up
+    ru, rv = rep[u.id], rep[v.id]
+    if ru == rv:
+        raise ValueError(f"edge would close a cycle: {u!r} -- {v!r}")
+    edge = Edge(u, v, graph._next_seq, origin=origin, side=side, parents=parents)
+    graph._next_seq += 1
+    graph.edges[edge] = None
+    low, high = (u, v) if len(classes[ru]) <= len(classes[rv]) else (v, u)
+    link, up[low] = up[low], None
+    child = low
+    while link is not None:
+        above, parent = link
+        link, up[parent] = up[parent], (above, child)
+        child = parent
+    up[low] = (edge, high)
+    keep, absorbed = (ru, rv) if ru < rv else (rv, ru)
+    moved = classes.pop(absorbed)
+    for t in moved:
+        rep[t.id] = keep
+    classes[keep].extend(moved)
+    return edge
+
+
+def reference_close(
+    equalities: Sequence[tuple[Literal, Side | None]], terms: Sequence[Term]
+) -> CongruenceGraph:
+    """The closure's merge loop written with one graph method call per step.
+
+    Each merge goes through ``find``, ``reference_add_edge`` and
+    ``connected``; the rescan dedupes applications in a dict and takes the
+    smallest in-class argument with ``min``.  Input checks are left to the
+    closure under test.
+    """
+    graph = CongruenceGraph(terms)
+    use: dict[int, list[Term]] = {t.id: [] for t in graph.vertices}
+    for t in graph.vertices:
+        for arg in dict.fromkeys(t.args):
+            use[arg.id].append(t)
+    find = graph.find
+    sig_table: dict[tuple, Term] = {}
+    for t in graph.vertices:
+        if t.args:
+            sig_table[(t.head, tuple(a.id for a in t.args))] = t
+    pending = deque((lit.lhs, lit.rhs, lit, side) for lit, side in equalities)
+    while pending:
+        s, t, lit, side = pending.popleft()
+        rs, rt = find(s.id), find(t.id)
+        if rs == rt:
+            continue
+        keep, absorbed = (rs, rt) if rs < rt else (rt, rs)
+        moved = graph.classes[absorbed]
+        if lit is not None:
+            reference_add_edge(graph, s, t, origin=lit, side=side)
+        else:
+            reference_add_edge(graph, s, t, parents=tuple(zip(s.args, t.args)))
+        rescan = []
+        for app in {app.id: app for member in moved for app in use[member.id]}.values():
+            reps = tuple([find(a.id) for a in app.args])
+            first = min([a.id for a, r in zip(app.args, reps) if r == keep])
+            rescan.append((first, app.id, (app.head, reps), app))
+        rescan.sort()
+        for _, _, sig, app in rescan:
+            known = sig_table.get(sig)
+            if known is None:
+                sig_table[sig] = app
+            elif not graph.connected(app, known):
+                pending.append((app, known, None, None))
+    return graph
 
 
 def brute_force_closure(

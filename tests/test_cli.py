@@ -245,6 +245,23 @@ def test_deeply_nested_proof_formula_is_read_and_printed(capsys, tmp_path):
     assert (code, out, err) == (0, f"(and {deep})\n", "")
 
 
+def test_game_relay_does_not_overwrite_a_false_prime_node(capsys, tmp_path):
+    # The proof already has a node labelled false'; the relay takes the next
+    # free label, (and false'), and the proof is read as the acyclic one it is.
+    path = tmp_path / "relay.proof"
+    path.write_text(
+        "(theory-symbols)\n"
+        "(node n1 (p a) (from A))\n"
+        "(node n2 false' (premises n1))\n"
+        "(node n3 (not (p a)) (from A))\n"
+        "(node n4 false (premises n2 n3))\n"
+    )
+    code, out, err = run_cli(capsys, "game", "cut", str(path))
+    assert (code, out, err) == (0, "T_A: (and false')\nT_B: false\n", "")
+    code, out, err = run_cli(capsys, "game", "interpolate", str(path))
+    assert (code, out, err) == (0, "(and (and false'))\n", "")
+
+
 def test_recursion_error_exits_2(capsys, monkeypatch):
     # No reader recurses on depth any more; the mapping stays as a safety net.
     def too_deep(text):

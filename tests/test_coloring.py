@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 from eufinterp.coloring import (
+    Factor,
     Strategy,
     choose_splitter,
     color,
@@ -61,6 +62,49 @@ def test_repair_keeps_colorable_graphs_unchanged():
     repaired, added = make_colorable(g, p.symbols, p.table)
     assert added == []
     assert len(repaired.edges) == len(g.edges)
+
+
+def _graph_record(graph):
+    return (
+        list(graph.edges),
+        list(graph.vertices),
+        dict(graph._up),
+        {rep: list(members) for rep, members in graph.classes.items()},
+        dict(graph._rep),
+        graph._next_seq,
+    )
+
+
+def _uncolorable(graph, symbols):
+    return [e for e in graph.edges if edge_colorability(e.u, e.v, symbols) is Colorability.NONE]
+
+
+def test_repair_copies_the_graph_only_when_it_splits():
+    p = load_problem("split_new_vertex.euf")
+    g = _closed(p)
+    before = _graph_record(g)
+    uncolorable = _uncolorable(g, p.symbols)
+    repaired, added = make_colorable(g, p.symbols, p.table)
+    assert uncolorable and added and repaired is not g
+    assert _graph_record(g) == before
+    assert not any(e in repaired.edges for e in uncolorable)
+
+    p = load_problem("ladder2.euf")
+    g = _closed(p)
+    before = _graph_record(g)
+    assert _uncolorable(g, p.symbols) == []
+    repaired, added = make_colorable(g, p.symbols, p.table)
+    assert repaired is g and added == []
+    assert _graph_record(g) == before
+
+
+def test_factors_compare_by_fields():
+    p = load_problem("horn_min.euf")
+    colored, refuted, _, _ = build_colored_graph(p, Strategy.GREEDY)
+    path = colored.graph.path(refuted.lhs, refuted.rhs)
+    (factor,) = colored.factors(path)
+    assert factor == Factor(Side.A, colored.graph.path(refuted.lhs, refuted.rhs))
+    assert factor != Factor(Side.B, path)
 
 
 def test_repair_noop_without_derived_edges():

@@ -9,14 +9,16 @@ from eufinterp.coloring import make_colorable
 from eufinterp.congruence import (
     ClosureInputError,
     CongruenceGraph,
+    Edge,
     NotConnectedError,
+    Path,
     close,
     find_refuted_disequality,
 )
 from eufinterp.core import Literal, Side, TermTable, format_term, parse_problem, subterm_closure
 from eufinterp.generate import generate
 
-from conftest import brute_force_closure, load_problem
+from conftest import brute_force_closure, load_problem, reference_add_edge, reference_close
 
 
 def _close_problem(p):
@@ -52,7 +54,8 @@ def test_close_single_merge():
     table = TermTable()
     a, b = table.make("a"), table.make("b")
     g = close([(Literal.make(a, b), Side.A)], [a, b])
-    assert len(g.edges) == 1 and g.edges[0].is_basic
+    (edge,) = g.edges
+    assert edge.is_basic
     assert g.connected(a, b)
 
 
@@ -214,14 +217,14 @@ def _hand_built(mid_side: str, heavy: str, mid_fresh: bool):
     ends = {"u": fa, "v": fd}
 
     def basic(s, t):
-        g.add_edge(s, t, origin=Literal.make(s, t), side=Side.A)
+        reference_add_edge(g, s, t, origin=Literal.make(s, t), side=Side.A)
 
     if not mid_fresh:
         basic(ends[mid_side], p)
         basic(fc, p)
     for leaf in leaves:
         basic(leaf, ends[heavy])
-    edge = g.add_edge(fa, fd, parents=((a, d),))
+    edge = reference_add_edge(g, fa, fd, parents=((a, d),))
     return g, edge, fa, fc, fd, (a, c, d)
 
 
@@ -248,7 +251,7 @@ def test_split_edge_splices_a_fresh_vertex(heavy):
         (edge.seq + 1, fa, fc, ((a, c),)),
         (edge.seq + 2, fc, fd, ((c, d),)),
     ]
-    assert edge not in g.edges and g.edges[-2:] == new
+    assert edge not in g.edges and list(g.edges)[-2:] == new
     assert _partition_ids(g.components()) == {
         block | {fc.id} if fa.id in block else block for block in before
     }
@@ -351,3 +354,101 @@ def test_derived_edge_parents_held_before_creation():
                     assert find(p.id) == find(q.id)
             assert find(edge.u.id) != find(edge.v.id)
             parent[find(edge.u.id)] = find(edge.v.id)
+
+
+def closure_record(graph):
+    """Everything a closure decides: the edges in order, the forest links by
+    edge seq, the partition with its member order, and the next seq."""
+    edges = [(e.u, e.v, e.seq, e.origin, e.side, e.parents) for e in graph.edges]
+    links = {
+        t.id: None if link is None else (link[0].seq, link[1].id)
+        for t, link in graph._up.items()
+    }
+    classes = {rep: [t.id for t in members] for rep, members in graph.classes.items()}
+    return edges, links, classes, graph._rep, graph._next_seq
+
+
+def _wide_class_text(rng: random.Random, n: int) -> str:
+    """A: x{i+1} = (f x{i}), shuffled; B: x0 = x1 and x0 != x{n}."""
+    x = [f"x{j}" for j in rng.sample(range(n + 1), n + 1)]
+    eqs = [f"(= {x[i + 1]} (f {x[i]}))" for i in range(n)]
+    rng.shuffle(eqs)
+    return f"(A {' '.join(eqs)}) (B (= {x[0]} {x[1]}) (not (= {x[0]} {x[n]})))"
+
+
+def _crossing_text(rng: random.Random, k: int) -> str:
+    """A: a{i} = z{i}, (g a{i}) = t{i}; B: z{i} = b{i}, (g b{i}) = t{i+1}."""
+    a_lits, b_lits = [], []
+    for i in range(k):
+        a_lits += [f"(= a{i} z{i})", f"(= (g a{i}) t{i})"]
+        b_lits += [f"(= z{i} b{i})", f"(= (g b{i}) t{i + 1})"]
+    rng.shuffle(a_lits)
+    rng.shuffle(b_lits)
+    return f"(A {' '.join(a_lits)}) (B {' '.join(b_lits)} (not (= t0 t{k})))"
+
+
+def _closure_inputs():
+    for family in ("chain", "ladder", "split"):
+        for size in (2, 5, 9, 17, 30):
+            for seed in range(3):
+                p = parse_problem(generate(family, size, seed).text)
+                yield p.equalities(), subterm_closure(p.terms())
+    rng = random.Random(4242)
+    for n in (1, 2, 7, 20, 45):
+        p = parse_problem(_wide_class_text(rng, n))
+        yield p.equalities(), subterm_closure(p.terms())
+    for k in (1, 3, 8, 20):
+        p = parse_problem(_crossing_text(rng, k))
+        yield p.equalities(), subterm_closure(p.terms())
+    for _ in range(200):
+        _, terms = random_universe(rng)
+        yield random_equalities(rng, terms, rng.randint(0, 10)), terms
+    # After a = b, (g b b) and (g c0 b) meet (g a a) and (g c0 a).  Their
+    # smallest arguments in the merged class are both b, so (g b b), the
+    # older, is queued first, although c0 is the smaller argument overall.
+    table = TermTable()
+    c0, a, b = (table.make(n) for n in ("c0", "a", "b"))
+    terms = [c0, a, b] + [table.make("g", args) for args in ((a, a), (c0, a), (b, b), (c0, b))]
+    yield [(Literal.make(a, b), Side.A)], terms
+
+
+def test_closure_matches_the_reference_merge_loop():
+    count = 0
+    for eqs, terms in _closure_inputs():
+        assert closure_record(close(eqs, terms)) == closure_record(
+            reference_close(eqs, terms)
+        )
+        count += 1
+    assert count == 45 + 9 + 200 + 1
+
+
+def test_repair_keeps_edges_in_creation_order_and_on_the_forest():
+    splits = 0
+    for size in range(5, 40, 3):
+        for seed in range(3):
+            p = parse_problem(generate("split", size, seed).text)
+            g, added = make_colorable(_close_problem(p), p.symbols, p.table)
+            splits += len(added)
+            seqs = [e.seq for e in g.edges]
+            assert all(a < b for a, b in zip(seqs, seqs[1:]))
+            links = {link[0].seq for link in g._up.values() if link is not None}
+            assert set(seqs) == links
+    assert splits > 0
+
+
+def test_terms_and_edges_hash_and_compare_by_identity():
+    t1, t2 = TermTable().make("a"), TermTable().make("a")
+    assert (t1.id, t1.head, t1.args) == (t2.id, t2.head, t2.args)
+    assert t1 != t2 and t1 == t1 and len({t1, t2, t1}) == 2
+    e1, e2 = Edge(t1, t2, 0), Edge(t1, t2, 0)
+    assert e1 != e2 and e1 == e1 and len({e1, e2, e1}) == 2
+    assert {e1: 1}[e1] == 1
+
+
+def test_paths_compare_by_fields():
+    table = TermTable()
+    a, b = table.make("a"), table.make("b")
+    edge = Edge(a, b, 0)
+    assert Path((a, b), (edge,)) == Path(tuple([a, b]), tuple([edge]))
+    assert Path((a, b), (edge,)) != Path((a, b), (Edge(a, b, 0),))
+    assert Path((a,), ()) != Path((b,), ())

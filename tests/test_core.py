@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -201,3 +202,12 @@ def test_reader_declares_and_notes_symbols_in_one_walk():
     ]
     assert [t.id for t in p.table] == list(range(len(p.table)))
     assert [format_term(t) for t in p.table] == ["a", "(f a)", "b", "(g a b)", "c"]
+
+
+def test_literals_stay_frozen_values():
+    table = TermTable()
+    a, b = table.make("a"), table.make("b")
+    lit = Literal.make(b, a)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lit.equal = False
+    assert lit == Literal.make(a, b) and hash(lit) == hash(Literal.make(a, b))

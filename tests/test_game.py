@@ -517,6 +517,29 @@ class TestNormalizeRoot:
         assert normalize_root(fixed) is fixed  # idempotent
 
 
+    def test_relay_skips_labels_the_tree_carries(self):
+        text = (
+            "(theory-symbols)\n"
+            "(node n1 (p a) (from A))\n"
+            "(node n2 false' (premises n1))\n"
+            "(node n3 (not (p a)) (from A))\n"
+            "(node n4 false (premises n2 n3))\n"
+        )
+        tree = parse_proof(text)
+        fixed = normalize_root(tree)
+        table = fixed.table
+        relay = formula(table, "(and false')")
+        assert fixed.nodes[fixed.root].premises == (relay,)
+        assert fixed.nodes[relay].premises == (
+            formula(table, "false'"),
+            formula(table, "(not (p a))"),
+        )
+        assert fixed.nodes[formula(table, "false'")] is tree.nodes[formula(table, "false'")]
+        assert fixed.nodes[formula(table, "false'")].premises == (formula(table, "(p a)"),)
+        assert fixed.reach()  # acyclic: the pass raises on a cycle
+        assert normalize_root(fixed) is fixed
+
+
 class TestColoringCut:
     def test_forward_chain_cut(self):
         tree = normalize_root(fig_tree())
