@@ -13,13 +13,7 @@ import sys
 
 from .coloring import ColoredGraph, Strategy
 from .congruence import CongruenceGraph, close
-from .core import (
-    ParseError,
-    Side,
-    format_term,
-    parse_problem,
-    subterm_closure,
-)
+from .core import ParseError, Side, format_term, parse_problem
 from .game import (
     InvalidCutError,
     NonLocalProofError,
@@ -136,8 +130,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_closure(args) -> int:
     problem = parse_problem(_read_input(args.file))
-    terms = subterm_closure(problem.terms())
-    graph = close(problem.equalities(), terms)
+    graph = close(problem.equalities(), problem.terms())
     if args.dot:
         print(_dot(graph))
         return 0

@@ -351,10 +351,13 @@ def close(
 
 def find_refuted_disequality(
     graph: CongruenceGraph, diseqs: Sequence[tuple[Literal, Side]]
-) -> Literal | None:
-    """First disequality whose endpoints are connected; B-side ones win."""
+) -> tuple[Literal, Side] | None:
+    """The first ``(disequality, side)`` pair whose endpoints are connected.
+
+    B-side disequalities win; None when no disequality is refuted.
+    """
     for want in (Side.B, Side.A):
         for lit, side in diseqs:
             if side is want and graph.connected(lit.lhs, lit.rhs):
-                return lit
+                return lit, side
     return None

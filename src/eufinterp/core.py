@@ -4,6 +4,12 @@ Terms are hash-consed: structurally equal terms share one object, so identity
 comparisons and dense integer handles are enough everywhere else.  Constants
 are 0-ary applications; there is no separate variable syntax.  Equalities are
 kept normalized modulo symmetry (smaller term id on the left).
+
+The parser interns arguments before their applications and makes no other
+terms, so a freshly read problem's table holds exactly the subterms of its
+literals, in id order: that prefix is the problem's term set.  Term
+colorability is a list indexed by term id, filled in the same order once the
+symbols' sides are final.
 """
 
 from __future__ import annotations
@@ -116,16 +122,22 @@ class SymbolInfo:
 
 
 class SymbolTable:
-    """Arity and occurrence bookkeeping, plus memoized term colorability.
+    """Arity and occurrence bookkeeping, plus the colorability of every term.
 
-    A term's colorability is cached as its 2-bit value and read back as a
-    :class:`Colorability` member by indexing, so the hot paths never combine
-    flags.
+    ``bits[i]`` is the 2-bit colorability value of the table's term ``i``,
+    read back as a :class:`Colorability` member by indexing, so the hot paths
+    never combine flags.  A query naming a term the list does not cover yet
+    first extends it over the newer terms in id order; arguments come first,
+    so each entry is its head's bits ANDed with its arguments' entries.  That
+    covers terms made after parsing, such as repair vertices.  Entries never
+    change, so colorability is read only once the symbols' sides are final,
+    which is after parsing.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, table: TermTable) -> None:
+        self.table = table
         self.info: dict[str, SymbolInfo] = {}
-        self._term_bits: dict[int, int] = {}
+        self.bits: list[int] = []
 
     def declare(self, name: str, arity: int, side: Side | None = None) -> SymbolInfo:
         """Record ``name`` with ``arity`` (noting it on ``side``, if given)."""
@@ -144,47 +156,30 @@ class SymbolTable:
             entry.occurs_in_b = True
         return entry
 
-    def _bits(self, term: Term) -> int:
-        """The colorability value of ``term``: its head's bits and its arguments'.
-
-        Computed once per term id, children first on an explicit stack.
-        """
-        memo = self._term_bits
-        hit = memo.get(term.id)
-        if hit is not None:
-            return hit
-        stack = [term]
-        while stack:
-            t = stack[-1]
-            if t.id in memo:
-                stack.pop()
-                continue
-            pending = [a for a in t.args if a.id not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            entry = self.info.get(t.head)
-            bits = entry.occurs_in_a | entry.occurs_in_b << 1 if entry else 0
+    def _grow(self) -> list[int]:
+        """``bits``, extended to cover every term of the table."""
+        bits, info = self.bits, self.info
+        for t in self.table.terms[len(bits):]:
+            entry = info.get(t.head)
+            b = entry.occurs_in_a | entry.occurs_in_b << 1 if entry else 0
             for arg in t.args:
-                bits &= memo[arg.id]
-            memo[t.id] = bits
-            stack.pop()
-        return memo[term.id]
+                b &= bits[arg.id]
+            bits.append(b)
+        return bits
 
     def colorability(self, term: Term) -> Colorability:
-        return _COLORABILITIES[self._bits(term)]
+        bits = self.bits
+        if term.id >= len(bits):
+            bits = self._grow()
+        return _COLORABILITIES[bits[term.id]]
 
 
 def edge_colorability(s: Term, t: Term, symbols: SymbolTable) -> Colorability:
     """An edge (equality) is exactly as colorable as both its endpoints."""
-    memo = symbols._term_bits
-    bits_s = memo.get(s.id)
-    if bits_s is None:
-        bits_s = symbols._bits(s)
-    bits_t = memo.get(t.id)
-    if bits_t is None:
-        bits_t = symbols._bits(t)
-    return _COLORABILITIES[bits_s & bits_t]
+    bits = symbols.bits
+    if s.id >= len(bits) or t.id >= len(bits):
+        bits = symbols._grow()
+    return _COLORABILITIES[bits[s.id] & bits[t.id]]
 
 
 def subterm_closure(terms: Iterable[Term]) -> list[Term]:
@@ -366,7 +361,12 @@ class Reader:
 
 @dataclass
 class ProblemInstance:
-    """Two disjoint ground literal sets plus their shared symbol table."""
+    """Two disjoint ground literal sets plus their shared symbol table.
+
+    Built right after parsing, when the table holds exactly the subterms of
+    the literals; the table's length then is recorded, so terms made later
+    (repair vertices, interpolant terms) stay out of :meth:`terms`.
+    """
 
     table: TermTable
     symbols: SymbolTable
@@ -374,14 +374,7 @@ class ProblemInstance:
     b_literals: tuple[Literal, ...]
 
     def __post_init__(self) -> None:
-        self._sides: dict[Literal, Side] = {}
-        for lit in self.a_literals:
-            self._sides[lit] = Side.A
-        for lit in self.b_literals:
-            self._sides[lit] = Side.B
-
-    def side_of(self, lit: Literal) -> Side:
-        return self._sides[lit]
+        self._parsed = len(self.table)
 
     def literals(self) -> list[tuple[Literal, Side]]:
         """All literals in parse order, A before B."""
@@ -396,11 +389,9 @@ class ProblemInstance:
         return [(lit, side) for lit, side in self.literals() if not lit.equal]
 
     def terms(self) -> list[Term]:
-        out = []
-        for lit, _ in self.literals():
-            out.append(lit.lhs)
-            out.append(lit.rhs)
-        return out
+        """The subterms of the literals in term-id order: the table's prefix
+        the parser made, which is closed under taking arguments."""
+        return self.table.terms[: self._parsed]
 
 
 def _arity(token: str) -> int | None:
@@ -418,7 +409,7 @@ def parse_problem(text: str) -> ProblemInstance:
     both sets is an error, as is any arity clash.
     """
     table = TermTable()
-    symbols = SymbolTable()
+    symbols = SymbolTable(table)
     reader = Reader(text, table, symbols)
     toks, close = reader.toks, reader.close
 

@@ -27,7 +27,6 @@ from .core import (
     Term,
     TermTable,
     format_literal,
-    subterm_closure,
 )
 
 @dataclass(frozen=True)
@@ -300,12 +299,11 @@ def build_colored_graph(
     Raises NotUnsatisfiableError (with the model-defining partition) when no
     disequality is refuted.
     """
-    terms = subterm_closure(problem.terms())
-    graph = close(problem.equalities(), terms)
-    refuted = find_refuted_disequality(graph, problem.disequalities())
-    if refuted is None:
+    graph = close(problem.equalities(), problem.terms())
+    found = find_refuted_disequality(graph, problem.disequalities())
+    if found is None:
         raise NotUnsatisfiableError(graph.components())
-    side = problem.side_of(refuted)
+    refuted, side = found
     repaired, added = make_colorable(graph, problem.symbols, problem.table)
     colored = color(
         repaired, problem.symbols, strategy, relevant=(refuted.lhs, refuted.rhs)

@@ -14,6 +14,7 @@ from typing import Union
 from eufinterp.congruence import CongruenceGraph, Edge
 from eufinterp.core import (
     ArityError,
+    Colorability,
     Literal,
     OverlapError,
     ParseError,
@@ -203,6 +204,39 @@ def brute_force_closure(
     for t in terms:
         blocks.setdefault(cls[t.id], []).append(t)
     return list(blocks.values())
+
+
+def reference_colorability(
+    symbols: SymbolTable, term: Term, memo: dict[int, Colorability] | None = None
+) -> Colorability:
+    """The colorability of ``term``, by a walk of its own over its subterms.
+
+    The reference for ``SymbolTable.bits``: children first on an explicit
+    stack, each term's flags its head's occurrences met with its arguments'
+    flags, memoized per term id in ``memo`` across calls.
+    """
+    memo = {} if memo is None else memo
+    stack = [term]
+    while stack:
+        t = stack[-1]
+        if t.id in memo:
+            stack.pop()
+            continue
+        pending = [a for a in t.args if a.id not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        entry = symbols.info.get(t.head)
+        flags = Colorability.NONE
+        if entry is not None and entry.occurs_in_a:
+            flags |= Colorability.A
+        if entry is not None and entry.occurs_in_b:
+            flags |= Colorability.B
+        for arg in t.args:
+            flags &= memo[arg.id]
+        memo[t.id] = flags
+        stack.pop()
+    return memo[term.id]
 
 
 HORN_MIN = "(A (= u1 (* x u0)) (= v1 (* x v0))) (B (= u0 v0) (not (= u1 v1)))\n"
@@ -462,7 +496,7 @@ def reference_parse_problem(text: str) -> ProblemInstance:
     """
     forms = reference_read_sexprs(text)
     table = TermTable()
-    symbols = SymbolTable()
+    symbols = SymbolTable(table)
 
     idx = 0
     while idx < len(forms):

@@ -278,7 +278,7 @@ def test_free_edge_coloring_drives_the_interpolant():
 def test_fully_basic_graph_coloring_is_forced():
     p = load_problem("chain_three_afactors.euf")
     g = _closed(p)
-    refuted = find_refuted_disequality(g, p.disequalities())
+    refuted, _ = find_refuted_disequality(g, p.disequalities())
     for strategy in Strategy:
         colored = color(g, p.symbols, strategy, relevant=(refuted.lhs, refuted.rhs))
         for edge in g.edges:

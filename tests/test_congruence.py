@@ -97,8 +97,10 @@ def test_connected_basics():
 def test_find_refuted_disequality_picks_the_only_one():
     p = load_problem("ladder2.euf")
     g = _close_problem(p)
-    lit = find_refuted_disequality(g, p.disequalities())
-    assert lit is not None and not lit.equal
+    found = find_refuted_disequality(g, p.disequalities())
+    assert found is not None
+    lit, side = found
+    assert not lit.equal and (lit, side) in p.disequalities()
     assert {lit.lhs.head, lit.rhs.head} == {"y1", "y2"}
 
 
@@ -113,8 +115,8 @@ def test_find_refuted_disequality_prefers_b_side():
         "(A (= a b) (not (= c d))) (B (= c d) (not (= a b)))"
     )
     g = _close_problem(p)
-    lit = find_refuted_disequality(g, p.disequalities())
-    assert p.side_of(lit) is Side.B
+    lit, side = find_refuted_disequality(g, p.disequalities())
+    assert side is Side.B
     assert {lit.lhs.head, lit.rhs.head} == {"a", "b"}
 
 

@@ -1,16 +1,24 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from eufinterp import generate as generate_module
+from eufinterp.coloring import make_colorable
+from eufinterp.congruence import close
 from eufinterp.core import (
     ArityError,
     Colorability,
     Literal,
     OverlapError,
     ParseError,
+    Side,
+    SymbolTable,
     TermTable,
     edge_colorability,
     format_literal,
@@ -19,9 +27,33 @@ from eufinterp.core import (
     subterm_closure,
 )
 from eufinterp.generate import FAMILIES, generate
-from eufinterp.interpolate import format_conjunction, interpolate
+from eufinterp.interpolate import format_conjunction, interpolate, parse_conjunction
 
-from conftest import MALFORMED, assert_readers_agree, load_problem, load_text
+from conftest import (
+    DATA,
+    MALFORMED,
+    assert_readers_agree,
+    load_problem,
+    load_text,
+    reference_colorability,
+    reference_parse_problem,
+)
+from test_congruence import random_universe
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def bench_workload_texts(seed: int = 1) -> list[str]:
+    """The problem texts of every ``bench/`` workload for ``seed``."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks the module up
+    spec.loader.exec_module(workloads)
+    return [
+        inst.text
+        for name in workloads.WORKLOADS
+        for inst in workloads.build(name, seed, generate_module)
+    ]
 
 
 def test_parse_smallest_unsat_instance():
@@ -123,6 +155,81 @@ def test_colorability_antitone_under_subterms():
             assert c & p.symbols.colorability(arg) == c
 
 
+def assert_colorability_matches_reference(symbols, table) -> None:
+    """Every table term's colorability equals the reference walk's."""
+    memo: dict = {}
+    for term in table:
+        assert symbols.colorability(term) == reference_colorability(symbols, term, memo), term
+    assert len(symbols.bits) == len(table)
+
+
+def extend_after_parsing(problem, rng: random.Random) -> None:
+    """Repair the problem's graph, then make applications over its terms.
+
+    The new applications reuse the problem's symbols at their arities and
+    add one symbol no side mentions.
+    """
+    make_colorable(close(problem.equalities(), problem.terms()), problem.symbols, problem.table)
+    table, info = problem.table, problem.symbols.info
+    heads = [(name, entry.arity) for name, entry in info.items() if entry.arity]
+    heads.append(("fresh", 1))
+    for _ in range(8):
+        head, arity = rng.choice(heads)
+        table.make(head, tuple(rng.choice(table.terms) for _ in range(arity)))
+
+
+def colorability_problems():
+    yield from bench_workload_texts()
+    for family in FAMILIES:
+        for size in range(2, 41, 3):
+            for seed in range(2):
+                yield generate(family, size, seed).text
+
+
+def test_colorability_matches_the_reference_on_problems():
+    rng = random.Random(5)
+    for text in colorability_problems():
+        p = parse_problem(text)
+        extend_after_parsing(p, rng)
+        assert_colorability_matches_reference(p.symbols, p.table)
+
+
+def test_colorability_matches_the_reference_on_random_universes():
+    rng = random.Random(13)
+    sides = (None, Side.A, Side.B)
+    for _ in range(200):
+        table, _ = random_universe(rng, cap=16)
+        symbols = SymbolTable(table)
+        for term in table:
+            for side in rng.sample(sides, rng.randint(0, 3)):
+                symbols.declare(term.head, len(term.args), side)
+        assert_colorability_matches_reference(symbols, table)
+
+
+def test_colorability_catches_up_over_terms_made_after_a_query():
+    p = parse_problem(
+        "(A (= a z) (= (g a) t0)) (B (= z b) (= (g b) t1) (not (= t0 t1)))"
+    )
+    table, symbols = p.table, p.symbols
+    a = table.make("a")
+    assert symbols.colorability(a) == Colorability.A
+    before = list(symbols.bits)
+    assert len(before) == len(table)
+
+    adhoc = table.make("g", (table.make("g", (a,)),))
+    _, added = make_colorable(close(p.equalities(), p.terms()), symbols, table)
+    (vertex,) = added
+    assert format_term(vertex) == "(g z)" and vertex.id == adhoc.id + 1
+    after = table.make("g", (vertex,))
+    assert symbols.colorability(adhoc) == Colorability.A
+    assert symbols.colorability(vertex) == Colorability.AB
+    assert edge_colorability(vertex, table.make("g", (table.make("b"),)), symbols) \
+        == Colorability.B
+    assert symbols.colorability(after) == Colorability.AB
+    assert symbols.bits[: len(before)] == before
+    assert_colorability_matches_reference(symbols, table)
+
+
 def test_subterm_closure_single_application():
     table = TermTable()
     a = table.make("a")
@@ -211,3 +318,24 @@ def test_literals_stay_frozen_values():
     with pytest.raises(dataclasses.FrozenInstanceError):
         lit.equal = False
     assert lit == Literal.make(a, b) and hash(lit) == hash(Literal.make(a, b))
+
+
+def literal_subterms(problem):
+    """The subterm closure of the literals' endpoints, worked out afresh."""
+    return subterm_closure(t for lit, _ in problem.literals() for t in (lit.lhs, lit.rhs))
+
+
+@pytest.mark.parametrize("parse", [parse_problem, reference_parse_problem])
+def test_problem_terms_are_the_subterms_of_the_literals(parse):
+    texts = [generate(f, n, seed).text for f in FAMILIES for n in (2, 9, 30) for seed in (0, 1)]
+    texts += [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.euf"))]
+    texts.append("(declare-fun h 1) (A (= a a) (= a b) (= b a)) (B (not (= (f a) (f b))))")
+    for text in texts:
+        p = parse(text)
+        expected = literal_subterms(p)
+        assert p.terms() == expected
+        result = interpolate(p)
+        parse_conjunction(format_conjunction(result.interpolant), p.table, p.symbols)
+        parse_conjunction("(and (= (fresh a0) a0))", p.table, p.symbols)
+        assert len(p.table) > len(expected)
+        assert p.terms() == expected == literal_subterms(p)

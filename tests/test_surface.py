@@ -1,4 +1,5 @@
-"""The public surface matches the README, and the library carries no dead imports."""
+"""The public surface matches the README, the library carries no dead imports,
+and the oracle reads nothing the pipeline worked out."""
 
 from __future__ import annotations
 
@@ -61,3 +62,46 @@ def test_library_modules_import_nothing_unused():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+# What the pipeline works out about a problem: the colorability of its terms
+# and its term set.  The oracle derives its own from the literals.
+PIPELINE_NAMES = {"SymbolTable", "colorability", "edge_colorability"}
+
+
+def pipeline_reads(source: str) -> set[str]:
+    """Pipeline names, ``.symbols`` attributes and ``.terms()`` calls in ``source``."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias) and node.name in PIPELINE_NAMES:
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and node.id in PIPELINE_NAMES:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in PIPELINE_NAMES | {"symbols"}:
+            found.add("." + node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "terms"
+        ):
+            found.add(".terms()")
+    return found
+
+
+def test_oracle_reads_nothing_the_pipeline_worked_out():
+    snippet = (
+        "from .core import SymbolTable as S, edge_colorability\n"
+        "p.symbols.colorability(t)\n"
+        "u = p.terms()\n"
+        "v = closure.terms\n"
+        "symbols = colorability\n"
+    )
+    assert pipeline_reads(snippet) == {
+        "SymbolTable",
+        "edge_colorability",
+        ".symbols",
+        ".colorability",
+        ".terms()",
+        "colorability",
+    }
+    assert pipeline_reads((PACKAGE / "verify.py").read_text(encoding="utf-8")) == set()
