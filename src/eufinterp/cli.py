@@ -23,6 +23,7 @@ from .game import (
     local_cut,
     parse_proof,
     run_from_cut,
+    unfold_refutation,
 )
 from .generate import FAMILIES, generate
 from .interpolate import (
@@ -84,17 +85,28 @@ def _cmd_interpolate(args) -> int:
     if args.dot:
         print(_dot(result.colored.graph, result.colored))
         return 0
+    if args.game:
+        unfolded = unfold_refutation(result.colored, result.refuted, result.refuted_side)
+        try:
+            run = run_from_cut(*local_cut(unfolded))
+        except (NonLocalProofError, InvalidCutError) as exc:
+            print(f"bridge failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+        formula = format_game_interpolant(game_interpolant(run))
+        interpolant = parse_conjunction(formula, problem.table, problem.symbols)
+    else:
+        interpolant = result.interpolant
+        formula = format_conjunction(interpolant)
     verified = None
     if args.verify:
-        report = check_interpolant(problem, result.interpolant)
+        report = check_interpolant(problem, interpolant)
         verified = report.accepted
-    formula = format_conjunction(result.interpolant)
     if args.json:
         print(
             json.dumps(
                 {
                     "interpolant": formula,
-                    "clause_count": len(result.interpolant.clauses),
+                    "clause_count": len(interpolant.clauses),
                     "verified": verified,
                     "repair_vertices": len(result.repair_vertices),
                     "factors": result.factor_count,
@@ -105,8 +117,8 @@ def _cmd_interpolate(args) -> int:
         print(formula)
         if args.stats:
             print(
-                f"clauses={len(result.interpolant.clauses)} "
-                f"atoms={result.atom_count} "
+                f"clauses={len(interpolant.clauses)} "
+                f"atoms={len(interpolant.atoms())} "
                 f"repair_vertices={len(result.repair_vertices)}"
             )
     if verified is False:
@@ -195,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--stats", action="store_true")
     p_int.add_argument("--dot", action="store_true")
     p_int.add_argument("--json", action="store_true")
+    p_int.add_argument("--game", action="store_true")
     p_int.set_defaults(func=_cmd_interpolate)
 
     p_ver = sub.add_parser("verify", help="check an interpolant against a problem")

@@ -8,19 +8,24 @@ and the interpolant falls out of the run's premise bookkeeping.
 
 Formulas here are opaque: each label is a hash-consed ``Term`` of a
 ``TermTable`` that the proof owns, so labels are hashed and compared by
-identity, and only symbol occurrences matter.  Ground equality problems can
-be bridged in: a colored congruence graph unfolds into a local refutation
-whose inference steps are the factor summaries and derived-edge congruences.
+identity, and only symbol occurrences matter.  Sets of symbols and sets of
+labels are ints: symbol masks over one index per term table, and label masks
+over the proof's node order.  Ground equality problems can be bridged in: a
+colored congruence graph unfolds into a local refutation whose inference
+steps are the factor summaries and derived-edge congruences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
-from .coloring import Factor, Strategy
+from .coloring import ColoredGraph, Factor, Strategy
 from .congruence import Edge, Path
-from .core import ParseError, ProblemInstance, Reader, Side, Term, TermTable, format_term
+from .core import (
+    Literal, ParseError, ProblemInstance, Reader, Side, Term, TermTable, format_term,
+)
 from .interpolate import build_colored_graph
 
 LOGICAL_TOKENS = frozenset(
@@ -29,16 +34,42 @@ LOGICAL_TOKENS = frozenset(
 )
 
 
-def _own_free_symbols(term: Term, frees: dict[Term, frozenset[str]]) -> frozenset[str]:
-    """Non-logical symbols of ``term`` from its arguments' entries in ``frees``.
+class SymbolMasks:
+    """Free symbols of one term table's terms, as bitmasks over one index.
 
-    ``(forall v BODY)`` and ``(exists v BODY)`` bind ``v``.
+    ``bits`` gives each symbol a single-bit mask, in first-use order.
+    ``masks[i]`` is the free-symbol mask of the table's term of id ``i``;
+    ``cover`` extends it over the terms it lacks, in id order, so an
+    argument's entry is made before its application's.  Logical tokens are
+    not symbols, and ``(forall v BODY)`` and ``(exists v BODY)`` bind ``v``.
+    A caller that makes terms whose arguments belong to another table appends
+    their masks itself, as it makes them.
     """
-    head, args = term.head, term.args
-    if head in ("forall", "exists") and len(args) == 2 and not args[0].args:
-        return frees[args[1]] - {args[0].head}
-    own = frozenset() if head in LOGICAL_TOKENS else frozenset((head,))
-    return own.union(*(frees[a] for a in args))
+
+    def __init__(self) -> None:
+        self.bits: dict[str, int] = {}
+        self.masks: list[int] = []
+
+    def bit(self, name: str) -> int:
+        bit = self.bits.get(name)
+        if bit is None:
+            bit = self.bits[name] = 1 << len(self.bits)
+        return bit
+
+    def decode(self, mask: int) -> frozenset[str]:
+        return frozenset(name for name, bit in self.bits.items() if mask & bit)
+
+    def cover(self, table: TermTable) -> None:
+        masks = self.masks
+        for term in table.terms[len(masks):]:
+            head, args = term.head, term.args
+            if head in ("forall", "exists") and len(args) == 2 and not args[0].args:
+                mask = masks[args[1].id] & ~self.bit(args[0].head)
+            else:
+                mask = 0 if head in LOGICAL_TOKENS else self.bit(head)
+                for arg in args:
+                    mask |= masks[arg.id]
+            masks.append(mask)
 
 
 @dataclass
@@ -99,15 +130,18 @@ class ProofTree:
     """A local-refutation candidate, collapsed to one node per label.
 
     Labels are terms of ``table``, and the root is the term ``false``.
+    ``symbols`` holds the free-symbol mask of every term of ``table``; it is
+    completed at construction, and trees over one table share it.  The
+    side signatures are masks too: a side's is the union of its leaves'
+    masks, and a label fits a side when its mask lies inside that union and
+    the theory symbols.  ``sigma_a`` and ``sigma_b`` decode the side masks,
+    less the theory symbols, into names on first use.
+
     Reachability comes from one post-order pass over the DAG, made on first
     use: every label gets a bitmask of the labels strictly below it, bit
     ``i`` standing for the ``i``-th label of ``nodes``.  The pass runs on an
-    explicit stack, and a label reachable from itself raises ``ProofError``.
-    ``frees`` maps terms of ``table`` to their free symbols; it is completed
-    at construction with every term it lacks, in id order, so an argument's
-    entry is made before its application's.  Trees over one table may share
-    it.  Each label's fit to the two signatures is cached as two bits: bit 1
-    for A, bit 2 for B.
+    explicit stack over lists of premise indices, and a label reachable from
+    itself raises ``ProofError``.
     """
 
     def __init__(
@@ -116,35 +150,39 @@ class ProofTree:
         nodes: dict[Term, LabelNode],
         root: Term,
         table: TermTable,
-        frees: dict[Term, frozenset[str]] | None = None,
+        symbols: SymbolMasks | None = None,
     ):
         self.theory_symbols = theory_symbols
         self.nodes = nodes
         self.root = root
         self.table = table
-        self.frees = frees = {} if frees is None else frees
-        for term in table:
-            if term not in frees:
-                frees[term] = _own_free_symbols(term, frees)
-        self.sigma_a, self.sigma_b = (
-            frozenset().union(
-                *(frees[n.formula] for n in nodes.values() if n.origin == side)
-            )
-            - theory_symbols
-            for side in ("A", "B")
-        )
-        self._a_symbols = theory_symbols | self.sigma_a
-        self._b_symbols = theory_symbols | self.sigma_b
-        self._fits: dict[Term, int] = {}
-        self._reach: tuple[dict[Term, int], list[int]] | None = None
+        self.symbols = symbols = SymbolMasks() if symbols is None else symbols
+        symbols.cover(table)
+        masks = symbols.masks
+        theory = 0
+        for name in theory_symbols:
+            theory |= symbols.bit(name)
+        a_symbols = b_symbols = theory
+        for node in nodes.values():
+            if node.origin == "A":
+                a_symbols |= masks[node.formula.id]
+            elif node.origin == "B":
+                b_symbols |= masks[node.formula.id]
+        self._a_symbols, self._b_symbols = a_symbols, b_symbols
+        self._reach: tuple[dict[Term, int], list[list[int]], list[int]] | None = None
+
+    @cached_property
+    def sigma_a(self) -> frozenset[str]:
+        return self.symbols.decode(self._a_symbols) - self.theory_symbols
+
+    @cached_property
+    def sigma_b(self) -> frozenset[str]:
+        return self.symbols.decode(self._b_symbols) - self.theory_symbols
 
     def _fit(self, label: Term) -> int:
-        fit = self._fits.get(label)
-        if fit is None:
-            free = self.frees[label]
-            fit = (free <= self._a_symbols) | (free <= self._b_symbols) << 1
-            self._fits[label] = fit
-        return fit
+        """Bit 1: ``label`` fits A's signature; bit 2: it fits B's."""
+        mask = self.symbols.masks[label.id]
+        return (mask & self._a_symbols == mask) | (mask & self._b_symbols == mask) << 1
 
     def a_colorable(self, label: Term) -> bool:
         return self._fit(label) & 1 == 1
@@ -155,33 +193,48 @@ class ProofTree:
     def ab_colorable(self, label: Term) -> bool:
         return self._fit(label) == 3
 
-    def reach(self) -> tuple[dict[Term, int], list[int]]:
-        """``(index, below)``: each label's bit, and per bit the strict-below mask."""
+    def reach(self) -> tuple[dict[Term, int], list[list[int]], list[int]]:
+        """``(index, premises, below)``: each label's bit, and per bit the
+        premises' bits and the strict-below mask.
+
+        Labels are finished depth first from each label in node order, premises
+        in order, as a recursive evaluation would; the first premise met that is
+        still open names the cycle.
+        """
         if self._reach is None:
             nodes = self.nodes
             index = {label: i for i, label in enumerate(nodes)}
-            memo: dict[Term, int] = {}
-
-            def premises(label: Term) -> tuple[Term, ...]:
-                return nodes[label].premises
-
-            def below(label: Term) -> int:
-                mask = 0
-                for prem in nodes[label].premises:
-                    mask |= memo[prem] | 1 << index[prem]
-                return mask
-
-            def cycle(label: Term) -> ProofError:
-                return ProofError(f"cyclic proof through {format_term(label)}")
-
-            for label in nodes:
-                _post_order(label, premises, below, memo, cycle)
-            self._reach = index, [memo[label] for label in nodes]
+            premises = [[index[p] for p in node.premises] for node in nodes.values()]
+            below = [0] * len(premises)
+            state = bytearray(len(premises))  # 0 new, 1 open, 2 finished
+            for root in range(len(premises)):
+                if state[root]:
+                    continue
+                state[root] = 1
+                stack = [(root, iter(premises[root]))]
+                while stack:
+                    top, pending = stack[-1]
+                    for prem in pending:
+                        if state[prem] == 1:
+                            label = list(nodes)[prem]
+                            raise ProofError(f"cyclic proof through {format_term(label)}")
+                        if not state[prem]:
+                            state[prem] = 1
+                            stack.append((prem, iter(premises[prem])))
+                            break
+                    else:
+                        stack.pop()
+                        mask = 0
+                        for prem in premises[top]:
+                            mask |= below[prem] | 1 << prem
+                        below[top] = mask
+                        state[top] = 2
+            self._reach = index, premises, below
         return self._reach
 
     def precedes(self, phi: Term, psi: Term) -> bool:
         """``phi`` lies strictly below ``psi``."""
-        index, below = self.reach()
+        index, _, below = self.reach()
         return below[index[psi]] >> index[phi] & 1 == 1
 
 
@@ -317,27 +370,16 @@ def normalize_root(tree: ProofTree) -> ProofTree:
         else:
             nodes[label] = node
     nodes[root] = LabelNode(root, (relay,), None)
-    return ProofTree(tree.theory_symbols, nodes, root, tree.table, tree.frees)
-
-
-def _cut_candidates(tree: ProofTree, for_side: Side) -> list[Term]:
-    """AB-colorable labels the opposite prover cannot reach on its own."""
-    other_colorable = tree.b_colorable if for_side is Side.A else tree.a_colorable
-    origin = for_side.value
-    out = []
-    for label, node in tree.nodes.items():
-        if not tree.ab_colorable(label):
-            continue
-        if node.is_leaf:
-            if node.origin == origin:
-                out.append(label)
-        elif any(not other_colorable(p) for p in node.premises):
-            out.append(label)
-    return out
+    return ProofTree(tree.theory_symbols, nodes, root, tree.table, tree.symbols)
 
 
 def coloring_cut(tree: ProofTree) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
     """Inductive cut: alternately add maximal candidates below cut nodes.
+
+    Candidates are AB-colorable labels the opposite prover cannot reach on
+    its own: for T_A, A leaves and inferences with a premise that does not
+    fit B; for T_B, the same with the sides swapped.  Both candidate masks
+    come from one scan over the labels' fits.
 
     Starting from the root false in T_B, each B-sweep adds to T_A the maximal
     A-candidates below T_B nodes, and each A-sweep adds to T_B the maximal
@@ -356,12 +398,25 @@ def coloring_cut(tree: ProofTree) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
     rest.  Candidates come in node order, which is bit order, so new cut
     nodes are emitted in candidate order.
     """
-    index, below = tree.reach()
+    index, premises, below = tree.reach()
     labels = list(tree.nodes)
-    cand_a, cand_b = (
-        sum(1 << index[label] for label in _cut_candidates(tree, side))
-        for side in (Side.A, Side.B)
-    )
+    fits = [tree._fit(label) for label in labels]
+    cand_a = cand_b = 0
+    for i, node in enumerate(tree.nodes.values()):
+        if fits[i] != 3:
+            continue
+        if premises[i]:
+            fit = 3
+            for prem in premises[i]:
+                fit &= fits[prem]
+            if not fit & 2:
+                cand_a |= 1 << i
+            if not fit & 1:
+                cand_b |= 1 << i
+        elif node.origin == "A":
+            cand_a |= 1 << i
+        elif node.origin == "B":
+            cand_b |= 1 << i
     t_a: list[int] = []
     t_b: list[int] = [index[tree.root]]
     cut = 1 << t_b[0]
@@ -444,10 +499,12 @@ def run_from_cut(
 
     Each piece rooted at a cut node may only reach leaves of its own input
     set, axioms, or opposite-side cut nodes; anything else means the cut was
-    invalid.
+    invalid.  Every premise found must lie below its cut node, which is read
+    off the node's below-mask from ``tree.reach()``.
     """
     t_a, t_b = tuple(t_a), tuple(t_b)
     cutset = set(t_a) | set(t_b)
+    index, _, below = tree.reach()
 
     def piece_premises(chi: Term, own_origin: str, opposite: set) -> tuple:
         found: dict[Term, None] = {}
@@ -475,8 +532,9 @@ def run_from_cut(
                     )
                 continue
             stack.extend(reversed(node.premises))
+        chi_below = below[index[chi]]
         for label in found:
-            if not tree.precedes(label, chi):
+            if not chi_below >> index[label] & 1:
                 raise InvalidCutError("premise does not precede its conclusion")
         return tuple(found)
 
@@ -527,39 +585,54 @@ def format_game_interpolant(formulas: tuple[Term, ...]) -> str:
 def euf_bridge(
     problem: ProblemInstance, strategy: Strategy = Strategy.GREEDY
 ) -> ProofTree:
+    """Close, repair and color ``problem``, then unfold its refutation.
+
+    A caller that already holds the colored graph, such as an
+    ``InterpolationResult``, calls ``unfold_refutation`` on it instead.
+    """
+    colored, refuted, side, _ = build_colored_graph(problem, strategy)
+    return unfold_refutation(colored, refuted, side)
+
+
+def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> ProofTree:
     """Unfold a colored congruence graph into a local ground refutation.
 
     Every factor summary and every derived-edge congruence becomes one
     inference step; the final step derives false from the refuted
-    disequality and the summary of the path connecting its endpoints.
+    disequality, a leaf of ``side``, and the summary of the path connecting
+    its endpoints.
 
     Labels are interned in a table of the tree's own; an ``(= s t)`` label
-    takes the problem's vertex terms as its arguments.  Every vertex's symbol
-    set is built once, in one pass in term-id order: a term is interned after
-    its arguments, so an argument's id is smaller than its application's and
-    its set is already made.  An equality label's symbols are its terms'
-    symbols, handed to the tree as its ``frees``, so a symbol spelled like a
-    logical token stays a symbol.  The unfolding runs on an explicit stack,
-    in the order a recursive one would take: each edge is derived once, by
-    ``Edge.seq``, and each path or factor once, by ``Path.key``, in the
-    direction it is first met in; a path or factor of one edge is that edge.
+    takes the graph's vertex terms as its arguments.  Every vertex's symbol
+    mask is built once, in one pass over the vertices in graph order, where
+    a vertex's arguments come before it.  Every head counts as a symbol,
+    so a symbol spelled like a logical token stays a symbol.  An equality
+    label's mask is the OR of its endpoints' masks, appended to the tree's
+    ``SymbolMasks`` as the label is made.  The unfolding runs on an explicit
+    stack, in the order a recursive one would take: each edge is derived
+    once, by ``Edge.seq``, and each path or factor once, by ``Path.key``, in
+    the direction it is first met in; a path or factor of one edge is that
+    edge.  A basic edge is a leaf, finished where it is met.
     """
-    colored, refuted, side, _ = build_colored_graph(problem, strategy)
     graph = colored.graph
-    symbols: dict[Term, frozenset[str]] = {}
-    for t in sorted(graph.vertices, key=lambda t: t.id):
-        symbols[t] = frozenset((t.head,)).union(*(symbols[a] for a in t.args))
+    symbols = SymbolMasks()
+    bits, masks = symbols.bits, symbols.masks
+    vertex_masks: dict[Term, int] = {}
+    for t in graph.vertices:
+        mask = bits.get(t.head) or symbols.bit(t.head)
+        for a in t.args:
+            mask |= vertex_masks[a]
+        vertex_masks[t] = mask
     table = TermTable()
     nodes: dict[Term, LabelNode] = {}
-    frees: dict[Term, frozenset[str]] = {}
     labels: dict = {}  # edge seq or path key -> label of its step
 
     def eq_label(u: Term, v: Term) -> Term:
         if v.id < u.id:
             u, v = v, u
         label = table.make("=", (u, v))
-        if label not in frees:
-            frees[label] = symbols[u] | symbols[v]
+        if label.id == len(masks):
+            masks.append(vertex_masks[u] | vertex_masks[v])
         return label
 
     def add(label: Term, premises: tuple = (), origin: str | None = None) -> Term:
@@ -600,14 +673,15 @@ def euf_bridge(
             for sub in pending:
                 sub_key, sub = keyed(sub)
                 done = labels.get(sub_key)
-                if done is not None:
-                    premises.append(done)
-                    continue
-                if sub_key in open_keys:
-                    raise RuntimeError(f"unfolding revisits {sub_key}")
-                open_keys.add(sub_key)
-                stack.append(step(sub_key, sub))
-                break
+                if done is None and isinstance(sub, Edge) and sub.is_basic:
+                    labels[sub_key] = done = add(eq_label(sub.u, sub.v), (), sub.side.value)
+                elif done is None:
+                    if sub_key in open_keys:
+                        raise RuntimeError(f"unfolding revisits {sub_key}")
+                    open_keys.add(sub_key)
+                    stack.append(step(sub_key, sub))
+                    break
+                premises.append(done)
             else:
                 stack.pop()
                 open_keys.discard(key)
@@ -617,13 +691,14 @@ def euf_bridge(
         return done
 
     diseq_label = table.make("not", (eq_label(refuted.lhs, refuted.rhs),))
+    symbols.cover(table)  # before eq_label appends masks by id again
     root_premises: list[Term] = []
     if not refuted.trivial:
         root_premises.append(unfold(graph.path(refuted.lhs, refuted.rhs)))
     add(diseq_label, origin=side.value)
     root_premises.append(diseq_label)
     false = add(table.make("false"), tuple(root_premises))
-    return ProofTree(frozenset(), nodes, false, table, frees)
+    return ProofTree(frozenset(), nodes, false, table, symbols)
 
 
 def local_cut(tree: ProofTree) -> tuple[ProofTree, tuple, tuple]:

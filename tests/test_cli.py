@@ -58,6 +58,44 @@ def test_interpolate_strategy_flag(capsys):
     assert "(f z3)" in out  # the wide single-clause variant mentions f-terms
 
 
+def test_interpolate_game_prints_the_verified_game_interpolant(capsys):
+    # The refuted disequality is in A, where the game's construction differs
+    # from the pipeline's; --stats counts the game interpolant.
+    code, out, err = run_cli(
+        capsys, "interpolate", data("chain_a_diseq.euf"), "--game", "--verify", "--stats"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "(and (=> (and (= z2 (f z3)) (= (f z2) z1) (= z3 z4)) false'))",
+        "clauses=1 atoms=3 repair_vertices=0",
+    ]
+    code, out, _ = run_cli(
+        capsys, "interpolate", data("chain_a_diseq.euf"), "--game", "--verify", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+
+
+def test_interpolate_game_names_a_failed_bridge(capsys, tmp_path):
+    # The wide-class shape: the B leaf x2 = x1 feeds both the A step and B's
+    # final step, so the cut has no run.
+    path = tmp_path / "wide.euf"
+    path.write_text("(A (= x2 (f x1)) (= (f x2) x0)) (B (= x1 x2) (not (= x1 x0)))\n")
+    code, out, err = run_cli(capsys, "interpolate", str(path), "--game", "--verify")
+    assert (code, out) == (1, "")
+    assert err == (
+        "bridge failed: InvalidCutError: cut node (= x2 x1) on the wrong side of false\n"
+    )
+
+
+def test_interpolate_game_malformed_input_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.euf"
+    path.write_text("(A (= a b)\n(B)\n")
+    code, out, err = run_cli(capsys, "interpolate", str(path), "--game")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_satisfiable_instance_exits_1_with_witness(capsys, tmp_path):
     path = tmp_path / "sat.euf"
     path.write_text("(A (= a b)) (B (not (= c d)))\n")

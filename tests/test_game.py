@@ -7,7 +7,7 @@ import pytest
 from eufinterp.cli import main
 from eufinterp.core import Reader, Side, TermTable, format_term, parse_problem
 from eufinterp.game import (
-    _cut_candidates,
+    LOGICAL_TOKENS,
     InterpolationRun,
     InvalidCutError,
     LabelNode,
@@ -20,9 +20,11 @@ from eufinterp.game import (
     euf_bridge,
     format_game_interpolant,
     game_interpolant,
+    local_cut,
     normalize_root,
     parse_proof,
     run_from_cut,
+    unfold_refutation,
 )
 from eufinterp.generate import generate
 from eufinterp.interpolate import format_conjunction, interpolate, parse_conjunction
@@ -104,11 +106,64 @@ class Reach:
         return phi in self.strictly_below(psi)
 
 
+def reference_free_symbols(term, frees: dict) -> frozenset:
+    """Non-logical symbols of ``term`` from its arguments' entries in ``frees``.
+
+    ``(forall v BODY)`` and ``(exists v BODY)`` bind ``v``.
+    """
+    head, args = term.head, term.args
+    if head in ("forall", "exists") and len(args) == 2 and not args[0].args:
+        return frees[args[1]] - {args[0].head}
+    own = frozenset() if head in LOGICAL_TOKENS else frozenset((head,))
+    return own.union(*(frees[a] for a in args))
+
+
+def reference_frees(table: TermTable, bridged: bool = False) -> dict:
+    """Free symbols of every term of ``table`` as frozensets of names.
+
+    In the table of an EUF bridge, an ``(= s t)`` label takes every head of
+    ``s`` and ``t`` as a symbol.  Every other term is scanned by
+    ``reference_free_symbols``, in id order.
+    """
+
+    def heads(term) -> frozenset:
+        out, stack = set(), [term]
+        while stack:
+            t = stack.pop()
+            out.add(t.head)
+            stack.extend(t.args)
+        return frozenset(out)
+
+    frees: dict = {}
+    for term in table:
+        if bridged and term.head == "=":
+            frees[term] = heads(term.args[0]) | heads(term.args[1])
+        else:
+            frees[term] = reference_free_symbols(term, frees)
+    return frees
+
+
+def reference_cut_candidates(tree, for_side: Side) -> list:
+    """AB-colorable labels the opposite prover cannot reach on its own."""
+    other_colorable = tree.b_colorable if for_side is Side.A else tree.a_colorable
+    origin = for_side.value
+    out = []
+    for label, node in tree.nodes.items():
+        if not tree.ab_colorable(label):
+            continue
+        if node.is_leaf:
+            if node.origin == origin:
+                out.append(label)
+        elif any(not other_colorable(p) for p in node.premises):
+            out.append(label)
+    return out
+
+
 def reference_coloring_cut(tree):
     """The cut as a plain fixpoint: re-expand every cut node until no change."""
     reach = Reach(tree)
-    cand_a = _cut_candidates(tree, Side.A)
-    cand_b = _cut_candidates(tree, Side.B)
+    cand_a = reference_cut_candidates(tree, Side.A)
+    cand_b = reference_cut_candidates(tree, Side.B)
     t_a: dict = {}
     t_b: dict = {tree.root: None}
     maximal: dict = {}
@@ -332,6 +387,45 @@ def format_proof(tree) -> str:
     return "\n".join(lines) + "\n"
 
 
+LOGICAL_TOKEN_PROBLEMS = [
+    "(A (= a and) (= and c)) (B (not (= a c)))",
+    "(A (= a false) (= false c)) (B (not (= a c)))",
+    "(A (= a (forall c t)) (= (forall c t) d)) (B (not (= (g a t) (g d t))))",
+]
+
+# Binders that bind, one that shadows a free use, and shapes that do not bind.
+BINDER_PROOF = (
+    "(theory-symbols q)\n"
+    "(node n1 (forall x (forall y (q x y))) (from A))\n"
+    "(node n2 (exists y (p y a)) (from A))\n"
+    "(node n3 (forall (f x) b) (from B))\n"
+    "(node n4 (p y (exists x)) (from B))\n"
+    "(node n5 (and x) (premises n1 n2 n3 n4))\n"
+    "(node n6 false (premises n5))\n"
+)
+
+
+def sample_trees():
+    """``(key, tree, bridged)`` for random proofs, the fixture proofs and
+    bridged problems, each also with its root normalized."""
+    trees = []
+    rng = random.Random(8)
+    for i in range(300):
+        trees.append((("random", i), parse_proof(random_proof(rng, rng.randint(3, 40))), False))
+    trees.append((("forward_chain",), fig_tree(), False))
+    trees.append((("alternating", 200), parse_proof(alternating_proof(200)), False))
+    trees.append((("binders",), parse_proof(BINDER_PROOF), False))
+    for seed in range(3):
+        for family in ("chain", "ladder", "split"):
+            p = parse_problem(generate(family, 12, seed=seed).text)
+            trees.append(((family, 12, seed), euf_bridge(p), True))
+    for text in LOGICAL_TOKEN_PROBLEMS + [load_text("chain_a_diseq.euf")]:
+        trees.append(((text,), euf_bridge(parse_problem(text)), True))
+    return trees + [
+        ((*key, "normalized"), normalize_root(tree), bridged) for key, tree, bridged in trees
+    ]
+
+
 class TestParseProof:
     def test_forward_chain_structure(self):
         tree = fig_tree()
@@ -397,6 +491,31 @@ class TestParseProof:
         with pytest.raises(ProofError, match="cyclic proof through x"):
             coloring_cut(tree)
 
+    @pytest.mark.parametrize(
+        "shape, named",
+        [
+            # The pass starts at each label in node order and takes premises
+            # in order; the first premise met that is still open is named.
+            ([("y", "x"), ("false", "x"), ("x", "z"), ("z", "y")], "y"),
+            ([("false", "w x"), ("w", ""), ("x", "w y"), ("y", "z w"), ("z", "x")], "x"),
+            ([("z", "w"), ("false", "x"), ("x", "y"), ("y", "z"), ("w", "y")], "z"),
+        ],
+    )
+    def test_reach_names_the_first_open_label_of_a_cycle(self, shape, named):
+        table = TermTable()
+        nodes = {}
+        for text, premises in shape:
+            label = formula(table, text)
+            premises = tuple(formula(table, p) for p in premises.split())
+            nodes[label] = LabelNode(label, premises, None if premises else "A")
+        tree = ProofTree(frozenset(), nodes, formula(table, "false"), table)
+        with pytest.raises(ProofError, match=f"^cyclic proof through {named}$"):
+            tree.reach()
+        reference = Reach(tree)
+        with pytest.raises(ProofError, match=f"^cyclic proof through {named}$"):
+            for label in nodes:
+                reference.strictly_below(label)
+
     def test_label_collapse_matches_the_subtree_numbering(self):
         # Node-local label checks must accept exactly the proofs whose equal
         # labels root equal subtrees, also when a copy differs two levels down.
@@ -450,7 +569,8 @@ class TestParseProof:
             formula(table, text)
             for text in (RULE, "(forall x (s x))", "(or (r b) (q (f a) a))")
         )
-        frees = ProofTree(frozenset(), {}, formula(table, "false"), table).frees
+        symbols = ProofTree(frozenset(), {}, formula(table, "false"), table).symbols
+        frees = {t: symbols.decode(symbols.masks[t.id]) for t in table}
         assert frees[rule] == {"r", "t", "f"}
         assert frees[forall_s] == {"s"}
         assert frees[disjunction] == {
@@ -614,19 +734,45 @@ class TestColoringCut:
         assert two_sided >= 50
 
     def test_precedes_matches_the_reference(self):
-        rng = random.Random(8)
-        trees = [parse_proof(random_proof(rng, rng.randint(3, 40))) for _ in range(300)]
-        trees.append(parse_proof(alternating_proof(200)))
-        for seed in range(3):
-            for family in ("chain", "ladder", "split"):
-                p = parse_problem(generate(family, 12, seed=seed).text)
-                trees.append(euf_bridge(p))
-        for tree in trees:
-            tree = normalize_root(tree)
+        for key, tree, _ in sample_trees():
             reach = Reach(tree)
-            for psi in tree.nodes:
+            index, premises, masks = tree.reach()
+            labels = list(tree.nodes)
+            assert index == {label: i for i, label in enumerate(labels)}, key
+            for psi, node in tree.nodes.items():
                 below = reach.strictly_below(psi)
+                i = index[psi]
+                assert [labels[j] for j in premises[i]] == list(node.premises), key
+                assert {labels[j] for j in range(len(labels)) if masks[i] >> j & 1} == below
                 assert {phi for phi in tree.nodes if tree.precedes(phi, psi)} == below
+
+    def test_symbol_masks_and_fits_match_the_frozenset_scan(self):
+        relays = 0
+        for key, tree, bridged in sample_trees():
+            frees = reference_frees(tree.table, bridged)
+            symbols = tree.symbols
+            assert len(symbols.masks) == len(tree.table), key
+            for term in tree.table:
+                assert symbols.decode(symbols.masks[term.id]) == frees[term], (key, term)
+            sigma_a, sigma_b = (
+                frozenset().union(
+                    *(frees[n.formula] for n in tree.nodes.values() if n.origin == side)
+                )
+                - tree.theory_symbols
+                for side in ("A", "B")
+            )
+            assert (tree.sigma_a, tree.sigma_b) == (sigma_a, sigma_b), key
+            for label in tree.table:
+                fits_a = frees[label] <= tree.theory_symbols | sigma_a
+                fits_b = frees[label] <= tree.theory_symbols | sigma_b
+                assert tree.a_colorable(label) == fits_a, (key, label)
+                assert tree.b_colorable(label) == fits_b, (key, label)
+                assert tree.ab_colorable(label) == (fits_a and fits_b), (key, label)
+            root_premises = tree.nodes[tree.root].premises
+            relays += any("false'" in format_term(p) for p in root_premises)
+        # A relay extends the masks its tree shares with the unnormalized one.
+        assert relays >= 10
+
 
 class TestCheckCut:
     def test_missing_false_fails(self):
@@ -834,6 +980,33 @@ class TestBridge:
         assert capsys.readouterr().err == (
             "error: cut node (= x2 x1) on the wrong side of false\n"
         )
+
+    def test_unfolding_the_pipeline_graph_matches_the_bridge(self):
+        # A caller holding an InterpolationResult unfolds its colored graph
+        # without closing, repairing and coloring again.
+        def outcome(tree):
+            nodes = [
+                (format_term(label), printed(node.premises), node.origin)
+                for label, node in tree.nodes.items()
+            ]
+            try:
+                tree, t_a, t_b = local_cut(tree)
+                run = run_from_cut(tree, t_a, t_b)
+            except (NonLocalProofError, InvalidCutError) as exc:
+                return nodes, type(exc), str(exc)
+            text = format_game_interpolant(game_interpolant(run))
+            return nodes, printed(t_a), printed(t_b), text
+
+        for family in ("chain", "ladder", "split"):
+            for size in range(2, 31):
+                for seed in range(3):
+                    text = generate(family, size, seed=seed).text
+                    result = interpolate(parse_problem(text))
+                    unfolded = unfold_refutation(
+                        result.colored, result.refuted, result.refuted_side
+                    )
+                    bridged = euf_bridge(parse_problem(text))
+                    assert outcome(unfolded) == outcome(bridged), (family, size, seed)
 
     def test_ladder_of_400_rungs_bridges(self):
         # Past the interpreter's recursion limit for a recursive unfolding.
