@@ -8,9 +8,11 @@ and the interpolant falls out of the run's premise bookkeeping.
 
 Formulas here are opaque: each label is a hash-consed ``Term`` of a
 ``TermTable`` that the proof owns, so labels are hashed and compared by
-identity, and only symbol occurrences matter.  Sets of symbols and sets of
-labels are ints: symbol masks over one index per term table, and label masks
-over the proof's node order.  Ground equality problems can be bridged in: a
+identity, and only symbol occurrences matter.  A proof is index arrays, one
+entry per label: the unfolding, the cut and the run work on node indices,
+and only their results are labels again.  Sets of symbols and sets of labels
+are ints: symbol masks over one index per term table, and label masks over
+the proof's node order.  Ground equality problems can be bridged in: a
 colored congruence graph unfolds into a local refutation whose inference
 steps are the factor summaries and derived-edge congruences.
 """
@@ -19,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from itertools import count
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 from .coloring import ColoredGraph, Factor, Strategy
 from .congruence import Edge, Path
@@ -129,60 +133,89 @@ def _post_order(root, children, value, memo: dict, cycle: Callable[..., Exceptio
 class ProofTree:
     """A local-refutation candidate, collapsed to one node per label.
 
-    Labels are terms of ``table``, and the root is the term ``false``.
-    ``symbols`` holds the free-symbol mask of every term of ``table``; it is
-    completed at construction, and trees over one table share it.  The
-    side signatures are masks too: a side's is the union of its leaves'
-    masks, and a label fits a side when its mask lies inside that union and
-    the theory symbols.  ``sigma_a`` and ``sigma_b`` decode the side masks,
-    less the theory symbols, into names on first use.
+    The tree is index arrays, in the order ``add`` appends nodes: node ``i``
+    has the label ``labels[i]``, a term of ``table``, premise indices
+    ``premises[i]``, origin ``origins[i]`` ("A" | "B" | "axiom" for a leaf,
+    None for an inference) and symbol mask ``masks[i]``.  ``index`` maps
+    labels to nodes; ``root_index`` is false's node, and ``relay_index`` the
+    relay's that ``normalize_root`` put in the old root's slot.  ``nodes`` is
+    a read-only ``{label: LabelNode}`` view in node order, built on first use.
 
-    Reachability comes from one post-order pass over the DAG, made on first
-    use: every label gets a bitmask of the labels strictly below it, bit
-    ``i`` standing for the ``i``-th label of ``nodes``.  The pass runs on an
-    explicit stack over lists of premise indices, and a label reachable from
-    itself raises ``ProofError``.
+    ``symbols`` holds the free-symbol mask of every term of ``table``, and
+    trees over one table share it.  ``sides`` maps each origin to the union of
+    its nodes' masks, joined as nodes are added; "A" and "B" also hold the
+    theory symbols, and are the side signatures.  A label fits a side when its
+    mask lies inside that signature; ``fits`` holds that per node.  ``reach()``
+    gives every node the mask of the nodes strictly below it, bit ``j``
+    standing for node ``j``.
     """
 
     def __init__(
         self,
         theory_symbols: frozenset[str],
-        nodes: dict[Term, LabelNode],
-        root: Term,
         table: TermTable,
         symbols: SymbolMasks | None = None,
     ):
         self.theory_symbols = theory_symbols
-        self.nodes = nodes
-        self.root = root
         self.table = table
         self.symbols = symbols = SymbolMasks() if symbols is None else symbols
         symbols.cover(table)
-        masks = symbols.masks
         theory = 0
         for name in theory_symbols:
             theory |= symbols.bit(name)
-        a_symbols = b_symbols = theory
-        for node in nodes.values():
-            if node.origin == "A":
-                a_symbols |= masks[node.formula.id]
-            elif node.origin == "B":
-                b_symbols |= masks[node.formula.id]
-        self._a_symbols, self._b_symbols = a_symbols, b_symbols
-        self._reach: tuple[dict[Term, int], list[list[int]], list[int]] | None = None
+        self.sides: dict[str | None, int] = {"A": theory, "B": theory, "axiom": 0, None: 0}
+        self.labels: list[Term] = []
+        self.premises: list[tuple[int, ...]] = []
+        self.origins: list[str | None] = []
+        self.masks: list[int] = []
+        self.index: dict[Term, int] = {}
+        self.root_index = 0
+        self.relay_index: int | None = None
+        self._below: list[int] | None = None
+
+    def add(self, label: Term, premises: tuple = (), origin: str | None = None) -> int:
+        """The node of ``label``; a new one is appended with ``premises`` and
+        ``origin``, and a new leaf's mask joins its side's signature."""
+        i = self.index.get(label)
+        if i is None:
+            i = self.index[label] = len(self.labels)
+            mask = self.symbols.masks[label.id]
+            self.labels.append(label)
+            self.premises.append(premises)
+            self.origins.append(origin)
+            self.masks.append(mask)
+            self.sides[origin] |= mask
+        return i
+
+    @property
+    def root(self) -> Term:
+        return self.labels[self.root_index]
+
+    @cached_property
+    def nodes(self) -> Mapping[Term, LabelNode]:
+        labels = self.labels
+        return MappingProxyType({
+            label: LabelNode(label, tuple(labels[p] for p in premises), origin)
+            for label, premises, origin in zip(labels, self.premises, self.origins)
+        })
 
     @cached_property
     def sigma_a(self) -> frozenset[str]:
-        return self.symbols.decode(self._a_symbols) - self.theory_symbols
+        return self.symbols.decode(self.sides["A"]) - self.theory_symbols
 
     @cached_property
     def sigma_b(self) -> frozenset[str]:
-        return self.symbols.decode(self._b_symbols) - self.theory_symbols
+        return self.symbols.decode(self.sides["B"]) - self.theory_symbols
+
+    @cached_property
+    def fits(self) -> list[int]:
+        """Per node, bit 1: its label fits A's signature; bit 2: B's."""
+        a, b = self.sides["A"], self.sides["B"]
+        return [(mask & a == mask) | (mask & b == mask) << 1 for mask in self.masks]
 
     def _fit(self, label: Term) -> int:
-        """Bit 1: ``label`` fits A's signature; bit 2: it fits B's."""
-        mask = self.symbols.masks[label.id]
-        return (mask & self._a_symbols == mask) | (mask & self._b_symbols == mask) << 1
+        mask, a, b = self.symbols.masks[label.id], self.sides["A"], self.sides["B"]
+        return (mask & a == mask) | (mask & b == mask) << 1
 
     def a_colorable(self, label: Term) -> bool:
         return self._fit(label) & 1 == 1
@@ -193,22 +226,28 @@ class ProofTree:
     def ab_colorable(self, label: Term) -> bool:
         return self._fit(label) == 3
 
-    def reach(self) -> tuple[dict[Term, int], list[list[int]], list[int]]:
-        """``(index, premises, below)``: each label's bit, and per bit the
-        premises' bits and the strict-below mask.
+    def reach(self) -> list[int]:
+        """Per node, the mask of the nodes strictly below it.
 
-        Labels are finished depth first from each label in node order, premises
-        in order, as a recursive evaluation would; the first premise met that is
+        Nodes are finished depth first from each node in order, premises in
+        order, as a recursive evaluation would; the first premise met that is
         still open names the cycle.
         """
-        if self._reach is None:
-            nodes = self.nodes
-            index = {label: i for i, label in enumerate(nodes)}
-            premises = [[index[p] for p in node.premises] for node in nodes.values()]
+        if self._below is None:
+            premises = self.premises
             below = [0] * len(premises)
             state = bytearray(len(premises))  # 0 new, 1 open, 2 finished
-            for root in range(len(premises)):
+            for root, prems in enumerate(premises):
                 if state[root]:
+                    continue
+                mask = 0
+                for prem in prems:
+                    if state[prem] != 2:
+                        break
+                    mask |= below[prem] | 1 << prem
+                else:  # every premise finished: as the pass below would
+                    below[root] = mask
+                    state[root] = 2
                     continue
                 state[root] = 1
                 stack = [(root, iter(premises[root]))]
@@ -216,7 +255,7 @@ class ProofTree:
                     top, pending = stack[-1]
                     for prem in pending:
                         if state[prem] == 1:
-                            label = list(nodes)[prem]
+                            label = self.labels[prem]
                             raise ProofError(f"cyclic proof through {format_term(label)}")
                         if not state[prem]:
                             state[prem] = 1
@@ -229,13 +268,12 @@ class ProofTree:
                             mask |= below[prem] | 1 << prem
                         below[top] = mask
                         state[top] = 2
-            self._reach = index, premises, below
-        return self._reach
+            self._below = below
+        return self._below
 
     def precedes(self, phi: Term, psi: Term) -> bool:
         """``phi`` lies strictly below ``psi``."""
-        index, _, below = self.reach()
-        return below[index[psi]] >> index[phi] & 1 == 1
+        return self.reach()[self.index[psi]] >> self.index[phi] & 1 == 1
 
 
 def parse_proof(text: str) -> ProofTree:
@@ -310,7 +348,7 @@ def parse_proof(text: str) -> ProofTree:
     if raw[roots[0]][0] is not false:
         raise ProofError("root node must be labelled false")
 
-    nodes: dict[Term, LabelNode] = {}
+    first: dict[Term, tuple] = {}  # label -> premise labels, origin of its first node
     checked: dict[str, None] = {}
     for node_id, (formula, premises, origin) in raw.items():
         _post_order(
@@ -320,25 +358,29 @@ def parse_proof(text: str) -> ProofTree:
             checked,
             lambda nid: ProofError(f"cyclic proof through node {nid!r}"),
         )
-        node = LabelNode(formula, tuple(raw[toks[k]][0] for k in premises), origin)
-        if nodes.setdefault(formula, node) != node:
+        node = (tuple(raw[toks[k]][0] for k in premises), origin)
+        if first.setdefault(formula, node) != node:
             raise ProofError(
                 f"nodes labelled {format_term(formula)} root different subtrees"
             )
-    return ProofTree(frozenset(theory), nodes, false, table)
+    order = {label: i for i, label in enumerate(first)}
+    tree = ProofTree(frozenset(theory), table)
+    for label, (premises, origin) in first.items():
+        tree.add(label, tuple(order[p] for p in premises), origin)
+    tree.root_index = order[false]
+    return tree
 
 
 def first_nonlocal_step(tree: ProofTree) -> Term | None:
     """Conclusion of the first inference step that fits neither signature."""
-    for label, node in tree.nodes.items():
-        if node.is_leaf:
-            continue
-        step = (label,) + node.premises
-        if not (
-            all(tree.a_colorable(f) for f in step)
-            or all(tree.b_colorable(f) for f in step)
-        ):
-            return label
+    fits = tree.fits
+    for i, premises in enumerate(tree.premises):
+        if premises:
+            fit = fits[i]
+            for prem in premises:
+                fit &= fits[prem]
+            if not fit:
+                return tree.labels[i]
     return None
 
 
@@ -355,22 +397,24 @@ def normalize_root(tree: ProofTree) -> ProofTree:
     step among logical constants only, hence B-colorable).  The relay is
     false', or, when the tree already has a node of that label, the first of
     (and false'), (and (and false')), ... that it lacks; each denotes falsity.
-    It is interned in the tree's table.  Idempotent.
+    It is interned in the tree's table, takes the root's slot in copies of
+    the arrays, and the new root is appended.  Idempotent.
     """
-    root = tree.root
-    if all(tree.b_colorable(p) for p in tree.nodes[root].premises):
+    r, labels = tree.root_index, tree.labels
+    if all(tree.b_colorable(labels[p]) for p in tree.premises[r]):
         return tree
-    relay = tree.table.make("false'")
-    while relay in tree.nodes:
-        relay = tree.table.make("and", (relay,))
-    nodes: dict[Term, LabelNode] = {}
-    for label, node in tree.nodes.items():
-        if label is root:
-            nodes[relay] = LabelNode(relay, node.premises, node.origin)
-        else:
-            nodes[label] = node
-    nodes[root] = LabelNode(root, (relay,), None)
-    return ProofTree(tree.theory_symbols, nodes, root, tree.table, tree.symbols)
+    root, table = tree.root, tree.table
+    relay = table.make("false'")
+    while relay in tree.index:
+        relay = table.make("and", (relay,))
+    fixed = ProofTree(tree.theory_symbols, table, tree.symbols)
+    for name in ("labels", "premises", "origins", "masks", "index", "sides"):
+        setattr(fixed, name, getattr(tree, name).copy())
+    del fixed.index[root]
+    fixed.labels[r], fixed.masks[r] = relay, tree.symbols.masks[relay.id]
+    fixed.index[relay] = fixed.relay_index = r
+    fixed.root_index = fixed.add(root, (r,))
+    return fixed
 
 
 def coloring_cut(tree: ProofTree) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
@@ -398,27 +442,24 @@ def coloring_cut(tree: ProofTree) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
     rest.  Candidates come in node order, which is bit order, so new cut
     nodes are emitted in candidate order.
     """
-    index, premises, below = tree.reach()
-    labels = list(tree.nodes)
-    fits = [tree._fit(label) for label in labels]
+    below, premises, origins, fits = tree.reach(), tree.premises, tree.origins, tree.fits
     cand_a = cand_b = 0
-    for i, node in enumerate(tree.nodes.values()):
-        if fits[i] != 3:
+    for i, fit in enumerate(fits):
+        if fit != 3:
             continue
         if premises[i]:
-            fit = 3
             for prem in premises[i]:
                 fit &= fits[prem]
             if not fit & 2:
                 cand_a |= 1 << i
             if not fit & 1:
                 cand_b |= 1 << i
-        elif node.origin == "A":
+        elif origins[i] == "A":
             cand_a |= 1 << i
-        elif node.origin == "B":
+        elif origins[i] == "B":
             cand_b |= 1 << i
     t_a: list[int] = []
-    t_b: list[int] = [index[tree.root]]
+    t_b: list[int] = [tree.root_index]
     cut = 1 << t_b[0]
 
     def sweep(anchors: list[int], start: int, candidates: int, into: list[int]) -> int:
@@ -444,7 +485,7 @@ def coloring_cut(tree: ProofTree) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
     while done_b < len(t_b) or done_a < len(t_a):
         done_b = sweep(t_b, done_b, cand_a, t_a)
         done_a = sweep(t_a, done_a, cand_b, t_b)
-    return tuple(labels[i] for i in t_a), tuple(labels[i] for i in t_b)
+    return tuple(tree.labels[i] for i in t_a), tuple(tree.labels[i] for i in t_b)
 
 
 def _premise_cycle(phi: Term) -> RuntimeError:
@@ -456,6 +497,7 @@ class InterpolationRun:
     """The (S_A, S_B, order, premise-maps) structure of a finished game.
 
     Its formulas are terms of ``table``, the table of the proof it came from.
+    ``relay`` is the label that stood in for false at the proof's root, if any.
     """
 
     s_a: tuple[Term, ...]
@@ -463,6 +505,7 @@ class InterpolationRun:
     pr_b: dict[Term, tuple[Term, ...]]  # premises the B-prover supplied
     pr_a: dict[Term, tuple[Term, ...]]  # premises the A-prover supplied
     table: TermTable
+    relay: Term | None = None
 
     @property
     def false(self) -> Term:
@@ -499,48 +542,53 @@ def run_from_cut(
 
     Each piece rooted at a cut node may only reach leaves of its own input
     set, axioms, or opposite-side cut nodes; anything else means the cut was
-    invalid.  Every premise found must lie below its cut node, which is read
-    off the node's below-mask from ``tree.reach()``.
+    invalid.  Pieces are walked over the premise lists, with the cut as one
+    byte of side bits per node.  Every premise found must lie below its cut
+    node, which is read off the node's below-mask from ``tree.reach()``.
     """
     t_a, t_b = tuple(t_a), tuple(t_b)
-    cutset = set(t_a) | set(t_b)
-    index, _, below = tree.reach()
+    index, labels, premises, origins = tree.index, tree.labels, tree.premises, tree.origins
+    below = tree.reach()
+    cut = bytearray(len(labels))  # per node, bit 1: in T_A; bit 2: in T_B
+    for label in t_a:
+        cut[index[label]] |= 1
+    for label in t_b:
+        cut[index[label]] |= 2
+    seen = [0] * len(labels)  # per node, the last piece that met it
+    pieces = count(1)
 
-    def piece_premises(chi: Term, own_origin: str, opposite: set) -> tuple:
-        found: dict[Term, None] = {}
-        seen: set[Term] = set()
-        stack = list(reversed(tree.nodes[chi].premises))
+    def piece_premises(chi: Term, own_origin: str, opposite: int) -> tuple:
+        c, piece = index[chi], next(pieces)
+        found: list[int] = []
+        stack = list(reversed(premises[c]))
         while stack:
-            label = stack.pop()
-            if label in seen:
+            i = stack.pop()
+            if seen[i] == piece:
                 continue
-            seen.add(label)
-            if label in cutset:
-                if label not in opposite:
+            seen[i] = piece
+            if cut[i]:
+                if not cut[i] & opposite:
                     raise InvalidCutError(
-                        f"cut node {format_term(label)} on the wrong side of "
+                        f"cut node {format_term(labels[i])} on the wrong side of "
                         f"{format_term(chi)}"
                     )
-                found[label] = None
-                continue
-            node = tree.nodes[label]
-            if node.is_leaf:
-                if node.origin not in (own_origin, "axiom"):
-                    raise InvalidCutError(
-                        f"piece at {format_term(chi)} reaches foreign leaf "
-                        f"{format_term(label)}"
-                    )
-                continue
-            stack.extend(reversed(node.premises))
-        chi_below = below[index[chi]]
-        for label in found:
-            if not chi_below >> index[label] & 1:
+                found.append(i)
+            elif premises[i]:
+                stack.extend(reversed(premises[i]))
+            elif origins[i] not in (own_origin, "axiom"):
+                raise InvalidCutError(
+                    f"piece at {format_term(chi)} reaches foreign leaf "
+                    f"{format_term(labels[i])}"
+                )
+        for i in found:
+            if not below[c] >> i & 1:
                 raise InvalidCutError("premise does not precede its conclusion")
-        return tuple(found)
+        return tuple([labels[i] for i in found])
 
-    pr_b = {alpha: piece_premises(alpha, "A", set(t_b)) for alpha in t_a}
-    pr_a = {beta: piece_premises(beta, "B", set(t_a)) for beta in t_b}
-    return InterpolationRun(t_a, t_b, pr_b, pr_a, tree.table)
+    pr_b = {alpha: piece_premises(alpha, "A", 2) for alpha in t_a}
+    pr_a = {beta: piece_premises(beta, "B", 1) for beta in t_b}
+    relay = None if tree.relay_index is None else labels[tree.relay_index]
+    return InterpolationRun(t_a, t_b, pr_b, pr_a, tree.table, relay)
 
 
 def game_interpolant(
@@ -550,6 +598,7 @@ def game_interpolant(
 
     With the default target, false, this is the interpolant of a successful
     run.  Implications ``(=> (and β…) α)`` are interned in the run's table.
+    The run's relay denotes falsity and is written false.
     """
     if target is None:
         target = run.false
@@ -569,10 +618,11 @@ def game_interpolant(
     implications: dict[Term, None] = {}
     for alpha in alphas:
         premises = run.pr_b[alpha]
+        conclusion = run.false if alpha is run.relay else alpha
         if premises:
-            implications[make("=>", (make("and", premises), alpha))] = None
+            implications[make("=>", (make("and", premises), conclusion))] = None
         else:
-            implications[alpha] = None
+            implications[conclusion] = None
     return tuple(implications)
 
 
@@ -612,20 +662,25 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
     stack, in the order a recursive one would take: each edge is derived
     once, by ``Edge.seq``, and each path or factor once, by ``Path.key``, in
     the direction it is first met in; a path or factor of one edge is that
-    edge.  A basic edge is a leaf, finished where it is met.
+    edge.  A basic edge is a leaf, finished where it is met.  Nodes are
+    appended to the tree as they are finished, so premises come before their
+    conclusions, and the root comes last.
     """
     graph = colored.graph
-    symbols = SymbolMasks()
+    table = TermTable()
+    tree = ProofTree(frozenset(), table)
+    symbols, index, labels, sides = tree.symbols, tree.index, tree.labels, tree.sides
+    premises_of, origins, node_masks = tree.premises, tree.origins, tree.masks
     bits, masks = symbols.bits, symbols.masks
     vertex_masks: dict[Term, int] = {}
     for t in graph.vertices:
-        mask = bits.get(t.head) or symbols.bit(t.head)
+        mask = bits.get(t.head)
+        if mask is None:
+            mask = bits[t.head] = 1 << len(bits)
         for a in t.args:
             mask |= vertex_masks[a]
         vertex_masks[t] = mask
-    table = TermTable()
-    nodes: dict[Term, LabelNode] = {}
-    labels: dict = {}  # edge seq or path key -> label of its step
+    done_at: dict = {}  # edge seq or path key -> node of its step
 
     def eq_label(u: Term, v: Term) -> Term:
         if v.id < u.id:
@@ -633,11 +688,6 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
         label = table.make("=", (u, v))
         if label.id == len(masks):
             masks.append(vertex_masks[u] | vertex_masks[v])
-        return label
-
-    def add(label: Term, premises: tuple = (), origin: str | None = None) -> Term:
-        if label not in nodes:
-            nodes[label] = LabelNode(label, premises, origin)
         return label
 
     def keyed(item: Edge | Factor | Path) -> tuple:
@@ -649,7 +699,7 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
         return path.key, item
 
     def step(key, item: Edge | Factor | Path) -> list:
-        """A stack frame: key, label, origin, premise items, premise labels."""
+        """A stack frame: key, label, origin, premise items, premise nodes."""
         if isinstance(item, Edge):
             label = eq_label(item.u, item.v)
             if item.is_basic:
@@ -664,41 +714,55 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
         path = item.path
         return [key, eq_label(path.start, path.end), None, iter(path.edges), []]
 
-    def unfold(item: Path) -> Term:
-        key, item = keyed(item)
+    diseq_label = table.make("not", (eq_label(refuted.lhs, refuted.rhs),))
+    false = table.make("false")
+    symbols.cover(table)  # before eq_label appends masks by id again
+    root_premises: list[int] = []
+    if not refuted.trivial:
+        key, item = keyed(graph.path(refuted.lhs, refuted.rhs))
         open_keys = {key}
         stack = [step(key, item)]
         while stack:
             key, label, origin, pending, premises = stack[-1]
             for sub in pending:
                 sub_key, sub = keyed(sub)
-                done = labels.get(sub_key)
-                if done is None and isinstance(sub, Edge) and sub.is_basic:
-                    labels[sub_key] = done = add(eq_label(sub.u, sub.v), (), sub.side.value)
-                elif done is None:
+                done = done_at.get(sub_key)
+                if done is not None:
+                    premises.append(done)
+                elif isinstance(sub, Edge) and sub.origin is not None:
+                    # A leaf, finished below without a frame of its own.
+                    key, label, premises = sub_key, eq_label(sub.u, sub.v), ()
+                    origin = sub.side.value
+                    break
+                else:
                     if sub_key in open_keys:
                         raise RuntimeError(f"unfolding revisits {sub_key}")
                     open_keys.add(sub_key)
                     stack.append(step(sub_key, sub))
+                    label = None  # nothing finished
                     break
-                premises.append(done)
             else:
                 stack.pop()
                 open_keys.discard(key)
-                labels[key] = done = add(label, tuple(premises), origin)
-                if stack:
-                    stack[-1][4].append(done)
-        return done
-
-    diseq_label = table.make("not", (eq_label(refuted.lhs, refuted.rhs),))
-    symbols.cover(table)  # before eq_label appends masks by id again
-    root_premises: list[Term] = []
-    if not refuted.trivial:
-        root_premises.append(unfold(graph.path(refuted.lhs, refuted.rhs)))
-    add(diseq_label, origin=side.value)
-    root_premises.append(diseq_label)
-    false = add(table.make("false"), tuple(root_premises))
-    return ProofTree(frozenset(), nodes, false, table, symbols)
+                premises = tuple(premises)
+            if label is None:
+                continue
+            done = index.get(label)  # tree.add, inlined: this runs per node
+            if done is None:
+                done = index[label] = len(labels)
+                labels.append(label)
+                premises_of.append(premises)
+                origins.append(origin)
+                mask = masks[label.id]
+                node_masks.append(mask)
+                sides[origin] |= mask
+            done_at[key] = done
+            if stack:
+                stack[-1][4].append(done)
+        root_premises.append(done)
+    root_premises.append(tree.add(diseq_label, (), side.value))
+    tree.root_index = tree.add(false, tuple(root_premises))
+    return tree
 
 
 def local_cut(tree: ProofTree) -> tuple[ProofTree, tuple, tuple]:

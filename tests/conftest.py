@@ -11,7 +11,8 @@ import pytest
 from dataclasses import dataclass
 from typing import Union
 
-from eufinterp.congruence import CongruenceGraph, Edge
+from eufinterp import game
+from eufinterp.congruence import CongruenceGraph, Edge, Path as GraphPath
 from eufinterp.core import (
     ArityError,
     Colorability,
@@ -27,8 +28,25 @@ from eufinterp.core import (
     format_term,
     parse_problem,
 )
-from eufinterp.game import ProofError, parse_proof
-from eufinterp.interpolate import HornClause, HornConjunction, parse_conjunction
+from eufinterp.game import (
+    InterpolationRun,
+    InvalidCutError,
+    LabelNode,
+    NonLocalProofError,
+    ProofError,
+    ProofTree,
+    SymbolMasks,
+    format_game_interpolant,
+    game_interpolant,
+    parse_proof,
+    unfold_refutation,
+)
+from eufinterp.interpolate import (
+    HornClause,
+    HornConjunction,
+    build_colored_graph,
+    parse_conjunction,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -815,3 +833,345 @@ def assert_readers_agree(problem_text: str, formula_text: str | None = None) -> 
 @pytest.fixture
 def data_dir() -> Path:
     return DATA
+
+
+# The label-keyed proof layer: the game bridge as it ran before ``ProofTree``
+# became index arrays.  A tree is a ``{label: LabelNode}`` dict in node order;
+# ``reach()`` re-indexes it, and ``run_from_cut`` walks each piece through
+# label-keyed sets.  The index-array bridge is compared against it.
+
+
+class LabelKeyedTree:
+    """A proof collapsed to one ``LabelNode`` per label, with symbol masks."""
+
+    def __init__(self, theory_symbols, nodes: dict, root: Term, table, symbols=None):
+        self.theory_symbols = theory_symbols
+        self.nodes = nodes
+        self.root = root
+        self.table = table
+        self.symbols = symbols = SymbolMasks() if symbols is None else symbols
+        symbols.cover(table)
+        masks = symbols.masks
+        theory = 0
+        for name in theory_symbols:
+            theory |= symbols.bit(name)
+        a_symbols = b_symbols = theory
+        for node in nodes.values():
+            if node.origin == "A":
+                a_symbols |= masks[node.formula.id]
+            elif node.origin == "B":
+                b_symbols |= masks[node.formula.id]
+        self._a_symbols, self._b_symbols = a_symbols, b_symbols
+        self._reach = None
+
+    def _fit(self, label: Term) -> int:
+        mask = self.symbols.masks[label.id]
+        return (mask & self._a_symbols == mask) | (mask & self._b_symbols == mask) << 1
+
+    def a_colorable(self, label: Term) -> bool:
+        return self._fit(label) & 1 == 1
+
+    def b_colorable(self, label: Term) -> bool:
+        return self._fit(label) & 2 == 2
+
+    def reach(self) -> tuple[dict, list, list]:
+        """``(index, premises, below)``, indexing the labels in node order."""
+        if self._reach is None:
+            nodes = self.nodes
+            index = {label: i for i, label in enumerate(nodes)}
+            premises = [[index[p] for p in node.premises] for node in nodes.values()]
+            below = [0] * len(premises)
+            state = bytearray(len(premises))  # 0 new, 1 open, 2 finished
+            for root in range(len(premises)):
+                if state[root]:
+                    continue
+                state[root] = 1
+                stack = [(root, iter(premises[root]))]
+                while stack:
+                    top, pending = stack[-1]
+                    for prem in pending:
+                        if state[prem] == 1:
+                            label = list(nodes)[prem]
+                            raise ProofError(f"cyclic proof through {format_term(label)}")
+                        if not state[prem]:
+                            state[prem] = 1
+                            stack.append((prem, iter(premises[prem])))
+                            break
+                    else:
+                        stack.pop()
+                        mask = 0
+                        for prem in premises[top]:
+                            mask |= below[prem] | 1 << prem
+                        below[top] = mask
+                        state[top] = 2
+            self._reach = index, premises, below
+        return self._reach
+
+
+def label_keyed_unfold(colored, refuted: Literal, side: Side) -> LabelKeyedTree:
+    """Unfold a colored graph into a ``LabelNode`` dict, as the bridge did."""
+    graph = colored.graph
+    symbols = SymbolMasks()
+    bits, masks = symbols.bits, symbols.masks
+    vertex_masks: dict = {}
+    for t in graph.vertices:
+        mask = bits.get(t.head) or symbols.bit(t.head)
+        for a in t.args:
+            mask |= vertex_masks[a]
+        vertex_masks[t] = mask
+    table = TermTable()
+    nodes: dict = {}
+    labels: dict = {}  # edge seq or path key -> label of its step
+
+    def eq_label(u: Term, v: Term) -> Term:
+        if v.id < u.id:
+            u, v = v, u
+        label = table.make("=", (u, v))
+        if label.id == len(masks):
+            masks.append(vertex_masks[u] | vertex_masks[v])
+        return label
+
+    def add(label: Term, premises: tuple = (), origin=None) -> Term:
+        if label not in nodes:
+            nodes[label] = LabelNode(label, premises, origin)
+        return label
+
+    def keyed(item) -> tuple:
+        if isinstance(item, Edge):
+            return item.seq, item
+        path = item if isinstance(item, GraphPath) else item.path
+        if len(path.edges) == 1:
+            return path.edges[0].seq, path.edges[0]
+        return path.key, item
+
+    def step(key, item) -> list:
+        if isinstance(item, Edge):
+            label = eq_label(item.u, item.v)
+            if item.is_basic:
+                return [key, label, item.side.value, iter(()), []]
+            subs = (graph.path(p, q) for p, q in item.parents if p is not q)
+            return [key, label, None, subs, []]
+        if isinstance(item, GraphPath):
+            factors = colored.factors(item)
+            if len(factors) > 1:
+                return [key, eq_label(item.start, item.end), None, iter(factors), []]
+            item = factors[0]
+        path = item.path
+        return [key, eq_label(path.start, path.end), None, iter(path.edges), []]
+
+    def unfold(item) -> Term:
+        key, item = keyed(item)
+        open_keys = {key}
+        stack = [step(key, item)]
+        while stack:
+            key, label, origin, pending, premises = stack[-1]
+            for sub in pending:
+                sub_key, sub = keyed(sub)
+                done = labels.get(sub_key)
+                if done is None and isinstance(sub, Edge) and sub.is_basic:
+                    labels[sub_key] = done = add(eq_label(sub.u, sub.v), (), sub.side.value)
+                elif done is None:
+                    if sub_key in open_keys:
+                        raise RuntimeError(f"unfolding revisits {sub_key}")
+                    open_keys.add(sub_key)
+                    stack.append(step(sub_key, sub))
+                    break
+                premises.append(done)
+            else:
+                stack.pop()
+                open_keys.discard(key)
+                labels[key] = done = add(label, tuple(premises), origin)
+                if stack:
+                    stack[-1][4].append(done)
+        return done
+
+    diseq_label = table.make("not", (eq_label(refuted.lhs, refuted.rhs),))
+    symbols.cover(table)  # before eq_label appends masks by id again
+    root_premises: list = []
+    if not refuted.trivial:
+        root_premises.append(unfold(graph.path(refuted.lhs, refuted.rhs)))
+    add(diseq_label, origin=side.value)
+    root_premises.append(diseq_label)
+    false = add(table.make("false"), tuple(root_premises))
+    return LabelKeyedTree(frozenset(), nodes, false, table, symbols)
+
+
+def label_keyed_first_nonlocal_step(tree: LabelKeyedTree):
+    for label, node in tree.nodes.items():
+        if node.is_leaf:
+            continue
+        step = (label,) + node.premises
+        if not (
+            all(tree.a_colorable(f) for f in step)
+            or all(tree.b_colorable(f) for f in step)
+        ):
+            return label
+    return None
+
+
+def label_keyed_normalize_root(tree: LabelKeyedTree) -> LabelKeyedTree:
+    """Move the root's step to a relay when a root premise is not B-colorable."""
+    root = tree.root
+    if all(tree.b_colorable(p) for p in tree.nodes[root].premises):
+        return tree
+    relay = tree.table.make("false'")
+    while relay in tree.nodes:
+        relay = tree.table.make("and", (relay,))
+    nodes: dict = {}
+    for label, node in tree.nodes.items():
+        if label is root:
+            nodes[relay] = LabelNode(relay, node.premises, node.origin)
+        else:
+            nodes[label] = node
+    nodes[root] = LabelNode(root, (relay,), None)
+    return LabelKeyedTree(tree.theory_symbols, nodes, root, tree.table, tree.symbols)
+
+
+def label_keyed_cut(tree: LabelKeyedTree) -> tuple[tuple, tuple]:
+    """The one-scan inductive cut over the re-indexed dict."""
+    index, premises, below = tree.reach()
+    labels = list(tree.nodes)
+    fits = [tree._fit(label) for label in labels]
+    cand_a = cand_b = 0
+    for i, node in enumerate(tree.nodes.values()):
+        if fits[i] != 3:
+            continue
+        if premises[i]:
+            fit = 3
+            for prem in premises[i]:
+                fit &= fits[prem]
+            if not fit & 2:
+                cand_a |= 1 << i
+            if not fit & 1:
+                cand_b |= 1 << i
+        elif node.origin == "A":
+            cand_a |= 1 << i
+        elif node.origin == "B":
+            cand_b |= 1 << i
+    t_a: list = []
+    t_b: list = [index[tree.root]]
+    cut = 1 << t_b[0]
+
+    def sweep(anchors: list, start: int, candidates: int, into: list) -> int:
+        nonlocal cut
+        end = len(anchors)
+        for anchor in anchors[start:end]:
+            eligible = below[anchor] & candidates
+            covered = 0
+            rest = eligible
+            while rest:
+                top = rest.bit_length() - 1
+                covered |= below[top]
+                rest = (rest ^ 1 << top) & ~below[top]
+            fresh = eligible & ~(covered | cut)
+            cut |= fresh
+            while fresh:
+                low = fresh & -fresh
+                into.append(low.bit_length() - 1)
+                fresh ^= low
+        return end
+
+    done_a = done_b = 0
+    while done_b < len(t_b) or done_a < len(t_a):
+        done_b = sweep(t_b, done_b, cand_a, t_a)
+        done_a = sweep(t_a, done_a, cand_b, t_b)
+    return tuple(labels[i] for i in t_a), tuple(labels[i] for i in t_b)
+
+
+def label_keyed_run(tree: LabelKeyedTree, t_a, t_b) -> InterpolationRun:
+    """Premise maps from pieces walked through label-keyed sets."""
+    t_a, t_b = tuple(t_a), tuple(t_b)
+    cutset = set(t_a) | set(t_b)
+    index, _, below = tree.reach()
+
+    def piece_premises(chi: Term, own_origin: str, opposite: set) -> tuple:
+        found: dict = {}
+        seen: set = set()
+        stack = list(reversed(tree.nodes[chi].premises))
+        while stack:
+            label = stack.pop()
+            if label in seen:
+                continue
+            seen.add(label)
+            if label in cutset:
+                if label not in opposite:
+                    raise InvalidCutError(
+                        f"cut node {format_term(label)} on the wrong side of "
+                        f"{format_term(chi)}"
+                    )
+                found[label] = None
+                continue
+            node = tree.nodes[label]
+            if node.is_leaf:
+                if node.origin not in (own_origin, "axiom"):
+                    raise InvalidCutError(
+                        f"piece at {format_term(chi)} reaches foreign leaf "
+                        f"{format_term(label)}"
+                    )
+                continue
+            stack.extend(reversed(node.premises))
+        chi_below = below[index[chi]]
+        for label in found:
+            if not chi_below >> index[label] & 1:
+                raise InvalidCutError("premise does not precede its conclusion")
+        return tuple(found)
+
+    pr_b = {alpha: piece_premises(alpha, "A", set(t_b)) for alpha in t_a}
+    pr_a = {beta: piece_premises(beta, "B", set(t_a)) for beta in t_b}
+    return InterpolationRun(t_a, t_b, pr_b, pr_a, tree.table)
+
+
+def tree_from_nodes(theory, nodes: dict, root: Term, table: TermTable) -> ProofTree:
+    """An index-array ``ProofTree`` holding a ``{label: LabelNode}`` dict's
+    nodes in order; premises may name labels that come later."""
+    tree = ProofTree(theory, table)
+    order = {label: i for i, label in enumerate(nodes)}
+    for label, node in nodes.items():
+        tree.add(label, tuple(order[p] for p in node.premises), node.origin)
+    tree.root_index = order[root]
+    return tree
+
+
+def bridge_outcome(problem: ProblemInstance, label_keyed: bool = False) -> tuple:
+    """The bridge route on one problem, printed: its nodes, the cut, the
+    premise maps and the game interpolant text, or the error's type and text.
+
+    The index-array route spells the relay false in the interpolant, the
+    label-keyed one false'.
+    """
+    colored, refuted, side, _ = build_colored_graph(problem)
+    if label_keyed:
+        tree = label_keyed_unfold(colored, refuted, side)
+        first_nonlocal_step, normalize, cut, run_of = (
+            label_keyed_first_nonlocal_step,
+            label_keyed_normalize_root,
+            label_keyed_cut,
+            label_keyed_run,
+        )
+    else:
+        tree = unfold_refutation(colored, refuted, side)
+        first_nonlocal_step, normalize, cut, run_of = (
+            game.first_nonlocal_step,
+            game.normalize_root,
+            game.coloring_cut,
+            game.run_from_cut,
+        )
+    fmt = lambda labels: tuple(format_term(label) for label in labels)
+    nodes = [
+        (format_term(label), fmt(node.premises), node.origin)
+        for label, node in tree.nodes.items()
+    ]
+    try:
+        step = first_nonlocal_step(tree)
+        if step is not None:
+            raise NonLocalProofError(step)
+        tree = normalize(tree)
+        t_a, t_b = cut(tree)
+        run = run_of(tree, t_a, t_b)
+    except (NonLocalProofError, InvalidCutError) as exc:
+        return nodes, type(exc), str(exc)
+    text = format_game_interpolant(game_interpolant(run))
+    if label_keyed:
+        text = text.replace("false'", "false")
+    pr = lambda premise_map: [(format_term(k), fmt(v)) for k, v in premise_map.items()]
+    return nodes, fmt(t_a), fmt(t_b), pr(run.pr_b), pr(run.pr_a), text

@@ -5,8 +5,9 @@ disequalities on both sides and congruences across the sides that need
 colorability repair.  Every unsatisfiable draw is interpolated under all three
 strategies and each interpolant is checked by the independent oracle; so are
 the interpolants of the same problem with its literals shuffled and with its
-symbols renamed.  Hypothesis runs derandomized with a fixed example budget, so
-the test is deterministic.
+symbols renamed.  The game bridge of the drawn and the shuffled problem must
+match the label-keyed reference route in ``conftest``.  Hypothesis runs
+derandomized with a fixed example budget, so the test is deterministic.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from eufinterp.coloring import Strategy
 from eufinterp.core import parse_problem
 from eufinterp.interpolate import NotUnsatisfiableError, format_conjunction, interpolate
 from eufinterp.verify import check_interpolant
+
+from conftest import bridge_outcome
 
 SYMBOLS = {  # side -> (constants, (function, arity) pairs); None is shared
     None: (("c0", "c1", "c2"), (("g", 1), ("h", 2))),
@@ -125,6 +128,8 @@ def test_random_problems_interpolate_and_verify(sides, data):
         return
     shuffled = render(data.draw(st.permutations(a_lits)), data.draw(st.permutations(b_lits)))
     assert accepted_under_every_strategy(shuffled)
+    for problem in map(parse_problem, (text, shuffled)):
+        assert bridge_outcome(problem) == bridge_outcome(problem, label_keyed=True)
     # A bijection onto fresh names that keeps every arity.
     constants = [c for consts, _ in SYMBOLS.values() for c in consts]
     unary = [f for _, funs in SYMBOLS.values() for f, arity in funs if arity == 1]

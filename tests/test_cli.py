@@ -60,13 +60,14 @@ def test_interpolate_strategy_flag(capsys):
 
 def test_interpolate_game_prints_the_verified_game_interpolant(capsys):
     # The refuted disequality is in A, where the game's construction differs
-    # from the pipeline's; --stats counts the game interpolant.
+    # from the pipeline's: the relay that stands in for false at the root of
+    # the proof is written false.  --stats counts the game interpolant.
     code, out, err = run_cli(
         capsys, "interpolate", data("chain_a_diseq.euf"), "--game", "--verify", "--stats"
     )
     assert (code, err) == (0, "")
     assert out.splitlines() == [
-        "(and (=> (and (= z2 (f z3)) (= (f z2) z1) (= z3 z4)) false'))",
+        "(and (=> (and (= z2 (f z3)) (= (f z2) z1) (= z3 z4)) false))",
         "clauses=1 atoms=3 repair_vertices=0",
     ]
     code, out, _ = run_cli(
@@ -286,6 +287,7 @@ def test_deeply_nested_proof_formula_is_read_and_printed(capsys, tmp_path):
 def test_game_relay_does_not_overwrite_a_false_prime_node(capsys, tmp_path):
     # The proof already has a node labelled false'; the relay takes the next
     # free label, (and false'), and the proof is read as the acyclic one it is.
+    # The cut names the relay; the interpolant writes it false.
     path = tmp_path / "relay.proof"
     path.write_text(
         "(theory-symbols)\n"
@@ -297,7 +299,7 @@ def test_game_relay_does_not_overwrite_a_false_prime_node(capsys, tmp_path):
     code, out, err = run_cli(capsys, "game", "cut", str(path))
     assert (code, out, err) == (0, "T_A: (and false')\nT_B: false\n", "")
     code, out, err = run_cli(capsys, "game", "interpolate", str(path))
-    assert (code, out, err) == (0, "(and (and false'))\n", "")
+    assert (code, out, err) == (0, "(and false)\n", "")
 
 
 def test_recursion_error_exits_2(capsys, monkeypatch):

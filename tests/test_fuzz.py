@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from eufinterp.cli import main
 from eufinterp.core import parse_problem
+from eufinterp.game import parse_proof
 from eufinterp.generate import FAMILIES, generate
 from eufinterp.interpolate import format_conjunction, interpolate
 
 from conftest import (
+    DATA,
     HORN_MIN,
     MALFORMED,
     alternating_proof,
@@ -125,6 +129,34 @@ def proof_corpus() -> tuple[list[str], list[str]]:
     proofs += [random_proof(rng, rng.randint(3, 12)) for _ in range(4)]
     malformed = [texts[0] for command, texts, _ in MALFORMED if command.startswith("game")]
     return proofs, malformed
+
+
+def test_nodes_view_of_parsed_proofs_matches_the_reference_reader():
+    # The read-only view lists each label's first node in file order, with
+    # its premise labels and origin, as the reference reader does; a cyclic
+    # proof raises the same error, naming the same node.
+    proofs, malformed = proof_corpus()
+    texts = [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.proof"))]
+    cyclic = (
+        "(theory-symbols)\n"
+        "(node n1 false (premises n2))\n"
+        "(node n2 (= a b) (premises n3))\n"
+        "(node n3 (= b c) (premises n2))\n"
+    )
+    parsed = 0
+    for text in texts + proofs + malformed + [cyclic]:
+        assert_proof_readers_agree(text)
+        try:
+            tree = parse_proof(text)
+        except ValueError:
+            continue
+        parsed += 1
+        assert list(tree.nodes) == tree.labels
+        assert tree.index == {label: i for i, label in enumerate(tree.labels)}
+        assert tree.root is tree.table.make("false")
+        with pytest.raises(TypeError):
+            tree.nodes[tree.root] = None
+    assert parsed == len(texts) + len(proofs)
 
 
 def test_mutated_proofs_and_closure_problems(capsys, tmp_path):

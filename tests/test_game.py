@@ -30,15 +30,21 @@ from eufinterp.generate import generate
 from eufinterp.interpolate import format_conjunction, interpolate, parse_conjunction
 from eufinterp.verify import check_interpolant, euf_entails, unsat_with_horn
 
+from test_core import bench_workload_texts
+
 from conftest import (
     MALFORMED,
+    LabelKeyedTree,
     alternating_proof,
     assert_proof_readers_agree,
+    bridge_outcome,
+    label_keyed_run,
     load_problem,
     load_text,
     reference_format_formula,
     reference_formula,
     reference_read_sexprs,
+    tree_from_nodes,
 )
 
 T_FA = "(t (f a))"
@@ -387,6 +393,13 @@ def format_proof(tree) -> str:
     return "\n".join(lines) + "\n"
 
 
+NON_LOCAL_PROBLEM = (
+    "(A (= (fa (fa c1)) c1) (= c1 c3) (= (h c1 a1) a2)"
+    " (not (= (fa a3) a2)) (not (= c1 (g c1))))"
+    " (B (= b3 (g (h b3 b1))) (= c3 b1) (= (g (h b1 c3)) c2) (= b2 c2)"
+    " (= (h c2 b2) b2) (= b1 b2) (not (= (fb (g c3)) c1)))"
+)
+
 LOGICAL_TOKEN_PROBLEMS = [
     "(A (= a and) (= and c)) (B (not (= a c)))",
     "(A (= a false) (= false c)) (B (not (= a c)))",
@@ -485,11 +498,13 @@ class TestParseProof:
             x: LabelNode(x, (y,), None),
             y: LabelNode(y, (x,), None),
         }
-        tree = ProofTree(frozenset(), nodes, false, table)
+        tree = tree_from_nodes(frozenset(), nodes, false, table)
         with pytest.raises(ProofError, match="cyclic proof through x"):
             tree.precedes(y, false)
         with pytest.raises(ProofError, match="cyclic proof through x"):
             coloring_cut(tree)
+        with pytest.raises(ProofError, match="cyclic proof through x"):
+            LabelKeyedTree(frozenset(), nodes, false, table).reach()
 
     @pytest.mark.parametrize(
         "shape, named",
@@ -508,9 +523,12 @@ class TestParseProof:
             label = formula(table, text)
             premises = tuple(formula(table, p) for p in premises.split())
             nodes[label] = LabelNode(label, premises, None if premises else "A")
-        tree = ProofTree(frozenset(), nodes, formula(table, "false"), table)
+        false = formula(table, "false")
+        tree = tree_from_nodes(frozenset(), nodes, false, table)
         with pytest.raises(ProofError, match=f"^cyclic proof through {named}$"):
             tree.reach()
+        with pytest.raises(ProofError, match=f"^cyclic proof through {named}$"):
+            LabelKeyedTree(frozenset(), nodes, false, table).reach()
         reference = Reach(tree)
         with pytest.raises(ProofError, match=f"^cyclic proof through {named}$"):
             for label in nodes:
@@ -569,7 +587,7 @@ class TestParseProof:
             formula(table, text)
             for text in (RULE, "(forall x (s x))", "(or (r b) (q (f a) a))")
         )
-        symbols = ProofTree(frozenset(), {}, formula(table, "false"), table).symbols
+        symbols = ProofTree(frozenset(), table).symbols
         frees = {t: symbols.decode(symbols.masks[t.id]) for t in table}
         assert frees[rule] == {"r", "t", "f"}
         assert frees[forall_s] == {"s"}
@@ -654,7 +672,7 @@ class TestNormalizeRoot:
             formula(table, "false'"),
             formula(table, "(not (p a))"),
         )
-        assert fixed.nodes[formula(table, "false'")] is tree.nodes[formula(table, "false'")]
+        assert fixed.nodes[formula(table, "false'")] == tree.nodes[formula(table, "false'")]
         assert fixed.nodes[formula(table, "false'")].premises == (formula(table, "(p a)"),)
         assert fixed.reach()  # acyclic: the pass raises on a cycle
         assert normalize_root(fixed) is fixed
@@ -736,8 +754,9 @@ class TestColoringCut:
     def test_precedes_matches_the_reference(self):
         for key, tree, _ in sample_trees():
             reach = Reach(tree)
-            index, premises, masks = tree.reach()
+            index, premises, masks = tree.index, tree.premises, tree.reach()
             labels = list(tree.nodes)
+            assert labels == tree.labels, key
             assert index == {label: i for i, label in enumerate(labels)}, key
             for psi, node in tree.nodes.items():
                 below = reach.strictly_below(psi)
@@ -841,6 +860,35 @@ class TestRunFromCut:
                 for alpha in alphas:
                     assert tree.precedes(alpha, beta)
 
+    def test_odd_cuts_run_as_the_label_keyed_walk(self):
+        # Cuts with a node dropped, a node added on either side, a duplicate
+        # or a node on both sides: the same premise maps or the same error.
+        def outcome(run_of, tree, t_a, t_b):
+            try:
+                run = run_of(tree, t_a, t_b)
+            except InvalidCutError as exc:
+                return str(exc)
+            maps = (run.pr_b, run.pr_a)
+            return [(format_term(k), printed(v)) for pr in maps for k, v in pr.items()]
+
+        rng = random.Random(8)
+        errors = 0
+        texts = [random_proof(rng, rng.randint(3, 40)) for _ in range(150)]
+        trees = [normalize_root(tree) for tree in [fig_tree(), *map(parse_proof, texts)]]
+        for tree in trees:
+            keyed = LabelKeyedTree(
+                tree.theory_symbols, dict(tree.nodes), tree.root, tree.table, tree.symbols
+            )
+            t_a, t_b = coloring_cut(tree)
+            other = rng.choice(tree.labels)
+            cuts = [(t_a, t_b), (t_a[1:], t_b), (t_a + (other,), t_b), (t_a, t_b + (other,))]
+            cuts += [(t_a + t_a, t_b), (t_a, t_b + t_a)]
+            for cut in cuts:
+                got = outcome(run_from_cut, tree, *cut)
+                assert got == outcome(label_keyed_run, keyed, *cut), cut
+                errors += isinstance(got, str)
+        assert errors >= 200
+
     def test_invalid_cut_is_reported(self):
         tree = normalize_root(fig_tree())
         with pytest.raises(InvalidCutError):
@@ -930,12 +978,7 @@ class TestBridge:
     def test_non_local_bridge_proof_is_reported_by_step(self):
         # euf_bridge emits a non-local step here; bridge_run names it rather
         # than failing later in run_from_cut.
-        p = parse_problem(
-            "(A (= (fa (fa c1)) c1) (= c1 c3) (= (h c1 a1) a2)"
-            " (not (= (fa a3) a2)) (not (= c1 (g c1))))"
-            " (B (= b3 (g (h b3 b1))) (= c3 b1) (= (g (h b1 c3)) c2) (= b2 c2)"
-            " (= (h c2 b2) b2) (= b1 b2) (not (= (fb (g c3)) c1)))"
-        )
+        p = parse_problem(NON_LOCAL_PROBLEM)
         assert not check_local(euf_bridge(p))
         with pytest.raises(NonLocalProofError) as info:
             bridge_run(p)
@@ -1007,6 +1050,25 @@ class TestBridge:
                     )
                     bridged = euf_bridge(parse_problem(text))
                     assert outcome(unfolded) == outcome(bridged), (family, size, seed)
+
+    def test_bridge_matches_the_label_keyed_route(self):
+        # On every bench workload, a non-local bridge and the logical-token
+        # problems: the same nodes, cut, premise maps and game text as the
+        # label-keyed reference, the relay spelled false; or the same error.
+        texts = bench_workload_texts(seed=2) + [NON_LOCAL_PROBLEM] + LOGICAL_TOKEN_PROBLEMS
+        outcomes = {}
+        for text in texts:
+            p = parse_problem(text)
+            outcome = bridge_outcome(p)
+            assert outcome == bridge_outcome(p, label_keyed=True), text
+            if len(outcome) == 3:
+                kind = outcome[1]
+            else:
+                kind = "relay" if "false'" in outcome[1] else "ok"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+        # wide-class fails at every size; the A-side refutations take a relay
+        assert outcomes[InvalidCutError] >= 7 and outcomes[NonLocalProofError] == 1, outcomes
+        assert outcomes["relay"] >= 10, outcomes
 
     def test_ladder_of_400_rungs_bridges(self):
         # Past the interpreter's recursion limit for a recursive unfolding.

@@ -105,3 +105,44 @@ def test_oracle_reads_nothing_the_pipeline_worked_out():
         "colorability",
     }
     assert pipeline_reads((PACKAGE / "verify.py").read_text(encoding="utf-8")) == set()
+
+
+# The game functions that work on a proof's index arrays alone.
+INDEX_ARRAY_FUNCTIONS = {"unfold_refutation", "normalize_root", "run_from_cut"}
+
+
+def label_node_uses(source: str, functions: set[str]) -> set[str]:
+    """Functions of ``functions`` in ``source`` that call ``LabelNode`` or
+    read a ``.nodes`` view, which builds one per label."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef) and node.name in functions):
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Call):
+                func = inner.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "LabelNode":
+                    found.add(node.name)
+            elif isinstance(inner, ast.Attribute) and inner.attr == "nodes":
+                found.add(node.name)
+    return found
+
+
+def test_bridge_functions_build_no_label_nodes():
+    snippet = (
+        "def normalize_root(tree):\n"
+        "    return {tree.root: LabelNode(tree.root, (), None)}\n"
+        "def run_from_cut(tree, t_a, t_b):\n"
+        "    def piece():\n"
+        "        return game.LabelNode(t_a[0], (), None)\n"
+        "def unfold_refutation(colored, refuted, side):\n"
+        "    return len(tree.nodes)\n"
+        "def coloring_cut(tree):\n"
+        "    return LabelNode(tree.root, (), None)\n"
+    )
+    assert label_node_uses(snippet, INDEX_ARRAY_FUNCTIONS) == INDEX_ARRAY_FUNCTIONS
+    bare_name = "def run_from_cut(tree):\n    return LabelNode\n"
+    assert label_node_uses(bare_name, {"run_from_cut"}) == set()
+    source = (PACKAGE / "game.py").read_text(encoding="utf-8")
+    assert label_node_uses(source, INDEX_ARRAY_FUNCTIONS) == set()
