@@ -178,7 +178,8 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    picked = [(name, getattr(args, name)) for name in FAMILIES if getattr(args, name)]
+    sizes = {name: getattr(args, name) for name in FAMILIES}
+    picked = [(name, size) for name, size in sizes.items() if size is not None]
     if len(picked) != 1:
         print("choose exactly one of --chain/--ladder/--split", file=sys.stderr)
         return 2

@@ -1,18 +1,18 @@
 """Colorable repair of congruence graphs, edge coloring, path factorization.
 
-A derived edge both of whose endpoints mention symbols private to opposite
-sides cannot be assigned to either prover.  The repair splits such an edge at
-a freshly built application over split vertices picked from its parent paths;
-the new application mentions only shared symbols, so both halves become
-colorable.  Coloring then fixes every forced edge and spends the remaining
-freedom (derived edges whose endpoints are expressible on both sides) per
-strategy.
+A derived edge whose endpoints mention symbols private to opposite sides
+cannot be assigned to either prover.  Repair splits it at a fresh application
+over split vertices picked from its parent paths, which mentions only shared
+symbols, so both halves become colorable.  Coloring fixes every forced edge
+and spends the remaining freedom (derived edges whose endpoints both sides
+can express) per strategy.  A colored graph factors each path once, into
+one-color runs that the premise sets and the game unfold share.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .congruence import CongruenceGraph, Edge, Path
@@ -79,34 +79,39 @@ def make_colorable(
     return g, added
 
 
-@dataclass(slots=True)
-class Factor:
-    """Maximal same-colored subpath."""
-
-    side: Side
-    path: Path
-
-
 @dataclass
 class ColoredGraph:
-    """A congruence graph plus a total edge-color assignment."""
+    """A congruence graph plus a total edge-color assignment.
+
+    A path's color factorization is its runs: maximal one-color stretches
+    ``(side, lo, hi)`` of ``edges[lo:hi]``, from ``vertices[lo]`` to
+    ``vertices[hi]``.  Each path is factored once, cached by :attr:`Path.key`;
+    a path met in the other direction reads its runs reversed.
+    """
 
     graph: CongruenceGraph
     symbols: SymbolTable
     colors: dict[int, Side]
+    _runs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def edge_color(self, edge: Edge) -> Side:
         return self.colors[edge.seq]
 
-    def factors(self, path: Path) -> list[Factor]:
-        sides = [self.colors[edge.seq] for edge in path.edges]
-        out: list[Factor] = []
-        lo = 0
-        for i in range(1, len(sides) + 1):
-            if i == len(sides) or sides[i] is not sides[lo]:
-                out.append(Factor(sides[lo], path.slice(lo, i)))
-                lo = i
-        return out
+    def runs(self, path: Path) -> list[tuple[Side, int, int]]:
+        key, start = path.key, path.vertices[0]
+        first, out = self._runs.get(key, (start, None))
+        if out is None:
+            sides = [self.colors[edge.seq] for edge in path.edges]
+            out, lo = [], 0
+            for hi in range(1, len(sides) + 1):
+                if hi == len(sides) or sides[hi] is not sides[lo]:
+                    out.append((sides[lo], lo, hi))
+                    lo = hi
+            self._runs[key] = start, out
+        if first is start:
+            return out
+        n = len(path.edges)
+        return [(side, n - hi, n - lo) for side, lo, hi in reversed(out)]
 
 
 def _forced_color(edge: Edge, fit: Colorability) -> Side | None:

@@ -25,7 +25,7 @@ from itertools import count
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from .coloring import ColoredGraph, Factor, Strategy
+from .coloring import ColoredGraph, Strategy
 from .congruence import Edge, Path
 from .core import (
     Literal, ParseError, ProblemInstance, Reader, Side, Term, TermTable, format_term,
@@ -200,31 +200,10 @@ class ProofTree:
         })
 
     @cached_property
-    def sigma_a(self) -> frozenset[str]:
-        return self.symbols.decode(self.sides["A"]) - self.theory_symbols
-
-    @cached_property
-    def sigma_b(self) -> frozenset[str]:
-        return self.symbols.decode(self.sides["B"]) - self.theory_symbols
-
-    @cached_property
     def fits(self) -> list[int]:
         """Per node, bit 1: its label fits A's signature; bit 2: B's."""
         a, b = self.sides["A"], self.sides["B"]
         return [(mask & a == mask) | (mask & b == mask) << 1 for mask in self.masks]
-
-    def _fit(self, label: Term) -> int:
-        mask, a, b = self.symbols.masks[label.id], self.sides["A"], self.sides["B"]
-        return (mask & a == mask) | (mask & b == mask) << 1
-
-    def a_colorable(self, label: Term) -> bool:
-        return self._fit(label) & 1 == 1
-
-    def b_colorable(self, label: Term) -> bool:
-        return self._fit(label) & 2 == 2
-
-    def ab_colorable(self, label: Term) -> bool:
-        return self._fit(label) == 3
 
     def reach(self) -> list[int]:
         """Per node, the mask of the nodes strictly below it.
@@ -270,10 +249,6 @@ class ProofTree:
                         state[top] = 2
             self._below = below
         return self._below
-
-    def precedes(self, phi: Term, psi: Term) -> bool:
-        """``phi`` lies strictly below ``psi``."""
-        return self.reach()[self.index[psi]] >> self.index[phi] & 1 == 1
 
 
 def parse_proof(text: str) -> ProofTree:
@@ -400,8 +375,8 @@ def normalize_root(tree: ProofTree) -> ProofTree:
     It is interned in the tree's table, takes the root's slot in copies of
     the arrays, and the new root is appended.  Idempotent.
     """
-    r, labels = tree.root_index, tree.labels
-    if all(tree.b_colorable(labels[p]) for p in tree.premises[r]):
+    r, fits = tree.root_index, tree.fits
+    if all(fits[p] & 2 for p in tree.premises[r]):
         return tree
     root, table = tree.root, tree.table
     relay = table.make("false'")
@@ -660,11 +635,12 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
     label's mask is the OR of its endpoints' masks, appended to the tree's
     ``SymbolMasks`` as the label is made.  The unfolding runs on an explicit
     stack, in the order a recursive one would take: each edge is derived
-    once, by ``Edge.seq``, and each path or factor once, by ``Path.key``, in
-    the direction it is first met in; a path or factor of one edge is that
-    edge.  A basic edge is a leaf, finished where it is met.  Nodes are
-    appended to the tree as they are finished, so premises come before their
-    conclusions, and the root comes last.
+    once, by ``Edge.seq``, and each path or factor once, by its endpoints'
+    ids as in ``Path.key``, in the direction it is first met in.  A path
+    reads its factors off ``colored.runs``: one run is the path itself, and
+    a run of one edge is that edge.  A basic edge is a leaf, finished where
+    it is met.  Nodes are appended to the tree as they are finished, so
+    premises come before their conclusions, and the root comes last.
     """
     graph = colored.graph
     table = TermTable()
@@ -690,15 +666,17 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
             masks.append(vertex_masks[u] | vertex_masks[v])
         return label
 
-    def keyed(item: Edge | Factor | Path) -> tuple:
+    def keyed(item: Edge | Path | tuple) -> tuple:
         if isinstance(item, Edge):
             return item.seq, item
-        path = item if isinstance(item, Path) else item.path
-        if len(path.edges) == 1:
-            return path.edges[0].seq, path.edges[0]
-        return path.key, item
+        if isinstance(item, Path):
+            if len(item.edges) == 1:
+                return item.edges[0].seq, item.edges[0]
+            return item.key, item
+        u, v, _ = item  # a run of two or more edges
+        return ((u.id, v.id) if u.id < v.id else (v.id, u.id)), item
 
-    def step(key, item: Edge | Factor | Path) -> list:
+    def step(key, item: Edge | Path | tuple) -> list:
         """A stack frame: key, label, origin, premise items, premise nodes."""
         if isinstance(item, Edge):
             label = eq_label(item.u, item.v)
@@ -707,12 +685,15 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
             subs = (graph.path(p, q) for p, q in item.parents if p is not q)
             return [key, label, None, subs, []]
         if isinstance(item, Path):
-            factors = colored.factors(item)
-            if len(factors) > 1:
-                return [key, eq_label(item.start, item.end), None, iter(factors), []]
-            item = factors[0]
-        path = item.path
-        return [key, eq_label(path.start, path.end), None, iter(path.edges), []]
+            verts, edges = item.vertices, item.edges
+            runs = colored.runs(item)
+            subs = iter(edges) if len(runs) == 1 else (
+                edges[lo] if hi - lo == 1 else (verts[lo], verts[hi], edges[lo:hi])
+                for _, lo, hi in runs
+            )
+            return [key, eq_label(verts[0], verts[-1]), None, subs, []]
+        u, v, edges = item
+        return [key, eq_label(u, v), None, iter(edges), []]
 
     diseq_label = table.make("not", (eq_label(refuted.lhs, refuted.rhs),))
     false = table.make("false")

@@ -13,6 +13,7 @@ symbols shared by both input sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .coloring import ColoredGraph, Strategy, color, make_colorable
 from .congruence import Path, close, find_refuted_disequality
@@ -93,109 +94,121 @@ class HornConjunction:
 class PremiseSets:
     """Memoized premise-set calculators over one colored graph.
 
-    Each memo maps a path's :attr:`Path.key` to a tuple of paths, in the
-    order they were found and each in the direction it was found in; the
-    graph is a forest, so the key determines the path.  A cycle guard turns
-    any accidental non-termination of the recursions into a hard error.
+    Each memo (``_b``, ``_a``, ``_cumulative``) maps a path's :attr:`Path.key`
+    to its value: a dict from the keys of the value's paths to the paths, in
+    the order they were found and each in the direction it was found in; the
+    graph is a forest, so the key determines the path.  Values are evaluated
+    on explicit stacks and reach their memo in the order a recursive
+    evaluation would finish them; a key met again while open is a hard error.
     """
 
     def __init__(self, colored: ColoredGraph):
         self.colored = colored
-        self._b: dict[tuple[int, int], tuple[Path, ...]] = {}
-        self._a: dict[tuple[int, int], tuple[Path, ...]] = {}
-        self._cumulative: dict[tuple[int, int], tuple[Path, ...]] = {}
-        self._running: set[tuple[str, tuple[int, int]]] = set()
+        self._b, self._a, self._cumulative = {}, {}, {}
 
-    def _guard(self, tag: str, key: tuple[int, int]) -> tuple[str, tuple[int, int]]:
-        mark = (tag, key)
-        if mark in self._running:
-            raise RuntimeError(f"premise recursion revisited {mark}")
-        self._running.add(mark)
-        return mark
+    def premises(self, path: Path, want: Side) -> dict[tuple[int, int], Path]:
+        """Maximal ``want``-colored paths supporting this path's summary.
 
-    def _memoized(self, memo: dict, tag: str, path: Path, parts) -> tuple[Path, ...]:
-        """A path's value, memoized by path key, evaluated without recursion.
-
-        ``parts(path)`` yields, in order, pairs ``(p, joins)``: a path of the
-        value itself when ``joins`` is false, else a sub-path whose value
-        joins it.  Sub-paths are evaluated on an explicit stack, so values
-        reach ``memo`` in the order a recursive evaluation would finish them.
+        A ``want``-colored run is one of them, the path itself when the run
+        covers it.  The derived edges of the other runs join the values of
+        their parent paths; a parent path is built only when its value is
+        not memoized yet, checked as the walk reaches it.
         """
+        memo = self._b if want is Side.B else self._a
         key = path.key
         value = memo.get(key)
         if value is not None:
             return value
-        stack = [(key, self._guard(tag, key), parts(path), {})]
-        while stack:
-            key, mark, todo, out = stack[-1]
-            for part, joins in todo:
-                if not joins:
-                    out.setdefault(part.key, part)
+        graph, runs = self.colored.graph, self.colored.runs
+
+        def parts(path: Path) -> Iterator[tuple]:
+            # (k, sub, None) puts the path sub of key k into the value;
+            # (k, p, q) joins the value of the parent path from p to q.
+            out = []
+            verts, edges = path.vertices, path.edges
+            for side, lo, hi in runs(path):
+                if side is want:
+                    u, v = verts[lo].id, verts[hi].id
+                    sub = path if hi - lo == len(edges) else path.slice(lo, hi)
+                    out.append(((u, v) if u < v else (v, u), sub, None))
                     continue
-                sub_key = part.key
+                for edge in edges[lo:hi]:
+                    for p, q in edge.parents or ():
+                        if p is not q:
+                            u, v = p.id, q.id
+                            out.append(((u, v) if u < v else (v, u), p, q))
+            return iter(out)
+
+        open_keys = {key}
+        stack = [(key, parts(path), {})]
+        while stack:
+            key, todo, out = stack[-1]
+            for sub_key, p, q in todo:
+                if q is None:
+                    if sub_key not in out:
+                        out[sub_key] = p
+                    continue
                 hit = memo.get(sub_key)
                 if hit is None:
-                    stack.append((sub_key, self._guard(tag, sub_key), parts(part), {}))
+                    if sub_key in open_keys:
+                        raise RuntimeError(f"premise recursion revisited {sub_key}")
+                    open_keys.add(sub_key)
+                    stack.append((sub_key, parts(graph.path(p, q)), {}))
                     break
-                for p in hit:
-                    out.setdefault(p.key, p)
+                for k in hit:
+                    if k not in out:
+                        out[k] = hit[k]
             else:
                 stack.pop()
-                self._running.discard(mark)
-                memo[key] = value = tuple(out.values())
+                open_keys.discard(key)
+                memo[key] = value = out
                 if stack:
-                    out = stack[-1][3]
-                    for p in value:
-                        out.setdefault(p.key, p)
+                    out = stack[-1][2]
+                    for k in value:
+                        if k not in out:
+                            out[k] = value[k]
         return value
 
-    def _premises(self, path: Path, want: Side) -> tuple[Path, ...]:
-        """Maximal ``want``-colored paths supporting this path's summary.
-
-        A parent path whose value is memoized already is not built: its
-        value's paths join directly, as :meth:`_memoized` would join them.
-        """
-        graph = self.colored.graph
-        memo = self._b if want is Side.B else self._a
-
-        def parts(path: Path):
-            if path.is_empty:
-                return
-            for factor in self.colored.factors(path):
-                if factor.side is want:
-                    yield factor.path, False
-                    continue
-                for edge in factor.path.edges:
-                    if edge.is_derived:
-                        for p, q in edge.parents:
-                            if p is q:
-                                continue
-                            # The parent path's Path.key.
-                            hit = memo.get((p.id, q.id) if p.id < q.id else (q.id, p.id))
-                            if hit is None:
-                                yield graph.path(p, q), True
-                            else:
-                                for sub in hit:
-                                    yield sub, False
-
-        return self._memoized(memo, want.value, path, parts)
-
-    def b_premises(self, path: Path) -> tuple[Path, ...]:
-        return self._premises(path, Side.B)
-
-    def a_premises(self, path: Path) -> tuple[Path, ...]:
-        return self._premises(path, Side.A)
-
-    def cumulative(self, path: Path) -> tuple[Path, ...]:
+    def cumulative(self, path: Path) -> dict[tuple[int, int], Path]:
         """The path itself plus, recursively, B-premises of its A-premises."""
+        memo, key = self._cumulative, path.key
+        value = memo.get(key)
+        if value is not None:
+            return value
+        premises = self.premises
 
-        def parts(path: Path):
-            yield path, False
-            for sigma in self.a_premises(path):
-                for tau in self.b_premises(sigma):
-                    yield tau, True
+        def frame(key: tuple[int, int], path: Path) -> tuple:
+            # The B-premises of each A-premise are taken only once the ones
+            # before have joined, as a recursive evaluation takes them.
+            sigmas = premises(path, Side.A).values()
+            taus = (tau for sigma in sigmas for tau in premises(sigma, Side.B).items())
+            return key, taus, {key: path}
 
-        return self._memoized(self._cumulative, "P", path, parts)
+        open_keys = {key}
+        stack = [frame(key, path)]
+        while stack:
+            key, taus, out = stack[-1]
+            for sub_key, tau in taus:
+                hit = memo.get(sub_key)
+                if hit is None:
+                    if sub_key in open_keys:
+                        raise RuntimeError(f"premise recursion revisited {sub_key}")
+                    open_keys.add(sub_key)
+                    stack.append(frame(sub_key, tau))
+                    break
+                for k in hit:
+                    if k not in out:
+                        out[k] = hit[k]
+            else:
+                stack.pop()
+                open_keys.discard(key)
+                memo[key] = value = out
+                if stack:
+                    out = stack[-1][2]
+                    for k in value:
+                        if k not in out:
+                            out[k] = value[k]
+        return value
 
 
 def summary(path: Path) -> Literal:
@@ -205,7 +218,7 @@ def summary(path: Path) -> Literal:
 
 def justification(ps: PremiseSets, path: Path) -> HornClause | None:
     """Horn clause: the path's B-premise summaries imply its own summary."""
-    premises = [summary(p) for p in ps.b_premises(path)]
+    premises = [summary(p) for p in ps.premises(path, Side.B).values()]
     return HornClause.make(premises, summary(path))
 
 
@@ -216,9 +229,9 @@ def path_interpolant(ps: PremiseSets, path: Path) -> HornConjunction:
     cumulative premise set, deduplicated in discovery order.
     """
     sigmas: dict[tuple[int, int], Path] = {}
-    for tau in ps.cumulative(path):
-        for sigma in ps.a_premises(tau):
-            sigmas.setdefault(sigma.key, sigma)
+    for tau in ps.cumulative(path).values():
+        for key, sigma in ps.premises(tau, Side.A).items():
+            sigmas.setdefault(key, sigma)
     return HornConjunction.from_clauses(
         justification(ps, sigma) for sigma in sigmas.values()
     )
@@ -251,8 +264,8 @@ def refutation_interpolant(ps: PremiseSets, path: Path) -> HornConjunction:
     outer: dict[tuple[int, int], Path] = {}
     for part in (prefix, suffix):
         if part is not None:
-            for p in ps.b_premises(part):
-                outer.setdefault(p.key, p)
+            for key, p in ps.premises(part, Side.B).items():
+                outer.setdefault(key, p)
     for p in outer.values():
         clauses.extend(path_interpolant(ps, p).clauses)
     premises = [summary(p) for p in outer.values()]
@@ -331,7 +344,7 @@ def interpolate(
     else:
         conj = refutation_interpolant(ps, path)
     _check_shared(conj, problem.symbols)
-    factor_count = len(colored.factors(path))
+    factor_count = len(colored.runs(path))
     return InterpolationResult(conj, refuted, side, colored, ps, added, factor_count)
 
 

@@ -45,7 +45,10 @@ from eufinterp.interpolate import (
     HornClause,
     HornConjunction,
     build_colored_graph,
+    format_conjunction,
+    interpolate,
     parse_conjunction,
+    summary,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -835,6 +838,222 @@ def data_dir() -> Path:
     return DATA
 
 
+# Signature predicates of a ``ProofTree``.  The library reads them per node
+# through ``tree.fits`` and ``tree.reach()``; the tests ask them of any label.
+
+
+def sigma(tree: ProofTree, side: str) -> frozenset[str]:
+    """The symbols of ``side``'s leaves, theory symbols excluded."""
+    return tree.symbols.decode(tree.sides[side]) - tree.theory_symbols
+
+
+def label_fit(tree: ProofTree, label: Term) -> int:
+    """Bit 1: ``label`` fits A's signature; bit 2: B's."""
+    mask, a, b = tree.symbols.masks[label.id], tree.sides["A"], tree.sides["B"]
+    return (mask & a == mask) | (mask & b == mask) << 1
+
+
+def precedes(tree: ProofTree, phi: Term, psi: Term) -> bool:
+    """``phi`` lies strictly below ``psi``."""
+    return tree.reach()[tree.index[psi]] >> tree.index[phi] & 1 == 1
+
+
+# The factor layer: color factorization and premise sets as they ran before
+# ``ColoredGraph.runs``.  Each path became ``Factor`` objects holding sliced
+# paths, once per memo, and each premise set was a generator per frame on the
+# generic ``_memoized`` stack.  The run-based premise sets and the unfold are
+# compared against it.
+
+
+@dataclass(slots=True)
+class Factor:
+    """Maximal same-colored subpath."""
+
+    side: Side
+    path: GraphPath
+
+
+def reference_factors(colored, path: GraphPath) -> list[Factor]:
+    sides = [colored.colors[edge.seq] for edge in path.edges]
+    out: list[Factor] = []
+    lo = 0
+    for i in range(1, len(sides) + 1):
+        if i == len(sides) or sides[i] is not sides[lo]:
+            out.append(Factor(sides[lo], path.slice(lo, i)))
+            lo = i
+    return out
+
+
+class ReferencePremiseSets:
+    """Premise sets over ``reference_factors``; memo values are path tuples."""
+
+    def __init__(self, colored):
+        self.colored = colored
+        self._b: dict = {}
+        self._a: dict = {}
+        self._cumulative: dict = {}
+        self._running: set = set()
+
+    def _guard(self, tag: str, key: tuple) -> tuple:
+        mark = (tag, key)
+        if mark in self._running:
+            raise RuntimeError(f"premise recursion revisited {mark}")
+        self._running.add(mark)
+        return mark
+
+    def _memoized(self, memo: dict, tag: str, path: GraphPath, parts) -> tuple:
+        key = path.key
+        value = memo.get(key)
+        if value is not None:
+            return value
+        stack = [(key, self._guard(tag, key), parts(path), {})]
+        while stack:
+            key, mark, todo, out = stack[-1]
+            for part, joins in todo:
+                if not joins:
+                    out.setdefault(part.key, part)
+                    continue
+                sub_key = part.key
+                hit = memo.get(sub_key)
+                if hit is None:
+                    stack.append((sub_key, self._guard(tag, sub_key), parts(part), {}))
+                    break
+                for p in hit:
+                    out.setdefault(p.key, p)
+            else:
+                stack.pop()
+                self._running.discard(mark)
+                memo[key] = value = tuple(out.values())
+                if stack:
+                    out = stack[-1][3]
+                    for p in value:
+                        out.setdefault(p.key, p)
+        return value
+
+    def _premises(self, path: GraphPath, want: Side) -> tuple:
+        graph = self.colored.graph
+        memo = self._b if want is Side.B else self._a
+
+        def parts(path: GraphPath):
+            if path.is_empty:
+                return
+            for factor in reference_factors(self.colored, path):
+                if factor.side is want:
+                    yield factor.path, False
+                    continue
+                for edge in factor.path.edges:
+                    if edge.is_derived:
+                        for p, q in edge.parents:
+                            if p is q:
+                                continue
+                            hit = memo.get((p.id, q.id) if p.id < q.id else (q.id, p.id))
+                            if hit is None:
+                                yield graph.path(p, q), True
+                            else:
+                                for sub in hit:
+                                    yield sub, False
+
+        return self._memoized(memo, want.value, path, parts)
+
+    def b_premises(self, path: GraphPath) -> tuple:
+        return self._premises(path, Side.B)
+
+    def a_premises(self, path: GraphPath) -> tuple:
+        return self._premises(path, Side.A)
+
+    def cumulative(self, path: GraphPath) -> tuple:
+        def parts(path: GraphPath):
+            yield path, False
+            for sigma in self.a_premises(path):
+                for tau in self.b_premises(sigma):
+                    yield tau, True
+
+        return self._memoized(self._cumulative, "P", path, parts)
+
+
+def reference_path_interpolant(ps: ReferencePremiseSets, path: GraphPath) -> HornConjunction:
+    sigmas: dict = {}
+    for tau in ps.cumulative(path):
+        for sigma in ps.a_premises(tau):
+            sigmas.setdefault(sigma.key, sigma)
+    return HornConjunction.from_clauses(
+        HornClause.make([summary(p) for p in ps.b_premises(sigma)], summary(sigma))
+        for sigma in sigmas.values()
+    )
+
+
+def reference_refutation_interpolant(
+    ps: ReferencePremiseSets, path: GraphPath
+) -> HornConjunction:
+    symbols = ps.colored.symbols
+    verts = path.vertices
+    b_positions = [
+        i for i, v in enumerate(verts) if symbols.colorability(v) & Colorability.B
+    ]
+    clauses: list = []
+    if b_positions:
+        i, j = b_positions[0], b_positions[-1]
+        prefix = path.slice(0, i)
+        core = path.slice(i, j)
+        suffix = path.slice(j, len(verts) - 1)
+    else:
+        prefix, core, suffix = path, None, None
+    if core is not None and not core.is_empty:
+        clauses.extend(reference_path_interpolant(ps, core).clauses)
+    outer: dict = {}
+    for part in (prefix, suffix):
+        if part is not None:
+            for p in ps.b_premises(part):
+                outer.setdefault(p.key, p)
+    for p in outer.values():
+        clauses.extend(reference_path_interpolant(ps, p).clauses)
+    premises = [summary(p) for p in outer.values()]
+    if core is None or core.is_empty:
+        conclusion = None
+    else:
+        conclusion = summary(core).negated()
+    clauses.append(HornClause.make(premises, conclusion))
+    return HornConjunction.from_clauses(clauses)
+
+
+def memo_record(memo: dict) -> list:
+    """A premise memo as (key, the vertex ids of each value path) in order.
+
+    Values are path tuples in the reference and key-to-path dicts in the
+    library; the vertex ids keep each stored path's direction.
+    """
+    out = []
+    for key, value in memo.items():
+        paths = value.values() if isinstance(value, dict) else value
+        out.append((key, [tuple(v.id for v in p.vertices) for p in paths]))
+    return out
+
+
+def extraction_outcome(problem: ProblemInstance, strategy, reference: bool = False) -> tuple:
+    """The memos, factor count and interpolant text of one interpolation.
+
+    The reference route colors the graph afresh, as ``interpolate`` does, and
+    runs the factor layer's premise sets and extraction on it.
+    """
+    if not reference:
+        result = interpolate(problem, strategy)
+        ps, count, conj = result.premises, result.factor_count, result.interpolant
+    else:
+        colored, refuted, side, _ = build_colored_graph(problem, strategy)
+        ps, count = ReferencePremiseSets(colored), 0
+        if refuted.trivial:
+            conj = HornConjunction(((HornClause((), None),) if side is Side.A else ()))
+        else:
+            path = colored.graph.path(refuted.lhs, refuted.rhs)
+            if side is Side.B:
+                conj = reference_path_interpolant(ps, path)
+            else:
+                conj = reference_refutation_interpolant(ps, path)
+            count = len(reference_factors(colored, path))
+    memos = [memo_record(m) for m in (ps._b, ps._a, ps._cumulative)]
+    return memos, count, format_conjunction(conj)
+
+
 # The label-keyed proof layer: the game bridge as it ran before ``ProofTree``
 # became index arrays.  A tree is a ``{label: LabelNode}`` dict in node order;
 # ``reach()`` re-indexes it, and ``run_from_cut`` walks each piece through
@@ -952,7 +1171,7 @@ def label_keyed_unfold(colored, refuted: Literal, side: Side) -> LabelKeyedTree:
             subs = (graph.path(p, q) for p, q in item.parents if p is not q)
             return [key, label, None, subs, []]
         if isinstance(item, GraphPath):
-            factors = colored.factors(item)
+            factors = reference_factors(colored, item)
             if len(factors) > 1:
                 return [key, eq_label(item.start, item.end), None, iter(factors), []]
             item = factors[0]

@@ -20,6 +20,7 @@ from eufinterp.core import (
     Colorability,
     Literal,
     ProblemInstance,
+    Side,
     format_term,
     parse_problem,
 )
@@ -271,7 +272,7 @@ def _identity_ok(result) -> bool:
     if result.refuted.trivial:
         return True
     path = result.colored.graph.path(result.refuted.lhs, result.refuted.rhs)
-    for sub in (path,) + ps.cumulative(path):
+    for sub in (path, *ps.cumulative(path).values()):
         if frozenset(path_interpolant(ps, sub).clauses) != \
                 recursive_path_interpolant(ps, sub):
             return False
@@ -357,8 +358,8 @@ class TestPropertySuites:
                 if path.is_empty:
                     continue
                 goal = Literal.make(u, v)
-                b_sum = [summary(sub) for sub in ps.b_premises(path)]
-                a_sum = [summary(sub) for sub in ps.a_premises(path)]
+                b_sum = [summary(sub) for sub in ps.premises(path, Side.B).values()]
+                a_sum = [summary(sub) for sub in ps.premises(path, Side.A).values()]
                 if not euf_entails(list(problem.a_literals) + b_sum, goal):
                     ok = False
                 if not euf_entails(list(problem.b_literals) + a_sum, goal):

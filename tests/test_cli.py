@@ -164,6 +164,22 @@ def test_gen_requires_exactly_one_family(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "gen", "--chain", "5", "--ladder", "5")
     assert code == 2
+    code, _, err = run_cli(capsys, "gen", "--chain", "0", "--ladder", "0")
+    assert code == 2 and "choose exactly one" in err
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--chain", "chain needs at least 2 literals"),
+        ("--ladder", "ladder needs at least 1 rung"),
+        ("--split", "split needs width >= 1"),
+    ],
+)
+def test_gen_size_zero_names_the_size(capsys, flag, message):
+    code, out, err = run_cli(capsys, "gen", flag, "0")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_interpolate_output_is_reproducible(capsys):

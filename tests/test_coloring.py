@@ -3,7 +3,6 @@ from __future__ import annotations
 import random
 
 from eufinterp.coloring import (
-    Factor,
     Strategy,
     choose_splitter,
     color,
@@ -21,7 +20,7 @@ from eufinterp.core import (
 from eufinterp.interpolate import build_colored_graph, interpolate, format_conjunction
 from eufinterp.generate import generate
 
-from conftest import expected_clauses, load_problem
+from conftest import expected_clauses, load_problem, reference_factors
 
 
 def _closed(p):
@@ -98,13 +97,19 @@ def test_repair_copies_the_graph_only_when_it_splits():
     assert _graph_record(g) == before
 
 
-def test_factors_compare_by_fields():
-    p = load_problem("horn_min.euf")
+def test_runs_are_factored_once_and_read_in_either_direction():
+    p = load_problem("chain_three_afactors.euf")
     colored, refuted, _, _ = build_colored_graph(p, Strategy.GREEDY)
     path = colored.graph.path(refuted.lhs, refuted.rhs)
-    (factor,) = colored.factors(path)
-    assert factor == Factor(Side.A, colored.graph.path(refuted.lhs, refuted.rhs))
-    assert factor != Factor(Side.B, path)
+    runs = colored.runs(path)
+    assert len(runs) > 1 and colored.runs(path) is runs
+    assert [(side, path.slice(lo, hi)) for side, lo, hi in runs] == [
+        (f.side, f.path) for f in reference_factors(colored, path)
+    ]
+    back = colored.graph.path(refuted.rhs, refuted.lhs)
+    n = len(path.edges)
+    assert colored.runs(back) == [(side, n - hi, n - lo) for side, lo, hi in reversed(runs)]
+    assert list(colored._runs) == [path.key]
 
 
 def test_repair_noop_without_derived_edges():
@@ -289,21 +294,20 @@ def test_factorize_alternating_chain():
     p = load_problem("chain_one_afactor.euf")
     colored, refuted, _, _ = build_colored_graph(p, Strategy.GREEDY)
     path = colored.graph.path(refuted.lhs, refuted.rhs)
-    factors = colored.factors(path)
-    assert [f.side for f in factors] in (
+    runs = colored.runs(path)
+    assert [side for side, _, _ in runs] in (
         [Side.A, Side.B],
         [Side.B, Side.A],
     )
-    joined = [factors[0].path.start] + [f.path.end for f in factors]
-    assert joined[0] is path.start and joined[-1] is path.end
+    assert runs[0][1] == 0 and runs[-1][2] == len(path.edges)
+    assert all(hi == lo for (_, _, hi), (_, lo, _) in zip(runs, runs[1:]))
 
 
 def test_factorize_single_color_path():
     p = load_problem("horn_min.euf")
     colored, refuted, _, _ = build_colored_graph(p, Strategy.GREEDY)
     path = colored.graph.path(refuted.lhs, refuted.rhs)
-    factors = colored.factors(path)
-    assert len(factors) == 1 and factors[0].side is Side.A
+    assert colored.runs(path) == [(Side.A, 0, len(path.edges))]
 
 
 def test_factor_count_equals_color_switches():
@@ -315,7 +319,7 @@ def test_factor_count_equals_color_switches():
         path = colored.graph.path(refuted.lhs, refuted.rhs)
         sides = [colored.edge_color(e) for e in path.edges]
         switches = sum(1 for x, y in zip(sides, sides[1:]) if x is not y)
-        assert len(colored.factors(path)) == switches + 1
+        assert len(colored.runs(path)) == switches + 1
 
 
 def test_every_strategy_yields_a_valid_interpolant():

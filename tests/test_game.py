@@ -38,12 +38,15 @@ from conftest import (
     alternating_proof,
     assert_proof_readers_agree,
     bridge_outcome,
+    label_fit,
     label_keyed_run,
     load_problem,
     load_text,
+    precedes,
     reference_format_formula,
     reference_formula,
     reference_read_sexprs,
+    sigma,
     tree_from_nodes,
 )
 
@@ -151,16 +154,16 @@ def reference_frees(table: TermTable, bridged: bool = False) -> dict:
 
 def reference_cut_candidates(tree, for_side: Side) -> list:
     """AB-colorable labels the opposite prover cannot reach on its own."""
-    other_colorable = tree.b_colorable if for_side is Side.A else tree.a_colorable
+    other_bit = 2 if for_side is Side.A else 1
     origin = for_side.value
     out = []
     for label, node in tree.nodes.items():
-        if not tree.ab_colorable(label):
+        if label_fit(tree, label) != 3:
             continue
         if node.is_leaf:
             if node.origin == origin:
                 out.append(label)
-        elif any(not other_colorable(p) for p in node.premises):
+        elif any(not label_fit(tree, p) & other_bit for p in node.premises):
             out.append(label)
     return out
 
@@ -207,7 +210,7 @@ def check_cut(tree, t_a, t_b) -> bool:
     """Literal evaluation of the four coloring-cut conditions."""
     reach = Reach(tree)
     set_a, set_b = set(t_a), set(t_b)
-    if not all(tree.ab_colorable(lab) for lab in set_a | set_b):
+    if not all(label_fit(tree, lab) == 3 for lab in set_a | set_b):
         return False
     if set_a & set_b or tree.root not in set_b:
         return False
@@ -445,11 +448,11 @@ class TestParseProof:
         assert tree.root is formula(tree.table, "false")
         assert len(tree.nodes) == 14
         assert tree.theory_symbols == {"r", "t"}
-        assert tree.sigma_a == {"p", "q", "a", "b", "f"}
-        assert tree.sigma_b == {"s", "a", "b", "f"}
-        assert tree.ab_colorable(formula(tree.table, T_FA))
-        assert tree.ab_colorable(formula(tree.table, RULE))
-        assert not tree.ab_colorable(formula(tree.table, "(p a)"))
+        assert sigma(tree, "A") == {"p", "q", "a", "b", "f"}
+        assert sigma(tree, "B") == {"s", "a", "b", "f"}
+        assert label_fit(tree, formula(tree.table, T_FA)) == 3
+        assert label_fit(tree, formula(tree.table, RULE)) == 3
+        assert label_fit(tree, formula(tree.table, "(p a)")) != 3
 
     def test_minimal_three_node_proof(self):
         tree = parse_proof(
@@ -500,7 +503,7 @@ class TestParseProof:
         }
         tree = tree_from_nodes(frozenset(), nodes, false, table)
         with pytest.raises(ProofError, match="cyclic proof through x"):
-            tree.precedes(y, false)
+            precedes(tree, y, false)
         with pytest.raises(ProofError, match="cyclic proof through x"):
             coloring_cut(tree)
         with pytest.raises(ProofError, match="cyclic proof through x"):
@@ -763,7 +766,7 @@ class TestColoringCut:
                 i = index[psi]
                 assert [labels[j] for j in premises[i]] == list(node.premises), key
                 assert {labels[j] for j in range(len(labels)) if masks[i] >> j & 1} == below
-                assert {phi for phi in tree.nodes if tree.precedes(phi, psi)} == below
+                assert {phi for phi in tree.nodes if precedes(tree, phi, psi)} == below
 
     def test_symbol_masks_and_fits_match_the_frozenset_scan(self):
         relays = 0
@@ -780,13 +783,12 @@ class TestColoringCut:
                 - tree.theory_symbols
                 for side in ("A", "B")
             )
-            assert (tree.sigma_a, tree.sigma_b) == (sigma_a, sigma_b), key
+            assert (sigma(tree, "A"), sigma(tree, "B")) == (sigma_a, sigma_b), key
             for label in tree.table:
                 fits_a = frees[label] <= tree.theory_symbols | sigma_a
                 fits_b = frees[label] <= tree.theory_symbols | sigma_b
-                assert tree.a_colorable(label) == fits_a, (key, label)
-                assert tree.b_colorable(label) == fits_b, (key, label)
-                assert tree.ab_colorable(label) == (fits_a and fits_b), (key, label)
+                assert label_fit(tree, label) == fits_a | fits_b << 1, (key, label)
+            assert tree.fits == [label_fit(tree, label) for label in tree.labels], key
             root_premises = tree.nodes[tree.root].premises
             relays += any("false'" in format_term(p) for p in root_premises)
         # A relay extends the masks its tree shares with the unnormalized one.
@@ -855,10 +857,10 @@ class TestRunFromCut:
             tree, run = bridge_run(p)
             for alpha, betas in run.pr_b.items():
                 for beta in betas:
-                    assert tree.precedes(beta, alpha)
+                    assert precedes(tree, beta, alpha)
             for beta, alphas in run.pr_a.items():
                 for alpha in alphas:
-                    assert tree.precedes(alpha, beta)
+                    assert precedes(tree, alpha, beta)
 
     def test_odd_cuts_run_as_the_label_keyed_walk(self):
         # Cuts with a node dropped, a node added on either side, a duplicate

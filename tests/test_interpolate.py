@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import importlib
 import random
+from collections import Counter
 
 import pytest
 
 from eufinterp.coloring import Strategy
+from eufinterp.congruence import CongruenceGraph
 from eufinterp.core import Colorability, Literal, Side, parse_problem
 from eufinterp.generate import generate
 from eufinterp.interpolate import (
@@ -21,9 +24,18 @@ from eufinterp.interpolate import (
     refutation_interpolant,
     summary,
 )
+from eufinterp.game import unfold_refutation
 from eufinterp.verify import check_interpolant, euf_entails
 
-from conftest import expected_clauses, load_problem
+from conftest import (
+    expected_clauses,
+    extraction_outcome,
+    load_problem,
+    reference_factors,
+)
+
+# The package exports the function ``interpolate`` under the module's name.
+interpolate_module = importlib.import_module("eufinterp.interpolate")
 
 
 def recursive_path_interpolant(
@@ -44,7 +56,7 @@ def recursive_path_interpolant(
     if path.is_empty:
         return frozenset()
     out: set[HornClause] = set()
-    factors = ps.colored.factors(path)
+    factors = reference_factors(ps.colored, path)
     if len(factors) >= 2:
         for factor in factors:
             out |= recursive_path_interpolant(ps, factor.path, memo)
@@ -59,7 +71,7 @@ def recursive_path_interpolant(
         clause = justification(ps, path)
         if clause is not None:
             out.add(clause)
-        for sub in ps.b_premises(path):
+        for sub in ps.premises(path, Side.B).values():
             out |= recursive_path_interpolant(ps, sub, memo)
     result = frozenset(out)
     memo[key] = result
@@ -85,27 +97,29 @@ class TestPremiseSets:
         p, colored, ps = _setup("ladder2.euf")
         t = p.table.make
         path_z7z8 = colored.graph.path(t("z7"), t("z8"))
-        assert _pairs(ps.b_premises(path_z7z8)) == {("z5", "z6")}
+        assert _pairs(ps.premises(path_z7z8, Side.B).values()) == {("z5", "z6")}
         path_z3z4 = colored.graph.path(t("z3"), t("z4"))
-        assert _pairs(ps.b_premises(path_z3z4)) == {("z1", "z2")}
+        assert _pairs(ps.premises(path_z3z4, Side.B).values()) == {("z1", "z2")}
 
     def test_b_premises_of_a_b_path_is_itself(self):
         p, colored, ps = _setup("ladder2.euf")
         t = p.table.make
         path = colored.graph.path(t("z1"), t("z2"))  # single basic B edge
-        assert ps.b_premises(path) == (path,)
+        (only,) = ps.premises(path, Side.B).values()
+        assert only is path
 
     def test_a_premises_of_an_a_path_is_itself(self):
         p, colored, ps = _setup("ladder2.euf")
         t = p.table.make
         path = colored.graph.path(t("z3"), t("z4"))
-        assert ps.a_premises(path) == (path,)
+        (only,) = ps.premises(path, Side.A).values()
+        assert only is path
 
     def test_a_premises_worked_value(self):
         p, colored, ps = _setup("ladder2.euf")
         t = p.table.make
         path = colored.graph.path(t("y1"), t("y2"))
-        assert _pairs(ps.a_premises(path)) == {("z7", "z8")}
+        assert _pairs(ps.premises(path, Side.A).values()) == {("z7", "z8")}
 
     def test_a_premises_endpoints_shared_for_b_colorable_paths(self):
         rng = random.Random(13)
@@ -120,7 +134,7 @@ class TestPremiseSets:
                 p.symbols.colorability(e) & Colorability.B for e in ends
             ):
                 continue
-            for sub in ps.a_premises(path):
+            for sub in ps.premises(path, Side.A).values():
                 for v in (sub.start, sub.end):
                     assert p.symbols.colorability(v) == Colorability.AB
 
@@ -131,10 +145,10 @@ class TestPremiseSets:
             colored, refuted, _, _ = build_colored_graph(p)
             ps = PremiseSets(colored)
             path = colored.graph.path(refuted.lhs, refuted.rhs)
-            for sub in ps.cumulative(path):
-                outer = {sigma.key for sigma in ps.a_premises(sub)}
-                for inner in ps.a_premises(sub):
-                    assert {sigma.key for sigma in ps.a_premises(inner)} <= outer
+            for sub in ps.cumulative(path).values():
+                outer = {sigma.key for sigma in ps.premises(sub, Side.A).values()}
+                for inner in ps.premises(sub, Side.A).values():
+                    assert {sigma.key for sigma in ps.premises(inner, Side.A).values()} <= outer
 
 
 class TestJustification:
@@ -192,7 +206,7 @@ class TestPathInterpolant:
                 colored, refuted, side, _ = build_colored_graph(p)
                 ps = PremiseSets(colored)
                 path = colored.graph.path(refuted.lhs, refuted.rhs)
-                for sub in (path,) + ps.cumulative(path):
+                for sub in (path, *ps.cumulative(path).values()):
                     assert frozenset(path_interpolant(ps, sub).clauses) == \
                         recursive_path_interpolant(ps, sub)
 
@@ -318,8 +332,8 @@ class TestInterpolatePipeline:
                 if path.is_empty:
                     continue
                 goal = Literal.make(u, v)
-                b_sum = [summary(sub) for sub in ps.b_premises(path)]
-                a_sum = [summary(sub) for sub in ps.a_premises(path)]
+                b_sum = [summary(sub) for sub in ps.premises(path, Side.B).values()]
+                a_sum = [summary(sub) for sub in ps.premises(path, Side.A).values()]
                 assert euf_entails(list(p.a_literals) + b_sum, goal)
                 assert euf_entails(list(p.b_literals) + a_sum, goal)
                 checked += 1
@@ -364,3 +378,106 @@ class TestHornNormalization:
             text = format_conjunction(result.interpolant)
             back = parse_conjunction(text, p.table, p.symbols)
             assert frozenset(back.clauses) == frozenset(result.interpolant.clauses)
+
+def wide_class_text(n: int, seed: int) -> str:
+    """One class grown by congruence: A: x{i+1} = (f x{i}), B: x0 = x1, x0 != x{n}."""
+    rng = random.Random(seed)
+    a_lits = [
+        f"(= x{i + 1} (f x{i}))" if rng.random() < 0.5 else f"(= (f x{i}) x{i + 1})"
+        for i in range(n)
+    ]
+    rng.shuffle(a_lits)
+    return "(A " + " ".join(a_lits) + f") (B (= x0 x1) (not (= x0 x{n})))"
+
+
+def crossing_text(k: int, seed: int) -> str:
+    """k congruences (g a{i}) ~ (g b{i}) across the sides, each split by repair."""
+    rng = random.Random(seed)
+    a_lits, b_lits = [], []
+    for i in range(k):
+        a_lits += [f"(= a{i} z{i})", f"(= (g a{i}) t{i})"]
+        b_lits += [f"(= z{i} b{i})", f"(= (g b{i}) t{i + 1})"]
+    rng.shuffle(a_lits)
+    rng.shuffle(b_lits)
+    return f"(A {' '.join(a_lits)}) (B {' '.join(b_lits)} (not (= t0 t{k})))"
+
+
+def reference_problems():
+    for family in ("chain", "ladder", "split"):
+        for i in range(24):
+            yield generate(family, 2 + i, seed=900 + i).text
+    for i, n in enumerate((2, 5, 20, 60)):
+        yield wide_class_text(n, seed=i)
+    for i, k in enumerate((1, 3, 10, 25)):
+        yield crossing_text(k, seed=i)
+    yield "(A (not (= a a))) (B (= b c))"
+    yield "(A (= b c)) (B (not (= a a)))"
+
+
+class TestRunBasedPremiseSets:
+    def test_memos_and_interpolants_match_the_factor_reference(self):
+        compared = 0
+        for text in reference_problems():
+            problem = parse_problem(text)
+            for strategy in Strategy:
+                try:
+                    got = extraction_outcome(problem, strategy)
+                except NotUnsatisfiableError:
+                    continue
+                assert got == extraction_outcome(problem, strategy, reference=True), (
+                    text,
+                    strategy,
+                )
+                compared += 1
+        assert compared >= 200
+
+    def test_each_path_is_factored_once_and_queried_once(self, monkeypatch):
+        # Colors are read only to factor a path, so every cached path's edges
+        # are read once each.  Path queries are counted from the end of
+        # coloring, which asks its own; the class attribute is wrapped, as
+        # the benchmark's tracer wraps it.
+        class CountingColors(dict):
+            def __init__(self, colors):
+                super().__init__(colors)
+                self.reads = 0
+
+            def __getitem__(self, seq):
+                self.reads += 1
+                return dict.__getitem__(self, seq)
+
+        real_build = interpolate_module.build_colored_graph
+        real_path = CongruenceGraph.path
+        built, queries = [], Counter()
+
+        def build(problem, strategy):
+            colored, refuted, side, added = real_build(problem, strategy)
+            colored.colors = CountingColors(colored.colors)
+            queries.clear()
+            built.append(colored)
+            return colored, refuted, side, added
+
+        def path(graph, u, v):
+            queries[id(graph), min(u.id, v.id), max(u.id, v.id)] += 1
+            return real_path(graph, u, v)
+
+        def factored_edges(colored) -> int:
+            return sum(runs[-1][2] for _, runs in colored._runs.values() if runs)
+
+        monkeypatch.setattr(interpolate_module, "build_colored_graph", build)
+        monkeypatch.setattr(CongruenceGraph, "path", path)
+        checked = 0
+        for text in reference_problems():
+            problem = parse_problem(text)
+            for strategy in Strategy:
+                built.clear()
+                try:
+                    result = interpolate(problem, strategy)
+                except NotUnsatisfiableError:
+                    continue
+                (colored,) = built
+                assert max(queries.values(), default=1) == 1, (text, strategy)
+                assert colored.colors.reads == factored_edges(colored), (text, strategy)
+                unfold_refutation(colored, result.refuted, result.refuted_side)
+                assert colored.colors.reads == factored_edges(colored), (text, strategy)
+                checked += bool(queries)
+        assert checked >= 200

@@ -146,3 +146,38 @@ def test_bridge_functions_build_no_label_nodes():
     assert label_node_uses(bare_name, {"run_from_cut"}) == set()
     source = (PACKAGE / "game.py").read_text(encoding="utf-8")
     assert label_node_uses(source, INDEX_ARRAY_FUNCTIONS) == set()
+
+
+def factor_layer_names(source: str) -> set[str]:
+    """``Factor`` classes, ``factors`` methods and ``Factor`` imports in ``source``."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            if node.name == "Factor":
+                found.add("class Factor")
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "factors":
+                    found.add(f"{node.name}.factors")
+        elif isinstance(node, ast.ImportFrom):
+            if any(alias.name == "Factor" for alias in node.names):
+                found.add("import Factor")
+    return found
+
+
+def test_paths_are_factored_into_runs_only():
+    snippet = (
+        "from .coloring import ColoredGraph, Factor\n"
+        "class Factor:\n    pass\n"
+        "class ColoredGraph:\n    def factors(self, path):\n        return []\n"
+        "def factors(path):\n    return []\n"
+    )
+    assert factor_layer_names(snippet) == {
+        "class Factor",
+        "ColoredGraph.factors",
+        "import Factor",
+    }
+    found = {
+        path.name: factor_layer_names(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: names for name, names in found.items() if names} == {}
