@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .coloring import ColoredGraph, Strategy
 from .congruence import Edge, Path
@@ -76,17 +75,6 @@ class SymbolMasks:
             masks.append(mask)
 
 
-@dataclass
-class LabelNode:
-    formula: Term
-    premises: tuple[Term, ...]
-    origin: str | None  # "A" | "B" | "axiom" for leaves, None for inferences
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.premises
-
-
 class ProofError(ValueError):
     pass
 
@@ -136,10 +124,9 @@ class ProofTree:
     The tree is index arrays, in the order ``add`` appends nodes: node ``i``
     has the label ``labels[i]``, a term of ``table``, premise indices
     ``premises[i]``, origin ``origins[i]`` ("A" | "B" | "axiom" for a leaf,
-    None for an inference) and symbol mask ``masks[i]``.  ``index`` maps
-    labels to nodes; ``root_index`` is false's node, and ``relay_index`` the
-    relay's that ``normalize_root`` put in the old root's slot.  ``nodes`` is
-    a read-only ``{label: LabelNode}`` view in node order, built on first use.
+    None for an inference) and symbol mask ``masks[i]``.  ``nodes`` maps each
+    label to its node index; ``root_index`` is false's node, and ``relay_index``
+    the relay's that ``normalize_root`` put in the old root's slot.
 
     ``symbols`` holds the free-symbol mask of every term of ``table``, and
     trees over one table share it.  ``sides`` maps each origin to the union of
@@ -168,7 +155,7 @@ class ProofTree:
         self.premises: list[tuple[int, ...]] = []
         self.origins: list[str | None] = []
         self.masks: list[int] = []
-        self.index: dict[Term, int] = {}
+        self.nodes: dict[Term, int] = {}
         self.root_index = 0
         self.relay_index: int | None = None
         self._below: list[int] | None = None
@@ -176,9 +163,9 @@ class ProofTree:
     def add(self, label: Term, premises: tuple = (), origin: str | None = None) -> int:
         """The node of ``label``; a new one is appended with ``premises`` and
         ``origin``, and a new leaf's mask joins its side's signature."""
-        i = self.index.get(label)
+        i = self.nodes.get(label)
         if i is None:
-            i = self.index[label] = len(self.labels)
+            i = self.nodes[label] = len(self.labels)
             mask = self.symbols.masks[label.id]
             self.labels.append(label)
             self.premises.append(premises)
@@ -190,14 +177,6 @@ class ProofTree:
     @property
     def root(self) -> Term:
         return self.labels[self.root_index]
-
-    @cached_property
-    def nodes(self) -> Mapping[Term, LabelNode]:
-        labels = self.labels
-        return MappingProxyType({
-            label: LabelNode(label, tuple(labels[p] for p in premises), origin)
-            for label, premises, origin in zip(labels, self.premises, self.origins)
-        })
 
     @cached_property
     def fits(self) -> list[int]:
@@ -365,29 +344,30 @@ def check_local(tree: ProofTree) -> bool:
 
 
 def normalize_root(tree: ProofTree) -> ProofTree:
-    """Ensure the parents of false are B-colorable, via a relay constant.
+    """Ensure false is no A leaf and has B-colorable parents, via a relay.
 
-    When some premise of the root is not B-colorable, the root's step is
-    moved to a relay node and a final inference relay |- false is appended (a
-    step among logical constants only, hence B-colorable).  The relay is
-    false', or, when the tree already has a node of that label, the first of
-    (and false'), (and (and false')), ... that it lacks; each denotes falsity.
-    It is interned in the tree's table, takes the root's slot in copies of
-    the arrays, and the new root is appended.  Idempotent.
+    When some premise of the root is not B-colorable, or the root is itself an
+    A leaf, the root's node moves to a relay node and a final inference relay
+    |- false is appended (a step among logical constants only, hence
+    B-colorable).  The relay is false', or, when the tree already has a node
+    of that label, the first of (and false'), (and (and false')), ... that it
+    lacks; each denotes falsity.  It is interned in the tree's table, takes
+    the root's slot in copies of the arrays, and the new root is appended.
+    Idempotent.
     """
     r, fits = tree.root_index, tree.fits
-    if all(fits[p] & 2 for p in tree.premises[r]):
+    if tree.origins[r] != "A" and all(fits[p] & 2 for p in tree.premises[r]):
         return tree
     root, table = tree.root, tree.table
     relay = table.make("false'")
-    while relay in tree.index:
+    while relay in tree.nodes:
         relay = table.make("and", (relay,))
     fixed = ProofTree(tree.theory_symbols, table, tree.symbols)
-    for name in ("labels", "premises", "origins", "masks", "index", "sides"):
+    for name in ("labels", "premises", "origins", "masks", "nodes", "sides"):
         setattr(fixed, name, getattr(tree, name).copy())
-    del fixed.index[root]
+    del fixed.nodes[root]
     fixed.labels[r], fixed.masks[r] = relay, tree.symbols.masks[relay.id]
-    fixed.index[relay] = fixed.relay_index = r
+    fixed.nodes[relay] = fixed.relay_index = r
     fixed.root_index = fixed.add(root, (r,))
     return fixed
 
@@ -522,18 +502,18 @@ def run_from_cut(
     node, which is read off the node's below-mask from ``tree.reach()``.
     """
     t_a, t_b = tuple(t_a), tuple(t_b)
-    index, labels, premises, origins = tree.index, tree.labels, tree.premises, tree.origins
+    nodes, labels, premises, origins = tree.nodes, tree.labels, tree.premises, tree.origins
     below = tree.reach()
     cut = bytearray(len(labels))  # per node, bit 1: in T_A; bit 2: in T_B
     for label in t_a:
-        cut[index[label]] |= 1
+        cut[nodes[label]] |= 1
     for label in t_b:
-        cut[index[label]] |= 2
+        cut[nodes[label]] |= 2
     seen = [0] * len(labels)  # per node, the last piece that met it
     pieces = count(1)
 
     def piece_premises(chi: Term, own_origin: str, opposite: int) -> tuple:
-        c, piece = index[chi], next(pieces)
+        c, piece = nodes[chi], next(pieces)
         found: list[int] = []
         stack = list(reversed(premises[c]))
         while stack:
@@ -645,7 +625,7 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
     graph = colored.graph
     table = TermTable()
     tree = ProofTree(frozenset(), table)
-    symbols, index, labels, sides = tree.symbols, tree.index, tree.labels, tree.sides
+    symbols, nodes, labels, sides = tree.symbols, tree.nodes, tree.labels, tree.sides
     premises_of, origins, node_masks = tree.premises, tree.origins, tree.masks
     bits, masks = symbols.bits, symbols.masks
     vertex_masks: dict[Term, int] = {}
@@ -728,9 +708,9 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
                 premises = tuple(premises)
             if label is None:
                 continue
-            done = index.get(label)  # tree.add, inlined: this runs per node
+            done = nodes.get(label)  # tree.add, inlined: this runs per node
             if done is None:
-                done = index[label] = len(labels)
+                done = nodes[label] = len(labels)
                 labels.append(label)
                 premises_of.append(premises)
                 origins.append(origin)
@@ -756,11 +736,3 @@ def local_cut(tree: ProofTree) -> tuple[ProofTree, tuple, tuple]:
         raise NonLocalProofError(step)
     tree = normalize_root(tree)
     return (tree, *coloring_cut(tree))
-
-
-def bridge_run(
-    problem: ProblemInstance, strategy: Strategy = Strategy.GREEDY
-) -> tuple[ProofTree, InterpolationRun]:
-    """Bridge, cut the local proof, and extract the induced run."""
-    tree, t_a, t_b = local_cut(euf_bridge(problem, strategy))
-    return tree, run_from_cut(tree, t_a, t_b)

@@ -91,15 +91,53 @@ class HornConjunction:
         return out
 
 
+def _union(memo: dict, key: tuple[int, int], todo, expand) -> dict:
+    """``memo[key]``, the union of what the parts in ``todo`` give, in order.
+
+    A part ``(k, p, None)`` gives the path ``p`` of key ``k``; ``(k, p, q)``
+    gives the value of key ``k``, from ``memo`` or from ``expand(p, q)``'s parts.
+    """
+    open_keys = {key}
+    stack = [(key, todo, {})]
+    while stack:
+        key, todo, out = stack[-1]
+        for sub_key, p, q in todo:
+            if q is None:
+                if sub_key not in out:
+                    out[sub_key] = p
+                continue
+            hit = memo.get(sub_key)
+            if hit is None:
+                if sub_key in open_keys:
+                    raise RuntimeError(f"premise recursion revisited {sub_key}")
+                open_keys.add(sub_key)
+                stack.append((sub_key, expand(p, q), {}))
+                break
+            for k in hit:
+                if k not in out:
+                    out[k] = hit[k]
+        else:
+            stack.pop()
+            open_keys.discard(key)
+            memo[key] = value = out
+            if stack:
+                out = stack[-1][2]
+                for k in value:
+                    if k not in out:
+                        out[k] = value[k]
+    return value
+
+
 class PremiseSets:
     """Memoized premise-set calculators over one colored graph.
 
     Each memo (``_b``, ``_a``, ``_cumulative``) maps a path's :attr:`Path.key`
     to its value: a dict from the keys of the value's paths to the paths, in
     the order they were found and each in the direction it was found in; the
-    graph is a forest, so the key determines the path.  Values are evaluated
-    on explicit stacks and reach their memo in the order a recursive
-    evaluation would finish them; a key met again while open is a hard error.
+    graph is a forest, so the key determines the path.  One explicit-stack
+    walk, ``_union``, evaluates all three: each value joins the values of its
+    parts, which reach their memo in the order a recursive evaluation would
+    finish them; a key met again while open is a hard error.
     """
 
     def __init__(self, colored: ColoredGraph):
@@ -114,16 +152,15 @@ class PremiseSets:
         their parent paths; a parent path is built only when its value is
         not memoized yet, checked as the walk reaches it.
         """
-        memo = self._b if want is Side.B else self._a
-        key = path.key
+        memo, key = self._b if want is Side.B else self._a, path.key
         value = memo.get(key)
         if value is not None:
             return value
         graph, runs = self.colored.graph, self.colored.runs
 
-        def parts(path: Path) -> Iterator[tuple]:
-            # (k, sub, None) puts the path sub of key k into the value;
-            # (k, p, q) joins the value of the parent path from p to q.
+        def parts(path: Path | Term, end: Term | None = None) -> Iterator[tuple]:
+            if end is not None:  # a parent pair: its path is built now
+                path = graph.path(path, end)
             out = []
             verts, edges = path.vertices, path.edges
             for side, lo, hi in runs(path):
@@ -139,76 +176,24 @@ class PremiseSets:
                             out.append(((u, v) if u < v else (v, u), p, q))
             return iter(out)
 
-        open_keys = {key}
-        stack = [(key, parts(path), {})]
-        while stack:
-            key, todo, out = stack[-1]
-            for sub_key, p, q in todo:
-                if q is None:
-                    if sub_key not in out:
-                        out[sub_key] = p
-                    continue
-                hit = memo.get(sub_key)
-                if hit is None:
-                    if sub_key in open_keys:
-                        raise RuntimeError(f"premise recursion revisited {sub_key}")
-                    open_keys.add(sub_key)
-                    stack.append((sub_key, parts(graph.path(p, q)), {}))
-                    break
-                for k in hit:
-                    if k not in out:
-                        out[k] = hit[k]
-            else:
-                stack.pop()
-                open_keys.discard(key)
-                memo[key] = value = out
-                if stack:
-                    out = stack[-1][2]
-                    for k in value:
-                        if k not in out:
-                            out[k] = value[k]
-        return value
+        return _union(memo, key, parts(path), parts)
 
     def cumulative(self, path: Path) -> dict[tuple[int, int], Path]:
-        """The path itself plus, recursively, B-premises of its A-premises."""
+        """The path itself plus, recursively, B-premises of its A-premises:
+        an A-premise's are taken once the ones before have joined."""
         memo, key = self._cumulative, path.key
         value = memo.get(key)
         if value is not None:
             return value
-        premises = self.premises
 
-        def frame(key: tuple[int, int], path: Path) -> tuple:
-            # The B-premises of each A-premise are taken only once the ones
-            # before have joined, as a recursive evaluation takes them.
-            sigmas = premises(path, Side.A).values()
-            taus = (tau for sigma in sigmas for tau in premises(sigma, Side.B).items())
-            return key, taus, {key: path}
+        def parts(path: Path, key: tuple[int, int]) -> Iterator[tuple]:
+            sigmas = self.premises(path, Side.A).values()
+            yield key, path, None
+            for sigma in sigmas:
+                for sub_key, tau in self.premises(sigma, Side.B).items():
+                    yield sub_key, tau, sub_key
 
-        open_keys = {key}
-        stack = [frame(key, path)]
-        while stack:
-            key, taus, out = stack[-1]
-            for sub_key, tau in taus:
-                hit = memo.get(sub_key)
-                if hit is None:
-                    if sub_key in open_keys:
-                        raise RuntimeError(f"premise recursion revisited {sub_key}")
-                    open_keys.add(sub_key)
-                    stack.append(frame(sub_key, tau))
-                    break
-                for k in hit:
-                    if k not in out:
-                        out[k] = hit[k]
-            else:
-                stack.pop()
-                open_keys.discard(key)
-                memo[key] = value = out
-                if stack:
-                    out = stack[-1][2]
-                    for k in value:
-                        if k not in out:
-                            out[k] = value[k]
-        return value
+        return _union(memo, key, parts(path, key), parts)
 
 
 def summary(path: Path) -> Literal:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from eufinterp import game
+from eufinterp.coloring import Strategy
 from eufinterp.congruence import CongruenceGraph, Edge, Path as GraphPath
 from eufinterp.core import (
     ArityError,
@@ -31,14 +32,15 @@ from eufinterp.core import (
 from eufinterp.game import (
     InterpolationRun,
     InvalidCutError,
-    LabelNode,
     NonLocalProofError,
     ProofError,
     ProofTree,
     SymbolMasks,
     format_game_interpolant,
     game_interpolant,
+    local_cut,
     parse_proof,
+    run_from_cut,
     unfold_refutation,
 )
 from eufinterp.interpolate import (
@@ -753,7 +755,7 @@ def proof_outcome(text: str, reference: bool = False):
         else:
             tree = parse_proof(text)
             theory, root, fmt = tree.theory_symbols, tree.root, format_term
-            entries = ((n.formula, n.premises, n.origin) for n in tree.nodes.values())
+            entries = ((n.formula, n.premises, n.origin) for n in label_nodes(tree).values())
     except ValueError as exc:
         where = getattr(exc, "line", None), getattr(exc, "col", None)
         return "error", type(exc), str(exc), *where
@@ -855,7 +857,7 @@ def label_fit(tree: ProofTree, label: Term) -> int:
 
 def precedes(tree: ProofTree, phi: Term, psi: Term) -> bool:
     """``phi`` lies strictly below ``psi``."""
-    return tree.reach()[tree.index[psi]] >> tree.index[phi] & 1 == 1
+    return tree.reach()[tree.nodes[psi]] >> tree.nodes[phi] & 1 == 1
 
 
 # The factor layer: color factorization and premise sets as they ran before
@@ -1058,6 +1060,34 @@ def extraction_outcome(problem: ProblemInstance, strategy, reference: bool = Fal
 # became index arrays.  A tree is a ``{label: LabelNode}`` dict in node order;
 # ``reach()`` re-indexes it, and ``run_from_cut`` walks each piece through
 # label-keyed sets.  The index-array bridge is compared against it.
+
+
+@dataclass
+class LabelNode:
+    formula: Term
+    premises: tuple[Term, ...]
+    origin: str | None  # "A" | "B" | "axiom" for leaves, None for inferences
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self.premises
+
+
+def label_nodes(tree: ProofTree) -> dict:
+    """A ``ProofTree``'s arrays as a ``{label: LabelNode}`` dict in node order."""
+    labels = tree.labels
+    return {
+        label: LabelNode(label, tuple(labels[p] for p in premises), origin)
+        for label, premises, origin in zip(labels, tree.premises, tree.origins)
+    }
+
+
+def bridge_run(
+    problem: ProblemInstance, strategy: Strategy = Strategy.GREEDY
+) -> tuple[ProofTree, InterpolationRun]:
+    """Bridge, cut the local proof, and extract the induced run."""
+    tree, t_a, t_b = local_cut(game.euf_bridge(problem, strategy))
+    return tree, run_from_cut(tree, t_a, t_b)
 
 
 class LabelKeyedTree:
@@ -1378,7 +1408,7 @@ def bridge_outcome(problem: ProblemInstance, label_keyed: bool = False) -> tuple
     fmt = lambda labels: tuple(format_term(label) for label in labels)
     nodes = [
         (format_term(label), fmt(node.premises), node.origin)
-        for label, node in tree.nodes.items()
+        for label, node in (tree.nodes if label_keyed else label_nodes(tree)).items()
     ]
     try:
         step = first_nonlocal_step(tree)

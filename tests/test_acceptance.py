@@ -25,7 +25,6 @@ from eufinterp.core import (
     parse_problem,
 )
 from eufinterp.game import (
-    bridge_run,
     check_local,
     coloring_cut,
     format_game_interpolant,
@@ -46,7 +45,7 @@ from eufinterp.interpolate import (
 )
 from eufinterp.verify import check_interpolant, euf_entails
 
-from conftest import brute_force_closure, expected_clauses, load_text
+from conftest import brute_force_closure, bridge_run, expected_clauses, load_text
 from test_game import check_cut
 from test_interpolate import recursive_path_interpolant
 

@@ -318,6 +318,19 @@ def test_game_relay_does_not_overwrite_a_false_prime_node(capsys, tmp_path):
     assert (code, out, err) == (0, "(and false)\n", "")
 
 
+def test_game_root_that_is_an_a_leaf_gets_the_interpolant_false(capsys, tmp_path):
+    # A alone refutes when false is an A leaf: the relay stands in for it on
+    # A's side.  A B leaf false keeps the interpolant true.
+    path = tmp_path / "leaf.proof"
+    for origin, cut, interpolant in (
+        ("A", "T_A: false'\nT_B: false\n", "(and false)\n"),
+        ("B", "T_A: \nT_B: false\n", "true\n"),
+    ):
+        path.write_text(f"(theory-symbols)\n(node n1 false (from {origin}))\n")
+        assert run_cli(capsys, "game", "cut", str(path)) == (0, cut, "")
+        assert run_cli(capsys, "game", "interpolate", str(path)) == (0, interpolant, "")
+
+
 def test_recursion_error_exits_2(capsys, monkeypatch):
     # No reader recurses on depth any more; the mapping stays as a safety net.
     def too_deep(text):

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from eufinterp.cli import main
 from eufinterp.core import parse_problem
 from eufinterp.game import parse_proof
@@ -132,9 +130,10 @@ def proof_corpus() -> tuple[list[str], list[str]]:
 
 
 def test_nodes_view_of_parsed_proofs_matches_the_reference_reader():
-    # The read-only view lists each label's first node in file order, with
-    # its premise labels and origin, as the reference reader does; a cyclic
-    # proof raises the same error, naming the same node.
+    # The nodes, as ``label_nodes`` lists them, are each label's first node in
+    # file order, with its premise labels and origin, as the reference reader
+    # gives them; a cyclic proof raises the same error, naming the same node.
+    # ``nodes`` indexes the labels in that order.
     proofs, malformed = proof_corpus()
     texts = [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.proof"))]
     cyclic = (
@@ -152,10 +151,8 @@ def test_nodes_view_of_parsed_proofs_matches_the_reference_reader():
             continue
         parsed += 1
         assert list(tree.nodes) == tree.labels
-        assert tree.index == {label: i for i, label in enumerate(tree.labels)}
+        assert tree.nodes == {label: i for i, label in enumerate(tree.labels)}
         assert tree.root is tree.table.make("false")
-        with pytest.raises(TypeError):
-            tree.nodes[tree.root] = None
     assert parsed == len(texts) + len(proofs)
 
 

@@ -10,11 +10,9 @@ from eufinterp.game import (
     LOGICAL_TOKENS,
     InterpolationRun,
     InvalidCutError,
-    LabelNode,
     NonLocalProofError,
     ProofError,
     ProofTree,
-    bridge_run,
     check_local,
     coloring_cut,
     euf_bridge,
@@ -35,11 +33,14 @@ from test_core import bench_workload_texts
 from conftest import (
     MALFORMED,
     LabelKeyedTree,
+    LabelNode,
     alternating_proof,
     assert_proof_readers_agree,
     bridge_outcome,
+    bridge_run,
     label_fit,
     label_keyed_run,
+    label_nodes,
     load_problem,
     load_text,
     precedes,
@@ -78,7 +79,7 @@ class Reach:
     """
 
     def __init__(self, tree):
-        self.tree = tree
+        self.nodes = label_nodes(tree)
         self._below: dict = {}
 
     def strictly_below(self, label) -> frozenset:
@@ -86,7 +87,7 @@ class Reach:
         hit = below.get(label)
         if hit is not None:
             return hit
-        nodes = self.tree.nodes
+        nodes = self.nodes
         out: set = set()
         open_labels = {label}
         stack = [(label, iter(nodes[label].premises))]
@@ -157,7 +158,7 @@ def reference_cut_candidates(tree, for_side: Side) -> list:
     other_bit = 2 if for_side is Side.A else 1
     origin = for_side.value
     out = []
-    for label, node in tree.nodes.items():
+    for label, node in label_nodes(tree).items():
         if label_fit(tree, label) != 3:
             continue
         if node.is_leaf:
@@ -214,8 +215,9 @@ def check_cut(tree, t_a, t_b) -> bool:
         return False
     if set_a & set_b or tree.root not in set_b:
         return False
-    a_inputs = {lab for lab, n in tree.nodes.items() if n.origin == "A"}
-    b_inputs = {lab for lab, n in tree.nodes.items() if n.origin == "B"}
+    nodes = label_nodes(tree)
+    a_inputs = {lab for lab, n in nodes.items() if n.origin == "A"}
+    b_inputs = {lab for lab, n in nodes.items() if n.origin == "B"}
 
     def interleaved(upper: set, own: set, other_inputs: set, lower: set) -> bool:
         # Between any member of `upper` and any offending label strictly below
@@ -385,9 +387,10 @@ def deep_copy_variants(rng: random.Random, text: str) -> list[str]:
 
 def format_proof(tree) -> str:
     """Serialize back to the proof grammar (ids in node order)."""
-    ids = {label: f"n{i + 1}" for i, label in enumerate(tree.nodes)}
+    nodes = label_nodes(tree)
+    ids = {label: f"n{i + 1}" for i, label in enumerate(nodes)}
     lines = ["(theory-symbols " + " ".join(sorted(tree.theory_symbols)) + ")"]
-    for label, node in tree.nodes.items():
+    for label, node in nodes.items():
         if node.is_leaf:
             tail = f"(from {node.origin})"
         else:
@@ -462,7 +465,7 @@ class TestParseProof:
             "(node n3 false (premises n1 n2))\n"
         )
         assert len(tree.nodes) == 3
-        assert tree.nodes[tree.root].premises == (
+        assert label_nodes(tree)[tree.root].premises == (
             formula(tree.table, "(= a b)"),
             formula(tree.table, "(not (= a b))"),
         )
@@ -559,7 +562,7 @@ class TestParseProof:
                 outcome(reference_collapse, t, reference_format_formula) for t in texts
             ]
             for text, want in zip(texts, expected):
-                assert outcome(lambda t: parse_proof(t).nodes, text) == want, text
+                assert outcome(lambda t: label_nodes(parse_proof(t)), text) == want, text
             if len(texts) > 1:
                 faithful += expected[1] is not ProofError
                 mutated += expected[2] is ProofError
@@ -650,8 +653,9 @@ class TestNormalizeRoot:
         assert check_local(tree)
         fixed = normalize_root(tree)
         relay = formula(fixed.table, "false'")
-        assert fixed.nodes[fixed.root].premises == (relay,)
-        assert fixed.nodes[relay].premises == (
+        nodes = label_nodes(fixed)
+        assert nodes[fixed.root].premises == (relay,)
+        assert nodes[relay].premises == (
             formula(fixed.table, "(p a)"),
             formula(fixed.table, "(not (p a))"),
         )
@@ -669,16 +673,32 @@ class TestNormalizeRoot:
         tree = parse_proof(text)
         fixed = normalize_root(tree)
         table = fixed.table
-        relay = formula(table, "(and false')")
-        assert fixed.nodes[fixed.root].premises == (relay,)
-        assert fixed.nodes[relay].premises == (
-            formula(table, "false'"),
-            formula(table, "(not (p a))"),
-        )
-        assert fixed.nodes[formula(table, "false'")] == tree.nodes[formula(table, "false'")]
-        assert fixed.nodes[formula(table, "false'")].premises == (formula(table, "(p a)"),)
+        relay, prime = formula(table, "(and false')"), formula(table, "false'")
+        nodes = label_nodes(fixed)
+        assert nodes[fixed.root].premises == (relay,)
+        assert nodes[relay].premises == (prime, formula(table, "(not (p a))"))
+        assert nodes[prime] == label_nodes(tree)[prime]
+        assert nodes[prime].premises == (formula(table, "(p a)"),)
         assert fixed.reach()  # acyclic: the pass raises on a cycle
         assert normalize_root(fixed) is fixed
+
+    def test_a_leaf_root_gets_relay(self):
+        # A alone refutes: the relay takes the A leaf false, the cut hands it
+        # to A and the game interpolant is false.  A B leaf root keeps true.
+        tree = parse_proof("(theory-symbols)\n(node n1 false (from A))\n")
+        fixed = normalize_root(tree)
+        relay = formula(fixed.table, "false'")
+        nodes = label_nodes(fixed)
+        assert nodes[fixed.root] == LabelNode(fixed.root, (relay,), None)
+        assert nodes[relay] == LabelNode(relay, (), "A")
+        assert normalize_root(fixed) is fixed
+        t_a, t_b = coloring_cut(fixed)
+        assert (t_a, t_b) == ((relay,), (fixed.root,))
+        run = run_from_cut(fixed, t_a, t_b)
+        assert format_game_interpolant(game_interpolant(run)) == "(and false)"
+        b_leaf = parse_proof("(theory-symbols)\n(node n1 false (from B))\n")
+        assert normalize_root(b_leaf) is b_leaf
+        assert game_interpolant(run_from_cut(b_leaf, *coloring_cut(b_leaf))) == ()
 
 
 class TestColoringCut:
@@ -757,16 +777,15 @@ class TestColoringCut:
     def test_precedes_matches_the_reference(self):
         for key, tree, _ in sample_trees():
             reach = Reach(tree)
-            index, premises, masks = tree.index, tree.premises, tree.reach()
-            labels = list(tree.nodes)
-            assert labels == tree.labels, key
+            index, premises, masks = tree.nodes, tree.premises, tree.reach()
+            labels, nodes = tree.labels, label_nodes(tree)
             assert index == {label: i for i, label in enumerate(labels)}, key
-            for psi, node in tree.nodes.items():
+            for psi, node in nodes.items():
                 below = reach.strictly_below(psi)
                 i = index[psi]
                 assert [labels[j] for j in premises[i]] == list(node.premises), key
                 assert {labels[j] for j in range(len(labels)) if masks[i] >> j & 1} == below
-                assert {phi for phi in tree.nodes if precedes(tree, phi, psi)} == below
+                assert {phi for phi in labels if precedes(tree, phi, psi)} == below
 
     def test_symbol_masks_and_fits_match_the_frozenset_scan(self):
         relays = 0
@@ -778,7 +797,7 @@ class TestColoringCut:
                 assert symbols.decode(symbols.masks[term.id]) == frees[term], (key, term)
             sigma_a, sigma_b = (
                 frozenset().union(
-                    *(frees[n.formula] for n in tree.nodes.values() if n.origin == side)
+                    *(frees[n.formula] for n in label_nodes(tree).values() if n.origin == side)
                 )
                 - tree.theory_symbols
                 for side in ("A", "B")
@@ -789,7 +808,7 @@ class TestColoringCut:
                 fits_b = frees[label] <= tree.theory_symbols | sigma_b
                 assert label_fit(tree, label) == fits_a | fits_b << 1, (key, label)
             assert tree.fits == [label_fit(tree, label) for label in tree.labels], key
-            root_premises = tree.nodes[tree.root].premises
+            root_premises = label_nodes(tree)[tree.root].premises
             relays += any("false'" in format_term(p) for p in root_premises)
         # A relay extends the masks its tree shares with the unnormalized one.
         assert relays >= 10
@@ -879,7 +898,7 @@ class TestRunFromCut:
         trees = [normalize_root(tree) for tree in [fig_tree(), *map(parse_proof, texts)]]
         for tree in trees:
             keyed = LabelKeyedTree(
-                tree.theory_symbols, dict(tree.nodes), tree.root, tree.table, tree.symbols
+                tree.theory_symbols, label_nodes(tree), tree.root, tree.table, tree.symbols
             )
             t_a, t_b = coloring_cut(tree)
             other = rng.choice(tree.labels)
@@ -999,7 +1018,7 @@ class TestBridge:
         fab, fba = "(f a b)", "(f b a)"
         assert [
             (format_term(label), printed(node.premises))
-            for label, node in tree.nodes.items()
+            for label, node in label_nodes(tree).items()
         ] == [
             (eq(fab, "e"), ()),
             (eq("d", "b"), ()),
@@ -1032,7 +1051,7 @@ class TestBridge:
         def outcome(tree):
             nodes = [
                 (format_term(label), printed(node.premises), node.origin)
-                for label, node in tree.nodes.items()
+                for label, node in label_nodes(tree).items()
             ]
             try:
                 tree, t_a, t_b = local_cut(tree)

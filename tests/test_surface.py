@@ -107,45 +107,40 @@ def test_oracle_reads_nothing_the_pipeline_worked_out():
     assert pipeline_reads((PACKAGE / "verify.py").read_text(encoding="utf-8")) == set()
 
 
-# The game functions that work on a proof's index arrays alone.
-INDEX_ARRAY_FUNCTIONS = {"unfold_refutation", "normalize_root", "run_from_cut"}
+# Names that serve only tests; they live in ``tests/conftest.py``.
+TEST_ONLY_NAMES = {"LabelNode", "bridge_run"}
 
 
-def label_node_uses(source: str, functions: set[str]) -> set[str]:
-    """Functions of ``functions`` in ``source`` that call ``LabelNode`` or
-    read a ``.nodes`` view, which builds one per label."""
+def bound_names(source: str) -> set[str]:
+    """Names ``source`` binds at any depth: classes, functions, assignment
+    targets and imports."""
     found: set[str] = set()
     for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.FunctionDef) and node.name in functions):
-            continue
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.Call):
-                func = inner.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "LabelNode":
-                    found.add(node.name)
-            elif isinstance(inner, ast.Attribute) and inner.attr == "nodes":
-                found.add(node.name)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
     return found
 
 
-def test_bridge_functions_build_no_label_nodes():
+def test_proofs_have_one_representation_and_premise_sets_one_walk():
     snippet = (
-        "def normalize_root(tree):\n"
-        "    return {tree.root: LabelNode(tree.root, (), None)}\n"
-        "def run_from_cut(tree, t_a, t_b):\n"
-        "    def piece():\n"
-        "        return game.LabelNode(t_a[0], (), None)\n"
-        "def unfold_refutation(colored, refuted, side):\n"
-        "    return len(tree.nodes)\n"
-        "def coloring_cut(tree):\n"
-        "    return LabelNode(tree.root, (), None)\n"
+        "from .game import LabelNode as Node\n"
+        "class LabelNode:\n    pass\n"
+        "def outer():\n    def bridge_run():\n        pass\n"
+        "nodes = LabelNode\n"
     )
-    assert label_node_uses(snippet, INDEX_ARRAY_FUNCTIONS) == INDEX_ARRAY_FUNCTIONS
-    bare_name = "def run_from_cut(tree):\n    return LabelNode\n"
-    assert label_node_uses(bare_name, {"run_from_cut"}) == set()
-    source = (PACKAGE / "game.py").read_text(encoding="utf-8")
-    assert label_node_uses(source, INDEX_ARRAY_FUNCTIONS) == set()
+    assert bound_names(snippet) == {"Node", "LabelNode", "outer", "bridge_run", "nodes"}
+    sources = {
+        path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
+    }
+    found = {name: bound_names(source) & TEST_ONLY_NAMES for name, source in sources.items()}
+    assert {name: names for name, names in found.items() if names} == {}
+    # One memoized union walk serves every premise set, and only it names a
+    # revisited key.
+    assert sum(s.count("premise recursion revisited") for s in sources.values()) == 1
 
 
 def factor_layer_names(source: str) -> set[str]:
