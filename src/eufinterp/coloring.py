@@ -5,7 +5,8 @@ cannot be assigned to either prover.  Repair splits it at a fresh application
 over split vertices picked from its parent paths, which mentions only shared
 symbols, so both halves become colorable.  Coloring fixes every forced edge
 and spends the remaining freedom (derived edges whose endpoints both sides
-can express) per strategy.  A colored graph factors each path once, into
+can express) per strategy.  Both read each edge's fit once, off the symbol
+table's covering list.  A colored graph factors each path once, into
 one-color runs that the premise sets and the game unfold share.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .congruence import CongruenceGraph, Edge, Path
-from .core import Colorability, Side, SymbolTable, Term, TermTable, edge_colorability
+from .core import Colorability, Side, SymbolTable, Term, TermTable
 
 
 class Strategy(Enum):
@@ -44,7 +45,8 @@ def make_colorable(
 
     Copies the graph only when it splits: returns the input itself and no
     vertices when every edge is colorable, else a repaired copy and the list
-    of vertices added.  Uncolorable edges are processed in creation order,
+    of vertices added.  An edge is uncolorable when its endpoints' covering
+    bits share no side.  Uncolorable edges are processed in creation order,
     so each one's parent paths are already fully colorable when it is split.
     An edge's colorability never changes and new edges take the largest
     sequence numbers, so one scan plus appending any uncolorable new edge
@@ -53,10 +55,8 @@ def make_colorable(
     endpoint, and a single replacement edge to the other endpoint keeps the
     graph acyclic.
     """
-    none = Colorability.NONE
-    queue = deque(
-        e for e in graph.edges if edge_colorability(e.u, e.v, symbols) is none
-    )
+    bits = symbols.covering()
+    queue = deque(e for e in graph.edges if not bits[e.u.id] & bits[e.v.id])
     if not queue:
         return graph, []
     g = graph.clone()
@@ -73,8 +73,9 @@ def make_colorable(
         right_pairs = tuple(zip(splitters, (q for _, q in edge.parents)))
         if new_term not in g:
             added.append(new_term)
+        bits = symbols.covering()  # the split term may be new to the table
         for new in g.split_edge(edge, new_term, left_pairs, right_pairs):
-            if edge_colorability(new.u, new.v, symbols) is none:
+            if not bits[new.u.id] & bits[new.v.id]:
                 queue.append(new)
     return g, added
 
@@ -114,21 +115,6 @@ class ColoredGraph:
         return [(side, n - hi, n - lo) for side, lo, hi in reversed(out)]
 
 
-def _forced_color(edge: Edge, fit: Colorability) -> Side | None:
-    """Color an edge of fit ``fit`` must take, or None when both are available."""
-    if edge.is_basic:
-        if edge.side is None:
-            raise ColoringError(f"basic edge {edge!r} has no originating side")
-        return edge.side
-    if fit is Colorability.AB:
-        return None
-    if fit is Colorability.A:
-        return Side.A
-    if fit is Colorability.B:
-        return Side.B
-    raise ColoringError(f"uncolorable edge {edge!r}; repair must run first")
-
-
 def color(
     graph: CongruenceGraph,
     symbols: SymbolTable,
@@ -138,23 +124,37 @@ def color(
 ) -> ColoredGraph:
     """Assign every edge a side.
 
-    Forced edges are colored by necessity.  Free edges are colored A or B
-    wholesale under those strategies; the greedy strategy walks the relevant
-    path and, recursively, the parent paths of its derived edges, coloring
-    each free edge like an adjacent already-colored edge of the walked path
-    (default A) to keep the number of color switches locally small.  Each
-    edge's fit to the signatures is computed once, for both the forced
-    colors and the final check.
+    One loop over the edges reads each edge's fit off the symbol table's
+    covering list.  A basic edge takes its originating side, which it must
+    fit; a derived edge that fits one side only is forced to it, one that
+    fits both is free, and one that fits neither has not been repaired.
+    Free edges are colored A or B wholesale under those strategies; the
+    greedy strategy walks the relevant path and, recursively, the parent
+    paths of its derived edges, coloring each free edge like an adjacent
+    already-colored edge of the walked path (default A) to keep the number
+    of color switches locally small.  No strategy recolors a forced edge,
+    and a free edge fits either side, so every color fits its edge.
     """
+    bits = symbols.covering()
     colors: dict[int, Side] = {}
     free: list[Edge] = []
-    fits = [(edge, edge_colorability(edge.u, edge.v, symbols)) for edge in graph.edges]
-    for edge, fit in fits:
-        forced = _forced_color(edge, fit)
-        if forced is None:
+    for edge in graph.edges:
+        fit = bits[edge.u.id] & bits[edge.v.id]  # bit 1: A, bit 2: B
+        if edge.origin is not None:
+            side = edge.side
+            if side is None:
+                raise ColoringError(f"basic edge {edge!r} has no originating side")
+            if not fit & (1 if side is Side.A else 2):
+                raise ColoringError(
+                    f"edge {edge!r} colored {side} but not {side}-colorable"
+                )
+            colors[edge.seq] = side
+        elif fit == 3:
             free.append(edge)
+        elif fit:
+            colors[edge.seq] = Side.A if fit == 1 else Side.B
         else:
-            colors[edge.seq] = forced
+            raise ColoringError(f"uncolorable edge {edge!r}; repair must run first")
 
     if strategy is Strategy.ALL_A:
         for edge in free:
@@ -167,8 +167,6 @@ def color(
             _greedy_assign(graph, colors, relevant)
         for edge in free:
             colors.setdefault(edge.seq, Side.A)
-
-    _validate(fits, colors)
     return ColoredGraph(graph, symbols, colors)
 
 
@@ -197,12 +195,3 @@ def _greedy_assign(
                     if s is not t:
                         queue.append((s, t))
 
-
-def _validate(fits: list[tuple[Edge, Colorability]], colors: dict[int, Side]) -> None:
-    for edge, fit in fits:
-        side = colors[edge.seq]
-        if edge.is_basic and side is not edge.side:
-            raise ColoringError(f"basic edge {edge!r} recolored to {side}")
-        want = Colorability.A if side is Side.A else Colorability.B
-        if fit is not Colorability.AB and fit is not want:
-            raise ColoringError(f"edge {edge!r} colored {side} but not {side}-colorable")

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .core import Literal, Side, Term
@@ -112,7 +113,7 @@ class CongruenceGraph:
     """Mutable while a closure or repair runs, then used read-only."""
 
     def __init__(self, vertices: Iterable[Term]):
-        self.vertices: list[Term] = sorted(vertices, key=lambda t: t.id)
+        self.vertices: list[Term] = sorted(vertices, key=attrgetter("id"))
         # The edges in creation order; a dict, so a split removes one in O(1).
         self.edges: dict[Edge, None] = {}
         # Proof forest: vertex -> (edge to its parent, parent); None at a root.
@@ -217,9 +218,8 @@ class CongruenceGraph:
 
     def components(self) -> list[list[Term]]:
         """Partition of the vertex set, ordered by smallest member id."""
-        return [
-            sorted(self.classes[rep], key=lambda t: t.id) for rep in sorted(self.classes)
-        ]
+        by_id = attrgetter("id")
+        return [sorted(self.classes[rep], key=by_id) for rep in sorted(self.classes)]
 
     def path(self, u: Term, v: Term) -> Path:
         if u not in self or v not in self:
@@ -273,31 +273,35 @@ def close(
     congruences are processed through one FIFO queue keyed by a signature
     table, so the resulting graph is deterministic.  Terms connected in the
     result are exactly those entailed equal by the input equalities.
-    """
-    term_ids = {t.id for t in terms}
-    for t in terms:
-        for arg in t.args:
-            if arg.id not in term_ids:
-                raise ClosureInputError(f"term set not subterm-closed at {t!r}")
-    for lit, _ in equalities:
-        if lit.lhs.id not in term_ids or lit.rhs.id not in term_ids:
-            raise ClosureInputError(f"equality {lit!r} mentions a term outside T")
 
+    One loop over the vertices in id order builds the use lists and initial
+    signatures and checks subterm closure: arguments are older than their
+    applications, so a missing use list is an argument outside the set.
+    Equality endpoints are checked against the graph's id map as queued.
+    """
     graph = CongruenceGraph(terms)
     edges, up, rep, classes = graph.edges, graph._up, graph._rep, graph.classes
     reroot, join = graph._reroot, graph._join
 
-    use: dict[int, list[Term]] = {t.id: [] for t in graph.vertices}
+    use: dict[int, list[Term]] = {}
     sig_table: dict[tuple, Term] = {}
     for t in graph.vertices:
+        use[t.id] = []
         if t.args:
             for arg in dict.fromkeys(t.args):
-                use[arg.id].append(t)
+                apps = use.get(arg.id)
+                if apps is None:
+                    raise ClosureInputError(f"term set not subterm-closed at {t!r}")
+                apps.append(t)
             # Before any merge every term represents its own class.
             sig_table[(t.head, tuple([a.id for a in t.args]))] = t
 
     # Pending merges (s, t, input literal or None for a congruence, side).
-    pending = deque((lit.lhs, lit.rhs, lit, side) for lit, side in equalities)
+    pending = deque()
+    for lit, side in equalities:
+        if lit.lhs.id not in rep or lit.rhs.id not in rep:
+            raise ClosureInputError(f"equality {lit!r} mentions a term outside T")
+        pending.append((lit.lhs, lit.rhs, lit, side))
     seq = 0
     while pending:
         s, t, lit, side = pending.popleft()

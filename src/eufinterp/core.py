@@ -124,14 +124,15 @@ class SymbolInfo:
 class SymbolTable:
     """Arity and occurrence bookkeeping, plus the colorability of every term.
 
-    ``bits[i]`` is the 2-bit colorability value of the table's term ``i``,
-    read back as a :class:`Colorability` member by indexing, so the hot paths
-    never combine flags.  A query naming a term the list does not cover yet
-    first extends it over the newer terms in id order; arguments come first,
-    so each entry is its head's bits ANDed with its arguments' entries.  That
-    covers terms made after parsing, such as repair vertices.  Entries never
-    change, so colorability is read only once the symbols' sides are final,
-    which is after parsing.
+    ``bits[i]`` is the 2-bit colorability value of the table's term ``i``
+    (bit 1 for A, bit 2 for B), read back as a :class:`Colorability` member
+    by indexing, so the hot paths never combine flags; an edge's fit is the
+    AND of its endpoints' entries.  :meth:`covering` extends the list over
+    the table's newer terms in id order; arguments come first, so each entry
+    is its head's bits ANDed with its arguments' entries.  That covers terms
+    made after parsing, such as repair vertices.  Entries never change, so
+    colorability is read only once the symbols' sides are final, which is
+    after parsing.
     """
 
     def __init__(self, table: TermTable) -> None:
@@ -156,8 +157,8 @@ class SymbolTable:
             entry.occurs_in_b = True
         return entry
 
-    def _grow(self) -> list[int]:
-        """``bits``, extended to cover every term of the table."""
+    def covering(self) -> list[int]:
+        """``bits``, extended in place to cover every term of the table."""
         bits, info = self.bits, self.info
         for t in self.table.terms[len(bits):]:
             entry = info.get(t.head)
@@ -170,15 +171,13 @@ class SymbolTable:
     def colorability(self, term: Term) -> Colorability:
         bits = self.bits
         if term.id >= len(bits):
-            bits = self._grow()
+            bits = self.covering()
         return _COLORABILITIES[bits[term.id]]
 
 
 def edge_colorability(s: Term, t: Term, symbols: SymbolTable) -> Colorability:
     """An edge (equality) is exactly as colorable as both its endpoints."""
-    bits = symbols.bits
-    if s.id >= len(bits) or t.id >= len(bits):
-        bits = symbols._grow()
+    bits = symbols.covering()
     return _COLORABILITIES[bits[s.id] & bits[t.id]]
 
 
@@ -365,7 +364,10 @@ class ProblemInstance:
 
     Built right after parsing, when the table holds exactly the subterms of
     the literals; the table's length then is recorded, so terms made later
-    (repair vertices, interpolant terms) stay out of :meth:`terms`.
+    (repair vertices, interpolant terms) stay out of :meth:`terms`.  The
+    literal sets are fixed after construction: their partition into
+    equalities and disequalities is taken once, then, and every call of
+    :meth:`equalities` or :meth:`disequalities` returns the same tuple.
     """
 
     table: TermTable
@@ -375,6 +377,9 @@ class ProblemInstance:
 
     def __post_init__(self) -> None:
         self._parsed = len(self.table)
+        literals = self.literals()
+        self._equalities = tuple(pair for pair in literals if pair[0].equal)
+        self._disequalities = tuple(pair for pair in literals if not pair[0].equal)
 
     def literals(self) -> list[tuple[Literal, Side]]:
         """All literals in parse order, A before B."""
@@ -382,11 +387,11 @@ class ProblemInstance:
         out.extend((lit, Side.B) for lit in self.b_literals)
         return out
 
-    def equalities(self) -> list[tuple[Literal, Side]]:
-        return [(lit, side) for lit, side in self.literals() if lit.equal]
+    def equalities(self) -> tuple[tuple[Literal, Side], ...]:
+        return self._equalities
 
-    def disequalities(self) -> list[tuple[Literal, Side]]:
-        return [(lit, side) for lit, side in self.literals() if not lit.equal]
+    def disequalities(self) -> tuple[tuple[Literal, Side], ...]:
+        return self._disequalities
 
     def terms(self) -> list[Term]:
         """The subterms of the literals in term-id order: the table's prefix

@@ -12,8 +12,20 @@ from dataclasses import dataclass
 from typing import Union
 
 from eufinterp import game
-from eufinterp.coloring import Strategy
-from eufinterp.congruence import CongruenceGraph, Edge, Path as GraphPath
+from eufinterp.coloring import (
+    ColoredGraph,
+    ColoringError,
+    Strategy,
+    _greedy_assign,
+    choose_splitter,
+)
+from eufinterp.congruence import (
+    CongruenceGraph,
+    Edge,
+    Path as GraphPath,
+    close,
+    find_refuted_disequality,
+)
 from eufinterp.core import (
     ArityError,
     Colorability,
@@ -25,6 +37,7 @@ from eufinterp.core import (
     SymbolTable,
     Term,
     TermTable,
+    edge_colorability,
     format_literal,
     format_term,
     parse_problem,
@@ -46,6 +59,7 @@ from eufinterp.game import (
 from eufinterp.interpolate import (
     HornClause,
     HornConjunction,
+    NotUnsatisfiableError,
     build_colored_graph,
     format_conjunction,
     interpolate,
@@ -858,6 +872,123 @@ def label_fit(tree: ProofTree, label: Term) -> int:
 def precedes(tree: ProofTree, phi: Term, psi: Term) -> bool:
     """``phi`` lies strictly below ``psi``."""
     return tree.reach()[tree.nodes[psi]] >> tree.nodes[phi] & 1 == 1
+
+
+# The coloring layer as it ran before repair and coloring read each edge's fit
+# off ``SymbolTable.covering``: the repair scan asks ``edge_colorability`` for
+# every edge, and coloring asks it again, takes forced colors from
+# ``_forced_color`` and re-checks every color in ``_validate``.  The library's
+# repair and coloring are compared against it.
+
+
+def reference_make_colorable(
+    graph: CongruenceGraph, symbols: SymbolTable, table: TermTable
+) -> tuple[CongruenceGraph, list[Term]]:
+    none = Colorability.NONE
+    queue = deque(e for e in graph.edges if edge_colorability(e.u, e.v, symbols) is none)
+    if not queue:
+        return graph, []
+    g = graph.clone()
+    added: list[Term] = []
+    while queue:
+        edge = queue.popleft()
+        if not edge.is_derived:
+            raise ColoringError(f"basic edge {edge!r} is uncolorable")
+        splitters = [choose_splitter(g.path(p, q), symbols) for p, q in edge.parents]
+        new_term = table.make(edge.u.head, splitters)
+        left_pairs = tuple(zip((p for p, _ in edge.parents), splitters))
+        right_pairs = tuple(zip(splitters, (q for _, q in edge.parents)))
+        if new_term not in g:
+            added.append(new_term)
+        for new in g.split_edge(edge, new_term, left_pairs, right_pairs):
+            if edge_colorability(new.u, new.v, symbols) is none:
+                queue.append(new)
+    return g, added
+
+
+def _reference_forced_color(edge: Edge, fit: Colorability) -> Side | None:
+    if edge.is_basic:
+        if edge.side is None:
+            raise ColoringError(f"basic edge {edge!r} has no originating side")
+        return edge.side
+    if fit is Colorability.AB:
+        return None
+    if fit is Colorability.A:
+        return Side.A
+    if fit is Colorability.B:
+        return Side.B
+    raise ColoringError(f"uncolorable edge {edge!r}; repair must run first")
+
+
+def _reference_validate(fits: list, colors: dict) -> None:
+    for edge, fit in fits:
+        side = colors[edge.seq]
+        if edge.is_basic and side is not edge.side:
+            raise ColoringError(f"basic edge {edge!r} recolored to {side}")
+        want = Colorability.A if side is Side.A else Colorability.B
+        if fit is not Colorability.AB and fit is not want:
+            raise ColoringError(f"edge {edge!r} colored {side} but not {side}-colorable")
+
+
+def reference_color(
+    graph: CongruenceGraph, symbols: SymbolTable, strategy=Strategy.GREEDY, *, relevant
+) -> ColoredGraph:
+    colors: dict[int, Side] = {}
+    free: list[Edge] = []
+    fits = [(edge, edge_colorability(edge.u, edge.v, symbols)) for edge in graph.edges]
+    for edge, fit in fits:
+        forced = _reference_forced_color(edge, fit)
+        if forced is None:
+            free.append(edge)
+        else:
+            colors[edge.seq] = forced
+    if strategy is Strategy.ALL_A:
+        for edge in free:
+            colors[edge.seq] = Side.A
+    elif strategy is Strategy.ALL_B:
+        for edge in free:
+            colors[edge.seq] = Side.B
+    else:
+        if free:
+            _greedy_assign(graph, colors, relevant)
+        for edge in free:
+            colors.setdefault(edge.seq, Side.A)
+    _reference_validate(fits, colors)
+    return ColoredGraph(graph, symbols, colors)
+
+
+def coloring_outcome(problem: ProblemInstance, strategy, reference: bool = False):
+    """Colors by edge seq, repaired edges and added vertex ids, or the error.
+
+    The library route is ``build_colored_graph``; the reference route closes
+    and picks the refuted literal the same way, then repairs and colors with
+    the reference layer.  Edges are (seq, endpoint ids, parent id pairs).
+    None when no disequality is refuted.
+    """
+    try:
+        if not reference:
+            colored, _, _, added = build_colored_graph(problem, strategy)
+        else:
+            graph = close(problem.equalities(), problem.terms())
+            found = find_refuted_disequality(graph, problem.disequalities())
+            if found is None:
+                return None
+            refuted, _ = found
+            symbols = problem.symbols
+            repaired, added = reference_make_colorable(graph, symbols, problem.table)
+            colored = reference_color(
+                repaired, symbols, strategy, relevant=(refuted.lhs, refuted.rhs)
+            )
+    except NotUnsatisfiableError:
+        return None
+    except ColoringError as exc:
+        return str(exc)
+    edges = [
+        (e.seq, e.u.id, e.v.id, e.parents and tuple((p.id, q.id) for p, q in e.parents))
+        for e in colored.graph.edges
+    ]
+    colors = [(seq, side.value) for seq, side in colored.colors.items()]
+    return colors, edges, [t.id for t in added]
 
 
 # The factor layer: color factorization and premise sets as they ran before

@@ -6,8 +6,9 @@ colorability repair.  Every unsatisfiable draw is interpolated under all three
 strategies and each interpolant is checked by the independent oracle; so are
 the interpolants of the same problem with its literals shuffled and with its
 symbols renamed.  The game bridge of the drawn and the shuffled problem must
-match the label-keyed reference route in ``conftest``, and their premise
-memos and interpolants the factor-layer reference.  Hypothesis runs
+match the label-keyed reference route in ``conftest``, their premise memos
+and interpolants the factor-layer reference, and their repair and coloring
+the reference coloring layer.  Hypothesis runs
 derandomized with a fixed example budget, so the test is deterministic.
 """
 
@@ -23,7 +24,7 @@ from eufinterp.core import parse_problem
 from eufinterp.interpolate import NotUnsatisfiableError, format_conjunction, interpolate
 from eufinterp.verify import check_interpolant
 
-from conftest import bridge_outcome, extraction_outcome
+from conftest import bridge_outcome, coloring_outcome, extraction_outcome
 
 SYMBOLS = {  # side -> (constants, (function, arity) pairs); None is shared
     None: (("c0", "c1", "c2"), (("g", 1), ("h", 2))),
@@ -134,6 +135,8 @@ def test_random_problems_interpolate_and_verify(sides, data):
         for strategy in Strategy:
             got = extraction_outcome(problem, strategy)
             assert got == extraction_outcome(problem, strategy, reference=True)
+            got = coloring_outcome(problem, strategy)
+            assert got == coloring_outcome(problem, strategy, reference=True)
     # A bijection onto fresh names that keeps every arity.
     constants = [c for consts, _ in SYMBOLS.values() for c in consts]
     unary = [f for _, funs in SYMBOLS.values() for f, arity in funs if arity == 1]

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from eufinterp.cli import main
+from eufinterp.core import ProblemInstance
 
 from conftest import DATA, MALFORMED, alternating_proof
 
@@ -215,6 +216,21 @@ def test_closure_lists_components_and_edges(capsys):
     derived_lines = [l for l in out.splitlines() if "derived" in l]
     assert len(derived_lines) == 3
     assert all("parents:" in l for l in derived_lines)
+
+
+def test_closure_output_matches_a_fresh_literal_filter(capsys, monkeypatch):
+    # ``closure`` reads the problem's kept equalities; a freshly filtered
+    # list of the literals gives the same bytes.
+    paths = sorted(DATA.glob("*.euf"))
+    kept = [run_cli(capsys, "closure", str(path)) for path in paths]
+    monkeypatch.setattr(
+        ProblemInstance,
+        "equalities",
+        lambda self: [(lit, side) for lit, side in self.literals() if lit.equal],
+    )
+    fresh = [run_cli(capsys, "closure", str(path)) for path in paths]
+    assert kept == fresh
+    assert all(code == 0 and "edge 0:" in out for code, out, _ in kept)
 
 
 def test_closure_dot_styles(capsys):

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from eufinterp.coloring import (
+    ColoringError,
     Strategy,
     choose_splitter,
     color,
@@ -11,6 +14,7 @@ from eufinterp.coloring import (
 from eufinterp.congruence import close, find_refuted_disequality
 from eufinterp.core import (
     Colorability,
+    Literal,
     Side,
     edge_colorability,
     format_term,
@@ -20,7 +24,15 @@ from eufinterp.core import (
 from eufinterp.interpolate import build_colored_graph, interpolate, format_conjunction
 from eufinterp.generate import generate
 
-from conftest import expected_clauses, load_problem, reference_factors
+from conftest import (
+    coloring_outcome,
+    expected_clauses,
+    load_problem,
+    reference_color,
+    reference_factors,
+    reference_make_colorable,
+)
+from test_interpolate import reference_problems
 
 
 def _closed(p):
@@ -334,3 +346,72 @@ def test_every_strategy_yields_a_valid_interpolant():
                 strategy,
                 format_conjunction(result.interpolant),
             )
+
+
+def test_repair_and_coloring_match_the_reference():
+    # Colors in assignment order by edge seq, the repaired edges with their
+    # parents, and the added vertices, under every strategy.
+    compared = 0
+    for text in reference_problems():
+        problem = parse_problem(text)
+        for strategy in Strategy:
+            got = coloring_outcome(problem, strategy)
+            assert got == coloring_outcome(problem, strategy, reference=True), (
+                text,
+                strategy,
+            )
+            compared += got is not None
+    assert compared >= 200
+
+
+class TestColoringErrors:
+    """The text of every reachable repair and coloring check."""
+
+    @staticmethod
+    def _color_error(paint, graph, symbols) -> str:
+        with pytest.raises(ColoringError) as info:
+            paint(graph, symbols, relevant=(graph.vertices[0], graph.vertices[1]))
+        return str(info.value)
+
+    @pytest.mark.parametrize("paint", [color, reference_color])
+    def test_basic_edge_without_a_side(self, paint):
+        p = parse_problem("(A (= a1 a2)) (B (= b1 b2) (not (= b1 b2)))")
+        g = close([(lit, None) for lit, _ in p.equalities()], p.terms())
+        assert self._color_error(paint, g, p.symbols) == (
+            "basic edge Edge(u=Term#0(a1), v=Term#1(a2), seq=0, "
+            "origin=Literal((= a1 a2)), side=None, parents=None) "
+            "has no originating side"
+        )
+
+    @pytest.mark.parametrize("paint", [color, reference_color])
+    def test_basic_edge_outside_its_side(self, paint):
+        p = parse_problem("(A (= a1 a2)) (B (= b1 b2) (not (= b1 b2)))")
+        flip = {Side.A: Side.B, Side.B: Side.A}
+        g = close([(lit, flip[side]) for lit, side in p.equalities()], p.terms())
+        assert self._color_error(paint, g, p.symbols) == (
+            "edge Edge(u=Term#0(a1), v=Term#1(a2), seq=0, "
+            "origin=Literal((= a1 a2)), side=<Side.B: 'B'>, parents=None) "
+            "colored Side.B but not Side.B-colorable"
+        )
+
+    @pytest.mark.parametrize("paint", [color, reference_color])
+    def test_unrepaired_derived_edge(self, paint):
+        p = load_problem("split_new_vertex.euf")
+        g = close(p.equalities(), p.terms())
+        assert self._color_error(paint, g, p.symbols) == (
+            "uncolorable edge Edge(u=Term#6((* z1 y)), v=Term#3((* x z2)), seq=3, "
+            "origin=None, side=None, parents=((Term#1(z1), Term#0(x)), "
+            "(Term#5(y), Term#2(z2)))); repair must run first"
+        )
+
+    @pytest.mark.parametrize("repair", [make_colorable, reference_make_colorable])
+    def test_uncolorable_basic_edge_in_repair(self, repair):
+        p = parse_problem("(A (= a x)) (B (= b y))")
+        a, b = p.table.make("a"), p.table.make("b")
+        g = close([(Literal.make(a, b), Side.A)], p.terms())
+        with pytest.raises(ColoringError) as info:
+            repair(g, p.symbols, p.table)
+        assert str(info.value) == (
+            "basic edge Edge(u=Term#0(a), v=Term#2(b), seq=0, "
+            "origin=Literal((= a b)), side=<Side.A: 'A'>, parents=None) is uncolorable"
+        )

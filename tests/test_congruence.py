@@ -323,6 +323,22 @@ def test_close_rejects_terms_outside_universe():
         close([], [fa])  # argument missing: not subterm-closed
 
 
+def test_close_input_errors_name_the_term_or_equality():
+    table = TermTable()
+    a, b = table.make("a"), table.make("b")
+    fa = table.make("f", (a,))
+    ab = [(Literal.make(a, b), None)]
+    for eqs, terms, text in (
+        (ab, [a], "equality Literal((= a b)) mentions a term outside T"),
+        ([], [fa], "term set not subterm-closed at Term#2((f a))"),
+        # The term set is checked before the equalities.
+        (ab, [b, fa], "term set not subterm-closed at Term#2((f a))"),
+    ):
+        with pytest.raises(ClosureInputError) as info:
+            close(eqs, terms)
+        assert str(info.value) == text
+
+
 def test_closure_agrees_with_oracle_on_random_inputs():
     rng = random.Random(2024)
     for _ in range(150):

@@ -17,6 +17,7 @@ from eufinterp.core import (
     Literal,
     OverlapError,
     ParseError,
+    ProblemInstance,
     Side,
     SymbolTable,
     TermTable,
@@ -75,6 +76,29 @@ def test_parse_two_rung_ladder_instance():
     assert p.symbols.info["f"].occurs_in_a and p.symbols.info["f"].occurs_in_b
     assert p.symbols.info["x1"].occurs_in_a and not p.symbols.info["x1"].occurs_in_b
     assert sum(1 for lit, _ in p.disequalities()) == 1
+
+
+def test_literal_partition_is_kept_per_problem_as_tuples():
+    table = TermTable()
+    symbols = SymbolTable(table)
+    a, b, c = (table.make(name) for name in "abc")
+    direct = ProblemInstance(
+        table,
+        symbols,
+        (Literal.make(a, b), Literal.make(b, c, False)),
+        (Literal.make(a, c), Literal.make(c, a, False)),
+    )
+    problems = [load_problem(path.name) for path in sorted(DATA.glob("*.euf"))]
+    for p in problems + [direct]:
+        for kept, equal in ((p.equalities, True), (p.disequalities, False)):
+            first = kept()
+            # One shared tuple: no caller can change what another call reads.
+            assert type(first) is tuple and kept() is first
+            assert first == tuple(pair for pair in p.literals() if pair[0].equal is equal)
+    assert [lit for lit, _ in direct.disequalities()] == [
+        Literal.make(b, c, False),
+        Literal.make(a, c, False),
+    ]
 
 
 def test_symmetric_duplicates_collapse():

@@ -176,3 +176,49 @@ def test_paths_are_factored_into_runs_only():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def coloring_rechecks(source: str) -> set[str]:
+    """Definitions of ``_forced_color`` or ``_validate``, calls of
+    ``edge_colorability`` and reads of ``_grow`` in ``source``."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in (
+            "_forced_color",
+            "_validate",
+        ):
+            found.add("def " + node.name)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "edge_colorability":
+                found.add("edge_colorability()")
+        elif isinstance(node, ast.Attribute) and node.attr == "_grow":
+            found.add("._grow")
+    return found
+
+
+def test_each_edge_fit_is_read_once_per_pass():
+    snippet = (
+        "def _forced_color(edge, fit):\n    pass\n"
+        "class C:\n    def _validate(self):\n        pass\n"
+        "fit = core.edge_colorability(u, v, symbols)\n"
+        "edge_colorability(u, v, symbols)\n"
+        "bits = symbols._grow()\n"
+        "grow = symbols.covering()\n"
+    )
+    assert coloring_rechecks(snippet) == {
+        "def _forced_color",
+        "def _validate",
+        "edge_colorability()",
+        "._grow",
+    }
+    sources = {
+        path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
+    }
+    defined = {
+        name: {f for f in coloring_rechecks(source) if f.startswith("def ")}
+        for name, source in sources.items()
+    }
+    assert {name: found for name, found in defined.items() if found} == {}
+    assert coloring_rechecks(sources["coloring.py"]) == set()
