@@ -34,7 +34,7 @@ fields.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -77,6 +77,12 @@ class Path:
 
     vertices: tuple[Term, ...]
     edges: tuple[Edge, ...]
+    # The endpoint ids, smaller first; in a forest they fix the path.
+    key: tuple[int, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        a, b = self.vertices[0].id, self.vertices[-1].id
+        self.key = (a, b) if a <= b else (b, a)
 
     @property
     def start(self) -> Term:
@@ -89,12 +95,6 @@ class Path:
     @property
     def is_empty(self) -> bool:
         return not self.edges
-
-    @property
-    def key(self) -> tuple[int, int]:
-        """The endpoint ids, smaller first; in a forest they fix the path."""
-        a, b = self.vertices[0].id, self.vertices[-1].id
-        return (a, b) if a <= b else (b, a)
 
     def slice(self, lo: int, hi: int) -> "Path":
         """Subpath between vertex positions ``lo`` and ``hi`` (inclusive)."""
@@ -222,11 +222,13 @@ class CongruenceGraph:
         return [sorted(self.classes[rep], key=by_id) for rep in sorted(self.classes)]
 
     def path(self, u: Term, v: Term) -> Path:
-        if u not in self or v not in self:
+        rep = self._rep
+        ru, rv = rep.get(u.id), rep.get(v.id)
+        if ru is None or rv is None:
             raise NotConnectedError(f"{u!r} or {v!r} is not a vertex")
         if u is v:
             return Path((u,), ())
-        if not self.connected(u, v):
+        if ru != rv:
             raise NotConnectedError(f"no path between {u!r} and {v!r}")
         # Climb from both ends in turn until one climb reaches a vertex the
         # other has passed: that vertex is the lowest common ancestor.

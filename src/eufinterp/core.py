@@ -358,15 +358,15 @@ class Reader:
             i = after
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemInstance:
     """Two disjoint ground literal sets plus their shared symbol table.
 
     Built right after parsing, when the table holds exactly the subterms of
     the literals; the table's length then is recorded, so terms made later
     (repair vertices, interpolant terms) stay out of :meth:`terms`.  The
-    literal sets are fixed after construction: their partition into
-    equalities and disequalities is taken once, then, and every call of
+    instance is frozen: its literals' partition into equalities and
+    disequalities is taken once, at construction, and every call of
     :meth:`equalities` or :meth:`disequalities` returns the same tuple.
     """
 
@@ -376,10 +376,11 @@ class ProblemInstance:
     b_literals: tuple[Literal, ...]
 
     def __post_init__(self) -> None:
-        self._parsed = len(self.table)
         literals = self.literals()
-        self._equalities = tuple(pair for pair in literals if pair[0].equal)
-        self._disequalities = tuple(pair for pair in literals if not pair[0].equal)
+        put = object.__setattr__  # the instance is frozen
+        put(self, "_parsed", len(self.table))
+        put(self, "_equalities", tuple(p for p in literals if p[0].equal))
+        put(self, "_disequalities", tuple(p for p in literals if not p[0].equal))
 
     def literals(self) -> list[tuple[Literal, Side]]:
         """All literals in parse order, A before B."""
@@ -432,7 +433,8 @@ def parse_problem(text: str) -> ProblemInstance:
         i += 5
 
     sets: list[tuple[Literal, ...]] = []
-    seen: dict[Literal, Side] = {}
+    # Keyed by the literal's fields: terms hash by identity.
+    seen: dict[tuple[Term, Term, bool], Side] = {}
     for side in (Side.A, Side.B):
         if i >= len(toks):
             raise ParseError(f"missing ({side.value} ...) set")
@@ -440,9 +442,10 @@ def parse_problem(text: str) -> ProblemInstance:
             raise reader.error(f"expected ({side.value} ...)", i)
         kept: list[Literal] = []
         for start, lit in reader.literals(i, side):
-            previous = seen.get(lit)
+            key = (lit.lhs, lit.rhs, lit.equal)
+            previous = seen.get(key)
             if previous is None:
-                seen[lit] = side
+                seen[key] = side
                 kept.append(lit)
             elif previous is not side:
                 raise reader.error(

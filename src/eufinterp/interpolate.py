@@ -8,6 +8,10 @@ of the justifications of all A-premises reachable through the cumulative
 premise sets; the test suite checks it against an equivalent recursive
 formulation.  Results are conjunctions of Horn clauses whose atoms only use
 symbols shared by both input sets.
+
+Clauses are assembled on term ids: a path's key is its summary as a
+normalized literal, and sorting premises by key is the clause order.  Distinct
+A-premises have distinct conclusions, so each clause is made once.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from typing import Iterator
 from .coloring import ColoredGraph, Strategy, color, make_colorable
 from .congruence import Path, close, find_refuted_disequality
 from .core import (
-    Colorability,
     Literal,
     ParseError,
     ProblemInstance,
@@ -161,13 +164,11 @@ class PremiseSets:
         def parts(path: Path | Term, end: Term | None = None) -> Iterator[tuple]:
             if end is not None:  # a parent pair: its path is built now
                 path = graph.path(path, end)
-            out = []
-            verts, edges = path.vertices, path.edges
+            out, edges = [], path.edges
             for side, lo, hi in runs(path):
                 if side is want:
-                    u, v = verts[lo].id, verts[hi].id
                     sub = path if hi - lo == len(edges) else path.slice(lo, hi)
-                    out.append(((u, v) if u < v else (v, u), sub, None))
+                    out.append((sub.key, sub, None))
                     continue
                 for edge in edges[lo:hi]:
                     for p, q in edge.parents or ():
@@ -196,30 +197,36 @@ class PremiseSets:
         return _union(memo, key, parts(path, key), parts)
 
 
-def summary(path: Path) -> Literal:
-    """The equality of the path's endpoints."""
-    return Literal.make(path.start, path.end)
+def _sigmas(ps: PremiseSets, path: Path, sigmas: dict) -> dict:
+    """``sigmas`` plus the A-premises of the path's cumulative premise set."""
+    for tau in ps.cumulative(path).values():
+        for key, sigma in ps.premises(tau, Side.A).items():
+            sigmas.setdefault(key, sigma)
+    return sigmas
 
 
-def justification(ps: PremiseSets, path: Path) -> HornClause | None:
-    """Horn clause: the path's B-premise summaries imply its own summary."""
-    premises = [summary(p) for p in ps.premises(path, Side.B).values()]
-    return HornClause.make(premises, summary(path))
+def _conjunction(ps: PremiseSets, sigmas: dict, *last: HornClause) -> HornConjunction:
+    """The justifications of ``sigmas`` in order, then ``last``.
+
+    None is trivially true: a premise with the conclusion's key would be the
+    same path, but an A-premise's edges are colored A and a B-premise's B.
+    """
+    terms = ps.colored.symbols.table.terms
+    clauses = []
+    for (a, b), sigma in sigmas.items():
+        premises = sorted(ps.premises(sigma, Side.B))
+        lits = tuple([Literal(terms[p], terms[q]) for p, q in premises])
+        clauses.append(HornClause(lits, Literal(terms[a], terms[b])))
+    return HornConjunction((*clauses, *last))
 
 
 def path_interpolant(ps: PremiseSets, path: Path) -> HornConjunction:
     """Interpolant of a path with B-colorable endpoints.
 
     Computed in closed form: the justifications of all A-premises of the
-    cumulative premise set, deduplicated in discovery order.
+    cumulative premise set, in discovery order.
     """
-    sigmas: dict[tuple[int, int], Path] = {}
-    for tau in ps.cumulative(path).values():
-        for key, sigma in ps.premises(tau, Side.A).items():
-            sigmas.setdefault(key, sigma)
-    return HornConjunction.from_clauses(
-        justification(ps, sigma) for sigma in sigmas.values()
-    )
+    return _conjunction(ps, _sigmas(ps, path, {}))
 
 
 def refutation_interpolant(ps: PremiseSets, path: Path) -> HornConjunction:
@@ -231,35 +238,25 @@ def refutation_interpolant(ps: PremiseSets, path: Path) -> HornConjunction:
     prefix/suffix B-premises, and one clause refuting the core's summary
     from those premises.
     """
-    symbols = ps.colored.symbols
+    bits, terms = ps.colored.symbols.covering(), ps.colored.symbols.table.terms
     verts = path.vertices
-    b_positions = [
-        i for i, v in enumerate(verts) if symbols.colorability(v) & Colorability.B
-    ]
-    clauses: list[HornClause | None] = []
+    b_positions = [i for i, v in enumerate(verts) if bits[v.id] & 2]
+    sigmas, outer, parts, conclusion = {}, {}, [path], None
     if b_positions:
         i, j = b_positions[0], b_positions[-1]
-        prefix = path.slice(0, i)
         core = path.slice(i, j)
-        suffix = path.slice(j, len(verts) - 1)
-    else:
-        prefix, core, suffix = path, None, None
-    if core is not None and not core.is_empty:
-        clauses.extend(path_interpolant(ps, core).clauses)
-    outer: dict[tuple[int, int], Path] = {}
-    for part in (prefix, suffix):
-        if part is not None:
-            for key, p in ps.premises(part, Side.B).items():
-                outer.setdefault(key, p)
+        parts = [path.slice(0, i), path.slice(j, len(verts) - 1)]
+        if not core.is_empty:
+            _sigmas(ps, core, sigmas)
+            a, b = core.key
+            conclusion = Literal(terms[a], terms[b], False)
+    for part in parts:
+        for key, p in ps.premises(part, Side.B).items():
+            outer.setdefault(key, p)
     for p in outer.values():
-        clauses.extend(path_interpolant(ps, p).clauses)
-    premises = [summary(p) for p in outer.values()]
-    if core is None or core.is_empty:
-        conclusion = None
-    else:
-        conclusion = summary(core).negated()
-    clauses.append(HornClause.make(premises, conclusion))
-    return HornConjunction.from_clauses(clauses)
+        _sigmas(ps, p, sigmas)
+    premises = tuple([Literal(terms[a], terms[b]) for a, b in sorted(outer)])
+    return _conjunction(ps, sigmas, HornClause(premises, conclusion))
 
 
 class NotUnsatisfiableError(Exception):
@@ -334,9 +331,10 @@ def interpolate(
 
 
 def _check_shared(conj: HornConjunction, symbols: SymbolTable) -> None:
+    bits = symbols.covering()
     for atom in conj.atoms():
         for term in (atom.lhs, atom.rhs):
-            if symbols.colorability(term) != Colorability.AB:
+            if bits[term.id] != 3:
                 raise SharedSignatureError(
                     f"atom {format_literal(atom)} is not expressible on both sides"
                 )

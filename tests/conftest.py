@@ -60,11 +60,11 @@ from eufinterp.interpolate import (
     HornClause,
     HornConjunction,
     NotUnsatisfiableError,
+    PremiseSets,
     build_colored_graph,
     format_conjunction,
     interpolate,
     parse_conjunction,
-    summary,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -1102,6 +1102,21 @@ class ReferencePremiseSets:
                     yield tau, True
 
         return self._memoized(self._cumulative, "P", path, parts)
+
+
+def summary(path: GraphPath) -> Literal:
+    """The equality of the path's endpoints."""
+    return Literal.make(path.start, path.end)
+
+
+def justification(ps: PremiseSets, path: GraphPath) -> HornClause | None:
+    """Horn clause: the path's B-premise summaries imply its own summary.
+
+    The library assembles the same clauses from path keys; this is the
+    literal-level reference they are checked against.
+    """
+    premises = [summary(p) for p in ps.premises(path, Side.B).values()]
+    return HornClause.make(premises, summary(path))
 
 
 def reference_path_interpolant(ps: ReferencePremiseSets, path: GraphPath) -> HornConjunction:

@@ -41,11 +41,16 @@ from eufinterp.interpolate import (
     interpolate,
     parse_conjunction,
     path_interpolant,
-    summary,
 )
 from eufinterp.verify import check_interpolant, euf_entails
 
-from conftest import brute_force_closure, bridge_run, expected_clauses, load_text
+from conftest import (
+    brute_force_closure,
+    bridge_run,
+    expected_clauses,
+    load_text,
+    summary,
+)
 from test_game import check_cut
 from test_interpolate import recursive_path_interpolant
 

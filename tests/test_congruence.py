@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import deque
 
@@ -17,6 +18,7 @@ from eufinterp.congruence import (
 )
 from eufinterp.core import Literal, Side, TermTable, format_term, parse_problem, subterm_closure
 from eufinterp.generate import generate
+from eufinterp.interpolate import interpolate
 
 from conftest import brute_force_closure, load_problem, reference_add_edge, reference_close
 
@@ -470,3 +472,51 @@ def test_paths_compare_by_fields():
     assert Path((a, b), (edge,)) == Path(tuple([a, b]), tuple([edge]))
     assert Path((a, b), (edge,)) != Path((a, b), (Edge(a, b, 0),))
     assert Path((a,), ()) != Path((b,), ())
+
+
+def endpoint_key(path: Path) -> tuple[int, int]:
+    a, b = path.vertices[0].id, path.vertices[-1].id
+    return (min(a, b), max(a, b))
+
+
+def test_path_key_is_the_sorted_endpoint_ids():
+    paths = stored = 0
+    for family in ("chain", "ladder", "split"):
+        for size in (2, 5, 12, 30):
+            p = parse_problem(generate(family, size, seed=size).text)
+            result = interpolate(p)
+            graph = result.colored.graph
+            ps = result.premises
+            for u in graph.vertices[:12]:
+                for v in graph.vertices[:12]:
+                    if graph.connected(u, v):
+                        path = graph.path(u, v)
+                        assert path.key == endpoint_key(path) == graph.path(v, u).key
+                        n = len(path.vertices)
+                        sub = path.slice(n // 3, n - 1 - n // 3)
+                        assert sub.key == endpoint_key(sub)
+                        paths += 1
+            # The sub-paths the premise walk builds from runs, in every memo.
+            for memo in (ps._b, ps._a, ps._cumulative):
+                for key, value in memo.items():
+                    for sub_key, sub in value.items():
+                        assert sub_key == sub.key == endpoint_key(sub)
+                        stored += 1
+    assert paths > 500 and stored > 200
+    table = TermTable()
+    a, b = table.make("b"), table.make("a")
+    edge = Edge(a, b, 0)
+    assert Path((b, a), (edge,)).key == (0, 1) == Path((a, b), (edge,)).key
+    assert Path((a,), ()).key == (0, 0)
+
+
+def test_path_key_is_derived_and_takes_no_part_in_equality():
+    (key,) = [f for f in dataclasses.fields(Path) if f.name == "key"]
+    assert not key.init and not key.compare
+    table = TermTable()
+    a, b = table.make("a"), table.make("b")
+    edge = Edge(a, b, 0)
+    other = Path((a, b), (edge,))
+    other.key = (5, 7)
+    assert Path((a, b), (edge,)) == other
+    assert Path((a, b), (edge,)) != Path((b, a), (edge,))

@@ -101,6 +101,15 @@ def test_literal_partition_is_kept_per_problem_as_tuples():
     ]
 
 
+def test_problem_instances_are_frozen():
+    p = load_problem("ladder2.euf")
+    equalities = p.equalities()
+    for name in ("a_literals", "b_literals", "table"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, ())
+    assert p.equalities() is equalities and len(p.a_literals) == 8
+
+
 def test_symmetric_duplicates_collapse():
     p = parse_problem("(A (= a b) (= b a)) (B)")
     assert len(p.a_literals) == 1

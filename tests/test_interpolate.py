@@ -15,23 +15,25 @@ from eufinterp.interpolate import (
     HornConjunction,
     NotUnsatisfiableError,
     PremiseSets,
+    SharedSignatureError,
     build_colored_graph,
     format_conjunction,
     interpolate,
-    justification,
     parse_conjunction,
     path_interpolant,
     refutation_interpolant,
-    summary,
 )
 from eufinterp.game import unfold_refutation
 from eufinterp.verify import check_interpolant, euf_entails
 
 from conftest import (
+    HORN_MIN,
     expected_clauses,
     extraction_outcome,
+    justification,
     load_problem,
     reference_factors,
+    summary,
 )
 
 # The package exports the function ``interpolate`` under the module's name.
@@ -152,22 +154,24 @@ class TestPremiseSets:
 
 
 class TestJustification:
+    """Worked justifications, as the clauses the library assembles from keys."""
+
     def test_worked_values(self):
         p, colored, ps = _setup("ladder2.euf")
         t = p.table.make
-        j = justification(ps, colored.graph.path(t("z7"), t("z8")))
-        assert frozenset([j]) == expected_clauses(
-            p, "(=> (and (= z5 z6)) (= z7 z8))"
+        conj = path_interpolant(ps, colored.graph.path(t("z7"), t("z8")))
+        assert expected_clauses(p, "(=> (and (= z5 z6)) (= z7 z8))") <= frozenset(
+            conj.clauses
         )
-        j2 = justification(ps, colored.graph.path(t("z3"), t("z4")))
-        assert frozenset([j2]) == expected_clauses(
+        conj2 = path_interpolant(ps, colored.graph.path(t("z3"), t("z4")))
+        assert frozenset(conj2.clauses) == expected_clauses(
             p, "(=> (and (= z1 z2)) (= z3 z4))"
         )
 
     def test_unit_clause_when_no_b_premises(self):
         p, colored, ps = _setup("chain_one_afactor.euf")
         t = p.table.make
-        j = justification(ps, colored.graph.path(t("z1"), t("z4")))
+        (j,) = path_interpolant(ps, colored.graph.path(t("z1"), t("z4"))).clauses
         assert j.premises == ()
         assert frozenset([j]) == expected_clauses(p, "(= z1 z4)")
 
@@ -481,3 +485,23 @@ class TestRunBasedPremiseSets:
                 assert colored.colors.reads == factored_edges(colored), (text, strategy)
                 checked += bool(queries)
         assert checked >= 200
+
+
+def test_an_atom_outside_the_shared_signature_is_reported(monkeypatch):
+    # Narrow u0 to the A side once the graph is colored, so only the final
+    # signature check sees it.
+    build = interpolate_module.build_colored_graph
+
+    def narrowed(problem, strategy):
+        out = build(problem, strategy)
+        problem.symbols.bits[problem.table.make("u0").id] = Colorability.A.value
+        return out
+
+    problem = parse_problem(HORN_MIN)
+    assert format_conjunction(interpolate(problem).interpolant) == (
+        "(and (=> (and (= u0 v0)) (= u1 v1)))"
+    )
+    monkeypatch.setattr(interpolate_module, "build_colored_graph", narrowed)
+    with pytest.raises(SharedSignatureError) as caught:
+        interpolate(problem)
+    assert str(caught.value) == "atom (= u0 v0) is not expressible on both sides"

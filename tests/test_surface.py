@@ -222,3 +222,23 @@ def test_each_edge_fit_is_read_once_per_pass():
     }
     assert {name: found for name, found in defined.items() if found} == {}
     assert coloring_rechecks(sources["coloring.py"]) == set()
+
+
+# Reference clause builders: the library assembles clauses from path keys.
+CLAUSE_REFERENCE_NAMES = {"justification", "summary"}
+
+
+def test_clauses_are_assembled_from_keys_only():
+    snippet = (
+        "from .interpolate import summary as s\n"
+        "def justification(ps, path):\n    pass\n"
+        "class C:\n    def summary(self):\n        pass\n"
+        "summary = None\n"
+        "x = justification(ps, p)\n"
+    )
+    assert bound_names(snippet) & CLAUSE_REFERENCE_NAMES == {"justification", "summary"}
+    found = {
+        path.name: bound_names(path.read_text(encoding="utf-8")) & CLAUSE_REFERENCE_NAMES
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: names for name, names in found.items() if names} == {}
