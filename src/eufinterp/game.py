@@ -124,9 +124,11 @@ class ProofTree:
     The tree is index arrays, in the order ``add`` appends nodes: node ``i``
     has the label ``labels[i]``, a term of ``table``, premise indices
     ``premises[i]``, origin ``origins[i]`` ("A" | "B" | "axiom" for a leaf,
-    None for an inference) and symbol mask ``masks[i]``.  ``nodes`` maps each
-    label to its node index; ``root_index`` is false's node, and ``relay_index``
-    the relay's that ``normalize_root`` put in the old root's slot.
+    None for an inference) and symbol mask ``masks[i]``.  Premises come before
+    their conclusions: every index in ``premises[i]`` is below ``i``, so no
+    tree is cyclic.  ``nodes`` maps each label to its node index;
+    ``root_index`` is false's node, and ``relay_index`` the relay's that
+    ``normalize_root`` put in the old root's slot.
 
     ``symbols`` holds the free-symbol mask of every term of ``table``, and
     trees over one table share it.  ``sides`` maps each origin to the union of
@@ -162,10 +164,14 @@ class ProofTree:
 
     def add(self, label: Term, premises: tuple = (), origin: str | None = None) -> int:
         """The node of ``label``; a new one is appended with ``premises`` and
-        ``origin``, and a new leaf's mask joins its side's signature."""
+        ``origin``, and a new leaf's mask joins its side's signature.  Raises
+        ``ProofError`` when a premise of a new node is not a node yet."""
         i = self.nodes.get(label)
         if i is None:
-            i = self.nodes[label] = len(self.labels)
+            i = len(self.labels)
+            if any(not 0 <= prem < i for prem in premises):
+                raise ProofError(f"premise of {format_term(label)} is not a node yet")
+            self.nodes[label] = i
             mask = self.symbols.masks[label.id]
             self.labels.append(label)
             self.premises.append(premises)
@@ -185,47 +191,15 @@ class ProofTree:
         return [(mask & a == mask) | (mask & b == mask) << 1 for mask in self.masks]
 
     def reach(self) -> list[int]:
-        """Per node, the mask of the nodes strictly below it.
-
-        Nodes are finished depth first from each node in order, premises in
-        order, as a recursive evaluation would; the first premise met that is
-        still open names the cycle.
-        """
+        """Per node, the mask of the nodes strictly below it, in one forward
+        pass over the node order."""
         if self._below is None:
-            premises = self.premises
-            below = [0] * len(premises)
-            state = bytearray(len(premises))  # 0 new, 1 open, 2 finished
-            for root, prems in enumerate(premises):
-                if state[root]:
-                    continue
+            below: list[int] = []
+            for prems in self.premises:
                 mask = 0
                 for prem in prems:
-                    if state[prem] != 2:
-                        break
                     mask |= below[prem] | 1 << prem
-                else:  # every premise finished: as the pass below would
-                    below[root] = mask
-                    state[root] = 2
-                    continue
-                state[root] = 1
-                stack = [(root, iter(premises[root]))]
-                while stack:
-                    top, pending = stack[-1]
-                    for prem in pending:
-                        if state[prem] == 1:
-                            label = self.labels[prem]
-                            raise ProofError(f"cyclic proof through {format_term(label)}")
-                        if not state[prem]:
-                            state[prem] = 1
-                            stack.append((prem, iter(premises[prem])))
-                            break
-                    else:
-                        stack.pop()
-                        mask = 0
-                        for prem in premises[top]:
-                            mask |= below[prem] | 1 << prem
-                        below[top] = mask
-                        state[top] = 2
+                below.append(mask)
             self._below = below
         return self._below
 
@@ -242,6 +216,8 @@ def parse_proof(text: str) -> ProofTree:
     subtrees exactly when every such node has the same origin and premise
     labels (by induction on the sum of the two heights).  So each node is
     compared with the first node of its label as ids collapse to labels.
+    Labels become nodes in the order the id-level cycle check finishes them,
+    so a file that lists premises before their conclusions keeps its order.
     """
     table = TermTable()
     reader = Reader(text, table, None)
@@ -302,13 +278,16 @@ def parse_proof(text: str) -> ProofTree:
     if raw[roots[0]][0] is not false:
         raise ProofError("root node must be labelled false")
 
+    tree = ProofTree(frozenset(theory), table)
     first: dict[Term, tuple] = {}  # label -> premise labels, origin of its first node
-    checked: dict[str, None] = {}
+    checked: dict[str, int] = {}  # node id -> its label's node
     for node_id, (formula, premises, origin) in raw.items():
         _post_order(
             node_id,
             lambda nid: [toks[k] for k in raw[nid][1]],
-            lambda nid: None,
+            lambda nid: tree.add(
+                raw[nid][0], tuple(checked[toks[k]] for k in raw[nid][1]), raw[nid][2]
+            ),
             checked,
             lambda nid: ProofError(f"cyclic proof through node {nid!r}"),
         )
@@ -317,11 +296,7 @@ def parse_proof(text: str) -> ProofTree:
             raise ProofError(
                 f"nodes labelled {format_term(formula)} root different subtrees"
             )
-    order = {label: i for i, label in enumerate(first)}
-    tree = ProofTree(frozenset(theory), table)
-    for label, (premises, origin) in first.items():
-        tree.add(label, tuple(order[p] for p in premises), origin)
-    tree.root_index = order[false]
+    tree.root_index = tree.nodes[false]
     return tree
 
 
@@ -392,10 +367,10 @@ def coloring_cut(tree: ProofTree) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
     candidates are its below-mask masked by the candidates, and the maximal
     ones are those outside every eligible member's below-mask.  A member
     below another adds nothing to that union, so eligible members are taken
-    from the highest bit down, skipping those already covered; when premises
-    come before their conclusions in node order, one mask often covers the
-    rest.  Candidates come in node order, which is bit order, so new cut
-    nodes are emitted in candidate order.
+    from the highest bit down, skipping those already covered; as premises
+    come before their conclusions, one mask often covers the rest.
+    Candidates come in node order, which is bit order, so new cut nodes are
+    emitted in candidate order.
     """
     below, premises, origins, fits = tree.reach(), tree.premises, tree.origins, tree.fits
     cand_a = cand_b = 0
@@ -498,12 +473,11 @@ def run_from_cut(
     Each piece rooted at a cut node may only reach leaves of its own input
     set, axioms, or opposite-side cut nodes; anything else means the cut was
     invalid.  Pieces are walked over the premise lists, with the cut as one
-    byte of side bits per node.  Every premise found must lie below its cut
-    node, which is read off the node's below-mask from ``tree.reach()``.
+    byte of side bits per node, so every premise a piece finds lies below its
+    cut node.
     """
     t_a, t_b = tuple(t_a), tuple(t_b)
     nodes, labels, premises, origins = tree.nodes, tree.labels, tree.premises, tree.origins
-    below = tree.reach()
     cut = bytearray(len(labels))  # per node, bit 1: in T_A; bit 2: in T_B
     for label in t_a:
         cut[nodes[label]] |= 1
@@ -535,9 +509,6 @@ def run_from_cut(
                     f"piece at {format_term(chi)} reaches foreign leaf "
                     f"{format_term(labels[i])}"
                 )
-        for i in found:
-            if not below[c] >> i & 1:
-                raise InvalidCutError("premise does not precede its conclusion")
         return tuple([labels[i] for i in found])
 
     pr_b = {alpha: piece_premises(alpha, "A", 2) for alpha in t_a}

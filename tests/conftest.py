@@ -666,7 +666,8 @@ def reference_format_formula(f: Formula) -> str:
 
 
 def reference_parse_proof(text: str) -> tuple[frozenset, dict, Formula]:
-    """``(theory symbols, {label: (label, premise labels, origin)}, root)``."""
+    """``(theory symbols, {label: (label, premise labels, origin)}, root)``,
+    labels in the order the recursive cycle check finishes their first node."""
     forms = reference_read_sexprs(text)
     if not forms:
         raise ParseError("empty proof")
@@ -732,7 +733,7 @@ def reference_parse_proof(text: str) -> tuple[frozenset, dict, Formula]:
     if raw[roots[0]][0] != "false":
         raise ProofError("root node must be labelled false")
 
-    checked: set[str] = set()
+    checked: dict[str, None] = {}  # node ids, in the order visits finish them
 
     def visit(node_id: str, open_ids: set[str]) -> None:
         open_ids.add(node_id)
@@ -742,7 +743,7 @@ def reference_parse_proof(text: str) -> tuple[frozenset, dict, Formula]:
             if pid.text not in checked:
                 visit(pid.text, open_ids)
         open_ids.discard(node_id)
-        checked.add(node_id)
+        checked[node_id] = None
 
     nodes: dict[Formula, tuple] = {}
     for node_id, (formula, premises, origin) in raw.items():
@@ -754,7 +755,8 @@ def reference_parse_proof(text: str) -> tuple[frozenset, dict, Formula]:
                 f"nodes labelled {reference_format_formula(formula)} "
                 "root different subtrees"
             )
-    return frozenset(theory), nodes, "false"
+    finished = dict.fromkeys(raw[node_id][0] for node_id in checked)
+    return frozenset(theory), {label: nodes[label] for label in finished}, "false"
 
 
 def proof_outcome(text: str, reference: bool = False):
@@ -872,6 +874,11 @@ def label_fit(tree: ProofTree, label: Term) -> int:
 def precedes(tree: ProofTree, phi: Term, psi: Term) -> bool:
     """``phi`` lies strictly below ``psi``."""
     return tree.reach()[tree.nodes[psi]] >> tree.nodes[phi] & 1 == 1
+
+
+def premise_first(tree: ProofTree) -> bool:
+    """Every premise index of ``tree`` is below its conclusion's."""
+    return all(p < i for i, ps in enumerate(tree.premises) for p in ps)
 
 
 # The coloring layer as it ran before repair and coloring read each edge's fit
@@ -1518,7 +1525,8 @@ def label_keyed_run(tree: LabelKeyedTree, t_a, t_b) -> InterpolationRun:
 
 def tree_from_nodes(theory, nodes: dict, root: Term, table: TermTable) -> ProofTree:
     """An index-array ``ProofTree`` holding a ``{label: LabelNode}`` dict's
-    nodes in order; premises may name labels that come later."""
+    nodes in order; ``ProofTree.add`` refuses the first node with a premise
+    that comes later."""
     tree = ProofTree(theory, table)
     order = {label: i for i, label in enumerate(nodes)}
     for label, node in nodes.items():
@@ -1545,6 +1553,7 @@ def bridge_outcome(problem: ProblemInstance, label_keyed: bool = False) -> tuple
         )
     else:
         tree = unfold_refutation(colored, refuted, side)
+        assert premise_first(tree)
         first_nonlocal_step, normalize, cut, run_of = (
             game.first_nonlocal_step,
             game.normalize_root,
@@ -1561,6 +1570,7 @@ def bridge_outcome(problem: ProblemInstance, label_keyed: bool = False) -> tuple
         if step is not None:
             raise NonLocalProofError(step)
         tree = normalize(tree)
+        assert label_keyed or premise_first(tree)
         t_a, t_b = cut(tree)
         run = run_of(tree, t_a, t_b)
     except (NonLocalProofError, InvalidCutError) as exc:

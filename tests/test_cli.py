@@ -370,6 +370,37 @@ def test_game_rejects_non_local_proof(capsys, tmp_path):
     assert "local" in err
 
 
+def test_game_reads_a_conclusion_first_proof_premise_first(capsys, tmp_path):
+    # Nodes are kept premises first, whatever the file's order: the cut lists
+    # (p x) before (q y), and a non-local proof is reported at the lower of
+    # its two mixed steps.  The interpolant is that of any order.
+    path = tmp_path / "conclusion_first.proof"
+    path.write_text(
+        "(theory-symbols)\n"
+        "(node root false (premises n4 n2))\n"
+        "(node n2 (q y) (from A))\n"
+        "(node n4 (not (q y)) (premises n1 n3))\n"
+        "(node n3 (or (not (p x)) (not (q y))) (from B))\n"
+        "(node n1 (p x) (from A))\n"
+    )
+    code, out, err = run_cli(capsys, "game", "cut", str(path))
+    assert (code, out, err) == (0, "T_A: (p x) (q y)\nT_B: false\n", "")
+    code, out, err = run_cli(capsys, "game", "interpolate", str(path))
+    assert (code, out, err) == (0, "(and (p x) (q y))\n", "")
+    path.write_text(
+        "(theory-symbols)\n"
+        "(node root false (premises s2 nb))\n"
+        "(node s2 (h a b) (premises s1 lb))\n"
+        "(node s1 (g a b) (premises la lb))\n"
+        "(node la (p a) (from A))\n"
+        "(node lb (q b) (from B))\n"
+        "(node nb (not (h a b)) (from B))\n"
+    )
+    for command in ("cut", "interpolate"):
+        code, out, err = run_cli(capsys, "game", command, str(path))
+        assert (code, out, err) == (1, "", "proof is not local at (g a b)\n")
+
+
 def test_game_stats_on_a_deep_alternating_proof(capsys, tmp_path):
     steps = 400
     path = tmp_path / "alternating.proof"

@@ -26,6 +26,7 @@ from conftest import (
     assert_proof_readers_agree,
     assert_readers_agree,
     load_text,
+    premise_first,
 )
 from test_game import random_proof
 
@@ -131,9 +132,10 @@ def proof_corpus() -> tuple[list[str], list[str]]:
 
 def test_nodes_view_of_parsed_proofs_matches_the_reference_reader():
     # The nodes, as ``label_nodes`` lists them, are each label's first node in
-    # file order, with its premise labels and origin, as the reference reader
-    # gives them; a cyclic proof raises the same error, naming the same node.
-    # ``nodes`` indexes the labels in that order.
+    # the order the cycle check finishes them, with its premise labels and
+    # origin, as the reference reader gives them; a cyclic proof raises the
+    # same error, naming the same node.  ``nodes`` indexes the labels in that
+    # order, which puts premises first.
     proofs, malformed = proof_corpus()
     texts = [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.proof"))]
     cyclic = (
@@ -151,6 +153,7 @@ def test_nodes_view_of_parsed_proofs_matches_the_reference_reader():
             continue
         parsed += 1
         assert list(tree.nodes) == tree.labels
+        assert premise_first(tree)
         assert tree.nodes == {label: i for i, label in enumerate(tree.labels)}
         assert tree.root is tree.table.make("false")
     assert parsed == len(texts) + len(proofs)

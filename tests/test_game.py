@@ -44,6 +44,7 @@ from conftest import (
     load_problem,
     load_text,
     precedes,
+    premise_first,
     reference_format_formula,
     reference_formula,
     reference_read_sexprs,
@@ -71,15 +72,16 @@ def fig_tree():
 
 
 class Reach:
-    """Strict premise closures by depth-first search, apart from ProofTree.reach.
+    """Strict premise closures of a ``{label: LabelNode}`` dict by depth-first
+    search, apart from ProofTree.reach.
 
     The search runs on an explicit stack, takes in the memoized closure of
     any label it meets and memoizes only the labels asked for.  Reaching a
     label that is still open closes a cycle, which raises ``ProofError``.
     """
 
-    def __init__(self, tree):
-        self.nodes = label_nodes(tree)
+    def __init__(self, nodes: dict):
+        self.nodes = nodes
         self._below: dict = {}
 
     def strictly_below(self, label) -> frozenset:
@@ -171,7 +173,7 @@ def reference_cut_candidates(tree, for_side: Side) -> list:
 
 def reference_coloring_cut(tree):
     """The cut as a plain fixpoint: re-expand every cut node until no change."""
-    reach = Reach(tree)
+    reach = Reach(label_nodes(tree))
     cand_a = reference_cut_candidates(tree, Side.A)
     cand_b = reference_cut_candidates(tree, Side.B)
     t_a: dict = {}
@@ -209,7 +211,7 @@ def reference_coloring_cut(tree):
 
 def check_cut(tree, t_a, t_b) -> bool:
     """Literal evaluation of the four coloring-cut conditions."""
-    reach = Reach(tree)
+    reach = Reach(label_nodes(tree))
     set_a, set_b = set(t_a), set(t_b)
     if not all(label_fit(tree, lab) == 3 for lab in set_a | set_b):
         return False
@@ -456,6 +458,10 @@ class TestParseProof:
         assert label_fit(tree, formula(tree.table, T_FA)) == 3
         assert label_fit(tree, formula(tree.table, RULE)) == 3
         assert label_fit(tree, formula(tree.table, "(p a)")) != 3
+        # A premise-first file keeps its order: labels by first occurrence.
+        forms = reference_read_sexprs(load_text("forward_chain.proof"))[1:]
+        labels = (reference_format_formula(reference_formula(f.items[2])) for f in forms)
+        assert printed(tree.labels) == tuple(dict.fromkeys(labels))
 
     def test_minimal_three_node_proof(self):
         tree = parse_proof(
@@ -497,6 +503,9 @@ class TestParseProof:
             parse_proof(text)
 
     def test_reach_rejects_a_cycle(self):
+        # A cyclic tree cannot be built: add refuses a premise that is not a
+        # node yet, and leaves the tree as it was.  The references, which
+        # take nodes in any order, name the cycle.
         table = TermTable()
         false, x, y = (formula(table, text) for text in ("false", "x", "y"))
         nodes = {
@@ -504,19 +513,26 @@ class TestParseProof:
             x: LabelNode(x, (y,), None),
             y: LabelNode(y, (x,), None),
         }
-        tree = tree_from_nodes(frozenset(), nodes, false, table)
+        with pytest.raises(ProofError, match="^premise of false is not a node yet$"):
+            tree_from_nodes(frozenset(), nodes, false, table)
+        tree = ProofTree(frozenset(), table)
+        assert tree.add(y, (), "A") == 0
+        for premises in ((1,), (0, 1), (-1,)):
+            with pytest.raises(ProofError, match="^premise of x is not a node yet$"):
+                tree.add(x, premises)
+        assert (tree.labels, tree.premises, tree.nodes) == ([y], [()], {y: 0})
+        assert tree.add(x, (0,)) == 1
         with pytest.raises(ProofError, match="cyclic proof through x"):
-            precedes(tree, y, false)
-        with pytest.raises(ProofError, match="cyclic proof through x"):
-            coloring_cut(tree)
+            Reach(nodes).precedes(y, false)
         with pytest.raises(ProofError, match="cyclic proof through x"):
             LabelKeyedTree(frozenset(), nodes, false, table).reach()
 
     @pytest.mark.parametrize(
         "shape, named",
         [
-            # The pass starts at each label in node order and takes premises
-            # in order; the first premise met that is still open is named.
+            # The reference passes start at each label in node order and take
+            # premises in order; the first premise met that is still open is
+            # named.
             ([("y", "x"), ("false", "x"), ("x", "z"), ("z", "y")], "y"),
             ([("false", "w x"), ("w", ""), ("x", "w y"), ("y", "z w"), ("z", "x")], "x"),
             ([("z", "w"), ("false", "x"), ("x", "y"), ("y", "z"), ("w", "y")], "z"),
@@ -530,12 +546,12 @@ class TestParseProof:
             premises = tuple(formula(table, p) for p in premises.split())
             nodes[label] = LabelNode(label, premises, None if premises else "A")
         false = formula(table, "false")
-        tree = tree_from_nodes(frozenset(), nodes, false, table)
-        with pytest.raises(ProofError, match=f"^cyclic proof through {named}$"):
-            tree.reach()
+        # In each shape the first label's premises come later: add refuses it.
+        with pytest.raises(ProofError, match=f"^premise of {shape[0][0]} is not a node yet$"):
+            tree_from_nodes(frozenset(), nodes, false, table)
         with pytest.raises(ProofError, match=f"^cyclic proof through {named}$"):
             LabelKeyedTree(frozenset(), nodes, false, table).reach()
-        reference = Reach(tree)
+        reference = Reach(nodes)
         with pytest.raises(ProofError, match=f"^cyclic proof through {named}$"):
             for label in nodes:
                 reference.strictly_below(label)
@@ -576,6 +592,42 @@ class TestParseProof:
         texts += [random_proof(rng, rng.randint(3, 40)) for _ in range(50)]
         for text in texts:
             assert_proof_readers_agree(text)
+            try:
+                tree = parse_proof(text)
+            except ValueError:
+                continue
+            assert premise_first(tree), text
+
+    def test_shuffled_proofs_keep_their_game(self):
+        # Node forms in any order give a premise-first tree with the same
+        # nodes, cut sets, game interpolant and rounds, or the same error
+        # type; only the node order, and so each cut list's, may differ.
+        def game(tree):
+            nodes = sorted(
+                (format_term(n.formula), printed(n.premises), n.origin)
+                for n in label_nodes(tree).values()
+            )
+            try:
+                tree, t_a, t_b = local_cut(tree)
+                run = run_from_cut(tree, t_a, t_b)
+            except ValueError as exc:
+                return nodes, type(exc)
+            text = format_game_interpolant(game_interpolant(run))
+            return nodes, set(printed(t_a)), set(printed(t_b)), text, run.rounds()
+
+        rng = random.Random(8)
+        reordered = cut = 0
+        for _ in range(200):
+            text = random_proof(rng, rng.randint(3, 40))
+            header, *forms = text.splitlines()
+            rng.shuffle(forms)
+            tree, shuffled = parse_proof(text), parse_proof("\n".join([header, *forms]))
+            assert premise_first(shuffled)
+            outcome = game(shuffled)
+            assert outcome == game(tree)
+            reordered += printed(shuffled.labels) != printed(tree.labels)
+            cut += len(outcome) > 2
+        assert reordered >= 150 and cut >= 20
 
     def test_two_roots_rejected(self):
         text = (
@@ -679,7 +731,7 @@ class TestNormalizeRoot:
         assert nodes[relay].premises == (prime, formula(table, "(not (p a))"))
         assert nodes[prime] == label_nodes(tree)[prime]
         assert nodes[prime].premises == (formula(table, "(p a)"),)
-        assert fixed.reach()  # acyclic: the pass raises on a cycle
+        assert premise_first(fixed)
         assert normalize_root(fixed) is fixed
 
     def test_a_leaf_root_gets_relay(self):
@@ -776,7 +828,8 @@ class TestColoringCut:
 
     def test_precedes_matches_the_reference(self):
         for key, tree, _ in sample_trees():
-            reach = Reach(tree)
+            assert premise_first(tree), key
+            reach = Reach(label_nodes(tree))
             index, premises, masks = tree.nodes, tree.premises, tree.reach()
             labels, nodes = tree.labels, label_nodes(tree)
             assert index == {label: i for i, label in enumerate(labels)}, key

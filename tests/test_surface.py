@@ -242,3 +242,47 @@ def test_clauses_are_assembled_from_keys_only():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def proof_order_rechecks(source: str) -> tuple[int, int, int]:
+    """In ``source``: how often ``cyclic proof through`` and ``premise does not
+    precede`` occur, and how many ``while`` loops ``ProofTree.reach`` has."""
+    loops = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == "ProofTree":
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "reach":
+                    loops += sum(isinstance(n, ast.While) for n in ast.walk(item))
+    return (
+        source.count("cyclic proof through"),
+        source.count("premise does not precede"),
+        loops,
+    )
+
+
+def test_premise_order_is_enforced_once():
+    # Only parse_proof's node-id check names a cycle: ProofTree.add refuses a
+    # premise that is not a node yet, so reach() is one forward pass and
+    # run_from_cut has no precedence to recheck.
+    snippet = (
+        "class ProofTree:\n"
+        "    def reach(self):\n"
+        "        while stack:\n"
+        "            raise ProofError(f'cyclic proof through {label}')\n"
+        "    def fits(self):\n"
+        "        while True:\n"
+        "            pass\n"
+        "def reach():\n"
+        "    while True:\n"
+        "        pass\n"
+        "def run_from_cut():\n"
+        "    raise InvalidCutError('premise does not precede its conclusion')\n"
+        "def parse_proof():\n"
+        "    raise ProofError(f'cyclic proof through node {nid!r}')\n"
+    )
+    assert proof_order_rechecks(snippet) == (2, 1, 1)
+    found = [
+        proof_order_rechecks(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    ]
+    assert tuple(map(sum, zip(*found))) == (1, 0, 0)
