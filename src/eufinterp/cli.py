@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success; 1 satisfiable input or failed verification; 2 usage,
-syntax, or format errors.  Output is deterministic for fixed inputs, flags,
-and seed.
+Exit codes: 0 success; 1 satisfiable input, failed verification, or a game
+cut with no run; 2 usage, syntax, or format errors.  Output is deterministic
+for fixed inputs, flags, and seed.
 """
 
 from __future__ import annotations
@@ -170,7 +170,11 @@ def _cmd_game(args) -> int:
         print("T_A: " + " ".join(format_term(f) for f in t_a))
         print("T_B: " + " ".join(format_term(f) for f in t_b))
         return 0
-    run = run_from_cut(tree, t_a, t_b)
+    try:
+        run = run_from_cut(tree, t_a, t_b)
+    except InvalidCutError as exc:
+        print(f"cut has no run: {exc}", file=sys.stderr)
+        return 1
     print(format_game_interpolant(game_interpolant(run)))
     if args.stats:
         print(f"rounds={run.rounds()}")
@@ -245,7 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ProofError, InvalidCutError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, ProofError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -9,7 +9,8 @@ The parser interns arguments before their applications and makes no other
 terms, so a freshly read problem's table holds exactly the subterms of its
 literals, in id order: that prefix is the problem's term set.  Term
 colorability is a list indexed by term id, filled in the same order once the
-symbols' sides are final.
+symbols' sides are final.  The reader's tokens come from ``str.split``;
+``_tokenize`` finds the same tokens by regex and only locates errors.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ class Side(Enum):
 
     A = "A"
     B = "B"
+
+
+# On Python 3.11 reading a member off its enum class runs a descriptor, about
+# ten times a global read; ``SymbolTable.declare`` runs once per token.
+_A, _B = Side.A, Side.B
 
 
 class Colorability(Flag):
@@ -151,9 +157,9 @@ class SymbolTable:
                 f"symbol {name!r} used with arity {arity}, "
                 f"previously {entry.arity}"
             )
-        if side is Side.A:
+        if side is _A:
             entry.occurs_in_a = True
-        elif side is Side.B:
+        elif side is _B:
             entry.occurs_in_b = True
         return entry
 
@@ -213,8 +219,8 @@ class OverlapError(ParseError):
     """The same literal appears in both input sets."""
 
 
-# A parenthesis, an atom, or a ";" comment, which runs to the end of its line.
-_TOKEN = re.compile(r"[()]|[^\s();]+|;[^\n]*")
+# A parenthesis or an atom, once the line's ";" comment is cut.
+_TOKEN = re.compile(r"[()]|[^\s();]+")
 
 
 def _tokenize(text: str) -> Iterator[tuple[str, int, int]]:
@@ -226,11 +232,12 @@ def _tokenize(text: str) -> Iterator[tuple[str, int, int]]:
 class Reader:
     """Problem, formula or proof text read straight from tokens into terms.
 
-    The text is split into tokens once, comments dropped.  One pass over them
-    then checks the parentheses and records where each list closes, so a
-    balance error wins over any other and a list's length is known before its
-    items are read.  Token ``k``'s position is worked out only for an error,
-    by scanning the text again up to it.  Items are addressed by token index:
+    Comments are cut line by line, parentheses spaced out, and ``str.split``
+    gives the tokens; its whitespace is exactly the regex whitespace of
+    ``_tokenize``, which only locates an error at a token by reading again.
+    One pass over the tokens checks the parentheses and records where each
+    list closes, so a balance error wins over any other and a list's shape is
+    known before its items are read.  Items are addressed by token index:
     each reading method takes the index where its item starts and returns the
     index just past it along with what it read.  Without a symbol table, as
     for proof files, terms are interned without declaring their symbols.
@@ -240,10 +247,9 @@ class Reader:
         self.text = text
         self.table = table
         self.symbols = symbols
-        toks = _TOKEN.findall(text)
         if ";" in text:
-            toks = [t for t in toks if t[0] != ";"]
-        self.toks = toks
+            text = "\n".join(line.partition(";")[0] for line in text.split("\n"))
+        self.toks = toks = text.replace("(", " ( ").replace(")", " ) ").split()
         self.close = close = [0] * len(toks)
         opens: list[int] = []
         for i, tok in enumerate(toks):
@@ -273,13 +279,7 @@ class Reader:
 
     def count(self, i: int) -> int:
         """The number of items of the list opened at token ``i``."""
-        toks, close = self.toks, self.close
-        end, n = close[i], 0
-        i += 1
-        while i < end:
-            i = close[i] + 1 if toks[i] == "(" else i + 1
-            n += 1
-        return n
+        return sum(1 for _ in self.items(i + 1, self.close[i]))
 
     def term(self, i: int, side: Side | None) -> tuple[Term, int]:
         """Intern the term at token ``i``, checking arities, on an explicit stack.
@@ -290,6 +290,10 @@ class Reader:
         and ``()`` is an empty formula.
         """
         toks, symbols = self.toks, self.symbols
+        if toks[i] != "(":
+            if symbols is not None:
+                symbols.declare(toks[i], 0, side)
+            return self.table.make(toks[i]), i + 1
         frames: list[tuple[int, str, list[Term]]] = []  # "(" index, head, arguments
         while True:
             tok = toks[i]
@@ -326,19 +330,19 @@ class Reader:
 
         Each list's shape is checked before anything inside it is read.
         """
-        toks = self.toks
+        toks, close, skip = self.toks, self.close, self.skip
         nots: list[int] = []
         while True:
             if toks[i] != "(" or toks[i + 1] == ")":
                 raise self.error("expected a literal", i)
             head = toks[i + 1]
             if head == "=":
-                if self.count(i) != 3:
+                if close[i] == i + 2 or skip(skip(i + 2)) != close[i]:
                     raise self.error("'=' takes exactly two terms", i)
                 break
             if head != "not":
                 raise self.error("expected (= s t) or (not (= s t))", i)
-            if self.count(i) != 2:
+            if skip(i + 2) != close[i]:
                 raise self.error("'not' takes exactly one equality", i)
             nots.append(i)
             i += 2

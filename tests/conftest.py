@@ -818,6 +818,7 @@ def problem_outcome(parse, text: str):
         table_snapshot(problem),
         [literal_key(lit) for lit in problem.a_literals],
         [literal_key(lit) for lit in problem.b_literals],
+        problem.symbols.covering(),
     )
 
 
@@ -1233,6 +1234,20 @@ def label_nodes(tree: ProofTree) -> dict:
         label: LabelNode(label, tuple(labels[p] for p in premises), origin)
         for label, premises, origin in zip(labels, tree.premises, tree.origins)
     }
+
+
+def format_proof(tree) -> str:
+    """Serialize back to the proof grammar (ids in node order)."""
+    nodes = label_nodes(tree)
+    ids = {label: f"n{i + 1}" for i, label in enumerate(nodes)}
+    lines = ["(theory-symbols " + " ".join(sorted(tree.theory_symbols)) + ")"]
+    for label, node in nodes.items():
+        if node.is_leaf:
+            tail = f"(from {node.origin})"
+        else:
+            tail = "(premises " + " ".join(ids[p] for p in node.premises) + ")"
+        lines.append(f"(node {ids[label]} {format_term(label)} {tail})")
+    return "\n".join(lines) + "\n"
 
 
 def bridge_run(

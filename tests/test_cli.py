@@ -2,14 +2,21 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import eufinterp
 from eufinterp.cli import main
-from eufinterp.core import ProblemInstance
+from eufinterp.core import ProblemInstance, parse_problem
+from eufinterp.game import euf_bridge
 
-from conftest import DATA, MALFORMED, alternating_proof
+from conftest import DATA, MALFORMED, alternating_proof, format_proof
+from test_interpolate import wide_class_text
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +95,33 @@ def test_interpolate_game_names_a_failed_bridge(capsys, tmp_path):
     assert err == (
         "bridge failed: InvalidCutError: cut node (= x2 x1) on the wrong side of false\n"
     )
+
+
+def test_game_interpolate_names_a_cut_with_no_run(capsys, tmp_path):
+    # The bridged wide-class proof at n = 20 has a cut, but the B leaf x0 = x1
+    # feeds both the A step and B's final step, so the cut has no run: exit
+    # 1, as for interpolate --game, and not the format-error exit 2.
+    path = tmp_path / "wide.proof"
+    path.write_text(format_proof(euf_bridge(parse_problem(wide_class_text(20, seed=0)))))
+    assert run_cli(capsys, "game", "cut", str(path)) == (
+        0, "T_A: (= x1 x20)\nT_B: false (= x0 x1)\n", ""
+    )
+    assert run_cli(capsys, "game", "interpolate", str(path)) == (
+        1, "", "cut has no run: cut node (= x0 x1) on the wrong side of false\n"
+    )
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    argv = ["gen", "--chain", "5", "--seed", "1"]
+    expected = run_cli(capsys, *argv)
+    src = str(Path(eufinterp.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    done = subprocess.run(
+        [sys.executable, "-m", "eufinterp", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == expected
 
 
 def test_interpolate_game_malformed_input_exits_2(capsys, tmp_path):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from eufinterp.cli import main
-from eufinterp.core import parse_problem
+from eufinterp.core import ParseError, Reader, TermTable, parse_problem
 from eufinterp.game import parse_proof
 from eufinterp.generate import FAMILIES, generate
 from eufinterp.interpolate import format_conjunction, interpolate
@@ -22,6 +22,7 @@ from conftest import (
     DATA,
     HORN_MIN,
     MALFORMED,
+    _reference_tokenize,
     alternating_proof,
     assert_proof_readers_agree,
     assert_readers_agree,
@@ -118,6 +119,76 @@ def test_mutated_problems_and_interpolants(capsys, tmp_path):
             assert_readers_agree(problem, text)
     # The budget reaches every exit code of both commands.
     assert codes == {"interpolate": {0, 1, 2}, "verify": {0, 1, 2}}
+
+
+# Blanks the reader must treat as the reference's regex ``\s`` does: tab, CR LF,
+# vertical tab, the file separator, no-break space and the line separator.
+# Lines, and so comments, end at "\n" alone.
+BLANKS = ("\t", "\r\n", "\x0b", "\x1c", "\xa0", "\u2028")
+ODD_LISTS = [
+    "(A (=)) (B)",
+    "(A (= a)) (B)",
+    "(A (= a b c)) (B)",
+    "(A (= (f) b)) (B)",
+    "(A (= () b)) (B)",
+    "(A (not)) (B)",
+    "(A (not (= a b) (= b c))) (B)",
+    "(A (not (not (= a b)))) (B (= a b))",
+    "(A (= a b) (B (not (= a b)))",
+    "(A (= a b))) (B (not (= a b)))",
+    "(A (= a b)) (B (not (= a b)",
+    ")(A (= a b)) (B (not (= a b)))",
+    "(A (= a (f b c))) (B (not (= a (f b c d))))",
+]
+
+
+def reader_texts() -> list[str]:
+    """Problems with odd blanks, comments mid-line and at an unterminated
+    end, and short, over-long and unbalanced lists."""
+    texts = [HORN_MIN.replace(" ", blank) for blank in BLANKS]
+    texts += [HORN_MIN.replace("(", "(" + blank).replace(")", blank + ")") for blank in BLANKS]
+    texts += [
+        "(A (= a b) ; a ( comment\n (= b c)) (B (not (= a c)))",
+        "(A (= a b));)\n(B (not (= a b)))",
+        HORN_MIN.rstrip("\n") + " ; no final newline (",
+        HORN_MIN.rstrip("\n") + ";",
+        "(A (= a;b c)\n) (B (not (= a c)))",
+        "; ( comment \u2028 (A (= a b))\n(A (= a b)) (B (not (= a b)))",
+        "; comment\x1c) ) )\r\n(A (= a b)) (B (not (= a b)))\r\n",
+        "(A (= a b)) (B (not (= a b)) ; \r (\r\n)",
+    ]
+    texts += ODD_LISTS + [text.replace(" ", "\n\t") for text in ODD_LISTS]
+    rng = random.Random(SEED)
+    problems = corpus()[0]
+    for _ in range(200):
+        chars = list(rng.choice(problems))
+        spaces = [k for k, c in enumerate(chars) if c == " "]
+        for k in rng.sample(spaces, min(len(spaces), 4)):
+            chars[k] = rng.choice(BLANKS)
+        if rng.random() < 0.5:
+            chars.insert(rng.randrange(len(chars) + 1), rng.choice(("; (", ";", "(", ")")))
+        texts.append("".join(chars))
+    return texts
+
+
+def test_reader_agrees_with_the_reference_on_blanks_comments_and_list_shapes():
+    # The tokens are the reference tokenizer's; the literal id triples, term
+    # and symbol tables and covering bits, or the error's class, text, line
+    # and column, are the reference reader's.
+    errors = 0
+    for text in reader_texts():
+        assert_readers_agree(text)
+        try:
+            toks = Reader(text, TermTable(), None).toks
+        except ParseError:
+            errors += 1
+            continue
+        assert toks == [tok for tok, _, _ in _reference_tokenize(text)], text
+        try:
+            parse_problem(text)
+        except ParseError:
+            errors += 1
+    assert errors >= 50
 
 
 def proof_corpus() -> tuple[list[str], list[str]]:

@@ -38,6 +38,7 @@ from conftest import (
     assert_proof_readers_agree,
     bridge_outcome,
     bridge_run,
+    format_proof,
     label_fit,
     label_keyed_run,
     label_nodes,
@@ -290,6 +291,90 @@ def random_proof(rng: random.Random, size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Symbols of local_random_proof: each side's own, and the theory symbols c, r
+# and t, which are in both signatures.
+SIDE_SYMBOLS = {"A": {"p", "a", "x", "f"}, "B": {"s", "b", "y", "g"}}
+THEORY = {"c", "r", "t"}
+LOCAL_ARGS = ("a", "b", "c", "x", "y", ("f", "a"), ("g", "b"), ("f", "x"), ("g", "c"), ("t", "c"))
+
+
+def symbols_of(label) -> set:
+    if isinstance(label, str):
+        return {label} - LOGICAL_TOKENS
+    return set().union(*map(symbols_of, label))
+
+
+def local_random_proof(rng: random.Random, size: int) -> str:
+    """A random proof whose every inference step fits one side's signature.
+
+    A leaf takes its label from its side's symbols and the shared ones, an
+    axiom from the shared ones alone.  An inference picks a side, then its
+    label and one to three premises from earlier nodes, all over the symbols
+    of that side's leaves so far; with none to pick it is a leaf instead.
+    Earlier leaves get second ids as in ``random_proof``.  False follows from
+    the unused nodes, which must fit its side, B or (for a relay) A: unused
+    nodes of the other side first meet in a fresh label of shared symbols.
+    """
+    sig = {"A": set(THEORY), "B": set(THEORY)}  # symbols of each side's leaves
+    nodes: list = []  # per node: label, origin, symbols
+    seen: set = set()
+    used: set[int] = set()
+    lines = ["(theory-symbols " + " ".join(sorted(THEORY)) + ")"]
+
+    def fresh(allowed: set):
+        preds = [p for p in ("p", "s", "r", "t") if p in allowed]
+        args = [a for a in LOCAL_ARGS if symbols_of(a) <= allowed]
+        for _ in range(20):
+            label = (rng.choice(preds), rng.choice(args), rng.choice(args))
+            label = ("not", label) if rng.random() < 0.2 else label
+            if label not in seen:
+                seen.add(label)
+                return label
+        return None
+
+    def add(label, origin, premises=()):
+        k = len(nodes)
+        formula = reference_format_formula(label)
+        if premises:
+            used.update(premises)
+            ids = " ".join(f"n{j}" for j in premises)
+            lines.append(f"(node n{k} {formula} (premises {ids}))")
+        else:
+            lines.append(f"(node n{k} {formula} (from {origin}))")
+            if origin in sig:
+                sig[origin] |= symbols_of(label)
+        nodes.append((label, origin, symbols_of(label)))
+
+    while len(nodes) < size:
+        leaves = [n for n in nodes if n[1] is not None]
+        if leaves and rng.random() < 0.1:
+            add(*rng.choice(leaves)[:2])
+            continue
+        side = rng.choice("AB")
+        eligible = [k for k, n in enumerate(nodes) if n[2] <= sig[side]]
+        if eligible and rng.random() < 0.65:
+            label = fresh(sig[side])
+            if label is not None:
+                add(label, None, rng.sample(eligible, rng.randint(1, min(3, len(eligible)))))
+                continue
+        origin = rng.choice(("A", "A", "B", "B", "axiom"))
+        label = fresh(SIDE_SYMBOLS.get(origin, set()) | THEORY)
+        if label is not None:
+            add(label, origin)
+
+    side = "B" if rng.random() < 0.75 else "A"
+    tops = [k for k in range(len(nodes)) if k not in used]
+    apart = [k for k in tops if not nodes[k][2] <= sig[side]]
+    if apart:
+        label = ("r", "c", "c")
+        while label in seen:
+            label = ("t", label)
+        add(label, None, apart)
+        tops = [k for k in tops if k not in apart] + [len(nodes) - 1]
+    lines.append(f"(node root false (premises {' '.join(f'n{k}' for k in tops)}))")
+    return "\n".join(lines) + "\n"
+
+
 def reference_collapse(text: str) -> dict:
     """Labels to nodes by numbering whole subtrees, apart from parse_proof.
 
@@ -385,20 +470,6 @@ def deep_copy_variants(rng: random.Random, text: str) -> list[str]:
         extra = [renamed(n, n_tail), renamed(c, c_tail), renamed(d, d_tail)]
         out.append("\n".join(lines[:-1] + extra + [root]) + "\n")
     return out
-
-
-def format_proof(tree) -> str:
-    """Serialize back to the proof grammar (ids in node order)."""
-    nodes = label_nodes(tree)
-    ids = {label: f"n{i + 1}" for i, label in enumerate(nodes)}
-    lines = ["(theory-symbols " + " ".join(sorted(tree.theory_symbols)) + ")"]
-    for label, node in nodes.items():
-        if node.is_leaf:
-            tail = f"(from {node.origin})"
-        else:
-            tail = "(premises " + " ".join(ids[p] for p in node.premises) + ")"
-        lines.append(f"(node {ids[label]} {format_term(label)} {tail})")
-    return "\n".join(lines) + "\n"
 
 
 NON_LOCAL_PROBLEM = (
@@ -616,18 +687,25 @@ class TestParseProof:
             return nodes, set(printed(t_a)), set(printed(t_b)), text, run.rounds()
 
         rng = random.Random(8)
-        reordered = cut = 0
-        for _ in range(200):
-            text = random_proof(rng, rng.randint(3, 40))
-            header, *forms = text.splitlines()
-            rng.shuffle(forms)
-            tree, shuffled = parse_proof(text), parse_proof("\n".join([header, *forms]))
-            assert premise_first(shuffled)
-            outcome = game(shuffled)
-            assert outcome == game(tree)
-            reordered += printed(shuffled.labels) != printed(tree.labels)
-            cut += len(outcome) > 2
-        assert reordered >= 150 and cut >= 20
+        counts = {}
+        for make in (random_proof, local_random_proof):
+            reordered = non_local = ran = 0
+            for _ in range(200):
+                text = make(rng, rng.randint(3, 40))
+                header, *forms = text.splitlines()
+                rng.shuffle(forms)
+                tree, shuffled = parse_proof(text), parse_proof("\n".join([header, *forms]))
+                assert premise_first(shuffled)
+                outcome = game(shuffled)
+                assert outcome == game(tree)
+                reordered += printed(shuffled.labels) != printed(tree.labels)
+                non_local += outcome[1] is NonLocalProofError
+                ran += len(outcome) > 2
+            counts[make.__name__] = reordered, non_local, ran
+        assert counts["random_proof"][0] >= 150 and counts["random_proof"][2] >= 20, counts
+        # Every local draw reaches a cut, and most of them a run.
+        reordered, non_local, ran = counts["local_random_proof"]
+        assert reordered >= 150 and non_local == 0 and ran >= 100, counts
 
     def test_two_roots_rejected(self):
         text = (
@@ -817,14 +895,18 @@ class TestColoringCut:
         for i in range(300):
             text = random_proof(rng, rng.randint(3, 40))
             trees["random", i] = normalize_root(parse_proof(text))
+        for i in range(150):
+            text = local_random_proof(rng, rng.randint(3, 40))
+            trees["local", i] = normalize_root(parse_proof(text))
         trees["alternating", 200] = normalize_root(parse_proof(alternating_proof(200)))
-        two_sided = 0
+        two_sided = {"random": 0, "local": 0}
         for key, tree in trees.items():
             t_a, t_b = coloring_cut(tree)
             assert (t_a, t_b) == reference_coloring_cut(tree), key
-            two_sided += key[0] == "random" and bool(t_a) and len(t_b) > 1
+            if key[0] in two_sided:
+                two_sided[key[0]] += bool(t_a) and len(t_b) > 1
         # The random proofs exercise both sweeps, not only the trivial cut.
-        assert two_sided >= 50
+        assert two_sided["random"] >= 50 and two_sided["local"] >= 50, two_sided
 
     def test_precedes_matches_the_reference(self):
         for key, tree, _ in sample_trees():
@@ -948,6 +1030,7 @@ class TestRunFromCut:
         rng = random.Random(8)
         errors = 0
         texts = [random_proof(rng, rng.randint(3, 40)) for _ in range(150)]
+        texts += [local_random_proof(rng, rng.randint(3, 40)) for _ in range(100)]
         trees = [normalize_root(tree) for tree in [fig_tree(), *map(parse_proof, texts)]]
         for tree in trees:
             keyed = LabelKeyedTree(
@@ -1093,9 +1176,9 @@ class TestBridge:
         path.write_text(format_proof(euf_bridge(p)))
         assert main(["game", "cut", str(path)]) == 0
         assert capsys.readouterr().out == "T_A: (= x2 x0)\nT_B: false (= x2 x1)\n"
-        assert main(["game", "interpolate", str(path)]) == 2
+        assert main(["game", "interpolate", str(path)]) == 1
         assert capsys.readouterr().err == (
-            "error: cut node (= x2 x1) on the wrong side of false\n"
+            "cut has no run: cut node (= x2 x1) on the wrong side of false\n"
         )
 
     def test_unfolding_the_pipeline_graph_matches_the_bridge(self):
