@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum, Flag, auto
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class Side(Enum):
@@ -200,6 +200,36 @@ def subterm_closure(terms: Iterable[Term]) -> list[Term]:
     return [seen[i] for i in sorted(seen)]
 
 
+def _post_order(root, children, value, memo: dict, cycle: Callable[..., Exception]):
+    """``memo[root]``, filling ``memo`` children first on an explicit stack.
+
+    The proof and premise walks of ``game`` and ``interpolate`` share it.
+    ``children(x)`` is called once per node not yet in ``memo``, as the node
+    is first met, so in pre-order; its iterable is read lazily, one child
+    per step.  ``value(x)`` may read ``memo`` at every node of
+    ``children(x)``.  Values reach ``memo`` in the order a recursive
+    evaluation would finish them.  Meeting a node that is still open closes
+    a cycle: ``cycle(node)`` is raised.
+    """
+    if root not in memo:
+        open_nodes = {root}
+        stack = [(root, iter(children(root)))]
+        while stack:
+            top, pending = stack[-1]
+            for child in pending:
+                if child in open_nodes:
+                    raise cycle(child)
+                if child not in memo:
+                    open_nodes.add(child)
+                    stack.append((child, iter(children(child))))
+                    break
+            else:
+                stack.pop()
+                open_nodes.discard(top)
+                memo[top] = value(top)
+    return memo[root]
+
+
 class ParseError(ValueError):
     """Malformed problem or formula text; carries source position when known."""
 
@@ -286,44 +316,46 @@ class Reader:
 
         Arguments are interned before their application, left to right.  Each
         symbol is declared with its arity as it is met and, with a ``side``,
-        noted as occurring on it.  Without a symbol table nothing is declared,
-        and ``()`` is an empty formula.
+        noted as occurring on it; an arity clash is located at the symbol's
+        token.  Without a symbol table nothing is declared, and ``()`` is an
+        empty formula.
         """
         toks, symbols = self.toks, self.symbols
-        if toks[i] != "(":
-            if symbols is not None:
-                symbols.declare(toks[i], 0, side)
-            return self.table.make(toks[i]), i + 1
-        frames: list[tuple[int, str, list[Term]]] = []  # "(" index, head, arguments
-        while True:
-            tok = toks[i]
-            if tok == "(":
-                head = toks[i + 1]
-                if head == ")" and symbols is None:
-                    raise self.error("empty formula", i)
-                if head == "(" or head == ")":
-                    raise self.error("expected a function application", i)
-                if toks[i + 2] == ")":
-                    raise self.error(f"application of {head!r} has no arguments", i)
-                frames.append((i, head, []))
-                i += 2
-                continue
-            if tok == ")":
-                start, head, args = frames.pop()
+        try:
+            if toks[i] != "(":
                 if symbols is not None:
-                    try:
+                    symbols.declare(toks[i], 0, side)
+                return self.table.make(toks[i]), i + 1
+            frames: list[tuple[int, str, list[Term]]] = []  # "(" index, head, args
+            while True:
+                tok = toks[i]
+                if tok == "(":
+                    head = toks[i + 1]
+                    if head == ")" and symbols is None:
+                        raise self.error("empty formula", i)
+                    if head == "(" or head == ")":
+                        raise self.error("expected a function application", i)
+                    if toks[i + 2] == ")":
+                        raise self.error(f"application of {head!r} has no arguments", i)
+                    frames.append((i, head, []))
+                    i += 2
+                    continue
+                if tok == ")":
+                    start, head, args = frames.pop()
+                    if symbols is not None:
                         symbols.declare(head, len(args), side)
-                    except ArityError as exc:
-                        raise self.error(str(exc), start + 1, ArityError) from None
-                term = self.table.make(head, args)
-            else:
-                if symbols is not None:
-                    symbols.declare(tok, 0, side)
-                term = self.table.make(tok)
-            i += 1
-            if not frames:
-                return term, i
-            frames[-1][2].append(term)
+                    term = self.table.make(head, args)
+                else:
+                    if symbols is not None:
+                        symbols.declare(tok, 0, side)
+                    term = self.table.make(tok)
+                i += 1
+                if not frames:
+                    return term, i
+                frames[-1][2].append(term)
+        except ArityError as exc:
+            at = start + 1 if toks[i] == ")" else i  # the list's head, or the constant
+            raise self.error(str(exc), at, ArityError) from None
 
     def literal(self, i: int, side: Side | None) -> tuple[Literal, int]:
         """The literal at token ``i``: ``(= s t)`` or ``(not (= s t))``.

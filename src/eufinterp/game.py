@@ -22,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .coloring import ColoredGraph, Strategy
 from .congruence import Edge, Path
 from .core import (
-    Literal, ParseError, ProblemInstance, Reader, Side, Term, TermTable, format_term,
+    Literal, ParseError, ProblemInstance, Reader, Side, Term, TermTable, _post_order,
+    format_term,
 )
 from .interpolate import build_colored_graph
 
@@ -89,33 +90,6 @@ class NonLocalProofError(ProofError):
 
 class InvalidCutError(ValueError):
     pass
-
-
-def _post_order(root, children, value, memo: dict, cycle: Callable[..., Exception]):
-    """``memo[root]``, filling ``memo`` children first on an explicit stack.
-
-    ``value(x)`` may read ``memo`` at every node of ``children(x)``.  Values
-    reach ``memo`` in the order a recursive evaluation would finish them.
-    Meeting a node that is still open closes a cycle: ``cycle(node)`` is
-    raised.
-    """
-    if root not in memo:
-        open_nodes = {root}
-        stack = [(root, iter(children(root)))]
-        while stack:
-            top, pending = stack[-1]
-            for child in pending:
-                if child in open_nodes:
-                    raise cycle(child)
-                if child not in memo:
-                    open_nodes.add(child)
-                    stack.append((child, iter(children(child))))
-                    break
-            else:
-                stack.pop()
-                open_nodes.discard(top)
-                memo[top] = value(top)
-    return memo[root]
 
 
 class ProofTree:

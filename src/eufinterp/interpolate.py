@@ -4,10 +4,11 @@ A path summarizes the equality of its endpoints.  For a path derivable by
 the A-prover, the B-premise set collects the maximal B-colored paths whose
 summaries, together with A, entail the path's summary; the justification is
 the corresponding Horn clause.  The interpolant of a path is the conjunction
-of the justifications of all A-premises reachable through the cumulative
-premise sets; the test suite checks it against an equivalent recursive
-formulation.  Results are conjunctions of Horn clauses whose atoms only use
-symbols shared by both input sets.
+of the justifications of all A-premises reachable from it, each A-premise
+leading on to its B-premises: one pre-order walk reads them, as
+``game.game_interpolant`` reads a run's.  The test suite checks it against
+an equivalent recursive formulation.  Results are conjunctions of Horn
+clauses whose atoms only use symbols shared by both input sets.
 
 Clauses are assembled on term ids: a path's key is its summary as a
 normalized literal, and sorting premises by key is the clause order.  Distinct
@@ -22,15 +23,8 @@ from typing import Iterator
 from .coloring import ColoredGraph, Strategy, color, make_colorable
 from .congruence import Path, close, find_refuted_disequality
 from .core import (
-    Literal,
-    ParseError,
-    ProblemInstance,
-    Reader,
-    Side,
-    SymbolTable,
-    Term,
-    TermTable,
-    format_literal,
+    Literal, ParseError, ProblemInstance, Reader, Side, SymbolTable, Term, TermTable,
+    _post_order, format_literal,
 )
 
 @dataclass(frozen=True)
@@ -94,6 +88,10 @@ class HornConjunction:
         return out
 
 
+def _revisited(key: tuple[int, int]) -> RuntimeError:
+    return RuntimeError(f"premise recursion revisited {key}")
+
+
 def _union(memo: dict, key: tuple[int, int], todo, expand) -> dict:
     """``memo[key]``, the union of what the parts in ``todo`` give, in order.
 
@@ -112,7 +110,7 @@ def _union(memo: dict, key: tuple[int, int], todo, expand) -> dict:
             hit = memo.get(sub_key)
             if hit is None:
                 if sub_key in open_keys:
-                    raise RuntimeError(f"premise recursion revisited {sub_key}")
+                    raise _revisited(sub_key)
                 open_keys.add(sub_key)
                 stack.append((sub_key, expand(p, q), {}))
                 break
@@ -134,18 +132,18 @@ def _union(memo: dict, key: tuple[int, int], todo, expand) -> dict:
 class PremiseSets:
     """Memoized premise-set calculators over one colored graph.
 
-    Each memo (``_b``, ``_a``, ``_cumulative``) maps a path's :attr:`Path.key`
-    to its value: a dict from the keys of the value's paths to the paths, in
-    the order they were found and each in the direction it was found in; the
-    graph is a forest, so the key determines the path.  One explicit-stack
-    walk, ``_union``, evaluates all three: each value joins the values of its
-    parts, which reach their memo in the order a recursive evaluation would
-    finish them; a key met again while open is a hard error.
+    Each memo (``_b``, ``_a``) maps a path's :attr:`Path.key` to its value:
+    a dict from the keys of the value's paths to the paths, in the order they
+    were found and each in the direction it was found in; the graph is a
+    forest, so the key determines the path.  One explicit-stack walk,
+    ``_union``, evaluates both: each value joins the values of its parts,
+    which reach their memo in the order a recursive evaluation would finish
+    them; a key met again while open is a hard error.
     """
 
     def __init__(self, colored: ColoredGraph):
         self.colored = colored
-        self._b, self._a, self._cumulative = {}, {}, {}
+        self._b, self._a = {}, {}
 
     def premises(self, path: Path, want: Side) -> dict[tuple[int, int], Path]:
         """Maximal ``want``-colored paths supporting this path's summary.
@@ -179,29 +177,22 @@ class PremiseSets:
 
         return _union(memo, key, parts(path), parts)
 
-    def cumulative(self, path: Path) -> dict[tuple[int, int], Path]:
-        """The path itself plus, recursively, B-premises of its A-premises:
-        an A-premise's are taken once the ones before have joined."""
-        memo, key = self._cumulative, path.key
-        value = memo.get(key)
-        if value is not None:
-            return value
 
-        def parts(path: Path, key: tuple[int, int]) -> Iterator[tuple]:
-            sigmas = self.premises(path, Side.A).values()
-            yield key, path, None
-            for sigma in sigmas:
-                for sub_key, tau in self.premises(sigma, Side.B).items():
-                    yield sub_key, tau, sub_key
+def _sigmas(ps: PremiseSets, path: Path, sigmas: dict, seen: dict) -> dict:
+    """``sigmas`` plus the A-premises reachable from the path, in one pre-order
+    walk; ``seen``, its memo, skips the keys a walk sharing it finished."""
+    paths = {path.key: path}
 
-        return _union(memo, key, parts(path, key), parts)
+    def below(key: tuple[int, int]) -> Iterator[tuple[int, int]]:
+        found = ps.premises(paths[key], Side.A)
+        for sub_key, sigma in found.items():
+            sigmas.setdefault(sub_key, sigma)
+        for sigma in found.values():
+            for sub_key, tau in ps.premises(sigma, Side.B).items():
+                paths[sub_key] = tau
+                yield sub_key
 
-
-def _sigmas(ps: PremiseSets, path: Path, sigmas: dict) -> dict:
-    """``sigmas`` plus the A-premises of the path's cumulative premise set."""
-    for tau in ps.cumulative(path).values():
-        for key, sigma in ps.premises(tau, Side.A).items():
-            sigmas.setdefault(key, sigma)
+    _post_order(path.key, below, lambda key: None, seen, _revisited)
     return sigmas
 
 
@@ -223,10 +214,10 @@ def _conjunction(ps: PremiseSets, sigmas: dict, *last: HornClause) -> HornConjun
 def path_interpolant(ps: PremiseSets, path: Path) -> HornConjunction:
     """Interpolant of a path with B-colorable endpoints.
 
-    Computed in closed form: the justifications of all A-premises of the
-    cumulative premise set, in discovery order.
+    The justifications of all A-premises reachable from the path, in the
+    order the pre-order walk meets them.
     """
-    return _conjunction(ps, _sigmas(ps, path, {}))
+    return _conjunction(ps, _sigmas(ps, path, {}, {}))
 
 
 def refutation_interpolant(ps: PremiseSets, path: Path) -> HornConjunction:
@@ -241,20 +232,20 @@ def refutation_interpolant(ps: PremiseSets, path: Path) -> HornConjunction:
     bits, terms = ps.colored.symbols.covering(), ps.colored.symbols.table.terms
     verts = path.vertices
     b_positions = [i for i, v in enumerate(verts) if bits[v.id] & 2]
-    sigmas, outer, parts, conclusion = {}, {}, [path], None
+    sigmas, seen, outer, parts, conclusion = {}, {}, {}, [path], None
     if b_positions:
         i, j = b_positions[0], b_positions[-1]
         core = path.slice(i, j)
         parts = [path.slice(0, i), path.slice(j, len(verts) - 1)]
         if not core.is_empty:
-            _sigmas(ps, core, sigmas)
+            _sigmas(ps, core, sigmas, seen)
             a, b = core.key
             conclusion = Literal(terms[a], terms[b], False)
     for part in parts:
         for key, p in ps.premises(part, Side.B).items():
             outer.setdefault(key, p)
     for p in outer.values():
-        _sigmas(ps, p, sigmas)
+        _sigmas(ps, p, sigmas, seen)
     premises = tuple([Literal(terms[a], terms[b]) for a, b in sorted(outer)])
     return _conjunction(ps, sigmas, HornClause(premises, conclusion))
 

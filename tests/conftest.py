@@ -374,7 +374,11 @@ MALFORMED = [
         ["(A (= a b)) (B (not (= b a)) (= a b))\n"],
         "1:30: literal (= a b) occurs in both A and B",
     ),
-    ("interpolate", ["(A (= (f a) f)) (B)\n"], "symbol 'f' used with arity 0, previously 1"),
+    (
+        "interpolate",
+        ["(A (= (f a) f)) (B)\n"],
+        "1:13: symbol 'f' used with arity 0, previously 1",
+    ),
     ("interpolate", ["(A (= (f a) (f a b) c)) (B)\n"], "1:4: '=' takes exactly two terms"),
     ("verify", [HORN_MIN, "(= u0 v0) (= u1 v1)\n"], "expected exactly one formula"),
     ("verify", [HORN_MIN, "(and (=> (and) (= u1 v1) x))\n"], "1:6: '=>' takes premises and a conclusion"),
@@ -489,7 +493,10 @@ def reference_term(
     sx: SAtom | SList, table: TermTable, symbols: SymbolTable, side: Side | None
 ) -> Term:
     if isinstance(sx, SAtom):
-        symbols.declare(sx.text, 0, side)
+        try:
+            symbols.declare(sx.text, 0, side)
+        except ArityError as exc:
+            raise ArityError(str(exc), sx.line, sx.col) from None
         return table.make(sx.text)
     if head_of(sx) is None:
         raise ParseError("expected a function application", sx.line, sx.col)
@@ -1112,6 +1119,29 @@ class ReferencePremiseSets:
         return self._memoized(self._cumulative, "P", path, parts)
 
 
+def cumulative_paths(ps: PremiseSets, path: GraphPath) -> list:
+    """The path, then every B-premise of its A-premises, recursively, once each.
+
+    Read off the library's ``ps.premises`` in pre-order, each path in the
+    direction it is first met in: the cumulative premise set the pipeline's
+    walk covers, as a path list.
+    """
+    found: dict = {}
+    stack = [path]
+    while stack:
+        tau = stack.pop()
+        if tau.key in found:
+            continue
+        found[tau.key] = tau
+        below = [
+            sub
+            for sigma in ps.premises(tau, Side.A).values()
+            for sub in ps.premises(sigma, Side.B).values()
+        ]
+        stack.extend(reversed(below))
+    return list(found.values())
+
+
 def summary(path: GraphPath) -> Literal:
     """The equality of the path's endpoints."""
     return Literal.make(path.start, path.end)
@@ -1206,7 +1236,7 @@ def extraction_outcome(problem: ProblemInstance, strategy, reference: bool = Fal
             else:
                 conj = reference_refutation_interpolant(ps, path)
             count = len(reference_factors(colored, path))
-    memos = [memo_record(m) for m in (ps._b, ps._a, ps._cumulative)]
+    memos = [memo_record(m) for m in (ps._b, ps._a)]
     return memos, count, format_conjunction(conj)
 
 

@@ -47,6 +47,7 @@ from eufinterp.verify import check_interpolant, euf_entails
 from conftest import (
     brute_force_closure,
     bridge_run,
+    cumulative_paths,
     expected_clauses,
     load_text,
     summary,
@@ -276,7 +277,7 @@ def _identity_ok(result) -> bool:
     if result.refuted.trivial:
         return True
     path = result.colored.graph.path(result.refuted.lhs, result.refuted.rhs)
-    for sub in (path, *ps.cumulative(path).values()):
+    for sub in (path, *cumulative_paths(ps, path)):
         if frozenset(path_interpolant(ps, sub).clauses) != \
                 recursive_path_interpolant(ps, sub):
             return False

@@ -160,6 +160,16 @@ def test_malformed_input_error_text(capsys, tmp_path, command, texts, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_a_constant_arity_clash_is_located(capsys, tmp_path):
+    for text, message in [
+        ("(A (= (f a) b) (= f c))", "1:19: symbol 'f' used with arity 0, previously 1"),
+        ("(A (= f c) (= (f a) b))", "1:16: symbol 'f' used with arity 1, previously 0"),
+    ]:
+        path = tmp_path / "clash.euf"
+        path.write_text(text + " (B (not (= b c)))\n")
+        assert run_cli(capsys, "interpolate", str(path)) == (2, "", f"error: {message}\n")
+
+
 def test_directory_argument_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "interpolate", str(tmp_path))
     assert code == 2

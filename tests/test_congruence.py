@@ -3,10 +3,11 @@ from __future__ import annotations
 import dataclasses
 import random
 from collections import deque
+from itertools import product
 
 import pytest
 
-from eufinterp.coloring import make_colorable
+from eufinterp.coloring import Strategy, make_colorable
 from eufinterp.congruence import (
     ClosureInputError,
     CongruenceGraph,
@@ -481,10 +482,10 @@ def endpoint_key(path: Path) -> tuple[int, int]:
 
 def test_path_key_is_the_sorted_endpoint_ids():
     paths = stored = 0
-    for family in ("chain", "ladder", "split"):
+    for family, strategy in product(("chain", "ladder", "split"), Strategy):
         for size in (2, 5, 12, 30):
             p = parse_problem(generate(family, size, seed=size).text)
-            result = interpolate(p)
+            result = interpolate(p, strategy)
             graph = result.colored.graph
             ps = result.premises
             for u in graph.vertices[:12]:
@@ -497,7 +498,7 @@ def test_path_key_is_the_sorted_endpoint_ids():
                         assert sub.key == endpoint_key(sub)
                         paths += 1
             # The sub-paths the premise walk builds from runs, in every memo.
-            for memo in (ps._b, ps._a, ps._cumulative):
+            for memo in (ps._b, ps._a):
                 for key, value in memo.items():
                     for sub_key, sub in value.items():
                         assert sub_key == sub.key == endpoint_key(sub)

@@ -159,6 +159,21 @@ def test_parse_errors_carry_positions():
         assert (err.value.line, err.value.col) == (line, col), text
 
 
+def test_an_arity_clash_is_located_at_the_symbol():
+    # A constant is read on its own or as an argument; either way its clash
+    # with an earlier application is located at its token, as the reverse is.
+    for text, line, col, message in [
+        ("(A (= (f a) b) (= f c)) (B (not (= b c)))", 1, 19, "arity 0, previously 1"),
+        ("(A (= (f a) b) (= (g f) c)) (B)", 1, 22, "arity 0, previously 1"),
+        ("(A (= (f a) b))\n(B (= c (g  f)))", 2, 13, "arity 0, previously 1"),
+        ("(A (= f c) (= (f a) b)) (B (not (= b c)))", 1, 16, "arity 1, previously 0"),
+    ]:
+        with pytest.raises(ArityError) as err:
+            parse_problem(text)
+        assert str(err.value) == f"{line}:{col}: symbol 'f' used with {message}", text
+        assert_readers_agree(text)
+
+
 def test_colorability_classification():
     # signatures: A has x, z1, z2, z3, *; B has y, z1, z2, z3, *
     p = load_problem("split_new_vertex.euf")

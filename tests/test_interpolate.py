@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +17,7 @@ from eufinterp.interpolate import (
     NotUnsatisfiableError,
     PremiseSets,
     SharedSignatureError,
+    _sigmas,
     build_colored_graph,
     format_conjunction,
     interpolate,
@@ -28,6 +30,7 @@ from eufinterp.verify import check_interpolant, euf_entails
 
 from conftest import (
     HORN_MIN,
+    cumulative_paths,
     expected_clauses,
     extraction_outcome,
     justification,
@@ -147,7 +150,7 @@ class TestPremiseSets:
             colored, refuted, _, _ = build_colored_graph(p)
             ps = PremiseSets(colored)
             path = colored.graph.path(refuted.lhs, refuted.rhs)
-            for sub in ps.cumulative(path).values():
+            for sub in cumulative_paths(ps, path):
                 outer = {sigma.key for sigma in ps.premises(sub, Side.A).values()}
                 for inner in ps.premises(sub, Side.A).values():
                     assert {sigma.key for sigma in ps.premises(inner, Side.A).values()} <= outer
@@ -210,7 +213,7 @@ class TestPathInterpolant:
                 colored, refuted, side, _ = build_colored_graph(p)
                 ps = PremiseSets(colored)
                 path = colored.graph.path(refuted.lhs, refuted.rhs)
-                for sub in (path, *ps.cumulative(path).values()):
+                for sub in (path, *cumulative_paths(ps, path)):
                     assert frozenset(path_interpolant(ps, sub).clauses) == \
                         recursive_path_interpolant(ps, sub)
 
@@ -434,6 +437,34 @@ class TestRunBasedPremiseSets:
                 )
                 compared += 1
         assert compared >= 200
+
+    def test_extraction_memos_grow_linearly_on_a_long_ladder(self):
+        # The interpolant has one atom per rung and one more; the memos hold
+        # each rung's premise path once, not a premise set per nested path.
+        rungs = 1600
+        result = interpolate(parse_problem(generate("ladder", rungs, seed=0).text))
+        assert result.atom_count == rungs + 1
+        memos = [m for m in vars(result.premises).values() if isinstance(m, dict)]
+        assert sum(len(value) for memo in memos for value in memo.values()) <= 2 * rungs + 1
+
+    def test_the_walk_raises_on_a_premise_cycle(self):
+        # (0, 1) has the A-premise (2, 3), whose B-premise (4, 5) has the
+        # A-premise (6, 7), whose B-premise is (0, 1) again.
+        paths = {key: SimpleNamespace(key=key) for key in [(0, 1), (2, 3), (4, 5), (6, 7)]}
+        below = {(Side.A, (0, 1)): (2, 3), (Side.B, (2, 3)): (4, 5),
+                 (Side.A, (4, 5)): (6, 7), (Side.B, (6, 7)): (0, 1)}
+
+        class Cyclic:
+            def premises(self, path, want):
+                key = below[want, path.key]
+                return {key: paths[key]}
+
+        with pytest.raises(RuntimeError, match=r"^premise recursion revisited \(0, 1\)$"):
+            _sigmas(Cyclic(), paths[0, 1], {}, {})
+        sigmas: dict = {}
+        with pytest.raises(RuntimeError, match=r"^premise recursion revisited \(4, 5\)$"):
+            _sigmas(Cyclic(), paths[4, 5], sigmas, {})
+        assert list(sigmas) == [(6, 7), (2, 3)]
 
     def test_each_path_is_factored_once_and_queried_once(self, monkeypatch):
         # Colors are read only to factor a path, so every cached path's edges

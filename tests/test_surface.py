@@ -125,6 +125,15 @@ def bound_names(source: str) -> set[str]:
     return found
 
 
+def defined_functions(source: str) -> list[str]:
+    """Names of the functions and methods ``source`` defines, at any depth."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
 def test_proofs_have_one_representation_and_premise_sets_one_walk():
     snippet = (
         "from .game import LabelNode as Node\n"
@@ -141,6 +150,21 @@ def test_proofs_have_one_representation_and_premise_sets_one_walk():
     # One memoized union walk serves every premise set, and only it names a
     # revisited key.
     assert sum(s.count("premise recursion revisited") for s in sources.values()) == 1
+    # One pre-order walk, defined in ``core``, reads both interpolants, and no
+    # memo keeps a path's whole cumulative premise set.
+    snippet = (
+        "from .core import _post_order\n"
+        "class PremiseSets:\n    def cumulative(self):\n        return self._cumulative\n"
+        "def _post_order():\n    def below():\n        pass\n"
+    )
+    assert sorted(defined_functions(snippet)) == ["_post_order", "below", "cumulative"]
+    assert "_cumulative" in snippet
+    defined = {name: defined_functions(source) for name, source in sources.items()}
+    assert [name for name, names in defined.items() for f in names if f == "_post_order"] == [
+        "core.py"
+    ]
+    assert [name for name, names in defined.items() if "cumulative" in names] == []
+    assert [name for name, source in sources.items() if "_cumulative" in source] == []
 
 
 def factor_layer_names(source: str) -> set[str]:
