@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .congruence import CongruenceGraph, Edge, Path
-from .core import Colorability, Side, SymbolTable, Term, TermTable
+from .core import Colorability, Side, SymbolTable, Term, TermTable, _A, _B
 
 
 class Strategy(Enum):
@@ -144,7 +144,7 @@ def color(
             side = edge.side
             if side is None:
                 raise ColoringError(f"basic edge {edge!r} has no originating side")
-            if not fit & (1 if side is Side.A else 2):
+            if not fit & (1 if side is _A else 2):
                 raise ColoringError(
                     f"edge {edge!r} colored {side} but not {side}-colorable"
                 )
@@ -152,21 +152,21 @@ def color(
         elif fit == 3:
             free.append(edge)
         elif fit:
-            colors[edge.seq] = Side.A if fit == 1 else Side.B
+            colors[edge.seq] = _A if fit == 1 else _B
         else:
             raise ColoringError(f"uncolorable edge {edge!r}; repair must run first")
 
     if strategy is Strategy.ALL_A:
         for edge in free:
-            colors[edge.seq] = Side.A
+            colors[edge.seq] = _A
     elif strategy is Strategy.ALL_B:
         for edge in free:
-            colors[edge.seq] = Side.B
+            colors[edge.seq] = _B
     else:
         if free:
             _greedy_assign(graph, colors, relevant)
         for edge in free:
-            colors.setdefault(edge.seq, Side.A)
+            colors.setdefault(edge.seq, _A)
     return ColoredGraph(graph, symbols, colors)
 
 
@@ -188,7 +188,7 @@ def _greedy_assign(
             if edge.seq not in colors:
                 prev = colors.get(edges[i - 1].seq) if i > 0 else None
                 nxt = colors.get(edges[i + 1].seq) if i + 1 < len(edges) else None
-                colors[edge.seq] = prev or nxt or Side.A
+                colors[edge.seq] = prev or nxt or _A
         for edge in edges:
             if edge.is_derived:
                 for s, t in edge.parents:

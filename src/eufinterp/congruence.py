@@ -14,14 +14,18 @@ the lowest common ancestor, so it costs O(|path|).  A :class:`Path` is a
 vertex tuple and an edge tuple, ``edges[i]`` joining ``vertices[i]`` and
 ``vertices[i + 1]``, so slicing out a subpath is two tuple slices.
 
-The partition is one member list per class plus a map from each term id to
-its class's representative, the smallest id in the class; ``find`` is one
-lookup.  A merge relabels the absorbed class, the one whose smallest id is
-larger, and appends its members to the kept one.  The closure rescans the
-applications over the absorbed class (Downey, Sethi & Tarjan, JACM 1980), so
-relabelling costs no more than that rescan.  Its merge loop reads and writes
-the graph's maps directly, with no method call per merge beyond the reroot
-walk and the relabelling, which :meth:`CongruenceGraph.split_edge` shares.
+The partition is one member list per class, keyed by a class handle, a map
+from each term id to its class's handle, and a map from each handle to the
+class's label, its smallest id; ``find`` returns the label.  A merge is by
+size (Downey, Sethi & Tarjan, JACM 1980): the class with fewer members is
+relabelled into the other, which keeps its handle, and on a tie the class
+with the smaller label is kept.  The kept label becomes the smaller of the
+two, in O(1).  So a term is relabelled O(log n) times, and the closure's
+rescan of the applications over the moved class costs the same.  Signatures
+are tuples of handles: only the moved class changes handle, so only the
+applications over it change signature.  The merge loop reads and writes the
+graph's maps directly, with no method call per merge beyond the reroot walk
+and the relabelling, which :meth:`CongruenceGraph.split_edge` shares.
 
 Colorability repair replaces an edge by a two-edge path through a split
 vertex with ``split_edge``, which never changes the partition of the existing
@@ -118,10 +122,12 @@ class CongruenceGraph:
         self.edges: dict[Edge, None] = {}
         # Proof forest: vertex -> (edge to its parent, parent); None at a root.
         self._up: dict[Term, tuple[Edge, Term] | None] = dict.fromkeys(self.vertices)
-        # The partition: term id -> smallest id in its class, and that id ->
-        # the class's members in merge order.
+        # The partition: term id -> class handle, handle -> the class's
+        # members in merge order, and handle -> label, the smallest member id.
+        # A class's handle is the id of the term it started from.
         self._rep: dict[int, int] = {t.id: t.id for t in self.vertices}
         self.classes: dict[int, list[Term]] = {t.id: [t] for t in self.vertices}
+        self._label: dict[int, int] = dict(self._rep)
         self._next_seq = 0
 
     def clone(self) -> "CongruenceGraph":
@@ -131,6 +137,7 @@ class CongruenceGraph:
         g._up = dict(self._up)
         g._rep = dict(self._rep)
         g.classes = {rep: list(members) for rep, members in self.classes.items()}
+        g._label = dict(self._label)
         g._next_seq = self._next_seq
         return g
 
@@ -138,20 +145,32 @@ class CongruenceGraph:
         return t.id in self._rep
 
     def find(self, tid: int) -> int:
-        return self._rep[tid]
+        """The smallest id in the class of ``tid``."""
+        return self._label[self._rep[tid]]
 
     def connected(self, s: Term, t: Term) -> bool:
         return self._rep[s.id] == self._rep[t.id]
 
-    def _join(self, ra: int, rb: int) -> list[Term]:
-        """Merge two classes into the one with the smaller id; the moved members."""
-        keep, absorbed = (ra, rb) if ra < rb else (rb, ra)
-        moved = self.classes.pop(absorbed)
+    def _join(self, ra: int, rb: int) -> tuple[int, list[Term]]:
+        """Merge the classes of handles ``ra`` and ``rb`` by size.
+
+        The class with fewer members moves into the other; on a tie the one
+        with the smaller label stays.  Returns the kept handle and the moved
+        members.
+        """
+        classes, label = self.classes, self._label
+        kept, moved = classes[ra], classes[rb]
+        la, lb = label[ra], label[rb]
+        if len(kept) < len(moved) or (len(kept) == len(moved) and lb < la):
+            ra, rb, kept, moved, la, lb = rb, ra, moved, kept, lb, la
+        del classes[rb], label[rb]
+        if lb < la:
+            label[ra] = lb
         rep = self._rep
         for t in moved:
-            rep[t.id] = keep
-        self.classes[keep].extend(moved)
-        return moved
+            rep[t.id] = ra
+        kept.extend(moved)
+        return ra, moved
 
     def _new_edge(self, u: Term, v: Term, parents: tuple[tuple[Term, Term], ...]) -> Edge:
         """A derived edge u--v with the next sequence number, added last."""
@@ -192,7 +211,7 @@ class CongruenceGraph:
         up[low] = None
         if mid not in self:
             self.vertices.append(mid)
-            self._rep[mid.id] = mid.id
+            self._rep[mid.id] = self._label[mid.id] = mid.id
             self.classes[mid.id] = [mid]
             self._join(self._rep[low.id], mid.id)
             first = self._new_edge(edge.u, mid, left)
@@ -218,8 +237,11 @@ class CongruenceGraph:
 
     def components(self) -> list[list[Term]]:
         """Partition of the vertex set, ordered by smallest member id."""
-        by_id = attrgetter("id")
-        return [sorted(self.classes[rep], key=by_id) for rep in sorted(self.classes)]
+        by_id, classes = attrgetter("id"), self.classes
+        return [
+            sorted(classes[rep], key=by_id)
+            for rep in sorted(classes, key=self._label.__getitem__)
+        ]
 
     def path(self, u: Term, v: Term) -> Path:
         rep = self._rep
@@ -276,6 +298,10 @@ def close(
     table, so the resulting graph is deterministic.  Terms connected in the
     result are exactly those entailed equal by the input equalities.
 
+    Each merge moves the smaller class and rescans only the applications over
+    it, so a term moves, and its applications are rescanned, at most log2 n
+    times for n terms.
+
     One loop over the vertices in id order builds the use lists and initial
     signatures and checks subterm closure: arguments are older than their
     applications, so a missing use list is an argument outside the set.
@@ -320,9 +346,8 @@ def close(
         low, high = (s, t) if len(classes[rs]) <= len(classes[rt]) else (t, s)
         reroot(low)
         up[low] = (edge, high)
-        keep = rs if rs < rt else rt
-        moved = join(rs, rt)
-        # Only applications over the absorbed class change signature; the
+        keep, moved = join(rs, rt)
+        # Only applications over the moved class change signature; the
         # others keep a signature whose pairs are connected or already queued.
         # Rescan them in the order a pass over the merged class sorted by id
         # would first reach them: by smallest argument in the class, then id.

@@ -24,7 +24,7 @@ from .coloring import ColoredGraph, Strategy, color, make_colorable
 from .congruence import Path, close, find_refuted_disequality
 from .core import (
     Literal, ParseError, ProblemInstance, Reader, Side, SymbolTable, Term, TermTable,
-    _post_order, format_literal,
+    _A, _B, _post_order, format_literal,
 )
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ class PremiseSets:
         their parent paths; a parent path is built only when its value is
         not memoized yet, checked as the walk reaches it.
         """
-        memo, key = self._b if want is Side.B else self._a, path.key
+        memo, key = self._b if want is _B else self._a, path.key
         value = memo.get(key)
         if value is not None:
             return value
@@ -184,11 +184,11 @@ def _sigmas(ps: PremiseSets, path: Path, sigmas: dict, seen: dict) -> dict:
     paths = {path.key: path}
 
     def below(key: tuple[int, int]) -> Iterator[tuple[int, int]]:
-        found = ps.premises(paths[key], Side.A)
+        found = ps.premises(paths[key], _A)
         for sub_key, sigma in found.items():
             sigmas.setdefault(sub_key, sigma)
         for sigma in found.values():
-            for sub_key, tau in ps.premises(sigma, Side.B).items():
+            for sub_key, tau in ps.premises(sigma, _B).items():
                 paths[sub_key] = tau
                 yield sub_key
 
@@ -205,7 +205,7 @@ def _conjunction(ps: PremiseSets, sigmas: dict, *last: HornClause) -> HornConjun
     terms = ps.colored.symbols.table.terms
     clauses = []
     for (a, b), sigma in sigmas.items():
-        premises = sorted(ps.premises(sigma, Side.B))
+        premises = sorted(ps.premises(sigma, _B))
         lits = tuple([Literal(terms[p], terms[q]) for p, q in premises])
         clauses.append(HornClause(lits, Literal(terms[a], terms[b])))
     return HornConjunction((*clauses, *last))
@@ -242,7 +242,7 @@ def refutation_interpolant(ps: PremiseSets, path: Path) -> HornConjunction:
             a, b = core.key
             conclusion = Literal(terms[a], terms[b], False)
     for part in parts:
-        for key, p in ps.premises(part, Side.B).items():
+        for key, p in ps.premises(part, _B).items():
             outer.setdefault(key, p)
     for p in outer.values():
         _sigmas(ps, p, sigmas, seen)

@@ -112,6 +112,12 @@ def alternating_proof(steps: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _by_size(graph: CongruenceGraph, ra: int, rb: int) -> list[int]:
+    """The handles ``ra`` and ``rb`` as [kept, moved]: the larger class is
+    kept, and on a tie the one with the smaller label."""
+    return sorted((ra, rb), key=lambda r: (-len(graph.classes[r]), graph._label[r]))
+
+
 def reference_add_edge(
     graph: CongruenceGraph,
     u: Term,
@@ -121,13 +127,14 @@ def reference_add_edge(
     side: Side | None = None,
     parents: tuple[tuple[Term, Term], ...] | None = None,
 ) -> Edge:
-    """Add one edge between unconnected vertices, as the closure used to.
+    """Add one edge between unconnected vertices, as a closure merge does.
 
     The edge takes the graph's next sequence number.  The smaller tree is
-    rerooted at its endpoint and hung below the other one, and the class
-    whose smallest id is larger is relabelled into the other.
+    rerooted at its endpoint and hung below the other one.  The class with
+    fewer members, or on a tie the one with the larger label, is relabelled
+    into the other, which takes the smaller of the two labels.
     """
-    rep, classes, up = graph._rep, graph.classes, graph._up
+    rep, classes, label, up = graph._rep, graph.classes, graph._label, graph._up
     ru, rv = rep[u.id], rep[v.id]
     if ru == rv:
         raise ValueError(f"edge would close a cycle: {u!r} -- {v!r}")
@@ -142,8 +149,9 @@ def reference_add_edge(
         link, up[parent] = up[parent], (above, child)
         child = parent
     up[low] = (edge, high)
-    keep, absorbed = (ru, rv) if ru < rv else (rv, ru)
+    keep, absorbed = _by_size(graph, ru, rv)
     moved = classes.pop(absorbed)
+    label[keep] = min(label[keep], label.pop(absorbed))
     for t in moved:
         rep[t.id] = keep
     classes[keep].extend(moved)
@@ -155,17 +163,18 @@ def reference_close(
 ) -> CongruenceGraph:
     """The closure's merge loop written with one graph method call per step.
 
-    Each merge goes through ``find``, ``reference_add_edge`` and
-    ``connected``; the rescan dedupes applications in a dict and takes the
-    smallest in-class argument with ``min``.  Input checks are left to the
-    closure under test.
+    Each merge goes through ``reference_add_edge`` and ``connected``, and
+    reads class handles off ``_rep``; signatures are tuples of handles.  The
+    rescan covers the applications over the moved class, the smaller one,
+    dedupes them in a dict and takes the smallest in-class argument with
+    ``min``.  Input checks are left to the closure under test.
     """
     graph = CongruenceGraph(terms)
     use: dict[int, list[Term]] = {t.id: [] for t in graph.vertices}
     for t in graph.vertices:
         for arg in dict.fromkeys(t.args):
             use[arg.id].append(t)
-    find = graph.find
+    handle = graph._rep.__getitem__
     sig_table: dict[tuple, Term] = {}
     for t in graph.vertices:
         if t.args:
@@ -173,10 +182,10 @@ def reference_close(
     pending = deque((lit.lhs, lit.rhs, lit, side) for lit, side in equalities)
     while pending:
         s, t, lit, side = pending.popleft()
-        rs, rt = find(s.id), find(t.id)
+        rs, rt = handle(s.id), handle(t.id)
         if rs == rt:
             continue
-        keep, absorbed = (rs, rt) if rs < rt else (rt, rs)
+        keep, absorbed = _by_size(graph, rs, rt)
         moved = graph.classes[absorbed]
         if lit is not None:
             reference_add_edge(graph, s, t, origin=lit, side=side)
@@ -184,7 +193,7 @@ def reference_close(
             reference_add_edge(graph, s, t, parents=tuple(zip(s.args, t.args)))
         rescan = []
         for app in {app.id: app for member in moved for app in use[member.id]}.values():
-            reps = tuple([find(a.id) for a in app.args])
+            reps = tuple([handle(a.id) for a in app.args])
             first = min([a.id for a, r in zip(app.args, reps) if r == keep])
             rescan.append((first, app.id, (app.head, reps), app))
         rescan.sort()

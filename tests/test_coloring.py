@@ -82,6 +82,7 @@ def _graph_record(graph):
         dict(graph._up),
         {rep: list(members) for rep, members in graph.classes.items()},
         dict(graph._rep),
+        dict(graph._label),
         graph._next_seq,
     )
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from collections import deque
 from itertools import product
@@ -19,7 +20,7 @@ from eufinterp.congruence import (
 )
 from eufinterp.core import Literal, Side, TermTable, format_term, parse_problem, subterm_closure
 from eufinterp.generate import generate
-from eufinterp.interpolate import interpolate
+from eufinterp.interpolate import format_conjunction, interpolate
 
 from conftest import brute_force_closure, load_problem, reference_add_edge, reference_close
 
@@ -379,14 +380,15 @@ def test_derived_edge_parents_held_before_creation():
 
 def closure_record(graph):
     """Everything a closure decides: the edges in order, the forest links by
-    edge seq, the partition with its member order, and the next seq."""
+    edge seq, the partition with its handles, member order and labels, and
+    the next seq."""
     edges = [(e.u, e.v, e.seq, e.origin, e.side, e.parents) for e in graph.edges]
     links = {
         t.id: None if link is None else (link[0].seq, link[1].id)
         for t, link in graph._up.items()
     }
     classes = {rep: [t.id for t in members] for rep, members in graph.classes.items()}
-    return edges, links, classes, graph._rep, graph._next_seq
+    return edges, links, classes, graph._rep, graph._label, graph._next_seq
 
 
 def _wide_class_text(rng: random.Random, n: int) -> str:
@@ -441,6 +443,59 @@ def test_closure_matches_the_reference_merge_loop():
         )
         count += 1
     assert count == 45 + 9 + 200 + 1
+
+
+def _count_moved(monkeypatch) -> list[int]:
+    """Install a ``_join`` that adds the members each merge moves to ``[0]``."""
+    moved = [0]
+    join = CongruenceGraph._join
+
+    def counting(self, ra, rb):
+        keep, members = join(self, ra, rb)
+        moved[0] += len(members)
+        return keep, members
+
+    monkeypatch.setattr(CongruenceGraph, "_join", counting)
+    return moved
+
+
+def _one_end_text(n: int) -> str:
+    """A: (h x{i}) = c{i} for i = 0..n, which fixes ascending ids, then
+    x{i-1} = x{i} for i = n..1, so each merge meets the class grown so far.
+    B: x0 = y and y != x{n}."""
+    apps = [f"(= (h x{i}) c{i})" for i in range(n + 1)]
+    links = [f"(= x{i - 1} x{i})" for i in range(n, 0, -1)]
+    return f"(A {' '.join(apps + links)}) (B (= x0 y) (not (= y x{n})))"
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_a_class_grown_from_one_end_moves_each_term_log_many_times(n, monkeypatch):
+    # A closure that keeps the class with the smallest id moves the growing
+    # class on every merge here, about 3n²/2 members, far above the bound.
+    p = parse_problem(_one_end_text(n))
+    moved = _count_moved(monkeypatch)
+    graph = close(p.equalities(), p.terms())
+    v = len(graph.vertices)
+    assert 0 < moved[0] <= v * math.ceil(math.log2(v))
+    assert format_conjunction(interpolate(p).interpolant) == f"(and (= x0 x{n}))"
+
+
+def test_the_larger_class_keeps_its_handle_and_the_smallest_id_its_label():
+    # On the wide-class shape at n = 80 some merge keeps the larger class
+    # although its smallest id is the larger one, so a handle differs from
+    # its class's label.  find and components() still read the smallest id.
+    p = parse_problem(_wide_class_text(random.Random(80), 80))
+    graph = _close_problem(p)
+    assert any(handle != graph._label[handle] for handle in graph.classes)
+    blocks = graph.components()
+    assert [block[0].id for block in blocks] == sorted(block[0].id for block in blocks)
+    for block in blocks:
+        assert [t.id for t in block] == sorted(t.id for t in block)
+        assert {graph.find(t.id) for t in block} == {block[0].id}
+    assert sum(map(len, blocks)) == len(graph.vertices)
+    copy = graph.clone()
+    assert copy._label == graph._label and copy._label is not graph._label
+    assert copy.components() == blocks
 
 
 def test_repair_keeps_edges_in_creation_order_and_on_the_forest():
