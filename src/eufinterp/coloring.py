@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .congruence import CongruenceGraph, Edge, Path
-from .core import Colorability, Side, SymbolTable, Term, TermTable, _A, _B
+from .core import Side, SymbolTable, Term, TermTable, _A, _B
 
 
 class Strategy(Enum):
@@ -31,9 +31,11 @@ class ColoringError(RuntimeError):
 
 
 def choose_splitter(path: Path, symbols: SymbolTable) -> Term:
-    """First shared-signature vertex scanning from the path's start."""
+    """First shared-signature vertex scanning from the path's start: the
+    first whose covering bits hold both sides."""
+    bits = symbols.covering()
     for vertex in path.vertices:
-        if symbols.colorability(vertex) is Colorability.AB:
+        if bits[vertex.id] == 3:
             return vertex
     raise ColoringError(f"no shared-signature vertex on {path!r}")
 

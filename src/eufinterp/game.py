@@ -27,7 +27,7 @@ from typing import Iterable
 from .coloring import ColoredGraph, Strategy
 from .congruence import Edge, Path
 from .core import (
-    Literal, ParseError, ProblemInstance, Reader, Side, Term, TermTable, _post_order,
+    Literal, ParseError, ProblemInstance, Reader, Side, Term, TermTable, _A, _post_order,
     format_term,
 )
 from .interpolate import build_colored_graph
@@ -553,119 +553,118 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
     its endpoints.
 
     Labels are interned in a table of the tree's own; an ``(= s t)`` label
-    takes the graph's vertex terms as its arguments.  Every vertex's symbol
-    mask is built once, in one pass over the vertices in graph order, where
-    a vertex's arguments come before it.  Every head counts as a symbol,
-    so a symbol spelled like a logical token stays a symbol.  An equality
-    label's mask is the OR of its endpoints' masks, appended to the tree's
-    ``SymbolMasks`` as the label is made.  The unfolding runs on an explicit
-    stack, in the order a recursive one would take: each edge is derived
-    once, by ``Edge.seq``, and each path or factor once, by its endpoints'
-    ids as in ``Path.key``, in the direction it is first met in.  A path
-    reads its factors off ``colored.runs``: one run is the path itself, and
-    a run of one edge is that edge.  A basic edge is a leaf, finished where
-    it is met.  Nodes are appended to the tree as they are finished, so
-    premises come before their conclusions, and the root comes last.
+    takes the graph's vertex terms as its arguments, and its mask, the OR of
+    its endpoints' masks, is appended to the tree's ``SymbolMasks`` as the
+    label is made.  Vertex masks are built in one pass over the vertices in
+    graph order, arguments first, into a list indexed by term id.  Every
+    head counts as a symbol, so a symbol spelled like a logical token stays
+    a symbol.
+
+    The unfolding is one flat pass on an explicit stack, in the order a
+    recursive one would take, from a bottom frame holding the refuted path.
+    Its items are edges, paths and runs ``(u, v, edges)``, told apart by
+    class.  Each edge is derived once, by ``Edge.seq``, and each path or run
+    once, by its endpoints' ids as in ``Path.key``, in the direction it is
+    first met in; its label is interned when its step is opened.  A path of
+    one edge is that edge, and a path of one run (``colored.runs``) derives
+    from its edges.  A basic edge is a leaf, finished where it is met.  Nodes
+    are appended as they are finished, so premises come before conclusions.
+    The side unions are kept in locals, and ``nodes`` is filled once, after
+    the pass; the disequality leaf and the root come last.
     """
     graph = colored.graph
+    path, runs_of = graph.path, colored.runs
     table = TermTable()
     tree = ProofTree(frozenset(), table)
-    symbols, nodes, labels, sides = tree.symbols, tree.nodes, tree.labels, tree.sides
-    premises_of, origins, node_masks = tree.premises, tree.origins, tree.masks
-    bits, masks = symbols.bits, symbols.masks
-    vertex_masks: dict[Term, int] = {}
+    labels, premises_of, origins = tree.labels, tree.premises, tree.origins
+    node_masks, bits, masks = tree.masks, tree.symbols.bits, tree.symbols.masks
+    # Repair makes its vertices in the table the colors were read against.
+    vertex_masks = [0] * len(colored.symbols.table)
     for t in graph.vertices:
         mask = bits.get(t.head)
         if mask is None:
             mask = bits[t.head] = 1 << len(bits)
         for a in t.args:
-            mask |= vertex_masks[a]
-        vertex_masks[t] = mask
-    done_at: dict = {}  # edge seq or path key -> node of its step
-
-    def eq_label(u: Term, v: Term) -> Term:
-        if v.id < u.id:
-            u, v = v, u
-        label = table.make("=", (u, v))
-        if label.id == len(masks):
-            masks.append(vertex_masks[u] | vertex_masks[v])
-        return label
-
-    def keyed(item: Edge | Path | tuple) -> tuple:
-        if isinstance(item, Edge):
-            return item.seq, item
-        if isinstance(item, Path):
-            if len(item.edges) == 1:
-                return item.edges[0].seq, item.edges[0]
-            return item.key, item
-        u, v, _ = item  # a run of two or more edges
-        return ((u.id, v.id) if u.id < v.id else (v.id, u.id)), item
-
-    def step(key, item: Edge | Path | tuple) -> list:
-        """A stack frame: key, label, origin, premise items, premise nodes."""
-        if isinstance(item, Edge):
-            label = eq_label(item.u, item.v)
-            if item.is_basic:
-                return [key, label, item.side.value, iter(()), []]
-            subs = (graph.path(p, q) for p, q in item.parents if p is not q)
-            return [key, label, None, subs, []]
-        if isinstance(item, Path):
-            verts, edges = item.vertices, item.edges
-            runs = colored.runs(item)
-            subs = iter(edges) if len(runs) == 1 else (
-                edges[lo] if hi - lo == 1 else (verts[lo], verts[hi], edges[lo:hi])
-                for _, lo, hi in runs
-            )
-            return [key, eq_label(verts[0], verts[-1]), None, subs, []]
-        u, v, edges = item
-        return [key, eq_label(u, v), None, iter(edges), []]
-
-    diseq_label = table.make("not", (eq_label(refuted.lhs, refuted.rhs),))
-    false = table.make("false")
-    symbols.cover(table)  # before eq_label appends masks by id again
+            mask |= vertex_masks[a.id]
+        vertex_masks[t.id] = mask
+    make = table.make
+    u, v = refuted.lhs, refuted.rhs
+    if v.id < u.id:
+        u, v = v, u
+    masks.append(vertex_masks[u.id] | vertex_masks[v.id])
+    diseq_label = make("not", (make("=", (u, v)),))
+    false = make("false")
+    tree.symbols.cover(table)  # before labels append their masks by id again
+    a_side = b_side = inferred = 0
+    done_at: dict = {}  # edge seq or path key -> node of its step, -1 while open
     root_premises: list[int] = []
-    if not refuted.trivial:
-        key, item = keyed(graph.path(refuted.lhs, refuted.rhs))
-        open_keys = {key}
-        stack = [step(key, item)]
-        while stack:
-            key, label, origin, pending, premises = stack[-1]
-            for sub in pending:
-                sub_key, sub = keyed(sub)
-                done = done_at.get(sub_key)
-                if done is not None:
-                    premises.append(done)
-                elif isinstance(sub, Edge) and sub.origin is not None:
-                    # A leaf, finished below without a frame of its own.
-                    key, label, premises = sub_key, eq_label(sub.u, sub.v), ()
-                    origin = sub.side.value
-                    break
-                else:
-                    if sub_key in open_keys:
-                        raise RuntimeError(f"unfolding revisits {sub_key}")
-                    open_keys.add(sub_key)
-                    stack.append(step(sub_key, sub))
-                    label = None  # nothing finished
-                    break
+    items = () if refuted.trivial else (path(refuted.lhs, refuted.rhs),)
+    stack = [(None, None, iter(items), root_premises)]  # key, label, items, premises
+    while stack:
+        key, label, pending, premises = stack[-1]
+        for item in pending:
+            cls = item.__class__
+            if cls is Path and len(item.edges) == 1:
+                item, cls = item.edges[0], Edge
+            if cls is Edge:
+                sub_key, u, v = item.seq, item.u, item.v
+            elif cls is Path:
+                sub_key, u, v = item.key, item.vertices[0], item.vertices[-1]
             else:
-                stack.pop()
-                open_keys.discard(key)
-                premises = tuple(premises)
-            if label is None:
+                u, v, subs = item  # a run of two or more edges
+                sub_key = (u.id, v.id) if u.id < v.id else (v.id, u.id)
+            done = done_at.get(sub_key)
+            if done is not None:
+                if done < 0:
+                    raise RuntimeError(f"unfolding revisits {sub_key}")
+                premises.append(done)
                 continue
-            done = nodes.get(label)  # tree.add, inlined: this runs per node
-            if done is None:
-                done = nodes[label] = len(labels)
-                labels.append(label)
-                premises_of.append(premises)
-                origins.append(origin)
-                mask = masks[label.id]
-                node_masks.append(mask)
-                sides[origin] |= mask
-            done_at[key] = done
+            if v.id < u.id:
+                u, v = v, u
+            sub_label = make("=", (u, v))
+            if sub_label.id == len(masks):
+                masks.append(vertex_masks[u.id] | vertex_masks[v.id])
+            if cls is Edge:
+                if item.origin is not None:  # a leaf, finished here
+                    done_at[sub_key] = done = len(labels)
+                    premises.append(done)
+                    mask = masks[sub_label.id]
+                    if item.side is _A:
+                        a_side |= mask
+                        origins.append("A")
+                    else:
+                        b_side |= mask
+                        origins.append("B")
+                    labels.append(sub_label)
+                    premises_of.append(())
+                    node_masks.append(mask)
+                    continue
+                subs = [path(p, q) for p, q in item.parents if p is not q]
+            elif cls is Path:
+                verts, edges = item.vertices, item.edges
+                runs = runs_of(item)
+                subs = edges if len(runs) == 1 else [
+                    edges[lo] if hi - lo == 1 else (verts[lo], verts[hi], edges[lo:hi])
+                    for _, lo, hi in runs
+                ]
+            done_at[sub_key] = -1
+            stack.append((sub_key, sub_label, iter(subs), []))
+            break
+        else:
+            stack.pop()
             if stack:
-                stack[-1][4].append(done)
-        root_premises.append(done)
+                done_at[key] = done = len(labels)
+                stack[-1][3].append(done)
+                mask = masks[label.id]
+                inferred |= mask
+                labels.append(label)
+                premises_of.append(tuple(premises))
+                origins.append(None)
+                node_masks.append(mask)
+    tree.nodes = nodes = dict(zip(labels, range(len(labels))))
+    if len(nodes) != len(labels):
+        raise RuntimeError("unfolding repeats a label")
+    tree.sides.update({"A": a_side, "B": b_side, None: inferred})  # no theory symbols
     root_premises.append(tree.add(diseq_label, (), side.value))
     tree.root_index = tree.add(false, tuple(root_premises))
     return tree

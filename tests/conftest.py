@@ -1364,6 +1364,135 @@ class LabelKeyedTree:
         return self._reach
 
 
+def reference_unfold(colored: ColoredGraph, refuted: Literal, side: Side) -> ProofTree:
+    """The unfolding through ``keyed``/``step`` closures, a ``Term``-keyed
+    vertex mask map and a per-node ``nodes`` probe and ``sides`` update.
+    ``unfold_refutation``'s flat pass must give the same tree, array for
+    array."""
+    graph = colored.graph
+    table = TermTable()
+    tree = ProofTree(frozenset(), table)
+    symbols, nodes, labels, sides = tree.symbols, tree.nodes, tree.labels, tree.sides
+    premises_of, origins, node_masks = tree.premises, tree.origins, tree.masks
+    bits, masks = symbols.bits, symbols.masks
+    vertex_masks: dict[Term, int] = {}
+    for t in graph.vertices:
+        mask = bits.get(t.head)
+        if mask is None:
+            mask = bits[t.head] = 1 << len(bits)
+        for a in t.args:
+            mask |= vertex_masks[a]
+        vertex_masks[t] = mask
+    done_at: dict = {}  # edge seq or path key -> node of its step
+
+    def eq_label(u: Term, v: Term) -> Term:
+        if v.id < u.id:
+            u, v = v, u
+        label = table.make("=", (u, v))
+        if label.id == len(masks):
+            masks.append(vertex_masks[u] | vertex_masks[v])
+        return label
+
+    def keyed(item: Edge | GraphPath | tuple) -> tuple:
+        if isinstance(item, Edge):
+            return item.seq, item
+        if isinstance(item, GraphPath):
+            if len(item.edges) == 1:
+                return item.edges[0].seq, item.edges[0]
+            return item.key, item
+        u, v, _ = item  # a run of two or more edges
+        return ((u.id, v.id) if u.id < v.id else (v.id, u.id)), item
+
+    def step(key, item: Edge | GraphPath | tuple) -> list:
+        """A stack frame: key, label, origin, premise items, premise nodes."""
+        if isinstance(item, Edge):
+            label = eq_label(item.u, item.v)
+            if item.is_basic:
+                return [key, label, item.side.value, iter(()), []]
+            subs = (graph.path(p, q) for p, q in item.parents if p is not q)
+            return [key, label, None, subs, []]
+        if isinstance(item, GraphPath):
+            verts, edges = item.vertices, item.edges
+            runs = colored.runs(item)
+            subs = iter(edges) if len(runs) == 1 else (
+                edges[lo] if hi - lo == 1 else (verts[lo], verts[hi], edges[lo:hi])
+                for _, lo, hi in runs
+            )
+            return [key, eq_label(verts[0], verts[-1]), None, subs, []]
+        u, v, edges = item
+        return [key, eq_label(u, v), None, iter(edges), []]
+
+    diseq_label = table.make("not", (eq_label(refuted.lhs, refuted.rhs),))
+    false = table.make("false")
+    symbols.cover(table)  # before eq_label appends masks by id again
+    root_premises: list[int] = []
+    if not refuted.trivial:
+        key, item = keyed(graph.path(refuted.lhs, refuted.rhs))
+        open_keys = {key}
+        stack = [step(key, item)]
+        while stack:
+            key, label, origin, pending, premises = stack[-1]
+            for sub in pending:
+                sub_key, sub = keyed(sub)
+                done = done_at.get(sub_key)
+                if done is not None:
+                    premises.append(done)
+                elif isinstance(sub, Edge) and sub.origin is not None:
+                    # A leaf, finished below without a frame of its own.
+                    key, label, premises = sub_key, eq_label(sub.u, sub.v), ()
+                    origin = sub.side.value
+                    break
+                else:
+                    if sub_key in open_keys:
+                        raise RuntimeError(f"unfolding revisits {sub_key}")
+                    open_keys.add(sub_key)
+                    stack.append(step(sub_key, sub))
+                    label = None  # nothing finished
+                    break
+            else:
+                stack.pop()
+                open_keys.discard(key)
+                premises = tuple(premises)
+            if label is None:
+                continue
+            done = nodes.get(label)  # tree.add, inlined: this runs per node
+            if done is None:
+                done = nodes[label] = len(labels)
+                labels.append(label)
+                premises_of.append(premises)
+                origins.append(origin)
+                mask = masks[label.id]
+                node_masks.append(mask)
+                sides[origin] |= mask
+            done_at[key] = done
+            if stack:
+                stack[-1][4].append(done)
+        root_premises.append(done)
+    root_premises.append(tree.add(diseq_label, (), side.value))
+    tree.root_index = tree.add(false, tuple(root_premises))
+    return tree
+
+
+def unfold_record(tree: ProofTree) -> tuple:
+    """Everything an unfolding fixes, comparable across two unfoldings of one
+    graph: the table's terms in id order, by head and argument ids; the label
+    ids, premises, origins and masks; ``sides``; the symbol bits and masks;
+    ``nodes`` in insertion order; the root and relay."""
+    return (
+        [(t.id, t.head, tuple(a.id for a in t.args)) for t in tree.table.terms],
+        [label.id for label in tree.labels],
+        tree.premises,
+        tree.origins,
+        tree.masks,
+        list(tree.sides.items()),
+        list(tree.symbols.bits.items()),
+        tree.symbols.masks,
+        [(label.id, i) for label, i in tree.nodes.items()],
+        tree.root_index,
+        tree.relay_index,
+    )
+
+
 def label_keyed_unfold(colored, refuted: Literal, side: Side) -> LabelKeyedTree:
     """Unfold a colored graph into a ``LabelNode`` dict, as the bridge did."""
     graph = colored.graph

@@ -5,7 +5,11 @@ import random
 import pytest
 
 from eufinterp.cli import main
-from eufinterp.core import Reader, Side, TermTable, format_term, parse_problem
+from eufinterp.coloring import ColoredGraph, Strategy
+from eufinterp.congruence import CongruenceGraph, Edge
+from eufinterp.core import (
+    Literal, Reader, Side, SymbolTable, TermTable, format_term, parse_problem,
+)
 from eufinterp.game import (
     LOGICAL_TOKENS,
     InterpolationRun,
@@ -25,12 +29,15 @@ from eufinterp.game import (
     unfold_refutation,
 )
 from eufinterp.generate import generate
-from eufinterp.interpolate import format_conjunction, interpolate, parse_conjunction
+from eufinterp.interpolate import (
+    build_colored_graph, format_conjunction, interpolate, parse_conjunction,
+)
 from eufinterp.verify import check_interpolant, euf_entails, unsat_with_horn
 
 from test_core import bench_workload_texts
 
 from conftest import (
+    DATA,
     MALFORMED,
     LabelKeyedTree,
     LabelNode,
@@ -49,8 +56,10 @@ from conftest import (
     reference_format_formula,
     reference_formula,
     reference_read_sexprs,
+    reference_unfold,
     sigma,
     tree_from_nodes,
+    unfold_record,
 )
 
 T_FA = "(t (f a))"
@@ -1226,6 +1235,99 @@ class TestBridge:
         # wide-class fails at every size; the A-side refutations take a relay
         assert outcomes[InvalidCutError] >= 7 and outcomes[NonLocalProofError] == 1, outcomes
         assert outcomes["relay"] >= 10, outcomes
+
+    def test_flat_unfolding_matches_the_reference(self):
+        # Every bench workload at seeds 1-3 under every strategy, and every
+        # data problem: the same table, arrays, sides, symbols, nodes and root.
+        texts = [text for seed in (1, 2, 3) for text in bench_workload_texts(seed)]
+        texts += [path.read_text() for path in sorted(DATA.glob("*.euf"))]
+        for text in texts:
+            for strategy in Strategy:
+                colored, refuted, side, _ = build_colored_graph(parse_problem(text), strategy)
+                tree = unfold_refutation(colored, refuted, side)
+                reference = reference_unfold(colored, refuted, side)
+                assert unfold_record(tree) == unfold_record(reference), (text, strategy)
+
+    @pytest.mark.parametrize(
+        "text, nodes, interpolant",
+        [
+            # trivially refuted s != s, on either side
+            ("(A (= a b)) (B (not (= s s)))", ["(not (= s s))", "false"], "true"),
+            ("(A (not (= s s))) (B (= a b))", ["(not (= s s))", "false"], "(and false)"),
+            # the refuted path is one basic edge
+            (
+                "(A (= a b)) (B (not (= a b)))",
+                ["(= a b)", "(not (= a b))", "false"],
+                "(and (= a b))",
+            ),
+            # one derived edge
+            (
+                "(A (= a b)) (B (not (= (f a) (f b))))",
+                ["(= a b)", "(= (f a) (f b))", "(not (= (f a) (f b)))", "false"],
+                "(and (= a b))",
+            ),
+            # two runs, an A run of two edges and a B run of one
+            (
+                "(A (= a b) (= b c)) (B (= c d) (not (= a d)))",
+                ["(= a b)", "(= b c)", "(= a c)", "(= c d)", "(= a d)",
+                 "(not (= a d))", "false"],
+                "(and (= a c))",
+            ),
+        ],
+    )
+    def test_root_shapes_unfold_as_the_reference(
+        self, text, nodes, interpolant, capsys, tmp_path
+    ):
+        colored, refuted, side, _ = build_colored_graph(parse_problem(text))
+        tree = unfold_refutation(colored, refuted, side)
+        assert unfold_record(tree) == unfold_record(reference_unfold(colored, refuted, side))
+        assert printed(tree.labels) == tuple(nodes)
+        path = tmp_path / "shape.euf"
+        path.write_text(text)
+        assert main(["interpolate", str(path), "--game", "--verify"]) == 0
+        assert capsys.readouterr().out == interpolant + "\n"
+
+    @staticmethod
+    def _forged_graph(edges: list, links: dict, refuted: str) -> tuple:
+        # One class over the vertices a, b, c with the given edges, each
+        # ``(u, v, parents)``, basic when ``parents`` is None, colored A, and
+        # the given parent links, child -> (edge index, parent).  Returns the
+        # colored graph and the disequality ``refuted`` names the ends of.
+        table = TermTable()
+        vertex = {name: table.make(name) for name in "abc"}
+        graph = CongruenceGraph(vertex.values())
+        graph._rep = dict.fromkeys(graph._rep, vertex["a"].id)
+        made = []
+        for seq, (u, v, parents) in enumerate(edges):
+            u, v = vertex[u], vertex[v]
+            if parents is None:
+                edge = Edge(u, v, seq, Literal.make(u, v), Side.A)
+            else:
+                pairs = tuple((vertex[p], vertex[q]) for p, q in parents)
+                edge = Edge(u, v, seq, parents=pairs)
+            graph.edges[edge] = None
+            made.append(edge)
+        for child, (index, parent) in links.items():
+            graph._up[vertex[child]] = (made[index], vertex[parent])
+        colors = {edge.seq: Side.A for edge in made}
+        lhs, rhs = (vertex[name] for name in refuted)
+        return ColoredGraph(graph, SymbolTable(table), colors), Literal(lhs, rhs, False)
+
+    def test_unfolding_a_derived_edge_that_derives_itself_revisits_it(self):
+        # a -- b derived from the path a .. b, which is that edge again.
+        colored, refuted = self._forged_graph([("a", "b", [("a", "b")])], {"a": (0, "b")}, "ab")
+        for unfold in (unfold_refutation, reference_unfold):
+            with pytest.raises(RuntimeError, match="unfolding revisits 0"):
+                unfold(colored, refuted, Side.B)
+
+    def test_unfolding_keeps_one_node_per_label(self):
+        # The path a .. c runs over two basic edges that both join a and b:
+        # two steps of one label, which no forest gives.
+        colored, refuted = self._forged_graph(
+            [("a", "b", None), ("a", "b", None)], {"a": (0, "b"), "b": (1, "c")}, "ac"
+        )
+        with pytest.raises(RuntimeError, match="unfolding repeats a label"):
+            unfold_refutation(colored, refuted, Side.B)
 
     def test_ladder_of_400_rungs_bridges(self):
         # Past the interpreter's recursion limit for a recursive unfolding.
