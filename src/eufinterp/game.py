@@ -10,9 +10,10 @@ Formulas here are opaque: each label is a hash-consed ``Term`` of a
 ``TermTable`` that the proof owns, so labels are hashed and compared by
 identity, and only symbol occurrences matter.  A proof is index arrays, one
 entry per label: the unfolding, the cut and the run work on node indices,
-and only their results are labels again.  Sets of symbols and sets of labels
-are ints: symbol masks over one index per term table, and label masks over
-the proof's node order.  Ground equality problems can be bridged in: a
+and only their results are labels again.  Sets of symbols are ints, masks
+over one index per term table.  The cut walks each piece once, down the
+proof's tree of occurrences, and keeps the premises it meets for the run.
+Ground equality problems can be bridged in: a
 colored congruence graph unfolds into a local refutation whose inference
 steps are the factor summaries and derived-edge congruences.
 """
@@ -102,15 +103,16 @@ class ProofTree:
     their conclusions: every index in ``premises[i]`` is below ``i``, so no
     tree is cyclic.  ``nodes`` maps each label to its node index;
     ``root_index`` is false's node, and ``relay_index`` the relay's that
-    ``normalize_root`` put in the old root's slot.
+    ``normalize_root`` put in the old root's slot.  All occurrences of a
+    label root the same subtree, so a walk meets each node once.
 
     ``symbols`` holds the free-symbol mask of every term of ``table``, and
     trees over one table share it.  ``sides`` maps each origin to the union of
     its nodes' masks, joined as nodes are added; "A" and "B" also hold the
     theory symbols, and are the side signatures.  A label fits a side when its
-    mask lies inside that signature; ``fits`` holds that per node.  ``reach()``
-    gives every node the mask of the nodes strictly below it, bit ``j``
-    standing for node ``j``.
+    mask lies inside that signature; ``fits`` holds that per node, and
+    ``steps`` the fit of each node's inference step, its own fit ANDed with
+    its premises'.
     """
 
     def __init__(
@@ -134,7 +136,6 @@ class ProofTree:
         self.nodes: dict[Term, int] = {}
         self.root_index = 0
         self.relay_index: int | None = None
-        self._below: list[int] | None = None
 
     def add(self, label: Term, premises: tuple = (), origin: str | None = None) -> int:
         """The node of ``label``; a new one is appended with ``premises`` and
@@ -164,18 +165,24 @@ class ProofTree:
         a, b = self.sides["A"], self.sides["B"]
         return [(mask & a == mask) | (mask & b == mask) << 1 for mask in self.masks]
 
-    def reach(self) -> list[int]:
-        """Per node, the mask of the nodes strictly below it, in one forward
-        pass over the node order."""
-        if self._below is None:
-            below: list[int] = []
-            for prems in self.premises:
-                mask = 0
+    @cached_property
+    def steps(self) -> list[int]:
+        """Per node, the fit of its step: its fit ANDed with its premises'."""
+        fits = self.fits
+        steps = fits.copy()
+        for i, prems in enumerate(self.premises):
+            if prems:
+                fit = fits[i]
                 for prem in prems:
-                    mask |= below[prem] | 1 << prem
-                below.append(mask)
-            self._below = below
-        return self._below
+                    fit &= fits[prem]
+                steps[i] = fit
+        return steps
+
+    @cached_property
+    def _coloring(self) -> tuple[tuple[Term, ...], tuple[Term, ...], dict[int, list[int]]]:
+        """``coloring_cut``'s T_A and T_B, and per cut node the premise
+        nodes its piece's walk met."""
+        return _coloring_walk(self)
 
 
 def parse_proof(text: str) -> ProofTree:
@@ -276,14 +283,10 @@ def parse_proof(text: str) -> ProofTree:
 
 def first_nonlocal_step(tree: ProofTree) -> Term | None:
     """Conclusion of the first inference step that fits neither signature."""
-    fits = tree.fits
-    for i, premises in enumerate(tree.premises):
-        if premises:
-            fit = fits[i]
-            for prem in premises:
-                fit &= fits[prem]
-            if not fit:
-                return tree.labels[i]
+    premises = tree.premises
+    for i, step in enumerate(tree.steps):
+        if not step and premises[i]:
+            return tree.labels[i]
     return None
 
 
@@ -322,74 +325,92 @@ def normalize_root(tree: ProofTree) -> ProofTree:
 
 
 def coloring_cut(tree: ProofTree) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
-    """Inductive cut: alternately add maximal candidates below cut nodes.
+    """Inductive cut: each piece's walk stops at the opposite side's candidates.
 
     Candidates are AB-colorable labels the opposite prover cannot reach on
     its own: for T_A, A leaves and inferences with a premise that does not
-    fit B; for T_B, the same with the sides swapped.  Both candidate masks
-    come from one scan over the labels' fits.
+    fit B; for T_B, the same with the sides swapped.
 
-    Starting from the root false in T_B, each B-sweep adds to T_A the maximal
-    A-candidates below T_B nodes, and each A-sweep adds to T_B the maximal
-    B-candidates below T_A nodes, until a round adds nothing.  Each anchor
-    is expanded exactly once, in B-then-A layers: its maximal candidates
-    depend only on the anchor and membership only grows, so a sweep expands
-    just the anchors added since the last sweep of its kind.  This keeps the
-    insertion order of re-expanding every anchor each round to a fixpoint.
-
-    Sets of labels are bitmasks over ``tree.reach()``: an anchor's eligible
-    candidates are its below-mask masked by the candidates, and the maximal
-    ones are those outside every eligible member's below-mask.  A member
-    below another adds nothing to that union, so eligible members are taken
-    from the highest bit down, skipping those already covered; as premises
-    come before their conclusions, one mask often covers the rest.
-    Candidates come in node order, which is bit order, so new cut nodes are
-    emitted in candidate order.
+    Starting from the root false in T_B, the piece of each cut node is
+    walked once, in B-then-A layers.  A B-piece stops at the A-candidates it
+    meets: they are its premises, and those not cut yet join T_A, in node
+    order per cut node.  A-pieces stop at B-candidates in the same way.  The
+    walk follows the proof's tree of occurrences, so a candidate below
+    another one on some path still stops a piece that meets it on another.
+    ``run_from_cut`` of this cut takes the premise lists the walk kept with
+    the tree.  On a local tree with a normalized root no walk raises.
     """
-    below, premises, origins, fits = tree.reach(), tree.premises, tree.origins, tree.fits
-    cand_a = cand_b = 0
-    for i, fit in enumerate(fits):
-        if fit != 3:
-            continue
-        if premises[i]:
-            for prem in premises[i]:
-                fit &= fits[prem]
-            if not fit & 2:
-                cand_a |= 1 << i
-            if not fit & 1:
-                cand_b |= 1 << i
-        elif origins[i] == "A":
-            cand_a |= 1 << i
-        elif origins[i] == "B":
-            cand_b |= 1 << i
-    t_a: list[int] = []
-    t_b: list[int] = [tree.root_index]
-    cut = 1 << t_b[0]
+    return tree._coloring[:2]
 
-    def sweep(anchors: list[int], start: int, candidates: int, into: list[int]) -> int:
-        nonlocal cut
-        end = len(anchors)
-        for anchor in anchors[start:end]:
-            eligible = below[anchor] & candidates
-            covered = 0
-            rest = eligible
-            while rest:
-                top = rest.bit_length() - 1
-                covered |= below[top]
-                rest = (rest ^ 1 << top) & ~below[top]
-            fresh = eligible & ~(covered | cut)
-            cut |= fresh
-            while fresh:
-                low = fresh & -fresh
-                into.append(low.bit_length() - 1)
-                fresh ^= low
-        return end
 
-    done_a = done_b = 0
-    while done_b < len(t_b) or done_a < len(t_a):
-        done_b = sweep(t_b, done_b, cand_a, t_a)
-        done_a = sweep(t_a, done_a, cand_b, t_b)
-    return tuple(tree.labels[i] for i in t_a), tuple(tree.labels[i] for i in t_b)
+# Per step fit, the candidate bits of an AB-colorable inference: bit 1 (for
+# T_A) when a premise does not fit B, bit 2 (for T_B) when one does not fit A.
+_CANDIDATE = (3, 1, 2, 0)
+_LEAF_CANDIDATE = {"A": 1, "B": 2, "axiom": 0}
+
+
+def _coloring_walk(tree: ProofTree) -> tuple[tuple, tuple, dict[int, list[int]]]:
+    candidates = bytes([
+        (_CANDIDATE[step] if origin is None else _LEAF_CANDIDATE[origin]) if fit == 3 else 0
+        for fit, step, origin in zip(tree.fits, tree.steps, tree.origins)
+    ])
+    walk = _piece_walk(tree, candidates)
+    cut = bytearray(len(candidates))  # per cut node, its side's bit
+    order = [tree.root_index]  # cut nodes, layer by layer
+    cut[order[0]] = 2
+    found: dict[int, list[int]] = {}
+    for chi in order:
+        bit = cut[chi]
+        found[chi] = stops = walk(chi, bit)
+        fresh = [i for i in stops if not cut[i]]
+        if fresh:
+            fresh.sort()
+            order += fresh
+            for i in fresh:
+                cut[i] = 3 - bit
+    labels = tree.labels
+    t_a = tuple([labels[i] for i in order if cut[i] == 1])
+    return t_a, tuple([labels[i] for i in order if cut[i] == 2]), found
+
+
+def _piece_walk(tree: ProofTree, stops: bytes):
+    """``walk(chi, bit)`` lists the premises of the piece at node ``chi`` on
+    side ``bit`` (1: A, 2: B): the nodes other than ``chi`` whose ``stops``
+    byte holds the other side's bit, in the pre-order met.  The walk meets
+    each node once, and raises ``InvalidCutError`` at the first other
+    inference that does not fit the side, or leaf neither the side's own nor
+    an axiom.
+    """
+    labels, premises, origins, steps = tree.labels, tree.premises, tree.origins, tree.steps
+    seen = [0] * len(labels)  # per node, the last piece that met it
+    pieces = count(1)
+
+    def walk(chi: int, bit: int) -> list[int]:
+        piece, other, own = next(pieces), 3 - bit, "A" if bit == 1 else "B"
+        found: list[int] = []
+        stack = [chi]
+        while stack:
+            i = stack.pop()
+            if seen[i] == piece:
+                continue
+            seen[i] = piece
+            if stops[i] & other and i != chi:
+                found.append(i)
+            elif premises[i]:
+                if not steps[i] & bit:
+                    raise InvalidCutError(
+                        f"piece at {format_term(labels[chi])} walks through "
+                        f"{format_term(labels[i])}, a step outside side {own}"
+                    )
+                stack += premises[i][::-1]
+            elif origins[i] != own and origins[i] != "axiom":
+                raise InvalidCutError(
+                    f"piece at {format_term(labels[chi])} reaches foreign leaf "
+                    f"{format_term(labels[i])}"
+                )
+        return found
+
+    return walk
 
 
 def _premise_cycle(phi: Term) -> RuntimeError:
@@ -444,50 +465,28 @@ def run_from_cut(
 ) -> InterpolationRun:
     """Decompose the proof at the cut and read off the premise maps.
 
-    Each piece rooted at a cut node may only reach leaves of its own input
-    set, axioms, or opposite-side cut nodes; anything else means the cut was
-    invalid.  Pieces are walked over the premise lists, with the cut as one
-    byte of side bits per node, so every premise a piece finds lies below its
-    cut node.
+    Each piece walks down from its cut node as in ``coloring_cut`` and stops
+    at the opposite side's cut nodes, its premises.  It may walk only through
+    steps that fit its side, and reach only leaves of its own input set or
+    axioms; anything else means the cut was invalid.  For the cut
+    ``coloring_cut`` gave, the premise lists its walk kept are read instead.
     """
     t_a, t_b = tuple(t_a), tuple(t_b)
-    nodes, labels, premises, origins = tree.nodes, tree.labels, tree.premises, tree.origins
-    cut = bytearray(len(labels))  # per node, bit 1: in T_A; bit 2: in T_B
-    for label in t_a:
-        cut[nodes[label]] |= 1
-    for label in t_b:
-        cut[nodes[label]] |= 2
-    seen = [0] * len(labels)  # per node, the last piece that met it
-    pieces = count(1)
-
-    def piece_premises(chi: Term, own_origin: str, opposite: int) -> tuple:
-        c, piece = nodes[chi], next(pieces)
-        found: list[int] = []
-        stack = list(reversed(premises[c]))
-        while stack:
-            i = stack.pop()
-            if seen[i] == piece:
-                continue
-            seen[i] = piece
-            if cut[i]:
-                if not cut[i] & opposite:
-                    raise InvalidCutError(
-                        f"cut node {format_term(labels[i])} on the wrong side of "
-                        f"{format_term(chi)}"
-                    )
-                found.append(i)
-            elif premises[i]:
-                stack.extend(reversed(premises[i]))
-            elif origins[i] not in (own_origin, "axiom"):
-                raise InvalidCutError(
-                    f"piece at {format_term(chi)} reaches foreign leaf "
-                    f"{format_term(labels[i])}"
-                )
-        return tuple([labels[i] for i in found])
-
-    pr_b = {alpha: piece_premises(alpha, "A", 2) for alpha in t_a}
-    pr_a = {beta: piece_premises(beta, "B", 1) for beta in t_b}
-    relay = None if tree.relay_index is None else labels[tree.relay_index]
+    nodes, label = tree.nodes, tree.labels.__getitem__
+    kept = vars(tree).get("_coloring")
+    if kept is not None and kept[:2] == (t_a, t_b):
+        found = kept[2]
+        premises = lambda chi, bit: found[chi]
+    else:
+        cut = bytearray(len(tree.labels))  # per node, bit 1: in T_A; bit 2: in T_B
+        for alpha in t_a:
+            cut[nodes[alpha]] |= 1
+        for beta in t_b:
+            cut[nodes[beta]] |= 2
+        premises = _piece_walk(tree, cut)
+    pr_b = {alpha: tuple(map(label, premises(nodes[alpha], 1))) for alpha in t_a}
+    pr_a = {beta: tuple(map(label, premises(nodes[beta], 2))) for beta in t_b}
+    relay = None if tree.relay_index is None else label(tree.relay_index)
     return InterpolationRun(t_a, t_b, pr_b, pr_a, tree.table, relay)
 
 

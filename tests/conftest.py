@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 import sys
+import weakref
 from collections import deque
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -873,8 +874,8 @@ def data_dir() -> Path:
     return DATA
 
 
-# Signature predicates of a ``ProofTree``.  The library reads them per node
-# through ``tree.fits`` and ``tree.reach()``; the tests ask them of any label.
+# Signature predicates and the premise order of a ``ProofTree``.  The library
+# reads fits per node through ``tree.fits``; the tests ask them of any label.
 
 
 def sigma(tree: ProofTree, side: str) -> frozenset[str]:
@@ -888,9 +889,28 @@ def label_fit(tree: ProofTree, label: Term) -> int:
     return (mask & a == mask) | (mask & b == mask) << 1
 
 
+_BELOW: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def reach(tree: ProofTree) -> list[int]:
+    """Per node, the mask of the nodes strictly below it, bit ``j`` standing
+    for node ``j``, in one forward pass over the node order; kept per tree
+    until the tree grows."""
+    below = _BELOW.get(tree)
+    if below is None or len(below) != len(tree.premises):
+        below = []
+        for prems in tree.premises:
+            mask = 0
+            for prem in prems:
+                mask |= below[prem] | 1 << prem
+            below.append(mask)
+        _BELOW[tree] = below
+    return below
+
+
 def precedes(tree: ProofTree, phi: Term, psi: Term) -> bool:
     """``phi`` lies strictly below ``psi``."""
-    return tree.reach()[tree.nodes[psi]] >> tree.nodes[phi] & 1 == 1
+    return reach(tree)[tree.nodes[psi]] >> tree.nodes[phi] & 1 == 1
 
 
 def premise_first(tree: ProofTree) -> bool:
@@ -1249,10 +1269,11 @@ def extraction_outcome(problem: ProblemInstance, strategy, reference: bool = Fal
     return memos, count, format_conjunction(conj)
 
 
-# The label-keyed proof layer: the game bridge as it ran before ``ProofTree``
-# became index arrays.  A tree is a ``{label: LabelNode}`` dict in node order;
-# ``reach()`` re-indexes it, and ``run_from_cut`` walks each piece through
-# label-keyed sets.  The index-array bridge is compared against it.
+# The label-keyed proof layer: the bridge's unfolding, locality check and
+# relay as they ran before ``ProofTree`` became index arrays.  A tree is a
+# ``{label: LabelNode}`` dict in node order; ``reach()`` re-indexes it and
+# names a cycle.  Its cut and run are read off its tree of occurrences
+# (``occurrence_cut``).  The index-array bridge is compared against it.
 
 
 @dataclass
@@ -1612,98 +1633,114 @@ def label_keyed_normalize_root(tree: LabelKeyedTree) -> LabelKeyedTree:
     return LabelKeyedTree(tree.theory_symbols, nodes, root, tree.table, tree.symbols)
 
 
-def label_keyed_cut(tree: LabelKeyedTree) -> tuple[tuple, tuple]:
-    """The one-scan inductive cut over the re-indexed dict."""
-    index, premises, below = tree.reach()
-    labels = list(tree.nodes)
-    fits = [tree._fit(label) for label in labels]
-    cand_a = cand_b = 0
-    for i, node in enumerate(tree.nodes.values()):
-        if fits[i] != 3:
+# The cut and the run over the proof's tree of occurrences: the game's
+# definition, apart from the library's walks over node indices.  A proof
+# ``{label: LabelNode}`` is expanded into its tree, one occurrence per path
+# from the root, and every occurrence is cut and walked on its own, with no
+# set of labels already met.  The label-level cut, premise maps and errors are
+# read off the occurrences.  The expansion is exponential in general, so
+# ``SizeCapError`` stops it past ``OCCURRENCE_CAP`` visits.
+
+OCCURRENCE_CAP = 100_000
+
+
+def step_fit(nodes: dict, fit, label: Term) -> int:
+    """The fit of ``label``'s step: its own fit ANDed with its premises'."""
+    out = fit(label)
+    for prem in nodes[label].premises:
+        out &= fit(prem)
+    return out
+
+
+def occurrence_piece(nodes: dict, fit, anchor: Term, side: str, stops, budget: list) -> list:
+    """The premises of one occurrence of ``anchor``'s piece on ``side``, as
+    occurrences in the pre-order of its subtree: the labels of ``stops`` met
+    below it, where the piece ends.  Every other occurrence must be a step
+    that fits ``side`` or a leaf of ``side`` or an axiom; the first that is
+    not raises ``InvalidCutError``."""
+    bit = 1 if side == "A" else 2
+    met = []
+    stack = [(anchor, True)]
+    while stack:
+        label, top = stack.pop()
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise SizeCapError("tree of occurrences too large")
+        node = nodes[label]
+        if label in stops and not top:
+            met.append(label)
+        elif node.premises:
+            if not step_fit(nodes, fit, label) & bit:
+                raise InvalidCutError(
+                    f"piece at {format_term(anchor)} walks through "
+                    f"{format_term(label)}, a step outside side {side}"
+                )
+            stack.extend((prem, False) for prem in reversed(node.premises))
+        elif node.origin not in (side, "axiom"):
+            raise InvalidCutError(
+                f"piece at {format_term(anchor)} reaches foreign leaf {format_term(label)}"
+            )
+    return met
+
+
+def occurrence_cut(nodes: dict, root: Term, fit) -> tuple:
+    """``(T_A, T_B, pr_b, pr_a)`` of the coloring cut, cut occurrence by
+    occurrence from the root, a T_B occurrence.
+
+    A piece ends at the occurrences of the other side's candidates: labels
+    that fit both sides and that the piece's prover cannot derive itself.
+    For a B-piece they are A leaves and steps with a premise outside B; for
+    an A-piece, the mirror.  Every such occurrence is a cut occurrence of the
+    other side, and pieces
+    are walked in the order the cut occurrences are found, one anchor's
+    stops in node order.  A label joins its side's list at its first cut
+    occurrence; its premises are the labels its piece meets, each once, in
+    pre-order, and every occurrence of it must give the same.
+    """
+    node_order = {label: i for i, label in enumerate(nodes)}
+    candidates = {"A": set(), "B": set()}
+    for label, node in nodes.items():
+        if fit(label) != 3:
             continue
-        if premises[i]:
-            fit = 3
-            for prem in premises[i]:
-                fit &= fits[prem]
-            if not fit & 2:
-                cand_a |= 1 << i
-            if not fit & 1:
-                cand_b |= 1 << i
-        elif node.origin == "A":
-            cand_a |= 1 << i
-        elif node.origin == "B":
-            cand_b |= 1 << i
-    t_a: list = []
-    t_b: list = [index[tree.root]]
-    cut = 1 << t_b[0]
-
-    def sweep(anchors: list, start: int, candidates: int, into: list) -> int:
-        nonlocal cut
-        end = len(anchors)
-        for anchor in anchors[start:end]:
-            eligible = below[anchor] & candidates
-            covered = 0
-            rest = eligible
-            while rest:
-                top = rest.bit_length() - 1
-                covered |= below[top]
-                rest = (rest ^ 1 << top) & ~below[top]
-            fresh = eligible & ~(covered | cut)
-            cut |= fresh
-            while fresh:
-                low = fresh & -fresh
-                into.append(low.bit_length() - 1)
-                fresh ^= low
-        return end
-
-    done_a = done_b = 0
-    while done_b < len(t_b) or done_a < len(t_a):
-        done_b = sweep(t_b, done_b, cand_a, t_a)
-        done_a = sweep(t_a, done_a, cand_b, t_b)
-    return tuple(labels[i] for i in t_a), tuple(labels[i] for i in t_b)
+        if node.premises:
+            step = step_fit(nodes, fit, label)
+            for side, bit in (("A", 2), ("B", 1)):
+                if not step & bit:
+                    candidates[side].add(label)
+        elif node.origin in candidates:
+            candidates[node.origin].add(label)
+    cut = {"A": {}, "B": {root: None}}
+    premises: dict = {}
+    budget = [OCCURRENCE_CAP]
+    queue = [(root, "B")]
+    for label, side in queue:
+        other = "A" if side == "B" else "B"
+        met = occurrence_piece(nodes, fit, label, side, candidates[other], budget)
+        found = tuple(dict.fromkeys(met))
+        assert premises.setdefault((label, side), found) == found, format_term(label)
+        for stop in sorted(met, key=node_order.__getitem__):
+            queue.append((stop, other))
+            if stop not in cut["A"] and stop not in cut["B"]:
+                cut[other][stop] = None
+    t_a, t_b = tuple(cut["A"]), tuple(cut["B"])
+    return (
+        t_a,
+        t_b,
+        {alpha: premises[alpha, "A"] for alpha in t_a},
+        {beta: premises[beta, "B"] for beta in t_b},
+    )
 
 
-def label_keyed_run(tree: LabelKeyedTree, t_a, t_b) -> InterpolationRun:
-    """Premise maps from pieces walked through label-keyed sets."""
-    t_a, t_b = tuple(t_a), tuple(t_b)
-    cutset = set(t_a) | set(t_b)
-    index, _, below = tree.reach()
-
-    def piece_premises(chi: Term, own_origin: str, opposite: set) -> tuple:
-        found: dict = {}
-        seen: set = set()
-        stack = list(reversed(tree.nodes[chi].premises))
-        while stack:
-            label = stack.pop()
-            if label in seen:
-                continue
-            seen.add(label)
-            if label in cutset:
-                if label not in opposite:
-                    raise InvalidCutError(
-                        f"cut node {format_term(label)} on the wrong side of "
-                        f"{format_term(chi)}"
-                    )
-                found[label] = None
-                continue
-            node = tree.nodes[label]
-            if node.is_leaf:
-                if node.origin not in (own_origin, "axiom"):
-                    raise InvalidCutError(
-                        f"piece at {format_term(chi)} reaches foreign leaf "
-                        f"{format_term(label)}"
-                    )
-                continue
-            stack.extend(reversed(node.premises))
-        chi_below = below[index[chi]]
-        for label in found:
-            if not chi_below >> index[label] & 1:
-                raise InvalidCutError("premise does not precede its conclusion")
-        return tuple(found)
-
-    pr_b = {alpha: piece_premises(alpha, "A", set(t_b)) for alpha in t_a}
-    pr_a = {beta: piece_premises(beta, "B", set(t_a)) for beta in t_b}
-    return InterpolationRun(t_a, t_b, pr_b, pr_a, tree.table)
+def occurrence_run(nodes: dict, fit, t_a, t_b) -> tuple:
+    """``(pr_b, pr_a)`` of any cut: each cut label's piece, walked over its
+    tree of occurrences, ends at the other side's cut labels."""
+    budget = [OCCURRENCE_CAP]
+    piece = lambda label, side, stops: tuple(
+        dict.fromkeys(occurrence_piece(nodes, fit, label, side, set(stops), budget))
+    )
+    pr_b = {alpha: piece(alpha, "A", t_b) for alpha in t_a}
+    pr_a = {beta: piece(beta, "B", t_a) for beta in t_b}
+    return pr_b, pr_a
 
 
 def tree_from_nodes(theory, nodes: dict, root: Term, table: TermTable) -> ProofTree:
@@ -1718,31 +1755,34 @@ def tree_from_nodes(theory, nodes: dict, root: Term, table: TermTable) -> ProofT
     return tree
 
 
+def uncut_copy(tree: ProofTree) -> ProofTree:
+    """A tree sharing ``tree``'s arrays but none of what its cut kept, so
+    ``run_from_cut`` walks every piece itself."""
+    copy = ProofTree(tree.theory_symbols, tree.table, tree.symbols)
+    for name in ("labels", "premises", "origins", "masks", "nodes", "sides"):
+        setattr(copy, name, getattr(tree, name))
+    copy.root_index, copy.relay_index = tree.root_index, tree.relay_index
+    return copy
+
+
 def bridge_outcome(problem: ProblemInstance, label_keyed: bool = False) -> tuple:
     """The bridge route on one problem, printed: its nodes, the cut, the
     premise maps and the game interpolant text, or the error's type and text.
 
-    The index-array route spells the relay false in the interpolant, the
+    The label-keyed route cuts and runs over the tree of occurrences.  The
+    index-array route spells the relay false in the interpolant, the
     label-keyed one false'.
     """
     colored, refuted, side, _ = build_colored_graph(problem)
     if label_keyed:
         tree = label_keyed_unfold(colored, refuted, side)
-        first_nonlocal_step, normalize, cut, run_of = (
-            label_keyed_first_nonlocal_step,
-            label_keyed_normalize_root,
-            label_keyed_cut,
-            label_keyed_run,
+        first_nonlocal_step, normalize = (
+            label_keyed_first_nonlocal_step, label_keyed_normalize_root
         )
     else:
         tree = unfold_refutation(colored, refuted, side)
         assert premise_first(tree)
-        first_nonlocal_step, normalize, cut, run_of = (
-            game.first_nonlocal_step,
-            game.normalize_root,
-            game.coloring_cut,
-            game.run_from_cut,
-        )
+        first_nonlocal_step, normalize = game.first_nonlocal_step, game.normalize_root
     fmt = lambda labels: tuple(format_term(label) for label in labels)
     nodes = [
         (format_term(label), fmt(node.premises), node.origin)
@@ -1753,9 +1793,13 @@ def bridge_outcome(problem: ProblemInstance, label_keyed: bool = False) -> tuple
         if step is not None:
             raise NonLocalProofError(step)
         tree = normalize(tree)
-        assert label_keyed or premise_first(tree)
-        t_a, t_b = cut(tree)
-        run = run_of(tree, t_a, t_b)
+        if label_keyed:
+            t_a, t_b, pr_b, pr_a = occurrence_cut(tree.nodes, tree.root, tree._fit)
+            run = InterpolationRun(t_a, t_b, pr_b, pr_a, tree.table)
+        else:
+            assert premise_first(tree)
+            t_a, t_b = game.coloring_cut(tree)
+            run = game.run_from_cut(tree, t_a, t_b)
     except (NonLocalProofError, InvalidCutError) as exc:
         return nodes, type(exc), str(exc)
     text = format_game_interpolant(game_interpolant(run))

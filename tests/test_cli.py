@@ -12,10 +12,13 @@ import pytest
 
 import eufinterp
 from eufinterp.cli import main
-from eufinterp.core import ProblemInstance, parse_problem
+from eufinterp.core import ProblemInstance, format_term, parse_problem
+from eufinterp import game
 from eufinterp.game import euf_bridge
+from eufinterp.interpolate import format_conjunction, interpolate
 
 from conftest import DATA, MALFORMED, alternating_proof, format_proof
+from test_game import NON_LOCAL_PROBLEM, SHARED_CANDIDATE_PROOF
 from test_interpolate import wide_class_text
 
 
@@ -86,28 +89,48 @@ def test_interpolate_game_prints_the_verified_game_interpolant(capsys):
 
 
 def test_interpolate_game_names_a_failed_bridge(capsys, tmp_path):
-    # The wide-class shape: the B leaf x2 = x1 feeds both the A step and B's
-    # final step, so the cut has no run.
+    # The wide-class shape, where the B leaf x2 = x1 feeds both the A step and
+    # B's final step, bridges: the game interpolant is the pipeline's, and the
+    # oracle accepts it.  A non-local step still fails the bridge, by name.
     path = tmp_path / "wide.euf"
     path.write_text("(A (= x2 (f x1)) (= (f x2) x0)) (B (= x1 x2) (not (= x1 x0)))\n")
+    expected = (0, "(and (=> (and (= x2 x1)) (= x2 x0)))\n", "")
+    assert run_cli(capsys, "interpolate", str(path), "--game", "--verify") == expected
+    assert run_cli(capsys, "interpolate", str(path), "--verify") == expected
+    path.write_text(NON_LOCAL_PROBLEM)
     code, out, err = run_cli(capsys, "interpolate", str(path), "--game", "--verify")
     assert (code, out) == (1, "")
     assert err == (
-        "bridge failed: InvalidCutError: cut node (= x2 x1) on the wrong side of false\n"
+        "bridge failed: NonLocalProofError: inference step at (= c1 (h b1 c3)) is not local\n"
     )
 
 
-def test_game_interpolate_names_a_cut_with_no_run(capsys, tmp_path):
-    # The bridged wide-class proof at n = 20 has a cut, but the B leaf x0 = x1
-    # feeds both the A step and B's final step, so the cut has no run: exit
-    # 1, as for interpolate --game, and not the format-error exit 2.
+def test_game_interpolate_names_a_cut_with_no_run(capsys, tmp_path, monkeypatch):
+    # The bridged wide-class proof at n = 20 cuts and runs, and its game
+    # interpolant is the pipeline's.
+    text = wide_class_text(20, seed=0)
     path = tmp_path / "wide.proof"
-    path.write_text(format_proof(euf_bridge(parse_problem(wide_class_text(20, seed=0)))))
+    path.write_text(format_proof(euf_bridge(parse_problem(text))))
     assert run_cli(capsys, "game", "cut", str(path)) == (
         0, "T_A: (= x1 x20)\nT_B: false (= x0 x1)\n", ""
     )
+    pipeline = format_conjunction(interpolate(parse_problem(text)).interpolant)
+    assert run_cli(capsys, "game", "interpolate", str(path)) == (0, pipeline + "\n", "")
+    # No proof that passes the locality check has a coloring cut with no run.
+    # Handed the cut of the candidates maximal in the node order, false's
+    # piece would walk through A's step at (t c): exit 1, as for interpolate
+    # --game, and not the format-error exit 2.
+    path.write_text(SHARED_CANDIDATE_PROOF)
+    assert run_cli(capsys, "game", "cut", str(path)) == (
+        0, "T_A: (t c) (t (t c))\nT_B: false\n", ""
+    )
+    maximal = lambda tree: (
+        tuple(label for label in tree.labels if format_term(label) == "(t (t c))"),
+        (tree.root,),
+    )
+    monkeypatch.setattr(game, "coloring_cut", maximal)
     assert run_cli(capsys, "game", "interpolate", str(path)) == (
-        1, "", "cut has no run: cut node (= x0 x1) on the wrong side of false\n"
+        1, "", "cut has no run: piece at false walks through (t c), a step outside side B\n"
     )
 
 

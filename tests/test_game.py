@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
@@ -47,18 +48,21 @@ from conftest import (
     bridge_run,
     format_proof,
     label_fit,
-    label_keyed_run,
     label_nodes,
     load_problem,
     load_text,
+    occurrence_cut,
+    occurrence_run,
     precedes,
     premise_first,
+    reach,
     reference_format_formula,
     reference_formula,
     reference_read_sexprs,
     reference_unfold,
     sigma,
     tree_from_nodes,
+    uncut_copy,
     unfold_record,
 )
 
@@ -83,7 +87,7 @@ def fig_tree():
 
 class Reach:
     """Strict premise closures of a ``{label: LabelNode}`` dict by depth-first
-    search, apart from ProofTree.reach.
+    search, apart from conftest.reach.
 
     The search runs on an explicit stack, takes in the memoized closure of
     any label it meets and memoizes only the labels asked for.  Reaching a
@@ -163,60 +167,6 @@ def reference_frees(table: TermTable, bridged: bool = False) -> dict:
         else:
             frees[term] = reference_free_symbols(term, frees)
     return frees
-
-
-def reference_cut_candidates(tree, for_side: Side) -> list:
-    """AB-colorable labels the opposite prover cannot reach on its own."""
-    other_bit = 2 if for_side is Side.A else 1
-    origin = for_side.value
-    out = []
-    for label, node in label_nodes(tree).items():
-        if label_fit(tree, label) != 3:
-            continue
-        if node.is_leaf:
-            if node.origin == origin:
-                out.append(label)
-        elif any(not label_fit(tree, p) & other_bit for p in node.premises):
-            out.append(label)
-    return out
-
-
-def reference_coloring_cut(tree):
-    """The cut as a plain fixpoint: re-expand every cut node until no change."""
-    reach = Reach(label_nodes(tree))
-    cand_a = reference_cut_candidates(tree, Side.A)
-    cand_b = reference_cut_candidates(tree, Side.B)
-    t_a: dict = {}
-    t_b: dict = {tree.root: None}
-    maximal: dict = {}
-
-    def maximal_below(candidates, anchor):
-        # A function of its arguments alone, so each pair is evaluated once.
-        key = (candidates is cand_a, anchor)
-        if key not in maximal:
-            below = reach.strictly_below(anchor)
-            eligible = [c for c in candidates if c in below]
-            maximal[key] = [
-                c
-                for c in eligible
-                if not any(other != c and reach.precedes(c, other) for other in eligible)
-            ]
-        return maximal[key]
-
-    changed = True
-    while changed:
-        changed = False
-        for beta in list(t_b):
-            for phi in maximal_below(cand_a, beta):
-                if phi not in t_a and phi not in t_b:
-                    t_a[phi] = None
-                    changed = True
-        for alpha in list(t_a):
-            for phi in maximal_below(cand_b, alpha):
-                if phi not in t_b and phi not in t_a:
-                    t_b[phi] = None
-                    changed = True
-    return tuple(t_a), tuple(t_b)
 
 
 def check_cut(tree, t_a, t_b) -> bool:
@@ -506,6 +456,20 @@ BINDER_PROOF = (
 )
 
 
+# (t c) is an A-candidate both below the A-candidate (t (t c)) and beside it.
+SHARED_CANDIDATE_PROOF = (
+    "(theory-symbols c t)\n"
+    "(node n0 (p a) (from A))\n"
+    "(node n1 (not (t c c)) (from axiom))\n"
+    "(node n2 (p c a) (premises n1))\n"
+    "(node n3 (t c) (premises n2))\n"
+    "(node n4 (t (t c)) (premises n3 n0))\n"
+    "(node n5 (t c (t c)) (premises n3))\n"
+    "(node n6 (not (t (t c))) (from B))\n"
+    "(node n7 false (premises n4 n5 n6))\n"
+)
+
+
 def sample_trees():
     """``(key, tree, bridged)`` for random proofs, the fixture proofs and
     bridged problems, each also with its root normalized."""
@@ -712,9 +676,9 @@ class TestParseProof:
                 ran += len(outcome) > 2
             counts[make.__name__] = reordered, non_local, ran
         assert counts["random_proof"][0] >= 150 and counts["random_proof"][2] >= 20, counts
-        # Every local draw reaches a cut, and most of them a run.
+        # Every local draw reaches a cut and a run.
         reordered, non_local, ran = counts["local_random_proof"]
-        assert reordered >= 150 and non_local == 0 and ran >= 100, counts
+        assert reordered >= 150 and non_local == 0 and ran == 200, counts
 
     def test_two_roots_rejected(self):
         text = (
@@ -893,7 +857,10 @@ class TestColoringCut:
             (tree.root, label(NOT_RB), label(RULE)),
         )
 
-    def test_cut_matches_the_fixpoint_reference(self):
+    def test_cut_matches_the_tree_occurrence_reference(self):
+        # The cut, and the premise lists its walk keeps for run_from_cut,
+        # equal the cut of every occurrence of the proof's tree and
+        # run_from_cut's own walk of that cut; or the same error.
         trees = {}
         for family in ("chain", "ladder", "split"):
             for size in range(2, 31):
@@ -909,23 +876,38 @@ class TestColoringCut:
             trees["local", i] = normalize_root(parse_proof(text))
         trees["alternating", 200] = normalize_root(parse_proof(alternating_proof(200)))
         two_sided = {"random": 0, "local": 0}
+        errors = {"random": 0, "local": 0}
         for key, tree in trees.items():
+            try:
+                want = occurrence_cut(label_nodes(tree), tree.root, partial(label_fit, tree))
+            except InvalidCutError as exc:
+                with pytest.raises(InvalidCutError) as info:
+                    coloring_cut(tree)
+                assert str(info.value) == str(exc), key
+                errors[key[0]] += 1
+                continue
             t_a, t_b = coloring_cut(tree)
-            assert (t_a, t_b) == reference_coloring_cut(tree), key
+            run = run_from_cut(tree, t_a, t_b)
+            assert (t_a, t_b, run.pr_b, run.pr_a) == want, key
+            walked = run_from_cut(uncut_copy(tree), t_a, t_b)
+            assert (walked.pr_b, walked.pr_a) == (run.pr_b, run.pr_a), key
             if key[0] in two_sided:
                 two_sided[key[0]] += bool(t_a) and len(t_b) > 1
-        # The random proofs exercise both sweeps, not only the trivial cut.
-        assert two_sided["random"] >= 50 and two_sided["local"] >= 50, two_sided
+        # The local proofs exercise both sides, not only the trivial cut.  The
+        # walks meet every step, so a non-local step raises: most random
+        # proofs have one, and no local proof does.
+        assert two_sided["local"] >= 50 and two_sided["random"] >= 10, two_sided
+        assert errors["random"] >= 200 and errors["local"] == 0, errors
 
     def test_precedes_matches_the_reference(self):
         for key, tree, _ in sample_trees():
             assert premise_first(tree), key
-            reach = Reach(label_nodes(tree))
-            index, premises, masks = tree.nodes, tree.premises, tree.reach()
+            reference = Reach(label_nodes(tree))
+            index, premises, masks = tree.nodes, tree.premises, reach(tree)
             labels, nodes = tree.labels, label_nodes(tree)
             assert index == {label: i for i, label in enumerate(labels)}, key
             for psi, node in nodes.items():
-                below = reach.strictly_below(psi)
+                below = reference.strictly_below(psi)
                 i = index[psi]
                 assert [labels[j] for j in premises[i]] == list(node.premises), key
                 assert {labels[j] for j in range(len(labels)) if masks[i] >> j & 1} == below
@@ -1025,15 +1007,21 @@ class TestRunFromCut:
                 for alpha in alphas:
                     assert precedes(tree, alpha, beta)
 
-    def test_odd_cuts_run_as_the_label_keyed_walk(self):
+    def test_odd_cuts_run_as_the_tree_occurrence_walk(self):
         # Cuts with a node dropped, a node added on either side, a duplicate
-        # or a node on both sides: the same premise maps or the same error.
-        def outcome(run_of, tree, t_a, t_b):
+        # or a node on both sides: the same premise maps as the walk over the
+        # tree of occurrences, or the same error.  A tree whose cut raises
+        # starts from false alone.
+        def outcome(tree, t_a, t_b, reference=False):
             try:
-                run = run_of(tree, t_a, t_b)
+                if reference:
+                    fit = partial(label_fit, tree)
+                    maps = occurrence_run(label_nodes(tree), fit, t_a, t_b)
+                else:
+                    run = run_from_cut(tree, t_a, t_b)
+                    maps = (run.pr_b, run.pr_a)
             except InvalidCutError as exc:
                 return str(exc)
-            maps = (run.pr_b, run.pr_a)
             return [(format_term(k), printed(v)) for pr in maps for k, v in pr.items()]
 
         rng = random.Random(8)
@@ -1042,23 +1030,79 @@ class TestRunFromCut:
         texts += [local_random_proof(rng, rng.randint(3, 40)) for _ in range(100)]
         trees = [normalize_root(tree) for tree in [fig_tree(), *map(parse_proof, texts)]]
         for tree in trees:
-            keyed = LabelKeyedTree(
-                tree.theory_symbols, label_nodes(tree), tree.root, tree.table, tree.symbols
-            )
-            t_a, t_b = coloring_cut(tree)
+            try:
+                t_a, t_b = coloring_cut(tree)
+            except InvalidCutError:
+                t_a, t_b = (), (tree.root,)
             other = rng.choice(tree.labels)
             cuts = [(t_a, t_b), (t_a[1:], t_b), (t_a + (other,), t_b), (t_a, t_b + (other,))]
             cuts += [(t_a + t_a, t_b), (t_a, t_b + t_a)]
             for cut in cuts:
-                got = outcome(run_from_cut, tree, *cut)
-                assert got == outcome(label_keyed_run, keyed, *cut), cut
+                got = outcome(tree, *cut)
+                assert got == outcome(tree, *cut, reference=True), cut
                 errors += isinstance(got, str)
         assert errors >= 200
 
     def test_invalid_cut_is_reported(self):
         tree = normalize_root(fig_tree())
-        with pytest.raises(InvalidCutError):
-            run_from_cut(tree, (), (tree.root,))  # t(f a) piece leaks an A formula
+        # Without t(f a) in T_A, false's piece would run A's step.
+        with pytest.raises(InvalidCutError) as info:
+            run_from_cut(tree, (), (tree.root,))
+        assert str(info.value) == "piece at false walks through (t (f a)), a step outside side B"
+
+    def test_a_piece_stops_at_a_candidate_below_another(self):
+        # (t c) is an A-candidate below the A-candidate (t (t c)), and false's
+        # piece also meets it through (t c (t c)), which is no candidate.  So
+        # the cut takes both, and false's piece stops at (t c).  The cut of
+        # the candidates maximal in the node order took (t (t c)) alone: then
+        # false's piece would walk through A's step at (t c).
+        tree = normalize_root(parse_proof(SHARED_CANDIDATE_PROOF))
+        label = lambda text: formula(tree.table, text)
+        t_a, t_b = coloring_cut(tree)
+        assert (printed(t_a), printed(t_b)) == (("(t c)", "(t (t c))"), ("false",))
+        run = run_from_cut(tree, t_a, t_b)
+        assert run.pr_a[tree.root] == (label("(t (t c))"), label("(t c)"))
+        assert format_game_interpolant(game_interpolant(run)) == "(and (t (t c)) (t c))"
+        with pytest.raises(InvalidCutError) as info:
+            run_from_cut(tree, (label("(t (t c))"),), t_b)
+        assert str(info.value) == "piece at false walks through (t c), a step outside side B"
+
+    def test_a_local_draw_no_longer_runs_a_step_in_the_wrong_piece(self):
+        # Draw 403 of local_random_proof at seed 2026: (r (t c) (t c)) has the
+        # A-only premise (r x (f x)), lies below the A-candidate (t (r c c)),
+        # and false's piece meets it through (t c (t c)) too.  Cut at
+        # (t (r c c)) alone, false's piece ran A's step down to axioms and the
+        # run printed (and (t (r c c))).
+        rng = random.Random(2026)
+        for _ in range(404):
+            text = local_random_proof(rng, rng.randint(3, 40))
+        tree = normalize_root(parse_proof(text))
+        t_a, t_b = coloring_cut(tree)
+        assert (printed(t_a), printed(t_b)) == (("(r (t c) (t c))", "(t (r c c))"), ("false",))
+        run = run_from_cut(tree, t_a, t_b)
+        assert format_game_interpolant(game_interpolant(run)) == (
+            "(and (r (t c) (t c)) (t (r c c)))"
+        )
+        with pytest.raises(InvalidCutError) as info:
+            run_from_cut(tree, t_a[1:], t_b)
+        assert str(info.value) == (
+            "piece at false walks through (r (t c) (t c)), a step outside side B"
+        )
+
+    def test_every_local_draw_cuts_and_runs(self):
+        # Every local proof has a run, and the premise lists the cut keeps are
+        # those run_from_cut's own walk finds.  Of these 1000 draws, 364 had a
+        # cut with no run when the cut kept only the candidates maximal in the
+        # node order.
+        rng = random.Random(2026)
+        for k in range(1000):
+            tree = normalize_root(parse_proof(local_random_proof(rng, rng.randint(3, 40))))
+            t_a, t_b = coloring_cut(tree)
+            run = run_from_cut(tree, t_a, t_b)
+            walked = run_from_cut(uncut_copy(tree), t_a, t_b)
+            assert (walked.pr_b, walked.pr_a) == (run.pr_b, run.pr_a), k
+            assert run.successful, k
+            game_interpolant(run)
 
 
 class TestGameInterpolant:
@@ -1176,8 +1220,11 @@ class TestBridge:
             ("false", (eq("e", fba), f"(not {eq('e', fba)})")),
         ]
 
-    def test_wide_class_proof_cuts_but_has_no_run(self, capsys, tmp_path):
-        # The B leaf x2 = x1 feeds both the A step and B's final step.
+    def test_wide_class_proof_cuts_and_runs(self, capsys, tmp_path):
+        # The B leaf x2 = x1 feeds both the A step and B's final step: A's
+        # piece stops at it, a T_B node, and false's piece takes it as its own
+        # leaf.  The game interpolant is the pipeline's, and the oracle
+        # accepts it.
         p = parse_problem(
             "(A (= x2 (f x1)) (= (f x2) x0)) (B (= x1 x2) (not (= x1 x0)))"
         )
@@ -1185,10 +1232,11 @@ class TestBridge:
         path.write_text(format_proof(euf_bridge(p)))
         assert main(["game", "cut", str(path)]) == 0
         assert capsys.readouterr().out == "T_A: (= x2 x0)\nT_B: false (= x2 x1)\n"
-        assert main(["game", "interpolate", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            "cut has no run: cut node (= x2 x1) on the wrong side of false\n"
-        )
+        assert main(["game", "interpolate", str(path)]) == 0
+        text = capsys.readouterr().out.strip()
+        assert text == "(and (=> (and (= x2 x1)) (= x2 x0)))"
+        assert text == format_conjunction(interpolate(p).interpolant)
+        assert check_interpolant(p, parse_conjunction(text, p.table, p.symbols)).accepted
 
     def test_unfolding_the_pipeline_graph_matches_the_bridge(self):
         # A caller holding an InterpolationResult unfolds its colored graph
@@ -1232,9 +1280,11 @@ class TestBridge:
             else:
                 kind = "relay" if "false'" in outcome[1] else "ok"
             outcomes[kind] = outcomes.get(kind, 0) + 1
-        # wide-class fails at every size; the A-side refutations take a relay
-        assert outcomes[InvalidCutError] >= 7 and outcomes[NonLocalProofError] == 1, outcomes
+        # Every bench workload runs, wide-class too, and the A-side
+        # refutations take a relay; only the non-local bridge fails.
+        assert InvalidCutError not in outcomes and outcomes[NonLocalProofError] == 1, outcomes
         assert outcomes["relay"] >= 10, outcomes
+        assert outcomes["ok"] + outcomes["relay"] == len(texts) - 1, outcomes
 
     def test_flat_unfolding_matches_the_reference(self):
         # Every bench workload at seeds 1-3 under every strategy, and every

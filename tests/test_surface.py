@@ -286,8 +286,8 @@ def proof_order_rechecks(source: str) -> tuple[int, int, int]:
 
 def test_premise_order_is_enforced_once():
     # Only parse_proof's node-id check names a cycle: ProofTree.add refuses a
-    # premise that is not a node yet, so reach() is one forward pass and
-    # run_from_cut has no precedence to recheck.
+    # premise that is not a node yet, so the tests' reach() is one forward
+    # pass and the cut's walks have no precedence to recheck.
     snippet = (
         "class ProofTree:\n"
         "    def reach(self):\n"
@@ -310,3 +310,34 @@ def test_premise_order_is_enforced_once():
         for path in sorted(PACKAGE.glob("*.py"))
     ]
     assert tuple(map(sum, zip(*found))) == (1, 0, 0)
+
+
+def reach_names(source: str) -> set[str]:
+    """Functions, attributes and variables named ``reach`` or ``_below``."""
+    names = {"reach", "_below"}
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names:
+            found.add(node.name)
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.add(node.attr)
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.add(node.id)
+    return found
+
+
+def test_the_cut_keeps_no_below_masks():
+    # The cut walks each piece once over the premise lists: the library makes,
+    # keeps and reads no per-node mask of the nodes below it.
+    snippet = (
+        "class ProofTree:\n"
+        "    def reach(self):\n"
+        "        return self._below\n"
+        "below = tree.reach()\n"
+    )
+    assert reach_names(snippet) == {"reach", "_below"}
+    found = {
+        path.name: reach_names(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: names for name, names in found.items() if names} == {}
