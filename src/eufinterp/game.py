@@ -10,12 +10,14 @@ Formulas here are opaque: each label is a hash-consed ``Term`` of a
 ``TermTable`` that the proof owns, so labels are hashed and compared by
 identity, and only symbol occurrences matter.  A proof is index arrays, one
 entry per label: the unfolding, the cut and the run work on node indices,
-and only their results are labels again.  Sets of symbols are ints, masks
-over one index per term table.  The cut walks each piece once, down the
-proof's tree of occurrences, and keeps the premises it meets for the run.
-Ground equality problems can be bridged in: a
-colored congruence graph unfolds into a local refutation whose inference
-steps are the factor summaries and derived-edge congruences.
+and only their results are labels again.  Each node holds its fit, two
+bits telling which sides' signatures its label lies in; the builders work
+the fits out once.  The cut walks each piece once, down the proof's tree of
+occurrences, and keeps the premises it meets for the run.  Ground equality
+problems can be bridged in: a colored congruence graph unfolds into a local
+refutation whose inference steps are the factor summaries and derived-edge
+congruences, and whose fits are its terms' colorability against the two
+sides' leaves.
 """
 
 from __future__ import annotations
@@ -37,44 +39,6 @@ LOGICAL_TOKENS = frozenset(
     {"true", "false", "false'", "and", "or", "not", "=>", "<=>", "=", "!=",
      "forall", "exists"}
 )
-
-
-class SymbolMasks:
-    """Free symbols of one term table's terms, as bitmasks over one index.
-
-    ``bits`` gives each symbol a single-bit mask, in first-use order.
-    ``masks[i]`` is the free-symbol mask of the table's term of id ``i``;
-    ``cover`` extends it over the terms it lacks, in id order, so an
-    argument's entry is made before its application's.  Logical tokens are
-    not symbols, and ``(forall v BODY)`` and ``(exists v BODY)`` bind ``v``.
-    A caller that makes terms whose arguments belong to another table appends
-    their masks itself, as it makes them.
-    """
-
-    def __init__(self) -> None:
-        self.bits: dict[str, int] = {}
-        self.masks: list[int] = []
-
-    def bit(self, name: str) -> int:
-        bit = self.bits.get(name)
-        if bit is None:
-            bit = self.bits[name] = 1 << len(self.bits)
-        return bit
-
-    def decode(self, mask: int) -> frozenset[str]:
-        return frozenset(name for name, bit in self.bits.items() if mask & bit)
-
-    def cover(self, table: TermTable) -> None:
-        masks = self.masks
-        for term in table.terms[len(masks):]:
-            head, args = term.head, term.args
-            if head in ("forall", "exists") and len(args) == 2 and not args[0].args:
-                mask = masks[args[1].id] & ~self.bit(args[0].head)
-            else:
-                mask = 0 if head in LOGICAL_TOKENS else self.bit(head)
-                for arg in args:
-                    mask |= masks[arg.id]
-            masks.append(mask)
 
 
 class ProofError(ValueError):
@@ -99,71 +63,49 @@ class ProofTree:
     The tree is index arrays, in the order ``add`` appends nodes: node ``i``
     has the label ``labels[i]``, a term of ``table``, premise indices
     ``premises[i]``, origin ``origins[i]`` ("A" | "B" | "axiom" for a leaf,
-    None for an inference) and symbol mask ``masks[i]``.  Premises come before
-    their conclusions: every index in ``premises[i]`` is below ``i``, so no
-    tree is cyclic.  ``nodes`` maps each label to its node index;
-    ``root_index`` is false's node, and ``relay_index`` the relay's that
-    ``normalize_root`` put in the old root's slot.  All occurrences of a
-    label root the same subtree, so a walk meets each node once.
+    None for an inference) and fit ``fits[i]``.  Premises come before their
+    conclusions: every index in ``premises[i]`` is below ``i``, so no tree is
+    cyclic.  ``nodes`` maps each label to its node index; ``root_index`` is
+    false's node, and ``relay_index`` the relay's that ``normalize_root`` put
+    in the old root's slot.  All occurrences of a label root the same
+    subtree, so a walk meets each node once.
 
-    ``symbols`` holds the free-symbol mask of every term of ``table``, and
-    trees over one table share it.  ``sides`` maps each origin to the union of
-    its nodes' masks, joined as nodes are added; "A" and "B" also hold the
-    theory symbols, and are the side signatures.  A label fits a side when its
-    mask lies inside that signature; ``fits`` holds that per node, and
-    ``steps`` the fit of each node's inference step, its own fit ANDed with
-    its premises'.
+    A side's signature is the theory symbols and the symbols of its leaves.
+    A fit has bit 1 when the label's free symbols lie inside A's signature
+    and bit 2 when inside B's; the builder fills ``fits`` in once the leaves
+    are known.  ``steps`` holds the fit of each node's inference step, its
+    own fit ANDed with its premises'.
     """
 
-    def __init__(
-        self,
-        theory_symbols: frozenset[str],
-        table: TermTable,
-        symbols: SymbolMasks | None = None,
-    ):
+    def __init__(self, theory_symbols: frozenset[str], table: TermTable):
         self.theory_symbols = theory_symbols
         self.table = table
-        self.symbols = symbols = SymbolMasks() if symbols is None else symbols
-        symbols.cover(table)
-        theory = 0
-        for name in theory_symbols:
-            theory |= symbols.bit(name)
-        self.sides: dict[str | None, int] = {"A": theory, "B": theory, "axiom": 0, None: 0}
         self.labels: list[Term] = []
         self.premises: list[tuple[int, ...]] = []
         self.origins: list[str | None] = []
-        self.masks: list[int] = []
+        self.fits: list[int] = []
         self.nodes: dict[Term, int] = {}
         self.root_index = 0
         self.relay_index: int | None = None
 
     def add(self, label: Term, premises: tuple = (), origin: str | None = None) -> int:
         """The node of ``label``; a new one is appended with ``premises`` and
-        ``origin``, and a new leaf's mask joins its side's signature.  Raises
-        ``ProofError`` when a premise of a new node is not a node yet."""
+        ``origin``.  Raises ``ProofError`` when a premise of a new node is not
+        a node yet."""
         i = self.nodes.get(label)
         if i is None:
             i = len(self.labels)
             if any(not 0 <= prem < i for prem in premises):
                 raise ProofError(f"premise of {format_term(label)} is not a node yet")
             self.nodes[label] = i
-            mask = self.symbols.masks[label.id]
             self.labels.append(label)
             self.premises.append(premises)
             self.origins.append(origin)
-            self.masks.append(mask)
-            self.sides[origin] |= mask
         return i
 
     @property
     def root(self) -> Term:
         return self.labels[self.root_index]
-
-    @cached_property
-    def fits(self) -> list[int]:
-        """Per node, bit 1: its label fits A's signature; bit 2: B's."""
-        a, b = self.sides["A"], self.sides["B"]
-        return [(mask & a == mask) | (mask & b == mask) << 1 for mask in self.masks]
 
     @cached_property
     def steps(self) -> list[int]:
@@ -185,6 +127,24 @@ class ProofTree:
         return _coloring_walk(self)
 
 
+def _symbol_masks(table: TermTable, bits: dict[str, int]) -> list[int]:
+    """Free-symbol masks of ``table``'s terms, by id, one bit per symbol in
+    ``bits``; a symbol new to ``bits`` takes the next bit.  Logical tokens are
+    not symbols, and ``(forall v BODY)`` and ``(exists v BODY)`` bind ``v``."""
+    masks: list[int] = []
+    for term in table:
+        head, args = term.head, term.args
+        if head in ("forall", "exists") and len(args) == 2 and not args[0].args:
+            bound = bits.setdefault(args[0].head, 1 << len(bits))
+            mask = masks[args[1].id] & ~bound
+        else:
+            mask = 0 if head in LOGICAL_TOKENS else bits.setdefault(head, 1 << len(bits))
+            for arg in args:
+                mask |= masks[arg.id]
+        masks.append(mask)
+    return masks
+
+
 def parse_proof(text: str) -> ProofTree:
     """Parse a proof file: a theory-symbols header, then node forms.
 
@@ -199,6 +159,7 @@ def parse_proof(text: str) -> ProofTree:
     compared with the first node of its label as ids collapse to labels.
     Labels become nodes in the order the id-level cycle check finishes them,
     so a file that lists premises before their conclusions keeps its order.
+    Formulas bind variables, so fits come from free-symbol masks.
     """
     table = TermTable()
     reader = Reader(text, table, None)
@@ -278,6 +239,16 @@ def parse_proof(text: str) -> ProofTree:
                 f"nodes labelled {format_term(formula)} root different subtrees"
             )
     tree.root_index = tree.nodes[false]
+    bits = {name: 1 << k for k, name in enumerate(tree.theory_symbols)}
+    theory_mask = (1 << len(bits)) - 1
+    free = _symbol_masks(table, bits)
+    masks = [free[label.id] for label in tree.labels]
+    sides = {"A": theory_mask, "B": theory_mask, "axiom": 0}
+    for mask, origin in zip(masks, tree.origins):
+        if origin is not None:
+            sides[origin] |= mask
+    a, b = sides["A"], sides["B"]
+    tree.fits = [(mask & a == mask) | (mask & b == mask) << 1 for mask in masks]
     return tree
 
 
@@ -305,7 +276,7 @@ def normalize_root(tree: ProofTree) -> ProofTree:
     of that label, the first of (and false'), (and (and false')), ... that it
     lacks; each denotes falsity.  It is interned in the tree's table, takes
     the root's slot in copies of the arrays, and the new root is appended.
-    Idempotent.
+    Both are logical constants, so both fit either side.  Idempotent.
     """
     r, fits = tree.root_index, tree.fits
     if tree.origins[r] != "A" and all(fits[p] & 2 for p in tree.premises[r]):
@@ -314,13 +285,14 @@ def normalize_root(tree: ProofTree) -> ProofTree:
     relay = table.make("false'")
     while relay in tree.nodes:
         relay = table.make("and", (relay,))
-    fixed = ProofTree(tree.theory_symbols, table, tree.symbols)
-    for name in ("labels", "premises", "origins", "masks", "nodes", "sides"):
+    fixed = ProofTree(tree.theory_symbols, table)
+    for name in ("labels", "premises", "origins", "fits", "nodes"):
         setattr(fixed, name, getattr(tree, name).copy())
     del fixed.nodes[root]
-    fixed.labels[r], fixed.masks[r] = relay, tree.symbols.masks[relay.id]
+    fixed.labels[r], fixed.fits[r] = relay, 3
     fixed.nodes[relay] = fixed.relay_index = r
     fixed.root_index = fixed.add(root, (r,))
+    fixed.fits.append(3)
     return fixed
 
 
@@ -552,12 +524,14 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
     its endpoints.
 
     Labels are interned in a table of the tree's own; an ``(= s t)`` label
-    takes the graph's vertex terms as its arguments, and its mask, the OR of
-    its endpoints' masks, is appended to the tree's ``SymbolMasks`` as the
-    label is made.  Vertex masks are built in one pass over the vertices in
-    graph order, arguments first, into a list indexed by term id.  Every
-    head counts as a symbol, so a symbol spelled like a logical token stays
-    a symbol.
+    takes the graph's vertex terms as its arguments.  Its fit is
+    ``bits[s] & bits[t]``, the 2-bit colorability of its endpoints against
+    the signatures of the two sides' leaves, every head counting as a symbol.
+    During the pass each leaf, the disequality too, marks its endpoints with
+    its side's bit.  After it, one backward pass over the vertices (arguments
+    come first) spreads each mark to the arguments and to the head's side
+    bits, and one forward pass ANDs a vertex's head bits with its arguments'
+    bits.
 
     The unfolding is one flat pass on an explicit stack, in the order a
     recursive one would take, from a bottom frame holding the refuted path.
@@ -568,33 +542,23 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
     one edge is that edge, and a path of one run (``colored.runs``) derives
     from its edges.  A basic edge is a leaf, finished where it is met.  Nodes
     are appended as they are finished, so premises come before conclusions.
-    The side unions are kept in locals, and ``nodes`` is filled once, after
-    the pass; the disequality leaf and the root come last.
+    ``nodes`` is filled once, after the pass; the disequality leaf and the
+    root come last.
     """
     graph = colored.graph
     path, runs_of = graph.path, colored.runs
     table = TermTable()
     tree = ProofTree(frozenset(), table)
     labels, premises_of, origins = tree.labels, tree.premises, tree.origins
-    node_masks, bits, masks = tree.masks, tree.symbols.bits, tree.symbols.masks
     # Repair makes its vertices in the table the colors were read against.
-    vertex_masks = [0] * len(colored.symbols.table)
-    for t in graph.vertices:
-        mask = bits.get(t.head)
-        if mask is None:
-            mask = bits[t.head] = 1 << len(bits)
-        for a in t.args:
-            mask |= vertex_masks[a.id]
-        vertex_masks[t.id] = mask
+    bits = bytearray(len(colored.symbols.table))  # per vertex: marks, then fit
     make = table.make
-    u, v = refuted.lhs, refuted.rhs
-    if v.id < u.id:
-        u, v = v, u
-    masks.append(vertex_masks[u.id] | vertex_masks[v.id])
-    diseq_label = make("not", (make("=", (u, v)),))
+    lhs, rhs = refuted.lhs, refuted.rhs
+    if rhs.id < lhs.id:
+        lhs, rhs = rhs, lhs
+    diseq_label = make("not", (make("=", (lhs, rhs)),))
     false = make("false")
-    tree.symbols.cover(table)  # before labels append their masks by id again
-    a_side = b_side = inferred = 0
+    bits[lhs.id] = bits[rhs.id] = 1 if side is _A else 2
     done_at: dict = {}  # edge seq or path key -> node of its step, -1 while open
     root_premises: list[int] = []
     items = () if refuted.trivial else (path(refuted.lhs, refuted.rhs),)
@@ -621,22 +585,16 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
             if v.id < u.id:
                 u, v = v, u
             sub_label = make("=", (u, v))
-            if sub_label.id == len(masks):
-                masks.append(vertex_masks[u.id] | vertex_masks[v.id])
             if cls is Edge:
                 if item.origin is not None:  # a leaf, finished here
                     done_at[sub_key] = done = len(labels)
                     premises.append(done)
-                    mask = masks[sub_label.id]
-                    if item.side is _A:
-                        a_side |= mask
-                        origins.append("A")
-                    else:
-                        b_side |= mask
-                        origins.append("B")
+                    bit = 1 if item.side is _A else 2
+                    bits[u.id] |= bit
+                    bits[v.id] |= bit
                     labels.append(sub_label)
                     premises_of.append(())
-                    node_masks.append(mask)
+                    origins.append("A" if bit == 1 else "B")
                     continue
                 subs = [path(p, q) for p, q in item.parents if p is not q]
             elif cls is Path:
@@ -654,18 +612,29 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
             if stack:
                 done_at[key] = done = len(labels)
                 stack[-1][3].append(done)
-                mask = masks[label.id]
-                inferred |= mask
                 labels.append(label)
                 premises_of.append(tuple(premises))
                 origins.append(None)
-                node_masks.append(mask)
     tree.nodes = nodes = dict(zip(labels, range(len(labels))))
     if len(nodes) != len(labels):
         raise RuntimeError("unfolding repeats a label")
-    tree.sides.update({"A": a_side, "B": b_side, None: inferred})  # no theory symbols
     root_premises.append(tree.add(diseq_label, (), side.value))
     tree.root_index = tree.add(false, tuple(root_premises))
+    heads: dict[str, int] = {}  # per head, the sides whose leaves hold it
+    vertices = graph.vertices
+    for t in reversed(vertices):
+        mark = bits[t.id]
+        if mark:
+            heads[t.head] = heads.get(t.head, 0) | mark
+            for a in t.args:
+                bits[a.id] |= mark
+    for t in vertices:
+        fit = heads.get(t.head, 0)
+        for a in t.args:
+            fit &= bits[a.id]
+        bits[t.id] = fit
+    tree.fits = [bits[s.id] & bits[t.id] for s, t in (label.args for label in labels[:-2])]
+    tree.fits += (bits[lhs.id] & bits[rhs.id], 3)
     return tree
 
 

@@ -345,9 +345,6 @@ def format_conjunction(conj: HornConjunction) -> str:
     return "(and " + " ".join(format_clause(c) for c in conj.clauses) + ")"
 
 
-_FALSE_ATOMS = ("false", "false'")  # the primed relay constant denotes falsity
-
-
 def _conclusion(reader: Reader, i: int) -> Literal:
     lit, _ = reader.literal(i, None)
     if not lit.equal and lit.trivial:
@@ -359,7 +356,7 @@ def _clause(reader: Reader, i: int) -> HornClause | None:
     """The clause at token ``i``: false, a literal, or (=> (and eq*) conclusion)."""
     toks = reader.toks
     if toks[i] != "(":
-        if toks[i] in _FALSE_ATOMS:
+        if toks[i] == "false":
             return HornClause.make((), None)
         raise reader.error(f"unexpected atom {toks[i]!r} in formula", i)
     head = toks[i + 1]
@@ -379,7 +376,7 @@ def _clause(reader: Reader, i: int) -> HornClause | None:
                 raise reader.error("premises must be equalities", start)
             premises.append(lit)
         concl = reader.skip(body)
-        if toks[concl] in _FALSE_ATOMS:
+        if toks[concl] == "false":
             return HornClause.make(premises, None)
         return HornClause.make(premises, _conclusion(reader, concl))
     raise reader.error(f"unexpected clause head {head!r}", i)

@@ -44,12 +44,12 @@ from eufinterp.core import (
     parse_problem,
 )
 from eufinterp.game import (
+    LOGICAL_TOKENS,
     InterpolationRun,
     InvalidCutError,
     NonLocalProofError,
     ProofError,
     ProofTree,
-    SymbolMasks,
     format_game_interpolant,
     game_interpolant,
     local_cut,
@@ -601,9 +601,6 @@ def reference_parse_problem(text: str) -> ProblemInstance:
     return ProblemInstance(table, symbols, tuple(sets[Side.A]), tuple(sets[Side.B]))
 
 
-_FALSE_ATOMS = ("false", "false'")
-
-
 def _reference_conclusion(sx, table: TermTable, symbols: SymbolTable) -> Literal:
     lit = reference_literal(sx, table, symbols, None)
     if not lit.equal and lit.trivial:
@@ -613,7 +610,7 @@ def _reference_conclusion(sx, table: TermTable, symbols: SymbolTable) -> Literal
 
 def _reference_clause(sx, table: TermTable, symbols: SymbolTable) -> HornClause | None:
     if isinstance(sx, SAtom):
-        if sx.text in _FALSE_ATOMS:
+        if sx.text == "false":
             return HornClause.make((), None)
         raise ParseError(f"unexpected atom {sx.text!r} in formula", sx.line, sx.col)
     head = head_of(sx)
@@ -633,7 +630,7 @@ def _reference_clause(sx, table: TermTable, symbols: SymbolTable) -> HornClause 
             if not lit.equal:
                 raise ParseError("premises must be equalities", item.line, item.col)
             premises.append(lit)
-        if isinstance(concl, SAtom) and concl.text in _FALSE_ATOMS:
+        if isinstance(concl, SAtom) and concl.text == "false":
             return HornClause.make(premises, None)
         return HornClause.make(premises, _reference_conclusion(concl, table, symbols))
     raise ParseError(f"unexpected clause head {head!r}", sx.line, sx.col)
@@ -875,18 +872,88 @@ def data_dir() -> Path:
 
 
 # Signature predicates and the premise order of a ``ProofTree``.  The library
-# reads fits per node through ``tree.fits``; the tests ask them of any label.
+# reads fits per node through ``tree.fits``; the tests ask them of any label,
+# from free symbols scanned as frozensets of names.
+
+
+def reference_free_symbols(term, frees: dict) -> frozenset:
+    """Non-logical symbols of ``term`` from its arguments' entries in ``frees``.
+
+    ``(forall v BODY)`` and ``(exists v BODY)`` bind ``v``.
+    """
+    head, args = term.head, term.args
+    if head in ("forall", "exists") and len(args) == 2 and not args[0].args:
+        return frees[args[1]] - {args[0].head}
+    own = frozenset() if head in LOGICAL_TOKENS else frozenset((head,))
+    return own.union(*(frees[a] for a in args))
+
+
+def all_heads(term, memo: dict) -> frozenset:
+    """Every head in ``term``, memoized per subterm; no recursion."""
+    hit = memo.get(term)
+    if hit is not None:
+        return hit
+    stack = [term]
+    while stack:
+        t = stack[-1]
+        pending = [a for a in t.args if a not in memo]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        memo[t] = frozenset((t.head,)).union(*(memo[a] for a in t.args))
+    return memo[term]
+
+
+_FREES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def reference_frees(table: TermTable) -> dict:
+    """Free symbols of every term of ``table`` as frozensets of names, kept
+    per table and extended as it grows.
+
+    An EUF bridge's ``(= s t)`` label takes the graph's terms, which belong
+    to another table, as arguments: every head of ``s`` and ``t`` counts as
+    a symbol, also one spelled like a logical token.  Every other term is
+    scanned by ``reference_free_symbols``, in id order.
+    """
+    frees, heads = _FREES.setdefault(table, ({}, {}))
+    for term in table.terms[len(frees):]:
+        if all(a in frees for a in term.args):
+            frees[term] = reference_free_symbols(term, frees)
+        else:
+            frees[term] = frozenset().union(*(all_heads(a, heads) for a in term.args))
+    return frees
+
+
+_SIGNATURES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def signatures(tree: ProofTree) -> tuple[dict, frozenset, frozenset]:
+    """``(frees, A's signature, B's)``: a side's signature is the theory
+    symbols and the free symbols of its leaves.  Kept per tree until it
+    grows."""
+    kept = _SIGNATURES.get(tree)
+    if kept is None or kept[0] != len(tree.labels):
+        frees = reference_frees(tree.table)
+        sides = {"A": set(tree.theory_symbols), "B": set(tree.theory_symbols)}
+        for label, origin in zip(tree.labels, tree.origins):
+            if origin in sides:
+                sides[origin] |= frees[label]
+        kept = len(tree.labels), frees, frozenset(sides["A"]), frozenset(sides["B"])
+        _SIGNATURES[tree] = kept
+    return kept[1:]
 
 
 def sigma(tree: ProofTree, side: str) -> frozenset[str]:
     """The symbols of ``side``'s leaves, theory symbols excluded."""
-    return tree.symbols.decode(tree.sides[side]) - tree.theory_symbols
+    return signatures(tree)[1 if side == "A" else 2] - tree.theory_symbols
 
 
 def label_fit(tree: ProofTree, label: Term) -> int:
     """Bit 1: ``label`` fits A's signature; bit 2: B's."""
-    mask, a, b = tree.symbols.masks[label.id], tree.sides["A"], tree.sides["B"]
-    return (mask & a == mask) | (mask & b == mask) << 1
+    frees, a, b = signatures(tree)
+    return (frees[label] <= a) | (frees[label] <= b) << 1
 
 
 _BELOW: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -1319,31 +1386,27 @@ def bridge_run(
 
 
 class LabelKeyedTree:
-    """A proof collapsed to one ``LabelNode`` per label, with symbol masks."""
+    """A proof collapsed to one ``LabelNode`` per label, with its labels'
+    free symbols and the two side signatures as frozensets."""
 
-    def __init__(self, theory_symbols, nodes: dict, root: Term, table, symbols=None):
+    def __init__(self, theory_symbols, nodes: dict, root: Term, table):
         self.theory_symbols = theory_symbols
         self.nodes = nodes
         self.root = root
         self.table = table
-        self.symbols = symbols = SymbolMasks() if symbols is None else symbols
-        symbols.cover(table)
-        masks = symbols.masks
-        theory = 0
-        for name in theory_symbols:
-            theory |= symbols.bit(name)
-        a_symbols = b_symbols = theory
+        self._frees = frees = reference_frees(table)
+        a_symbols, b_symbols = set(theory_symbols), set(theory_symbols)
         for node in nodes.values():
             if node.origin == "A":
-                a_symbols |= masks[node.formula.id]
+                a_symbols |= frees[node.formula]
             elif node.origin == "B":
-                b_symbols |= masks[node.formula.id]
+                b_symbols |= frees[node.formula]
         self._a_symbols, self._b_symbols = a_symbols, b_symbols
         self._reach = None
 
     def _fit(self, label: Term) -> int:
-        mask = self.symbols.masks[label.id]
-        return (mask & self._a_symbols == mask) | (mask & self._b_symbols == mask) << 1
+        free = self._frees[label]
+        return (free <= self._a_symbols) | (free <= self._b_symbols) << 1
 
     def a_colorable(self, label: Term) -> bool:
         return self._fit(label) & 1 == 1
@@ -1386,33 +1449,20 @@ class LabelKeyedTree:
 
 
 def reference_unfold(colored: ColoredGraph, refuted: Literal, side: Side) -> ProofTree:
-    """The unfolding through ``keyed``/``step`` closures, a ``Term``-keyed
-    vertex mask map and a per-node ``nodes`` probe and ``sides`` update.
+    """The unfolding through ``keyed``/``step`` closures and a per-node
+    ``nodes`` probe, with fits from the frozenset scan of ``label_fit``.
     ``unfold_refutation``'s flat pass must give the same tree, array for
     array."""
     graph = colored.graph
     table = TermTable()
     tree = ProofTree(frozenset(), table)
-    symbols, nodes, labels, sides = tree.symbols, tree.nodes, tree.labels, tree.sides
-    premises_of, origins, node_masks = tree.premises, tree.origins, tree.masks
-    bits, masks = symbols.bits, symbols.masks
-    vertex_masks: dict[Term, int] = {}
-    for t in graph.vertices:
-        mask = bits.get(t.head)
-        if mask is None:
-            mask = bits[t.head] = 1 << len(bits)
-        for a in t.args:
-            mask |= vertex_masks[a]
-        vertex_masks[t] = mask
+    nodes, labels, premises_of, origins = tree.nodes, tree.labels, tree.premises, tree.origins
     done_at: dict = {}  # edge seq or path key -> node of its step
 
     def eq_label(u: Term, v: Term) -> Term:
         if v.id < u.id:
             u, v = v, u
-        label = table.make("=", (u, v))
-        if label.id == len(masks):
-            masks.append(vertex_masks[u] | vertex_masks[v])
-        return label
+        return table.make("=", (u, v))
 
     def keyed(item: Edge | GraphPath | tuple) -> tuple:
         if isinstance(item, Edge):
@@ -1445,7 +1495,6 @@ def reference_unfold(colored: ColoredGraph, refuted: Literal, side: Side) -> Pro
 
     diseq_label = table.make("not", (eq_label(refuted.lhs, refuted.rhs),))
     false = table.make("false")
-    symbols.cover(table)  # before eq_label appends masks by id again
     root_premises: list[int] = []
     if not refuted.trivial:
         key, item = keyed(graph.path(refuted.lhs, refuted.rhs))
@@ -1482,32 +1531,27 @@ def reference_unfold(colored: ColoredGraph, refuted: Literal, side: Side) -> Pro
                 labels.append(label)
                 premises_of.append(premises)
                 origins.append(origin)
-                mask = masks[label.id]
-                node_masks.append(mask)
-                sides[origin] |= mask
             done_at[key] = done
             if stack:
                 stack[-1][4].append(done)
         root_premises.append(done)
     root_premises.append(tree.add(diseq_label, (), side.value))
     tree.root_index = tree.add(false, tuple(root_premises))
+    tree.fits = [label_fit(tree, label) for label in labels]
     return tree
 
 
 def unfold_record(tree: ProofTree) -> tuple:
     """Everything an unfolding fixes, comparable across two unfoldings of one
     graph: the table's terms in id order, by head and argument ids; the label
-    ids, premises, origins and masks; ``sides``; the symbol bits and masks;
-    ``nodes`` in insertion order; the root and relay."""
+    ids, premises, origins and fits; ``nodes`` in insertion order; the root
+    and relay."""
     return (
         [(t.id, t.head, tuple(a.id for a in t.args)) for t in tree.table.terms],
         [label.id for label in tree.labels],
         tree.premises,
         tree.origins,
-        tree.masks,
-        list(tree.sides.items()),
-        list(tree.symbols.bits.items()),
-        tree.symbols.masks,
+        tree.fits,
         [(label.id, i) for label, i in tree.nodes.items()],
         tree.root_index,
         tree.relay_index,
@@ -1517,14 +1561,6 @@ def unfold_record(tree: ProofTree) -> tuple:
 def label_keyed_unfold(colored, refuted: Literal, side: Side) -> LabelKeyedTree:
     """Unfold a colored graph into a ``LabelNode`` dict, as the bridge did."""
     graph = colored.graph
-    symbols = SymbolMasks()
-    bits, masks = symbols.bits, symbols.masks
-    vertex_masks: dict = {}
-    for t in graph.vertices:
-        mask = bits.get(t.head) or symbols.bit(t.head)
-        for a in t.args:
-            mask |= vertex_masks[a]
-        vertex_masks[t] = mask
     table = TermTable()
     nodes: dict = {}
     labels: dict = {}  # edge seq or path key -> label of its step
@@ -1532,10 +1568,7 @@ def label_keyed_unfold(colored, refuted: Literal, side: Side) -> LabelKeyedTree:
     def eq_label(u: Term, v: Term) -> Term:
         if v.id < u.id:
             u, v = v, u
-        label = table.make("=", (u, v))
-        if label.id == len(masks):
-            masks.append(vertex_masks[u] | vertex_masks[v])
-        return label
+        return table.make("=", (u, v))
 
     def add(label: Term, premises: tuple = (), origin=None) -> Term:
         if label not in nodes:
@@ -1592,14 +1625,13 @@ def label_keyed_unfold(colored, refuted: Literal, side: Side) -> LabelKeyedTree:
         return done
 
     diseq_label = table.make("not", (eq_label(refuted.lhs, refuted.rhs),))
-    symbols.cover(table)  # before eq_label appends masks by id again
     root_premises: list = []
     if not refuted.trivial:
         root_premises.append(unfold(graph.path(refuted.lhs, refuted.rhs)))
     add(diseq_label, origin=side.value)
     root_premises.append(diseq_label)
     false = add(table.make("false"), tuple(root_premises))
-    return LabelKeyedTree(frozenset(), nodes, false, table, symbols)
+    return LabelKeyedTree(frozenset(), nodes, false, table)
 
 
 def label_keyed_first_nonlocal_step(tree: LabelKeyedTree):
@@ -1630,7 +1662,7 @@ def label_keyed_normalize_root(tree: LabelKeyedTree) -> LabelKeyedTree:
         else:
             nodes[label] = node
     nodes[root] = LabelNode(root, (relay,), None)
-    return LabelKeyedTree(tree.theory_symbols, nodes, root, tree.table, tree.symbols)
+    return LabelKeyedTree(tree.theory_symbols, nodes, root, tree.table)
 
 
 # The cut and the run over the proof's tree of occurrences: the game's
@@ -1745,21 +1777,22 @@ def occurrence_run(nodes: dict, fit, t_a, t_b) -> tuple:
 
 def tree_from_nodes(theory, nodes: dict, root: Term, table: TermTable) -> ProofTree:
     """An index-array ``ProofTree`` holding a ``{label: LabelNode}`` dict's
-    nodes in order; ``ProofTree.add`` refuses the first node with a premise
-    that comes later."""
+    nodes in order, with fits from ``label_fit``; ``ProofTree.add`` refuses
+    the first node with a premise that comes later."""
     tree = ProofTree(theory, table)
     order = {label: i for i, label in enumerate(nodes)}
     for label, node in nodes.items():
         tree.add(label, tuple(order[p] for p in node.premises), node.origin)
     tree.root_index = order[root]
+    tree.fits = [label_fit(tree, label) for label in tree.labels]
     return tree
 
 
 def uncut_copy(tree: ProofTree) -> ProofTree:
     """A tree sharing ``tree``'s arrays but none of what its cut kept, so
     ``run_from_cut`` walks every piece itself."""
-    copy = ProofTree(tree.theory_symbols, tree.table, tree.symbols)
-    for name in ("labels", "premises", "origins", "masks", "nodes", "sides"):
+    copy = ProofTree(tree.theory_symbols, tree.table)
+    for name in ("labels", "premises", "origins", "fits", "nodes"):
         setattr(copy, name, getattr(tree, name))
     copy.root_index, copy.relay_index = tree.root_index, tree.relay_index
     return copy

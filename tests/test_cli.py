@@ -275,6 +275,19 @@ def test_verify_accepts_and_rejects(capsys, tmp_path):
     assert lines[-1]["failures"]
 
 
+def test_verify_reads_no_primed_false(capsys, tmp_path):
+    # Only false denotes falsity in an interpolant: the relay's name false'
+    # is no atom of the formula grammar, as a clause or as a conclusion.
+    for text, message in [
+        ("(and false')", "1:6: unexpected atom \"false'\" in formula"),
+        ("(and (=> (and (= u0 v0)) false'))", "1:26: expected a literal"),
+    ]:
+        path = tmp_path / "primed.itp"
+        path.write_text(text + "\n")
+        code, out, err = run_cli(capsys, "verify", data("horn_min.euf"), str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n"), text
+
+
 def test_closure_lists_components_and_edges(capsys):
     code, out, _ = run_cli(capsys, "closure", data("ladder2.euf"))
     assert code == 0

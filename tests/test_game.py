@@ -5,6 +5,7 @@ from functools import partial
 
 import pytest
 
+from eufinterp import game
 from eufinterp.cli import main
 from eufinterp.coloring import ColoredGraph, Strategy
 from eufinterp.congruence import CongruenceGraph, Edge
@@ -58,6 +59,7 @@ from conftest import (
     reach,
     reference_format_formula,
     reference_formula,
+    reference_frees,
     reference_read_sexprs,
     reference_unfold,
     sigma,
@@ -132,41 +134,14 @@ class Reach:
         return phi in self.strictly_below(psi)
 
 
-def reference_free_symbols(term, frees: dict) -> frozenset:
-    """Non-logical symbols of ``term`` from its arguments' entries in ``frees``.
-
-    ``(forall v BODY)`` and ``(exists v BODY)`` bind ``v``.
-    """
-    head, args = term.head, term.args
-    if head in ("forall", "exists") and len(args) == 2 and not args[0].args:
-        return frees[args[1]] - {args[0].head}
-    own = frozenset() if head in LOGICAL_TOKENS else frozenset((head,))
-    return own.union(*(frees[a] for a in args))
-
-
-def reference_frees(table: TermTable, bridged: bool = False) -> dict:
-    """Free symbols of every term of ``table`` as frozensets of names.
-
-    In the table of an EUF bridge, an ``(= s t)`` label takes every head of
-    ``s`` and ``t`` as a symbol.  Every other term is scanned by
-    ``reference_free_symbols``, in id order.
-    """
-
-    def heads(term) -> frozenset:
-        out, stack = set(), [term]
-        while stack:
-            t = stack.pop()
-            out.add(t.head)
-            stack.extend(t.args)
-        return frozenset(out)
-
-    frees: dict = {}
-    for term in table:
-        if bridged and term.head == "=":
-            frees[term] = heads(term.args[0]) | heads(term.args[1])
-        else:
-            frees[term] = reference_free_symbols(term, frees)
-    return frees
+def symbol_scan(table: TermTable) -> dict:
+    """``parse_proof``'s free-symbol masks of ``table``'s terms, decoded."""
+    bits: dict = {}
+    masks = game._symbol_masks(table, bits)
+    return {
+        term: frozenset(name for name, bit in bits.items() if masks[term.id] & bit)
+        for term in table
+    }
 
 
 def check_cut(tree, t_a, t_b) -> bool:
@@ -696,8 +671,7 @@ class TestParseProof:
             formula(table, text)
             for text in (RULE, "(forall x (s x))", "(or (r b) (q (f a) a))")
         )
-        symbols = ProofTree(frozenset(), table).symbols
-        frees = {t: symbols.decode(symbols.masks[t.id]) for t in table}
+        frees = symbol_scan(table)
         assert frees[rule] == {"r", "t", "f"}
         assert frees[forall_s] == {"s"}
         assert frees[disjunction] == {
@@ -914,29 +888,30 @@ class TestColoringCut:
                 assert {phi for phi in labels if precedes(tree, phi, psi)} == below
 
     def test_symbol_masks_and_fits_match_the_frozenset_scan(self):
+        # Each node's fit: its label's free symbols against the theory symbols
+        # and the symbols of its side's leaves.  A parsed proof's symbol masks
+        # decode to the free symbols of every term of its table.
         relays = 0
         for key, tree, bridged in sample_trees():
-            frees = reference_frees(tree.table, bridged)
-            symbols = tree.symbols
-            assert len(symbols.masks) == len(tree.table), key
-            for term in tree.table:
-                assert symbols.decode(symbols.masks[term.id]) == frees[term], (key, term)
-            sigma_a, sigma_b = (
+            frees = reference_frees(tree.table)
+            if not bridged:
+                assert symbol_scan(tree.table) == frees, key
+            a_sig, b_sig = (
                 frozenset().union(
                     *(frees[n.formula] for n in label_nodes(tree).values() if n.origin == side)
                 )
-                - tree.theory_symbols
+                | tree.theory_symbols
                 for side in ("A", "B")
             )
-            assert (sigma(tree, "A"), sigma(tree, "B")) == (sigma_a, sigma_b), key
-            for label in tree.table:
-                fits_a = frees[label] <= tree.theory_symbols | sigma_a
-                fits_b = frees[label] <= tree.theory_symbols | sigma_b
-                assert label_fit(tree, label) == fits_a | fits_b << 1, (key, label)
-            assert tree.fits == [label_fit(tree, label) for label in tree.labels], key
+            want = [
+                (frees[label] <= a_sig) | (frees[label] <= b_sig) << 1
+                for label in tree.labels
+            ]
+            assert tree.fits == want, key
+            assert [label_fit(tree, label) for label in tree.labels] == want, key
             root_premises = label_nodes(tree)[tree.root].premises
             relays += any("false'" in format_term(p) for p in root_premises)
-        # A relay extends the masks its tree shares with the unnormalized one.
+        # Normalized trees with a relay are among them.
         assert relays >= 10
 
 

@@ -341,3 +341,78 @@ def test_the_cut_keeps_no_below_masks():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def node_name(node: ast.AST) -> str | None:
+    """The name a definition, attribute, variable, argument or string names."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.arg):
+        return node.arg
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def symbol_level_state(source: str) -> set[str]:
+    """Symbol-level state of proof trees in ``source``: ``masks``, ``sides``
+    or ``symbols`` named in ``ProofTree``; a ``.masks`` or ``.sides``
+    attribute, or one of the three copied by name, anywhere; a shift in
+    ``unfold_refutation``; the free-symbol scan used outside ``parse_proof``.
+    """
+    names, scans = {"masks", "sides", "symbols"}, {"SymbolMasks", "_symbol_masks"}
+    module = ast.parse(source)
+    in_parse_proof: set[int] = set()
+    found: set[str] = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.ClassDef) and node.name == "ProofTree":
+            found |= {f"ProofTree {n}" for n in map(node_name, ast.walk(node)) if n in names}
+        elif isinstance(node, ast.FunctionDef) and node.name == "unfold_refutation":
+            if any(isinstance(n, (ast.LShift, ast.RShift)) for n in ast.walk(node)):
+                found.add("unfold_refutation shifts")
+        elif isinstance(node, ast.FunctionDef) and node.name == "parse_proof":
+            in_parse_proof |= {id(n) for n in ast.walk(node)}
+    for node in ast.walk(module):
+        name = node_name(node)
+        if isinstance(node, ast.Attribute) and name in ("masks", "sides"):
+            found.add(f".{name}")
+        elif isinstance(node, ast.Constant) and name in names:
+            found.add(repr(name))
+        elif name in scans and not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if id(node) not in in_parse_proof:
+                found.add(name)
+    return found
+
+
+def test_proof_trees_hold_fits_and_no_symbol_masks():
+    # A proof tree holds one 2-bit fit per node.  The EUF unfolding reads fits
+    # off its terms' colorability, and only parse_proof, whose formulas bind
+    # variables, scans free symbols.
+    snippet = (
+        "class ProofTree:\n"
+        "    def __init__(self, symbols):\n"
+        "        self.fits = symbols\n"
+        "def unfold_refutation(vertices):\n"
+        "    return [1 << t.id for t in vertices]\n"
+        "def parse_proof(table):\n"
+        "    return _symbol_masks(table, {})\n"
+        "def normalize_root(tree, fixed):\n"
+        "    setattr(fixed, 'symbols', tree.masks)\n"
+        "scan = _symbol_masks\n"
+        "class SymbolMasks:\n"
+        "    pass\n"
+    )
+    assert symbol_level_state(snippet) == {
+        "ProofTree symbols", "unfold_refutation shifts", "'symbols'", ".masks", "_symbol_masks",
+    }
+    found = {
+        path.name: symbol_level_state(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: names for name, names in found.items() if names} == {}
+    game_source = (PACKAGE / "game.py").read_text(encoding="utf-8")
+    assert "_symbol_masks(" in game_source and "SymbolMasks" not in game_source
