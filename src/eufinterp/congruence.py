@@ -14,25 +14,20 @@ the lowest common ancestor, so it costs O(|path|).  A :class:`Path` is a
 vertex tuple and an edge tuple, ``edges[i]`` joining ``vertices[i]`` and
 ``vertices[i + 1]``, so slicing out a subpath is two tuple slices.
 
-The partition is one member list per class, keyed by a class handle, a map
-from each term id to its class's handle, and a map from each handle to the
-class's label, its smallest id; ``find`` returns the label.  A merge is by
-size (Downey, Sethi & Tarjan, JACM 1980): the class with fewer members is
-relabelled into the other, which keeps its handle, and on a tie the class
-with the smaller label is kept.  The kept label becomes the smaller of the
-two, in O(1).  So a term is relabelled O(log n) times, and the closure's
-rescan of the applications over the moved class costs the same.  Signatures
-are tuples of handles: only the moved class changes handle, so only the
-applications over it change signature.  The merge loop reads and writes the
-graph's maps directly, with no method call per merge beyond the reroot walk
-and the relabelling, which :meth:`CongruenceGraph.split_edge` shares.
+Per-vertex state is kept in lists indexed by the table's dense term ids:
+``_rep`` holds the class handle (-1 off the vertex set), ``_up`` the forest
+link, and ``_label``, indexed by handle, the class's smallest id, which
+``find`` returns.  A handle is the id of the term its class started from;
+``classes`` maps it to the members in merge order.  A merge is by size
+(Downey, Sethi & Tarjan, JACM 1980): the class with fewer members, or on a
+tie the larger label, is relabelled into the other.  So a term is relabelled
+O(log n) times, and so is the closure's rescan of the applications over it,
+whose signatures are tuples of handles.  The merge loop relabels inline.
 
-Colorability repair replaces an edge by a two-edge path through a split
-vertex with ``split_edge``, which never changes the partition of the existing
-vertices.  ``edges`` is a dict in creation order, so the replaced edge leaves
-it in O(1) and the order stays that of the sequence numbers.  Edges and paths
-are slotted records: edges hash and compare by identity, paths by their
-fields.
+Repair replaces an edge by a two-edge path through a split vertex with
+``split_edge``, which never changes the partition of the existing vertices.
+``edges`` is a dict in creation order, so the replaced edge leaves it in
+O(1).  Edges hash and compare by identity, paths by their fields.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import Literal, Side, Term
 
@@ -114,63 +109,44 @@ class NotConnectedError(ValueError):
 
 
 class CongruenceGraph:
-    """Mutable while a closure or repair runs, then used read-only."""
+    """Built by :func:`close`; mutable while a repair runs, then read-only."""
 
-    def __init__(self, vertices: Iterable[Term]):
-        self.vertices: list[Term] = sorted(vertices, key=attrgetter("id"))
+    def __init__(self, size: int = 0):
+        # The vertices in id order, then the repair vertices as added.
+        self.vertices: list[Term] = []
         # The edges in creation order; a dict, so a split removes one in O(1).
         self.edges: dict[Edge, None] = {}
-        # Proof forest: vertex -> (edge to its parent, parent); None at a root.
-        self._up: dict[Term, tuple[Edge, Term] | None] = dict.fromkeys(self.vertices)
-        # The partition: term id -> class handle, handle -> the class's
-        # members in merge order, and handle -> label, the smallest member id.
-        # A class's handle is the id of the term it started from.
-        self._rep: dict[int, int] = {t.id: t.id for t in self.vertices}
-        self.classes: dict[int, list[Term]] = {t.id: [t] for t in self.vertices}
-        self._label: dict[int, int] = dict(self._rep)
+        # Class handle -> the class's members in merge order.
+        self.classes: dict[int, list[Term]] = {}
+        # By id: class handle or -1, label (at handles), and forest link
+        # (edge to the parent, parent), None at a root.  A split grows them.
+        self._rep: list[int] = [-1] * size
+        self._label: list[int] = [-1] * size
+        self._up: list[tuple[Edge, Term] | None] = [None] * size
         self._next_seq = 0
+        self.moved = 0  # members relabelled by the closure's merges
 
     def clone(self) -> "CongruenceGraph":
-        g = CongruenceGraph.__new__(CongruenceGraph)
-        g.vertices = list(self.vertices)
-        g.edges = dict(self.edges)
-        g._up = dict(self._up)
-        g._rep = dict(self._rep)
-        g.classes = {rep: list(members) for rep, members in self.classes.items()}
-        g._label = dict(self._label)
-        g._next_seq = self._next_seq
+        g = CongruenceGraph()
+        g.vertices = self.vertices.copy()
+        g.edges = self.edges.copy()
+        g.classes = {rep: members.copy() for rep, members in self.classes.items()}
+        g._rep, g._label, g._up = self._rep.copy(), self._label.copy(), self._up.copy()
+        g._next_seq, g.moved = self._next_seq, self.moved
         return g
 
     def __contains__(self, t: Term) -> bool:
-        return t.id in self._rep
+        return t.id < len(self._rep) and self._rep[t.id] >= 0
 
     def find(self, tid: int) -> int:
-        """The smallest id in the class of ``tid``."""
-        return self._label[self._rep[tid]]
+        """The smallest id in the class of ``tid``; LookupError off the vertices."""
+        rep = self._rep
+        if tid < len(rep) and rep[tid] >= 0:
+            return self._label[rep[tid]]
+        raise LookupError(f"term id {tid} is not a vertex")
 
     def connected(self, s: Term, t: Term) -> bool:
-        return self._rep[s.id] == self._rep[t.id]
-
-    def _join(self, ra: int, rb: int) -> tuple[int, list[Term]]:
-        """Merge the classes of handles ``ra`` and ``rb`` by size.
-
-        The class with fewer members moves into the other; on a tie the one
-        with the smaller label stays.  Returns the kept handle and the moved
-        members.
-        """
-        classes, label = self.classes, self._label
-        kept, moved = classes[ra], classes[rb]
-        la, lb = label[ra], label[rb]
-        if len(kept) < len(moved) or (len(kept) == len(moved) and lb < la):
-            ra, rb, kept, moved, la, lb = rb, ra, moved, kept, lb, la
-        del classes[rb], label[rb]
-        if lb < la:
-            label[ra] = lb
-        rep = self._rep
-        for t in moved:
-            rep[t.id] = ra
-        kept.extend(moved)
-        return ra, moved
+        return self.find(s.id) == self.find(t.id)
 
     def _new_edge(self, u: Term, v: Term, parents: tuple[tuple[Term, Term], ...]) -> Edge:
         """A derived edge u--v with the next sequence number, added last."""
@@ -182,11 +158,11 @@ class CongruenceGraph:
     def _reroot(self, x: Term) -> None:
         """Make ``x`` the root of its tree by reversing its ancestor links."""
         up = self._up
-        link, up[x] = up[x], None
+        link, up[x.id] = up[x.id], None
         child = x
         while link is not None:
             edge, parent = link
-            link, up[parent] = up[parent], (edge, child)
+            link, up[parent.id] = up[parent.id], (edge, child)
             child = parent
 
     def split_edge(
@@ -206,23 +182,29 @@ class CongruenceGraph:
         up = self._up
         del self.edges[edge]
         # The forest stores the edge at its lower endpoint.
-        low = edge.u if up[edge.u] is not None and up[edge.u][0] is edge else edge.v
+        u_link = up[edge.u.id]
+        low = edge.u if u_link is not None and u_link[0] is edge else edge.v
         high = edge.other(low)
-        up[low] = None
+        up[low.id] = None
         if mid not in self:
+            rep, tid = self._rep, mid.id
+            if tid >= len(rep):
+                rep += [-1] * (tid + 1 - len(rep))
+                up += [None] * (tid + 1 - len(up))
+            # The edge's class has two members or more, so by size mid joins it.
+            handle = rep[tid] = rep[low.id]
+            self.classes[handle].append(mid)
+            self._label[handle] = min(self._label[handle], tid)
             self.vertices.append(mid)
-            self._rep[mid.id] = self._label[mid.id] = mid.id
-            self.classes[mid.id] = [mid]
-            self._join(self._rep[low.id], mid.id)
             first = self._new_edge(edge.u, mid, left)
             second = self._new_edge(mid, edge.v, right)
             below, above = (first, second) if low is edge.u else (second, first)
-            up[low] = (below, mid)
-            up[mid] = (above, high)
+            up[low.id] = (below, mid)
+            up[tid] = (above, high)
             return [first, second]
         x = mid
-        while x is not low and up[x] is not None:
-            x = up[x][1]
+        while x is not low and up[x.id] is not None:
+            x = up[x.id][1]
         below_low = x is low
         if below_low == (low is edge.u):
             new = self._new_edge(mid, edge.v, right)
@@ -230,9 +212,9 @@ class CongruenceGraph:
             new = self._new_edge(edge.u, mid, left)
         if below_low:
             self._reroot(mid)
-            up[mid] = (new, high)
+            up[mid.id] = (new, high)
         else:
-            up[low] = (new, mid)
+            up[low.id] = (new, mid)
         return [new]
 
     def components(self) -> list[list[Term]]:
@@ -245,8 +227,9 @@ class CongruenceGraph:
 
     def path(self, u: Term, v: Term) -> Path:
         rep = self._rep
-        ru, rv = rep.get(u.id), rep.get(v.id)
-        if ru is None or rv is None:
+        ru = rep[u.id] if u.id < len(rep) else -1
+        rv = rep[v.id] if v.id < len(rep) else -1
+        if ru < 0 or rv < 0:
             raise NotConnectedError(f"{u!r} or {v!r} is not a vertex")
         if u is v:
             return Path((u,), ())
@@ -260,7 +243,7 @@ class CongruenceGraph:
         x, y = u, v
         while True:
             if x is not None:
-                link = up[x]
+                link = up[x.id]
                 x = link[1] if link is not None else None
                 if x is not None:
                     at = on_fall.get(x)
@@ -271,7 +254,7 @@ class CongruenceGraph:
                     on_rise[x] = len(rise)
                     rise.append(x)
             if y is not None:
-                link = up[y]
+                link = up[y.id]
                 y = link[1] if link is not None else None
                 if y is not None:
                     at = on_rise.get(y)
@@ -284,7 +267,7 @@ class CongruenceGraph:
         # rise runs from u up to the ancestor, fall from v up to it.
         fall.pop()
         fall.reverse()
-        return Path(tuple(rise + fall), tuple([up[x][0] for x in rise[:-1] + fall]))
+        return Path(tuple(rise + fall), tuple([up[x.id][0] for x in rise[:-1] + fall]))
 
 
 def close(
@@ -300,62 +283,78 @@ def close(
 
     Each merge moves the smaller class and rescans only the applications over
     it, so a term moves, and its applications are rescanned, at most log2 n
-    times for n terms.
+    times for n terms.  The graph's ``moved`` counts the members moved.
 
-    One loop over the vertices in id order builds the use lists and initial
-    signatures and checks subterm closure: arguments are older than their
-    applications, so a missing use list is an argument outside the set.
-    Equality endpoints are checked against the graph's id map as queued.
+    One loop over the terms in id order fills the graph's lists, the use
+    lists and the signature table; a term given twice finds its slot filled.
+    Arguments are older than their applications, so an argument with no use
+    list yet is outside the set.  Equality endpoints are checked as queued.
     """
-    graph = CongruenceGraph(terms)
-    edges, up, rep, classes = graph.edges, graph._up, graph._rep, graph.classes
-    reroot, join = graph._reroot, graph._join
-
-    use: dict[int, list[Term]] = {}
+    terms = sorted(terms, key=attrgetter("id"))
+    size = terms[-1].id + 1 if terms else 0
+    graph = CongruenceGraph(size)
+    vertices, edges, classes = graph.vertices, graph.edges, graph.classes
+    rep, label, up, reroot = graph._rep, graph._label, graph._up, graph._reroot
+    use: list[list[Term] | None] = [None] * size
     sig_table: dict[tuple, Term] = {}
-    for t in graph.vertices:
-        use[t.id] = []
+    for t in terms:
+        tid = t.id
+        if rep[tid] >= 0:
+            continue
+        rep[tid] = label[tid] = tid
+        classes[tid] = [t]
+        vertices.append(t)
+        use[tid] = []
         if t.args:
-            for arg in dict.fromkeys(t.args):
-                apps = use.get(arg.id)
+            ids = []
+            for arg in t.args:
+                apps = use[arg.id] if arg.id < tid else None
                 if apps is None:
                     raise ClosureInputError(f"term set not subterm-closed at {t!r}")
                 apps.append(t)
-            # Before any merge every term represents its own class.
-            sig_table[(t.head, tuple([a.id for a in t.args]))] = t
+                ids.append(arg.id)
+            # Before any merge every term is its own class's handle.
+            sig_table[(t.head, tuple(ids))] = t
 
     # Pending merges (s, t, input literal or None for a congruence, side).
     pending = deque()
     for lit, side in equalities:
-        if lit.lhs.id not in rep or lit.rhs.id not in rep:
+        s, t = lit.lhs.id, lit.rhs.id
+        if s >= size or t >= size or rep[s] < 0 or rep[t] < 0:
             raise ClosureInputError(f"equality {lit!r} mentions a term outside T")
         pending.append((lit.lhs, lit.rhs, lit, side))
-    seq = 0
+    seq = moved = 0
     while pending:
         s, t, lit, side = pending.popleft()
-        rs, rt = rep[s.id], rep[t.id]
-        if rs == rt:
+        keep, gone = rep[s.id], rep[t.id]
+        if keep == gone:
             continue
-        if lit is None:
-            edge = Edge(s, t, seq, None, None, tuple(zip(s.args, t.args)))
-        else:
-            edge = Edge(s, t, seq, lit, side, None)
+        parents = tuple(zip(s.args, t.args)) if lit is None else None
+        edge = Edge(s, t, seq, lit, side, parents)
         seq += 1
         edges[edge] = None
+        kept, members = classes[keep], classes[gone]
+        n, m = len(kept), len(members)
         # Hang the smaller tree below the other endpoint.
-        low, high = (s, t) if len(classes[rs]) <= len(classes[rt]) else (t, s)
+        low, high = (s, t) if n <= m else (t, s)
         reroot(low)
-        up[low] = (edge, high)
-        keep, moved = join(rs, rt)
-        # Only applications over the moved class change signature; the
-        # others keep a signature whose pairs are connected or already queued.
-        # Rescan them in the order a pass over the merged class sorted by id
-        # would first reach them: by smallest argument in the class, then id.
-        # Arguments are older than their applications, so that id is smaller
-        # than the application's.
+        up[low.id] = (edge, high)
+        # The class with fewer members moves; on a tie the larger label does.
+        if n < m or n == m and label[gone] < label[keep]:
+            keep, gone, kept, members, m = gone, keep, members, kept, n
+        del classes[gone]
+        if label[gone] < label[keep]:
+            label[keep] = label[gone]
+        for member in members:
+            rep[member.id] = keep
+        kept += members
+        moved += m
+        # Only applications over the moved class change signature.  Rescan
+        # them as a pass over the merged class in id order first reaches
+        # them: by smallest argument in the class (older than the app), then id.
         rescan = []
         seen = set()
-        for member in moved:
+        for member in members:
             for app in use[member.id]:
                 aid = app.id
                 if aid in seen:
@@ -376,7 +375,7 @@ def close(
                 sig_table[sig] = app
             elif rep[app.id] != rep[known.id]:
                 pending.append((app, known, None, None))
-    graph._next_seq = seq
+    graph._next_seq, graph.moved = seq, moved
     return graph
 
 

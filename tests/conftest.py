@@ -113,6 +113,39 @@ def alternating_proof(steps: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def graph_record(graph: CongruenceGraph) -> tuple:
+    """Everything a closure or repair decides, as plain values: the edges in
+    order by their fields, the vertex list, each vertex's forest link by edge
+    seq, its class handle and its label, the classes with member order, the
+    next seq and the members moved."""
+    edges = [(e.u, e.v, e.seq, e.origin, e.side, e.parents) for e in graph.edges]
+    per_vertex = []
+    for t in graph.vertices:
+        link = graph._up[t.id]
+        handle = graph._rep[t.id]
+        per_vertex.append(
+            (None if link is None else (link[0].seq, link[1].id), handle, graph._label[handle])
+        )
+    classes = {rep: [t.id for t in members] for rep, members in graph.classes.items()}
+    vertices = [t.id for t in graph.vertices]
+    return edges, vertices, per_vertex, classes, graph._next_seq, graph.moved
+
+
+def singleton_graph(terms: Iterable[Term]) -> CongruenceGraph:
+    """A graph over ``terms``, each in a class of its own, with no edges.
+
+    Built without ``close``: each term is kept once, in id order, and is its
+    own class's handle and label.
+    """
+    vertices = sorted({t.id: t for t in terms}.values(), key=lambda t: t.id)
+    graph = CongruenceGraph(vertices[-1].id + 1 if vertices else 0)
+    graph.vertices = vertices
+    for t in vertices:
+        graph._rep[t.id] = graph._label[t.id] = t.id
+        graph.classes[t.id] = [t]
+    return graph
+
+
 def _by_size(graph: CongruenceGraph, ra: int, rb: int) -> list[int]:
     """The handles ``ra`` and ``rb`` as [kept, moved]: the larger class is
     kept, and on a tie the one with the smaller label."""
@@ -143,16 +176,16 @@ def reference_add_edge(
     graph._next_seq += 1
     graph.edges[edge] = None
     low, high = (u, v) if len(classes[ru]) <= len(classes[rv]) else (v, u)
-    link, up[low] = up[low], None
+    link, up[low.id] = up[low.id], None
     child = low
     while link is not None:
         above, parent = link
-        link, up[parent] = up[parent], (above, child)
+        link, up[parent.id] = up[parent.id], (above, child)
         child = parent
-    up[low] = (edge, high)
+    up[low.id] = (edge, high)
     keep, absorbed = _by_size(graph, ru, rv)
     moved = classes.pop(absorbed)
-    label[keep] = min(label[keep], label.pop(absorbed))
+    label[keep] = min(label[keep], label[absorbed])
     for t in moved:
         rep[t.id] = keep
     classes[keep].extend(moved)
@@ -164,13 +197,15 @@ def reference_close(
 ) -> CongruenceGraph:
     """The closure's merge loop written with one graph method call per step.
 
-    Each merge goes through ``reference_add_edge`` and ``connected``, and
-    reads class handles off ``_rep``; signatures are tuples of handles.  The
-    rescan covers the applications over the moved class, the smaller one,
-    dedupes them in a dict and takes the smallest in-class argument with
-    ``min``.  Input checks are left to the closure under test.
+    Starts from ``singleton_graph``.  Each merge goes through
+    ``reference_add_edge`` and ``connected``, reads class handles off
+    ``_rep`` and adds the moved class's size to ``moved``; signatures are
+    tuples of handles.  The rescan covers the applications over the moved
+    class, the smaller one, dedupes them in a dict and takes the smallest
+    in-class argument with ``min``.  Input checks are left to the closure
+    under test.
     """
-    graph = CongruenceGraph(terms)
+    graph = singleton_graph(terms)
     use: dict[int, list[Term]] = {t.id: [] for t in graph.vertices}
     for t in graph.vertices:
         for arg in dict.fromkeys(t.args):
@@ -188,6 +223,7 @@ def reference_close(
             continue
         keep, absorbed = _by_size(graph, rs, rt)
         moved = graph.classes[absorbed]
+        graph.moved += len(moved)
         if lit is not None:
             reference_add_edge(graph, s, t, origin=lit, side=side)
         else:

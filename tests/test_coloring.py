@@ -27,6 +27,7 @@ from eufinterp.generate import generate
 from conftest import (
     coloring_outcome,
     expected_clauses,
+    graph_record,
     load_problem,
     reference_color,
     reference_factors,
@@ -75,18 +76,6 @@ def test_repair_keeps_colorable_graphs_unchanged():
     assert len(repaired.edges) == len(g.edges)
 
 
-def _graph_record(graph):
-    return (
-        list(graph.edges),
-        list(graph.vertices),
-        dict(graph._up),
-        {rep: list(members) for rep, members in graph.classes.items()},
-        dict(graph._rep),
-        dict(graph._label),
-        graph._next_seq,
-    )
-
-
 def _uncolorable(graph, symbols):
     return [e for e in graph.edges if edge_colorability(e.u, e.v, symbols) is Colorability.NONE]
 
@@ -94,20 +83,20 @@ def _uncolorable(graph, symbols):
 def test_repair_copies_the_graph_only_when_it_splits():
     p = load_problem("split_new_vertex.euf")
     g = _closed(p)
-    before = _graph_record(g)
+    before = graph_record(g)
     uncolorable = _uncolorable(g, p.symbols)
     repaired, added = make_colorable(g, p.symbols, p.table)
     assert uncolorable and added and repaired is not g
-    assert _graph_record(g) == before
+    assert graph_record(g) == before
     assert not any(e in repaired.edges for e in uncolorable)
 
     p = load_problem("ladder2.euf")
     g = _closed(p)
-    before = _graph_record(g)
+    before = graph_record(g)
     assert _uncolorable(g, p.symbols) == []
     repaired, added = make_colorable(g, p.symbols, p.table)
     assert repaired is g and added == []
-    assert _graph_record(g) == before
+    assert graph_record(g) == before
 
 
 def test_runs_are_factored_once_and_read_in_either_direction():

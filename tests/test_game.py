@@ -8,7 +8,7 @@ import pytest
 from eufinterp import game
 from eufinterp.cli import main
 from eufinterp.coloring import ColoredGraph, Strategy
-from eufinterp.congruence import CongruenceGraph, Edge
+from eufinterp.congruence import Edge
 from eufinterp.core import (
     Literal, Reader, Side, SymbolTable, TermTable, format_term, parse_problem,
 )
@@ -63,6 +63,7 @@ from conftest import (
     reference_read_sexprs,
     reference_unfold,
     sigma,
+    singleton_graph,
     tree_from_nodes,
     uncut_copy,
     unfold_record,
@@ -1320,8 +1321,8 @@ class TestBridge:
         # colored graph and the disequality ``refuted`` names the ends of.
         table = TermTable()
         vertex = {name: table.make(name) for name in "abc"}
-        graph = CongruenceGraph(vertex.values())
-        graph._rep = dict.fromkeys(graph._rep, vertex["a"].id)
+        graph = singleton_graph(vertex.values())
+        graph._rep = [vertex["a"].id] * len(graph._rep)
         made = []
         for seq, (u, v, parents) in enumerate(edges):
             u, v = vertex[u], vertex[v]
@@ -1333,7 +1334,7 @@ class TestBridge:
             graph.edges[edge] = None
             made.append(edge)
         for child, (index, parent) in links.items():
-            graph._up[vertex[child]] = (made[index], vertex[parent])
+            graph._up[vertex[child].id] = (made[index], vertex[parent])
         colors = {edge.seq: Side.A for edge in made}
         lhs, rhs = (vertex[name] for name in refuted)
         return ColoredGraph(graph, SymbolTable(table), colors), Literal(lhs, rhs, False)
