@@ -2,12 +2,13 @@
 
 This module deliberately avoids the proof-producing machinery: ``_Closure``
 is its own congruence closure over a fixed, subterm-closed term universe
-(representative array, member lists, use lists, signature table), so it is a
-genuinely separate code path and can arbitrate the main pipeline.  A merge
-relabels the smaller class and re-signs only the applications on that
-class's use list, and goes on an undo trail.  ``check_interpolant`` closes A
-once over A and every clause atom, then tests each clause by adding its
-premises and rolling them back.
+(representative array, member lists, use lists, all indexed by term id, and
+a signature table), so it is a genuinely separate code path and can
+arbitrate the main pipeline.  A merge relabels the smaller class and
+re-signs only the applications on that class's use list, and goes on an
+undo trail.  ``check_interpolant`` runs one closure over the problem's term
+table: it closes A and tests each clause by merging its premises and undoing
+them, then undoes A and saturates B with the clauses on the same closure.
 
 Horn-conjunction reasoning is plain forward chaining: in the theory of
 equality every atom is ground and entailment of a conjunction of atoms
@@ -20,32 +21,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .core import (
-    Literal,
-    ProblemInstance,
-    Term,
-    format_literal,
-    subterm_closure,
-)
+from .core import Literal, ProblemInstance, Term, format_literal, subterm_closure
 from .interpolate import HornConjunction
 
 
 class _Closure:
     """Congruence closure with an undo trail over a subterm-closed universe.
 
-    Terms get dense indices in term-id order.  ``rep[i]`` is the class
-    representative of term ``i``; for a representative ``r``, ``members[r]``
-    lists its class and ``uses[r]`` the applications with an argument in it.
-    The lists of an absorbed class stay as they were, which is what lets an
-    undo restore it.  ``signatures`` maps (head, argument representatives...)
-    to an application; an entry naming an absorbed class is stale until an
-    undo makes that class a representative again.
+    The universe is an id-ordered term list closed under taking arguments.
+    Every list is indexed by term id, up to the last term's; an id the
+    universe skips stays a singleton that nothing names.  ``rep[i]`` is the
+    class representative of term ``i``; for a representative ``r``,
+    ``members[r]`` lists its class and ``uses[r]`` the applications with an
+    argument in it.  The lists of an absorbed class stay as they were, which
+    is what lets an undo restore it.  ``signatures`` maps (head, argument
+    representatives...) to an application; an entry naming an absorbed class
+    is stale until an undo makes that class a representative again.
     """
 
-    def __init__(self, terms: Iterable[Term]):
-        self.terms = subterm_closure(terms)
-        self.index = {t.id: i for i, t in enumerate(self.terms)}
-        size = len(self.terms)
+    def __init__(self, terms: Sequence[Term]):
+        size = terms[-1].id + 1 if terms else 0
         self.rep = list(range(size))
         self.members = [[i] for i in range(size)]
         self.uses: list[list[int]] = [[] for _ in range(size)]
@@ -53,25 +48,22 @@ class _Closure:
         self.signatures: dict[tuple, int] = {}
         self.trail: list[tuple[int, int]] = []  # (kept, absorbed) per merge
         self.inserted: list[tuple] = []  # signature keys added by merges
-        for i, t in enumerate(self.terms):
+        uses, apps, signatures = self.uses, self.apps, self.signatures
+        for t in terms:
             if t.args:
-                args = tuple(self.index[a.id] for a in t.args)
-                self.apps[i] = (t.head, args)
+                args = tuple([a.id for a in t.args])
+                apps[t.id] = (t.head, args)
                 for a in dict.fromkeys(args):
-                    self.uses[a].append(i)
-                self.signatures[(t.head,) + args] = i
-
-    def pair(self, lit: Literal) -> tuple[int, int]:
-        return (self.index[lit.lhs.id], self.index[lit.rhs.id])
+                    uses[a].append(t.id)
+                signatures[(t.head, *args)] = t.id
 
     def refuted(self, diseqs: Iterable[tuple[int, int]]) -> bool:
-        rep = self.rep
-        return any(rep[a] == rep[b] for a, b in diseqs)
+        return any(self.rep[a] == self.rep[b] for a, b in diseqs)
 
     def merge(self, x: int, y: int) -> None:
         """Join the classes of x and y and everything congruence then joins."""
         rep, members, uses, apps = self.rep, self.members, self.uses, self.apps
-        signatures = self.signatures
+        signatures, at = self.signatures, rep.__getitem__
         pending = [(x, y)]
         while pending:
             x, y = pending.pop()
@@ -86,7 +78,7 @@ class _Closure:
             self.trail.append((kept, gone))
             for app in uses[gone]:
                 head, args = apps[app]
-                key = (head,) + tuple(rep[a] for a in args)
+                key = (head, *map(at, args))
                 other = signatures.get(key)
                 if other is None:
                     signatures[key] = app
@@ -112,13 +104,13 @@ class _Closure:
             del uses[kept][len(uses[kept]) - len(uses[gone]) :]
 
     def add(self, literals: Iterable[Literal]) -> list[tuple[int, int]]:
-        """Merge the equalities; return the disequalities as index pairs."""
+        """Merge the equalities; return the disequalities as id pairs."""
         diseqs = []
         for lit in literals:
             if lit.equal:
-                self.merge(*self.pair(lit))
+                self.merge(lit.lhs.id, lit.rhs.id)
             else:
-                diseqs.append(self.pair(lit))
+                diseqs.append((lit.lhs.id, lit.rhs.id))
         return diseqs
 
     def entails(self, diseqs: list[tuple[int, int]], phi: Literal | None) -> bool:
@@ -129,7 +121,7 @@ class _Closure:
         set.  A disequality's merge stays in place for the caller to undo.
         """
         if phi is not None:
-            a, b = self.pair(phi)
+            a, b = phi.lhs.id, phi.rhs.id
             if phi.equal:
                 if self.rep[a] == self.rep[b]:
                     return True
@@ -139,21 +131,17 @@ class _Closure:
 
 
 def _all_terms(literals: Iterable[Literal]) -> list[Term]:
-    out = []
-    for lit in literals:
-        out.append(lit.lhs)
-        out.append(lit.rhs)
-    return out
+    return [t for lit in literals for t in (lit.lhs, lit.rhs)]
 
 
 def literal_set_unsat(literals: Sequence[Literal]) -> bool:
-    closure = _Closure(_all_terms(literals))
+    closure = _Closure(subterm_closure(_all_terms(literals)))
     return closure.entails(closure.add(literals), None)
 
 
 def euf_entails(literals: Sequence[Literal], phi: Literal) -> bool:
     """Does the literal set entail phi in the theory of equality?"""
-    closure = _Closure(_all_terms(literals) + [phi.lhs, phi.rhs])
+    closure = _Closure(subterm_closure(_all_terms(literals) + [phi.lhs, phi.rhs]))
     return closure.entails(closure.add(literals), phi)
 
 
@@ -168,11 +156,15 @@ def unsat_with_horn(literals: Sequence[Literal], horn: HornConjunction) -> bool:
     absorbed by a merge.  Saturation is monotone, so the order of firing does
     not change the verdict: a refuted disequality or a fired false clause.
     """
-    closure = _Closure(_all_terms(literals) + _all_terms(horn.atoms()))
+    terms = subterm_closure(_all_terms(literals) + _all_terms(horn.atoms()))
+    return _saturate(_Closure(terms), literals, horn)
+
+
+def _saturate(closure: _Closure, literals: Iterable[Literal], horn: HornConjunction) -> bool:
+    """``unsat_with_horn`` on a closure that holds no merge yet."""
     diseqs = closure.add(literals)
     clauses = [
-        ([closure.pair(p) for p in clause.premises], clause.conclusion)
-        for clause in horn.clauses
+        ([(p.lhs.id, p.rhs.id) for p in c.premises], c.conclusion) for c in horn.clauses
     ]
     rep, trail = closure.rep, closure.trail
     fired = [False] * len(clauses)
@@ -212,16 +204,16 @@ class EntailmentReport:
         return self.shared_signature_ok and self.a_entails_i and self.b_i_unsat
 
 
-def _symbols_of(terms: Iterable[Term]) -> set[str]:
-    """Head symbols of the terms and all their subterms."""
-    seen: set[int] = set()
+def _heads(literals: Iterable[Literal]) -> set[str]:
+    """Head symbols of the literals' terms and all their subterms."""
+    seen: set[Term] = set()
     heads: set[str] = set()
-    stack = list(terms)
+    stack = _all_terms(literals)
     while stack:
         t = stack.pop()
-        if t.id not in seen:
-            seen.add(t.id)
-            heads.add(t.head)
+        heads.add(t.head)
+        if t.args and t not in seen:
+            seen.add(t)
             stack.extend(t.args)
     return heads
 
@@ -230,25 +222,33 @@ def check_interpolant(problem: ProblemInstance, horn: HornConjunction) -> Entail
     """Accept iff: atoms shared, A entails every clause, B plus the formula is unsat.
 
     The shared signature is read off the A and B literals' own terms, so the
-    check does not depend on the pipeline's symbol table.  A is closed once;
-    each clause's premises are merged on top and undone after its test.
+    check does not depend on the pipeline's symbol table.  The horn's atoms
+    must be terms of ``problem.table``; a ValueError names the first that is
+    not.  One closure over the whole table serves both entailment checks: A
+    is closed on it, each clause's premises are merged on top and undone
+    after its test, then A is undone and B saturated with the clauses.
     """
     failures: list[str] = []
-
-    shared = _symbols_of(_all_terms(problem.a_literals)) & _symbols_of(
-        _all_terms(problem.b_literals)
-    )
+    terms = problem.table.terms
+    shared = _heads(problem.a_literals) & _heads(problem.b_literals)
+    within: dict[int, bool] = {}  # term id: every head at or below the term is shared
+    for t in subterm_closure(_all_terms(horn.atoms())):
+        within[t.id] = t.head in shared and all(within[a.id] for a in t.args)
     shared_ok = True
     for ci, clause in enumerate(horn.clauses):
         for atom in clause.atoms():
-            if not _symbols_of((atom.lhs, atom.rhs)) <= shared:
+            s, t = atom.lhs, atom.rhs
+            if max(s.id, t.id) >= len(terms) or terms[s.id] is not s or terms[t.id] is not t:
+                raise ValueError(f"atom {format_literal(atom)} uses terms not in problem.table")
+            if not (within[s.id] and within[t.id]):
                 shared_ok = False
                 failures.append(
                     f"clause {ci}: atom {format_literal(atom)} uses symbols "
                     "not shared by A and B"
                 )
 
-    closure = _Closure(_all_terms(problem.a_literals) + _all_terms(horn.atoms()))
+    closure = _Closure(terms)
+    empty = closure.mark()
     a_diseqs = closure.add(problem.a_literals)
     a_closed = closure.mark()
     a_ok = True
@@ -258,8 +258,8 @@ def check_interpolant(problem: ProblemInstance, horn: HornConjunction) -> Entail
             a_ok = False
             failures.append(f"clause {ci}: not entailed by A")
         closure.undo(a_closed)
-
-    b_ok = unsat_with_horn(list(problem.b_literals), horn)
+    closure.undo(empty)  # B starts from the closure as built
+    b_ok = _saturate(closure, problem.b_literals, horn)
     if not b_ok:
         failures.append("B stays satisfiable with the formula")
 

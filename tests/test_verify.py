@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 
 import pytest
 
 from eufinterp.core import (
     Literal,
+    SymbolTable,
     TermTable,
     format_literal,
     parse_problem,
@@ -29,6 +31,7 @@ from eufinterp.verify import (
 )
 
 from conftest import SizeCapError, brute_force_closure, load_problem
+from test_core import bench_workload_texts
 
 
 # Test-only reference: a from-scratch oracle.  Every call builds a fresh
@@ -233,8 +236,8 @@ class TestBruteForceClosure:
             closure = _Closure(terms)
             closure.add(eqs)
             blocks: dict = {}
-            for i, t in enumerate(closure.terms):
-                blocks.setdefault(closure.rep[i], []).append(t)
+            for t in terms:
+                blocks.setdefault(closure.rep[t.id], []).append(t)
             assert _ids(blocks.values()) == _ids(brute_force_closure(eqs, terms))
 
 
@@ -420,6 +423,21 @@ class TestCheckInterpolant:
         horn = parse_conjunction("(and false)", p.table, p.symbols)
         assert check_interpolant(p, horn).accepted
 
+    def test_atoms_from_another_term_table_are_refused(self):
+        # The closure is indexed by the problem table's ids.  In a second
+        # table, (= x y) gets the ids of a and c, and (= a b) gets c's id and
+        # one past the problem's table: both would be judged as other atoms.
+        p = parse_problem("(A (= a c) (= c b)) (B (not (= a b)))")
+        other = TermTable()
+        symbols = SymbolTable(other)
+        for text in ("(= x y)", "(= a b)"):
+            horn = parse_conjunction(text, other, symbols)
+            message = f"atom {text} uses terms not in problem.table"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check_interpolant(p, horn)
+        horn = parse_conjunction("(= a b)", p.table, p.symbols)
+        assert check_interpolant(p, horn) == EntailmentReport(True, True, True, [])
+
 
 def random_universe(rng, table):
     """A subterm-closed term list over c_i, unary f and g, and binary h."""
@@ -484,6 +502,29 @@ class TestIncrementalClosure:
                 closure.undo(marks.pop())
                 assert snapshot(closure) == states.pop()
 
+    def test_a_universe_with_sparse_ids(self):
+        # The lists are indexed by term id, so a universe that leaves table
+        # terms out has ids that no term of it names.
+        rng = random.Random(53)
+        sparse = 0
+        for _ in range(300):
+            table = TermTable()
+            everything = random_universe(rng, table)
+            roots = [t for t in everything if rng.random() < 0.4] or everything[-1:]
+            terms = subterm_closure(roots)
+            ids = [t.id for t in terms]
+            sparse += ids != list(range(len(table)))
+            closure = _Closure(terms)
+            built, mark = snapshot(closure), closure.mark()
+            eqs = random_pairs(rng, len(terms), rng.randint(1, 6))
+            for a, b in eqs:
+                closure.merge(ids[a], ids[b])
+            reference = RescanUniverse(terms).closure(eqs)
+            assert partition([closure.rep[i] for i in ids]) == partition(reference)
+            closure.undo(mark)
+            assert snapshot(closure) == built
+        assert sparse >= 150
+
 
 def mutants(horn):
     """Each clause dropped in turn, then each conclusion negated in turn."""
@@ -509,6 +550,20 @@ class TestAgainstTheFromScratchOracle:
                         assert report == reference_check_interpolant(p, variant)
                         seen["accepted" if report.accepted else "rejected"] += 1
         assert seen["accepted"] >= 18 and seen["rejected"] >= 50
+
+    def test_reports_equal_on_the_bench_workloads(self):
+        # Crossing's atoms are repair vertices, made after parsing; the
+        # mutants are spread over both kinds, about six per interpolant.
+        seen = {"accepted": 0, "rejected": 0}
+        for text in bench_workload_texts(1):
+            p = parse_problem(text)
+            horn = interpolate(p).interpolant
+            spread = list(mutants(horn))
+            for variant in [horn, *spread[:: max(1, len(spread) // 6)]]:
+                report = check_interpolant(p, variant)
+                assert report == reference_check_interpolant(p, variant)
+                seen["accepted" if report.accepted else "rejected"] += 1
+        assert seen["accepted"] >= 189 and seen["rejected"] >= 900
 
     def test_literal_set_queries_match(self):
         rng = random.Random(47)
