@@ -16,8 +16,9 @@ the fits out once.  The cut walks each piece once, down the proof's tree of
 occurrences, and keeps the premises it meets for the run.  Ground equality
 problems can be bridged in: a colored congruence graph unfolds into a local
 refutation whose inference steps are the factor summaries and derived-edge
-congruences, and whose fits are its terms' colorability against the two
-sides' leaves.
+congruences, and whose fits are its terms' colorability in the problem.  So a
+side's signature is the problem's symbols on that side for a bridged proof,
+and the symbols of its leaves for a parsed one, which carries no problem.
 """
 
 from __future__ import annotations
@@ -70,11 +71,12 @@ class ProofTree:
     in the old root's slot.  All occurrences of a label root the same
     subtree, so a walk meets each node once.
 
-    A side's signature is the theory symbols and the symbols of its leaves.
     A fit has bit 1 when the label's free symbols lie inside A's signature
-    and bit 2 when inside B's; the builder fills ``fits`` in once the leaves
-    are known.  ``steps`` holds the fit of each node's inference step, its
-    own fit ANDed with its premises'.
+    and bit 2 when inside B's; the builder fills ``fits`` in.  For a parsed
+    proof a side's signature is the theory symbols and the symbols of its
+    leaves; for an EUF bridge it is the problem's symbols on that side.
+    ``steps`` holds the fit of each node's inference step, its own fit ANDed
+    with its premises'.
     """
 
     def __init__(self, theory_symbols: frozenset[str], table: TermTable):
@@ -524,14 +526,12 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
     its endpoints.
 
     Labels are interned in a table of the tree's own; an ``(= s t)`` label
-    takes the graph's vertex terms as its arguments.  Its fit is
-    ``bits[s] & bits[t]``, the 2-bit colorability of its endpoints against
-    the signatures of the two sides' leaves, every head counting as a symbol.
-    During the pass each leaf, the disequality too, marks its endpoints with
-    its side's bit.  After it, one backward pass over the vertices (arguments
-    come first) spreads each mark to the arguments and to the head's side
-    bits, and one forward pass ANDs a vertex's head bits with its arguments'
-    bits.
+    takes the graph's vertex terms as its arguments.  A side's signature is
+    the problem's symbols on that side, so a label's fit is ``bits[s] &
+    bits[t]``, its endpoints' colorability bits from
+    ``colored.symbols.covering()``, which cover the repair vertices too.  A
+    trivially refuted ``s != s`` unfolds to one node: false, as a leaf of
+    ``side``.
 
     The unfolding is one flat pass on an explicit stack, in the order a
     recursive one would take, from a bottom frame holding the refuted path.
@@ -545,23 +545,24 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
     ``nodes`` is filled once, after the pass; the disequality leaf and the
     root come last.
     """
-    graph = colored.graph
-    path, runs_of = graph.path, colored.runs
     table = TermTable()
     tree = ProofTree(frozenset(), table)
+    if refuted.trivial:
+        tree.root_index = tree.add(table.make("false"), (), side.value)
+        tree.fits = [3]
+        return tree
+    graph = colored.graph
+    path, runs_of = graph.path, colored.runs
     labels, premises_of, origins = tree.labels, tree.premises, tree.origins
-    # Repair makes its vertices in the table the colors were read against.
-    bits = bytearray(len(colored.symbols.table))  # per vertex: marks, then fit
     make = table.make
     lhs, rhs = refuted.lhs, refuted.rhs
     if rhs.id < lhs.id:
         lhs, rhs = rhs, lhs
     diseq_label = make("not", (make("=", (lhs, rhs)),))
     false = make("false")
-    bits[lhs.id] = bits[rhs.id] = 1 if side is _A else 2
     done_at: dict = {}  # edge seq or path key -> node of its step, -1 while open
     root_premises: list[int] = []
-    items = () if refuted.trivial else (path(refuted.lhs, refuted.rhs),)
+    items = (path(refuted.lhs, refuted.rhs),)
     stack = [(None, None, iter(items), root_premises)]  # key, label, items, premises
     while stack:
         key, label, pending, premises = stack[-1]
@@ -589,12 +590,9 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
                 if item.origin is not None:  # a leaf, finished here
                     done_at[sub_key] = done = len(labels)
                     premises.append(done)
-                    bit = 1 if item.side is _A else 2
-                    bits[u.id] |= bit
-                    bits[v.id] |= bit
                     labels.append(sub_label)
                     premises_of.append(())
-                    origins.append("A" if bit == 1 else "B")
+                    origins.append("A" if item.side is _A else "B")
                     continue
                 subs = [path(p, q) for p, q in item.parents if p is not q]
             elif cls is Path:
@@ -620,19 +618,7 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
         raise RuntimeError("unfolding repeats a label")
     root_premises.append(tree.add(diseq_label, (), side.value))
     tree.root_index = tree.add(false, tuple(root_premises))
-    heads: dict[str, int] = {}  # per head, the sides whose leaves hold it
-    vertices = graph.vertices
-    for t in reversed(vertices):
-        mark = bits[t.id]
-        if mark:
-            heads[t.head] = heads.get(t.head, 0) | mark
-            for a in t.args:
-                bits[a.id] |= mark
-    for t in vertices:
-        fit = heads.get(t.head, 0)
-        for a in t.args:
-            fit &= bits[a.id]
-        bits[t.id] = fit
+    bits = colored.symbols.covering()
     tree.fits = [bits[s.id] & bits[t.id] for s, t in (label.args for label in labels[:-2])]
     tree.fits += (bits[lhs.id] & bits[rhs.id], 3)
     return tree

@@ -986,9 +986,24 @@ def sigma(tree: ProofTree, side: str) -> frozenset[str]:
     return signatures(tree)[1 if side == "A" else 2] - tree.theory_symbols
 
 
-def label_fit(tree: ProofTree, label: Term) -> int:
-    """Bit 1: ``label`` fits A's signature; bit 2: B's."""
-    frees, a, b = signatures(tree)
+def problem_sides(problem: ProblemInstance) -> tuple[frozenset, frozenset]:
+    """The side signatures of an EUF bridge: every head in the problem's A
+    literals, and every head in its B literals."""
+    memo: dict = {}
+    return tuple(
+        frozenset().union(*(all_heads(t, memo) for lit in lits for t in (lit.lhs, lit.rhs)))
+        for lits in (problem.a_literals, problem.b_literals)
+    )
+
+
+def label_fit(tree: ProofTree, label: Term, sides: tuple | None = None) -> int:
+    """Bit 1: ``label`` fits A's signature; bit 2: B's.  The signatures are
+    ``sides``, as ``problem_sides`` gives them for an EUF bridge, or else
+    those of ``tree``'s leaves."""
+    if sides is None:
+        frees, a, b = signatures(tree)
+    else:
+        frees, (a, b) = reference_frees(tree.table), sides
     return (frees[label] <= a) | (frees[label] <= b) << 1
 
 
@@ -1423,26 +1438,30 @@ def bridge_run(
 
 class LabelKeyedTree:
     """A proof collapsed to one ``LabelNode`` per label, with its labels'
-    free symbols and the two side signatures as frozensets."""
+    free symbols and the two side signatures as frozensets: ``sides``, an
+    EUF bridge's ``problem_sides``, or else the theory symbols and the
+    symbols of each side's leaves."""
 
-    def __init__(self, theory_symbols, nodes: dict, root: Term, table):
+    def __init__(self, theory_symbols, nodes: dict, root: Term, table, sides=None):
         self.theory_symbols = theory_symbols
         self.nodes = nodes
         self.root = root
         self.table = table
         self._frees = frees = reference_frees(table)
-        a_symbols, b_symbols = set(theory_symbols), set(theory_symbols)
-        for node in nodes.values():
-            if node.origin == "A":
-                a_symbols |= frees[node.formula]
-            elif node.origin == "B":
-                b_symbols |= frees[node.formula]
-        self._a_symbols, self._b_symbols = a_symbols, b_symbols
+        if sides is None:
+            a_symbols, b_symbols = set(theory_symbols), set(theory_symbols)
+            for node in nodes.values():
+                if node.origin == "A":
+                    a_symbols |= frees[node.formula]
+                elif node.origin == "B":
+                    b_symbols |= frees[node.formula]
+            sides = frozenset(a_symbols), frozenset(b_symbols)
+        self.sides = sides
         self._reach = None
 
     def _fit(self, label: Term) -> int:
-        free = self._frees[label]
-        return (free <= self._a_symbols) | (free <= self._b_symbols) << 1
+        free, (a_symbols, b_symbols) = self._frees[label], self.sides
+        return (free <= a_symbols) | (free <= b_symbols) << 1
 
     def a_colorable(self, label: Term) -> bool:
         return self._fit(label) & 1 == 1
@@ -1484,14 +1503,22 @@ class LabelKeyedTree:
         return self._reach
 
 
-def reference_unfold(colored: ColoredGraph, refuted: Literal, side: Side) -> ProofTree:
+def reference_unfold(
+    colored: ColoredGraph, refuted: Literal, side: Side, sides: tuple
+) -> ProofTree:
     """The unfolding through ``keyed``/``step`` closures and a per-node
-    ``nodes`` probe, with fits from the frozenset scan of ``label_fit``.
+    ``nodes`` probe, with fits from the frozenset scan of ``label_fit``
+    against ``sides``, the problem's signatures (``problem_sides``).  A
+    trivially refuted ``s != s`` is one node, false, a leaf of ``side``.
     ``unfold_refutation``'s flat pass must give the same tree, array for
     array."""
     graph = colored.graph
     table = TermTable()
     tree = ProofTree(frozenset(), table)
+    if refuted.trivial:
+        tree.root_index = tree.add(table.make("false"), (), side.value)
+        tree.fits = [label_fit(tree, tree.root, sides)]
+        return tree
     nodes, labels, premises_of, origins = tree.nodes, tree.labels, tree.premises, tree.origins
     done_at: dict = {}  # edge seq or path key -> node of its step
 
@@ -1531,49 +1558,46 @@ def reference_unfold(colored: ColoredGraph, refuted: Literal, side: Side) -> Pro
 
     diseq_label = table.make("not", (eq_label(refuted.lhs, refuted.rhs),))
     false = table.make("false")
-    root_premises: list[int] = []
-    if not refuted.trivial:
-        key, item = keyed(graph.path(refuted.lhs, refuted.rhs))
-        open_keys = {key}
-        stack = [step(key, item)]
-        while stack:
-            key, label, origin, pending, premises = stack[-1]
-            for sub in pending:
-                sub_key, sub = keyed(sub)
-                done = done_at.get(sub_key)
-                if done is not None:
-                    premises.append(done)
-                elif isinstance(sub, Edge) and sub.origin is not None:
-                    # A leaf, finished below without a frame of its own.
-                    key, label, premises = sub_key, eq_label(sub.u, sub.v), ()
-                    origin = sub.side.value
-                    break
-                else:
-                    if sub_key in open_keys:
-                        raise RuntimeError(f"unfolding revisits {sub_key}")
-                    open_keys.add(sub_key)
-                    stack.append(step(sub_key, sub))
-                    label = None  # nothing finished
-                    break
+    key, item = keyed(graph.path(refuted.lhs, refuted.rhs))
+    open_keys = {key}
+    stack = [step(key, item)]
+    while stack:
+        key, label, origin, pending, premises = stack[-1]
+        for sub in pending:
+            sub_key, sub = keyed(sub)
+            done = done_at.get(sub_key)
+            if done is not None:
+                premises.append(done)
+            elif isinstance(sub, Edge) and sub.origin is not None:
+                # A leaf, finished below without a frame of its own.
+                key, label, premises = sub_key, eq_label(sub.u, sub.v), ()
+                origin = sub.side.value
+                break
             else:
-                stack.pop()
-                open_keys.discard(key)
-                premises = tuple(premises)
-            if label is None:
-                continue
-            done = nodes.get(label)  # tree.add, inlined: this runs per node
-            if done is None:
-                done = nodes[label] = len(labels)
-                labels.append(label)
-                premises_of.append(premises)
-                origins.append(origin)
-            done_at[key] = done
-            if stack:
-                stack[-1][4].append(done)
-        root_premises.append(done)
-    root_premises.append(tree.add(diseq_label, (), side.value))
-    tree.root_index = tree.add(false, tuple(root_premises))
-    tree.fits = [label_fit(tree, label) for label in labels]
+                if sub_key in open_keys:
+                    raise RuntimeError(f"unfolding revisits {sub_key}")
+                open_keys.add(sub_key)
+                stack.append(step(sub_key, sub))
+                label = None  # nothing finished
+                break
+        else:
+            stack.pop()
+            open_keys.discard(key)
+            premises = tuple(premises)
+        if label is None:
+            continue
+        done = nodes.get(label)  # tree.add, inlined: this runs per node
+        if done is None:
+            done = nodes[label] = len(labels)
+            labels.append(label)
+            premises_of.append(premises)
+            origins.append(origin)
+        done_at[key] = done
+        if stack:
+            stack[-1][4].append(done)
+    root_premises = (done, tree.add(diseq_label, (), side.value))
+    tree.root_index = tree.add(false, root_premises)
+    tree.fits = [label_fit(tree, label, sides) for label in labels]
     return tree
 
 
@@ -1594,8 +1618,10 @@ def unfold_record(tree: ProofTree) -> tuple:
     )
 
 
-def label_keyed_unfold(colored, refuted: Literal, side: Side) -> LabelKeyedTree:
-    """Unfold a colored graph into a ``LabelNode`` dict, as the bridge did."""
+def label_keyed_unfold(colored, refuted: Literal, side: Side, sides: tuple) -> LabelKeyedTree:
+    """Unfold a colored graph into a ``LabelNode`` dict, as the bridge did,
+    with ``sides``, the problem's signatures, as the side signatures.  A
+    trivially refuted ``s != s`` is one node, false, a leaf of ``side``."""
     graph = colored.graph
     table = TermTable()
     nodes: dict = {}
@@ -1660,14 +1686,14 @@ def label_keyed_unfold(colored, refuted: Literal, side: Side) -> LabelKeyedTree:
                     stack[-1][4].append(done)
         return done
 
+    if refuted.trivial:
+        false = add(table.make("false"), (), side.value)
+        return LabelKeyedTree(frozenset(), nodes, false, table, sides)
     diseq_label = table.make("not", (eq_label(refuted.lhs, refuted.rhs),))
-    root_premises: list = []
-    if not refuted.trivial:
-        root_premises.append(unfold(graph.path(refuted.lhs, refuted.rhs)))
+    root_premises = (unfold(graph.path(refuted.lhs, refuted.rhs)), diseq_label)
     add(diseq_label, origin=side.value)
-    root_premises.append(diseq_label)
-    false = add(table.make("false"), tuple(root_premises))
-    return LabelKeyedTree(frozenset(), nodes, false, table)
+    false = add(table.make("false"), root_premises)
+    return LabelKeyedTree(frozenset(), nodes, false, table, sides)
 
 
 def label_keyed_first_nonlocal_step(tree: LabelKeyedTree):
@@ -1684,9 +1710,11 @@ def label_keyed_first_nonlocal_step(tree: LabelKeyedTree):
 
 
 def label_keyed_normalize_root(tree: LabelKeyedTree) -> LabelKeyedTree:
-    """Move the root's step to a relay when a root premise is not B-colorable."""
+    """Move the root's node to a relay when the root is an A leaf or has a
+    premise that is not B-colorable."""
     root = tree.root
-    if all(tree.b_colorable(p) for p in tree.nodes[root].premises):
+    node = tree.nodes[root]
+    if node.origin != "A" and all(tree.b_colorable(p) for p in node.premises):
         return tree
     relay = tree.table.make("false'")
     while relay in tree.nodes:
@@ -1698,7 +1726,7 @@ def label_keyed_normalize_root(tree: LabelKeyedTree) -> LabelKeyedTree:
         else:
             nodes[label] = node
     nodes[root] = LabelNode(root, (relay,), None)
-    return LabelKeyedTree(tree.theory_symbols, nodes, root, tree.table)
+    return LabelKeyedTree(tree.theory_symbols, nodes, root, tree.table, tree.sides)
 
 
 # The cut and the run over the proof's tree of occurrences: the game's
@@ -1843,14 +1871,16 @@ def bridge_outcome(problem: ProblemInstance, label_keyed: bool = False) -> tuple
     label-keyed one false'.
     """
     colored, refuted, side, _ = build_colored_graph(problem)
+    sides = problem_sides(problem)
     if label_keyed:
-        tree = label_keyed_unfold(colored, refuted, side)
+        tree = label_keyed_unfold(colored, refuted, side, sides)
         first_nonlocal_step, normalize = (
             label_keyed_first_nonlocal_step, label_keyed_normalize_root
         )
     else:
         tree = unfold_refutation(colored, refuted, side)
         assert premise_first(tree)
+        assert tree.fits == [label_fit(tree, label, sides) for label in tree.labels]
         first_nonlocal_step, normalize = game.first_nonlocal_step, game.normalize_root
     fmt = lambda labels: tuple(format_term(label) for label in labels)
     nodes = [

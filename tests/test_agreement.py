@@ -8,8 +8,10 @@ the interpolants of the same problem with its literals shuffled and with its
 symbols renamed.  The game bridge of the drawn and the shuffled problem must
 match the label-keyed reference route in ``conftest``, their premise memos
 and interpolants the factor-layer reference, and their repair and coloring
-the reference coloring layer.  Hypothesis runs
-derandomized with a fixed example budget, so the test is deterministic.
+the reference coloring layer.  Every unsatisfiable draw also bridges under
+every strategy, and the oracle accepts its reparsed game interpolant.
+Hypothesis runs derandomized with a fixed example budget, so the test is
+deterministic.
 """
 
 from __future__ import annotations
@@ -21,10 +23,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eufinterp.coloring import Strategy
 from eufinterp.core import parse_problem
-from eufinterp.interpolate import NotUnsatisfiableError, format_conjunction, interpolate
+from eufinterp.game import format_game_interpolant, game_interpolant
+from eufinterp.interpolate import (
+    NotUnsatisfiableError, format_conjunction, interpolate, parse_conjunction,
+)
 from eufinterp.verify import check_interpolant
 
-from conftest import bridge_outcome, coloring_outcome, extraction_outcome
+from conftest import bridge_outcome, bridge_run, coloring_outcome, extraction_outcome
 
 SYMBOLS = {  # side -> (constants, (function, arity) pairs); None is shared
     None: (("c0", "c1", "c2"), (("g", 1), ("h", 2))),
@@ -110,6 +115,16 @@ def accepted_under_every_strategy(text: str) -> bool:
     return True
 
 
+def game_accepted_under_every_strategy(problem) -> None:
+    """Bridge ``problem`` under each strategy; no bridge may fail, and the
+    oracle must accept each reparsed game interpolant."""
+    for strategy in Strategy:
+        _, run = bridge_run(problem, strategy)
+        text = format_game_interpolant(game_interpolant(run))
+        horn = parse_conjunction(text, problem.table, problem.symbols)
+        assert check_interpolant(problem, horn).accepted, (strategy, text)
+
+
 def rename(text: str, names: dict[str, str]) -> str:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     return " ".join(names.get(tok, tok) for tok in tokens)
@@ -132,6 +147,7 @@ def test_random_problems_interpolate_and_verify(sides, data):
     assert accepted_under_every_strategy(shuffled)
     for problem in map(parse_problem, (text, shuffled)):
         assert bridge_outcome(problem) == bridge_outcome(problem, label_keyed=True)
+        game_accepted_under_every_strategy(problem)
         for strategy in Strategy:
             got = extraction_outcome(problem, strategy)
             assert got == extraction_outcome(problem, strategy, reference=True)

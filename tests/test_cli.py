@@ -13,8 +13,8 @@ import pytest
 import eufinterp
 from eufinterp.cli import main
 from eufinterp.core import ProblemInstance, format_term, parse_problem
-from eufinterp import game
-from eufinterp.game import euf_bridge
+from eufinterp import cli, game
+from eufinterp.game import euf_bridge, parse_proof
 from eufinterp.interpolate import format_conjunction, interpolate
 
 from conftest import DATA, MALFORMED, alternating_proof, format_proof
@@ -88,21 +88,47 @@ def test_interpolate_game_prints_the_verified_game_interpolant(capsys):
     assert json.loads(out)["verified"] is True
 
 
-def test_interpolate_game_names_a_failed_bridge(capsys, tmp_path):
+def test_interpolate_game_names_a_failed_bridge(capsys, tmp_path, monkeypatch):
     # The wide-class shape, where the B leaf x2 = x1 feeds both the A step and
     # B's final step, bridges: the game interpolant is the pipeline's, and the
-    # oracle accepts it.  A non-local step still fails the bridge, by name.
+    # oracle accepts it.  So does a bridge that is local against the
+    # problem's signatures but not against its leaves'.  A bridge whose
+    # fits are the leaves', as a parsed proof's, fails there, by name.
     path = tmp_path / "wide.euf"
     path.write_text("(A (= x2 (f x1)) (= (f x2) x0)) (B (= x1 x2) (not (= x1 x0)))\n")
     expected = (0, "(and (=> (and (= x2 x1)) (= x2 x0)))\n", "")
     assert run_cli(capsys, "interpolate", str(path), "--game", "--verify") == expected
     assert run_cli(capsys, "interpolate", str(path), "--verify") == expected
     path.write_text(NON_LOCAL_PROBLEM)
+    expected = (0, "(and (= c1 c3) (not (= c1 (g c1))))\n", "")
+    assert run_cli(capsys, "interpolate", str(path), "--game", "--verify") == expected
+    assert run_cli(capsys, "interpolate", str(path), "--verify") == expected
+    unfold = cli.unfold_refutation
+    monkeypatch.setattr(
+        cli, "unfold_refutation", lambda *args: parse_proof(format_proof(unfold(*args)))
+    )
     code, out, err = run_cli(capsys, "interpolate", str(path), "--game", "--verify")
     assert (code, out) == (1, "")
     assert err == (
         "bridge failed: NonLocalProofError: inference step at (= c1 (h b1 c3)) is not local\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text, interpolant",
+    [
+        ("(A (not (= a a))) (B (= a b))", "(and false)"),
+        ("(A (= a b)) (B (not (= a a)))", "true"),
+    ],
+)
+def test_interpolate_game_of_a_shared_trivial_refutation(capsys, tmp_path, text, interpolant):
+    # s != s with a shared s unfolds to false, a leaf of the refuting side,
+    # not to a reflexive disequality the interpolant reader rejects.
+    path = tmp_path / "trivial.euf"
+    path.write_text(text + "\n")
+    expected = (0, interpolant + "\n", "")
+    assert run_cli(capsys, "interpolate", str(path), "--game", "--verify") == expected
+    assert run_cli(capsys, "interpolate", str(path), "--verify") == expected
 
 
 def test_game_interpolate_names_a_cut_with_no_run(capsys, tmp_path, monkeypatch):

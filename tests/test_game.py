@@ -56,6 +56,7 @@ from conftest import (
     occurrence_run,
     precedes,
     premise_first,
+    problem_sides,
     reach,
     reference_format_formula,
     reference_formula,
@@ -145,11 +146,12 @@ def symbol_scan(table: TermTable) -> dict:
     }
 
 
-def check_cut(tree, t_a, t_b) -> bool:
-    """Literal evaluation of the four coloring-cut conditions."""
+def check_cut(tree, t_a, t_b, sides=None) -> bool:
+    """Literal evaluation of the four coloring-cut conditions, against the
+    side signatures ``sides`` or else the leaves' (``label_fit``)."""
     reach = Reach(label_nodes(tree))
     set_a, set_b = set(t_a), set(t_b)
-    if not all(label_fit(tree, lab) == 3 for lab in set_a | set_b):
+    if not all(label_fit(tree, lab, sides) == 3 for lab in set_a | set_b):
         return False
     if set_a & set_b or tree.root not in set_b:
         return False
@@ -447,23 +449,25 @@ SHARED_CANDIDATE_PROOF = (
 
 
 def sample_trees():
-    """``(key, tree, bridged)`` for random proofs, the fixture proofs and
-    bridged problems, each also with its root normalized."""
+    """``(key, tree, sides)`` for random proofs, the fixture proofs and
+    bridged problems, each also with its root normalized.  ``sides`` is a
+    bridged problem's ``problem_sides``, and None for a parsed proof."""
     trees = []
     rng = random.Random(8)
     for i in range(300):
-        trees.append((("random", i), parse_proof(random_proof(rng, rng.randint(3, 40))), False))
-    trees.append((("forward_chain",), fig_tree(), False))
-    trees.append((("alternating", 200), parse_proof(alternating_proof(200)), False))
-    trees.append((("binders",), parse_proof(BINDER_PROOF), False))
+        trees.append((("random", i), parse_proof(random_proof(rng, rng.randint(3, 40))), None))
+    trees.append((("forward_chain",), fig_tree(), None))
+    trees.append((("alternating", 200), parse_proof(alternating_proof(200)), None))
+    trees.append((("binders",), parse_proof(BINDER_PROOF), None))
     for seed in range(3):
         for family in ("chain", "ladder", "split"):
             p = parse_problem(generate(family, 12, seed=seed).text)
-            trees.append(((family, 12, seed), euf_bridge(p), True))
+            trees.append(((family, 12, seed), euf_bridge(p), problem_sides(p)))
     for text in LOGICAL_TOKEN_PROBLEMS + [load_text("chain_a_diseq.euf")]:
-        trees.append(((text,), euf_bridge(parse_problem(text)), True))
+        p = parse_problem(text)
+        trees.append(((text,), euf_bridge(p), problem_sides(p)))
     return trees + [
-        ((*key, "normalized"), normalize_root(tree), bridged) for key, tree, bridged in trees
+        ((*key, "normalized"), normalize_root(tree), sides) for key, tree, sides in trees
     ]
 
 
@@ -835,26 +839,29 @@ class TestColoringCut:
     def test_cut_matches_the_tree_occurrence_reference(self):
         # The cut, and the premise lists its walk keeps for run_from_cut,
         # equal the cut of every occurrence of the proof's tree and
-        # run_from_cut's own walk of that cut; or the same error.
+        # run_from_cut's own walk of that cut; or the same error.  A bridged
+        # tree's labels fit the problem's signatures, a parsed one's the
+        # leaves'.
         trees = {}
         for family in ("chain", "ladder", "split"):
             for size in range(2, 31):
                 for seed in range(3):
                     p = parse_problem(generate(family, size, seed=seed).text)
-                    trees[family, size, seed] = normalize_root(euf_bridge(p))
+                    trees[family, size, seed] = normalize_root(euf_bridge(p)), problem_sides(p)
         rng = random.Random(8)
         for i in range(300):
             text = random_proof(rng, rng.randint(3, 40))
-            trees["random", i] = normalize_root(parse_proof(text))
+            trees["random", i] = normalize_root(parse_proof(text)), None
         for i in range(150):
             text = local_random_proof(rng, rng.randint(3, 40))
-            trees["local", i] = normalize_root(parse_proof(text))
-        trees["alternating", 200] = normalize_root(parse_proof(alternating_proof(200)))
+            trees["local", i] = normalize_root(parse_proof(text)), None
+        trees["alternating", 200] = normalize_root(parse_proof(alternating_proof(200))), None
         two_sided = {"random": 0, "local": 0}
         errors = {"random": 0, "local": 0}
-        for key, tree in trees.items():
+        for key, (tree, sides) in trees.items():
             try:
-                want = occurrence_cut(label_nodes(tree), tree.root, partial(label_fit, tree))
+                fit = partial(label_fit, tree, sides=sides)
+                want = occurrence_cut(label_nodes(tree), tree.root, fit)
             except InvalidCutError as exc:
                 with pytest.raises(InvalidCutError) as info:
                     coloring_cut(tree)
@@ -889,27 +896,31 @@ class TestColoringCut:
                 assert {phi for phi in labels if precedes(tree, phi, psi)} == below
 
     def test_symbol_masks_and_fits_match_the_frozenset_scan(self):
-        # Each node's fit: its label's free symbols against the theory symbols
-        # and the symbols of its side's leaves.  A parsed proof's symbol masks
-        # decode to the free symbols of every term of its table.
+        # Each node's fit: its label's free symbols against the two side
+        # signatures.  For a parsed proof they are the theory symbols and the
+        # symbols of each side's leaves, and its symbol masks decode to the
+        # free symbols of every term of its table.  For a bridged problem
+        # they are the symbols of each side's literals.
         relays = 0
-        for key, tree, bridged in sample_trees():
+        for key, tree, sides in sample_trees():
             frees = reference_frees(tree.table)
-            if not bridged:
+            if sides is None:
                 assert symbol_scan(tree.table) == frees, key
-            a_sig, b_sig = (
-                frozenset().union(
-                    *(frees[n.formula] for n in label_nodes(tree).values() if n.origin == side)
+                a_sig, b_sig = (
+                    frozenset().union(
+                        *(frees[n.formula] for n in label_nodes(tree).values() if n.origin == side)
+                    )
+                    | tree.theory_symbols
+                    for side in ("A", "B")
                 )
-                | tree.theory_symbols
-                for side in ("A", "B")
-            )
+            else:
+                a_sig, b_sig = sides
             want = [
                 (frees[label] <= a_sig) | (frees[label] <= b_sig) << 1
                 for label in tree.labels
             ]
             assert tree.fits == want, key
-            assert [label_fit(tree, label) for label in tree.labels] == want, key
+            assert [label_fit(tree, label, sides) for label in tree.labels] == want, key
             root_premises = label_nodes(tree)[tree.root].premises
             relays += any("false'" in format_term(p) for p in root_premises)
         # Normalized trees with a relay are among them.
@@ -940,9 +951,10 @@ class TestCheckCut:
         tree = normalize_root(euf_bridge(p))
         labels = dict(zip(printed(tree.nodes), tree.nodes))
         bad_a = (labels["(= u0 v0)"], labels["(= u2 v2)"])
-        assert not check_cut(tree, bad_a, (tree.root,))
+        sides = problem_sides(p)
+        assert not check_cut(tree, bad_a, (tree.root,), sides)
         t_a, t_b = coloring_cut(tree)
-        assert check_cut(tree, t_a, t_b)
+        assert check_cut(tree, t_a, t_b, sides)
 
 
 class TestRunFromCut:
@@ -1162,12 +1174,22 @@ class TestBridge:
         assert len(run.s_a) + len(run.s_b) == 8
 
     def test_non_local_bridge_proof_is_reported_by_step(self):
-        # euf_bridge emits a non-local step here; bridge_run names it rather
-        # than failing later in run_from_cut.
+        # Against the problem's signatures every step of this bridge is
+        # local, and its game interpolant is the pipeline's.  Printed as a
+        # proof file, which carries no problem, the sides' signatures are
+        # those of their leaves: the step at (= c1 (h b1 c3)) mixes them, and
+        # local_cut names it rather than failing later in run_from_cut.
         p = parse_problem(NON_LOCAL_PROBLEM)
-        assert not check_local(euf_bridge(p))
+        tree = euf_bridge(p)
+        assert check_local(tree)
+        _, run = bridge_run(p)
+        text = format_game_interpolant(game_interpolant(run))
+        assert text == format_conjunction(interpolate(p).interpolant)
+        assert text == "(and (= c1 c3) (not (= c1 (g c1))))"
+        assert check_interpolant(p, parse_conjunction(text, p.table, p.symbols)).accepted
+        parsed = parse_proof(format_proof(tree))
         with pytest.raises(NonLocalProofError) as info:
-            bridge_run(p)
+            local_cut(parsed)
         assert format_term(info.value.step) == "(= c1 (h b1 c3))"
         assert str(info.value) == "inference step at (= c1 (h b1 c3)) is not local"
 
@@ -1242,9 +1264,10 @@ class TestBridge:
                     assert outcome(unfolded) == outcome(bridged), (family, size, seed)
 
     def test_bridge_matches_the_label_keyed_route(self):
-        # On every bench workload, a non-local bridge and the logical-token
-        # problems: the same nodes, cut, premise maps and game text as the
-        # label-keyed reference, the relay spelled false; or the same error.
+        # On every bench workload, a bridge that is non-local against the
+        # leaves' signatures and the logical-token problems: the same nodes,
+        # cut, premise maps and game text as the label-keyed reference, the
+        # relay spelled false; or the same error.
         texts = bench_workload_texts(seed=2) + [NON_LOCAL_PROBLEM] + LOGICAL_TOKEN_PROBLEMS
         outcomes = {}
         for text in texts:
@@ -1256,11 +1279,10 @@ class TestBridge:
             else:
                 kind = "relay" if "false'" in outcome[1] else "ok"
             outcomes[kind] = outcomes.get(kind, 0) + 1
-        # Every bench workload runs, wide-class too, and the A-side
-        # refutations take a relay; only the non-local bridge fails.
-        assert InvalidCutError not in outcomes and outcomes[NonLocalProofError] == 1, outcomes
+        # Every problem runs, wide-class too, and the A-side refutations
+        # take a relay.
         assert outcomes["relay"] >= 10, outcomes
-        assert outcomes["ok"] + outcomes["relay"] == len(texts) - 1, outcomes
+        assert outcomes["ok"] + outcomes["relay"] == len(texts), outcomes
 
     def test_flat_unfolding_matches_the_reference(self):
         # Every bench workload at seeds 1-3 under every strategy, and every
@@ -1268,18 +1290,20 @@ class TestBridge:
         texts = [text for seed in (1, 2, 3) for text in bench_workload_texts(seed)]
         texts += [path.read_text() for path in sorted(DATA.glob("*.euf"))]
         for text in texts:
+            p = parse_problem(text)
             for strategy in Strategy:
-                colored, refuted, side, _ = build_colored_graph(parse_problem(text), strategy)
+                colored, refuted, side, _ = build_colored_graph(p, strategy)
                 tree = unfold_refutation(colored, refuted, side)
-                reference = reference_unfold(colored, refuted, side)
+                reference = reference_unfold(colored, refuted, side, problem_sides(p))
                 assert unfold_record(tree) == unfold_record(reference), (text, strategy)
 
     @pytest.mark.parametrize(
         "text, nodes, interpolant",
         [
-            # trivially refuted s != s, on either side
-            ("(A (= a b)) (B (not (= s s)))", ["(not (= s s))", "false"], "true"),
-            ("(A (not (= s s))) (B (= a b))", ["(not (= s s))", "false"], "(and false)"),
+            # trivially refuted s != s, on either side: false, a leaf of that
+            # side
+            ("(A (= a b)) (B (not (= s s)))", ["false"], "true"),
+            ("(A (not (= s s))) (B (= a b))", ["false"], "(and false)"),
             # the refuted path is one basic edge
             (
                 "(A (= a b)) (B (not (= a b)))",
@@ -1304,9 +1328,11 @@ class TestBridge:
     def test_root_shapes_unfold_as_the_reference(
         self, text, nodes, interpolant, capsys, tmp_path
     ):
-        colored, refuted, side, _ = build_colored_graph(parse_problem(text))
+        p = parse_problem(text)
+        colored, refuted, side, _ = build_colored_graph(p)
         tree = unfold_refutation(colored, refuted, side)
-        assert unfold_record(tree) == unfold_record(reference_unfold(colored, refuted, side))
+        reference = reference_unfold(colored, refuted, side, problem_sides(p))
+        assert unfold_record(tree) == unfold_record(reference)
         assert printed(tree.labels) == tuple(nodes)
         path = tmp_path / "shape.euf"
         path.write_text(text)
@@ -1342,7 +1368,8 @@ class TestBridge:
     def test_unfolding_a_derived_edge_that_derives_itself_revisits_it(self):
         # a -- b derived from the path a .. b, which is that edge again.
         colored, refuted = self._forged_graph([("a", "b", [("a", "b")])], {"a": (0, "b")}, "ab")
-        for unfold in (unfold_refutation, reference_unfold):
+        no_symbols = (frozenset(), frozenset())
+        for unfold in (unfold_refutation, partial(reference_unfold, sides=no_symbols)):
             with pytest.raises(RuntimeError, match="unfolding revisits 0"):
                 unfold(colored, refuted, Side.B)
 

@@ -388,10 +388,26 @@ def symbol_level_state(source: str) -> set[str]:
     return found
 
 
+def unfold_fit_sources(source: str) -> set[str]:
+    """What ``unfold_refutation`` in ``source`` works its fits out from: a
+    ``covering()`` call, a ``bytearray`` it makes, a graph's ``vertices``."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "unfold_refutation":
+            for n in ast.walk(node):
+                if isinstance(n, ast.Call) and node_name(n.func) in ("covering", "bytearray"):
+                    found.add(node_name(n.func))
+                elif isinstance(n, ast.Attribute) and n.attr == "vertices":
+                    if node_name(n.value) == "graph":
+                        found.add("graph.vertices")
+    return found
+
+
 def test_proof_trees_hold_fits_and_no_symbol_masks():
     # A proof tree holds one 2-bit fit per node.  The EUF unfolding reads fits
-    # off its terms' colorability, and only parse_proof, whose formulas bind
-    # variables, scans free symbols.
+    # off the problem's colorability bits, with no marks of its own and no
+    # pass over the graph's vertices, and only parse_proof, whose formulas
+    # bind variables, scans free symbols.
     snippet = (
         "class ProofTree:\n"
         "    def __init__(self, symbols):\n"
@@ -416,3 +432,11 @@ def test_proof_trees_hold_fits_and_no_symbol_masks():
     assert {name: names for name, names in found.items() if names} == {}
     game_source = (PACKAGE / "game.py").read_text(encoding="utf-8")
     assert "_symbol_masks(" in game_source and "SymbolMasks" not in game_source
+    marks = (
+        "def unfold_refutation(colored):\n"
+        "    bits = bytearray(len(colored.symbols.table))\n"
+        "    for t in reversed(colored.graph.vertices):\n"
+        "        pass\n"
+    )
+    assert unfold_fit_sources(marks) == {"bytearray", "graph.vertices"}
+    assert unfold_fit_sources(game_source) == {"covering"}
