@@ -4,13 +4,10 @@ import re
 import sys
 import weakref
 from collections import deque
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence
-
-import pytest
-
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence, Union
 
 from eufinterp import game
 from eufinterp.coloring import (
@@ -93,10 +90,6 @@ def expected_clauses(problem: ProblemInstance, text: str) -> frozenset:
     conjunct and premise order.
     """
     conj = parse_conjunction(text, problem.table, problem.symbols)
-    return frozenset(conj.clauses)
-
-
-def clause_set(conj: HornConjunction) -> frozenset:
     return frozenset(conj.clauses)
 
 
@@ -902,11 +895,6 @@ def assert_readers_agree(problem_text: str, formula_text: str | None = None) -> 
         ), formula_text
 
 
-@pytest.fixture
-def data_dir() -> Path:
-    return DATA
-
-
 # Signature predicates and the premise order of a ``ProofTree``.  The library
 # reads fits per node through ``tree.fits``; the tests ask them of any label,
 # from free symbols scanned as frozensets of names.
@@ -1005,30 +993,6 @@ def label_fit(tree: ProofTree, label: Term, sides: tuple | None = None) -> int:
     else:
         frees, (a, b) = reference_frees(tree.table), sides
     return (frees[label] <= a) | (frees[label] <= b) << 1
-
-
-_BELOW: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def reach(tree: ProofTree) -> list[int]:
-    """Per node, the mask of the nodes strictly below it, bit ``j`` standing
-    for node ``j``, in one forward pass over the node order; kept per tree
-    until the tree grows."""
-    below = _BELOW.get(tree)
-    if below is None or len(below) != len(tree.premises):
-        below = []
-        for prems in tree.premises:
-            mask = 0
-            for prem in prems:
-                mask |= below[prem] | 1 << prem
-            below.append(mask)
-        _BELOW[tree] = below
-    return below
-
-
-def precedes(tree: ProofTree, phi: Term, psi: Term) -> bool:
-    """``phi`` lies strictly below ``psi``."""
-    return reach(tree)[tree.nodes[psi]] >> tree.nodes[phi] & 1 == 1
 
 
 def premise_first(tree: ProofTree) -> bool:
@@ -1387,11 +1351,11 @@ def extraction_outcome(problem: ProblemInstance, strategy, reference: bool = Fal
     return memos, count, format_conjunction(conj)
 
 
-# The label-keyed proof layer: the bridge's unfolding, locality check and
-# relay as they ran before ``ProofTree`` became index arrays.  A tree is a
-# ``{label: LabelNode}`` dict in node order; ``reach()`` re-indexes it and
-# names a cycle.  Its cut and run are read off its tree of occurrences
-# (``occurrence_cut``).  The index-array bridge is compared against it.
+# The proof layer's references, one per library function: ``reference_unfold``
+# for the unfolding; on a ``{label: LabelNode}`` dict (``label_nodes``),
+# ``reference_first_nonlocal_step`` for locality, ``reference_normalize_root``
+# for the relay, and the tree of occurrences (``occurrence_cut``) for the cut
+# and the run.  ``bridge_outcome`` runs the library's bridge or this route.
 
 
 @dataclass
@@ -1434,73 +1398,6 @@ def bridge_run(
     """Bridge, cut the local proof, and extract the induced run."""
     tree, t_a, t_b = local_cut(game.euf_bridge(problem, strategy))
     return tree, run_from_cut(tree, t_a, t_b)
-
-
-class LabelKeyedTree:
-    """A proof collapsed to one ``LabelNode`` per label, with its labels'
-    free symbols and the two side signatures as frozensets: ``sides``, an
-    EUF bridge's ``problem_sides``, or else the theory symbols and the
-    symbols of each side's leaves."""
-
-    def __init__(self, theory_symbols, nodes: dict, root: Term, table, sides=None):
-        self.theory_symbols = theory_symbols
-        self.nodes = nodes
-        self.root = root
-        self.table = table
-        self._frees = frees = reference_frees(table)
-        if sides is None:
-            a_symbols, b_symbols = set(theory_symbols), set(theory_symbols)
-            for node in nodes.values():
-                if node.origin == "A":
-                    a_symbols |= frees[node.formula]
-                elif node.origin == "B":
-                    b_symbols |= frees[node.formula]
-            sides = frozenset(a_symbols), frozenset(b_symbols)
-        self.sides = sides
-        self._reach = None
-
-    def _fit(self, label: Term) -> int:
-        free, (a_symbols, b_symbols) = self._frees[label], self.sides
-        return (free <= a_symbols) | (free <= b_symbols) << 1
-
-    def a_colorable(self, label: Term) -> bool:
-        return self._fit(label) & 1 == 1
-
-    def b_colorable(self, label: Term) -> bool:
-        return self._fit(label) & 2 == 2
-
-    def reach(self) -> tuple[dict, list, list]:
-        """``(index, premises, below)``, indexing the labels in node order."""
-        if self._reach is None:
-            nodes = self.nodes
-            index = {label: i for i, label in enumerate(nodes)}
-            premises = [[index[p] for p in node.premises] for node in nodes.values()]
-            below = [0] * len(premises)
-            state = bytearray(len(premises))  # 0 new, 1 open, 2 finished
-            for root in range(len(premises)):
-                if state[root]:
-                    continue
-                state[root] = 1
-                stack = [(root, iter(premises[root]))]
-                while stack:
-                    top, pending = stack[-1]
-                    for prem in pending:
-                        if state[prem] == 1:
-                            label = list(nodes)[prem]
-                            raise ProofError(f"cyclic proof through {format_term(label)}")
-                        if not state[prem]:
-                            state[prem] = 1
-                            stack.append((prem, iter(premises[prem])))
-                            break
-                    else:
-                        stack.pop()
-                        mask = 0
-                        for prem in premises[top]:
-                            mask |= below[prem] | 1 << prem
-                        below[top] = mask
-                        state[top] = 2
-            self._reach = index, premises, below
-        return self._reach
 
 
 def reference_unfold(
@@ -1616,117 +1513,6 @@ def unfold_record(tree: ProofTree) -> tuple:
         tree.root_index,
         tree.relay_index,
     )
-
-
-def label_keyed_unfold(colored, refuted: Literal, side: Side, sides: tuple) -> LabelKeyedTree:
-    """Unfold a colored graph into a ``LabelNode`` dict, as the bridge did,
-    with ``sides``, the problem's signatures, as the side signatures.  A
-    trivially refuted ``s != s`` is one node, false, a leaf of ``side``."""
-    graph = colored.graph
-    table = TermTable()
-    nodes: dict = {}
-    labels: dict = {}  # edge seq or path key -> label of its step
-
-    def eq_label(u: Term, v: Term) -> Term:
-        if v.id < u.id:
-            u, v = v, u
-        return table.make("=", (u, v))
-
-    def add(label: Term, premises: tuple = (), origin=None) -> Term:
-        if label not in nodes:
-            nodes[label] = LabelNode(label, premises, origin)
-        return label
-
-    def keyed(item) -> tuple:
-        if isinstance(item, Edge):
-            return item.seq, item
-        path = item if isinstance(item, GraphPath) else item.path
-        if len(path.edges) == 1:
-            return path.edges[0].seq, path.edges[0]
-        return path.key, item
-
-    def step(key, item) -> list:
-        if isinstance(item, Edge):
-            label = eq_label(item.u, item.v)
-            if item.is_basic:
-                return [key, label, item.side.value, iter(()), []]
-            subs = (graph.path(p, q) for p, q in item.parents if p is not q)
-            return [key, label, None, subs, []]
-        if isinstance(item, GraphPath):
-            factors = reference_factors(colored, item)
-            if len(factors) > 1:
-                return [key, eq_label(item.start, item.end), None, iter(factors), []]
-            item = factors[0]
-        path = item.path
-        return [key, eq_label(path.start, path.end), None, iter(path.edges), []]
-
-    def unfold(item) -> Term:
-        key, item = keyed(item)
-        open_keys = {key}
-        stack = [step(key, item)]
-        while stack:
-            key, label, origin, pending, premises = stack[-1]
-            for sub in pending:
-                sub_key, sub = keyed(sub)
-                done = labels.get(sub_key)
-                if done is None and isinstance(sub, Edge) and sub.is_basic:
-                    labels[sub_key] = done = add(eq_label(sub.u, sub.v), (), sub.side.value)
-                elif done is None:
-                    if sub_key in open_keys:
-                        raise RuntimeError(f"unfolding revisits {sub_key}")
-                    open_keys.add(sub_key)
-                    stack.append(step(sub_key, sub))
-                    break
-                premises.append(done)
-            else:
-                stack.pop()
-                open_keys.discard(key)
-                labels[key] = done = add(label, tuple(premises), origin)
-                if stack:
-                    stack[-1][4].append(done)
-        return done
-
-    if refuted.trivial:
-        false = add(table.make("false"), (), side.value)
-        return LabelKeyedTree(frozenset(), nodes, false, table, sides)
-    diseq_label = table.make("not", (eq_label(refuted.lhs, refuted.rhs),))
-    root_premises = (unfold(graph.path(refuted.lhs, refuted.rhs)), diseq_label)
-    add(diseq_label, origin=side.value)
-    false = add(table.make("false"), root_premises)
-    return LabelKeyedTree(frozenset(), nodes, false, table, sides)
-
-
-def label_keyed_first_nonlocal_step(tree: LabelKeyedTree):
-    for label, node in tree.nodes.items():
-        if node.is_leaf:
-            continue
-        step = (label,) + node.premises
-        if not (
-            all(tree.a_colorable(f) for f in step)
-            or all(tree.b_colorable(f) for f in step)
-        ):
-            return label
-    return None
-
-
-def label_keyed_normalize_root(tree: LabelKeyedTree) -> LabelKeyedTree:
-    """Move the root's node to a relay when the root is an A leaf or has a
-    premise that is not B-colorable."""
-    root = tree.root
-    node = tree.nodes[root]
-    if node.origin != "A" and all(tree.b_colorable(p) for p in node.premises):
-        return tree
-    relay = tree.table.make("false'")
-    while relay in tree.nodes:
-        relay = tree.table.make("and", (relay,))
-    nodes: dict = {}
-    for label, node in tree.nodes.items():
-        if label is root:
-            nodes[relay] = LabelNode(relay, node.premises, node.origin)
-        else:
-            nodes[label] = node
-    nodes[root] = LabelNode(root, (relay,), None)
-    return LabelKeyedTree(tree.theory_symbols, nodes, root, tree.table, tree.sides)
 
 
 # The cut and the run over the proof's tree of occurrences: the game's
@@ -1862,47 +1648,83 @@ def uncut_copy(tree: ProofTree) -> ProofTree:
     return copy
 
 
-def bridge_outcome(problem: ProblemInstance, label_keyed: bool = False) -> tuple:
-    """The bridge route on one problem, printed: its nodes, the cut, the
-    premise maps and the game interpolant text, or the error's type and text.
+def reference_first_nonlocal_step(nodes: dict, fit) -> Term | None:
+    """The first inference in ``nodes`` whose step fits neither side."""
+    for label, node in nodes.items():
+        if node.premises and not step_fit(nodes, fit, label):
+            return label
+    return None
 
-    The label-keyed route cuts and runs over the tree of occurrences.  The
-    index-array route spells the relay false in the interpolant, the
-    label-keyed one false'.
+
+def reference_normalize_root(nodes: dict, root: Term, table: TermTable, fit) -> tuple:
+    """``(nodes, relay)``: when the root is an A leaf or has a premise that is
+    not B-colorable, its node moves to a relay, the first of false', (and
+    false'), ... that ``nodes`` lacks, and the root derives the relay alone.
+    Otherwise ``nodes`` as given and no relay."""
+    node = nodes[root]
+    if node.origin != "A" and all(fit(p) & 2 for p in node.premises):
+        return nodes, None
+    relay = table.make("false'")
+    while relay in nodes:
+        relay = table.make("and", (relay,))
+    moved = {relay if label is root else label: n for label, n in nodes.items()}
+    moved[relay] = LabelNode(relay, node.premises, node.origin)
+    moved[root] = LabelNode(root, (relay,), None)
+    return moved, relay
+
+
+def printed_game(nodes: dict, cut_and_run) -> tuple:
+    """A proof's ``{label: LabelNode}`` nodes, then the cut, the premise maps
+    and the game interpolant text of the run ``cut_and_run()`` returns, all
+    printed; or the nodes and the error's type and text."""
+    fmt = lambda labels: tuple(format_term(label) for label in labels)
+    listed = [(format_term(label), fmt(n.premises), n.origin) for label, n in nodes.items()]
+    try:
+        run = cut_and_run()
+    except (NonLocalProofError, InvalidCutError) as exc:
+        return listed, type(exc), str(exc)
+    text = format_game_interpolant(game_interpolant(run))
+    pr = lambda premise_map: [(format_term(k), fmt(v)) for k, v in premise_map.items()]
+    return listed, fmt(run.s_a), fmt(run.s_b), pr(run.pr_b), pr(run.pr_a), text
+
+
+def game_outcome(tree: ProofTree) -> tuple:
+    """``printed_game`` of the library's route: ``local_cut``, then
+    ``run_from_cut``."""
+
+    def cut_and_run() -> InterpolationRun:
+        fixed, t_a, t_b = local_cut(tree)
+        assert premise_first(fixed)
+        return run_from_cut(fixed, t_a, t_b)
+
+    return printed_game(label_nodes(tree), cut_and_run)
+
+
+def bridge_outcome(problem: ProblemInstance, reference: bool = False) -> tuple:
+    """The bridge route on one problem, printed as ``printed_game`` does.
+
+    The library route unfolds with ``unfold_refutation`` and goes on as
+    ``game_outcome``.  The reference route unfolds with ``reference_unfold``,
+    fits labels by ``label_fit`` against ``problem_sides``, checks locality
+    and relays the root on the ``label_nodes`` dict, and cuts and runs over
+    the tree of occurrences.
     """
     colored, refuted, side, _ = build_colored_graph(problem)
     sides = problem_sides(problem)
-    if label_keyed:
-        tree = label_keyed_unfold(colored, refuted, side, sides)
-        first_nonlocal_step, normalize = (
-            label_keyed_first_nonlocal_step, label_keyed_normalize_root
-        )
-    else:
+    if not reference:
         tree = unfold_refutation(colored, refuted, side)
         assert premise_first(tree)
         assert tree.fits == [label_fit(tree, label, sides) for label in tree.labels]
-        first_nonlocal_step, normalize = game.first_nonlocal_step, game.normalize_root
-    fmt = lambda labels: tuple(format_term(label) for label in labels)
-    nodes = [
-        (format_term(label), fmt(node.premises), node.origin)
-        for label, node in (tree.nodes if label_keyed else label_nodes(tree)).items()
-    ]
-    try:
-        step = first_nonlocal_step(tree)
+        return game_outcome(tree)
+    tree = reference_unfold(colored, refuted, side, sides)
+    nodes, fit = label_nodes(tree), partial(label_fit, tree, sides=sides)
+
+    def cut_and_run() -> InterpolationRun:
+        step = reference_first_nonlocal_step(nodes, fit)
         if step is not None:
             raise NonLocalProofError(step)
-        tree = normalize(tree)
-        if label_keyed:
-            t_a, t_b, pr_b, pr_a = occurrence_cut(tree.nodes, tree.root, tree._fit)
-            run = InterpolationRun(t_a, t_b, pr_b, pr_a, tree.table)
-        else:
-            assert premise_first(tree)
-            t_a, t_b = game.coloring_cut(tree)
-            run = game.run_from_cut(tree, t_a, t_b)
-    except (NonLocalProofError, InvalidCutError) as exc:
-        return nodes, type(exc), str(exc)
-    text = format_game_interpolant(game_interpolant(run))
-    if label_keyed:
-        text = text.replace("false'", "false")
-    pr = lambda premise_map: [(format_term(k), fmt(v)) for k, v in premise_map.items()]
-    return nodes, fmt(t_a), fmt(t_b), pr(run.pr_b), pr(run.pr_a), text
+        fixed, relay = reference_normalize_root(nodes, tree.root, tree.table, fit)
+        t_a, t_b, pr_b, pr_a = occurrence_cut(fixed, tree.root, fit)
+        return InterpolationRun(t_a, t_b, pr_b, pr_a, tree.table, relay)
+
+    return printed_game(nodes, cut_and_run)

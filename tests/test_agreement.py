@@ -5,13 +5,15 @@ disequalities on both sides and congruences across the sides that need
 colorability repair.  Every unsatisfiable draw is interpolated under all three
 strategies and each interpolant is checked by the independent oracle; so are
 the interpolants of the same problem with its literals shuffled and with its
-symbols renamed.  The game bridge of the drawn and the shuffled problem must
-match the label-keyed reference route in ``conftest``, their premise memos
-and interpolants the factor-layer reference, and their repair and coloring
-the reference coloring layer.  Every unsatisfiable draw also bridges under
-every strategy, and the oracle accepts its reparsed game interpolant.
-Hypothesis runs derandomized with a fixed example budget, so the test is
-deterministic.
+symbols renamed.  A satisfiable draw is checked too: the oracle must find it
+satisfiable, and the pipeline's witness partition must keep every equality
+inside a block and every disequality across blocks.  The game bridge of the
+drawn and the shuffled problem must match the reference route in ``conftest``
+(``bridge_outcome``), their premise memos and interpolants the factor-layer
+reference, and their repair and coloring the reference coloring layer.  Every
+unsatisfiable draw also bridges under every strategy, and the oracle accepts
+its reparsed game interpolant.  Hypothesis runs derandomized with a fixed
+example budget, so the test is deterministic.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eufinterp.coloring import Strategy
-from eufinterp.core import parse_problem
+from eufinterp.core import format_literal, parse_problem
 from eufinterp.game import format_game_interpolant, game_interpolant
 from eufinterp.interpolate import (
     NotUnsatisfiableError, format_conjunction, interpolate, parse_conjunction,
 )
-from eufinterp.verify import check_interpolant
+from eufinterp.verify import check_interpolant, literal_set_unsat
 
 from conftest import bridge_outcome, bridge_run, coloring_outcome, extraction_outcome
 
@@ -103,12 +105,18 @@ def render(a_lits: list[str], b_lits: list[str]) -> str:
 
 
 def accepted_under_every_strategy(text: str) -> bool:
-    """False when satisfiable; asserts that the oracle accepts each interpolant."""
+    """False when satisfiable, once the oracle agrees and the witness holds;
+    asserts that the oracle accepts each interpolant."""
     problem = parse_problem(text)
     for strategy in Strategy:
         try:
             result = interpolate(problem, strategy)
-        except NotUnsatisfiableError:
+        except NotUnsatisfiableError as exc:
+            literals = problem.a_literals + problem.b_literals
+            assert not literal_set_unsat(literals), text
+            block = {t.id: k for k, members in enumerate(exc.partition) for t in members}
+            for lit in literals:
+                assert (block[lit.lhs.id] == block[lit.rhs.id]) is lit.equal, format_literal(lit)
             return False
         report = check_interpolant(problem, result.interpolant)
         assert report.accepted, (text, strategy, format_conjunction(result.interpolant))
@@ -146,7 +154,7 @@ def test_random_problems_interpolate_and_verify(sides, data):
     shuffled = render(data.draw(st.permutations(a_lits)), data.draw(st.permutations(b_lits)))
     assert accepted_under_every_strategy(shuffled)
     for problem in map(parse_problem, (text, shuffled)):
-        assert bridge_outcome(problem) == bridge_outcome(problem, label_keyed=True)
+        assert bridge_outcome(problem) == bridge_outcome(problem, reference=True)
         game_accepted_under_every_strategy(problem)
         for strategy in Strategy:
             got = extraction_outcome(problem, strategy)

@@ -282,6 +282,16 @@ def test_free_edge_coloring_drives_the_interpolant():
     assert frozenset(interpolate(p, Strategy.ALL_A).interpolant.clauses) == wide
 
 
+def test_greedy_follows_the_edge_before_a_free_edge():
+    # On the refuted path a .. b the free edge (f c1) -- (f c2) has an A edge
+    # before it and a B edge after it: greedy takes the color before it.
+    p = parse_problem("(A (= a (f c1)) (= c1 c2)) (B (= (f c2) b) (= c1 d) (not (= a b)))")
+    colored, refuted, _, _ = build_colored_graph(p)
+    path = colored.graph.path(refuted.lhs, refuted.rhs)
+    assert [colored.edge_color(e) for e in path.edges] == [Side.A, Side.A, Side.B]
+    assert format_conjunction(interpolate(p).interpolant) == "(and (= a (f c2)))"
+
+
 def test_fully_basic_graph_coloring_is_forced():
     p = load_problem("chain_three_afactors.euf")
     g = _closed(p)

@@ -41,26 +41,26 @@ from test_core import bench_workload_texts
 from conftest import (
     DATA,
     MALFORMED,
-    LabelKeyedTree,
     LabelNode,
     alternating_proof,
     assert_proof_readers_agree,
     bridge_outcome,
     bridge_run,
     format_proof,
+    game_outcome,
     label_fit,
     label_nodes,
     load_problem,
     load_text,
     occurrence_cut,
     occurrence_run,
-    precedes,
     premise_first,
     problem_sides,
-    reach,
+    reference_first_nonlocal_step,
     reference_format_formula,
     reference_formula,
     reference_frees,
+    reference_normalize_root,
     reference_read_sexprs,
     reference_unfold,
     sigma,
@@ -91,11 +91,10 @@ def fig_tree():
 
 class Reach:
     """Strict premise closures of a ``{label: LabelNode}`` dict by depth-first
-    search, apart from conftest.reach.
+    search, in any node order: the tests' one node-precedence helper.
 
     The search runs on an explicit stack, takes in the memoized closure of
-    any label it meets and memoizes only the labels asked for.  Reaching a
-    label that is still open closes a cycle, which raises ``ProofError``.
+    any label it meets and memoizes only the labels asked for.
     """
 
     def __init__(self, nodes: dict):
@@ -109,13 +108,9 @@ class Reach:
             return hit
         nodes = self.nodes
         out: set = set()
-        open_labels = {label}
-        stack = [(label, iter(nodes[label].premises))]
+        stack = [iter(nodes[label].premises)]
         while stack:
-            top, pending = stack[-1]
-            for prem in pending:
-                if prem in open_labels:
-                    raise ProofError(f"cyclic proof through {format_term(prem)}")
+            for prem in stack[-1]:
                 if prem in out:
                     continue
                 out.add(prem)
@@ -123,13 +118,11 @@ class Reach:
                 if closed is not None:
                     out |= closed
                     continue
-                open_labels.add(prem)
-                stack.append((prem, iter(nodes[prem].premises)))
+                stack.append(iter(nodes[prem].premises))
                 break
             else:
                 stack.pop()
-                open_labels.discard(top)
-        result = below[label] = frozenset(out)
+        below[label] = result = frozenset(out)
         return result
 
     def precedes(self, phi, psi) -> bool:
@@ -528,8 +521,7 @@ class TestParseProof:
 
     def test_reach_rejects_a_cycle(self):
         # A cyclic tree cannot be built: add refuses a premise that is not a
-        # node yet, and leaves the tree as it was.  The references, which
-        # take nodes in any order, name the cycle.
+        # node yet, and leaves the tree as it was.
         table = TermTable()
         false, x, y = (formula(table, text) for text in ("false", "x", "y"))
         nodes = {
@@ -546,17 +538,13 @@ class TestParseProof:
                 tree.add(x, premises)
         assert (tree.labels, tree.premises, tree.nodes) == ([y], [()], {y: 0})
         assert tree.add(x, (0,)) == 1
-        with pytest.raises(ProofError, match="cyclic proof through x"):
-            Reach(nodes).precedes(y, false)
-        with pytest.raises(ProofError, match="cyclic proof through x"):
-            LabelKeyedTree(frozenset(), nodes, false, table).reach()
 
     @pytest.mark.parametrize(
         "shape, named",
         [
-            # The reference passes start at each label in node order and take
-            # premises in order; the first premise met that is still open is
-            # named.
+            # parse_proof's cycle check starts at each node in file order and
+            # takes premises in order; the first premise met that is still
+            # open is named.
             ([("y", "x"), ("false", "x"), ("x", "z"), ("z", "y")], "y"),
             ([("false", "w x"), ("w", ""), ("x", "w y"), ("y", "z w"), ("z", "x")], "x"),
             ([("z", "w"), ("false", "x"), ("x", "y"), ("y", "z"), ("w", "y")], "z"),
@@ -573,12 +561,13 @@ class TestParseProof:
         # In each shape the first label's premises come later: add refuses it.
         with pytest.raises(ProofError, match=f"^premise of {shape[0][0]} is not a node yet$"):
             tree_from_nodes(frozenset(), nodes, false, table)
-        with pytest.raises(ProofError, match=f"^cyclic proof through {named}$"):
-            LabelKeyedTree(frozenset(), nodes, false, table).reach()
-        reference = Reach(nodes)
-        with pytest.raises(ProofError, match=f"^cyclic proof through {named}$"):
-            for label in nodes:
-                reference.strictly_below(label)
+        # Written as a proof file, with each node's label as its id.
+        tails = [f"(premises {prems})" if prems else "(from A)" for _, prems in shape]
+        text = "(theory-symbols)\n" + "".join(
+            f"(node {label} {label} {tail})\n" for (label, _), tail in zip(shape, tails)
+        )
+        with pytest.raises(ProofError, match=f"^cyclic proof through node '{named}'$"):
+            parse_proof(text)
 
     def test_label_collapse_matches_the_subtree_numbering(self):
         # Node-local label checks must accept exactly the proofs whose equal
@@ -709,6 +698,19 @@ class TestLocality:
         )
         assert not check_local(parse_proof(text))
 
+    def test_locality_and_the_relay_match_the_reference(self):
+        # On every sample tree: the same first non-local step, and the same
+        # nodes in the same order once the root is normalized.
+        non_local = relays = 0
+        for key, tree, sides in sample_trees():
+            nodes, fit = label_nodes(tree), partial(label_fit, tree, sides=sides)
+            step = game.first_nonlocal_step(tree)
+            assert step is reference_first_nonlocal_step(nodes, fit), key
+            want, relay = reference_normalize_root(nodes, tree.root, tree.table, fit)
+            assert list(label_nodes(normalize_root(tree)).items()) == list(want.items()), key
+            non_local, relays = non_local + (step is not None), relays + (relay is not None)
+        assert non_local >= 400 and relays >= 200, (non_local, relays)
+
     def test_all_shared_proof_is_local(self):
         text = (
             "(theory-symbols)\n"
@@ -749,18 +751,19 @@ class TestNormalizeRoot:
             "(theory-symbols)\n"
             "(node n1 (p a) (from A))\n"
             "(node n2 false' (premises n1))\n"
-            "(node n3 (not (p a)) (from A))\n"
-            "(node n4 false (premises n2 n3))\n"
+            "(node n3 (and false') (premises n2))\n"
+            "(node n4 (not (p a)) (from A))\n"
+            "(node n5 false (premises n3 n4))\n"
         )
         tree = parse_proof(text)
         fixed = normalize_root(tree)
         table = fixed.table
-        relay, prime = formula(table, "(and false')"), formula(table, "false'")
+        relay, prime = formula(table, "(and (and false'))"), formula(table, "(and false')")
         nodes = label_nodes(fixed)
         assert nodes[fixed.root].premises == (relay,)
         assert nodes[relay].premises == (prime, formula(table, "(not (p a))"))
         assert nodes[prime] == label_nodes(tree)[prime]
-        assert nodes[prime].premises == (formula(table, "(p a)"),)
+        assert nodes[prime].premises == (formula(table, "false'"),)
         assert premise_first(fixed)
         assert normalize_root(fixed) is fixed
 
@@ -881,20 +884,6 @@ class TestColoringCut:
         assert two_sided["local"] >= 50 and two_sided["random"] >= 10, two_sided
         assert errors["random"] >= 200 and errors["local"] == 0, errors
 
-    def test_precedes_matches_the_reference(self):
-        for key, tree, _ in sample_trees():
-            assert premise_first(tree), key
-            reference = Reach(label_nodes(tree))
-            index, premises, masks = tree.nodes, tree.premises, reach(tree)
-            labels, nodes = tree.labels, label_nodes(tree)
-            assert index == {label: i for i, label in enumerate(labels)}, key
-            for psi, node in nodes.items():
-                below = reference.strictly_below(psi)
-                i = index[psi]
-                assert [labels[j] for j in premises[i]] == list(node.premises), key
-                assert {labels[j] for j in range(len(labels)) if masks[i] >> j & 1} == below
-                assert {phi for phi in labels if precedes(tree, phi, psi)} == below
-
     def test_symbol_masks_and_fits_match_the_frozenset_scan(self):
         # Each node's fit: its label's free symbols against the two side
         # signatures.  For a parsed proof they are the theory symbols and the
@@ -903,6 +892,8 @@ class TestColoringCut:
         # they are the symbols of each side's literals.
         relays = 0
         for key, tree, sides in sample_trees():
+            assert premise_first(tree), key
+            assert tree.nodes == {label: i for i, label in enumerate(tree.labels)}, key
             frees = reference_frees(tree.table)
             if sides is None:
                 assert symbol_scan(tree.table) == frees, key
@@ -988,12 +979,13 @@ class TestRunFromCut:
             inst = generate("ladder", 2 + i % 7, seed=800 + i)
             p = parse_problem(inst.text)
             tree, run = bridge_run(p)
+            reach = Reach(label_nodes(tree))
             for alpha, betas in run.pr_b.items():
                 for beta in betas:
-                    assert precedes(tree, beta, alpha)
+                    assert reach.precedes(beta, alpha)
             for beta, alphas in run.pr_a.items():
                 for alpha in alphas:
-                    assert precedes(tree, alpha, beta)
+                    assert reach.precedes(alpha, beta)
 
     def test_odd_cuts_run_as_the_tree_occurrence_walk(self):
         # Cuts with a node dropped, a node added on either side, a duplicate
@@ -1239,19 +1231,6 @@ class TestBridge:
     def test_unfolding_the_pipeline_graph_matches_the_bridge(self):
         # A caller holding an InterpolationResult unfolds its colored graph
         # without closing, repairing and coloring again.
-        def outcome(tree):
-            nodes = [
-                (format_term(label), printed(node.premises), node.origin)
-                for label, node in label_nodes(tree).items()
-            ]
-            try:
-                tree, t_a, t_b = local_cut(tree)
-                run = run_from_cut(tree, t_a, t_b)
-            except (NonLocalProofError, InvalidCutError) as exc:
-                return nodes, type(exc), str(exc)
-            text = format_game_interpolant(game_interpolant(run))
-            return nodes, printed(t_a), printed(t_b), text
-
         for family in ("chain", "ladder", "split"):
             for size in range(2, 31):
                 for seed in range(3):
@@ -1261,19 +1240,20 @@ class TestBridge:
                         result.colored, result.refuted, result.refuted_side
                     )
                     bridged = euf_bridge(parse_problem(text))
-                    assert outcome(unfolded) == outcome(bridged), (family, size, seed)
+                    key = family, size, seed
+                    assert game_outcome(unfolded) == game_outcome(bridged), key
 
-    def test_bridge_matches_the_label_keyed_route(self):
+    def test_bridge_matches_the_reference_route(self):
         # On every bench workload, a bridge that is non-local against the
         # leaves' signatures and the logical-token problems: the same nodes,
-        # cut, premise maps and game text as the label-keyed reference, the
-        # relay spelled false; or the same error.
+        # cut, premise maps and game text as the reference route; or the same
+        # error.
         texts = bench_workload_texts(seed=2) + [NON_LOCAL_PROBLEM] + LOGICAL_TOKEN_PROBLEMS
         outcomes = {}
         for text in texts:
             p = parse_problem(text)
             outcome = bridge_outcome(p)
-            assert outcome == bridge_outcome(p, label_keyed=True), text
+            assert outcome == bridge_outcome(p, reference=True), text
             if len(outcome) == 3:
                 kind = outcome[1]
             else:

@@ -286,8 +286,8 @@ def proof_order_rechecks(source: str) -> tuple[int, int, int]:
 
 def test_premise_order_is_enforced_once():
     # Only parse_proof's node-id check names a cycle: ProofTree.add refuses a
-    # premise that is not a node yet, so the tests' reach() is one forward
-    # pass and the cut's walks have no precedence to recheck.
+    # premise that is not a node yet, so the cut's walks have no precedence
+    # to recheck.
     snippet = (
         "class ProofTree:\n"
         "    def reach(self):\n"
