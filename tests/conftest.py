@@ -58,7 +58,6 @@ from eufinterp.interpolate import (
     HornClause,
     HornConjunction,
     NotUnsatisfiableError,
-    PremiseSets,
     build_colored_graph,
     format_conjunction,
     interpolate,
@@ -66,9 +65,6 @@ from eufinterp.interpolate import (
 )
 
 DATA = Path(__file__).parent / "data"
-
-BRUTE_FORCE_CAP = 16
-
 
 class SizeCapError(ValueError):
     pass
@@ -236,50 +232,47 @@ def reference_close(
     return graph
 
 
-def brute_force_closure(
-    equalities: Iterable[Literal], terms: Sequence[Term]
-) -> list[list[Term]]:
-    """Partition of a small subterm-closed term set under the equalities.
+def rescan_closure(pairs: Iterable[tuple[int, int]], terms: Sequence[Term]) -> dict[int, int]:
+    """Each term's class under the equalities ``pairs`` of term ids: the
+    smallest id in its class, by term id.
 
-    A naive fixpoint that shares no code with the closures it checks: each
-    term starts in a class of its own, each equality joins two classes, and
-    then every pair of applications with one head and pairwise equal
-    arguments is joined, over all pairs again, until a pass joins nothing.
+    The from-scratch oracle for ``congruence.close`` and ``verify._Closure``,
+    sharing no code with either: union-find over the ids of the
+    subterm-closed set ``terms``, then passes over every application, joining
+    those with one head and argument classes, until a pass joins nothing.
     """
-    if len(terms) > BRUTE_FORCE_CAP:
-        raise SizeCapError(f"term set of size {len(terms)} exceeds {BRUTE_FORCE_CAP}")
-    ids = {t.id for t in terms}
-    for t in terms:
-        for a in t.args:
-            if a.id not in ids:
-                raise ValueError(f"term set not subterm-closed at {t!r}")
     cls = {t.id: t.id for t in terms}
 
-    def join(s: Term, t: Term) -> None:
-        kept, gone = cls[s.id], cls[t.id]
-        for tid, c in cls.items():
-            if c == gone:
-                cls[tid] = kept
+    def find(x: int) -> int:
+        while cls[x] != x:
+            cls[x] = cls[cls[x]]
+            x = cls[x]
+        return x
 
-    for lit in equalities:
-        join(lit.lhs, lit.rhs)
-    changed = True
-    while changed:
-        changed = False
-        for s in terms:
-            for t in terms:
-                if (
-                    s.head == t.head
-                    and len(s.args) == len(t.args)
-                    and cls[s.id] != cls[t.id]
-                    and all(cls[a.id] == cls[b.id] for a, b in zip(s.args, t.args))
-                ):
-                    join(s, t)
-                    changed = True
-    blocks: dict[int, list[Term]] = {}
-    for t in terms:
-        blocks.setdefault(cls[t.id], []).append(t)
-    return list(blocks.values())
+    def join(x: int, y: int) -> bool:
+        x, y = sorted((find(x), find(y)))
+        cls[y] = x
+        return x != y
+
+    for x, y in pairs:
+        join(x, y)
+    apps = [t for t in terms if t.args]
+    joined = True
+    while joined:
+        joined = False
+        signatures: dict[tuple, int] = {}
+        for t in apps:
+            other = signatures.setdefault((t.head, *[find(a.id) for a in t.args]), t.id)
+            joined |= join(t.id, other)
+    return {x: find(x) for x in cls}
+
+
+def partition(classes: dict) -> set[frozenset[int]]:
+    """A ``{term id: class}`` map as a set of id sets, one per class."""
+    blocks: dict = {}
+    for tid, c in classes.items():
+        blocks.setdefault(c, set()).add(tid)
+    return {frozenset(block) for block in blocks.values()}
 
 
 def reference_colorability(
@@ -825,8 +818,11 @@ def proof_outcome(text: str, reference: bool = False):
     return "ok", sorted(theory), nodes, fmt(root)
 
 
-def assert_proof_readers_agree(text: str) -> None:
-    assert proof_outcome(text) == proof_outcome(text, reference=True), text
+def assert_proof_readers_agree(text: str) -> tuple:
+    """The library reader's ``proof_outcome``, once the reference's equals it."""
+    ours = proof_outcome(text)
+    assert ours == proof_outcome(text, reference=True), text
+    return ours
 
 
 def table_snapshot(problem) -> tuple:
@@ -1118,10 +1114,11 @@ def coloring_outcome(problem: ProblemInstance, strategy, reference: bool = False
 
 
 # The factor layer: color factorization and premise sets as they ran before
-# ``ColoredGraph.runs``.  Each path became ``Factor`` objects holding sliced
-# paths, once per memo, and each premise set was a generator per frame on the
-# generic ``_memoized`` stack.  The run-based premise sets and the unfold are
-# compared against it.
+# ``ColoredGraph.runs``, each path cut into ``Factor`` objects holding sliced
+# paths.  The run-based premise sets and the unfold are compared against it.
+# Then one reference per extraction function: ``cumulative_paths`` for the
+# A-premise walk, ``recursive_path_interpolant`` for the closed form, and
+# ``reference_interpolant``, the one ordered by the other.
 
 
 @dataclass(slots=True)
@@ -1144,113 +1141,64 @@ def reference_factors(colored, path: GraphPath) -> list[Factor]:
 
 
 class ReferencePremiseSets:
-    """Premise sets over ``reference_factors``; memo values are path tuples."""
+    """Premise sets over ``reference_factors`` by recursion; memo values are
+    path tuples, stored as each value is finished."""
 
     def __init__(self, colored):
         self.colored = colored
         self._b: dict = {}
         self._a: dict = {}
-        self._cumulative: dict = {}
-        self._running: set = set()
 
-    def _guard(self, tag: str, key: tuple) -> tuple:
-        mark = (tag, key)
-        if mark in self._running:
-            raise RuntimeError(f"premise recursion revisited {mark}")
-        self._running.add(mark)
-        return mark
-
-    def _memoized(self, memo: dict, tag: str, path: GraphPath, parts) -> tuple:
-        key = path.key
-        value = memo.get(key)
-        if value is not None:
-            return value
-        stack = [(key, self._guard(tag, key), parts(path), {})]
-        while stack:
-            key, mark, todo, out = stack[-1]
-            for part, joins in todo:
-                if not joins:
-                    out.setdefault(part.key, part)
-                    continue
-                sub_key = part.key
-                hit = memo.get(sub_key)
-                if hit is None:
-                    stack.append((sub_key, self._guard(tag, sub_key), parts(part), {}))
-                    break
-                for p in hit:
-                    out.setdefault(p.key, p)
-            else:
-                stack.pop()
-                self._running.discard(mark)
-                memo[key] = value = tuple(out.values())
-                if stack:
-                    out = stack[-1][3]
-                    for p in value:
-                        out.setdefault(p.key, p)
-        return value
-
-    def _premises(self, path: GraphPath, want: Side) -> tuple:
-        graph = self.colored.graph
+    def premises(self, path: GraphPath, want: Side) -> dict:
+        """The value ``PremiseSets.premises`` gives: the paths by key."""
         memo = self._b if want is Side.B else self._a
-
-        def parts(path: GraphPath):
-            if path.is_empty:
-                return
+        value = memo.get(path.key)
+        if value is None:
+            out: dict = {}
             for factor in reference_factors(self.colored, path):
                 if factor.side is want:
-                    yield factor.path, False
+                    out.setdefault(factor.path.key, factor.path)
                     continue
                 for edge in factor.path.edges:
-                    if edge.is_derived:
-                        for p, q in edge.parents:
-                            if p is q:
-                                continue
-                            hit = memo.get((p.id, q.id) if p.id < q.id else (q.id, p.id))
-                            if hit is None:
-                                yield graph.path(p, q), True
-                            else:
-                                for sub in hit:
-                                    yield sub, False
-
-        return self._memoized(memo, want.value, path, parts)
-
-    def b_premises(self, path: GraphPath) -> tuple:
-        return self._premises(path, Side.B)
-
-    def a_premises(self, path: GraphPath) -> tuple:
-        return self._premises(path, Side.A)
-
-    def cumulative(self, path: GraphPath) -> tuple:
-        def parts(path: GraphPath):
-            yield path, False
-            for sigma in self.a_premises(path):
-                for tau in self.b_premises(sigma):
-                    yield tau, True
-
-        return self._memoized(self._cumulative, "P", path, parts)
+                    for p, q in edge.parents or ():
+                        if p is not q:
+                            for sub in self.premises(self.colored.graph.path(p, q), want).values():
+                                out.setdefault(sub.key, sub)
+            memo[path.key] = value = tuple(out.values())
+        return {p.key: p for p in value}
 
 
-def cumulative_paths(ps: PremiseSets, path: GraphPath) -> list:
-    """The path, then every B-premise of its A-premises, recursively, once each.
+def cumulative_paths(ps, *paths: GraphPath) -> tuple[list, dict]:
+    """``(taus, sigmas)``: the paths, then every B-premise of their A-premises,
+    recursively, once each, in pre-order; and the A-premises of those paths
+    by key, in the order the walk first meets them.
 
-    Read off the library's ``ps.premises`` in pre-order, each path in the
-    direction it is first met in: the cumulative premise set the pipeline's
-    walk covers, as a path list.
+    The reference for ``interpolate._sigmas``, on ``ps.premises`` of the
+    library's or the reference premise sets: a path's A-premises are read as
+    the walk first meets it, then one A-premise's B-premises at a time, each
+    walked before the next is read, so the memos fill in the library's order.
+    ``path_interpolant`` conjoins the justifications of ``sigmas`` in order.
     """
-    found: dict = {}
-    stack = [path]
+    taus: dict = {}
+    sigmas: dict = {}
+
+    def below(tau: GraphPath):
+        found = ps.premises(tau, Side.A)
+        for key, sigma in found.items():
+            sigmas.setdefault(key, sigma)
+        for sigma in found.values():
+            yield from ps.premises(sigma, Side.B).values()
+
+    stack = [iter(paths)]
     while stack:
-        tau = stack.pop()
-        if tau.key in found:
-            continue
-        found[tau.key] = tau
-        below = [
-            sub
-            for sigma in ps.premises(tau, Side.A).values()
-            for sub in ps.premises(sigma, Side.B).values()
-        ]
-        stack.extend(reversed(below))
-    return list(found.values())
+        for tau in stack[-1]:
+            if tau.key not in taus:
+                taus[tau.key] = tau
+                stack.append(below(tau))
+                break
+        else:
+            stack.pop()
+    return list(taus.values()), sigmas
 
 
 def summary(path: GraphPath) -> Literal:
@@ -1258,59 +1206,78 @@ def summary(path: GraphPath) -> Literal:
     return Literal.make(path.start, path.end)
 
 
-def justification(ps: PremiseSets, path: GraphPath) -> HornClause | None:
-    """Horn clause: the path's B-premise summaries imply its own summary.
+def recursive_path_interpolant(ps, path: GraphPath, _memo: dict | None = None) -> frozenset:
+    """Reference evaluation of the path interpolant by direct recursion.
 
-    The library assembles the same clauses from path keys; this is the
-    literal-level reference they are checked against.
+    Multi-factor paths conjoin their factors' interpolants; a B-path
+    conjoins the interpolants of its edges' parent paths; an A-path adds its
+    own justification, the Horn clause from its B-premises' summaries to its
+    own, to the interpolants of its B-premises.  Must agree with
+    ``path_interpolant`` as a clause set; the library assembles the same
+    clauses from path keys.
     """
-    premises = [summary(p) for p in ps.premises(path, Side.B).values()]
-    return HornClause.make(premises, summary(path))
+    memo = _memo if _memo is not None else {}
+    key = path.key
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if path.is_empty:
+        return frozenset()
+    out: set[HornClause] = set()
+    factors = reference_factors(ps.colored, path)
+    if len(factors) >= 2:
+        for factor in factors:
+            out |= recursive_path_interpolant(ps, factor.path, memo)
+    elif factors[0].side is Side.B:
+        for edge in path.edges:
+            if edge.is_derived:
+                for p, q in edge.parents:
+                    if p is not q:
+                        sub = ps.colored.graph.path(p, q)
+                        out |= recursive_path_interpolant(ps, sub, memo)
+    else:
+        premises = ps.premises(path, Side.B).values()
+        clause = HornClause.make([summary(p) for p in premises], summary(path))
+        if clause is not None:
+            out.add(clause)
+        for sub in premises:
+            out |= recursive_path_interpolant(ps, sub, memo)
+    result = frozenset(out)
+    memo[key] = result
+    return result
 
 
-def reference_path_interpolant(ps: ReferencePremiseSets, path: GraphPath) -> HornConjunction:
-    sigmas: dict = {}
-    for tau in ps.cumulative(path):
-        for sigma in ps.a_premises(tau):
-            sigmas.setdefault(sigma.key, sigma)
-    return HornConjunction.from_clauses(
-        HornClause.make([summary(p) for p in ps.b_premises(sigma)], summary(sigma))
-        for sigma in sigmas.values()
-    )
+def reference_interpolant(ps, paths: Sequence[GraphPath], *last: HornClause) -> HornConjunction:
+    """The recursive form's clauses over ``paths``, ordered by the walk of
+    ``cumulative_paths``, one per A-premise, then ``last``."""
+    _, sigmas = cumulative_paths(ps, *paths)
+    memo: dict = {}
+    clauses = {c.conclusion: c for p in paths for c in recursive_path_interpolant(ps, p, memo)}
+    ordered = [clauses.pop(summary(sigma)) for sigma in sigmas.values()]
+    assert not clauses, "a clause of the recursive form has no A-premise"
+    return HornConjunction((*ordered, *last))
 
 
-def reference_refutation_interpolant(
-    ps: ReferencePremiseSets, path: GraphPath
-) -> HornConjunction:
+def reference_refutation_interpolant(ps, path: GraphPath) -> HornConjunction:
     symbols = ps.colored.symbols
     verts = path.vertices
     b_positions = [
         i for i, v in enumerate(verts) if symbols.colorability(v) & Colorability.B
     ]
-    clauses: list = []
+    starts, parts, conclusion = [], [path], None
     if b_positions:
         i, j = b_positions[0], b_positions[-1]
-        prefix = path.slice(0, i)
         core = path.slice(i, j)
-        suffix = path.slice(j, len(verts) - 1)
-    else:
-        prefix, core, suffix = path, None, None
-    if core is not None and not core.is_empty:
-        clauses.extend(reference_path_interpolant(ps, core).clauses)
+        parts = [path.slice(0, i), path.slice(j, len(verts) - 1)]
+        if not core.is_empty:
+            starts, conclusion = [core], summary(core).negated()
+    cumulative_paths(ps, *starts)  # the core's walk fills the memos first
     outer: dict = {}
-    for part in (prefix, suffix):
-        if part is not None:
-            for p in ps.b_premises(part):
-                outer.setdefault(p.key, p)
-    for p in outer.values():
-        clauses.extend(reference_path_interpolant(ps, p).clauses)
-    premises = [summary(p) for p in outer.values()]
-    if core is None or core.is_empty:
-        conclusion = None
-    else:
-        conclusion = summary(core).negated()
-    clauses.append(HornClause.make(premises, conclusion))
-    return HornConjunction.from_clauses(clauses)
+    for part in parts:
+        for key, p in ps.premises(part, Side.B).items():
+            outer.setdefault(key, p)
+    last = HornClause.make([summary(p) for p in outer.values()], conclusion)
+    return reference_interpolant(ps, [*starts, *outer.values()], last)
 
 
 def memo_record(memo: dict) -> list:
@@ -1330,7 +1297,7 @@ def extraction_outcome(problem: ProblemInstance, strategy, reference: bool = Fal
     """The memos, factor count and interpolant text of one interpolation.
 
     The reference route colors the graph afresh, as ``interpolate`` does, and
-    runs the factor layer's premise sets and extraction on it.
+    runs the factor layer's premise sets and ``reference_interpolant`` on it.
     """
     if not reference:
         result = interpolate(problem, strategy)
@@ -1343,7 +1310,7 @@ def extraction_outcome(problem: ProblemInstance, strategy, reference: bool = Fal
         else:
             path = colored.graph.path(refuted.lhs, refuted.rhs)
             if side is Side.B:
-                conj = reference_path_interpolant(ps, path)
+                conj = reference_interpolant(ps, [path])
             else:
                 conj = reference_refutation_interpolant(ps, path)
             count = len(reference_factors(colored, path))

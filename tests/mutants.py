@@ -107,6 +107,20 @@ MUTANTS = [
         "bits[s.id] | bits[t.id] for s, t in",
         "test_game",
     ),
+    (
+        "collapse-premise-count",
+        "game.py",
+        "node = (tuple(raw[toks[k]][0] for k in premises), origin)",
+        "node = (len(premises), origin)",
+        "test_game",
+    ),
+    (
+        "collapse-ignores-origin",
+        "game.py",
+        "node = (tuple(raw[toks[k]][0] for k in premises), origin)",
+        "node = (tuple(raw[toks[k]][0] for k in premises), None)",
+        "test_game",
+    ),
     # congruence: closure, forest splits, the refuted disequality
     (
         "closure-tie",
@@ -127,6 +141,20 @@ MUTANTS = [
         "congruence.py",
         "for want in (Side.B, Side.A):",
         "for want in (Side.A, Side.B):",
+        "test_congruence",
+    ),
+    (
+        "close-rescan-one-member",
+        "congruence.py",
+        "for member in members:\n            for app in use[member.id]:",
+        "for member in members[:1]:\n            for app in use[member.id]:",
+        "test_congruence",
+    ),
+    (
+        "close-signature-ids",
+        "congruence.py",
+        "reps.append(r)",
+        "reps.append(a.id)",
         "test_congruence",
     ),
     (
@@ -173,6 +201,29 @@ MUTANTS = [
         "conclusion = Literal(terms[a], terms[b], True)",
         "test_interpolate",
     ),
+    # interpolate: premise sets, the A-premise walk and the closed form
+    (
+        "union-join-order",
+        "interpolate.py",
+        "            for k in hit:\n",
+        "            for k in reversed(hit):\n",
+        "test_interpolate",
+    ),
+    ("premise-self-pair", "interpolate.py", "if p is not q:", "if p is p:", "test_interpolate"),
+    (
+        "sigmas-walk-order",
+        "interpolate.py",
+        "        for sigma in found.values():",
+        "        for sigma in reversed(found.values()):",
+        "test_interpolate",
+    ),
+    (
+        "conjunction-premise-order",
+        "interpolate.py",
+        "premises = sorted(ps.premises(sigma, _B))",
+        "premises = list(ps.premises(sigma, _B))",
+        "test_interpolate",
+    ),
     # verify: the oracle
     ("oracle-no-undo", "verify.py", "        closure.undo(a_closed)\n", "", "test_verify"),
     (
@@ -180,6 +231,28 @@ MUTANTS = [
         "verify.py",
         "queue.extend(waiting.pop(gone, ()))",
         "waiting.pop(gone, ())",
+        "test_verify",
+    ),
+    (
+        "oracle-resign-args",
+        "verify.py",
+        "key = (head, *map(at, args))",
+        "key = (head, *args)",
+        "test_verify",
+    ),
+    (
+        "oracle-resign-one-use",
+        "verify.py",
+        "for app in uses[gone]:",
+        "for app in uses[gone][:1]:",
+        "test_verify",
+    ),
+    ("oracle-uses-dropped", "verify.py", "            uses[kept].extend(uses[gone])\n", "", "test_verify"),
+    (
+        "saturate-waits-on-one-class",
+        "verify.py",
+        "for x in open_premise:",
+        "for x in open_premise[:1]:",
         "test_verify",
     ),
     # core: symbols, literals and the shared post-order walk

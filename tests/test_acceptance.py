@@ -21,7 +21,6 @@ from eufinterp.core import (
     Literal,
     ProblemInstance,
     Side,
-    _post_order,
     format_term,
     parse_problem,
 )
@@ -37,7 +36,6 @@ from eufinterp.game import (
 from eufinterp.generate import generate
 from eufinterp.interpolate import (
     PremiseSets,
-    _conjunction,
     build_colored_graph,
     format_conjunction,
     interpolate,
@@ -47,14 +45,16 @@ from eufinterp.interpolate import (
 from eufinterp.verify import check_interpolant, euf_entails
 
 from conftest import (
-    brute_force_closure,
     bridge_run,
+    cumulative_paths,
     expected_clauses,
     load_text,
+    partition,
+    recursive_path_interpolant,
+    rescan_closure,
     summary,
 )
 from test_game import check_cut
-from test_interpolate import recursive_path_interpolant
 
 GOLDEN_BUDGET_S = 0.010
 SUITE_BUDGET_S = 10.0
@@ -273,48 +273,17 @@ def _horn_shape_ok(problem: ProblemInstance, conj) -> bool:
     return True
 
 
-def _reached(ps: PremiseSets, path) -> tuple[dict, dict]:
-    """The path and every B-premise below it by key, and the A-premises each
-    reaches, from one post-order walk.
-
-    A path reaches its own A-premises and whatever their B-premises reach:
-    the set whose justifications are its closed-form interpolant.
-    """
-    paths, reached = {path.key: path}, {}
-
-    def below(key):
-        for sigma in ps.premises(paths[key], Side.A).values():
-            for sub_key, tau in ps.premises(sigma, Side.B).items():
-                paths.setdefault(sub_key, tau)
-                yield sub_key
-
-    def value(key):
-        found = ps.premises(paths[key], Side.A)
-        out = dict(found)
-        for sigma in found.values():
-            for sub_key in ps.premises(sigma, Side.B):
-                out.update(reached[sub_key])
-        return out
-
-    _post_order(path.key, below, value, reached, lambda key: RuntimeError(key))
-    return paths, reached
-
-
 def _identity_ok(result) -> bool:
     """Every path of the refuted path's cumulative premise list has the
-    closed-form interpolant its recursive form gives.  The refuted path's is
-    the pipeline's own, the others are assembled from ``_reached``."""
+    closed-form interpolant its recursive form gives."""
     ps = result.premises
     if result.refuted.trivial:
         return True
     path = result.colored.graph.path(result.refuted.lhs, result.refuted.rhs)
-    paths, reached = _reached(ps, path)
-    closed = {key: _conjunction(ps, sigmas) for key, sigmas in reached.items()}
-    closed[path.key] = path_interpolant(ps, path)
     memo: dict = {}
     return all(
-        frozenset(closed[key].clauses) == recursive_path_interpolant(ps, sub, memo)
-        for key, sub in paths.items()
+        frozenset(path_interpolant(ps, sub).clauses) == recursive_path_interpolant(ps, sub, memo)
+        for sub in cumulative_paths(ps, path)[0]
     )
 
 
@@ -365,10 +334,9 @@ class TestPropertySuites:
             table, terms = random_universe(rng, cap=12)
             eqs = random_equalities(rng, terms, rng.randint(0, 10))
             graph = close(eqs, terms)
-            oracle = brute_force_closure([lit for lit, _ in eqs], terms)
+            oracle = rescan_closure([(lit.lhs.id, lit.rhs.id) for lit, _ in eqs], terms)
             mine = {frozenset(t.id for t in block) for block in graph.components()}
-            theirs = {frozenset(t.id for t in block) for block in oracle}
-            if mine != theirs:
+            if mine != partition(oracle):
                 ok = False
                 break
         record(

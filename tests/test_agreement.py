@@ -7,7 +7,9 @@ strategies and each interpolant is checked by the independent oracle; so are
 the interpolants of the same problem with its literals shuffled and with its
 symbols renamed.  A satisfiable draw is checked too: the oracle must find it
 satisfiable, and the pipeline's witness partition must keep every equality
-inside a block and every disequality across blocks.  The game bridge of the
+inside a block and every disequality across blocks, and equal the
+from-scratch closure of the equalities over the draw's terms (``conftest``'s
+``rescan_closure``), so it is closed under congruence.  The game bridge of the
 drawn and the shuffled problem must match the reference route in ``conftest``
 (``bridge_outcome``), their premise memos and interpolants the factor-layer
 reference, and their repair and coloring the reference coloring layer.  Every
@@ -24,14 +26,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eufinterp.coloring import Strategy
-from eufinterp.core import format_literal, parse_problem
+from eufinterp.core import format_literal, parse_problem, subterm_closure
 from eufinterp.game import format_game_interpolant, game_interpolant
 from eufinterp.interpolate import (
     NotUnsatisfiableError, format_conjunction, interpolate, parse_conjunction,
 )
 from eufinterp.verify import check_interpolant, literal_set_unsat
 
-from conftest import bridge_outcome, bridge_run, coloring_outcome, extraction_outcome
+from conftest import (
+    bridge_outcome, bridge_run, coloring_outcome, extraction_outcome, partition, rescan_closure,
+)
 
 SYMBOLS = {  # side -> (constants, (function, arity) pairs); None is shared
     None: (("c0", "c1", "c2"), (("g", 1), ("h", 2))),
@@ -117,6 +121,9 @@ def accepted_under_every_strategy(text: str) -> bool:
             block = {t.id: k for k, members in enumerate(exc.partition) for t in members}
             for lit in literals:
                 assert (block[lit.lhs.id] == block[lit.rhs.id]) is lit.equal, format_literal(lit)
+            terms = subterm_closure([t for lit in literals for t in (lit.lhs, lit.rhs)])
+            eqs = [(lit.lhs.id, lit.rhs.id) for lit in literals if lit.equal]
+            assert partition(block) == partition(rescan_closure(eqs, terms)), text
             return False
         report = check_interpolant(problem, result.interpolant)
         assert report.accepted, (text, strategy, format_conjunction(result.interpolant))

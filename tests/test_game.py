@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from functools import partial
 
 import pytest
@@ -305,51 +306,6 @@ def local_random_proof(rng: random.Random, size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_collapse(text: str) -> dict:
-    """Labels to nodes by numbering whole subtrees, apart from parse_proof.
-
-    Structurally equal subtrees, and only they, share a number, and nodes
-    sharing a label must share it.  Nodes are taken in file order, each one's
-    subtree numbered before its label is compared.  For well-formed proofs
-    with one root; the numbering recurses.
-    """
-    raw = {}
-    for form in reference_read_sexprs(text)[1:]:
-        _, node_id, label, tail = form.items
-        kind, *ids = (item.text for item in tail.items)
-        leaf = kind == "from"
-        raw[node_id.text] = (
-            reference_formula(label),
-            () if leaf else tuple(ids),
-            ids[0] if leaf else None,
-        )
-    numbering: dict = {}
-    signature: dict = {}
-    open_ids: set = set()
-
-    def number(node_id):
-        if node_id in open_ids:
-            raise ProofError(f"cyclic proof through node {node_id!r}")
-        if node_id not in signature:
-            open_ids.add(node_id)
-            formula, premises, origin = raw[node_id]
-            key = (formula, origin, tuple(number(p) for p in premises))
-            open_ids.discard(node_id)
-            signature[node_id] = numbering.setdefault(key, len(numbering))
-        return signature[node_id]
-
-    first: dict = {}
-    nodes: dict = {}
-    for node_id, (formula, premises, origin) in raw.items():
-        if first.setdefault(formula, number(node_id)) != signature[node_id]:
-            raise ProofError(
-                f"nodes labelled {reference_format_formula(formula)} root different subtrees"
-            )
-        labels = tuple(raw[p][0] for p in premises)
-        nodes.setdefault(formula, LabelNode(formula, labels, origin))
-    return nodes
-
-
 def deep_copy_variants(rng: random.Random, text: str) -> list[str]:
     """Copies of a ``random_proof`` text with one more derivation of a label.
 
@@ -357,7 +313,9 @@ def deep_copy_variants(rng: random.Random, text: str) -> list[str]:
     d get second ids n', c', d', with the same labels and n' a further
     premise of false.  In the first copy d' equals d; in the second, d'
     differs from d in its origin (a leaf) or its premise list (an inference),
-    two levels below n'.  Empty when the proof has no such n.
+    two levels below n'.  When d is an inference, a third copy's d' has as
+    many premises as d, the first swapped for an earlier node of another
+    label.  Empty when the proof has no such n.
     """
     lines = text.splitlines()
     forms = {form.items[1].text: form for form in reference_read_sexprs(text)[1:]}
@@ -377,9 +335,11 @@ def deep_copy_variants(rng: random.Random, text: str) -> list[str]:
         return []
     n, c, d = rng.choice(chains)
 
+    def label(node_id):
+        return reference_format_formula(reference_formula(forms[node_id].items[2]))
+
     def renamed(node_id, tail):
-        label = reference_format_formula(reference_formula(forms[node_id].items[2]))
-        return f"(node {node_id}' {label} {tail})"
+        return f"(node {node_id}' {label(node_id)} {tail})"
 
     def premise_tail(ids):
         return "(premises " + " ".join(ids) + ")"
@@ -390,6 +350,11 @@ def deep_copy_variants(rng: random.Random, text: str) -> list[str]:
     if d_ids:
         extra_id = f"n{rng.randrange(int(d[1:]))}"  # an earlier node: no cycle
         variants = [premise_tail(d_ids), premise_tail(d_ids + [extra_id])]
+        swaps = [
+            m for m in forms
+            if m[1:].isdigit() and int(m[1:]) < int(d[1:]) and label(m) != label(d_ids[0])
+        ]
+        variants += [premise_tail([swaps[0], *d_ids[1:]])] if swaps else []
     else:
         origin = forms[d].items[3].items[1].text
         other = rng.choice([o for o in ("A", "B", "axiom") if o != origin])
@@ -569,47 +534,25 @@ class TestParseProof:
         with pytest.raises(ProofError, match=f"^cyclic proof through node '{named}'$"):
             parse_proof(text)
 
-    def test_label_collapse_matches_the_subtree_numbering(self):
-        # Node-local label checks must accept exactly the proofs whose equal
-        # labels root equal subtrees, also when a copy differs two levels down.
-        def outcome(collapse, text, fmt=format_term):
-            try:
-                nodes = collapse(text)
-            except ValueError as exc:
-                return type(exc)
-            return [
-                (fmt(label), tuple(fmt(p) for p in node.premises), node.origin)
-                for label, node in nodes.items()
-            ]
-
-        rng, mutate = random.Random(8), random.Random(9)
-        faithful = mutated = 0
-        for _ in range(300):
-            text = random_proof(rng, rng.randint(3, 40))
-            texts = [text] + deep_copy_variants(mutate, text)
-            expected = [
-                outcome(reference_collapse, t, reference_format_formula) for t in texts
-            ]
-            for text, want in zip(texts, expected):
-                assert outcome(lambda t: label_nodes(parse_proof(t)), text) == want, text
-            if len(texts) > 1:
-                faithful += expected[1] is not ProofError
-                mutated += expected[2] is ProofError
-        assert faithful >= 100 and mutated >= 100
-
     def test_reader_agrees_with_the_reference_chain(self):
-        # Same theory symbols, nodes and root as text, or the same error.
+        # Same theory symbols, nodes and root as text, or the same error; also
+        # with one more derivation of a label (deep_copy_variants), which the
+        # node-local label checks must collapse when it is a copy and refuse
+        # when it differs, also two levels down.
         texts = [load_text("forward_chain.proof"), alternating_proof(5)]
         texts += [inputs[0] for command, inputs, _ in MALFORMED if command.startswith("game")]
-        rng = random.Random(8)
-        texts += [random_proof(rng, rng.randint(3, 40)) for _ in range(50)]
-        for text in texts:
-            assert_proof_readers_agree(text)
-            try:
-                tree = parse_proof(text)
-            except ValueError:
-                continue
-            assert premise_first(tree), text
+        rng, mutate = random.Random(8), random.Random(9)
+        copies = []
+        for _ in range(300):
+            texts.append(random_proof(rng, rng.randint(3, 40)))
+            copies.append(deep_copy_variants(mutate, texts[-1]))
+        got = {}
+        for text in texts + [copy for variants in copies for copy in variants]:
+            got[text] = assert_proof_readers_agree(text)
+            if got[text][0] == "ok":
+                assert premise_first(parse_proof(text)), text
+        assert sum(got[v[0]][0] == "ok" for v in copies if v) >= 100
+        assert sum(got[v[1]][:2] == ("error", ProofError) for v in copies if v) >= 100
 
     def test_shuffled_proofs_keep_their_game(self):
         # Node forms in any order give a premise-first tree with the same
@@ -919,19 +862,23 @@ class TestColoringCut:
 
 
 class TestCheckCut:
-    def test_missing_false_fails(self):
+    @pytest.mark.parametrize(
+        "t_a, t_b, refusal",
+        [
+            ((T_FA,), (NOT_RB, RULE), "run is not successful: false was never derived"),
+            ((T_FA,), (T_FA, "false"), f"piece at {T_FA} reaches foreign leaf {NOT_RB}"),
+            (("(p a)",), ("false",), f"piece at false walks through {T_FA}, a step outside side B"),
+        ],
+        ids=["missing_false", "overlapping_sets", "unshared_node"],
+    )
+    def test_bad_cut(self, t_a, t_b, refusal):
+        # The check_cut oracle's self-check on cuts of the forward chain that
+        # break one condition each; the library's run refuses them too.
         tree = normalize_root(fig_tree())
-        label = lambda text: formula(tree.table, text)
-        assert not check_cut(tree, (label(T_FA),), (label(NOT_RB), label(RULE)))
-
-    def test_overlapping_sets_fail(self):
-        tree = normalize_root(fig_tree())
-        t_fa = formula(tree.table, T_FA)
-        assert not check_cut(tree, (t_fa,), (t_fa, tree.root))
-
-    def test_unshared_node_fails(self):
-        tree = normalize_root(fig_tree())
-        assert not check_cut(tree, (formula(tree.table, "(p a)"),), (tree.root,))
+        t_a, t_b = ([formula(tree.table, text) for text in cut] for cut in (t_a, t_b))
+        assert not check_cut(tree, t_a, t_b)
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            game_interpolant(run_from_cut(tree, t_a, t_b))
 
     def test_stacked_same_side_nodes_fail(self):
         # u0=v0 and u2=v2 both land on the A side with no B node between

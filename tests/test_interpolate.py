@@ -33,54 +33,13 @@ from conftest import (
     cumulative_paths,
     expected_clauses,
     extraction_outcome,
-    justification,
     load_problem,
-    reference_factors,
+    recursive_path_interpolant,
     summary,
 )
 
 # The package exports the function ``interpolate`` under the module's name.
 interpolate_module = importlib.import_module("eufinterp.interpolate")
-
-
-def recursive_path_interpolant(
-    ps: PremiseSets, path, _memo: dict | None = None
-) -> frozenset[HornClause]:
-    """Reference evaluation of the path interpolant by direct recursion.
-
-    Multi-factor paths conjoin their factors' interpolants; a B-path
-    conjoins the interpolants of its edges' parent paths; an A-path adds its
-    own justification to the interpolants of its B-premises.  Must agree
-    with :func:`path_interpolant` as a clause set.
-    """
-    memo = _memo if _memo is not None else {}
-    key = path.key
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if path.is_empty:
-        return frozenset()
-    out: set[HornClause] = set()
-    factors = reference_factors(ps.colored, path)
-    if len(factors) >= 2:
-        for factor in factors:
-            out |= recursive_path_interpolant(ps, factor.path, memo)
-    elif factors[0].side is Side.B:
-        for edge in path.edges:
-            if edge.is_derived:
-                for p, q in edge.parents:
-                    if p is not q:
-                        sub = ps.colored.graph.path(p, q)
-                        out |= recursive_path_interpolant(ps, sub, memo)
-    else:
-        clause = justification(ps, path)
-        if clause is not None:
-            out.add(clause)
-        for sub in ps.premises(path, Side.B).values():
-            out |= recursive_path_interpolant(ps, sub, memo)
-    result = frozenset(out)
-    memo[key] = result
-    return result
 
 
 def _setup(name, strategy=Strategy.GREEDY):
@@ -150,7 +109,7 @@ class TestPremiseSets:
             colored, refuted, _, _ = build_colored_graph(p)
             ps = PremiseSets(colored)
             path = colored.graph.path(refuted.lhs, refuted.rhs)
-            for sub in cumulative_paths(ps, path):
+            for sub in cumulative_paths(ps, path)[0]:
                 outer = {sigma.key for sigma in ps.premises(sub, Side.A).values()}
                 for inner in ps.premises(sub, Side.A).values():
                     assert {sigma.key for sigma in ps.premises(inner, Side.A).values()} <= outer
@@ -213,7 +172,7 @@ class TestPathInterpolant:
                 colored, refuted, side, _ = build_colored_graph(p)
                 ps = PremiseSets(colored)
                 path = colored.graph.path(refuted.lhs, refuted.rhs)
-                for sub in (path, *cumulative_paths(ps, path)):
+                for sub in cumulative_paths(ps, path)[0]:
                     assert frozenset(path_interpolant(ps, sub).clauses) == \
                         recursive_path_interpolant(ps, sub)
 
@@ -419,6 +378,12 @@ def reference_problems():
         yield crossing_text(k, seed=i)
     yield "(A (not (= a a))) (B (= b c))"
     yield "(A (= b c)) (B (not (= a a)))"
+    # Both A-premises have a congruence over x0 ~ x3, whose path alternates
+    # B, A, B: the second finds the two B-runs memoized, in their order.
+    yield (
+        "(A (= a (f x0)) (= (f x3) b) (= x1 x2) (= c (g x0)) (= (g x3) d))"
+        " (B (= x0 x1) (= x2 x3) (= b c) (not (= a d)))"
+    )
 
 
 class TestRunBasedPremiseSets:

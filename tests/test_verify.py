@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from eufinterp.congruence import close
 from eufinterp.core import (
     Literal,
     SymbolTable,
@@ -30,118 +31,65 @@ from eufinterp.verify import (
     unsat_with_horn,
 )
 
-from conftest import SizeCapError, brute_force_closure, load_problem
+from conftest import load_problem, partition, rescan_closure
+from test_congruence import random_equalities, random_universe as congruence_universe
 from test_core import bench_workload_texts
 
 
-# Test-only reference: a from-scratch oracle.  Every call builds a fresh
-# dense universe and closes it by rescanning all applications until nothing
-# changes; the incremental closure in ``verify`` must agree with it.
-
-
-class RescanUniverse:
-    """Dense-index view of a subterm-closed term list."""
-
-    def __init__(self, terms):
-        self.terms = sorted(terms, key=lambda t: t.id)
-        self.index = {t.id: i for i, t in enumerate(self.terms)}
-        self.apps = [
-            (t.head, tuple(self.index[a.id] for a in t.args), i)
-            for i, t in enumerate(self.terms)
-            if t.args
-        ]
-
-    def pair(self, lit):
-        return (self.index[lit.lhs.id], self.index[lit.rhs.id])
-
-    def split(self, literals):
-        eqs, diseqs = [], []
-        for lit in literals:
-            (eqs if lit.equal else diseqs).append(self.pair(lit))
-        return eqs, diseqs
-
-    def closure(self, eq_pairs):
-        """Representative array after closing under congruence by rescans."""
-        parent = list(range(len(self.terms)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return False
-            if ry < rx:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            return True
-
-        for a, b in eq_pairs:
-            union(a, b)
-        while True:
-            changed = False
-            table = {}
-            for head, argidx, idx in self.apps:
-                key = (head,) + tuple(find(a) for a in argidx)
-                other = table.get(key)
-                if other is None:
-                    table[key] = idx
-                elif union(idx, other):
-                    changed = True
-            if not changed:
-                break
-        for x in range(len(parent)):
-            find(x)
-        return parent
+# Test-only references for the oracle on ``rescan_closure``: every call
+# closes its literals' subterms from nothing.
 
 
 def _terms_of(literals):
     return [t for lit in literals for t in (lit.lhs, lit.rhs)]
 
 
-def _refuted(parent, diseqs):
-    return any(parent[a] == parent[b] for a, b in diseqs)
+def _split(literals):
+    """The equalities and the disequalities as term-id pairs."""
+    eqs, diseqs = [], []
+    for lit in literals:
+        (eqs if lit.equal else diseqs).append((lit.lhs.id, lit.rhs.id))
+    return eqs, diseqs
+
+
+def _refuted(classes, diseqs):
+    return any(classes[a] == classes[b] for a, b in diseqs)
 
 
 def reference_literal_set_unsat(literals):
-    universe = RescanUniverse(subterm_closure(_terms_of(literals)))
-    eqs, diseqs = universe.split(literals)
-    return _refuted(universe.closure(eqs), diseqs)
+    eqs, diseqs = _split(literals)
+    return _refuted(rescan_closure(eqs, subterm_closure(_terms_of(literals))), diseqs)
 
 
 def reference_euf_entails(literals, phi):
-    universe = RescanUniverse(subterm_closure(_terms_of(list(literals) + [phi])))
-    eqs, diseqs = universe.split(literals)
+    terms = subterm_closure(_terms_of([*literals, phi]))
+    eqs, diseqs = _split(literals)
+    pair = (phi.lhs.id, phi.rhs.id)
     if phi.equal:
-        parent = universe.closure(eqs)
-        a, b = universe.pair(phi)
-        return parent[a] == parent[b] or _refuted(parent, diseqs)
-    return _refuted(universe.closure(eqs + [universe.pair(phi)]), diseqs)
+        classes = rescan_closure(eqs, terms)
+        return classes[pair[0]] == classes[pair[1]] or _refuted(classes, diseqs)
+    return _refuted(rescan_closure(eqs + [pair], terms), diseqs)
 
 
 def reference_unsat_with_horn(literals, horn):
     """Forward chaining that recloses the whole universe every round."""
-    universe = RescanUniverse(subterm_closure(_terms_of(list(literals) + horn.atoms())))
-    eqs, diseqs = universe.split(literals)
+    terms = subterm_closure(_terms_of([*literals, *horn.atoms()]))
+    eqs, diseqs = _split(literals)
     fired = [False] * len(horn.clauses)
     while True:
-        parent = universe.closure(eqs)
-        if _refuted(parent, diseqs):
+        classes = rescan_closure(eqs, terms)
+        if _refuted(classes, diseqs):
             return True
         progress = False
         for i, clause in enumerate(horn.clauses):
-            premises = [universe.pair(p) for p in clause.premises]
-            if fired[i] or not all(parent[a] == parent[b] for a, b in premises):
+            premises = [(q.lhs.id, q.rhs.id) for q in clause.premises]
+            if fired[i] or not all(classes[a] == classes[b] for a, b in premises):
                 continue
             fired[i] = progress = True
             if clause.conclusion is None:
                 return True
-            (eqs if clause.conclusion.equal else diseqs).append(
-                universe.pair(clause.conclusion)
-            )
+            c = clause.conclusion
+            (eqs if c.equal else diseqs).append((c.lhs.id, c.rhs.id))
         if not progress:
             return False
 
@@ -177,68 +125,6 @@ def reference_check_interpolant(problem, horn):
     if not b_ok:
         failures.append("B stays satisfiable with the formula")
     return EntailmentReport(shared_ok, a_ok, b_ok, failures)
-
-
-def _ids(blocks):
-    return {frozenset(t.id for t in block) for block in blocks}
-
-
-class TestBruteForceClosure:
-    def test_congruence_pair(self):
-        table = TermTable()
-        a, b = table.make("a"), table.make("b")
-        fa, fb = table.make("f", (a,)), table.make("f", (b,))
-        blocks = brute_force_closure([Literal.make(a, b)], [a, b, fa, fb])
-        assert _ids(blocks) == {frozenset({a.id, b.id}), frozenset({fa.id, fb.id})}
-
-    def test_empty_equalities_discrete(self):
-        table = TermTable()
-        consts = [table.make(f"c{i}") for i in range(5)]
-        blocks = brute_force_closure([], consts)
-        assert _ids(blocks) == {frozenset({t.id}) for t in consts}
-
-    def test_chained_equalities_single_block(self):
-        table = TermTable()
-        consts = [table.make(f"c{i}") for i in range(6)]
-        eqs = [Literal.make(consts[i], consts[i + 1]) for i in range(5)]
-        blocks = brute_force_closure(eqs, consts)
-        assert _ids(blocks) == {frozenset(t.id for t in consts)}
-
-    def test_size_cap(self):
-        table = TermTable()
-        consts = [table.make(f"c{i}") for i in range(17)]
-        with pytest.raises(SizeCapError):
-            brute_force_closure([], consts)
-
-    def test_nested_congruence_fixpoint(self):
-        table = TermTable()
-        a, b = table.make("a"), table.make("b")
-        fa = table.make("f", (a,))
-        fb = table.make("f", (b,))
-        ffa = table.make("f", (fa,))
-        ffb = table.make("f", (fb,))
-        blocks = brute_force_closure(
-            [Literal.make(a, b)], [a, b, fa, fb, ffa, ffb]
-        )
-        assert _ids(blocks) == {
-            frozenset({a.id, b.id}),
-            frozenset({fa.id, fb.id}),
-            frozenset({ffa.id, ffb.id}),
-        }
-
-    def test_incremental_closure_agrees(self):
-        from test_congruence import random_equalities, random_universe
-
-        rng = random.Random(5)
-        for _ in range(300):
-            _, terms = random_universe(rng)
-            eqs = [lit for lit, _ in random_equalities(rng, terms, rng.randint(0, 10))]
-            closure = _Closure(terms)
-            closure.add(eqs)
-            blocks: dict = {}
-            for t in terms:
-                blocks.setdefault(closure.rep[t.id], []).append(t)
-            assert _ids(blocks.values()) == _ids(brute_force_closure(eqs, terms))
 
 
 class TestEntailment:
@@ -452,13 +338,6 @@ def random_pairs(rng, size, count):
     return [(rng.randrange(size), rng.randrange(size)) for _ in range(count)]
 
 
-def partition(rep):
-    blocks = {}
-    for i, r in enumerate(rep):
-        blocks.setdefault(r, set()).add(i)
-    return {frozenset(b) for b in blocks.values()}
-
-
 def snapshot(closure):
     return (
         list(closure.rep),
@@ -468,8 +347,44 @@ def snapshot(closure):
     )
 
 
+def classes(closure, terms):
+    return partition({t.id: closure.rep[t.id] for t in terms})
+
+
+# Hand-built partitions: terms as (head, argument indices), equalities as
+# index pairs, and the blocks of indices; in a fresh table, index is id.
+HAND_BUILT = {
+    "congruence_pair": ([("a",), ("b",), ("f", 0), ("f", 1)], [(0, 1)], [{0, 1}, {2, 3}]),
+    "empty_equalities_discrete": ([(f"c{i}",) for i in range(5)], [], [{i} for i in range(5)]),
+    "chained_equalities_single_block": (
+        [(f"c{i}",) for i in range(6)], [(i, i + 1) for i in range(5)], [set(range(6))]
+    ),
+    "nested_congruence_fixpoint": (
+        [("a",), ("b",), ("f", 0), ("f", 1), ("f", 2), ("f", 3)], [(0, 1)], [{0, 1}, {2, 3}, {4, 5}]
+    ),
+}
+
+
 class TestIncrementalClosure:
+    @pytest.mark.parametrize("name", HAND_BUILT)
+    def test_hand_built_partition(self, name):
+        # The pipeline's closure, the oracle's and the reference agree on it.
+        specs, pairs, blocks = HAND_BUILT[name]
+        table, terms = TermTable(), []
+        for head, *args in specs:
+            terms.append(table.make(head, [terms[i] for i in args]))
+        eqs = [Literal.make(terms[a], terms[b]) for a, b in pairs]
+        closure = _Closure(terms)
+        closure.add(eqs)
+        graph = close([(lit, None) for lit in eqs], terms)
+        want = set(map(frozenset, blocks))
+        assert {frozenset(t.id for t in block) for block in graph.components()} == want
+        assert classes(closure, terms) == want
+        assert partition(rescan_closure(pairs, terms)) == want
+
     def test_partition_matches_the_rescan_reference(self):
+        # Merged pair by pair over f, g and binary h, then added as literals
+        # over test_congruence's universes of f and binary g.
         rng = random.Random(41)
         for _ in range(300):
             terms = random_universe(rng, TermTable())
@@ -477,7 +392,14 @@ class TestIncrementalClosure:
             closure = _Closure(terms)
             for a, b in eqs:
                 closure.merge(a, b)
-            assert partition(closure.rep) == partition(RescanUniverse(terms).closure(eqs))
+            assert classes(closure, terms) == partition(rescan_closure(eqs, terms))
+        rng = random.Random(5)
+        for _ in range(300):
+            _, terms = congruence_universe(rng)
+            eqs = [lit for lit, _ in random_equalities(rng, terms, rng.randint(0, 10))]
+            closure = _Closure(terms)
+            closure.add(eqs)
+            assert classes(closure, terms) == partition(rescan_closure(_split(eqs)[0], terms))
 
     def test_undo_restores_the_exact_state(self):
         rng = random.Random(43)
@@ -496,8 +418,7 @@ class TestIncrementalClosure:
                 for a, b in extra:
                     closure.merge(a, b)
                 merged += extra
-                reference = RescanUniverse(terms).closure(merged)
-                assert partition(closure.rep) == partition(reference)
+                assert classes(closure, terms) == partition(rescan_closure(merged, terms))
             while marks:
                 closure.undo(marks.pop())
                 assert snapshot(closure) == states.pop()
@@ -516,11 +437,10 @@ class TestIncrementalClosure:
             sparse += ids != list(range(len(table)))
             closure = _Closure(terms)
             built, mark = snapshot(closure), closure.mark()
-            eqs = random_pairs(rng, len(terms), rng.randint(1, 6))
+            eqs = [(ids[a], ids[b]) for a, b in random_pairs(rng, len(terms), rng.randint(1, 6))]
             for a, b in eqs:
-                closure.merge(ids[a], ids[b])
-            reference = RescanUniverse(terms).closure(eqs)
-            assert partition([closure.rep[i] for i in ids]) == partition(reference)
+                closure.merge(a, b)
+            assert classes(closure, terms) == partition(rescan_closure(eqs, terms))
             closure.undo(mark)
             assert snapshot(closure) == built
         assert sparse >= 150
