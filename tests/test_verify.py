@@ -383,8 +383,7 @@ class TestIncrementalClosure:
         assert partition(rescan_closure(pairs, terms)) == want
 
     def test_partition_matches_the_rescan_reference(self):
-        # Merged pair by pair over f, g and binary h, then added as literals
-        # over test_congruence's universes of f and binary g.
+        # Merged pair by pair over f, g and binary h.
         rng = random.Random(41)
         for _ in range(300):
             terms = random_universe(rng, TermTable())
@@ -393,13 +392,6 @@ class TestIncrementalClosure:
             for a, b in eqs:
                 closure.merge(a, b)
             assert classes(closure, terms) == partition(rescan_closure(eqs, terms))
-        rng = random.Random(5)
-        for _ in range(300):
-            _, terms = congruence_universe(rng)
-            eqs = [lit for lit, _ in random_equalities(rng, terms, rng.randint(0, 10))]
-            closure = _Closure(terms)
-            closure.add(eqs)
-            assert classes(closure, terms) == partition(rescan_closure(_split(eqs)[0], terms))
 
     def test_undo_restores_the_exact_state(self):
         rng = random.Random(43)
@@ -444,6 +436,19 @@ class TestIncrementalClosure:
             closure.undo(mark)
             assert snapshot(closure) == built
         assert sparse >= 150
+
+
+class TestBruteForceClosure:
+    def test_incremental_closure_agrees(self):
+        # Added as literals over test_congruence's universes of f and binary
+        # g, against the same from-scratch oracle.
+        rng = random.Random(5)
+        for _ in range(300):
+            _, terms = congruence_universe(rng)
+            eqs = [lit for lit, _ in random_equalities(rng, terms, rng.randint(0, 10))]
+            closure = _Closure(terms)
+            closure.add(eqs)
+            assert classes(closure, terms) == partition(rescan_closure(_split(eqs)[0], terms))
 
 
 def mutants(horn):
