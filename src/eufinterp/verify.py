@@ -1,14 +1,9 @@
 """Independent oracle: incremental closure, ground entailment, interpolant checking.
 
 This module deliberately avoids the proof-producing machinery: ``_Closure``
-is its own congruence closure over a fixed, subterm-closed term universe
-(representative array, member lists, use lists, all indexed by term id, and
-a signature table), so it is a genuinely separate code path and can
-arbitrate the main pipeline.  A merge relabels the smaller class and
-re-signs only the applications on that class's use list, and goes on an
-undo trail.  ``check_interpolant`` runs one closure over the problem's term
-table: it closes A and tests each clause by merging its premises and undoing
-them, then undoes A and saturates B with the clauses on the same closure.
+is its own congruence closure (member rings, static use lists and a
+signature table over term ids), a separate code path that can arbitrate the
+main pipeline.  ``_shared_heads`` reads the shared signature in one pass.
 
 Horn-conjunction reasoning is plain forward chaining: in the theory of
 equality every atom is ground and entailment of a conjunction of atoms
@@ -28,22 +23,24 @@ from .interpolate import HornConjunction
 class _Closure:
     """Congruence closure with an undo trail over a subterm-closed universe.
 
-    The universe is an id-ordered term list closed under taking arguments.
-    Every list is indexed by term id, up to the last term's; an id the
-    universe skips stays a singleton that nothing names.  ``rep[i]`` is the
-    class representative of term ``i``; for a representative ``r``,
-    ``members[r]`` lists its class and ``uses[r]`` the applications with an
-    argument in it.  The lists of an absorbed class stay as they were, which
-    is what lets an undo restore it.  ``signatures`` maps (head, argument
-    representatives...) to an application; an entry naming an absorbed class
-    is stale until an undo makes that class a representative again.
+    Lists are indexed by term id, up to the last term's; an id the universe
+    skips stays a singleton.  ``rep[i]`` is term ``i``'s representative,
+    ``ring`` links each class into a circular ring, and ``count[r]`` is the
+    size of representative ``r``'s class.  Built once: ``uses[i]``, the
+    applications with argument ``i`` (None for none), and ``apps[i]``, an
+    application's head and argument ids.  A merge relabels the smaller class
+    and re-signs its members' uses in one ring walk, then splices the rings
+    by swapping two ``ring`` entries; an undo swaps them back and relabels.
+    ``signatures`` maps (head, argument reps...) to an application; an entry
+    naming an absorbed class is stale until an undo restores that class.
     """
 
     def __init__(self, terms: Sequence[Term]):
         size = terms[-1].id + 1 if terms else 0
         self.rep = list(range(size))
-        self.members = [[i] for i in range(size)]
-        self.uses: list[list[int]] = [[] for _ in range(size)]
+        self.ring = list(range(size))
+        self.count = [1] * size
+        self.uses: list[list[int] | None] = [None] * size
         self.apps: list[tuple[str, tuple[int, ...]] | None] = [None] * size
         self.signatures: dict[tuple, int] = {}
         self.trail: list[tuple[int, int]] = []  # (kept, absorbed) per merge
@@ -51,41 +48,51 @@ class _Closure:
         uses, apps, signatures = self.uses, self.apps, self.signatures
         for t in terms:
             if t.args:
-                args = tuple([a.id for a in t.args])
-                apps[t.id] = (t.head, args)
-                for a in dict.fromkeys(args):
-                    uses[a].append(t.id)
-                signatures[(t.head, *args)] = t.id
+                i, args = t.id, tuple([a.id for a in t.args])
+                apps[i] = (t.head, args)
+                for a in args:
+                    if uses[a] is None:
+                        uses[a] = []
+                    uses[a].append(i)
+                signatures[(t.head, *args)] = i
 
     def refuted(self, diseqs: Iterable[tuple[int, int]]) -> bool:
         return any(self.rep[a] == self.rep[b] for a, b in diseqs)
 
     def merge(self, x: int, y: int) -> None:
-        """Join the classes of x and y and everything congruence then joins."""
-        rep, members, uses, apps = self.rep, self.members, self.uses, self.apps
-        signatures, at = self.signatures, rep.__getitem__
-        pending = [(x, y)]
+        self._merge([(x, y)])
+
+    def _merge(self, pending: list[tuple[int, int]]) -> None:
+        """Join each pair on the ``pending`` stack and all congruence then joins."""
+        rep, ring, count, uses, apps = self.rep, self.ring, self.count, self.uses, self.apps
+        signatures, inserted, trail, at = self.signatures, self.inserted, self.trail, rep.__getitem__
         while pending:
             x, y = pending.pop()
             kept, gone = rep[x], rep[y]
             if kept == gone:
                 continue
-            if len(members[kept]) < len(members[gone]):
+            if count[kept] < count[gone]:
                 kept, gone = gone, kept
-            for m in members[gone]:
+            trail.append((kept, gone))
+            m = gone
+            while True:  # relabel and re-sign the absorbed ring
                 rep[m] = kept
-            members[kept].extend(members[gone])
-            self.trail.append((kept, gone))
-            for app in uses[gone]:
-                head, args = apps[app]
-                key = (head, *map(at, args))
-                other = signatures.get(key)
-                if other is None:
-                    signatures[key] = app
-                    self.inserted.append(key)
-                elif rep[other] != rep[app]:
-                    pending.append((app, other))
-            uses[kept].extend(uses[gone])
+                used = uses[m]
+                if used is not None:
+                    for app in used:
+                        head, args = apps[app]
+                        key = (head, *map(at, args))
+                        other = signatures.get(key)
+                        if other is None:
+                            signatures[key] = app
+                            inserted.append(key)
+                        elif rep[other] != rep[app]:
+                            pending.append((app, other))
+                m = ring[m]
+                if m == gone:
+                    break
+            ring[kept], ring[gone] = ring[gone], ring[kept]
+            count[kept] += count[gone]
 
     def mark(self) -> tuple[int, int]:
         return (len(self.trail), len(self.inserted))
@@ -95,22 +102,25 @@ class _Closure:
         merges, keys = mark
         while len(self.inserted) > keys:
             del self.signatures[self.inserted.pop()]
-        rep, members, uses = self.rep, self.members, self.uses
+        rep, ring, count = self.rep, self.ring, self.count
         while len(self.trail) > merges:
             kept, gone = self.trail.pop()
-            del members[kept][len(members[kept]) - len(members[gone]) :]
-            for m in members[gone]:
+            ring[gone], ring[kept] = ring[kept], ring[gone]
+            count[kept] -= count[gone]
+            m = gone
+            while True:
                 rep[m] = gone
-            del uses[kept][len(uses[kept]) - len(uses[gone]) :]
+                m = ring[m]
+                if m == gone:
+                    break
 
     def add(self, literals: Iterable[Literal]) -> list[tuple[int, int]]:
-        """Merge the equalities; return the disequalities as id pairs."""
-        diseqs = []
+        """Merge the equalities in one batch; return the disequalities as id pairs."""
+        pending, diseqs = [], []
         for lit in literals:
-            if lit.equal:
-                self.merge(lit.lhs.id, lit.rhs.id)
-            else:
-                diseqs.append((lit.lhs.id, lit.rhs.id))
+            (pending if lit.equal else diseqs).append((lit.lhs.id, lit.rhs.id))
+        if pending:
+            self._merge(pending)
         return diseqs
 
     def entails(self, diseqs: list[tuple[int, int]], phi: Literal | None) -> bool:
@@ -204,36 +214,40 @@ class EntailmentReport:
         return self.shared_signature_ok and self.a_entails_i and self.b_i_unsat
 
 
-def _heads(literals: Iterable[Literal]) -> set[str]:
-    """Head symbols of the literals' terms and all their subterms."""
-    seen: set[Term] = set()
-    heads: set[str] = set()
-    stack = _all_terms(literals)
-    while stack:
-        t = stack.pop()
-        heads.add(t.head)
-        if t.args and t not in seen:
-            seen.add(t)
-            stack.extend(t.args)
-    return heads
+def _shared_heads(problem: ProblemInstance) -> set[str]:
+    """Heads at or below both an A and a B literal's terms, by one pass down
+    the table from the highest id: A and B endpoints start with bits 1 and 2,
+    and each term passes its bits on to its arguments."""
+    terms = problem.table.terms
+    marks = bytearray(len(terms))
+    for bit, literals in ((1, problem.a_literals), (2, problem.b_literals)):
+        for lit in literals:
+            marks[lit.lhs.id] |= bit
+            marks[lit.rhs.id] |= bit
+    heads = ([], [], [], [])  # heads met with bits 0 (never), 1, 2 and 3
+    for t in reversed(terms):
+        bits = marks[t.id]
+        if bits:
+            heads[bits].append(t.head)
+            for a in t.args:
+                marks[a.id] |= bits
+    return set(heads[3]).union(set(heads[1]) & set(heads[2]))
 
 
 def check_interpolant(problem: ProblemInstance, horn: HornConjunction) -> EntailmentReport:
     """Accept iff: atoms shared, A entails every clause, B plus the formula is unsat.
 
-    The shared signature is read off the A and B literals' own terms, so the
-    check does not depend on the pipeline's symbol table.  The horn's atoms
-    must be terms of ``problem.table``; a ValueError names the first that is
-    not.  One closure over the whole table serves both entailment checks: A
-    is closed on it, each clause's premises are merged on top and undone
-    after its test, then A is undone and B saturated with the clauses.
+    The shared signature is read off the A and B literals' own terms, not
+    the pipeline's symbol table.  The horn's atoms must be terms of
+    ``problem.table``; a ValueError names the first that is not.  On one
+    closure over the table, each clause is tested on A, then B saturated.
     """
     failures: list[str] = []
     terms = problem.table.terms
-    shared = _heads(problem.a_literals) & _heads(problem.b_literals)
+    shared = _shared_heads(problem)
     within: dict[int, bool] = {}  # term id: every head at or below the term is shared
     for t in subterm_closure(_all_terms(horn.atoms())):
-        within[t.id] = t.head in shared and all(within[a.id] for a in t.args)
+        within[t.id] = t.head in shared and (not t.args or all([within[a.id] for a in t.args]))
     shared_ok = True
     for ci, clause in enumerate(horn.clauses):
         for atom in clause.atoms():

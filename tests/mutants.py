@@ -243,11 +243,33 @@ MUTANTS = [
     (
         "oracle-resign-one-use",
         "verify.py",
-        "for app in uses[gone]:",
-        "for app in uses[gone][:1]:",
+        "for app in used:",
+        "for app in used[:1]:",
         "test_verify",
     ),
-    ("oracle-uses-dropped", "verify.py", "            uses[kept].extend(uses[gone])\n", "", "test_verify"),
+    (
+        "oracle-uses-dropped",
+        "verify.py",
+        "uses[a] = []\n                    uses[a].append(i)\n",
+        "uses[a] = [i]\n",
+        "test_verify",
+    ),
+    (
+        "oracle-ring-not-spliced",
+        "verify.py",
+        "            ring[kept], ring[gone] = ring[gone], ring[kept]\n",
+        "",
+        "test_verify",
+    ),
+    (
+        "undo-skips-ring-swap",
+        "verify.py",
+        "            ring[gone], ring[kept] = ring[kept], ring[gone]\n",
+        "",
+        "test_verify",
+    ),
+    ("add-drops-last-equality", "verify.py", "self._merge(pending)", "self._merge(pending[:-1])", "test_verify"),
+    ("shared-heads-no-descent", "verify.py", "marks[a.id] |= bits", "marks[a.id] |= 0", "test_verify"),
     (
         "saturate-waits-on-one-class",
         "verify.py",

@@ -19,19 +19,21 @@ from eufinterp.generate import generate
 from eufinterp.interpolate import (
     HornClause,
     HornConjunction,
+    NotUnsatisfiableError,
     interpolate,
     parse_conjunction,
 )
 from eufinterp.verify import (
     EntailmentReport,
     _Closure,
+    _shared_heads,
     check_interpolant,
     euf_entails,
     literal_set_unsat,
     unsat_with_horn,
 )
 
-from conftest import load_problem, partition, rescan_closure
+from conftest import all_heads, load_problem, partition, problem_sides, rescan_closure
 from test_congruence import random_equalities, random_universe as congruence_universe
 from test_core import bench_workload_texts
 
@@ -71,8 +73,9 @@ def reference_euf_entails(literals, phi):
     return _refuted(rescan_closure(eqs + [pair], terms), diseqs)
 
 
-def reference_unsat_with_horn(literals, horn):
-    """Forward chaining that recloses the whole universe every round."""
+def reference_unsat_with_horn(literals, horn, rounds=None):
+    """Forward chaining that recloses the whole universe every round; with
+    ``rounds``, the verdict after at most that many rounds of firing."""
     terms = subterm_closure(_terms_of([*literals, *horn.atoms()]))
     eqs, diseqs = _split(literals)
     fired = [False] * len(horn.clauses)
@@ -80,6 +83,10 @@ def reference_unsat_with_horn(literals, horn):
         classes = rescan_closure(eqs, terms)
         if _refuted(classes, diseqs):
             return True
+        if rounds is not None:
+            if rounds == 0:
+                return False
+            rounds -= 1
         progress = False
         for i, clause in enumerate(horn.clauses):
             premises = [(q.lhs.id, q.rhs.id) for q in clause.premises]
@@ -97,15 +104,12 @@ def reference_unsat_with_horn(literals, horn):
 def reference_check_interpolant(problem, horn):
     """The three conditions, with A closed from nothing for every clause."""
     failures = []
-
-    def heads(terms):
-        return {t.head for t in subterm_closure(terms)}
-
-    shared = heads(_terms_of(problem.a_literals)) & heads(_terms_of(problem.b_literals))
+    a_heads, b_heads = problem_sides(problem)
+    shared, memo = a_heads & b_heads, {}
     shared_ok = True
     for ci, clause in enumerate(horn.clauses):
         for atom in clause.atoms():
-            if not heads((atom.lhs, atom.rhs)) <= shared:
+            if not all_heads(atom.lhs, memo) | all_heads(atom.rhs, memo) <= shared:
                 shared_ok = False
                 failures.append(
                     f"clause {ci}: atom {format_literal(atom)} uses symbols "
@@ -213,6 +217,32 @@ class TestHornSaturation:
         )
         lits = [Literal.make(a, b), Literal.make(a, d, equal=False)]
         assert unsat_with_horn(lits, horn)
+
+    def test_random_conjunctions_match_the_fixpoint_reference(self):
+        # Every atom is drawn over a few terms of the universe, so clauses
+        # chain: a premise often holds only after another clause has fired,
+        # and a clause that waited on it must be woken to decide the verdict.
+        rng = random.Random(61)
+        chained = 0
+        for _ in range(400):
+            terms = random_universe(rng, TermTable())
+            pool = rng.sample(terms, min(len(terms), 4))
+
+            def atom(equal=True):
+                return Literal.make(rng.choice(pool), rng.choice(pool), equal)
+
+            literals = [atom(rng.random() < 0.7) for _ in range(rng.randint(1, 3))]
+            horn = HornConjunction.from_clauses(
+                HornClause.make(
+                    [atom() for _ in range(rng.randint(1, 2))],
+                    None if rng.random() < 0.1 else atom(rng.random() < 0.8),
+                )
+                for _ in range(rng.randint(3, 8))
+            )
+            verdict = unsat_with_horn(literals, horn)
+            assert verdict == reference_unsat_with_horn(literals, horn)
+            chained += verdict and not reference_unsat_with_horn(literals, horn, rounds=1)
+        assert chained >= 30
 
     def test_monotone_in_the_clause_set(self):
         rng = random.Random(23)
@@ -325,6 +355,69 @@ class TestCheckInterpolant:
         assert check_interpolant(p, horn) == EntailmentReport(True, True, True, [])
 
 
+def side_term(rng, side, depth=2):
+    """A term over c0..c2 and unary g, shared, and ``side``'s private a0,
+    a1 and fa (A) or b0, b1 and fb (B)."""
+    own = {"A": ("a0", "a1", "fa"), "B": ("b0", "b1", "fb")}[side]
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice(("c0", "c1", "c2") + own[:2])
+    return f"({rng.choice(('g', own[2]))} {side_term(rng, side, depth - 1)})"
+
+
+def random_problem(rng):
+    """Random literals on each side; half the draws also plant (g a) ~ (g b)
+    joined at a shared constant, a congruence that repair splits at (g c)."""
+    lits = {"A": [], "B": []}
+    if rng.random() < 0.5:
+        a, b = rng.choice(("a0", "a1")), rng.choice(("b0", "b1"))
+        c, d, e = rng.sample(("c0", "c1", "c2"), 3)
+        lits["A"] += [f"(= {a} {c})", f"(= (g {a}) {d})"]
+        lits["B"] += [f"(= {c} {b})", f"(= (g {b}) {e})", f"(not (= {d} {e}))"]
+    for side, other in (("A", "B"), ("B", "A")):
+        for _ in range(rng.randint(1, 4)):
+            s, t = side_term(rng, side), side_term(rng, side)
+            drawn = [f"(= {s} {t})", f"(= {t} {s})"]
+            if rng.random() < 0.2:
+                drawn = [f"(not {lit})" for lit in drawn]
+            if not set(drawn) & set(lits[other]):  # no literal on both sides
+                lits[side].append(drawn[0])
+    return parse_problem(f"(A {' '.join(lits['A'])}) (B {' '.join(lits['B'])})")
+
+
+class TestSharedSignature:
+    def test_one_pass_matches_the_subterm_walk(self):
+        # The tables also hold terms below no literal: interpolate's repair
+        # vertices, an A-private head made over any term, and a head that no
+        # literal has.
+        rng = random.Random(67)
+        repaired = 0
+        for _ in range(200):
+            p = random_problem(rng)
+            parsed = len(p.table)
+            try:
+                interpolate(p)
+            except NotUnsatisfiableError:
+                pass
+            repaired += len(p.table) > parsed
+            below = rng.choice(p.table.terms)
+            p.table.make("fa", (below,))
+            p.table.make("q", (below,))
+            a_heads, b_heads = problem_sides(p)
+            assert _shared_heads(p) == a_heads & b_heads
+        assert repaired >= 40
+
+    def test_a_symbol_only_below_no_literal_is_not_shared(self):
+        p = parse_problem("(A (= (fa c) a)) (B (not (= b c)))")
+        c = p.table.make("c")
+        p.table.make("fa", (p.table.make("b"),))
+        qc = p.table.make("q", (c,))
+        assert _shared_heads(p) == {"c"}
+        horn = HornConjunction.from_clauses([HornClause.make([], Literal.make(c, qc))])
+        report = check_interpolant(p, horn)
+        assert not report.shared_signature_ok
+        assert report.failures[0] == "clause 0: atom (= c (q c)) uses symbols not shared by A and B"
+
+
 def random_universe(rng, table):
     """A subterm-closed term list over c_i, unary f and g, and binary h."""
     pool = [table.make(f"c{i}") for i in range(rng.randint(1, 5))]
@@ -339,10 +432,14 @@ def random_pairs(rng, size, count):
 
 
 def snapshot(closure):
+    """Every field the closure keeps, copied: classes, rings and sizes, the
+    use lists and applications, and the signature table."""
     return (
         list(closure.rep),
-        [list(m) for m in closure.members],
-        [list(u) for u in closure.uses],
+        list(closure.ring),
+        list(closure.count),
+        [None if u is None else list(u) for u in closure.uses],
+        list(closure.apps),
         list(closure.signatures.items()),
     )
 
