@@ -6,14 +6,14 @@ over split vertices picked from its parent paths, which mentions only shared
 symbols, so both halves become colorable.  Coloring fixes every forced edge
 and spends the remaining freedom (derived edges whose endpoints both sides
 can express) per strategy.  Both read each edge's fit once, off the symbol
-table's covering list.  A colored graph factors each path once, into
-one-color runs that the premise sets and the game unfold share.
+table's covering list.  A colored graph reads a path's one-color runs off
+its colors on each call; the premise sets and the game's unfolding use them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .congruence import CongruenceGraph, Edge, Path
@@ -43,42 +43,36 @@ def choose_splitter(path: Path, symbols: SymbolTable) -> Term:
 def make_colorable(
     graph: CongruenceGraph, symbols: SymbolTable, table: TermTable
 ) -> tuple[CongruenceGraph, list[Term]]:
-    """Split uncolorable derived edges until every edge is colorable.
+    """Split each uncolorable derived edge once, so every edge is colorable.
 
     Copies the graph only when it splits: returns the input itself and no
     vertices when every edge is colorable, else a repaired copy and the list
-    of vertices added.  An edge is uncolorable when its endpoints' covering
-    bits share no side.  Uncolorable edges are processed in creation order,
-    so each one's parent paths are already fully colorable when it is split.
-    An edge's colorability never changes and new edges take the largest
-    sequence numbers, so one scan plus appending any uncolorable new edge
-    keeps the queue in that order.  When the split application already
-    exists as a vertex it is reused: it is then already connected to one
-    endpoint, and a single replacement edge to the other endpoint keeps the
-    graph acyclic.
+    of vertices added.  An edge is uncolorable when one endpoint's covering
+    bits are A-only and the other's B-only.  Both are applications of the
+    edge's head, so the head occurs in A and in B; the split term applies it
+    to splitters whose bits hold both sides, so its bits do too, and every
+    edge a split adds fits a side.  So the uncolorable edges of the closed
+    graph are split once each, in creation order, each one's parent paths
+    already colorable.  A split application that is already a vertex is
+    reused: it is connected to one endpoint, and one replacement edge to the
+    other endpoint keeps the graph acyclic.
     """
     bits = symbols.covering()
-    queue = deque(e for e in graph.edges if not bits[e.u.id] & bits[e.v.id])
-    if not queue:
+    uncolorable = [e for e in graph.edges if not bits[e.u.id] & bits[e.v.id]]
+    if not uncolorable:
         return graph, []
     g = graph.clone()
     added: list[Term] = []
-    while queue:
-        edge = queue.popleft()
+    for edge in uncolorable:
         if not edge.is_derived:
             raise ColoringError(f"basic edge {edge!r} is uncolorable")
-        splitters = []
-        for p, q in edge.parents:
-            splitters.append(choose_splitter(g.path(p, q), symbols))
+        splitters = [choose_splitter(g.path(p, q), symbols) for p, q in edge.parents]
         new_term = table.make(edge.u.head, splitters)
         left_pairs = tuple(zip((p for p, _ in edge.parents), splitters))
         right_pairs = tuple(zip(splitters, (q for _, q in edge.parents)))
         if new_term not in g:
             added.append(new_term)
-        bits = symbols.covering()  # the split term may be new to the table
-        for new in g.split_edge(edge, new_term, left_pairs, right_pairs):
-            if not bits[new.u.id] & bits[new.v.id]:
-                queue.append(new)
+        g.split_edge(edge, new_term, left_pairs, right_pairs)
     return g, added
 
 
@@ -88,33 +82,24 @@ class ColoredGraph:
 
     A path's color factorization is its runs: maximal one-color stretches
     ``(side, lo, hi)`` of ``edges[lo:hi]``, from ``vertices[lo]`` to
-    ``vertices[hi]``.  Each path is factored once, cached by :attr:`Path.key`;
-    a path met in the other direction reads its runs reversed.
+    ``vertices[hi]``, read off the colors on each call.
     """
 
     graph: CongruenceGraph
     symbols: SymbolTable
     colors: dict[int, Side]
-    _runs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def edge_color(self, edge: Edge) -> Side:
         return self.colors[edge.seq]
 
     def runs(self, path: Path) -> list[tuple[Side, int, int]]:
-        key, start = path.key, path.vertices[0]
-        first, out = self._runs.get(key, (start, None))
-        if out is None:
-            sides = [self.colors[edge.seq] for edge in path.edges]
-            out, lo = [], 0
-            for hi in range(1, len(sides) + 1):
-                if hi == len(sides) or sides[hi] is not sides[lo]:
-                    out.append((sides[lo], lo, hi))
-                    lo = hi
-            self._runs[key] = start, out
-        if first is start:
-            return out
-        n = len(path.edges)
-        return [(side, n - hi, n - lo) for side, lo, hi in reversed(out)]
+        sides = [self.colors[edge.seq] for edge in path.edges]
+        out, lo = [], 0
+        for hi in range(1, len(sides) + 1):
+            if hi == len(sides) or sides[hi] is not sides[lo]:
+                out.append((sides[lo], lo, hi))
+                lo = hi
+        return out
 
 
 def color(

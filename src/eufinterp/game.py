@@ -523,7 +523,7 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
     Every factor summary and every derived-edge congruence becomes one
     inference step; the final step derives false from the refuted
     disequality, a leaf of ``side``, and the summary of the path connecting
-    its endpoints.
+    its endpoints.  ``refuted`` comes normalized, as ``Literal.make`` gives it.
 
     Labels are interned in a table of the tree's own; an ``(= s t)`` label
     takes the graph's vertex terms as its arguments.  A side's signature is
@@ -556,13 +556,11 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
     labels, premises_of, origins = tree.labels, tree.premises, tree.origins
     make = table.make
     lhs, rhs = refuted.lhs, refuted.rhs
-    if rhs.id < lhs.id:
-        lhs, rhs = rhs, lhs
     diseq_label = make("not", (make("=", (lhs, rhs)),))
     false = make("false")
     done_at: dict = {}  # edge seq or path key -> node of its step, -1 while open
     root_premises: list[int] = []
-    items = (path(refuted.lhs, refuted.rhs),)
+    items = (path(lhs, rhs),)
     stack = [(None, None, iter(items), root_premises)]  # key, label, items, premises
     while stack:
         key, label, pending, premises = stack[-1]

@@ -300,17 +300,12 @@ def build_colored_graph(
 def interpolate(
     problem: ProblemInstance, strategy: Strategy = Strategy.GREEDY
 ) -> InterpolationResult:
-    """Full pipeline: the produced Horn conjunction interpolates A against B."""
+    """Full pipeline: the produced Horn conjunction interpolates A against B.
+
+    A refuted ``s != s`` takes the same route, on the empty path.
+    """
     colored, refuted, side, added = build_colored_graph(problem, strategy)
     ps = PremiseSets(colored)
-    if refuted.trivial:
-        # s != s refutes its own side; no graph reasoning is involved.
-        conj = (
-            HornConjunction((HornClause((), None),))
-            if side is Side.A
-            else HornConjunction(())
-        )
-        return InterpolationResult(conj, refuted, side, colored, ps, added, 0)
     path = colored.graph.path(refuted.lhs, refuted.rhs)
     if side is Side.B:
         conj = path_interpolant(ps, path)

@@ -15,7 +15,6 @@ from eufinterp.coloring import (
     ColoringError,
     Strategy,
     _greedy_assign,
-    choose_splitter,
 )
 from eufinterp.congruence import (
     CongruenceGraph,
@@ -459,6 +458,14 @@ MALFORMED = [
         ["(theory-symbols)\n(node n1 ((f a) b) (from A))\n(node n2 false (premises n1))\n"],
         "2:10: expected a function application",
     ),
+    (
+        "interpolate",
+        ["(declare-fun f 1)\n(declare-fun f 2)\n(A (= (f a) b)) (B (not (= a b)))\n"],
+        "2:1: symbol 'f' used with arity 2, previously 1",
+    ),
+    ("game cut", [""], "empty proof"),
+    ("game cut", [" \n\t\n"], "empty proof"),
+    ("game cut", ["; no nodes\n;; none at all\n"], "empty proof"),
 ]
 
 
@@ -998,9 +1005,17 @@ def premise_first(tree: ProofTree) -> bool:
 
 # The coloring layer as it ran before repair and coloring read each edge's fit
 # off ``SymbolTable.covering``: the repair scan asks ``edge_colorability`` for
-# every edge, and coloring asks it again, takes forced colors from
-# ``_forced_color`` and re-checks every color in ``_validate``.  The library's
-# repair and coloring are compared against it.
+# every edge and re-queues any new edge that fits no side, the splitter scan
+# asks ``colorability`` for each vertex, and coloring asks it again, takes
+# forced colors from ``_forced_color`` and re-checks every color in
+# ``_validate``.  The library's repair and coloring are compared against it.
+
+
+def reference_choose_splitter(path, symbols: SymbolTable) -> Term:
+    for t in path.vertices:
+        if symbols.colorability(t) is Colorability.AB:
+            return t
+    raise ColoringError(f"no shared-signature vertex on {path!r}")
 
 
 def reference_make_colorable(
@@ -1016,7 +1031,7 @@ def reference_make_colorable(
         edge = queue.popleft()
         if not edge.is_derived:
             raise ColoringError(f"basic edge {edge!r} is uncolorable")
-        splitters = [choose_splitter(g.path(p, q), symbols) for p, q in edge.parents]
+        splitters = [reference_choose_splitter(g.path(p, q), symbols) for p, q in edge.parents]
         new_term = table.make(edge.u.head, splitters)
         left_pairs = tuple(zip((p for p, _ in edge.parents), splitters))
         right_pairs = tuple(zip(splitters, (q for _, q in edge.parents)))
@@ -1304,16 +1319,13 @@ def extraction_outcome(problem: ProblemInstance, strategy, reference: bool = Fal
         ps, count, conj = result.premises, result.factor_count, result.interpolant
     else:
         colored, refuted, side, _ = build_colored_graph(problem, strategy)
-        ps, count = ReferencePremiseSets(colored), 0
-        if refuted.trivial:
-            conj = HornConjunction(((HornClause((), None),) if side is Side.A else ()))
+        ps = ReferencePremiseSets(colored)
+        path = colored.graph.path(refuted.lhs, refuted.rhs)
+        if side is Side.B:
+            conj = reference_interpolant(ps, [path])
         else:
-            path = colored.graph.path(refuted.lhs, refuted.rhs)
-            if side is Side.B:
-                conj = reference_interpolant(ps, [path])
-            else:
-                conj = reference_refutation_interpolant(ps, path)
-            count = len(reference_factors(colored, path))
+            conj = reference_refutation_interpolant(ps, path)
+        count = len(reference_factors(colored, path))
     memos = [memo_record(m) for m in (ps._b, ps._a)]
     return memos, count, format_conjunction(conj)
 

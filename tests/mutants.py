@@ -173,6 +173,13 @@ MUTANTS = [
         "test_coloring",
     ),
     (
+        "splitter-one-side",
+        "coloring.py",
+        "if bits[vertex.id] == 3:",
+        "if bits[vertex.id] & 1:",
+        "test_coloring",
+    ),
+    (
         "greedy-neighbor-order",
         "coloring.py",
         "colors[edge.seq] = prev or nxt or _A",
@@ -180,10 +187,10 @@ MUTANTS = [
         "test_coloring",
     ),
     (
-        "runs-reversed",
+        "runs-boundary",
         "coloring.py",
-        "for side, lo, hi in reversed(out)]",
-        "for side, lo, hi in out]",
+        "sides[hi] is not sides[lo]:",
+        "sides[hi] is not sides[0]:",
         "test_coloring",
     ),
     # interpolate: the refutation interpolant

@@ -15,7 +15,7 @@ from eufinterp.cli import main
 from eufinterp.core import ProblemInstance, format_term, parse_problem
 from eufinterp import cli, game
 from eufinterp.game import euf_bridge, parse_proof
-from eufinterp.interpolate import format_conjunction, interpolate
+from eufinterp.interpolate import HornConjunction, format_conjunction, interpolate
 
 from conftest import DATA, MALFORMED, alternating_proof, format_proof
 from test_game import NON_LOCAL_PROBLEM, SHARED_CANDIDATE_PROOF
@@ -59,6 +59,20 @@ def test_interpolate_json_fields(capsys):
     assert payload["repair_vertices"] == 0
     assert payload["factors"] == 3
     assert payload["interpolant"].startswith("(and ")
+
+
+def test_interpolate_verify_failure_exits_1(capsys, monkeypatch):
+    # The oracle is handed `true` in place of the interpolant; B alone is
+    # satisfiable, so it rejects.  The formula is still printed.
+    real = cli.check_interpolant
+    monkeypatch.setattr(
+        cli, "check_interpolant", lambda problem, horn: real(problem, HornConjunction(()))
+    )
+    formula = "(and (=> (and (= u0 v0)) (= u1 v1)))"
+    code, out, err = run_cli(capsys, "interpolate", data("horn_min.euf"), "--verify")
+    assert (code, out, err) == (1, formula + "\n", "verification failed\n")
+    code, out, err = run_cli(capsys, "interpolate", data("horn_min.euf"), "--verify", "--json")
+    assert (code, json.loads(out)["verified"], err) == (1, False, "verification failed\n")
 
 
 def test_interpolate_strategy_flag(capsys):

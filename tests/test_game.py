@@ -1063,6 +1063,16 @@ class TestGameInterpolant:
         assert game_interpolant(run) == ()
         assert format_game_interpolant(()) == "true"
 
+    def test_target_outside_the_b_provers_set_is_refused(self):
+        # An A-prover formula of the run, and a formula the run never met.
+        tree = normalize_root(fig_tree())
+        run = run_from_cut(tree, *coloring_cut(tree))
+        for target in (run.s_a[0], formula(tree.table, "(r c)")):
+            assert target not in run.s_b
+            with pytest.raises(ValueError, match="^target must belong to the B-prover's set$"):
+                game_interpolant(run, target)
+        assert game_interpolant(run, run.false) == game_interpolant(run)
+
     def test_deep_alternating_run_needs_no_recursion(self):
         # false <- a1500 <- b1499 <- a1499 <- ... <- b1 <- a1: the provers
         # alternate 3000 times, far past the interpreter's recursion limit.
