@@ -57,16 +57,16 @@ def _dot(graph: CongruenceGraph, colored: ColoredGraph | None = None) -> str:
         lines.append(f'  "{format_term(term)}";')
     for edge in graph.edges:
         attrs = ["style=solid" if edge.is_basic else "style=dashed"]
-        if colored is not None and colored.edge_color(edge) is Side.B:
-            attrs.append('color="black:invis:black"')
+        if colored is not None:
+            side = colored.colors[edge.seq]
+            if side is Side.B:
+                attrs.append('color="black:invis:black"')
+            attrs.append(f'xlabel="{side.value}"')
         if edge.is_derived:
             pairs = " ".join(
                 f"({format_term(p)} {format_term(q)})" for p, q in edge.parents
             )
             lines.append(f"  // edge {edge.seq} parents: {pairs}")
-        label = "A" if colored is None else colored.edge_color(edge).value
-        if colored is not None:
-            attrs.append(f'xlabel="{label}"')
         lines.append(
             f'  "{format_term(edge.u)}" -- "{format_term(edge.v)}" '
             f'[{", ".join(attrs)}];'

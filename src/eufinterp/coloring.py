@@ -46,23 +46,23 @@ def make_colorable(
     """Split each uncolorable derived edge once, so every edge is colorable.
 
     Copies the graph only when it splits: returns the input itself and no
-    vertices when every edge is colorable, else a repaired copy and the list
-    of vertices added.  An edge is uncolorable when one endpoint's covering
-    bits are A-only and the other's B-only.  Both are applications of the
-    edge's head, so the head occurs in A and in B; the split term applies it
-    to splitters whose bits hold both sides, so its bits do too, and every
-    edge a split adds fits a side.  So the uncolorable edges of the closed
-    graph are split once each, in creation order, each one's parent paths
-    already colorable.  A split application that is already a vertex is
-    reused: it is connected to one endpoint, and one replacement edge to the
-    other endpoint keeps the graph acyclic.
+    vertices when every edge is colorable, else a repaired copy and the
+    vertices added, which are the copy's vertices past the input's.  An edge
+    is uncolorable when one endpoint's covering bits are A-only and the
+    other's B-only.  Both are applications of the edge's head, so the head
+    occurs in A and in B; the split term applies it to splitters whose bits
+    hold both sides, so its bits do too, and every edge a split adds fits a
+    side.  So the uncolorable edges of the closed graph are split once each,
+    in creation order, each one's parent paths already colorable.  A split
+    application that is already a vertex is reused: it is connected to one
+    endpoint, and one replacement edge to the other endpoint keeps the graph
+    acyclic.
     """
     bits = symbols.covering()
     uncolorable = [e for e in graph.edges if not bits[e.u.id] & bits[e.v.id]]
     if not uncolorable:
         return graph, []
     g = graph.clone()
-    added: list[Term] = []
     for edge in uncolorable:
         if not edge.is_derived:
             raise ColoringError(f"basic edge {edge!r} is uncolorable")
@@ -70,15 +70,13 @@ def make_colorable(
         new_term = table.make(edge.u.head, splitters)
         left_pairs = tuple(zip((p for p, _ in edge.parents), splitters))
         right_pairs = tuple(zip(splitters, (q for _, q in edge.parents)))
-        if new_term not in g:
-            added.append(new_term)
         g.split_edge(edge, new_term, left_pairs, right_pairs)
-    return g, added
+    return g, g.vertices[len(graph.vertices):]
 
 
 @dataclass
 class ColoredGraph:
-    """A congruence graph plus a total edge-color assignment.
+    """A congruence graph plus a total edge-color assignment, by edge ``seq``.
 
     A path's color factorization is its runs: maximal one-color stretches
     ``(side, lo, hi)`` of ``edges[lo:hi]``, from ``vertices[lo]`` to
@@ -88,9 +86,6 @@ class ColoredGraph:
     graph: CongruenceGraph
     symbols: SymbolTable
     colors: dict[int, Side]
-
-    def edge_color(self, edge: Edge) -> Side:
-        return self.colors[edge.seq]
 
     def runs(self, path: Path) -> list[tuple[Side, int, int]]:
         sides = [self.colors[edge.seq] for edge in path.edges]
@@ -115,19 +110,20 @@ def color(
     covering list.  A basic edge takes its originating side, which it must
     fit; a derived edge that fits one side only is forced to it, one that
     fits both is free, and one that fits neither has not been repaired.
-    Free edges are colored A or B wholesale under those strategies; the
-    greedy strategy walks the relevant path and, recursively, the parent
-    paths of its derived edges, coloring each free edge like an adjacent
-    already-colored edge of the walked path (default A) to keep the number
-    of color switches locally small.  No strategy recolors a forced edge,
-    and a free edge fits either side, so every color fits its edge.
+    The greedy strategy first walks the relevant path and, recursively, the
+    parent paths of its derived edges, coloring each free edge like an
+    adjacent already-colored edge of the walked path (default A) to keep the
+    number of color switches locally small.  Then every free edge still
+    uncolored takes the strategy's default side: B under ``ALL_B``, else A.
+    No strategy recolors a forced edge, and a free edge fits either side, so
+    every color fits its edge.
     """
     bits = symbols.covering()
     colors: dict[int, Side] = {}
     free: list[Edge] = []
     for edge in graph.edges:
         fit = bits[edge.u.id] & bits[edge.v.id]  # bit 1: A, bit 2: B
-        if edge.origin is not None:
+        if edge.parents is None:
             side = edge.side
             if side is None:
                 raise ColoringError(f"basic edge {edge!r} has no originating side")
@@ -143,17 +139,11 @@ def color(
         else:
             raise ColoringError(f"uncolorable edge {edge!r}; repair must run first")
 
-    if strategy is Strategy.ALL_A:
-        for edge in free:
-            colors[edge.seq] = _A
-    elif strategy is Strategy.ALL_B:
-        for edge in free:
-            colors[edge.seq] = _B
-    else:
-        if free:
-            _greedy_assign(graph, colors, relevant)
-        for edge in free:
-            colors.setdefault(edge.seq, _A)
+    if free and strategy is Strategy.GREEDY:
+        _greedy_assign(graph, colors, relevant)
+    default = _B if strategy is Strategy.ALL_B else _A
+    for edge in free:
+        colors.setdefault(edge.seq, default)
     return ColoredGraph(graph, symbols, colors)
 
 

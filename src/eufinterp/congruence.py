@@ -42,21 +42,22 @@ from .core import Literal, Side, Term
 
 @dataclass(slots=True, eq=False)
 class Edge:
-    """One merge step.  Exactly one of ``origin`` / ``parents`` is set.
+    """One merge step: a basic edge, from the input equality ``u = v``, has
+    no ``parents``; a derived edge has the endpoint pairs of its parent paths.
 
-    Hashed and compared by identity; nothing changes an edge once it is made.
+    ``side`` is a basic edge's originating side, if given.  Hashed and
+    compared by identity; nothing changes an edge once it is made.
     """
 
     u: Term
     v: Term
     seq: int
-    origin: Literal | None = None
     side: Side | None = None
     parents: tuple[tuple[Term, Term], ...] | None = None
 
     @property
     def is_basic(self) -> bool:
-        return self.origin is not None
+        return self.parents is None
 
     @property
     def is_derived(self) -> bool:
@@ -150,7 +151,7 @@ class CongruenceGraph:
 
     def _new_edge(self, u: Term, v: Term, parents: tuple[tuple[Term, Term], ...]) -> Edge:
         """A derived edge u--v with the next sequence number, added last."""
-        edge = Edge(u, v, self._next_seq, None, None, parents)
+        edge = Edge(u, v, self._next_seq, None, parents)
         self._next_seq += 1
         self.edges[edge] = None
         return edge
@@ -330,7 +331,7 @@ def close(
         if keep == gone:
             continue
         parents = tuple(zip(s.args, t.args)) if lit is None else None
-        edge = Edge(s, t, seq, lit, side, parents)
+        edge = Edge(s, t, seq, side, parents)
         seq += 1
         edges[edge] = None
         kept, members = classes[keep], classes[gone]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum, Flag, auto
+from enum import Enum, IntFlag
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
@@ -34,21 +34,18 @@ class Side(Enum):
 _A, _B = Side.A, Side.B
 
 
-class Colorability(Flag):
+class Colorability(IntFlag):
     """Signature membership of an expression: A bit, B bit, both, or neither.
 
+    The values are the covering bits themselves (bit 1 for A, bit 2 for B).
     The meet of two colorabilities is plain bit intersection, which is what
     an edge inherits from its endpoints.
     """
 
     NONE = 0
-    A = auto()
-    B = auto()
-    AB = A | B
-
-
-# The members by value: bit 1 is the A bit, bit 2 the B bit.
-_COLORABILITIES = (Colorability.NONE, Colorability.A, Colorability.B, Colorability.AB)
+    A = 1
+    B = 2
+    AB = 3
 
 
 @dataclass(slots=True, eq=False)
@@ -123,22 +120,22 @@ class Literal:
 @dataclass
 class SymbolInfo:
     arity: int
-    occurs_in_a: bool = False
-    occurs_in_b: bool = False
+    occurs: int = 0  # bit 1: occurs in A, bit 2: occurs in B
 
 
 class SymbolTable:
     """Arity and occurrence bookkeeping, plus the colorability of every term.
 
-    ``bits[i]`` is the 2-bit colorability value of the table's term ``i``
-    (bit 1 for A, bit 2 for B), read back as a :class:`Colorability` member
-    by indexing, so the hot paths never combine flags; an edge's fit is the
-    AND of its endpoints' entries.  :meth:`covering` extends the list over
-    the table's newer terms in id order; arguments come first, so each entry
-    is its head's bits ANDed with its arguments' entries.  That covers terms
-    made after parsing, such as repair vertices.  Entries never change, so
-    colorability is read only once the symbols' sides are final, which is
-    after parsing.
+    Each symbol's ``occurs`` holds the sides it occurs on, in the same two
+    bits as colorability (bit 1 for A, bit 2 for B).  ``bits[i]`` is the
+    2-bit colorability value of the table's term ``i``, read back as the
+    :class:`Colorability` of that value, so the hot paths never combine
+    flags; an edge's fit is the AND of its endpoints' entries.
+    :meth:`covering` extends the list over the table's newer terms in id
+    order; arguments come first, so each entry is its head's ``occurs``
+    ANDed with its arguments' entries.  That covers terms made after
+    parsing, such as repair vertices.  Entries never change, so colorability
+    is read only once the symbols' sides are final, which is after parsing.
     """
 
     def __init__(self, table: TermTable) -> None:
@@ -157,10 +154,8 @@ class SymbolTable:
                 f"symbol {name!r} used with arity {arity}, "
                 f"previously {entry.arity}"
             )
-        if side is _A:
-            entry.occurs_in_a = True
-        elif side is _B:
-            entry.occurs_in_b = True
+        if side is not None:
+            entry.occurs |= 1 if side is _A else 2
         return entry
 
     def covering(self) -> list[int]:
@@ -168,7 +163,7 @@ class SymbolTable:
         bits, info = self.bits, self.info
         for t in self.table.terms[len(bits):]:
             entry = info.get(t.head)
-            b = entry.occurs_in_a | entry.occurs_in_b << 1 if entry else 0
+            b = entry.occurs if entry else 0
             for arg in t.args:
                 b &= bits[arg.id]
             bits.append(b)
@@ -178,13 +173,13 @@ class SymbolTable:
         bits = self.bits
         if term.id >= len(bits):
             bits = self.covering()
-        return _COLORABILITIES[bits[term.id]]
+        return Colorability(bits[term.id])
 
 
 def edge_colorability(s: Term, t: Term, symbols: SymbolTable) -> Colorability:
     """An edge (equality) is exactly as colorable as both its endpoints."""
     bits = symbols.covering()
-    return _COLORABILITIES[bits[s.id] & bits[t.id]]
+    return Colorability(bits[s.id] & bits[t.id])
 
 
 def subterm_closure(terms: Iterable[Term]) -> list[Term]:

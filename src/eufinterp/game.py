@@ -585,7 +585,7 @@ def unfold_refutation(colored: ColoredGraph, refuted: Literal, side: Side) -> Pr
                 u, v = v, u
             sub_label = make("=", (u, v))
             if cls is Edge:
-                if item.origin is not None:  # a leaf, finished here
+                if item.parents is None:  # a leaf, finished here
                     done_at[sub_key] = done = len(labels)
                     premises.append(done)
                     labels.append(sub_label)

@@ -10,12 +10,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
 from eufinterp import game
-from eufinterp.coloring import (
-    ColoredGraph,
-    ColoringError,
-    Strategy,
-    _greedy_assign,
-)
+from eufinterp.coloring import ColoredGraph, ColoringError, Strategy
 from eufinterp.congruence import (
     CongruenceGraph,
     Edge,
@@ -106,7 +101,7 @@ def graph_record(graph: CongruenceGraph) -> tuple:
     order by their fields, the vertex list, each vertex's forest link by edge
     seq, its class handle and its label, the classes with member order, the
     next seq and the members moved."""
-    edges = [(e.u, e.v, e.seq, e.origin, e.side, e.parents) for e in graph.edges]
+    edges = [(e.u, e.v, e.seq, e.side, e.parents) for e in graph.edges]
     per_vertex = []
     for t in graph.vertices:
         link = graph._up[t.id]
@@ -145,7 +140,6 @@ def reference_add_edge(
     u: Term,
     v: Term,
     *,
-    origin: Literal | None = None,
     side: Side | None = None,
     parents: tuple[tuple[Term, Term], ...] | None = None,
 ) -> Edge:
@@ -160,7 +154,7 @@ def reference_add_edge(
     ru, rv = rep[u.id], rep[v.id]
     if ru == rv:
         raise ValueError(f"edge would close a cycle: {u!r} -- {v!r}")
-    edge = Edge(u, v, graph._next_seq, origin=origin, side=side, parents=parents)
+    edge = Edge(u, v, graph._next_seq, side=side, parents=parents)
     graph._next_seq += 1
     graph.edges[edge] = None
     low, high = (u, v) if len(classes[ru]) <= len(classes[rv]) else (v, u)
@@ -213,7 +207,7 @@ def reference_close(
         moved = graph.classes[absorbed]
         graph.moved += len(moved)
         if lit is not None:
-            reference_add_edge(graph, s, t, origin=lit, side=side)
+            reference_add_edge(graph, s, t, side=side)
         else:
             reference_add_edge(graph, s, t, parents=tuple(zip(s.args, t.args)))
         rescan = []
@@ -280,8 +274,8 @@ def reference_colorability(
     """The colorability of ``term``, by a walk of its own over its subterms.
 
     The reference for ``SymbolTable.bits``: children first on an explicit
-    stack, each term's flags its head's occurrences met with its arguments'
-    flags, memoized per term id in ``memo`` across calls.
+    stack, each term's flags its head's occurrence bits met with its
+    arguments' flags, memoized per term id in ``memo`` across calls.
     """
     memo = {} if memo is None else memo
     stack = [term]
@@ -296,9 +290,9 @@ def reference_colorability(
             continue
         entry = symbols.info.get(t.head)
         flags = Colorability.NONE
-        if entry is not None and entry.occurs_in_a:
+        if entry is not None and entry.occurs & 1:
             flags |= Colorability.A
-        if entry is not None and entry.occurs_in_b:
+        if entry is not None and entry.occurs & 2:
             flags |= Colorability.B
         for arg in t.args:
             flags &= memo[arg.id]
@@ -836,7 +830,7 @@ def table_snapshot(problem) -> tuple:
     """Term table (id, head, argument ids) and symbol table, in order."""
     terms = [(t.id, t.head, tuple(a.id for a in t.args)) for t in problem.table]
     symbols = [
-        (name, info.arity, info.occurs_in_a, info.occurs_in_b)
+        (name, info.arity, info.occurs)
         for name, info in problem.symbols.info.items()
     ]
     return terms, symbols
@@ -1008,7 +1002,8 @@ def premise_first(tree: ProofTree) -> bool:
 # every edge and re-queues any new edge that fits no side, the splitter scan
 # asks ``colorability`` for each vertex, and coloring asks it again, takes
 # forced colors from ``_forced_color`` and re-checks every color in
-# ``_validate``.  The library's repair and coloring are compared against it.
+# ``_validate``.  Its splitter scan and greedy walk are its own.  The library's
+# repair and coloring are compared against it.
 
 
 def reference_choose_splitter(path, symbols: SymbolTable) -> Term:
@@ -1067,6 +1062,27 @@ def _reference_validate(fits: list, colors: dict) -> None:
             raise ColoringError(f"edge {edge!r} colored {side} but not {side}-colorable")
 
 
+def _reference_greedy_walk(graph: CongruenceGraph, colors: dict, relevant) -> None:
+    """Walk the relevant path, then each derived edge's parent paths, in
+    breadth-first order, each unordered endpoint pair once.  A walked path's
+    uncolored edges are colored left to right like the edge before them, else
+    the edge after them, else A."""
+    order = [relevant]
+    walked: set[tuple[int, int]] = set()
+    for p, q in order:  # grows while it is read
+        ends = (min(p.id, q.id), max(p.id, q.id))
+        if ends in walked:
+            continue
+        walked.add(ends)
+        edges = graph.path(p, q).edges
+        for i, edge in enumerate(edges):
+            if edge.seq not in colors:
+                before = colors.get(edges[i - 1].seq) if i > 0 else None
+                after = colors.get(edges[i + 1].seq) if i < len(edges) - 1 else None
+                colors[edge.seq] = before or after or Side.A
+        order += [(s, t) for e in edges if e.is_derived for s, t in e.parents if s is not t]
+
+
 def reference_color(
     graph: CongruenceGraph, symbols: SymbolTable, strategy=Strategy.GREEDY, *, relevant
 ) -> ColoredGraph:
@@ -1087,7 +1103,7 @@ def reference_color(
             colors[edge.seq] = Side.B
     else:
         if free:
-            _greedy_assign(graph, colors, relevant)
+            _reference_greedy_walk(graph, colors, relevant)
         for edge in free:
             colors.setdefault(edge.seq, Side.A)
     _reference_validate(fits, colors)
@@ -1444,7 +1460,7 @@ def reference_unfold(
             done = done_at.get(sub_key)
             if done is not None:
                 premises.append(done)
-            elif isinstance(sub, Edge) and sub.origin is not None:
+            elif isinstance(sub, Edge) and sub.parents is None:
                 # A leaf, finished below without a frame of its own.
                 key, label, premises = sub_key, eq_label(sub.u, sub.v), ()
                 origin = sub.side.value

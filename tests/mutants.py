@@ -187,6 +187,21 @@ MUTANTS = [
         "test_coloring",
     ),
     (
+        "greedy-no-parent-paths",
+        "coloring.py",
+        "queue.append((s, t))",
+        "pass",
+        "test_coloring",
+    ),
+    ("greedy-lifo", "coloring.py", "p, q = queue.popleft()", "p, q = queue.pop()", "test_coloring"),
+    (
+        "fill-default-side",
+        "coloring.py",
+        "default = _B if strategy is Strategy.ALL_B else _A",
+        "default = _A if strategy is Strategy.ALL_B else _B",
+        "test_coloring",
+    ),
+    (
         "runs-boundary",
         "coloring.py",
         "sides[hi] is not sides[lo]:",
@@ -289,8 +304,15 @@ MUTANTS = [
     (
         "covering-bits",
         "core.py",
-        "entry.occurs_in_a | entry.occurs_in_b << 1",
-        "entry.occurs_in_a << 1 | entry.occurs_in_b",
+        "b = entry.occurs if entry else 0",
+        "b = (entry.occurs & 1) << 1 | entry.occurs >> 1 if entry else 0",
+        "test_core",
+    ),
+    (
+        "declare-occurs-bit",
+        "core.py",
+        "entry.occurs |= 1 if side is _A else 2",
+        "entry.occurs |= 2 if side is _A else 1",
         "test_core",
     ),
     (

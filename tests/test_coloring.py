@@ -147,7 +147,7 @@ def clause_text_set(result):
 def _edge_list(problem):
     colored, _, _, _ = build_colored_graph(problem, Strategy.GREEDY)
     return [
-        (e.seq, format_term(e.u), format_term(e.v), colored.edge_color(e).value)
+        (e.seq, format_term(e.u), format_term(e.v), colored.colors[e.seq].value)
         for e in colored.graph.edges
     ]
 
@@ -258,7 +258,7 @@ def test_free_edge_coloring_drives_the_interpolant():
             for e in colored.graph.edges
             if {e.u.id, e.v.id} == {fz3.id, fz4.id}
         ]
-        return colored.edge_color(edge)
+        return colored.colors[edge.seq]
 
     # the edge sits between two B-colored basic edges, so greedy follows them
     assert free_edge_color(Strategy.GREEDY) is Side.B
@@ -284,7 +284,7 @@ def test_greedy_follows_the_edge_before_a_free_edge():
     p = parse_problem("(A (= a (f c1)) (= c1 c2)) (B (= (f c2) b) (= c1 d) (not (= a b)))")
     colored, refuted, _, _ = build_colored_graph(p)
     path = colored.graph.path(refuted.lhs, refuted.rhs)
-    assert [colored.edge_color(e) for e in path.edges] == [Side.A, Side.A, Side.B]
+    assert [colored.colors[e.seq] for e in path.edges] == [Side.A, Side.A, Side.B]
     assert format_conjunction(interpolate(p).interpolant) == "(and (= a (f c2)))"
 
 
@@ -295,7 +295,7 @@ def test_fully_basic_graph_coloring_is_forced():
     for strategy in Strategy:
         colored = color(g, p.symbols, strategy, relevant=(refuted.lhs, refuted.rhs))
         for edge in g.edges:
-            assert colored.edge_color(edge) is edge.side
+            assert colored.colors[edge.seq] is edge.side
 
 
 def test_factorize_alternating_chain():
@@ -325,7 +325,7 @@ def test_factor_count_equals_color_switches():
         p = parse_problem(inst.text)
         colored, refuted, _, _ = build_colored_graph(p, Strategy.GREEDY)
         path = colored.graph.path(refuted.lhs, refuted.rhs)
-        sides = [colored.edge_color(e) for e in path.edges]
+        sides = [colored.colors[e.seq] for e in path.edges]
         switches = sum(1 for x, y in zip(sides, sides[1:]) if x is not y)
         assert len(colored.runs(path)) == switches + 1
 
@@ -375,7 +375,7 @@ class TestColoringErrors:
         g = close([(lit, None) for lit, _ in p.equalities()], p.terms())
         assert self._color_error(paint, g, p.symbols) == (
             "basic edge Edge(u=Term#0(a1), v=Term#1(a2), seq=0, "
-            "origin=Literal((= a1 a2)), side=None, parents=None) "
+            "side=None, parents=None) "
             "has no originating side"
         )
 
@@ -386,7 +386,7 @@ class TestColoringErrors:
         g = close([(lit, flip[side]) for lit, side in p.equalities()], p.terms())
         assert self._color_error(paint, g, p.symbols) == (
             "edge Edge(u=Term#0(a1), v=Term#1(a2), seq=0, "
-            "origin=Literal((= a1 a2)), side=<Side.B: 'B'>, parents=None) "
+            "side=<Side.B: 'B'>, parents=None) "
             "colored Side.B but not Side.B-colorable"
         )
 
@@ -396,7 +396,7 @@ class TestColoringErrors:
         g = close(p.equalities(), p.terms())
         assert self._color_error(paint, g, p.symbols) == (
             "uncolorable edge Edge(u=Term#6((* z1 y)), v=Term#3((* x z2)), seq=3, "
-            "origin=None, side=None, parents=((Term#1(z1), Term#0(x)), "
+            "side=None, parents=((Term#1(z1), Term#0(x)), "
             "(Term#5(y), Term#2(z2)))); repair must run first"
         )
 
@@ -409,5 +409,5 @@ class TestColoringErrors:
             repair(g, p.symbols, p.table)
         assert str(info.value) == (
             "basic edge Edge(u=Term#0(a), v=Term#2(b), seq=0, "
-            "origin=Literal((= a b)), side=<Side.A: 'A'>, parents=None) is uncolorable"
+            "side=<Side.A: 'A'>, parents=None) is uncolorable"
         )

@@ -227,7 +227,7 @@ def _hand_built(mid_side: str, heavy: str, mid_fresh: bool):
     ends = {"u": fa, "v": fd}
 
     def basic(s, t):
-        reference_add_edge(g, s, t, origin=Literal.make(s, t), side=Side.A)
+        reference_add_edge(g, s, t, side=Side.A)
 
     if not mid_fresh:
         basic(ends[mid_side], p)

@@ -73,8 +73,8 @@ def test_parse_two_rung_ladder_instance():
     assert len(p.a_literals) == 8
     assert len(p.b_literals) == 6
     assert p.symbols.info["f"].arity == 1
-    assert p.symbols.info["f"].occurs_in_a and p.symbols.info["f"].occurs_in_b
-    assert p.symbols.info["x1"].occurs_in_a and not p.symbols.info["x1"].occurs_in_b
+    assert p.symbols.info["f"].occurs == 3  # bit 1: A, bit 2: B
+    assert p.symbols.info["x1"].occurs == 1
     assert sum(1 for lit, _ in p.disequalities()) == 1
 
 
@@ -348,12 +348,12 @@ def test_reader_declares_and_notes_symbols_in_one_walk():
     p = parse_problem("(declare-fun g 2) (A (= (f a) (g a b))) (B (not (= (f a) c)))")
     info = p.symbols.info
     assert list(info) == ["g", "a", "f", "b", "c"]
-    assert [(info[n].arity, info[n].occurs_in_a, info[n].occurs_in_b) for n in info] == [
-        (2, True, False),
-        (0, True, True),
-        (1, True, True),
-        (0, True, False),
-        (0, False, True),
+    assert [(info[n].arity, info[n].occurs) for n in info] == [
+        (2, 1),
+        (0, 3),
+        (1, 3),
+        (0, 1),
+        (0, 2),
     ]
     assert [t.id for t in p.table] == list(range(len(p.table)))
     assert [format_term(t) for t in p.table] == ["a", "(f a)", "b", "(g a b)", "c"]

@@ -1298,7 +1298,7 @@ class TestBridge:
         for seq, (u, v, parents) in enumerate(edges):
             u, v = vertex[u], vertex[v]
             if parents is None:
-                edge = Edge(u, v, seq, Literal.make(u, v), Side.A)
+                edge = Edge(u, v, seq, Side.A)
             else:
                 pairs = tuple((vertex[p], vertex[q]) for p, q in parents)
                 edge = Edge(u, v, seq, parents=pairs)

@@ -390,6 +390,14 @@ def reference_problems():
         "(A (= x1 x0) (= x0 z0) (= (g x1 z1) z2))"
         " (B (= z0 y0) (not (= (g y0 y2) z2)) (= y1 y2) (= z1 y1))"
     )
+    # The free edge (f c1) -- (f c2) is on no refuted path, only on the
+    # parent paths of the two derived edges there: next to a B edge on the
+    # first one's, an A edge on the second's.  Greedy walks the first first
+    # and colors it B.
+    yield (
+        "(A (= a w) (= c1 c2) (= (f c2) v) (= s1 (g a)))"
+        " (B (= w (f c1)) (= v b) (= (g (f c2)) (k (f c1))) (= (k b) s2) (not (= s1 s2)))"
+    )
 
 
 class TestRunBasedPremiseSets:

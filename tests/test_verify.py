@@ -294,7 +294,7 @@ class TestCheckInterpolant:
         p = parse_problem("(A (= a c1) (= a c2)) (B (not (= c1 c2)))")
         horn = parse_conjunction("(and (= a c1) (= a c2))", p.table, p.symbols)
         for info in p.symbols.info.values():
-            info.occurs_in_a = info.occurs_in_b = True
+            info.occurs = 3  # both sides
         report = check_interpolant(p, horn)
         assert report.a_entails_i and report.b_i_unsat
         assert not report.shared_signature_ok
